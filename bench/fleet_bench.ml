@@ -48,12 +48,12 @@ let result_json (r : Fleet.result) =
             ("p99", Json.Float (Histogram.p99 r.Fleet.stalls));
             ("p999", Json.Float (Histogram.p999 r.Fleet.stalls));
           ] );
-      ("tier_demotions", Json.Int r.Fleet.perf.Perf.tier_demotions);
-      ("tier_promotions", Json.Int r.Fleet.perf.Perf.tier_promotions);
-      ("admission_rejects", Json.Int r.Fleet.perf.Perf.admission_rejects);
-      ("major_faults", Json.Int r.Fleet.perf.Perf.major_faults);
-      ("swapva_calls", Json.Int r.Fleet.perf.Perf.swapva_calls);
-      ("memmove_calls", Json.Int r.Fleet.perf.Perf.memmove_calls);
+      ("tier_demotions", Json.Int (Perf.get r.Fleet.perf Tier_demotions));
+      ("tier_promotions", Json.Int (Perf.get r.Fleet.perf Tier_promotions));
+      ("admission_rejects", Json.Int (Perf.get r.Fleet.perf Admission_rejects));
+      ("major_faults", Json.Int (Perf.get r.Fleet.perf Major_faults));
+      ("swapva_calls", Json.Int (Perf.get r.Fleet.perf Swapva_calls));
+      ("memmove_calls", Json.Int (Perf.get r.Fleet.perf Memmove_calls));
       ("total_ns", Json.Float r.Fleet.total_ns);
     ]
 

@@ -65,7 +65,7 @@ let replay engine ~tenants =
   let t0 = Sys.time () in
   let fired =
     match engine with
-    | `Scan -> Engine.run_lockstep_scan procs
+    | `Scan -> Svagc_check.Differential.run_lockstep_scan procs
     | `Calendar -> Engine.run_calendar procs
   in
   (Sys.time () -. t0, fired, state)

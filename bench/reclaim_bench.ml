@@ -53,24 +53,25 @@ let bench_size ~pages =
   (* Separate fixtures: memmove's fault-ins destroy the half-swapped
      state that the SwapVA measurement must also start from. *)
   let swap_machine, swap_proc = fixture ~pages in
-  let faults_before = swap_machine.Machine.perf.Perf.major_faults in
+  let faults_before = Perf.get swap_machine.Machine.perf Major_faults in
   let swapva_ns =
     with_drained swap_machine (fun () ->
-        Swapva.swap_disjoint_run swap_proc ~pmd_caching:true req)
+        Swapva.swap_disjoint_flat swap_proc ~pmd_caching:true ~leaf_swap:false
+          req)
   in
   let swapva_faults =
-    swap_machine.Machine.perf.Perf.major_faults - faults_before
+    Perf.get swap_machine.Machine.perf Major_faults - faults_before
   in
   Printf.printf " swapva%!";
   let mm_machine, mm_proc = fixture ~pages in
   let mm_aspace = Process.aspace mm_proc in
-  let faults_before = mm_machine.Machine.perf.Perf.major_faults in
+  let faults_before = Perf.get mm_machine.Machine.perf Major_faults in
   let memmove_ns =
     with_drained mm_machine (fun () ->
         Memmove.move mm_aspace ~src:base ~dst:req.Swapva.dst ~len)
   in
   let memmove_faults =
-    mm_machine.Machine.perf.Perf.major_faults - faults_before
+    Perf.get mm_machine.Machine.perf Major_faults - faults_before
   in
   Printf.printf " memmove\n%!";
   let speedup = if swapva_ns > 0.0 then memmove_ns /. swapva_ns else 0.0 in

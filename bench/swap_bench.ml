@@ -1,13 +1,14 @@
 (* Host wall-clock microbenchmark for the disjoint-swap data paths:
    simulated memmove (byte copies) vs the per-page SwapVA reference vs the
-   run-coalesced SwapVA engine vs the flat engine (bitset prechecks,
-   scratch run buffers, memoized bulk charges), at 1k / 64k / 512k pages
-   per side.
+   flat SwapVA engine (bitset prechecks, scratch run buffers, memoized
+   bulk charges), at 1k / 64k / 512k pages per side.  Memmove is timed
+   only up to [memmove_max_pages]: beyond that its staging buffer and
+   materialized destination frames need several GB of host memory.
 
-   All SwapVA engines charge bit-identical *simulated* cost (asserted
+   Both SwapVA engines charge bit-identical *simulated* cost (asserted
    here and recorded in the output); what this benchmark measures is how
-   much *host* time the simulator itself spends, which is what the
-   run-coalesced and flat engines exist to cut.
+   much *host* time the simulator itself spends, which is what the flat
+   engine exists to cut.
 
    `dune exec bench/swap_bench.exe` writes BENCH_swap.json (canonical
    JSON, see --output).  `--quick` trims the sizes for CI smoke runs. *)
@@ -50,6 +51,8 @@ let time_per_op f =
   done;
   !best
 
+let memmove_max_pages = 65536
+
 let fixture ~pages =
   (* Both ranges plus slack for page tables and metadata. *)
   let phys_mib = (2 * pages / 256) + 64 in
@@ -72,12 +75,6 @@ let bench_size ~pages =
         per_page_sim := Swapva.swap_disjoint_per_page proc ~pmd_caching:true req)
   in
   Printf.printf " per-page%!";
-  let run_sim = ref 0.0 in
-  let run_host =
-    time_per_op (fun () ->
-        run_sim := Swapva.swap_disjoint_run proc ~pmd_caching:true req)
-  in
-  Printf.printf " run-coalesced%!";
   let flat_sim = ref 0.0 in
   let flat_host =
     time_per_op (fun () ->
@@ -85,16 +82,21 @@ let bench_size ~pages =
           Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false req)
   in
   Printf.printf " flat%!";
-  let memmove_host =
-    time_per_op (fun () ->
-        ignore (Memmove.move aspace ~src:base ~dst:req.Swapva.dst ~len))
+  let memmove =
+    if pages > memmove_max_pages then []
+    else begin
+      let host =
+        time_per_op (fun () ->
+            ignore (Memmove.move aspace ~src:base ~dst:req.Swapva.dst ~len))
+      in
+      Printf.printf " memmove%!";
+      [
+        ("memmove", Json.Obj [ ("host_ns_per_op", Json.Float (host *. 1e9)) ]);
+        ("host_speedup_flat_vs_memmove", Json.Float (host /. flat_host));
+      ]
+    end
   in
-  Printf.printf " memmove\n%!";
-  if !per_page_sim <> !run_sim then
-    failwith
-      (Printf.sprintf
-         "simulated cost diverged at %d pages: per-page %.17g vs run %.17g"
-         pages !per_page_sim !run_sim);
+  print_newline ();
   if !per_page_sim <> !flat_sim then
     failwith
       (Printf.sprintf
@@ -102,34 +104,26 @@ let bench_size ~pages =
          pages !per_page_sim !flat_sim);
   let ns s = s *. 1e9 in
   Json.Obj
-    [
-      ("pages", Json.Int pages);
-      ("bytes_per_side", Json.Int len);
-      ("memmove", Json.Obj [ ("host_ns_per_op", Json.Float (ns memmove_host)) ]);
-      ( "swapva_per_page",
-        Json.Obj
-          [
-            ("host_ns_per_op", Json.Float (ns per_page_host));
-            ("simulated_ns", Json.Float !per_page_sim);
-          ] );
-      ( "swapva_run_coalesced",
-        Json.Obj
-          [
-            ("host_ns_per_op", Json.Float (ns run_host));
-            ("simulated_ns", Json.Float !run_sim);
-          ] );
-      ( "swapva_flat",
-        Json.Obj
-          [
-            ("host_ns_per_op", Json.Float (ns flat_host));
-            ("simulated_ns", Json.Float !flat_sim);
-          ] );
-      ("simulated_cost_identical", Json.Bool true);
-      ( "host_speedup_run_vs_per_page",
-        Json.Float (per_page_host /. run_host) );
-      ("host_speedup_run_vs_memmove", Json.Float (memmove_host /. run_host));
-      ("host_speedup_flat_vs_run", Json.Float (run_host /. flat_host));
-    ]
+    ([
+       ("pages", Json.Int pages);
+       ("bytes_per_side", Json.Int len);
+       ( "swapva_per_page",
+         Json.Obj
+           [
+             ("host_ns_per_op", Json.Float (ns per_page_host));
+             ("simulated_ns", Json.Float !per_page_sim);
+           ] );
+       ( "swapva_flat",
+         Json.Obj
+           [
+             ("host_ns_per_op", Json.Float (ns flat_host));
+             ("simulated_ns", Json.Float !flat_sim);
+           ] );
+       ("simulated_cost_identical", Json.Bool true);
+       ( "host_speedup_flat_vs_per_page",
+         Json.Float (per_page_host /. flat_host) );
+     ]
+    @ memmove)
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -158,25 +152,17 @@ let () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  (* Full runs gate on the run-coalesced engine clearly beating the
-     per-page reference at the largest size.  --quick smoke runs (CI on
-     shared runners) only report the ratio: small sizes and noisy
-     neighbours make a hard perf gate flaky there. *)
+  (* Full runs gate on the flat engine clearly beating the per-page
+     reference at the largest size.  --quick smoke runs (CI on shared
+     runners) only report the ratio: small sizes and noisy neighbours make
+     a hard perf gate flaky there. *)
   match List.rev results with
-  | last :: _ ->
-    (match Json.member "host_speedup_run_vs_per_page" last with
+  | last :: _ -> (
+    match Json.member "host_speedup_flat_vs_per_page" last with
     | Some (Json.Float s) ->
-      Printf.printf "largest-size speedup run vs per-page: %.1fx\n" s;
+      Printf.printf "largest-size speedup flat vs per-page: %.1fx\n" s;
       if (not quick) && s < 5.0 then begin
         Printf.eprintf "FAIL: expected >= 5x, got %.2fx\n" s;
-        exit 1
-      end
-    | _ -> ());
-    (match Json.member "host_speedup_flat_vs_run" last with
-    | Some (Json.Float s) ->
-      Printf.printf "largest-size speedup flat vs run-coalesced: %.1fx\n" s;
-      if (not quick) && s < 1.5 then begin
-        Printf.eprintf "FAIL: expected >= 1.5x, got %.2fx\n" s;
         exit 1
       end
     | _ -> ())

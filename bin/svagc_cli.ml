@@ -250,11 +250,11 @@ let bench_cmd =
         | Some _ ->
           let perf = machine.Svagc_vmem.Machine.perf in
           Report.kv "major faults"
-            (string_of_int perf.Svagc_vmem.Perf.major_faults);
+            (string_of_int (Svagc_vmem.Perf.get perf Major_faults));
           Report.kv "pages swapped out"
-            (string_of_int perf.Svagc_vmem.Perf.pages_swapped_out);
+            (string_of_int (Svagc_vmem.Perf.get perf Pages_swapped_out));
           Report.kv "pages swapped in"
-            (string_of_int perf.Svagc_vmem.Perf.pages_swapped_in))
+            (string_of_int (Svagc_vmem.Perf.get perf Pages_swapped_in)))
       collectors
   in
   Cmd.v (Cmd.info "bench" ~doc)
@@ -396,7 +396,7 @@ let trace_cmd =
 let check_cmd =
   let doc =
     "Run the shadow invariant oracle: the qcheck-style differential harness \
-     (per-page vs run-coalesced vs pmd-leaf SwapVA engines, rate-0 fault \
+     (per-page vs flat vs pmd-leaf SwapVA engines, rate-0 fault \
      bit-identity), the work-steal scheduler laws, a traced workload with \
      span-nesting checks, and oracle-enabled experiments. Exits non-zero on \
      any finding."

@@ -112,64 +112,69 @@ let counter_laws machine =
      [ncores - 1] sends, plus one resend per fault-injected loss.  Holds
      because [Machine.ipi_broadcast_cost] is the only send path. *)
   law a "counter-law"
-    (p.Perf.ipis_sent
-    = (p.Perf.shootdown_broadcasts * (ncores - 1)) + p.Perf.ipis_lost)
+    (Perf.get p Ipis_sent
+    = (Perf.get p Shootdown_broadcasts * (ncores - 1)) + Perf.get p Ipis_lost)
     "ipis_sent = %d but shootdown_broadcasts * (ncores-1) + ipis_lost = %d * %d + %d = %d"
-    p.Perf.ipis_sent p.Perf.shootdown_broadcasts (ncores - 1) p.Perf.ipis_lost
-    ((p.Perf.shootdown_broadcasts * (ncores - 1)) + p.Perf.ipis_lost);
+    (Perf.get p Ipis_sent)
+    (Perf.get p Shootdown_broadcasts)
+    (ncores - 1) (Perf.get p Ipis_lost)
+    ((Perf.get p Shootdown_broadcasts * (ncores - 1)) + Perf.get p Ipis_lost);
   law a "counter-law"
-    (p.Perf.ipis_lost <= p.Perf.ipis_sent)
-    "ipis_lost = %d exceeds ipis_sent = %d" p.Perf.ipis_lost p.Perf.ipis_sent;
+    (Perf.get p Ipis_lost <= Perf.get p Ipis_sent)
+    "ipis_lost = %d exceeds ipis_sent = %d" (Perf.get p Ipis_lost)
+    (Perf.get p Ipis_sent);
   law a "counter-law"
-    (p.Perf.swapva_calls <= p.Perf.syscalls)
-    "swapva_calls = %d exceeds syscalls = %d" p.Perf.swapva_calls
-    p.Perf.syscalls;
+    (Perf.get p Swapva_calls <= Perf.get p Syscalls)
+    "swapva_calls = %d exceeds syscalls = %d" (Perf.get p Swapva_calls)
+    (Perf.get p Syscalls);
   law a "counter-law"
-    (p.Perf.bytes_remapped mod Addr.page_size = 0)
-    "bytes_remapped = %d is not page-sized" p.Perf.bytes_remapped;
+    (Perf.get p Bytes_remapped mod Addr.page_size = 0)
+    "bytes_remapped = %d is not page-sized" (Perf.get p Bytes_remapped);
   (* Each machine-wide flush walks every core's TLB, so it contributes
      [ncores] local-flush events. *)
   law a "counter-law"
-    (p.Perf.tlb_flush_local >= ncores * p.Perf.tlb_flush_all)
+    (Perf.get p Tlb_flush_local >= ncores * Perf.get p Tlb_flush_all)
     "tlb_flush_local = %d < ncores * tlb_flush_all = %d * %d"
-    p.Perf.tlb_flush_local ncores p.Perf.tlb_flush_all;
+    (Perf.get p Tlb_flush_local) ncores (Perf.get p Tlb_flush_all);
   (* A PMD leaf swap exchanges one PTE-pointer pair. *)
   law a "counter-law"
-    (p.Perf.ptes_swapped >= 2 * p.Perf.pmd_leaf_swaps)
-    "ptes_swapped = %d < 2 * pmd_leaf_swaps = %d" p.Perf.ptes_swapped
-    (2 * p.Perf.pmd_leaf_swaps);
+    (Perf.get p Ptes_swapped >= 2 * Perf.get p Pmd_leaf_swaps)
+    "ptes_swapped = %d < 2 * pmd_leaf_swaps = %d" (Perf.get p Ptes_swapped)
+    (2 * Perf.get p Pmd_leaf_swaps);
   (* Reclaim accounting: a page can only come back in after going out, and
      every swap-in rode a major fault (faults are counted on entry, so a
      fault that then failed with EIO still counts). *)
   law a "counter-law"
-    (p.Perf.pages_swapped_in <= p.Perf.pages_swapped_out)
+    (Perf.get p Pages_swapped_in <= Perf.get p Pages_swapped_out)
     "pages_swapped_in = %d exceeds pages_swapped_out = %d"
-    p.Perf.pages_swapped_in p.Perf.pages_swapped_out;
+    (Perf.get p Pages_swapped_in) (Perf.get p Pages_swapped_out);
   law a "counter-law"
-    (p.Perf.major_faults >= p.Perf.pages_swapped_in)
-    "major_faults = %d < pages_swapped_in = %d" p.Perf.major_faults
-    p.Perf.pages_swapped_in;
+    (Perf.get p Major_faults >= Perf.get p Pages_swapped_in)
+    "major_faults = %d < pages_swapped_in = %d" (Perf.get p Major_faults)
+    (Perf.get p Pages_swapped_in);
   (* Tiered-device accounting: a promotion is a fault served from the far
      tier, so it rides a swap-in; a demotion moves a slot some swap-out
      created, and a slot demotes at most once per lifetime (promotion
      frees it), so demotions never outnumber swap-outs. *)
   law a "counter-law"
-    (p.Perf.tier_promotions <= p.Perf.pages_swapped_in)
+    (Perf.get p Tier_promotions <= Perf.get p Pages_swapped_in)
     "tier_promotions = %d exceeds pages_swapped_in = %d"
-    p.Perf.tier_promotions p.Perf.pages_swapped_in;
+    (Perf.get p Tier_promotions) (Perf.get p Pages_swapped_in);
   law a "counter-law"
-    (p.Perf.tier_demotions <= p.Perf.pages_swapped_out)
+    (Perf.get p Tier_demotions <= Perf.get p Pages_swapped_out)
     "tier_demotions = %d exceeds pages_swapped_out = %d"
-    p.Perf.tier_demotions p.Perf.pages_swapped_out;
+    (Perf.get p Tier_demotions) (Perf.get p Pages_swapped_out);
   (* Event-calendar accounting: an event is dispatched or cancelled at
      most once, and only after being scheduled — lazy cancellation must
      never double-count a seq. *)
   law a "counter-law"
-    (p.Perf.sched_dispatched + p.Perf.sched_cancelled
-    <= p.Perf.sched_scheduled)
+    (Perf.get p Sched_dispatched + Perf.get p Sched_cancelled
+    <= Perf.get p Sched_scheduled)
     "sched_dispatched + sched_cancelled = %d + %d exceeds sched_scheduled = \
      %d"
-    p.Perf.sched_dispatched p.Perf.sched_cancelled p.Perf.sched_scheduled;
+    (Perf.get p Sched_dispatched)
+    (Perf.get p Sched_cancelled)
+    (Perf.get p Sched_scheduled);
   result a
 
 (* --- page-table presence bitsets --- *)

@@ -55,13 +55,12 @@ let gen_case ?(arena_pages = 1536) ?(max_requests = 10) ~seed () =
   in
   { seed; arena_pages; requests }
 
-type path = Per_page | Runs | Leaf | Flat
+type path = Per_page | Flat | Leaf
 
 let path_name = function
   | Per_page -> "per-page"
-  | Runs -> "runs"
-  | Leaf -> "pmd-leaf"
   | Flat -> "flat"
+  | Leaf -> "pmd-leaf"
 
 type replay = {
   cost : float;
@@ -82,7 +81,7 @@ let layout_of proc =
   Page_table.iter_mapped pt ~f:(fun ~vpn ~frame -> acc := (vpn, frame) :: !acc);
   List.sort compare !acc
 
-(* [leaf_runs] counts how many PMD-leaf slices the batched engine walked —
+(* [leaf_runs] counts how many PMD-leaf slices the flat engine walked —
    pure bookkeeping of the fast path itself, explicitly outside the
    equivalence contract (the per-page reference never sets it). *)
 let counters_of machine =
@@ -95,10 +94,10 @@ let replay path case =
   let engine req =
     match path with
     | Per_page -> Swapva.swap_disjoint_per_page proc ~pmd_caching:true req
-    | Runs -> Swapva.swap_disjoint_run proc ~pmd_caching:true req
-    | Leaf -> Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req
     | Flat ->
       Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false req
+    | Leaf ->
+      Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true req
   in
   let cost =
     List.fold_left (fun acc req -> acc +. engine req) 0.0 case.requests
@@ -119,26 +118,11 @@ let compare_case case =
     if not ok then findings := f () :: !findings
   in
   let reference = replay Per_page case in
-  let runs = replay Runs case in
+  let flat = replay Flat case in
   let leaf = replay Leaf case in
   let label = Printf.sprintf "case seed=%d (%d requests)" case.seed
       (List.length case.requests)
   in
-  law (runs.cost = reference.cost) (fun () ->
-      mk "differential-cost"
-        "%s: run-coalesced cost %.17g <> per-page reference %.17g" label
-        runs.cost reference.cost);
-  law (runs.layout = reference.layout) (fun () ->
-      mk "differential-layout"
-        "%s: run-coalesced final mapping differs from the per-page reference"
-        label);
-  law (runs.counters = reference.counters) (fun () ->
-      match first_counter_mismatch runs.counters reference.counters with
-      | Some ((k, v1), (_, v2)) ->
-        mk "differential-counters" "%s: %s = %d (runs) vs %d (per-page)" label
-          k v1 v2
-      | None -> mk "differential-counters" "%s: counter sets differ" label);
-  let flat = replay Flat case in
   law (flat.cost = reference.cost) (fun () ->
       mk "differential-cost"
         "%s: flat-engine cost %.17g <> per-page reference %.17g" label
@@ -156,10 +140,10 @@ let compare_case case =
   law (leaf.layout = reference.layout) (fun () ->
       mk "differential-layout"
         "%s: pmd-leaf final mapping differs from the per-page reference" label);
-  law (leaf.cost <= runs.cost +. 1e-9) (fun () ->
+  law (leaf.cost <= flat.cost) (fun () ->
       mk "differential-cost"
-        "%s: pmd-leaf cost %.17g exceeds the run-coalesced cost %.17g" label
-        leaf.cost runs.cost);
+        "%s: pmd-leaf cost %.17g exceeds the flat cost %.17g" label leaf.cost
+        flat.cost);
   (!items + List.length reference.layout, List.rev !findings)
 
 (* --- rate-0 fault identity through the full syscall boundary --- *)
@@ -244,6 +228,41 @@ let gen_sched_case ?(max_procs = 12) ?(max_events = 16) ~seed () =
   in
   { sc_seed = seed; sc_firsts = firsts; sc_plans = plans }
 
+(* Reference engine: every dispatch is an O(n) scan for the minimum
+   (next, stamp) pair — the host cost profile of the old lockstep wave
+   loop.  [stamp] reproduces the calendar's FIFO tie-break: initial
+   stamps are array order, reschedules take the next counter value,
+   exactly like Calendar seq numbers do in [Engine.run_calendar]. *)
+let run_lockstep_scan procs =
+  let n = Array.length procs in
+  let next = Array.map Engine.first_ns procs in
+  let stamp = Array.init n Fun.id in
+  let counter = ref n and fired = ref 0 and running = ref true in
+  while !running do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      let t = next.(i) in
+      if t <> Engine.done_ns then
+        if
+          !best < 0
+          || t < next.(!best)
+          || (t = next.(!best) && stamp.(i) < stamp.(!best))
+        then best := i
+    done;
+    if !best < 0 then running := false
+    else begin
+      let i = !best in
+      let nxt = Engine.fire procs.(i) ~now:next.(i) in
+      incr fired;
+      next.(i) <- nxt;
+      if nxt <> Engine.done_ns then begin
+        stamp.(i) <- !counter;
+        incr counter
+      end
+    end
+  done;
+  !fired
+
 (* Replay one schedule through an engine, logging every firing as
    (proc index, simulated ns) — the whole observable behaviour. *)
 let sched_replay case engine =
@@ -264,7 +283,7 @@ let sched_replay case engine =
   in
   let fired =
     match engine with
-    | `Scan -> Engine.run_lockstep_scan procs
+    | `Scan -> run_lockstep_scan procs
     | `Calendar -> Engine.run_calendar procs
   in
   (fired, List.rev !order)

@@ -1,21 +1,18 @@
 (** The differential harness: random swap schedules replayed through every
     SwapVA engine, asserting the equivalences the kernel promises.
 
-    Four engine paths are compared on identical fresh machines:
+    Three engine paths are compared on identical fresh machines:
 
     - [Per_page] — [Swapva.swap_disjoint_per_page], the executable
       reference;
-    - [Runs] — [Swapva.swap_disjoint_run], the run-coalesced fast path,
-      which must produce a bit-identical heap layout, perf-counter deltas
-      (modulo its own [leaf_runs] bookkeeping counter) and bit-identical
-      simulated cost;
-    - [Flat] — [Swapva.swap_disjoint_flat], the allocation-free engine
-      behind the syscall (bitset prechecks, scratch run buffers, memoized
-      bulk charges), held to the same bit-identity bar as [Runs];
-    - [Leaf] — [swap_disjoint_run ~leaf_swap:true], the O(1) PMD mode,
-      which must produce the identical layout at no greater cost (its
-      counters legitimately differ — it is outside the cost-equivalence
-      guarantee).
+    - [Flat] — [Swapva.swap_disjoint_flat], the engine behind the
+      syscall, which must produce a bit-identical heap layout,
+      perf-counter deltas (modulo its own [leaf_runs] bookkeeping
+      counter) and bit-identical simulated cost;
+    - [Leaf] — [swap_disjoint_flat ~leaf_swap:true], the O(1) PMD mode,
+      which must produce the identical layout at no greater cost than
+      [Flat] (its counters legitimately differ — it is outside the
+      cost-equivalence guarantee).
 
     Each case is additionally pushed through the full syscall boundary
     ([swap_separated] with broadcast flushing and [swap_aggregated] with
@@ -39,7 +36,7 @@ val gen_case : ?arena_pages:int -> ?max_requests:int -> seed:int -> unit -> case
     and (when the arena allows) whole PMD-aligned 512-page runs that light
     up the leaf-swap path. *)
 
-type path = Per_page | Runs | Leaf | Flat
+type path = Per_page | Flat | Leaf
 
 val path_name : path -> string
 
@@ -72,10 +69,17 @@ val gen_sched_case :
     so both replays consume the identical plan; small integer ns with
     zero strides allowed make same-instant FIFO ties common. *)
 
+val run_lockstep_scan : Svagc_sched.Engine.proc array -> int
+(** The reference scheduler: the old lockstep wave loop, where every
+    dispatch scans the whole process array for the minimum
+    [(next_ns, stamp)] pair, so each event costs O(n) host work.  Fires
+    the same events in the same order as
+    [Svagc_sched.Engine.run_calendar]; returns the number fired. *)
+
 val sched_identity : sched_case -> int * Check.finding list
-(** Replay the schedule through [Svagc_sched.Engine.run_lockstep_scan] and
-    [run_calendar]; the (proc, ns) firing sequences must be bit-identical
-    (the calendar's FIFO tie-break contract). *)
+(** Replay the schedule through {!run_lockstep_scan} and
+    [Svagc_sched.Engine.run_calendar]; the (proc, ns) firing sequences
+    must be bit-identical (the calendar's FIFO tie-break contract). *)
 
 val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
 (** The host-parallelism oracle (DESIGN.md §13): replay one deterministic

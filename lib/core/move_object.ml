@@ -86,7 +86,7 @@ let degrade_item proc ~opts ~aspace ?measure_core ~emit ~carry err (req, entries
     spent :=
       !spent +. (cost.Cost_model.retry_backoff_ns *. (2.0 ** float_of_int !retries));
     incr retries;
-    perf.Perf.swap_retries <- perf.Perf.swap_retries + 1;
+    Perf.bump perf Swap_retries 1;
     match
       Swapva.swap_result proc ~opts ~src:req.Swapva.src ~dst:req.Swapva.dst
         ~pages:req.Swapva.pages
@@ -105,7 +105,7 @@ let degrade_item proc ~opts ~aspace ?measure_core ~emit ~carry err (req, entries
     emit_attributed ~emit ~total ~total_pages ~swapped:true entries
   | Error err ->
     if not (Kernel_error.is_degradable err) then raise (Kernel_error.Fault err);
-    perf.Perf.swap_fallbacks <- perf.Perf.swap_fallbacks + 1;
+    Perf.bump perf Swap_fallbacks 1;
     trace_fallback err ~entries:(List.length entries) ~pages:total_pages
       ~retries:!retries;
     (* Degrade: complete every entry of the request with memmove.  The
@@ -277,7 +277,7 @@ let mover ?measure_core (cfg : Config.t) =
                 let m = { r with Swapva.pages = r.Swapva.pages + pages } in
                 if Swapva.ranges_overlap m then None
                 else begin
-                  perf.Perf.runs_coalesced <- perf.Perf.runs_coalesced + 1;
+                  Perf.bump perf Runs_coalesced 1;
                   incr coalesced;
                   Some ((m, entry :: ep) :: rest)
                 end

@@ -27,16 +27,12 @@ let create ?mem_limit_frames ?swap_cost_ns ?swap_dev ?cgroup machine ~instances
 
 let jvms t = t.jvms
 
-let run_round_robin_lockstep t ~steps ~step =
-  for s = 0 to steps - 1 do
-    Array.iter (fun jvm -> step jvm s) t.jvms
-  done
-
 (* Event-driven core: each JVM is a self-rescheduling process on the
    calendar; step [s] is its event at simulated ns [s].  All processes
    enter at ns 0 in index order and re-enter in firing order, so the
-   (ns, seq) FIFO heap replays the lockstep interleaving exactly (see
-   Svagc_sched.Engine) while idle tenants cost no host work. *)
+   (ns, seq) FIFO heap replays the nested lockstep loop's interleaving
+   exactly (see Svagc_sched.Engine) while idle tenants cost no host
+   work. *)
 let run_round_robin_indexed t ~steps ~step =
   if steps > 0 then begin
     let procs =

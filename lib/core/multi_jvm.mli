@@ -36,17 +36,12 @@ val run_round_robin : t -> steps:int -> step:(Jvm.t -> int -> unit) ->
 (** Interleave [steps] iterations across the instances: step s goes to
     every JVM in turn ([step jvm s]).  Backed by the
     {!Svagc_sched.Calendar} event-driven core; the firing order is
-    proven bit-identical to {!run_round_robin_lockstep} (FIFO seq
+    proven bit-identical to the nested lockstep loop (FIFO seq
     tie-breaking replays the wave interleaving exactly). *)
 
 val run_round_robin_indexed :
   t -> steps:int -> step:(index:int -> Jvm.t -> int -> unit) -> unit
 (** Same engine, passing each instance's index to [step]. *)
-
-val run_round_robin_lockstep : t -> steps:int -> step:(Jvm.t -> int -> unit) ->
-  unit
-(** Reference engine: the original nested lockstep loop, kept for the
-    differential harness and host-cost benchmarks. *)
 
 val max_total_ns : t -> float
 (** Wall-clock of the co-run: the slowest instance. *)

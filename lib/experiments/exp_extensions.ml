@@ -202,17 +202,16 @@ let los_rows () =
         (Report.ns (Svagc_core.Jvm.gc_ns jvm)) ];
   ]
 
-(* --- 5. swap engine ablation: per-page vs run-coalesced vs leaf swap --- *)
+(* --- 5. swap engine ablation: per-page vs flat vs leaf swap --- *)
 
 module Swapva = Svagc_kernel.Swapva
 
 (* One request over [pages] PMD-aligned pages per side, through each of the
-   three disjoint-swap engines on a fresh process.  The per-page and
-   run-coalesced engines must agree bit-for-bit on simulated cost (the
-   run engine only changes how the simulator spends host time); the
-   opt-in leaf-swap mode trades the per-page charges of whole 512-page
-   leaves for one [pmd_swap_ns] constant each, so its simulated cost drops
-   too. *)
+   three disjoint-swap engines on a fresh process.  The per-page and flat
+   engines must agree bit-for-bit on simulated cost (the flat engine only
+   changes how the simulator spends host time); the opt-in leaf-swap mode
+   trades the per-page charges of whole 512-page leaves for one
+   [pmd_swap_ns] constant each, so its simulated cost drops too. *)
 let swap_engine_case ~pages engine =
   let proc = fresh_proc () in
   let aspace = Process.aspace proc in
@@ -222,41 +221,35 @@ let swap_engine_case ~pages engine =
   Address_space.map_range aspace ~va:dst ~pages;
   let perf = (Process.machine proc).Machine.perf in
   Perf.reset perf;
-  let req = { Swapva.src; dst; pages } in
-  let t0 = Sys.time () in
-  let ns = engine proc req in
-  let host_s = Sys.time () -. t0 in
-  (ns, host_s, Perf.copy perf)
+  let ns = engine proc { Swapva.src; dst; pages } in
+  (ns, perf)
 
 let swap_engine_rows ~pages =
   let case = swap_engine_case ~pages in
-  let pp_ns, pp_host, pp_perf =
-    case (fun proc req -> Swapva.swap_disjoint_per_page proc ~pmd_caching:true req)
+  let flat ~leaf_swap proc req =
+    Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap req
   in
-  let run_ns, run_host, run_perf =
-    case (fun proc req -> Swapva.swap_disjoint_run proc ~pmd_caching:true req)
-  in
-  let leaf_ns, leaf_host, leaf_perf =
+  let pp_ns, pp_perf =
     case (fun proc req ->
-        Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req)
+        Swapva.swap_disjoint_per_page proc ~pmd_caching:true req)
   in
-  let row name (ns, host, p) =
+  let flat_ns, flat_perf = case (flat ~leaf_swap:false) in
+  let leaf_ns, leaf_perf = case (flat ~leaf_swap:true) in
+  let row name (ns, p) =
     [
       name; Report.ns ns;
-      string_of_int p.Perf.pt_walks;
-      string_of_int p.Perf.pmd_cache_hits;
-      string_of_int p.Perf.pmd_leaf_swaps;
-      Printf.sprintf "%.1fms" (host *. 1e3);
+      string_of_int (Perf.get p Pt_walks);
+      string_of_int (Perf.get p Pmd_cache_hits);
+      string_of_int (Perf.get p Pmd_leaf_swaps);
     ]
   in
   [
-    row "per-page (reference)" (pp_ns, pp_host, pp_perf);
-    row "run-coalesced (live)" (run_ns, run_host, run_perf);
-    row "pmd_leaf_swap (opt-in)" (leaf_ns, leaf_host, leaf_perf);
-    [ "run == per-page cost";
-      (if run_ns = pp_ns then "bit-identical" else "MISMATCH"); ""; ""; ""; "" ];
-    [ "leaf vs per-page cost";
-      Report.speedup (pp_ns /. leaf_ns); ""; ""; ""; "" ];
+    row "per-page (reference)" (pp_ns, pp_perf);
+    row "flat (live)" (flat_ns, flat_perf);
+    row "pmd_leaf_swap (opt-in)" (leaf_ns, leaf_perf);
+    [ "flat == per-page cost";
+      (if flat_ns = pp_ns then "bit-identical" else "MISMATCH"); ""; ""; "" ];
+    [ "leaf vs per-page cost"; Report.speedup (pp_ns /. leaf_ns); ""; ""; "" ];
   ]
 
 let run ?quick:_ () =
@@ -277,7 +270,7 @@ let run ?quick:_ () =
     "5. disjoint-swap engine ablation (2048 pages, PMD-aligned)";
   Table.print
     ~headers:
-      [ "engine"; "simulated cost"; "walks"; "pmd hits"; "leaf swaps"; "host" ]
+      [ "engine"; "simulated cost"; "walks"; "pmd hits"; "leaf swaps" ]
     (swap_engine_rows ~pages:(4 * Addr.pages_per_pmd));
   Report.note
     "hybrid-memory heaps (paper \194\167VI): zero-copy compaction removes \

@@ -44,7 +44,7 @@ let storm ~cores ~objects ~pages ~optimized =
       !total +. Swapva.swap proc ~opts ~src:(src + off) ~dst:(dst + off) ~pages
   done;
   if optimized then total := !total +. Process.unpin proc;
-  (!total, machine.Machine.perf.Perf.ipis_sent)
+  (!total, Perf.get machine.Machine.perf Ipis_sent)
 
 let measure ?(objects = 100) ?(pages_per_object = 16) () =
   List.map

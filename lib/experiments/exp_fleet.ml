@@ -77,8 +77,8 @@ let summary_row (r : Fleet.result) =
     string_of_int r.Fleet.waves;
     Printf.sprintf "%d/%d" r.Fleet.committed_frames r.Fleet.pool_frames;
     Printf.sprintf "%d+%d" near far;
-    string_of_int r.Fleet.perf.Perf.tier_demotions;
-    string_of_int r.Fleet.perf.Perf.tier_promotions;
+    string_of_int (Perf.get r.Fleet.perf Tier_demotions);
+    string_of_int (Perf.get r.Fleet.perf Tier_promotions);
   ]
 
 let pause_row (r : Fleet.result) =

@@ -81,9 +81,9 @@ let measure ~steps ~peak kind residency =
     limit = (match limit_frames with Some n -> n | None -> 0);
     gcs = Jvm.gc_count jvm;
     gc_ns = Jvm.gc_ns jvm;
-    major_faults = perf.Perf.major_faults;
-    swapped_out = perf.Perf.pages_swapped_out;
-    swapped_in = perf.Perf.pages_swapped_in;
+    major_faults = Perf.get perf Major_faults;
+    swapped_out = Perf.get perf Pages_swapped_out;
+    swapped_in = Perf.get perf Pages_swapped_in;
     audit = Svagc_heap.Heap.audit (Jvm.heap jvm);
   }
 

@@ -68,9 +68,9 @@ let measure ~steps rate =
     rate;
     gcs = Jvm.gc_count jvm;
     gc_ns = Jvm.gc_ns jvm;
-    retries = perf.Perf.swap_retries;
-    fallbacks = perf.Perf.swap_fallbacks;
-    ipis_lost = perf.Perf.ipis_lost;
+    retries = Perf.get perf Swap_retries;
+    fallbacks = Perf.get perf Swap_fallbacks;
+    ipis_lost = Perf.get perf Ipis_lost;
     audit = Svagc_heap.Heap.audit (Jvm.heap jvm);
   }
 

@@ -50,20 +50,20 @@ let overlap_demo () =
   let aspace = Process.aspace proc in
   Address_space.map_range aspace ~va:(1 lsl 30) ~pages:64;
   let opts = Swapva.default_opts in
-  let before = machine.Machine.perf.Perf.tlb_flush_page in
+  let before = Perf.get machine.Machine.perf Tlb_flush_page in
   (* Evacuation-style: disjoint spaces -> Algorithm 1 path. *)
   ignore
     (Swapva.swap proc ~opts ~src:(1 lsl 30)
        ~dst:((1 lsl 30) + (32 * Addr.page_size))
        ~pages:16);
-  let disjoint_used_overlap = machine.Machine.perf.Perf.ptes_swapped in
+  let disjoint_used_overlap = Perf.get machine.Machine.perf Ptes_swapped in
   ignore before;
   (* Compaction-style: sliding by 4 pages -> Algorithm 2 path. *)
-  let p0 = machine.Machine.perf.Perf.ptes_swapped in
+  let p0 = Perf.get machine.Machine.perf Ptes_swapped in
   ignore
     (Swapva.swap proc ~opts ~src:((1 lsl 30) + (4 * Addr.page_size))
        ~dst:(1 lsl 30) ~pages:16);
-  let overlap_ptes = machine.Machine.perf.Perf.ptes_swapped - p0 in
+  let overlap_ptes = Perf.get machine.Machine.perf Ptes_swapped - p0 in
   (disjoint_used_overlap, overlap_ptes)
 
 let run ?quick:_ () =

@@ -73,7 +73,7 @@ let admit t ~tenant ~frames =
 let reject t ~tenant ~frames =
   t.rejected <- t.rejected + 1;
   let perf = t.machine.Machine.perf in
-  perf.Perf.admission_rejects <- perf.Perf.admission_rejects + 1;
+  Perf.bump perf Admission_rejects 1;
   instant t "fleet.reject" ~tenant ~frames
 
 (* FIFO fairness: while anyone is waiting, a newcomer may not jump the

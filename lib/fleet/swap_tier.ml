@@ -98,7 +98,7 @@ let rec demote_coldest t =
         Swap_dev.write t.far ~slot:fslot payload;
         t.locs.(vid) <- Far fslot;
         let perf = t.machine.Machine.perf in
-        perf.Perf.tier_demotions <- perf.Perf.tier_demotions + 1;
+        Perf.bump perf Tier_demotions 1;
         if Tracer.tracing () then
           Tracer.instant ~cat:"fleet"
             ~args:
@@ -156,7 +156,7 @@ let read t ~slot:vid =
   | Near nslot -> Swap_dev.read t.near ~slot:nslot
   | Far fslot ->
     let perf = t.machine.Machine.perf in
-    perf.Perf.tier_promotions <- perf.Perf.tier_promotions + 1;
+    Perf.bump perf Tier_promotions 1;
     if Tracer.tracing () then
       Tracer.instant ~cat:"fleet"
         ~args:[ ("slot", Svagc_trace.Event.Int vid) ]

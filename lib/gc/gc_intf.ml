@@ -20,7 +20,7 @@ let collect t =
   let cycle = t.run_cycle () in
   Vec.push t.history cycle;
   let perf = (Svagc_kernel.Process.machine (Heap.proc t.heap)).Machine.perf in
-  perf.Perf.gc_cycles <- perf.Perf.gc_cycles + 1;
+  Perf.bump perf Gc_cycles 1;
   cycle
 
 let cycles t = Vec.to_list t.history

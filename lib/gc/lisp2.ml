@@ -79,8 +79,8 @@ let collect cfg heap =
       reclaimed_bytes = max 0 (top_before - fwd.Forward.new_top);
       moved_objects = compact.Compact.moved_objects;
       swapped_objects = compact.Compact.swapped_objects;
-      bytes_copied = delta.Perf.bytes_copied;
-      bytes_remapped = delta.Perf.bytes_remapped;
+      bytes_copied = Perf.get delta Bytes_copied;
+      bytes_remapped = Perf.get delta Bytes_remapped;
     }
   in
   Tracer.span_end

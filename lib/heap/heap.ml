@@ -62,7 +62,7 @@ let perf t = (Process.machine t.proc).Machine.perf
 let account_waste t bytes =
   if bytes > 0 then begin
     t.waste <- t.waste + bytes;
-    (perf t).Perf.alloc_waste_bytes <- (perf t).Perf.alloc_waste_bytes + bytes
+    Perf.bump (perf t) Alloc_waste_bytes bytes
   end
 
 let stamp_header t obj =
@@ -89,7 +89,7 @@ let header_matches t obj =
 let register t obj =
   Vec.push t.objects obj;
   Hashtbl.replace t.by_addr obj.Obj_model.addr obj;
-  (perf t).Perf.alloc_bytes <- (perf t).Perf.alloc_bytes + obj.Obj_model.size;
+  Perf.bump (perf t) Alloc_bytes obj.Obj_model.size;
   stamp_header t obj
 
 (* IfSwapAlign from Algorithm 3. *)

@@ -23,10 +23,8 @@ let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
        the simulated cost is charged analytically anyway. *)
     let data = Address_space.read_bytes aspace ~va:src ~len in
     Address_space.write_bytes aspace ~va:dst ~src:data;
-    machine.Machine.perf.Perf.memmove_calls <-
-      machine.Machine.perf.Perf.memmove_calls + 1;
-    machine.Machine.perf.Perf.bytes_copied <-
-      machine.Machine.perf.Perf.bytes_copied + len;
+    Perf.bump machine.Machine.perf Memmove_calls 1;
+    Perf.bump machine.Machine.perf Bytes_copied len;
     (match measure_core with
     | None -> ()
     | Some core ->

@@ -43,7 +43,7 @@ let pin t ~core =
     invalid_arg "Process.pin: no such core";
   t.current_core <- core;
   t.pinned <- true;
-  t.machine.Machine.perf.Perf.pins <- t.machine.Machine.perf.Perf.pins + 1;
+  Perf.bump t.machine.Machine.perf Pins 1;
   t.machine.Machine.cost.Cost_model.pin_ns
 
 let unpin t =

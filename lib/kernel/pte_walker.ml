@@ -48,7 +48,7 @@ let get_pte t va =
   let slot = if t.pmd_caching then cache_find t region else -1 in
   let leaf =
     if slot >= 0 then begin
-      perf.Perf.pmd_cache_hits <- perf.Perf.pmd_cache_hits + 1;
+      Perf.bump perf Pmd_cache_hits 1;
       t.cost <- t.cost +. cost.Cost_model.pt_entry_ns;
       if slot = 0 then t.l0 else t.l1
     end
@@ -59,7 +59,7 @@ let get_pte t va =
           (Svagc_fault.Kernel_error.Fault
              (Svagc_fault.Kernel_error.EFAULT_unmapped { va }))
       | Some leaf ->
-        perf.Perf.pt_walks <- perf.Perf.pt_walks + 1;
+        Perf.bump perf Pt_walks 1;
         t.cost <- t.cost +. Cost_model.walk_cost_ns cost;
         if t.pmd_caching then remember t region leaf;
         leaf
@@ -76,11 +76,11 @@ let charge_get_pte t va ~leaf =
   let perf = t.machine.Machine.perf in
   let region = pmd_region va in
   if t.pmd_caching && cache_find t region >= 0 then begin
-    perf.Perf.pmd_cache_hits <- perf.Perf.pmd_cache_hits + 1;
+    Perf.bump perf Pmd_cache_hits 1;
     t.cost <- t.cost +. cost.Cost_model.pt_entry_ns
   end
   else begin
-    perf.Perf.pt_walks <- perf.Perf.pt_walks + 1;
+    Perf.bump perf Pt_walks 1;
     t.cost <- t.cost +. Cost_model.walk_cost_ns cost;
     if t.pmd_caching then remember t region leaf
   end
@@ -97,49 +97,43 @@ let charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages =
   done;
   acc.(0)
 
-let charge_steady_swap_pages ?(memo = false) t ~pages ~cached =
+let charge_steady_swap_pages t ~pages ~cached =
   (* Bulk-charge [pages] iterations of Algorithm 1's inner loop in which
      both getPTEs are steady (cache hits, or full walks when caching is
-     off). *)
+     off).  The serial 8-additions-per-page chain is the dominant host
+     cost of a large swap, and it is a pure function of (acc0 bits, pages,
+     cached) on a fixed cost model.  The machine's direct-mapped memo
+     replays the exact float computed by the reference chain for that
+     key, so hits are bit-identical by construction.  The index mixes the
+     integer part of acc0 (distinct between successive charges of one op,
+     since each bulk adds thousands of ns) with the encoded page count. *)
   let cost = t.machine.Machine.cost in
   let pe = cost.Cost_model.pt_entry_ns in
   let lk = cost.Cost_model.lock_pair_ns in
   let get = if cached then pe else Cost_model.walk_cost_ns cost in
   let acc0 = t.cost in
+  let s = Machine.hot_scratch t.machine in
+  let enc = (pages lsl 1) lor (if cached then 1 else 0) in
+  let k = int_of_float acc0 in
+  let h = (k lxor (k lsr 17)) * 0x9E3779B1 in
+  let idx = (h lxor enc) land (Machine.memo_slots - 1) in
   let result =
-    if not memo then charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages
+    if
+      Array.unsafe_get s.Machine.hs_memo_enc idx = enc
+      && Array.unsafe_get s.Machine.hs_memo_acc idx = acc0
+    then Array.unsafe_get s.Machine.hs_memo_out idx
     else begin
-      (* The serial 8-additions-per-page chain is the dominant host cost
-         of a large swap, and it is a pure function of (acc0 bits, pages,
-         cached) on a fixed cost model.  The machine's direct-mapped memo
-         replays the exact float computed by the reference chain for that
-         key, so hits are bit-identical by construction.  The index mixes
-         the integer part of acc0 (distinct between successive charges of
-         one op, since each bulk adds thousands of ns) with the encoded
-         page count. *)
-      let s = Machine.hot_scratch t.machine in
-      let enc = (pages lsl 1) lor (if cached then 1 else 0) in
-      let k = int_of_float acc0 in
-      let h = (k lxor (k lsr 17)) * 0x9E3779B1 in
-      let idx = (h lxor enc) land (Machine.memo_slots - 1) in
-      if
-        Array.unsafe_get s.Machine.hs_memo_enc idx = enc
-        && Array.unsafe_get s.Machine.hs_memo_acc idx = acc0
-      then Array.unsafe_get s.Machine.hs_memo_out idx
-      else begin
-        let out = charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages in
-        Array.unsafe_set s.Machine.hs_memo_acc idx acc0;
-        Array.unsafe_set s.Machine.hs_memo_enc idx enc;
-        Array.unsafe_set s.Machine.hs_memo_out idx out;
-        out
-      end
+      let out = charge_steady_pages_from ~acc0 ~get ~lk ~pe ~pages in
+      Array.unsafe_set s.Machine.hs_memo_acc idx acc0;
+      Array.unsafe_set s.Machine.hs_memo_enc idx enc;
+      Array.unsafe_set s.Machine.hs_memo_out idx out;
+      out
     end
   in
   t.cost <- result;
   let perf = t.machine.Machine.perf in
-  if cached then
-    perf.Perf.pmd_cache_hits <- perf.Perf.pmd_cache_hits + (2 * pages)
-  else perf.Perf.pt_walks <- perf.Perf.pt_walks + (2 * pages)
+  if cached then Perf.bump perf Pmd_cache_hits (2 * pages)
+  else Perf.bump perf Pt_walks (2 * pages)
 
 let read_slot t (leaf, idx) =
   t.cost <- t.cost +. t.machine.Machine.cost.Cost_model.pt_entry_ns;

@@ -40,8 +40,7 @@ let flush_after_swap machine ~asid ~core policy =
   let ns =
     match policy with
     | Broadcast_per_call ->
-      machine.Machine.perf.Perf.tlb_flush_local <-
-        machine.Machine.perf.Perf.tlb_flush_local + 1;
+      Perf.bump machine.Machine.perf Tlb_flush_local 1;
       cost.Cost_model.tlb_flush_local_ns
       +. Machine.ipi_broadcast_cost machine ~from_core:core
     | Process_targeted ->
@@ -50,17 +49,14 @@ let flush_after_swap machine ~asid ~core policy =
          broadcast helper (and same counters — a targeted shootdown is
          still one broadcast of [ncores - 1] IPIs; a lost IPI is resent at
          full, not 0.6x, price). *)
-      machine.Machine.perf.Perf.tlb_flush_local <-
-        machine.Machine.perf.Perf.tlb_flush_local + 1;
+      Perf.bump machine.Machine.perf Tlb_flush_local 1;
       cost.Cost_model.tlb_flush_local_ns
       +. Machine.ipi_broadcast_cost ~scale:0.6 machine ~from_core:core
     | Local_pinned ->
-      machine.Machine.perf.Perf.tlb_flush_local <-
-        machine.Machine.perf.Perf.tlb_flush_local + 1;
+      Perf.bump machine.Machine.perf Tlb_flush_local 1;
       cost.Cost_model.tlb_flush_local_ns
     | Self_invalidate ->
-      machine.Machine.perf.Perf.tlb_flush_local <-
-        machine.Machine.perf.Perf.tlb_flush_local + 1;
+      Perf.bump machine.Machine.perf Tlb_flush_local 1;
       cost.Cost_model.tlb_flush_local_ns +. epoch_bump_ns
   in
   trace_flush ~core policy ns;

@@ -73,18 +73,18 @@ let swap ?(fault = None) proc ~pmd_caching ~per_page_flush ~src ~dst ~pages =
       Pte_walker.write_slot walker k_slot !pte_temp;
       if per_page_flush then begin
         Pte_walker.add_cost walker cost.Cost_model.tlb_flush_page_ns;
-        perf.Perf.tlb_flush_page <- perf.Perf.tlb_flush_page + 1
+        Perf.bump perf Tlb_flush_page 1
       end;
-      perf.Perf.ptes_swapped <- perf.Perf.ptes_swapped + 1;
+      Perf.bump perf Ptes_swapped 1;
       pte_temp := pte_k_temp;
       k := find_swap_place ~i:!k ~delta ~pages
     done;
     Pte_walker.write_slot walker cur_slot !pte_temp;
     if per_page_flush then begin
       Pte_walker.add_cost walker cost.Cost_model.tlb_flush_page_ns;
-      perf.Perf.tlb_flush_page <- perf.Perf.tlb_flush_page + 1
+      Perf.bump perf Tlb_flush_page 1
     end;
-    perf.Perf.ptes_swapped <- perf.Perf.ptes_swapped + 1
+    Perf.bump perf Ptes_swapped 1
   done;
-  perf.Perf.bytes_remapped <- perf.Perf.bytes_remapped + (pages * Addr.page_size);
+  Perf.bump perf Bytes_remapped (pages * Addr.page_size);
   Pte_walker.cost_ns walker)

@@ -72,7 +72,7 @@ let sweep_leaves pt ~vpn_lo ~pages ~gl_lo ~gl_hi ~shard ~(cost : Cost_model.t)
         end
       done
   done;
-  perf.pt_walks <- perf.pt_walks + !leaves;
+  Perf.bump perf Pt_walks !leaves;
   let cost_ns =
     (float_of_int !leaves *. Cost_model.walk_cost_ns cost)
     +. (float_of_int (!present + !swapped) *. cost.pt_entry_ns)

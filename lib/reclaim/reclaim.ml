@@ -242,7 +242,7 @@ let swap_io_ok t ~va ~cost_ns =
     in
     if not fired then true
     else begin
-      perf.Perf.swap_io_errors <- perf.Perf.swap_io_errors + 1;
+      Perf.bump perf Swap_io_errors 1;
       if attempt + 1 < t.max_io_retries then go (attempt + 1) else false
     end
   in
@@ -279,9 +279,9 @@ let swap_out t (p : page) =
     Array.iter
       (fun c -> Tlb.flush_page c.Machine.tlb ~asid:p.p_asid ~vpn:p.p_vpn)
       t.machine.Machine.cores;
-    perf.Perf.tlb_flush_page <- perf.Perf.tlb_flush_page + 1;
+    Perf.bump perf Tlb_flush_page 1;
     charge t t.machine.Machine.cost.Cost_model.tlb_flush_page_ns;
-    perf.Perf.pages_swapped_out <- perf.Perf.pages_swapped_out + 1;
+    Perf.bump perf Pages_swapped_out 1;
     untrack t p;
     if Tracer.tracing () then
       Tracer.instant ~cat:"reclaim"
@@ -308,11 +308,11 @@ let balance_incoming t ~incoming =
   if (not t.in_kswapd) && Phys_mem.frames_in_use phys + incoming > t.limit
   then begin
     t.in_kswapd <- true;
-    perf.Perf.kswapd_wakes <- perf.Perf.kswapd_wakes + 1;
+    Perf.bump perf Kswapd_wakes 1;
     let tracing = Tracer.tracing () in
     if tracing then Tracer.span_begin ~cat:"reclaim" "reclaim.kswapd";
     let ns_before = t.pending_ns in
-    let scans_before = perf.Perf.reclaim_scans in
+    let scans_before = Perf.get perf Reclaim_scans in
     let target = max 0 (t.limit - t.gap) in
     let budget = ref ((2 * (t.active.size + t.inactive.size)) + 64) in
     (* Soft-limit-first victim selection: while some tenant is over its
@@ -345,7 +345,7 @@ let balance_incoming t ~incoming =
       decr budget;
       match lru_pop_back t.inactive with
       | Some p ->
-        perf.Perf.reclaim_scans <- perf.Perf.reclaim_scans + 1;
+        Perf.bump perf Reclaim_scans 1;
         if p.p_ref then begin
           (* Second chance: touched while inactive. *)
           p.p_ref <- false;
@@ -361,7 +361,7 @@ let balance_incoming t ~incoming =
            referenced bit so a further touch is needed to rescue it. *)
         match lru_pop_back t.active with
         | Some p ->
-          perf.Perf.reclaim_scans <- perf.Perf.reclaim_scans + 1;
+          Perf.bump perf Reclaim_scans 1;
           p.p_ref <- false;
           lru_push_front t.inactive p
         | None -> budget := 0)
@@ -371,7 +371,8 @@ let balance_incoming t ~incoming =
         ~args:
           [
             ( "scans",
-              Svagc_trace.Event.Int (perf.Perf.reclaim_scans - scans_before) );
+              Svagc_trace.Event.Int
+                (Perf.get perf Reclaim_scans - scans_before) );
             ( "resident_frames",
               Svagc_trace.Event.Int (Phys_mem.frames_in_use phys) );
           ]
@@ -494,7 +495,7 @@ let fault_in t ~pt ~asid ~va =
   let pte = Page_table.get_pte pt va in
   if Pte.is_swapped pte then begin
     let perf = t.machine.Machine.perf in
-    perf.Perf.major_faults <- perf.Perf.major_faults + 1;
+    Perf.bump perf Major_faults 1;
     charge t t.major_fault_ns;
     (* Make room BEFORE taking the frame: the incoming page is not on any
        LRU list yet, so kswapd cannot choose it — which is what makes the
@@ -513,7 +514,7 @@ let fault_in t ~pt ~asid ~va =
         0 (Bytes.length b));
     t.dev.d_free_slot slot;
     Page_table.set_pte pt va (Pte.make ~frame);
-    perf.Perf.pages_swapped_in <- perf.Perf.pages_swapped_in + 1;
+    Perf.bump perf Pages_swapped_in 1;
     track t ~pt ~asid ~va;
     enforce t ~asid ~protect:(Some (Addr.page_number va));
     if Tracer.tracing () then

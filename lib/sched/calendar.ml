@@ -109,7 +109,7 @@ let schedule t ~ns v =
   sift_up t i;
   t.live_count <- t.live_count + 1;
   (match t.perf with
-  | Some p -> p.Perf.sched_scheduled <- p.Perf.sched_scheduled + 1
+  | Some p -> Perf.bump p Sched_scheduled 1
   | None -> ());
   seq
 
@@ -120,7 +120,7 @@ let cancel t h =
     Bytes.set t.state h '\001';
     t.live_count <- t.live_count - 1;
     (match t.perf with
-    | Some p -> p.Perf.sched_cancelled <- p.Perf.sched_cancelled + 1
+    | Some p -> Perf.bump p Sched_cancelled 1
     | None -> ());
     true
   end
@@ -154,7 +154,7 @@ let pop t =
     Bytes.set t.state seq '\002';
     t.live_count <- t.live_count - 1;
     (match t.perf with
-    | Some p -> p.Perf.sched_dispatched <- p.Perf.sched_dispatched + 1
+    | Some p -> Perf.bump p Sched_dispatched 1
     | None -> ());
     Some (Obj.obj v, ns)
   end
@@ -176,5 +176,5 @@ let clear t =
   t.size <- 0;
   t.live_count <- 0;
   match t.perf with
-  | Some p -> p.Perf.sched_cancelled <- p.Perf.sched_cancelled + !cancelled
+  | Some p -> Perf.bump p Sched_cancelled !cancelled
   | None -> ()

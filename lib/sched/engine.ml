@@ -2,69 +2,27 @@ let done_ns = neg_infinity
 
 type proc = {
   first : float;
-  mutable next : float;
-  mutable stamp : int;
   fire : now:float -> float;
 }
 
 let proc ~first_ns fire =
   if not (first_ns >= 0.0 && first_ns < infinity) then
     invalid_arg "Engine.proc: first_ns must be finite non-negative sim ns";
-  { first = first_ns; next = first_ns; stamp = 0; fire }
+  { first = first_ns; fire }
 
-let check_next ~now nxt =
+let first_ns p = p.first
+
+let fire p ~now =
+  let nxt = p.fire ~now in
   if nxt <> done_ns && not (nxt >= now && nxt < infinity) then
     invalid_arg "Engine: a process rescheduled itself before now";
   nxt
 
-(* Reference engine: every dispatch is an O(n) scan for the minimum
-   (next, stamp) pair — the host cost profile of the old lockstep wave
-   loop.  [stamp] reproduces the calendar's FIFO tie-break: initial
-   stamps are array order, reschedules take the next counter value,
-   exactly like Calendar seq numbers do in [run_calendar]. *)
-let run_lockstep_scan procs =
-  let n = Array.length procs in
-  Array.iteri
-    (fun i p ->
-      p.next <- p.first;
-      p.stamp <- i)
-    procs;
-  let counter = ref n in
-  let fired = ref 0 in
-  let running = ref true in
-  while !running do
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      let p = Array.unsafe_get procs i in
-      if p.next <> done_ns then
-        if !best < 0 then best := i
-        else
-          let b = Array.unsafe_get procs !best in
-          if p.next < b.next || (p.next = b.next && p.stamp < b.stamp) then
-            best := i
-    done;
-    if !best < 0 then running := false
-    else begin
-      let p = procs.(!best) in
-      let now = p.next in
-      let nxt = check_next ~now (p.fire ~now) in
-      incr fired;
-      if nxt = done_ns then p.next <- done_ns
-      else begin
-        p.next <- nxt;
-        p.stamp <- !counter;
-        incr counter
-      end
-    end
-  done;
-  !fired
-
 let run_calendar ?perf procs =
   let n = Array.length procs in
   let cal = Calendar.create ~capacity:(max 16 n) ?perf () in
-  (* Initial insertion in array order assigns seq 0..n-1, matching the
-     scan engine's initial stamps; every reschedule then takes the next
-     seq, matching its counter — so pop order is identical. *)
+  (* Initial insertion in array order assigns seq 0..n-1; every
+     reschedule then takes the next seq — so ties fire FIFO. *)
   Array.iteri (fun i p -> ignore (Calendar.schedule cal ~ns:p.first i)) procs;
   let fired = ref 0 in
   let running = ref true in
@@ -72,8 +30,7 @@ let run_calendar ?perf procs =
     match Calendar.pop cal with
     | None -> running := false
     | Some (i, now) ->
-        let p = procs.(i) in
-        let nxt = check_next ~now (p.fire ~now) in
+        let nxt = fire procs.(i) ~now in
         incr fired;
         if nxt <> done_ns then ignore (Calendar.schedule cal ~ns:nxt i)
   done;

@@ -2,19 +2,14 @@
 
     A {!proc} is a self-rescheduling event source: firing it at [now]
     returns the simulated ns of its next event (or {!done_ns} to
-    finish).  Two drivers execute the same process set:
+    finish).  {!run_calendar} drives a process set over {!Calendar}:
+    O(log n) per event, idle processes cost nothing between their events.
 
-    - {!run_lockstep_scan} — the reference engine.  It models the old
-      lockstep wave loop: every dispatch scans the whole process array
-      for the minimum [(next_ns, stamp)] pair, so each event costs O(n)
-      host work even when most tenants are idle.
-    - {!run_calendar} — the event-driven engine over {!Calendar}: O(log
-      n) per event, idle processes cost nothing between their events.
-
-    Both drivers fire events in the identical total order (simulated ns,
-    FIFO among ties by scheduling stamp), so any deterministic process
-    set produces bit-identical final state under either — the property
-    {!Svagc_check.Differential} and [test_sched] enforce. *)
+    Events fire in one total order: simulated ns, FIFO among ties by
+    scheduling stamp.  The O(n)-scan reference
+    [Svagc_check.Differential.run_lockstep_scan] fires the identical
+    order, which [Differential.sched_identity] and [test_sched]
+    enforce. *)
 
 type proc
 
@@ -27,9 +22,13 @@ val proc : first_ns:float -> (now:float -> float) -> proc
     single-use: build fresh processes (and fresh closure state) per
     run. *)
 
-val run_lockstep_scan : proc array -> int
-(** Reference engine; returns the number of events fired. *)
+val first_ns : proc -> float
+(** The time of the process's first event. *)
+
+val fire : proc -> now:float -> float
+(** Run the process's event at [now]; returns its next event time or
+    {!done_ns}.
+    @raise Invalid_argument when it reschedules itself before [now]. *)
 
 val run_calendar : ?perf:Svagc_vmem.Perf.t -> proc array -> int
-(** Event-driven engine; fires the same events in the same order as
-    {!run_lockstep_scan} and returns the same count. *)
+(** Fires every event in order; returns the number of events fired. *)

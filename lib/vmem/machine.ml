@@ -147,8 +147,8 @@ let ipi_delivery_penalty_ns t ~from_core =
     if Svagc_fault.Injector.fire inj ~site:Svagc_fault.Fault_spec.Ipi_deliver ~va:0
     then begin
       let victim = (from_core + 1) mod t.ncores in
-      t.perf.ipis_lost <- t.perf.ipis_lost + 1;
-      t.perf.ipis_sent <- t.perf.ipis_sent + 1;
+      Perf.bump t.perf Ipis_lost 1;
+      Perf.bump t.perf Ipis_sent 1;
       if Tracer.tracing () then
         Tracer.instant ~cat:"kernel" ~tid:victim
           ~args:[ ("from_core", Svagc_trace.Event.Int from_core) ]
@@ -164,8 +164,8 @@ let ipi_broadcast_cost ?(scale = 1.0) t ~from_core =
      process-targeted flush acks at 60% of a full round trip); a
      fault-injected lost IPI is always resent at full price. *)
   let remote = t.ncores - 1 in
-  t.perf.ipis_sent <- t.perf.ipis_sent + remote;
-  t.perf.shootdown_broadcasts <- t.perf.shootdown_broadcasts + 1;
+  Perf.bump t.perf Ipis_sent remote;
+  Perf.bump t.perf Shootdown_broadcasts 1;
   trace_ipis t ~from_core;
   if remote = 0 then 0.0
   else
@@ -175,7 +175,7 @@ let ipi_broadcast_cost ?(scale = 1.0) t ~from_core =
 
 let flush_tlb_local t ~asid ~core =
   Tlb.flush_asid (Stdlib.Array.get t.cores core).tlb ~asid;
-  t.perf.tlb_flush_local <- t.perf.tlb_flush_local + 1;
+  Perf.bump t.perf Tlb_flush_local 1;
   t.cost.tlb_flush_local_ns
 
 let flush_tlb_all_cores t ~asid ~from_core =
@@ -183,8 +183,8 @@ let flush_tlb_all_cores t ~asid ~from_core =
   (* One local-flush event per core actually flushed (every core walks its
      own TLB when the IPI lands) plus one machine-wide event — the Eq. 2
      bookkeeping the shadow oracle cross-checks. *)
-  t.perf.tlb_flush_local <- t.perf.tlb_flush_local + t.ncores;
-  t.perf.tlb_flush_all <- t.perf.tlb_flush_all + 1;
+  Perf.bump t.perf Tlb_flush_local t.ncores;
+  Perf.bump t.perf Tlb_flush_all 1;
   let ns = t.cost.tlb_flush_local_ns +. ipi_broadcast_cost t ~from_core in
   notify_shootdown t ~asid;
   ns

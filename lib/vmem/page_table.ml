@@ -109,14 +109,6 @@ let get_pte t va =
   | None -> Pte.none
   | Some leaf -> leaf.ptes.(Addr.pte_index va)
 
-let find_leaf_run t va ~max_pages =
-  if max_pages <= 0 then invalid_arg "Page_table.find_leaf_run: empty run";
-  match find_leaf_record t va with
-  | None -> None
-  | Some leaf ->
-    let start = Addr.pte_index va in
-    Some (leaf.ptes, start, min max_pages (Addr.entries_per_table - start))
-
 let leaf_mapped_count leaf = leaf.mapped_count
 let leaf_ptes leaf = leaf.ptes
 
@@ -251,10 +243,6 @@ let run_buf_length buf = buf.rb_n
 
 let run_buf_clear buf = buf.rb_n <- 0
 
-let run_buf_get buf i =
-  if i < 0 || i >= buf.rb_n then invalid_arg "Page_table.run_buf_get";
-  (buf.rb_leaves.(i), buf.rb_pack.(i) lsr 10, buf.rb_pack.(i) land 0x3FF)
-
 (* Non-allocating accessors for the merge loop (no tuple per slice). *)
 let run_buf_leaf buf i = buf.rb_leaves.(i)
 let run_buf_start buf i = buf.rb_pack.(i) lsr 10
@@ -274,29 +262,6 @@ let run_buf_push buf leaf ~start ~len =
   buf.rb_leaves.(n) <- leaf;
   buf.rb_pack.(n) <- (start lsl 10) lor len;
   buf.rb_n <- n + 1
-
-(* Slice [pages] pages starting at [va] into per-leaf (start, len) runs —
-   one directory descent per PMD leaf — into [buf] (reused across calls;
-   int-packed descriptors, so a warm buffer makes this allocation-free).
-   Returns -1 on success, or the index (in pages, from the start of the
-   range) of the first page with no leaf.  Presence is NOT checked here:
-   callers precheck via [leaf_first_unmapped] (bitset words) or per-page
-   when a fault injector must be consulted in address order. *)
-let resolve_leaf_slices t ~va ~pages ~buf =
-  buf.rb_n <- 0;
-  let cursor = ref va and remaining = ref pages in
-  let failed = ref (-1) in
-  while !failed < 0 && !remaining > 0 do
-    match find_leaf_record t !cursor with
-    | None -> failed := pages - !remaining
-    | Some leaf ->
-      let start = Addr.pte_index !cursor in
-      let len = min !remaining (Addr.entries_per_table - start) in
-      run_buf_push buf leaf ~start ~len;
-      cursor := !cursor + (len * Addr.page_size);
-      remaining := !remaining - len
-  done;
-  !failed
 
 let fold_leaves t ~f =
   (* Reconstruct virtual page numbers from the index path. *)

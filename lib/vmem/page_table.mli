@@ -42,14 +42,6 @@ val ensure_leaf : t -> int -> Pte.value array
 val get_pte : t -> int -> Pte.value
 (** [Pte.none] when unmapped. *)
 
-val find_leaf_run : t -> int -> max_pages:int -> (Pte.value array * int * int) option
-(** [find_leaf_run t va ~max_pages] resolves [va] with ONE directory walk
-    into a [(leaf, start, len)] slice: the PTE leaf covering [va], the index
-    of [va] inside it, and how many consecutive pages (at most [max_pages])
-    the slice covers before the next PMD boundary.  [None] when no leaf
-    exists.  This is the unit the run-coalesced SwapVA fast path operates
-    on: one walk per up-to-512-page run instead of one per page. *)
-
 val swap_pte_runs :
   Pte.value array -> start_a:int -> Pte.value array -> start_b:int -> len:int ->
   unit
@@ -102,10 +94,6 @@ val run_buf_length : run_buf -> int
 val run_buf_clear : run_buf -> unit
 (** Forget all slices (capacity is kept). *)
 
-val run_buf_get : run_buf -> int -> leaf * int * int
-(** [(leaf, start, len)] of slice [i] (unpacked; for tests/consumers
-    outside the hot loop).  @raise Invalid_argument if out of bounds. *)
-
 val run_buf_leaf : run_buf -> int -> leaf
 
 val run_buf_start : run_buf -> int -> int
@@ -115,17 +103,7 @@ val run_buf_len : run_buf -> int -> int
     slice allocates nothing (start/len live int-packed in one word). *)
 
 val run_buf_push : run_buf -> leaf -> start:int -> len:int -> unit
-(** Append a slice (amortized allocation-free on a warm buffer).  Used
-    by resolvers that must interleave slicing with per-page work (the
-    fault-injected SwapVA path). *)
-
-val resolve_leaf_slices : t -> va:int -> pages:int -> buf:run_buf -> int
-(** Slice [pages] pages from [va] into per-leaf (start, len) runs — one
-    directory descent per PMD leaf — overwriting [buf].  Returns -1 on
-    success or the index (in pages from [va]) of the first page whose
-    leaf is missing.  Presence is NOT checked: callers precheck with
-    {!leaf_first_unmapped}, or per page when a fault injector must be
-    consulted in address order. *)
+(** Append a slice (amortized allocation-free on a warm buffer). *)
 
 val iter_leaf_records : t -> f:(leaf -> unit) -> unit
 (** Every materialized leaf, in table order (oracle walks). *)

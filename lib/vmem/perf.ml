@@ -1,287 +1,107 @@
-type t = {
-  mutable syscalls : int;
-  mutable swapva_calls : int;
-  mutable memmove_calls : int;
-  mutable ptes_swapped : int;
-  mutable pt_walks : int;
-  mutable pmd_cache_hits : int;
-  mutable leaf_runs : int;
-  mutable runs_coalesced : int;
-  mutable pmd_leaf_swaps : int;
-  mutable bytes_copied : int;
-  mutable bytes_remapped : int;
-  mutable tlb_flush_local : int;
-  mutable tlb_flush_page : int;
-  mutable tlb_flush_all : int;
-  mutable ipis_sent : int;
-  mutable ipis_lost : int;
-  mutable shootdown_broadcasts : int;
-  mutable pins : int;
-  mutable gc_cycles : int;
-  mutable swap_retries : int;
-  mutable swap_fallbacks : int;
-  mutable alloc_waste_bytes : int;
-  mutable alloc_bytes : int;
-  mutable pages_swapped_out : int;
-  mutable pages_swapped_in : int;
-  mutable major_faults : int;
-  mutable reclaim_scans : int;
-  mutable kswapd_wakes : int;
-  mutable swap_io_errors : int;
-  mutable tier_demotions : int;
-  mutable tier_promotions : int;
-  mutable admission_rejects : int;
-  mutable sched_scheduled : int;
-  mutable sched_dispatched : int;
-  mutable sched_cancelled : int;
-}
+type counter =
+  | Syscalls
+  | Swapva_calls
+  | Memmove_calls
+  | Ptes_swapped
+  | Pt_walks
+  | Pmd_cache_hits
+  | Leaf_runs
+  | Runs_coalesced
+  | Pmd_leaf_swaps
+  | Bytes_copied
+  | Bytes_remapped
+  | Tlb_flush_local
+  | Tlb_flush_page
+  | Tlb_flush_all
+  | Ipis_sent
+  | Ipis_lost
+  | Shootdown_broadcasts
+  | Pins
+  | Gc_cycles
+  | Swap_retries
+  | Swap_fallbacks
+  | Alloc_waste_bytes
+  | Alloc_bytes
+  | Pages_swapped_out
+  | Pages_swapped_in
+  | Major_faults
+  | Reclaim_scans
+  | Kswapd_wakes
+  | Swap_io_errors
+  | Tier_demotions
+  | Tier_promotions
+  | Admission_rejects
+  | Sched_scheduled
+  | Sched_dispatched
+  | Sched_cancelled
 
-let create () =
-  {
-    syscalls = 0;
-    swapva_calls = 0;
-    memmove_calls = 0;
-    ptes_swapped = 0;
-    pt_walks = 0;
-    pmd_cache_hits = 0;
-    leaf_runs = 0;
-    runs_coalesced = 0;
-    pmd_leaf_swaps = 0;
-    bytes_copied = 0;
-    bytes_remapped = 0;
-    tlb_flush_local = 0;
-    tlb_flush_page = 0;
-    tlb_flush_all = 0;
-    ipis_sent = 0;
-    ipis_lost = 0;
-    shootdown_broadcasts = 0;
-    pins = 0;
-    gc_cycles = 0;
-    swap_retries = 0;
-    swap_fallbacks = 0;
-    alloc_waste_bytes = 0;
-    alloc_bytes = 0;
-    pages_swapped_out = 0;
-    pages_swapped_in = 0;
-    major_faults = 0;
-    reclaim_scans = 0;
-    kswapd_wakes = 0;
-    swap_io_errors = 0;
-    tier_demotions = 0;
-    tier_promotions = 0;
-    admission_rejects = 0;
-    sched_scheduled = 0;
-    sched_dispatched = 0;
-    sched_cancelled = 0;
-  }
+(* Constant constructors are the ints 0..n-1 in declaration order. *)
+external index : counter -> int = "%identity"
 
-let reset t =
-  t.syscalls <- 0;
-  t.swapva_calls <- 0;
-  t.memmove_calls <- 0;
-  t.ptes_swapped <- 0;
-  t.pt_walks <- 0;
-  t.pmd_cache_hits <- 0;
-  t.leaf_runs <- 0;
-  t.runs_coalesced <- 0;
-  t.pmd_leaf_swaps <- 0;
-  t.bytes_copied <- 0;
-  t.bytes_remapped <- 0;
-  t.tlb_flush_local <- 0;
-  t.tlb_flush_page <- 0;
-  t.tlb_flush_all <- 0;
-  t.ipis_sent <- 0;
-  t.ipis_lost <- 0;
-  t.shootdown_broadcasts <- 0;
-  t.pins <- 0;
-  t.gc_cycles <- 0;
-  t.swap_retries <- 0;
-  t.swap_fallbacks <- 0;
-  t.alloc_waste_bytes <- 0;
-  t.alloc_bytes <- 0;
-  t.pages_swapped_out <- 0;
-  t.pages_swapped_in <- 0;
-  t.major_faults <- 0;
-  t.reclaim_scans <- 0;
-  t.kswapd_wakes <- 0;
-  t.swap_io_errors <- 0;
-  t.tier_demotions <- 0;
-  t.tier_promotions <- 0;
-  t.admission_rejects <- 0;
-  t.sched_scheduled <- 0;
-  t.sched_dispatched <- 0;
-  t.sched_cancelled <- 0
+(* The one name table, in declaration order.  Its names and their order
+   are a contract: trace JSON, the counter laws and the benchmark read
+   [to_assoc] by name. *)
+let table =
+  [|
+    (Syscalls, "syscalls");
+    (Swapva_calls, "swapva_calls");
+    (Memmove_calls, "memmove_calls");
+    (Ptes_swapped, "ptes_swapped");
+    (Pt_walks, "pt_walks");
+    (Pmd_cache_hits, "pmd_cache_hits");
+    (Leaf_runs, "leaf_runs");
+    (Runs_coalesced, "runs_coalesced");
+    (Pmd_leaf_swaps, "pmd_leaf_swaps");
+    (Bytes_copied, "bytes_copied");
+    (Bytes_remapped, "bytes_remapped");
+    (Tlb_flush_local, "tlb_flush_local");
+    (Tlb_flush_page, "tlb_flush_page");
+    (Tlb_flush_all, "tlb_flush_all");
+    (Ipis_sent, "ipis_sent");
+    (Ipis_lost, "ipis_lost");
+    (Shootdown_broadcasts, "shootdown_broadcasts");
+    (Pins, "pins");
+    (Gc_cycles, "gc_cycles");
+    (Swap_retries, "swap_retries");
+    (Swap_fallbacks, "swap_fallbacks");
+    (Alloc_waste_bytes, "alloc_waste_bytes");
+    (Alloc_bytes, "alloc_bytes");
+    (Pages_swapped_out, "pages_swapped_out");
+    (Pages_swapped_in, "pages_swapped_in");
+    (Major_faults, "major_faults");
+    (Reclaim_scans, "reclaim_scans");
+    (Kswapd_wakes, "kswapd_wakes");
+    (Swap_io_errors, "swap_io_errors");
+    (Tier_demotions, "tier_demotions");
+    (Tier_promotions, "tier_promotions");
+    (Admission_rejects, "admission_rejects");
+    (Sched_scheduled, "sched_scheduled");
+    (Sched_dispatched, "sched_dispatched");
+    (Sched_cancelled, "sched_cancelled");
+  |]
 
-let copy t =
-  {
-    syscalls = t.syscalls;
-    swapva_calls = t.swapva_calls;
-    memmove_calls = t.memmove_calls;
-    ptes_swapped = t.ptes_swapped;
-    pt_walks = t.pt_walks;
-    pmd_cache_hits = t.pmd_cache_hits;
-    leaf_runs = t.leaf_runs;
-    runs_coalesced = t.runs_coalesced;
-    pmd_leaf_swaps = t.pmd_leaf_swaps;
-    bytes_copied = t.bytes_copied;
-    bytes_remapped = t.bytes_remapped;
-    tlb_flush_local = t.tlb_flush_local;
-    tlb_flush_page = t.tlb_flush_page;
-    tlb_flush_all = t.tlb_flush_all;
-    ipis_sent = t.ipis_sent;
-    ipis_lost = t.ipis_lost;
-    shootdown_broadcasts = t.shootdown_broadcasts;
-    pins = t.pins;
-    gc_cycles = t.gc_cycles;
-    swap_retries = t.swap_retries;
-    swap_fallbacks = t.swap_fallbacks;
-    alloc_waste_bytes = t.alloc_waste_bytes;
-    alloc_bytes = t.alloc_bytes;
-    pages_swapped_out = t.pages_swapped_out;
-    pages_swapped_in = t.pages_swapped_in;
-    major_faults = t.major_faults;
-    reclaim_scans = t.reclaim_scans;
-    kswapd_wakes = t.kswapd_wakes;
-    swap_io_errors = t.swap_io_errors;
-    tier_demotions = t.tier_demotions;
-    tier_promotions = t.tier_promotions;
-    admission_rejects = t.admission_rejects;
-    sched_scheduled = t.sched_scheduled;
-    sched_dispatched = t.sched_dispatched;
-    sched_cancelled = t.sched_cancelled;
-  }
+let n = Array.length table
 
-let add ~into d =
-  into.syscalls <- into.syscalls + d.syscalls;
-  into.swapva_calls <- into.swapva_calls + d.swapva_calls;
-  into.memmove_calls <- into.memmove_calls + d.memmove_calls;
-  into.ptes_swapped <- into.ptes_swapped + d.ptes_swapped;
-  into.pt_walks <- into.pt_walks + d.pt_walks;
-  into.pmd_cache_hits <- into.pmd_cache_hits + d.pmd_cache_hits;
-  into.leaf_runs <- into.leaf_runs + d.leaf_runs;
-  into.runs_coalesced <- into.runs_coalesced + d.runs_coalesced;
-  into.pmd_leaf_swaps <- into.pmd_leaf_swaps + d.pmd_leaf_swaps;
-  into.bytes_copied <- into.bytes_copied + d.bytes_copied;
-  into.bytes_remapped <- into.bytes_remapped + d.bytes_remapped;
-  into.tlb_flush_local <- into.tlb_flush_local + d.tlb_flush_local;
-  into.tlb_flush_page <- into.tlb_flush_page + d.tlb_flush_page;
-  into.tlb_flush_all <- into.tlb_flush_all + d.tlb_flush_all;
-  into.ipis_sent <- into.ipis_sent + d.ipis_sent;
-  into.ipis_lost <- into.ipis_lost + d.ipis_lost;
-  into.shootdown_broadcasts <- into.shootdown_broadcasts + d.shootdown_broadcasts;
-  into.pins <- into.pins + d.pins;
-  into.gc_cycles <- into.gc_cycles + d.gc_cycles;
-  into.swap_retries <- into.swap_retries + d.swap_retries;
-  into.swap_fallbacks <- into.swap_fallbacks + d.swap_fallbacks;
-  into.alloc_waste_bytes <- into.alloc_waste_bytes + d.alloc_waste_bytes;
-  into.alloc_bytes <- into.alloc_bytes + d.alloc_bytes;
-  into.pages_swapped_out <- into.pages_swapped_out + d.pages_swapped_out;
-  into.pages_swapped_in <- into.pages_swapped_in + d.pages_swapped_in;
-  into.major_faults <- into.major_faults + d.major_faults;
-  into.reclaim_scans <- into.reclaim_scans + d.reclaim_scans;
-  into.kswapd_wakes <- into.kswapd_wakes + d.kswapd_wakes;
-  into.swap_io_errors <- into.swap_io_errors + d.swap_io_errors;
-  into.tier_demotions <- into.tier_demotions + d.tier_demotions;
-  into.tier_promotions <- into.tier_promotions + d.tier_promotions;
-  into.admission_rejects <- into.admission_rejects + d.admission_rejects;
-  into.sched_scheduled <- into.sched_scheduled + d.sched_scheduled;
-  into.sched_dispatched <- into.sched_dispatched + d.sched_dispatched;
-  into.sched_cancelled <- into.sched_cancelled + d.sched_cancelled
+(* [get] and [bump] skip the bounds check: every constructor must have its
+   entry, at its own index. *)
+let () = Array.iteri (fun i (c, _) -> assert (index c = i)) table
 
-let diff ~after ~before =
-  {
-    syscalls = after.syscalls - before.syscalls;
-    swapva_calls = after.swapva_calls - before.swapva_calls;
-    memmove_calls = after.memmove_calls - before.memmove_calls;
-    ptes_swapped = after.ptes_swapped - before.ptes_swapped;
-    pt_walks = after.pt_walks - before.pt_walks;
-    pmd_cache_hits = after.pmd_cache_hits - before.pmd_cache_hits;
-    leaf_runs = after.leaf_runs - before.leaf_runs;
-    runs_coalesced = after.runs_coalesced - before.runs_coalesced;
-    pmd_leaf_swaps = after.pmd_leaf_swaps - before.pmd_leaf_swaps;
-    bytes_copied = after.bytes_copied - before.bytes_copied;
-    bytes_remapped = after.bytes_remapped - before.bytes_remapped;
-    tlb_flush_local = after.tlb_flush_local - before.tlb_flush_local;
-    tlb_flush_page = after.tlb_flush_page - before.tlb_flush_page;
-    tlb_flush_all = after.tlb_flush_all - before.tlb_flush_all;
-    ipis_sent = after.ipis_sent - before.ipis_sent;
-    ipis_lost = after.ipis_lost - before.ipis_lost;
-    shootdown_broadcasts = after.shootdown_broadcasts - before.shootdown_broadcasts;
-    pins = after.pins - before.pins;
-    gc_cycles = after.gc_cycles - before.gc_cycles;
-    swap_retries = after.swap_retries - before.swap_retries;
-    swap_fallbacks = after.swap_fallbacks - before.swap_fallbacks;
-    alloc_waste_bytes = after.alloc_waste_bytes - before.alloc_waste_bytes;
-    alloc_bytes = after.alloc_bytes - before.alloc_bytes;
-    pages_swapped_out = after.pages_swapped_out - before.pages_swapped_out;
-    pages_swapped_in = after.pages_swapped_in - before.pages_swapped_in;
-    major_faults = after.major_faults - before.major_faults;
-    reclaim_scans = after.reclaim_scans - before.reclaim_scans;
-    kswapd_wakes = after.kswapd_wakes - before.kswapd_wakes;
-    swap_io_errors = after.swap_io_errors - before.swap_io_errors;
-    tier_demotions = after.tier_demotions - before.tier_demotions;
-    tier_promotions = after.tier_promotions - before.tier_promotions;
-    admission_rejects = after.admission_rejects - before.admission_rejects;
-    sched_scheduled = after.sched_scheduled - before.sched_scheduled;
-    sched_dispatched = after.sched_dispatched - before.sched_dispatched;
-    sched_cancelled = after.sched_cancelled - before.sched_cancelled;
-  }
+let all = Array.to_list (Array.map fst table)
 
-let to_assoc t =
-  [
-    ("syscalls", t.syscalls);
-    ("swapva_calls", t.swapva_calls);
-    ("memmove_calls", t.memmove_calls);
-    ("ptes_swapped", t.ptes_swapped);
-    ("pt_walks", t.pt_walks);
-    ("pmd_cache_hits", t.pmd_cache_hits);
-    ("leaf_runs", t.leaf_runs);
-    ("runs_coalesced", t.runs_coalesced);
-    ("pmd_leaf_swaps", t.pmd_leaf_swaps);
-    ("bytes_copied", t.bytes_copied);
-    ("bytes_remapped", t.bytes_remapped);
-    ("tlb_flush_local", t.tlb_flush_local);
-    ("tlb_flush_page", t.tlb_flush_page);
-    ("tlb_flush_all", t.tlb_flush_all);
-    ("ipis_sent", t.ipis_sent);
-    ("ipis_lost", t.ipis_lost);
-    ("shootdown_broadcasts", t.shootdown_broadcasts);
-    ("pins", t.pins);
-    ("gc_cycles", t.gc_cycles);
-    ("swap_retries", t.swap_retries);
-    ("swap_fallbacks", t.swap_fallbacks);
-    ("alloc_waste_bytes", t.alloc_waste_bytes);
-    ("alloc_bytes", t.alloc_bytes);
-    ("pages_swapped_out", t.pages_swapped_out);
-    ("pages_swapped_in", t.pages_swapped_in);
-    ("major_faults", t.major_faults);
-    ("reclaim_scans", t.reclaim_scans);
-    ("kswapd_wakes", t.kswapd_wakes);
-    ("swap_io_errors", t.swap_io_errors);
-    ("tier_demotions", t.tier_demotions);
-    ("tier_promotions", t.tier_promotions);
-    ("admission_rejects", t.admission_rejects);
-    ("sched_scheduled", t.sched_scheduled);
-    ("sched_dispatched", t.sched_dispatched);
-    ("sched_cancelled", t.sched_cancelled);
-  ]
+type t = int array
 
-let pp ppf t =
-  Format.fprintf ppf
-    "syscalls=%d swapva=%d memmove=%d ptes_swapped=%d walks=%d pmd_hits=%d \
-     leaf_runs=%d coalesced=%d leaf_swaps=%d copied=%dB remapped=%dB \
-     flush_local=%d flush_page=%d flush_all=%d ipis=%d ipis_lost=%d broadcasts=%d pins=%d \
-     gcs=%d retries=%d fallbacks=%d waste=%dB alloc=%dB \
-     swapped_out=%d swapped_in=%d major_faults=%d reclaim_scans=%d \
-     kswapd_wakes=%d swap_eio=%d demotions=%d promotions=%d \
-     admission_rejects=%d sched_scheduled=%d sched_dispatched=%d \
-     sched_cancelled=%d"
-    t.syscalls t.swapva_calls t.memmove_calls t.ptes_swapped t.pt_walks
-    t.pmd_cache_hits t.leaf_runs t.runs_coalesced t.pmd_leaf_swaps
-    t.bytes_copied t.bytes_remapped t.tlb_flush_local
-    t.tlb_flush_page t.tlb_flush_all t.ipis_sent t.ipis_lost t.shootdown_broadcasts t.pins
-    t.gc_cycles t.swap_retries t.swap_fallbacks
-    t.alloc_waste_bytes t.alloc_bytes
-    t.pages_swapped_out t.pages_swapped_in t.major_faults t.reclaim_scans
-    t.kswapd_wakes t.swap_io_errors t.tier_demotions t.tier_promotions
-    t.admission_rejects t.sched_scheduled t.sched_dispatched t.sched_cancelled
+let create () = Array.make n 0
+
+let get t c = Array.unsafe_get t (index c)
+
+let bump t c k = Array.unsafe_set t (index c) (Array.unsafe_get t (index c) + k)
+
+let reset t = Array.fill t 0 n 0
+
+let copy = Array.copy
+
+let diff ~after ~before = Array.map2 ( - ) after before
+
+let add ~into d = Array.iteri (fun i v -> into.(i) <- into.(i) + v) d
+
+let to_assoc t = List.init n (fun i -> (snd table.(i), t.(i)))

@@ -1,82 +1,91 @@
 (** Machine-wide event counters (the simulator's `perf`).
 
-    Counters are plain mutable ints; experiments snapshot/reset around the
-    region of interest. *)
+    Counters are plain ints in one array indexed by {!counter};
+    experiments snapshot/reset around the region of interest. *)
 
-type t = {
-  mutable syscalls : int;
-  mutable swapva_calls : int;
-  mutable memmove_calls : int;
-  mutable ptes_swapped : int;
-  mutable pt_walks : int;  (** full 4-level getPTE walks *)
-  mutable pmd_cache_hits : int;
-  mutable leaf_runs : int;
-      (** (leaf, start, len) slices processed by the run-coalesced SwapVA
-          engine: one per PMD-leaf crossing per stream, the unit the batched
-          fast path walks at *)
-  mutable runs_coalesced : int;
+type counter =
+  | Syscalls
+  | Swapva_calls
+  | Memmove_calls
+  | Ptes_swapped
+  | Pt_walks  (** full 4-level getPTE walks *)
+  | Pmd_cache_hits
+  | Leaf_runs
+      (** (leaf, start, len) slices processed by the flat SwapVA engine:
+          one per PMD-leaf crossing per stream, the unit its batched fast
+          path walks at *)
+  | Runs_coalesced
       (** compaction move entries merged into a preceding contiguous
           SwapVA request (request-level aggregation) *)
-  mutable pmd_leaf_swaps : int;
+  | Pmd_leaf_swaps
       (** whole 512-page leaf pairs exchanged at the PMD level by the
           opt-in [pmd_leaf_swap] mode *)
-  mutable bytes_copied : int;  (** physically moved by memmove *)
-  mutable bytes_remapped : int;  (** logically moved by SwapVA *)
-  mutable tlb_flush_local : int;
-  mutable tlb_flush_page : int;
-  mutable tlb_flush_all : int;
+  | Bytes_copied  (** physically moved by memmove *)
+  | Bytes_remapped  (** logically moved by SwapVA *)
+  | Tlb_flush_local
+  | Tlb_flush_page
+  | Tlb_flush_all
       (** machine-wide [flush_tlb_all_cores] shootdowns; each one also
-          counts [ncores] events in [tlb_flush_local] (one per core
+          counts [ncores] events in [Tlb_flush_local] (one per core
           actually flushed) *)
-  mutable ipis_sent : int;
-  mutable ipis_lost : int;
+  | Ipis_sent
+  | Ipis_lost
       (** shootdown IPIs dropped by the fault-injection plane; each lost
           IPI is detected via its missing ack and resent (also counted in
-          [ipis_sent]) *)
-  mutable shootdown_broadcasts : int;
-  mutable pins : int;
-  mutable gc_cycles : int;
-  mutable swap_retries : int;
+          [Ipis_sent]) *)
+  | Shootdown_broadcasts
+  | Pins
+  | Gc_cycles
+  | Swap_retries
       (** SwapVA requests re-issued after a transient [EAGAIN] fault *)
-  mutable swap_fallbacks : int;
+  | Swap_fallbacks
       (** SwapVA requests the GC abandoned and completed via memmove after
           a degradable kernel error (see [Kernel_error.is_degradable]) *)
-  mutable alloc_waste_bytes : int;  (** page-alignment fragmentation *)
-  mutable alloc_bytes : int;
-  mutable pages_swapped_out : int;
+  | Alloc_waste_bytes  (** page-alignment fragmentation *)
+  | Alloc_bytes
+  | Pages_swapped_out
       (** pages evicted to the swap device by kswapd-style reclaim *)
-  mutable pages_swapped_in : int;
-      (** pages read back on a demand fault; always [<= pages_swapped_out] *)
-  mutable major_faults : int;
+  | Pages_swapped_in
+      (** pages read back on a demand fault; always [<= Pages_swapped_out] *)
+  | Major_faults
       (** demand faults that hit a swapped PTE and had to touch the swap
           device (counted on fault entry, before the device IO) *)
-  mutable reclaim_scans : int;
+  | Reclaim_scans
       (** LRU pages examined by kswapd (active-list aging + inactive-list
           eviction candidates) *)
-  mutable kswapd_wakes : int;
-      (** watermark-triggered reclaim activations *)
-  mutable swap_io_errors : int;
+  | Kswapd_wakes  (** watermark-triggered reclaim activations *)
+  | Swap_io_errors
       (** injected swap-device EIOs observed (one per failed device
           attempt, both directions); see the [swap] fault site *)
-  mutable tier_demotions : int;
+  | Tier_demotions
       (** cold swap slots moved from the near tier to the far tier by a
           tiered device's placement policy; at most one per slot lifetime *)
-  mutable tier_promotions : int;
+  | Tier_promotions
       (** demand faults served from the far tier (the slot's payload came
-          back over the slow path); always [<= pages_swapped_in] *)
-  mutable admission_rejects : int;
+          back over the slow path); always [<= Pages_swapped_in] *)
+  | Admission_rejects
       (** tenants refused outright by fleet admission control (neither
           admitted nor queued) *)
-  mutable sched_scheduled : int;
+  | Sched_scheduled
       (** events inserted into an event calendar ({!Svagc_sched.Calendar}) *)
-  mutable sched_dispatched : int;
+  | Sched_dispatched
       (** calendar events actually delivered to their process; always
-          [<= sched_scheduled - sched_cancelled] *)
-  mutable sched_cancelled : int;
+          [<= Sched_scheduled - Sched_cancelled] *)
+  | Sched_cancelled
       (** calendar events removed before firing (lazy deletion) *)
-}
+
+type t
+(** One value per {!counter}. *)
+
+val all : counter list
+(** Every counter, in declaration order (the order of {!to_assoc}). *)
 
 val create : unit -> t
+
+val get : t -> counter -> int
+
+val bump : t -> counter -> int -> unit
+(** [bump t c n] adds [n] to counter [c]. *)
 
 val reset : t -> unit
 
@@ -84,7 +93,7 @@ val copy : t -> t
 (** Snapshot. *)
 
 val diff : after:t -> before:t -> t
-(** Per-field subtraction. *)
+(** Per-counter subtraction. *)
 
 val add : into:t -> t -> unit
 (** [add ~into delta] accumulates every counter of [delta] into [into] —
@@ -97,5 +106,3 @@ val add : into:t -> t -> unit
 val to_assoc : t -> (string * int) list
 (** Every counter as [(name, value)], in declaration order.  This is the
     counter source the trace recorder snapshots around spans. *)
-
-val pp : Format.formatter -> t -> unit

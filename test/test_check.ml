@@ -112,13 +112,13 @@ let test_flush_all_counts_per_core () =
   let machine = fresh_machine ~ncores:4 () in
   ignore (Machine.flush_tlb_all_cores machine ~asid:1 ~from_core:0);
   Alcotest.(check int) "one local flush per core" 4
-    machine.Machine.perf.Perf.tlb_flush_local;
+    (Perf.get machine.Machine.perf Tlb_flush_local);
   Alcotest.(check int) "one machine-wide flush" 1
-    machine.Machine.perf.Perf.tlb_flush_all;
+    (Perf.get machine.Machine.perf Tlb_flush_all);
   Alcotest.(check int) "one broadcast" 1
-    machine.Machine.perf.Perf.shootdown_broadcasts;
+    (Perf.get machine.Machine.perf Shootdown_broadcasts);
   Alcotest.(check int) "ipis to the 3 remote cores" 3
-    machine.Machine.perf.Perf.ipis_sent;
+    (Perf.get machine.Machine.perf Ipis_sent);
   check_no_findings "counter laws after flush-all"
     (Check.counter_laws machine)
 
@@ -126,9 +126,9 @@ let test_flush_all_single_core () =
   let machine = fresh_machine ~ncores:1 () in
   ignore (Machine.flush_tlb_all_cores machine ~asid:1 ~from_core:0);
   Alcotest.(check int) "one core flushed" 1
-    machine.Machine.perf.Perf.tlb_flush_local;
+    (Perf.get machine.Machine.perf Tlb_flush_local);
   Alcotest.(check int) "no ipis on a single core" 0
-    machine.Machine.perf.Perf.ipis_sent;
+    (Perf.get machine.Machine.perf Ipis_sent);
   check_no_findings "counter laws, 1 core" (Check.counter_laws machine)
 
 (* --- S3: Process_targeted routes through the shared costed helper --- *)
@@ -140,8 +140,8 @@ let test_targeted_counts_broadcast () =
       Shootdown.Process_targeted
   in
   Alcotest.(check int) "broadcast counted" 1
-    machine.Machine.perf.Perf.shootdown_broadcasts;
-  Alcotest.(check int) "7 remote ipis" 7 machine.Machine.perf.Perf.ipis_sent;
+    (Perf.get machine.Machine.perf Shootdown_broadcasts);
+  Alcotest.(check int) "7 remote ipis" 7 (Perf.get machine.Machine.perf Ipis_sent);
   let c = machine.Machine.cost in
   let expected =
     c.Cost_model.tlb_flush_local_ns
@@ -163,9 +163,9 @@ let test_policies_reconcile_with_eq2 () =
       [ Broadcast_per_call; Process_targeted; Local_pinned; Self_invalidate ];
   ignore (Machine.flush_tlb_all_cores machine ~asid:1 ~from_core:0);
   Alcotest.(check int) "3 broadcasts (2 ipi-free policies)" 3
-    machine.Machine.perf.Perf.shootdown_broadcasts;
+    (Perf.get machine.Machine.perf Shootdown_broadcasts);
   Alcotest.(check int) "ipis = broadcasts * remotes" 15
-    machine.Machine.perf.Perf.ipis_sent;
+    (Perf.get machine.Machine.perf Ipis_sent);
   check_no_findings "counter laws across all policies"
     (Check.counter_laws machine)
 
@@ -201,8 +201,7 @@ let test_oracle_accepts_coherent_tlb () =
 let test_oracle_catches_counter_drift () =
   let machine = fresh_machine () in
   ignore (Machine.flush_tlb_all_cores machine ~asid:1 ~from_core:0);
-  machine.Machine.perf.Perf.ipis_sent <-
-    machine.Machine.perf.Perf.ipis_sent + 1;
+  Perf.bump machine.Machine.perf Ipis_sent 1;
   check_finds "Eq. 2 drift" (Check.counter_laws machine)
 
 let test_oracle_catches_clock_regression () =

@@ -45,7 +45,7 @@ let test_admission_decisions () =
   Alcotest.(check bool) "queue full rejects" true
     (Admission.request adm ~tenant:4 ~frames:10 = Admission.Rejected);
   Alcotest.(check int) "admission_rejects counter" 2
-    m.Machine.perf.Perf.admission_rejects;
+    (Perf.get m.Machine.perf Admission_rejects);
   Alcotest.(check int) "committed" 100 (Admission.committed_frames adm);
   Alcotest.(check int) "queue length" 2 (Admission.queue_length adm);
   Admission.release adm ~frames:100;
@@ -76,7 +76,7 @@ let test_tier_demote_promote () =
      coldest slot (the first) to far. *)
   Alcotest.(check (pair int int)) "near full, coldest demoted" (2, 1)
     (Swap_tier.stats tier);
-  Alcotest.(check int) "demotion counted" 1 m.Machine.perf.Perf.tier_demotions;
+  Alcotest.(check int) "demotion counted" 1 (Perf.get m.Machine.perf Tier_demotions);
   Alcotest.(check bool) "full near tier makes swap-out dearer" true
     (dev.Reclaim.d_out_ns () > out_empty);
   let s0 = List.nth slots 0 and s1 = List.nth slots 1 in
@@ -85,7 +85,7 @@ let test_tier_demote_promote () =
   | Some b -> Alcotest.(check char) "peek sees payload" 'A' (Bytes.get b 0)
   | None -> Alcotest.fail "peek lost the demoted payload");
   Alcotest.(check int) "peek is not a promotion" 0
-    m.Machine.perf.Perf.tier_promotions;
+    (Perf.get m.Machine.perf Tier_promotions);
   Alcotest.(check bool) "far slot reads slower" true
     (dev.Reclaim.d_in_ns ~slot:s0 > dev.Reclaim.d_in_ns ~slot:s1);
   (* A demand-fault read of the far slot is a promotion, and the payload
@@ -95,7 +95,7 @@ let test_tier_demote_promote () =
     Alcotest.(check bytes) "payload intact across demotion" (payload 0) b
   | None -> Alcotest.fail "read lost the demoted payload");
   Alcotest.(check int) "promotion counted" 1
-    m.Machine.perf.Perf.tier_promotions;
+    (Perf.get m.Machine.perf Tier_promotions);
   List.iter (fun s -> dev.Reclaim.d_free_slot s) slots;
   Alcotest.(check int) "no slot leak" 0 (Swap_tier.slots_in_use tier);
   Alcotest.(check (pair int int)) "both tiers empty" (0, 0)
@@ -119,14 +119,14 @@ let test_cgroup_hard_limit () =
     (Cgroup.excess cg ~asid);
   Alcotest.(check int) "evicted pages went to swap"
     (8 - Cgroup.resident cg ~asid)
-    m.Machine.perf.Perf.pages_swapped_out;
+    (Perf.get m.Machine.perf Pages_swapped_out);
   (* Faulting an evicted page back in re-enforces the limit: residency
      never exceeds hard even transiently after the fault. *)
   ignore (Address_space.read_bytes aspace ~va:base ~len:1);
   Alcotest.(check bool) "still capped after fault-in" true
     (Cgroup.resident cg ~asid <= 4);
   Alcotest.(check bool) "the touch was a major fault" true
-    (m.Machine.perf.Perf.major_faults >= 1)
+    (Perf.get m.Machine.perf Major_faults >= 1)
 
 let test_soft_limit_first () =
   let m = machine () in
@@ -145,7 +145,7 @@ let test_soft_limit_first () =
   Alcotest.(check bool) "hog is over its soft limit" true
     (Cgroup.prefer cg ~asid:asid_a);
   Alcotest.(check bool) "some eviction happened" true
-    (m.Machine.perf.Perf.pages_swapped_out > 0);
+    (Perf.get m.Machine.perf Pages_swapped_out > 0);
   Alcotest.(check int) "under-soft tenant's pages spared" 4
     (Cgroup.resident cg ~asid:asid_b);
   Alcotest.(check bool) "hog paid the eviction" true
@@ -202,9 +202,9 @@ let test_fleet_determinism () =
   (* The run exercises every plane it claims to. *)
   Alcotest.(check bool) "surge overflows the queue" true (a.Fleet.rejected > 0);
   Alcotest.(check int) "reject counter agrees" a.Fleet.rejected
-    a.Fleet.perf.Perf.admission_rejects;
+    (Perf.get a.Fleet.perf Admission_rejects);
   Alcotest.(check bool) "tier demotions happened" true
-    (a.Fleet.perf.Perf.tier_demotions > 0);
+    (Perf.get a.Fleet.perf Tier_demotions > 0);
   Alcotest.(check bool) "multiple waves ran" true (a.Fleet.waves >= 2);
   Alcotest.(check bool) "every admitted tenant paused" true
     (Histogram.count a.Fleet.pauses >= a.Fleet.admitted);

@@ -66,14 +66,14 @@ let test_minor_uses_swapva_for_large () =
   let rng = Svagc_util.Rng.create ~seed:2 in
   ignore (populate_young gen ~n:40 ~rng);
   let machine = Svagc_kernel.Process.machine (Heap.proc (Generational.young gen)) in
-  let flush_page_before = machine.Machine.perf.Perf.tlb_flush_page in
+  let flush_page_before = Perf.get machine.Machine.perf Tlb_flush_page in
   let stats = Generational.minor gen ~mover:swap_mover in
   Alcotest.(check bool) "large survivors swapped" true
     (stats.Generational.swapped_objects > 0);
   (* Disjoint spaces: the Algorithm 2 (overlap) path never fires, so no
      per-page flushes were issued (Table I: Overlapping = "-" for minor). *)
   Alcotest.(check int) "overlap path never used" flush_page_before
-    machine.Machine.perf.Perf.tlb_flush_page
+    (Perf.get machine.Machine.perf Tlb_flush_page)
 
 let test_minor_preserves_payloads () =
   let gen = gen_fixture () in
@@ -209,11 +209,11 @@ let test_semispace_no_overlap_path () =
     Heap.add_root heap o
   done;
   let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
-  let flush_page_before = machine.Machine.perf.Perf.tlb_flush_page in
+  let flush_page_before = Perf.get machine.Machine.perf Tlb_flush_page in
   let stats = Semispace.collect semi ~mover:(Move_object.mover Config.default) in
   Alcotest.(check bool) "evacuation swapped" true (stats.Semispace.swapped_objects > 0);
   Alcotest.(check int) "Algorithm 2 never fired (disjoint spaces)"
-    flush_page_before machine.Machine.perf.Perf.tlb_flush_page
+    flush_page_before (Perf.get machine.Machine.perf Tlb_flush_page)
 
 let test_semispace_mostly_concurrent () =
   let semi = semi_fixture () in

@@ -115,13 +115,13 @@ let test_swap_is_involution () =
 let test_swap_zero_copy () =
   let machine, proc = fresh () in
   let _ = mapped_window proc ~pages:8 in
-  let before = machine.Machine.perf.Perf.bytes_copied in
+  let before = Perf.get machine.Machine.perf Bytes_copied in
   ignore
     (Swapva.swap proc ~opts:opts_pinned ~src:base
        ~dst:(base + (4 * Addr.page_size)) ~pages:4);
-  Alcotest.(check int) "no bytes copied" before machine.Machine.perf.Perf.bytes_copied;
+  Alcotest.(check int) "no bytes copied" before (Perf.get machine.Machine.perf Bytes_copied);
   Alcotest.(check int) "bytes remapped" (4 * Addr.page_size)
-    machine.Machine.perf.Perf.bytes_remapped
+    (Perf.get machine.Machine.perf Bytes_remapped)
 
 let test_swap_validation () =
   let _, proc = fresh () in
@@ -261,8 +261,8 @@ let test_pmd_cache_hits_counted () =
   let perf = machine.Machine.perf in
   (* Both streams fall in one PMD region here: a single cold walk, then
      every getPTE is served by the cached leaf. *)
-  Alcotest.(check int) "walks" 1 perf.Perf.pt_walks;
-  Alcotest.(check int) "hits" 63 perf.Perf.pmd_cache_hits
+  Alcotest.(check int) "walks" 1 (Perf.get perf Pt_walks);
+  Alcotest.(check int) "hits" 63 (Perf.get perf Pmd_cache_hits)
 
 (* --- Swap_overlap (Algorithm 2) --- *)
 
@@ -298,13 +298,13 @@ let test_overlap_pte_moves_linear () =
   (* O(n + delta) PTE moves, not O(2n): count them via perf. *)
   let machine, proc = fresh () in
   let _ = mapped_window proc ~pages:20 in
-  let before = machine.Machine.perf.Perf.ptes_swapped in
+  let before = Perf.get machine.Machine.perf Ptes_swapped in
   ignore
     (overlap_exn
        (Swap_overlap.swap proc ~pmd_caching:true ~per_page_flush:false ~src:base
           ~dst:(base + (4 * Addr.page_size)) ~pages:16));
   Alcotest.(check int) "n + delta moves" 20
-    (machine.Machine.perf.Perf.ptes_swapped - before)
+    (Perf.get machine.Machine.perf Ptes_swapped - before)
 
 let test_overlap_validation () =
   let _, proc = fresh () in
@@ -343,14 +343,14 @@ let test_overlap_validation () =
 let test_swapva_dispatches_overlap () =
   let machine, proc = fresh () in
   let _ = mapped_window proc ~pages:12 in
-  let before = machine.Machine.perf.Perf.ptes_swapped in
+  let before = Perf.get machine.Machine.perf Ptes_swapped in
   (* 8 pages sliding down by 2: Algorithm 2 does 10 moves; Algorithm 1
      would have done 16. *)
   ignore
     (Swapva.swap proc ~opts:opts_pinned ~src:(base + (2 * Addr.page_size))
        ~dst:base ~pages:8);
   Alcotest.(check int) "overlap path used" 10
-    (machine.Machine.perf.Perf.ptes_swapped - before)
+    (Perf.get machine.Machine.perf Ptes_swapped - before)
 
 let prop_swap_sequence_preserves_content_multiset =
   qtest ~count:40 "random swap sequences permute pages, never lose bytes"
@@ -391,30 +391,29 @@ let prop_aggregated_equals_separated_state =
       in
       run true = run false)
 
-(* --- Run-coalesced engine vs per-page reference --- *)
+(* --- Flat engine vs per-page reference --- *)
 
-(* The run-coalesced engine must be observationally identical to the
+(* The flat engine must be observationally identical to the
    page-at-a-time reference: same memory, same perf-counter deltas and
    bit-identical simulated cost (the bulk charge replays the reference
-   loop's float additions in order).  Only [leaf_runs] differs — the run
+   loop's float additions in order).  Only [leaf_runs] differs — the flat
    engine counts the slices it resolves, the reference never does — so
-   the comparison zeroes it. *)
+   the comparison drops it. *)
 let engine_outcome ~window_pages ~pmd_caching ~engine req =
   let machine, proc = fresh () in
   let aspace = mapped_window proc ~pages:window_pages in
   let before = Perf.copy machine.Machine.perf in
   let ns = engine proc ~pmd_caching req in
   let d = Perf.diff ~after:machine.Machine.perf ~before in
-  d.Perf.leaf_runs <- 0;
   let csum =
     Address_space.checksum aspace ~va:base ~len:(window_pages * Addr.page_size)
   in
-  (ns, Perf.to_assoc d, csum)
+  (ns, List.remove_assoc "leaf_runs" (Perf.to_assoc d), csum)
 
-let prop_run_engine_equals_per_page =
+let prop_flat_engine_equals_per_page =
   (* Offsets chosen so both ranges regularly straddle the 512-page PMD
      leaf boundaries at 512 and 1024. *)
-  qtest ~count:30 "run-coalesced engine == per-page reference"
+  qtest ~count:30 "flat engine == per-page reference"
     QCheck.(
       quad (int_range 440 520) (int_range 960 1040) (int_range 1 150) bool)
     (fun (src_page, dst_page, pages, pmd_caching) ->
@@ -432,15 +431,15 @@ let prop_run_engine_equals_per_page =
         engine_outcome ~window_pages ~pmd_caching
           ~engine:Swapva.swap_disjoint_per_page req
       in
-      let run_ns, run_perf, run_csum =
+      let flat_ns, flat_perf, flat_csum =
         engine_outcome ~window_pages ~pmd_caching
           ~engine:(fun proc ~pmd_caching req ->
-            Swapva.swap_disjoint_run proc ~pmd_caching req)
+            Swapva.swap_disjoint_flat proc ~pmd_caching ~leaf_swap:false req)
           req
       in
-      ref_ns = run_ns && ref_perf = run_perf && ref_csum = run_csum)
+      ref_ns = flat_ns && ref_perf = flat_perf && ref_csum = flat_csum)
 
-let test_run_engine_unmapped_no_mutation () =
+let test_flat_engine_unmapped_no_mutation () =
   let machine, proc = fresh () in
   let aspace = mapped_window proc ~pages:8 in
   (* Punch a hole in the middle of the dst range. *)
@@ -449,11 +448,11 @@ let test_run_engine_unmapped_no_mutation () =
     Address_space.checksum aspace ~va:base ~len:(4 * Addr.page_size)
   in
   let c0 = src_csum () in
-  let swapped0 = machine.Machine.perf.Perf.ptes_swapped in
+  let swapped0 = Perf.get machine.Machine.perf Ptes_swapped in
   let err =
     try
       ignore
-        (Swapva.swap_disjoint_run proc ~pmd_caching:true
+        (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false
            { Swapva.src = base; dst = base + (4 * Addr.page_size); pages = 4 });
       None
     with Kernel_error.Fault e -> Some e
@@ -464,7 +463,7 @@ let test_run_engine_unmapped_no_mutation () =
     err;
   Alcotest.(check int64) "no partial mutation" c0 (src_csum ());
   Alcotest.(check int) "no PTE exchanged" swapped0
-    machine.Machine.perf.Perf.ptes_swapped
+    (Perf.get machine.Machine.perf Ptes_swapped)
 
 (* --- pmd_leaf_swap (opt-in whole-leaf mode) --- *)
 
@@ -484,13 +483,13 @@ let test_leaf_swap_whole_leaf () =
   let aspace = big_window proc ~pages:(3 * leaf) in
   let dst = base + (2 * leaf * Addr.page_size) in
   let ns =
-    Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true
+    Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true
       { Swapva.src = base; dst; pages = leaf }
   in
   let perf = machine.Machine.perf in
-  Alcotest.(check int) "one leaf swap" 1 perf.Perf.pmd_leaf_swaps;
-  Alcotest.(check int) "no walks" 0 perf.Perf.pt_walks;
-  Alcotest.(check int) "no cache hits" 0 perf.Perf.pmd_cache_hits;
+  Alcotest.(check int) "one leaf swap" 1 (Perf.get perf Pmd_leaf_swaps);
+  Alcotest.(check int) "no walks" 0 (Perf.get perf Pt_walks);
+  Alcotest.(check int) "no cache hits" 0 (Perf.get perf Pmd_cache_hits);
   Alcotest.(check (float 1e-9)) "O(1) cost"
     machine.Machine.cost.Cost_model.pmd_swap_ns ns;
   Alcotest.(check int) "dst now holds old src" 0
@@ -503,9 +502,9 @@ let test_leaf_swap_falls_back_when_unaligned () =
   let machine, proc = fresh () in
   let _ = big_window proc ~pages:(3 * leaf) in
   (* Same size, but src one page off a PMD boundary: must take the normal
-     run-coalesced path with per-page costs. *)
+     flat path with per-page costs. *)
   let ns_unaligned =
-    Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true
+    Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true
       {
         Swapva.src = base + Addr.page_size;
         dst = base + ((2 * leaf + 1) * Addr.page_size);
@@ -513,7 +512,7 @@ let test_leaf_swap_falls_back_when_unaligned () =
       }
   in
   Alcotest.(check int) "no leaf swaps" 0
-    machine.Machine.perf.Perf.pmd_leaf_swaps;
+    (Perf.get machine.Machine.perf Pmd_leaf_swaps);
   Alcotest.(check bool) "charged per page" true
     (ns_unaligned > machine.Machine.cost.Cost_model.pmd_swap_ns *. 10.0)
 
@@ -529,13 +528,13 @@ let test_leaf_swap_partial_tail () =
   let req =
     { Swapva.src = base; dst = base + (2 * leaf * Addr.page_size); pages = 600 }
   in
-  ignore (Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req);
+  ignore (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true req);
   let perf = machine.Machine.perf in
-  Alcotest.(check int) "one leaf swap" 1 perf.Perf.pmd_leaf_swaps;
+  Alcotest.(check int) "one leaf swap" 1 (Perf.get perf Pmd_leaf_swaps);
   Alcotest.(check int) "2 + 2*88 PTE exchanges" (2 + (2 * 88))
-    perf.Perf.ptes_swapped;
+    (Perf.get perf Ptes_swapped);
   Alcotest.(check bool) "window changed" true (c0 <> csum ());
-  ignore (Swapva.swap_disjoint_run ~leaf_swap:true proc ~pmd_caching:true req);
+  ignore (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true req);
   Alcotest.(check int64) "double swap restores" c0 (csum ())
 
 let test_leaf_swap_ignores_overlap_path () =
@@ -543,15 +542,15 @@ let test_leaf_swap_ignores_overlap_path () =
      unchanged. *)
   let machine, proc = fresh () in
   let _ = mapped_window proc ~pages:12 in
-  let before = machine.Machine.perf.Perf.ptes_swapped in
+  let before = Perf.get machine.Machine.perf Ptes_swapped in
   ignore
     (Swapva.swap proc
        ~opts:{ opts_pinned with Swapva.leaf_swap = true }
        ~src:(base + (2 * Addr.page_size)) ~dst:base ~pages:8);
   Alcotest.(check int) "overlap path used" 10
-    (machine.Machine.perf.Perf.ptes_swapped - before);
+    (Perf.get machine.Machine.perf Ptes_swapped - before);
   Alcotest.(check int) "no leaf swaps" 0
-    machine.Machine.perf.Perf.pmd_leaf_swaps
+    (Perf.get machine.Machine.perf Pmd_leaf_swaps)
 
 (* --- Shootdown --- *)
 
@@ -571,11 +570,11 @@ let test_shootdown_cost_ordering () =
 
 let test_self_invalidate_no_ipis () =
   let machine, _ = fresh ~ncores:16 () in
-  let before = machine.Machine.perf.Perf.ipis_sent in
+  let before = Perf.get machine.Machine.perf Ipis_sent in
   let c_self =
     Shootdown.flush_after_swap machine ~asid:1 ~core:0 Shootdown.Self_invalidate
   in
-  Alcotest.(check int) "no IPIs sent" before machine.Machine.perf.Perf.ipis_sent;
+  Alcotest.(check int) "no IPIs sent" before (Perf.get machine.Machine.perf Ipis_sent);
   let c_local =
     Shootdown.flush_after_swap machine ~asid:1 ~core:0 Shootdown.Local_pinned
   in
@@ -648,11 +647,11 @@ let () =
           prop_swap_sequence_preserves_content_multiset;
           prop_aggregated_equals_separated_state;
         ] );
-      ( "run_engine",
+      ( "flat_engine",
         [
-          prop_run_engine_equals_per_page;
+          prop_flat_engine_equals_per_page;
           Alcotest.test_case "unmapped: exact error, no mutation" `Quick
-            test_run_engine_unmapped_no_mutation;
+            test_flat_engine_unmapped_no_mutation;
         ] );
       ( "leaf_swap",
         [

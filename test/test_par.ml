@@ -259,7 +259,9 @@ let sweep_fixture ~seed =
     ~va:Differential.arena_base ~pages:case.Differential.arena_pages;
   List.iter
     (fun req ->
-      ignore (Svagc_kernel.Swapva.swap_disjoint_run proc ~pmd_caching:true req))
+      ignore
+        (Svagc_kernel.Swapva.swap_disjoint_flat proc ~pmd_caching:true
+           ~leaf_swap:false req))
     case.Differential.requests;
   ( machine,
     Svagc_vmem.Address_space.page_table (Process.aspace proc),

@@ -111,7 +111,7 @@ let prop_swap_out_fault_in_round_trip =
           in
           Bytes.equal back src)
         (List.mapi (fun i p -> (i, p)) payloads)
-      && machine.Machine.perf.Perf.major_faults > 0)
+      && Perf.get machine.Machine.perf Major_faults > 0)
 
 (* --- The headline: SwapVA slot exchange vs memmove fault-in --- *)
 
@@ -125,13 +125,13 @@ let test_swapva_slot_exchange_no_faults () =
   let len = pages * Addr.page_size in
   let lo_sum = Address_space.checksum aspace ~va:base ~len in
   let hi_sum = Address_space.checksum aspace ~va:(base + len) ~len in
-  let faults0 = perf.Perf.major_faults in
-  let swapin0 = perf.Perf.pages_swapped_in in
+  let faults0 = Perf.get perf Major_faults in
+  let swapin0 = Perf.get perf Pages_swapped_in in
   ignore
     (Swapva.swap proc ~opts:Swapva.default_opts ~src:base ~dst:(base + len)
        ~pages);
-  Alcotest.(check int) "no major faults" faults0 perf.Perf.major_faults;
-  Alcotest.(check int) "no swap-ins" swapin0 perf.Perf.pages_swapped_in;
+  Alcotest.(check int) "no major faults" faults0 (Perf.get perf Major_faults);
+  Alcotest.(check int) "no swap-ins" swapin0 (Perf.get perf Pages_swapped_in);
   Alcotest.(check int64) "low half now holds the high bytes" hi_sum
     (Address_space.checksum aspace ~va:base ~len);
   Alcotest.(check int64) "high half now holds the low bytes" lo_sum
@@ -141,12 +141,12 @@ let test_memmove_faults_in () =
   let pages = 64 in
   let machine, _, aspace, _ = pressured_fixture ~pages in
   let perf = machine.Machine.perf in
-  let faults0 = perf.Perf.major_faults in
+  let faults0 = Perf.get perf Major_faults in
   let len = pages * Addr.page_size in
   ignore (Memmove.move aspace ~src:base ~dst:(base + len) ~len);
   Alcotest.(check bool) "memmove demand-faulted the swapped source" true
-    (perf.Perf.major_faults > faults0);
-  Alcotest.(check bool) "swap-ins happened" true (perf.Perf.pages_swapped_in > 0)
+    (Perf.get perf Major_faults > faults0);
+  Alcotest.(check bool) "swap-ins happened" true (Perf.get perf Pages_swapped_in > 0)
 
 (* --- GC under pressure --- *)
 
@@ -185,7 +185,7 @@ let pressured_gc_run ?fault_spec ?(residency = 0.5) () =
 let test_heap_audit_under_pressure () =
   let machine, jvm = pressured_gc_run () in
   Alcotest.(check bool) "pressure was real" true
-    (machine.Machine.perf.Perf.pages_swapped_out > 0);
+    (Perf.get machine.Machine.perf Pages_swapped_out > 0);
   match Svagc_heap.Heap.audit (Jvm.heap jvm) with
   | Ok () -> ()
   | Error ps ->
@@ -296,7 +296,7 @@ let test_eio_swap_after_bounded_retries () =
   | exception Kernel_error.Fault (Kernel_error.EIO_swap { va = fva }) ->
     Alcotest.(check int) "typed error names the faulting va" va fva);
   Alcotest.(check bool) "device errors were counted" true
-    (machine.Machine.perf.Perf.swap_io_errors >= 2);
+    (Perf.get machine.Machine.perf Swap_io_errors >= 2);
   Alcotest.(check bool) "the page is still swapped (slot not leaked)" true
     (Pte.is_swapped (Page_table.get_pte (Address_space.page_table aspace) va))
 

@@ -97,12 +97,12 @@ let test_calendar_perf_counters () =
   ignore (Calendar.cancel cal (List.nth hs 4));
   let fired = List.length (drain cal) in
   Alcotest.(check int) "fired" 4 fired;
-  Alcotest.(check int) "sched_scheduled" 6 perf.Perf.sched_scheduled;
-  Alcotest.(check int) "sched_dispatched" 4 perf.Perf.sched_dispatched;
-  Alcotest.(check int) "sched_cancelled" 2 perf.Perf.sched_cancelled;
+  Alcotest.(check int) "sched_scheduled" 6 (Perf.get perf Sched_scheduled);
+  Alcotest.(check int) "sched_dispatched" 4 (Perf.get perf Sched_dispatched);
+  Alcotest.(check int) "sched_cancelled" 2 (Perf.get perf Sched_cancelled);
   Alcotest.(check bool) "conservation law" true
-    (perf.Perf.sched_dispatched + perf.Perf.sched_cancelled
-    <= perf.Perf.sched_scheduled)
+    (Perf.get perf Sched_dispatched + Perf.get perf Sched_cancelled
+    <= Perf.get perf Sched_scheduled)
 
 (* --- engine equivalence: lockstep scan vs calendar --- *)
 
@@ -138,7 +138,7 @@ let replay_plan (firsts, plans) engine =
   in
   let fired =
     match engine with
-    | `Scan -> Engine.run_lockstep_scan procs
+    | `Scan -> Svagc_check.Differential.run_lockstep_scan procs
     | `Calendar -> Engine.run_calendar procs
   in
   (fired, List.rev !order)
@@ -188,7 +188,10 @@ let run_multi ~engine () =
   in
   (match engine with
   | `Calendar -> Multi_jvm.run_round_robin multi ~steps:120 ~step
-  | `Lockstep -> Multi_jvm.run_round_robin_lockstep multi ~steps:120 ~step);
+  | `Lockstep ->
+    for s = 0 to 119 do
+      Array.iter (fun jvm -> step jvm s) (Multi_jvm.jvms multi)
+    done);
   let gcs = Array.map Jvm.gc_count (Multi_jvm.jvms multi) in
   let summary =
     ( Multi_jvm.max_total_ns multi,
@@ -242,7 +245,7 @@ let test_admission_10k () =
   Alcotest.(check int) "admitted total" 10_024 (Admission.admitted adm);
   Alcotest.(check int) "rejected total" 476 (Admission.rejected adm);
   Alcotest.(check int) "rejects counted on the machine" 476
-    m.Machine.perf.Perf.admission_rejects
+    (Perf.get m.Machine.perf Admission_rejects)
 
 let () =
   Alcotest.run "svagc_sched"

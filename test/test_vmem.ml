@@ -295,7 +295,7 @@ let test_machine_asids () =
 let test_machine_ipi_cost () =
   let m = Machine.create ~ncores:8 ~phys_mib:1 Cost_model.xeon_6130 in
   let cost = Machine.ipi_broadcast_cost m ~from_core:0 in
-  Alcotest.(check int) "7 ipis" 7 m.Machine.perf.Perf.ipis_sent;
+  Alcotest.(check int) "7 ipis" 7 (Perf.get m.Machine.perf Ipis_sent);
   Alcotest.(check bool) "cost = latency + acks" true
     (cost
     = m.Machine.cost.Cost_model.ipi_ns
@@ -408,20 +408,20 @@ let prop_as_fill_checksum_deterministic =
 (* --- Perf --- *)
 
 let bump_some_counters p =
-  p.Perf.syscalls <- 3;
-  p.Perf.swapva_calls <- 2;
-  p.Perf.bytes_copied <- 4096;
-  p.Perf.ipis_sent <- 7;
-  p.Perf.alloc_bytes <- 1 lsl 20
+  Perf.bump p Syscalls 3;
+  Perf.bump p Swapva_calls 2;
+  Perf.bump p Bytes_copied 4096;
+  Perf.bump p Ipis_sent 7;
+  Perf.bump p Alloc_bytes (1 lsl 20)
 
 let test_perf_copy_is_snapshot () =
   let p = Perf.create () in
   bump_some_counters p;
   let snap = Perf.copy p in
-  p.Perf.syscalls <- 100;
-  p.Perf.bytes_copied <- 0;
-  Alcotest.(check int) "copy unaffected by later writes" 3 snap.Perf.syscalls;
-  Alcotest.(check int) "copy keeps bytes" 4096 snap.Perf.bytes_copied;
+  Perf.reset p;
+  Perf.bump p Syscalls 100;
+  Alcotest.(check int) "copy unaffected by later writes" 3 (Perf.get snap Syscalls);
+  Alcotest.(check int) "copy keeps bytes" 4096 (Perf.get snap Bytes_copied);
   Alcotest.(check bool) "copy equals original field-wise" true
     (Perf.to_assoc snap
     = [
@@ -453,12 +453,12 @@ let test_perf_diff_roundtrip () =
   let p = Perf.create () in
   bump_some_counters p;
   let before = Perf.copy p in
-  p.Perf.syscalls <- p.Perf.syscalls + 10;
-  p.Perf.ipis_sent <- p.Perf.ipis_sent + 1;
+  Perf.bump p Syscalls 10;
+  Perf.bump p Ipis_sent 1;
   let d = Perf.diff ~after:p ~before in
-  Alcotest.(check int) "syscall delta" 10 d.Perf.syscalls;
-  Alcotest.(check int) "ipi delta" 1 d.Perf.ipis_sent;
-  Alcotest.(check int) "untouched delta" 0 d.Perf.bytes_copied;
+  Alcotest.(check int) "syscall delta" 10 (Perf.get d Syscalls);
+  Alcotest.(check int) "ipi delta" 1 (Perf.get d Ipis_sent);
+  Alcotest.(check int) "untouched delta" 0 (Perf.get d Bytes_copied);
   (* before + diff = after, field by field *)
   List.iter2
     (fun (name, b) ((_, d), (_, a)) ->
@@ -479,6 +479,49 @@ let test_perf_to_assoc_covers_all_counters () =
   Alcotest.(check int) "35 counters" 35 (List.length names);
   Alcotest.(check int) "no duplicate names" 35
     (List.length (List.sort_uniq compare names))
+
+(* A constructor and its name-table entry can drift apart: bump each
+   counter alone and check that [to_assoc] reports the value at the
+   counter's declaration position, and nowhere else.  Together with the
+   names pinned above, that ties each constructor to its name. *)
+let test_perf_bump_lands_at_its_position () =
+  Alcotest.(check int) "every counter listed" 35 (List.length Perf.all);
+  List.iteri
+    (fun pos c ->
+      let p = Perf.create () in
+      let v = 1000 + pos in
+      Perf.bump p c v;
+      Alcotest.(check int) "get reads the bump" v (Perf.get p c);
+      List.iteri
+        (fun k (name, x) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s after bumping counter #%d" name pos)
+            (if k = pos then v else 0)
+            x)
+        (Perf.to_assoc p))
+    Perf.all
+
+(* Shard merge: [add] folds per-shard deltas into a total, counter by
+   counter, in either order. *)
+let test_perf_add_merges_shards () =
+  let a = Perf.create () and b = Perf.create () in
+  bump_some_counters a;
+  Perf.bump b Syscalls 5;
+  Perf.bump b Sched_cancelled 2;
+  let ab = Perf.create () and ba = Perf.create () in
+  Perf.add ~into:ab a;
+  Perf.add ~into:ab b;
+  Perf.add ~into:ba b;
+  Perf.add ~into:ba a;
+  Alcotest.(check int) "summed" 8 (Perf.get ab Syscalls);
+  Alcotest.(check int) "one side only" 2 (Perf.get ab Sched_cancelled);
+  Alcotest.(check (list (pair string int)))
+    "order-independent" (Perf.to_assoc ab) (Perf.to_assoc ba);
+  List.iter2
+    (fun ((name, x), (_, y)) (_, total) ->
+      Alcotest.(check int) (name ^ " merged") (x + y) total)
+    (List.combine (Perf.to_assoc a) (Perf.to_assoc b))
+    (Perf.to_assoc ab)
 
 let () =
   Alcotest.run "svagc_vmem"
@@ -557,5 +600,9 @@ let () =
           Alcotest.test_case "self-diff is zero" `Quick test_perf_diff_self_is_zero;
           Alcotest.test_case "to_assoc covers counters" `Quick
             test_perf_to_assoc_covers_all_counters;
+          Alcotest.test_case "bump lands at its position" `Quick
+            test_perf_bump_lands_at_its_position;
+          Alcotest.test_case "add merges shards" `Quick
+            test_perf_add_merges_shards;
         ] );
     ]
