@@ -13,8 +13,6 @@ type t = {
   gc_threads : int;
   fault_spec : Svagc_fault.Fault_spec.t;
   fault_seed : int;
-  mem_limit_frames : int option;
-  swap_cost_ns : float option;
 }
 
 let default =
@@ -31,8 +29,6 @@ let default =
     gc_threads = 4;
     fault_spec = Svagc_fault.Fault_spec.empty;
     fault_seed = 0;
-    mem_limit_frames = None;
-    swap_cost_ns = None;
   }
 
 let unoptimized =
@@ -49,20 +45,12 @@ let unoptimized =
     gc_threads = 4;
     fault_spec = Svagc_fault.Fault_spec.empty;
     fault_seed = 0;
-    mem_limit_frames = None;
-    swap_cost_ns = None;
   }
 
 let validate t =
   if t.threshold_pages <= 0 then invalid_arg "Config: threshold must be positive";
   if t.aggregation_batch <= 0 then invalid_arg "Config: batch must be positive";
   if t.gc_threads <= 0 then invalid_arg "Config: gc_threads must be positive";
-  (match t.mem_limit_frames with
-  | Some n when n <= 0 -> invalid_arg "Config: mem_limit_frames must be positive"
-  | _ -> ());
-  (match t.swap_cost_ns with
-  | Some ns when ns < 0.0 -> invalid_arg "Config: swap_cost_ns must be non-negative"
-  | _ -> ());
   match t.flush with
   | Shootdown.Local_pinned when not t.pin_compaction ->
     invalid_arg
@@ -71,21 +59,3 @@ let validate t =
   | Shootdown.Local_pinned | Shootdown.Broadcast_per_call
   | Shootdown.Process_targeted | Shootdown.Self_invalidate ->
     ()
-
-let pp ppf t =
-  Format.fprintf ppf
-    "svagc{threshold=%dp pmd=%b aggr=%b(batch=%d) coalesce=%b leaf_swap=%b \
-     overlap=%b flush=%a pin=%b threads=%d%t}"
-    t.threshold_pages t.pmd_caching t.aggregation t.aggregation_batch
-    t.coalesce_runs t.pmd_leaf_swap t.allow_overlap Shootdown.pp_policy t.flush
-    t.pin_compaction t.gc_threads
-    (fun ppf ->
-      if not (Svagc_fault.Fault_spec.is_empty t.fault_spec) then
-        Format.fprintf ppf " fault=%a seed=%d" Svagc_fault.Fault_spec.pp
-          t.fault_spec t.fault_seed;
-      (match t.mem_limit_frames with
-      | Some n -> Format.fprintf ppf " mem_limit=%df" n
-      | None -> ());
-      match t.swap_cost_ns with
-      | Some ns -> Format.fprintf ppf " swap_cost=%gns" ns
-      | None -> ())

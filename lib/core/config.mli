@@ -31,16 +31,6 @@ type t = {
   fault_seed : int;
       (** Seed for the injector's per-clause PRNG streams
           ([--fault-seed]); same spec + same seed ⇒ byte-identical runs. *)
-  mem_limit_frames : int option;
-      (** Simulated memory pressure ([--mem-limit-frames]): cap the
-          machine's resident frames, evicting cold pages to the simulated
-          swap device via the svagc_reclaim kswapd.  [None] (the default)
-          means unlimited physical memory and is bit-identical to a build
-          without the reclaim subsystem.  Armed by the mover prologue,
-          like the fault plane. *)
-  swap_cost_ns : float option;
-      (** Override both per-page swap-device latencies ([--swap-cost]);
-          [None] uses the cost model's [swap_out_ns]/[swap_in_ns]. *)
 }
 
 val default : t
@@ -55,5 +45,3 @@ val unoptimized : t
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings (e.g. [Local_pinned]
     flushing without [pin_compaction]). *)
-
-val pp : Format.formatter -> t -> unit

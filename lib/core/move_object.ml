@@ -185,26 +185,6 @@ let mover ?measure_core (cfg : Config.t) =
        | None ->
          machine.Machine.fault <-
            Some (Svagc_fault.Injector.create cfg.fault_spec ~seed:cfg.fault_seed));
-    (* Arm the memory-pressure plane the same way: once per machine, and
-       [None] (the default) leaves the run bit-identical to a build
-       without the reclaim subsystem.  Pages mapped before arming are
-       adopted into the LRU lists, then the watermark check runs so an
-       over-limit heap is evicted down before the first compaction. *)
-    (match cfg.mem_limit_frames with
-    | Some limit_frames ->
-      let machine = Process.machine proc in
-      if not (Svagc_kernel.Fault_handler.attached machine) then begin
-        let r =
-          Svagc_kernel.Fault_handler.attach machine ~limit_frames
-            ?swap_cost_ns:cfg.swap_cost_ns ()
-        in
-        let aspace = Process.aspace proc in
-        Svagc_reclaim.Reclaim.adopt_space r
-          ~pt:(Svagc_vmem.Address_space.page_table aspace)
-          ~asid:(Svagc_vmem.Address_space.asid aspace);
-        Svagc_reclaim.Reclaim.balance r
-      end
-    | None -> ());
     if cfg.pin_compaction then begin
       let machine = Process.machine proc in
       let pin_cost = Process.pin proc ~core:(Process.current_core proc) in

@@ -5,20 +5,8 @@ type t = {
   jvms : Jvm.t array;
 }
 
-let create ?mem_limit_frames ?swap_cost_ns ?swap_dev ?cgroup machine ~instances
-    ~spawn =
+let create machine ~instances ~spawn =
   if instances <= 0 then invalid_arg "Multi_jvm.create: need at least one instance";
-  (* Overcommit mode: one shared frame pool for every tenant.  Attach
-     BEFORE spawning so each JVM's heap pages enter the LRU lists as they
-     are mapped — the contention between tenants for residency is the
-     whole point of the experiment. *)
-  (match mem_limit_frames with
-  | Some limit_frames ->
-    if not (Svagc_kernel.Fault_handler.attached machine) then
-      ignore
-        (Svagc_kernel.Fault_handler.attach machine ~limit_frames ?swap_cost_ns
-           ?dev:swap_dev ?cgroup ())
-  | None -> ());
   let jvms = Array.init instances (fun index -> spawn ~index machine) in
   (* One trace track per co-running instance (Fig. 2 / Fig. 14 views). *)
   Array.iteri (fun index jvm -> Jvm.set_trace_pid jvm index) jvms;

@@ -11,23 +11,15 @@ open Svagc_vmem
 type t
 
 val create :
-  ?mem_limit_frames:int ->
-  ?swap_cost_ns:float ->
-  ?swap_dev:Svagc_reclaim.Reclaim.dev_iface ->
-  ?cgroup:Svagc_reclaim.Reclaim.cgroup_iface ->
   Machine.t ->
   instances:int ->
   spawn:(index:int -> Machine.t -> Jvm.t) ->
   t
 (** Spawns [instances] JVMs and sets the machine's contention level.
-    [mem_limit_frames] turns on overcommit: every tenant contends for one
-    shared resident-frame pool (the reclaim plane is attached to the
-    machine before any JVM is spawned), with [swap_cost_ns] optionally
-    overriding both swap-device latencies, [swap_dev] substituting a
-    custom (e.g. tiered) device and [cgroup] installing per-tenant
-    resident accounting — both forwarded to
-    [Svagc_kernel.Fault_handler.attach] and ignored when a reclaimer is
-    already attached. *)
+    Memory pressure is the machine's, not the co-run's: attach a reclaim
+    plane ([Svagc_kernel.Fault_handler.attach]) when the machine is made,
+    so every tenant's heap pages are LRU-tracked from their first
+    mapping. *)
 
 val jvms : t -> Jvm.t array
 

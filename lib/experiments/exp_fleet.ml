@@ -20,20 +20,9 @@ module Report = Svagc_metrics.Report
 module Table = Svagc_metrics.Table
 open Svagc_vmem
 
-(* CLI override for the cohort size (exp fleet --tenants N): the 10k
-   smoke path.  Surge scales at 5% so admission keeps seeing queue
-   pressure and rejections at any cohort size. *)
-let tenants_override = ref None
-
 let config_for ~quick =
-  let base =
-    if quick then
-      { Fleet.default with Fleet.tenants = 96; surge = 12; steps = 3 }
-    else Fleet.default
-  in
-  match !tenants_override with
-  | None -> base
-  | Some n -> { base with Fleet.tenants = n; surge = Stdlib.max 1 (n / 20) }
+  if quick then { Fleet.default with Fleet.tenants = 96; surge = 12; steps = 3 }
+  else Fleet.default
 
 let measure ~quick kind =
   Fleet.run

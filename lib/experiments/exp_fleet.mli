@@ -2,11 +2,6 @@
     and a tiered far-memory swap device, contrasting SwapVA vs memmove
     tail GC pauses under 2x overcommit.  Registered as [exp fleet]. *)
 
-val tenants_override : int option ref
-(** When set (the CLI's [exp fleet --tenants N]), replaces the cohort
-    size in {!config_for} (surge scales to 5% of it).  [None] leaves the
-    default/quick grids untouched. *)
-
 val config_for : quick:bool -> Svagc_fleet.Fleet.config
 (** The sweep's configuration: {!Svagc_fleet.Fleet.default} (1000 + 50
     surge tenants, 10 steps) normally, a trimmed 96-tenant grid under

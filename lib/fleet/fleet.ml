@@ -146,17 +146,20 @@ let make_stepper tenant jvm rng stats =
     let stall = Jvm.app_ns jvm -. app0 -. nominal in
     Histogram.add stats.t_stalls (Float.max 0.0 stall)
 
+(* Float bounds are written as the range that is accepted, so NaN fails
+   them too. *)
 let validate config =
   if config.tenants < 1 then invalid_arg "Fleet: tenants must be >= 1";
   if config.surge < 0 then invalid_arg "Fleet: surge must be >= 0";
   if config.steps < 1 then invalid_arg "Fleet: steps must be >= 1";
-  if config.overcommit < 1.0 then invalid_arg "Fleet: overcommit must be >= 1";
-  if config.cgroup_soft <= 0.0 || config.cgroup_soft > config.cgroup_hard then
-    invalid_arg "Fleet: need 0 < cgroup_soft <= cgroup_hard";
+  if not (config.overcommit >= 1.0) then
+    invalid_arg "Fleet: overcommit must be >= 1";
+  if not (config.cgroup_soft > 0.0 && config.cgroup_soft <= config.cgroup_hard)
+  then invalid_arg "Fleet: need 0 < cgroup_soft <= cgroup_hard";
   if config.cgroup_hard > 4.0 then invalid_arg "Fleet: cgroup_hard too large";
-  if config.near_frac <= 0.0 || config.near_frac > 1.0 then
+  if not (config.near_frac > 0.0 && config.near_frac <= 1.0) then
     invalid_arg "Fleet: near_frac must be in (0, 1]";
-  if config.far_tier_cost < 1.0 then
+  if not (config.far_tier_cost >= 1.0) then
     invalid_arg "Fleet: far_tier_cost must be >= 1";
   if config.queue_limit < 0 then invalid_arg "Fleet: queue_limit must be >= 0"
 
@@ -192,6 +195,11 @@ let run ~collector_of ?(label = "fleet") config =
     Swap_tier.create machine ~near_slots ~far_cost_mult:config.far_tier_cost ()
   in
   let cgroup = Cgroup.create () in
+  (* One shared frame pool for every wave, armed before any tenant maps a
+     page so each heap page enters the LRU lists as it is mapped. *)
+  ignore
+    (Svagc_kernel.Fault_handler.attach machine ~limit_frames:pool_frames
+       ~dev:(Swap_tier.iface tier) ~cgroup:(Cgroup.iface cgroup) ());
   let admission =
     Admission.create machine ~capacity_frames:pool_frames
       ~overcommit:config.overcommit ~queue_limit:config.queue_limit ()
@@ -232,9 +240,7 @@ let run ~collector_of ?(label = "fleet") config =
   let run_wave wave_no ids =
     let ids = Array.of_list ids in
     let mj =
-      Multi_jvm.create ~mem_limit_frames:pool_frames
-        ~swap_dev:(Swap_tier.iface tier) ~cgroup:(Cgroup.iface cgroup) machine
-        ~instances:(Array.length ids)
+      Multi_jvm.create machine ~instances:(Array.length ids)
         ~spawn:(fun ~index machine ->
           let t = tenants.(ids.(index)) in
           Jvm.create machine

@@ -62,6 +62,10 @@ type result = {
   tier : int * int;  (** final (near_in_use, far_in_use) *)
 }
 
+val validate : config -> unit
+(** @raise Invalid_argument naming the first out-of-range field (e.g.
+    [tenants < 1], [overcommit < 1], [near_frac] outside (0, 1]). *)
+
 val run :
   collector_of:(Svagc_heap.Heap.t -> Svagc_gc.Gc_intf.t) ->
   ?label:string ->

@@ -264,6 +264,32 @@ let test_fleet_determinism () =
   Alcotest.(check (float 0.0)) "total time replays" a.Fleet.total_ns
     b.Fleet.total_ns
 
+let test_fleet_validate () =
+  let rejected c =
+    match Fleet.validate c with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let d = Fleet.default in
+  Alcotest.(check bool) "default accepted" false (rejected d);
+  Alcotest.(check bool) "tiny accepted" false (rejected tiny);
+  List.iter
+    (fun (name, c) -> Alcotest.(check bool) name true (rejected c))
+    [
+      ("no tenants", { d with Fleet.tenants = 0 });
+      ("negative surge", { d with Fleet.surge = -1 });
+      ("no steps", { d with Fleet.steps = 0 });
+      ("undercommit", { d with Fleet.overcommit = 0.5 });
+      ("NaN overcommit", { d with Fleet.overcommit = Float.nan });
+      ("negative hard limit", { d with Fleet.cgroup_hard = -1.0 });
+      ("NaN soft limit", { d with Fleet.cgroup_soft = Float.nan });
+      ("near tier above the pool", { d with Fleet.near_frac = 2.0 });
+      ("NaN near tier", { d with Fleet.near_frac = Float.nan });
+      ("far tier faster than near", { d with Fleet.far_tier_cost = 0.5 });
+      ("NaN far tier", { d with Fleet.far_tier_cost = Float.nan });
+      ("negative queue", { d with Fleet.queue_limit = -1 });
+    ]
+
 let test_fleet_under_oracle () =
   Svagc_check.Check.enable ~label:"fleet-test" ();
   ignore (run_tiny ());
@@ -298,6 +324,8 @@ let () =
         ] );
       ( "fleet",
         [
+          Alcotest.test_case "validate rejects bad configs" `Quick
+            test_fleet_validate;
           Alcotest.test_case "bit determinism" `Quick test_fleet_determinism;
           Alcotest.test_case "conservation laws hold" `Quick
             test_fleet_under_oracle;
