@@ -2,8 +2,9 @@
    simulated memmove (byte copies) vs the per-page SwapVA reference vs the
    flat SwapVA engine (bitset prechecks, scratch run buffers, memoized
    bulk charges), at 1k / 64k / 512k pages per side.  Memmove is timed
-   only up to [memmove_max_pages]: beyond that its staging buffer and
-   materialized destination frames need several GB of host memory.
+   only up to [memmove_max_pages]: it copies frame to frame, but every
+   destination frame it writes materializes a real 4 KiB page, so 512k
+   pages per side would need several GB of host memory.
 
    Both SwapVA engines charge bit-identical *simulated* cost (asserted
    here and recorded in the output); what this benchmark measures is how

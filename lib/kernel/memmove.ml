@@ -18,11 +18,7 @@ let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
   let machine = Address_space.machine aspace in
   if len = 0 then 0.0
   else begin
-    (* A page-chunked in-place copy would need direction analysis for
-       overlap; staging through a buffer gives memmove semantics simply and
-       the simulated cost is charged analytically anyway. *)
-    let data = Address_space.read_bytes aspace ~va:src ~len in
-    Address_space.write_bytes aspace ~va:dst ~src:data;
+    Address_space.copy aspace ~src ~dst ~len;
     Perf.bump machine.Machine.perf Memmove_calls 1;
     Perf.bump machine.Machine.perf Bytes_copied len;
     (match measure_core with

@@ -58,14 +58,16 @@ let translate t ~va = Page_table.translate t.pt va
 (* Demand paging lives here: any access that needs the backing frame of a
    swapped-out page routes through the pressure plane's fault handler,
    which swaps the page back in (possibly evicting others) and leaves the
-   PTE present — so the recursive retry terminates after one fault. *)
+   PTE present — so the recursive retry terminates after one fault.  The
+   frame is only good until the next resolve: a later fault-in may evict
+   this page. *)
 let rec frame_of_exn t va =
   let pte = Page_table.get_pte t.pt va in
   if Pte.is_present pte then begin
     (match t.machine.Machine.reclaim with
     | None -> ()
     | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
-    (Pte.frame_exn pte, Addr.page_offset va)
+    Pte.frame_exn pte
   end
   else if Pte.is_swapped pte then begin
     match t.machine.Machine.reclaim with
@@ -86,7 +88,8 @@ let iter_chunks t ~va ~len f =
   let remaining = ref len in
   let consumed = ref 0 in
   while !remaining > 0 do
-    let frame, off = frame_of_exn t !pos in
+    let frame = frame_of_exn t !pos in
+    let off = Addr.page_offset !pos in
     let chunk = min !remaining (Addr.page_size - off) in
     f ~frame ~off ~chunk ~at:!consumed;
     pos := !pos + chunk;
@@ -107,26 +110,112 @@ let write_bytes t ~va ~src =
       Phys_mem.write t.machine.Machine.phys ~frame ~off ~src ~src_off:at ~len:chunk)
 
 let read_u8 t ~va =
-  let frame, off = frame_of_exn t va in
-  Char.code (Bytes.get (Phys_mem.frame_bytes t.machine.Machine.phys frame) off)
+  let frame = frame_of_exn t va in
+  Char.code
+    (Bytes.get
+       (Phys_mem.frame_bytes t.machine.Machine.phys frame)
+       (Addr.page_offset va))
 
 let write_u8 t ~va v =
-  let frame, off = frame_of_exn t va in
-  Bytes.set (Phys_mem.frame_bytes t.machine.Machine.phys frame) off
+  let frame = frame_of_exn t va in
+  Bytes.set
+    (Phys_mem.frame_bytes t.machine.Machine.phys frame)
+    (Addr.page_offset va)
     (Char.chr (v land 0xff))
 
+(* An 8-aligned header never straddles a page: one resolve, then the
+   frame itself.  A straddling access takes the chunked path. *)
 let read_i64 t ~va =
-  let b = read_bytes t ~va ~len:8 in
-  Bytes.get_int64_le b 0
+  let off = Addr.page_offset va in
+  if off <= Addr.page_size - 8 then
+    Bytes.get_int64_le
+      (Phys_mem.frame_bytes t.machine.Machine.phys (frame_of_exn t va))
+      off
+  else Bytes.get_int64_le (read_bytes t ~va ~len:8) 0
 
 let write_i64 t ~va v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write_bytes t ~va ~src:b
+  let off = Addr.page_offset va in
+  if off <= Addr.page_size - 8 then
+    Bytes.set_int64_le
+      (Phys_mem.frame_bytes t.machine.Machine.phys (frame_of_exn t va))
+      off v
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write_bytes t ~va ~src:b
+  end
 
 let fill t ~va ~len c =
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at:_ ->
       Bytes.fill (Phys_mem.frame_bytes t.machine.Machine.phys frame) off chunk c)
+
+(* The payload of the page holding [va] without faulting: [None] for a
+   logically-zero page. *)
+let peek_payload t va =
+  let pte = Page_table.get_pte t.pt va in
+  if Pte.is_present pte then
+    Phys_mem.frame_contents t.machine.Machine.phys (Pte.frame_exn pte)
+  else if Pte.is_swapped pte then begin
+    match t.machine.Machine.reclaim with
+    | Some r -> r.Machine.ri_slot_bytes ~slot:(Pte.swap_slot_exn pte)
+    | None ->
+      invalid_arg
+        (Format.asprintf
+           "Address_space: swapped address %a with no reclaim plane" Addr.pp va)
+  end
+  else invalid_arg (Format.asprintf "Address_space: unmapped address %a" Addr.pp va)
+
+(* Copy [len] bytes at [va], all in one page, into [dst] at [dst_off]
+   through the peek view.  A present page is read in place without
+   allocating; only a swapped page goes through its slot's payload. *)
+let peek_into t ~va ~len ~dst ~dst_off =
+  let off = Addr.page_offset va in
+  let pte = Page_table.get_pte t.pt va in
+  if Pte.is_present pte then
+    Phys_mem.read_into t.machine.Machine.phys ~frame:(Pte.frame_exn pte) ~off
+      ~len ~dst ~dst_off
+  else
+    match peek_payload t va with
+    | Some b -> Bytes.blit b off dst dst_off len
+    | None -> Bytes.fill dst dst_off len '\000'
+
+let copy t ~src ~dst ~len =
+  if len < 0 then invalid_arg "Address_space.copy: negative length";
+  if dst > src && dst < src + len then
+    (* Forward overlap: an ascending frame-to-frame copy would overwrite
+       source bytes before reading them, so stage through a buffer.  No
+       collector emits this (LISP2 slides objects down; the copying
+       collectors move between disjoint spaces). *)
+    write_bytes t ~va:dst ~src:(read_bytes t ~va:src ~len)
+  else begin
+    (* Resolve every source page first, in ascending order, exactly as a
+       staged read would: the pressure plane sees the same touches and
+       fault-ins in the same order. *)
+    let pos = ref src in
+    while !pos < src + len do
+      ignore (frame_of_exn t !pos);
+      pos := Addr.align_down !pos + Addr.page_size
+    done;
+    (* Then resolve each destination page and write its chunks at once.
+       Source bytes are read as each chunk is written, through the peek
+       view: a destination fault-in may have evicted a source page, whose
+       payload then sits intact in its slot.  With [dst < src] an
+       ascending copy never overwrites a source byte it has yet to read. *)
+    let phys = t.machine.Machine.phys in
+    let at = ref 0 in
+    let frame = ref Bytes.empty in
+    while !at < len do
+      let s = src + !at and d = dst + !at in
+      let doff = Addr.page_offset d in
+      if !at = 0 || doff = 0 then frame := Phys_mem.frame_bytes phys (frame_of_exn t d);
+      let chunk =
+        Int.min (len - !at)
+          (Int.min (Addr.page_size - doff) (Addr.page_size - Addr.page_offset s))
+      in
+      peek_into t ~va:s ~len:chunk ~dst:!frame ~dst_off:doff;
+      at := !at + chunk
+    done
+  end
 
 (* Non-faulting page-chunk iteration: [f] receives the page's payload as
    [Some bytes] (read at [off]) or [None] for a logically-zero page.  Used
@@ -139,24 +228,7 @@ let iter_chunks_peek t ~va ~len f =
   while !remaining > 0 do
     let off = Addr.page_offset !pos in
     let chunk = min !remaining (Addr.page_size - off) in
-    let pte = Page_table.get_pte t.pt !pos in
-    let payload =
-      if Pte.is_present pte then
-        Phys_mem.frame_contents t.machine.Machine.phys (Pte.frame_exn pte)
-      else if Pte.is_swapped pte then begin
-        match t.machine.Machine.reclaim with
-        | Some r -> r.Machine.ri_slot_bytes ~slot:(Pte.swap_slot_exn pte)
-        | None ->
-          invalid_arg
-            (Format.asprintf
-               "Address_space: swapped address %a with no reclaim plane"
-               Addr.pp !pos)
-      end
-      else
-        invalid_arg
-          (Format.asprintf "Address_space: unmapped address %a" Addr.pp !pos)
-    in
-    f ~payload ~off ~chunk ~at:!consumed;
+    f ~payload:(peek_payload t !pos) ~off ~chunk ~at:!consumed;
     pos := !pos + chunk;
     consumed := !consumed + chunk;
     remaining := !remaining - chunk
@@ -205,7 +277,7 @@ let touch t ~core ~va =
          the fault handler), after which the refill proceeds normally.
          Swap-out scrubs the page from every TLB, so a hit above always
          means present. *)
-      let frame, _off = frame_of_exn t va in
+      let frame = frame_of_exn t va in
       Tlb.insert c.Machine.tlb ~asid:t.asid ~vpn ~frame;
       frame
   in

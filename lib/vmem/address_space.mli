@@ -53,6 +53,19 @@ val peek_i64 : t -> va:int -> int64
 
 val write_bytes : t -> va:int -> src:bytes -> unit
 
+val copy : t -> src:int -> dst:int -> len:int -> unit
+(** C [memmove] of [len] bytes from [src] to [dst], frame to frame.  Every
+    source page is resolved first, in ascending order, then each
+    destination page in ascending order with its bytes written as soon as
+    it resolves — the same demand faults and LRU touches, in the same
+    order, as {!read_bytes} of the source followed by {!write_bytes} to
+    the destination.  Source bytes are read through the peek view (see
+    {!peek_bytes}) as each chunk is written, so a source page evicted by a
+    destination fault-in is read from its swap slot, and a lazily-zero
+    source page is never materialized.  A forward overlap
+    ([src < dst < src + len]) is staged through a buffer instead.
+    @raise Invalid_argument if [len < 0] or any page is unmapped. *)
+
 val read_u8 : t -> va:int -> int
 
 val write_u8 : t -> va:int -> int -> unit
@@ -74,6 +87,7 @@ val touch : t -> core:int -> va:int -> unit
     @raise Invalid_argument if unmapped. *)
 
 val touch_range : t -> core:int -> va:int -> len:int -> unit
-(** {!touch} every cache line of the range (one TLB interaction per page). *)
+(** {!touch} every cache line of the range: one TLB lookup (and LLC
+    access) per cache line, not per page. *)
 
 val mapped_pages : t -> int

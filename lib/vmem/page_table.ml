@@ -49,25 +49,29 @@ let create () = { root = Array.make Addr.entries_per_table None }
 let indices va =
   (Addr.pgd_index va, Addr.p4d_index va, Addr.pud_index va, Addr.pmd_index va)
 
+(* Stands in for a missing leaf: every PTE is [Pte.none], and nothing
+   ever writes through it.  Also the filler of unused run-buffer slots. *)
+let no_leaf = make_leaf ()
+
+(* The leaf covering [va], or [no_leaf] when a level is missing.  It
+   allocates nothing: every frame-resolving access looks a page up here. *)
+let leaf_at t va =
+  match t.root.(Addr.pgd_index va) with
+  | Some (Dir p4d) -> (
+    match p4d.(Addr.p4d_index va) with
+    | Some (Dir pud) -> (
+      match pud.(Addr.pud_index va) with
+      | Some (Dir pmd) -> (
+        match pmd.(Addr.pmd_index va) with
+        | Some (Leaf leaf) -> leaf
+        | Some (Dir _) | None -> no_leaf)
+      | Some (Leaf _) | None -> no_leaf)
+    | Some (Leaf _) | None -> no_leaf)
+  | Some (Leaf _) | None -> no_leaf
+
 let find_leaf_record t va =
-  let i_pgd, i_p4d, i_pud, i_pmd = indices va in
-  let step slot =
-    match slot with
-    | Some (Dir entries) -> Some entries
-    | Some (Leaf _) | None -> None
-  in
-  match step t.root.(i_pgd) with
-  | None -> None
-  | Some p4d -> (
-    match step p4d.(i_p4d) with
-    | None -> None
-    | Some pud -> (
-      match step pud.(i_pud) with
-      | None -> None
-      | Some pmd -> (
-        match pmd.(i_pmd) with
-        | Some (Leaf leaf) -> Some leaf
-        | Some (Dir _) | None -> None)))
+  let leaf = leaf_at t va in
+  if leaf == no_leaf then None else Some leaf
 
 let find_leaf t va =
   match find_leaf_record t va with
@@ -104,10 +108,7 @@ let ensure_leaf_record t va =
 
 let ensure_leaf t va = (ensure_leaf_record t va).ptes
 
-let get_pte t va =
-  match find_leaf_record t va with
-  | None -> Pte.none
-  | Some leaf -> leaf.ptes.(Addr.pte_index va)
+let get_pte t va = (leaf_at t va).ptes.(Addr.pte_index va)
 
 let leaf_mapped_count leaf = leaf.mapped_count
 let leaf_ptes leaf = leaf.ptes
@@ -233,11 +234,8 @@ type run_buf = {
   mutable rb_n : int;
 }
 
-(* Shared placeholder for unused slots; never written through. *)
-let dummy_leaf = make_leaf ()
-
 let run_buf_create () =
-  { rb_leaves = Array.make 8 dummy_leaf; rb_pack = Array.make 8 0; rb_n = 0 }
+  { rb_leaves = Array.make 8 no_leaf; rb_pack = Array.make 8 0; rb_n = 0 }
 
 let run_buf_length buf = buf.rb_n
 
@@ -252,7 +250,7 @@ let run_buf_push buf leaf ~start ~len =
   let n = buf.rb_n in
   if n = Array.length buf.rb_pack then begin
     let cap' = 2 * n in
-    let leaves = Array.make cap' dummy_leaf in
+    let leaves = Array.make cap' no_leaf in
     Array.blit buf.rb_leaves 0 leaves 0 n;
     buf.rb_leaves <- leaves;
     let pack = Array.make cap' 0 in

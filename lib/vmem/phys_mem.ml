@@ -88,6 +88,13 @@ let read t ~frame ~off ~len =
   check_range ~off ~len;
   Bytes.sub (frame_bytes t frame) off len
 
+let read_into t ~frame ~off ~len ~dst ~dst_off =
+  check_range ~off ~len;
+  match t.frames.(frame) with
+  | Free -> invalid_arg "Phys_mem.read_into: frame not in use"
+  | Zeroed -> Bytes.fill dst dst_off len '\000'
+  | Data b -> Bytes.blit b off dst dst_off len
+
 let write t ~frame ~off ~src ~src_off ~len =
   check_range ~off ~len;
   Bytes.blit src src_off (frame_bytes t frame) off len

@@ -43,6 +43,12 @@ val alloc_frame_with : t -> bytes option -> int
 
 val read : t -> frame:int -> off:int -> len:int -> bytes
 
+val read_into :
+  t -> frame:int -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** Copy [len] bytes at [off] of [frame] into [dst] at [dst_off].  A
+    lazily-zeroed frame yields zeroes and stays unmaterialized.
+    @raise Invalid_argument if the frame is not in use. *)
+
 val write : t -> frame:int -> off:int -> src:bytes -> src_off:int -> len:int -> unit
 
 val blit :

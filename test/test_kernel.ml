@@ -55,18 +55,39 @@ let test_memmove_overlap_semantics () =
   Alcotest.(check string) "memmove overlap" "ababcdef"
     (Bytes.to_string (Address_space.read_bytes aspace ~va:base ~len:8))
 
+(* A 6-page window and moves of up to 3 pages, so chunks split at source
+   and destination page boundaries alike, in both overlap directions.
+   Pages whose bit is clear in [written] are never written: they stay
+   lazily zero and are copied as zeroes. *)
 let prop_memmove_matches_bytes_blit =
-  qtest ~count:60 "memmove agrees with Bytes.blit on random ranges"
-    QCheck.(triple (int_range 0 3000) (int_range 0 3000) (int_range 0 1000))
-    (fun (src_off, dst_off, len) ->
+  let pages = 6 in
+  let window = pages * Addr.page_size in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 (3 * Addr.page_size) >>= fun len ->
+      quad (int_bound (window - len)) (int_bound (window - len)) (return len)
+        (int_bound ((1 lsl pages) - 1)))
+  in
+  qtest ~count:200 "memmove agrees with Bytes.blit on random ranges"
+    (QCheck.make ~print:QCheck.Print.(quad int int int int) gen)
+    (fun (src_off, dst_off, len, written) ->
       let _, proc = fresh () in
       let aspace = Process.aspace proc in
-      Address_space.map_range aspace ~va:base ~pages:2;
-      let model = Bytes.init 8192 (fun i -> Char.chr (i * 31 mod 256)) in
-      Address_space.write_bytes aspace ~va:base ~src:model;
+      Address_space.map_range aspace ~va:base ~pages;
+      let is_written i = written land (1 lsl (i / Addr.page_size)) <> 0 in
+      let model =
+        Bytes.init window (fun i ->
+            if is_written i then Char.chr (1 + (i * 31 mod 255)) else '\000')
+      in
+      for p = 0 to pages - 1 do
+        if is_written (p * Addr.page_size) then
+          Address_space.write_bytes aspace
+            ~va:(base + (p * Addr.page_size))
+            ~src:(Bytes.sub model (p * Addr.page_size) Addr.page_size)
+      done;
       ignore (Memmove.move aspace ~src:(base + src_off) ~dst:(base + dst_off) ~len);
       Bytes.blit model src_off model dst_off len;
-      Bytes.equal model (Address_space.read_bytes aspace ~va:base ~len:8192))
+      Bytes.equal model (Address_space.peek_bytes aspace ~va:base ~len:window))
 
 let test_memmove_cost_scales () =
   let machine, _ = fresh () in

@@ -295,6 +295,107 @@ let test_memmove_faults_in () =
     (Perf.get perf Major_faults > faults0);
   Alcotest.(check bool) "swap-ins happened" true (Perf.get perf Pages_swapped_in > 0)
 
+(* --- Frame-to-frame memmove vs the staged reference --- *)
+
+(* One memmove case: a page-content mask and seed for the window, then a
+   few moves [(src_off, dst_off, len)] in both directions. *)
+let copy_window_pages = 12
+
+let copy_case_gen =
+  let window = copy_window_pages * Addr.page_size in
+  QCheck.Gen.(
+    let move =
+      int_range 1 (4 * Addr.page_size) >>= fun len ->
+      triple (int_bound (window - len)) (int_bound (window - len)) (return len)
+    in
+    triple (int_bound ((1 lsl copy_window_pages) - 1)) (int_bound 10_000)
+      (list_size (int_range 1 4) move))
+
+let pp_copy_case (written, seed, moves) =
+  Printf.sprintf "written=%#x seed=%d moves=[%s]" written seed
+    (String.concat "; "
+       (List.map (fun (s, d, l) -> Printf.sprintf "%d->%d len %d" s d l) moves))
+
+(* A machine capped at 5 resident frames whose 12-page window is partly
+   swapped out before any move: mapping past the cap evicts, and the
+   writes to the pages set in [written] fault pages in and out again.
+   Pages not in [written] stay lazily zero. *)
+let pressured_window ~written ~seed =
+  let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
+  let r = Fault_handler.attach machine ~limit_frames:5 () in
+  let aspace = Process.aspace (Process.create machine) in
+  Address_space.map_range aspace ~va:base ~pages:copy_window_pages;
+  let rng = Svagc_util.Rng.create ~seed in
+  for p = 0 to copy_window_pages - 1 do
+    if written land (1 lsl p) <> 0 then
+      Address_space.write_bytes aspace
+        ~va:(base + (p * Addr.page_size))
+        ~src:
+          (Bytes.init Addr.page_size (fun _ ->
+               Char.chr (1 + Svagc_util.Rng.int rng 255)))
+  done;
+  (machine, r, aspace)
+
+let reclaim_counters machine =
+  List.map
+    (fun c -> Perf.get machine.Machine.perf c)
+    [ Perf.Major_faults; Pages_swapped_in; Pages_swapped_out; Reclaim_scans;
+      Kswapd_wakes ]
+
+(* [Memmove.move] copies frame to frame; the reference stages the whole
+   source through a buffer, as memmove did before.  Both must leave the
+   same bytes, make the same demand faults and evictions, and drain the
+   same reclaim cost.  Runs a fixed-seed batch of generated cases and
+   also proves that some case reads a source page from its swap slot: a
+   destination fault-in evicted a source page the first pass had
+   resolved. *)
+let test_memmove_matches_staged_reference () =
+  let slot_reads = ref 0 in
+  let check_case ((written, seed, moves) as case) =
+    let ma, ra, a = pressured_window ~written ~seed in
+    let mb, rb, b = pressured_window ~written ~seed in
+    let counting = ref false in
+    (match ma.Machine.reclaim with
+    | Some ri ->
+      ma.Machine.reclaim <-
+        Some
+          {
+            ri with
+            Machine.ri_slot_bytes =
+              (fun ~slot ->
+                if !counting then incr slot_reads;
+                ri.Machine.ri_slot_bytes ~slot);
+          }
+    | None -> Alcotest.fail "reclaim not attached");
+    let window = copy_window_pages * Addr.page_size in
+    List.iteri
+      (fun i (src_off, dst_off, len) ->
+        let what = Printf.sprintf "%s, move %d" (pp_copy_case case) i in
+        let src = base + src_off and dst = base + dst_off in
+        counting := true;
+        let ns_a = Memmove.move a ~src ~dst ~len in
+        counting := false;
+        Address_space.write_bytes b ~va:dst
+          ~src:(Address_space.read_bytes b ~va:src ~len);
+        let ns_b = Memmove.cost_ns mb ~len +. Reclaim.drain_ns rb in
+        Alcotest.(check string) ("bytes: " ^ what)
+          (Bytes.to_string (Address_space.peek_bytes b ~va:base ~len:window))
+          (Bytes.to_string (Address_space.peek_bytes a ~va:base ~len:window));
+        Alcotest.(check (list int)) ("reclaim counters: " ^ what)
+          (reclaim_counters mb) (reclaim_counters ma);
+        Alcotest.(check int64) ("reclaim ns: " ^ what)
+          (Int64.bits_of_float ns_b) (Int64.bits_of_float ns_a);
+        Alcotest.(check (list string)) ("LRU audit: " ^ what) []
+          (Reclaim.lru_audit ra @ Reclaim.lru_audit rb))
+      moves
+  in
+  let rand = Random.State.make [| 7 |] in
+  for _ = 1 to 150 do
+    check_case (QCheck.Gen.generate1 ~rand copy_case_gen)
+  done;
+  Alcotest.(check bool) "some destination fault-in evicted a source page"
+    true (!slot_reads > 0)
+
 (* --- GC under pressure --- *)
 
 let pressured_gc_run ?fault_spec ?(residency = 0.5) () =
@@ -481,6 +582,8 @@ let () =
             test_swapva_slot_exchange_no_faults;
           Alcotest.test_case "memmove faults both sides in" `Quick
             test_memmove_faults_in;
+          Alcotest.test_case "memmove matches the staged reference" `Quick
+            test_memmove_matches_staged_reference;
         ] );
       ( "gc_under_pressure",
         [
