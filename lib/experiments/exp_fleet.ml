@@ -9,9 +9,9 @@
     swapped PTE participates as a swap-slot handle regardless of which
     tier holds the payload — while memmove must demand-fault both sides
     of every copy, eating the far-tier latency on each cold page.  The
-    headline gate (enforced numerically by [fleet_bench]) is the tail:
-    SwapVA's p99 GC pause must not exceed memmove's under identical
-    pressure. *)
+    headline gate (enforced by the p99 gate in [test/test_fleet.ml]) is
+    the tail: SwapVA's p99 GC pause must not exceed memmove's under
+    identical pressure. *)
 
 module Fleet = Svagc_fleet.Fleet
 module Admission = Svagc_fleet.Admission

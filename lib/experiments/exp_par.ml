@@ -3,8 +3,8 @@
 
    Everything printed here is *simulated* and therefore byte-identical no
    matter how many host domains execute it — CI diffs this experiment's
-   output under DOMAINS=1 and DOMAINS=4.  Host wall-clock scaling is the
-   separate bench/par_bench.exe (BENCH_par.json). *)
+   output under DOMAINS=1 and DOMAINS=4.  Host wall-clock scaling is timed
+   by the par workload of bench/host_gates.exe (BENCH_host.json). *)
 
 open Svagc_vmem
 module Process = Svagc_kernel.Process
@@ -122,4 +122,4 @@ let run ?(quick = false) () =
     "Shard counts are simulation semantics (the partition is fixed); host \
      domains only decide which hardware thread runs a shard, so clocks, \
      counters and checksums never move with DOMAINS.  Wall-clock scaling \
-     lives in bench/par_bench.exe."
+     lives in bench/host_gates.exe."

@@ -5,8 +5,9 @@
    (an under-soft tenant's pages survive kswapd while a hog is over);
    equivalence of an oversized near tier with the default flat device;
    bit-determinism of the fleet driver (tier placement, counters and
-   percentiles replay); and a fleet run under the shadow oracle's
-   cgroup/tier conservation laws. *)
+   percentiles replay); a fleet run under the shadow oracle's
+   cgroup/tier conservation laws; and the SwapVA <= memmove fleet p99
+   gate at the quick and default fleet sizes. *)
 
 open Svagc_vmem
 module Process = Svagc_kernel.Process
@@ -18,6 +19,7 @@ module Admission = Svagc_fleet.Admission
 module Fleet = Svagc_fleet.Fleet
 module Histogram = Svagc_util.Histogram
 module Exp_common = Svagc_experiments.Exp_common
+module Exp_fleet = Svagc_experiments.Exp_fleet
 
 let machine ?(ncores = 4) ?(phys_mib = 128) () =
   Machine.create ~ncores ~phys_mib Cost_model.xeon_6130
@@ -302,6 +304,16 @@ let test_fleet_under_oracle () =
     Alcotest.(check int) "no findings" 0
       (List.length rep.Svagc_check.Check.findings)
 
+(* The fleet gate: under 2x overcommit with cgroups and the tiered swap
+   device, SwapVA's fleet-wide p99 GC pause must not exceed memmove's. *)
+let test_fleet_p99_gate ~quick () =
+  let p99 kind = Histogram.p99 (Exp_fleet.measure ~quick kind).Fleet.pauses in
+  let swapva = p99 Exp_common.Svagc in
+  let memmove = p99 Exp_common.Lisp2_memmove in
+  if swapva > memmove then
+    Alcotest.failf "SwapVA p99 pause %.0f ns exceeds memmove's %.0f ns" swapva
+      memmove
+
 let () =
   Alcotest.run "svagc_fleet"
     [
@@ -329,5 +341,12 @@ let () =
           Alcotest.test_case "bit determinism" `Quick test_fleet_determinism;
           Alcotest.test_case "conservation laws hold" `Quick
             test_fleet_under_oracle;
+        ] );
+      ( "p99_gate",
+        [
+          Alcotest.test_case "SwapVA <= memmove, quick fleet" `Slow
+            (test_fleet_p99_gate ~quick:true);
+          Alcotest.test_case "SwapVA <= memmove, default fleet" `Slow
+            (test_fleet_p99_gate ~quick:false);
         ] );
     ]

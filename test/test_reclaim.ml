@@ -3,8 +3,9 @@
    page stays lazy, a faulted-in page aliases no slot), LRU list
    soundness under random map/touch/fault/unmap, the SwapVA slot-exchange
    fast path (zero major faults) vs memmove's fault-everything-in slow
-   path, post-GC heap audits and conservation laws under 0.5 residency,
-   determinism of the pressure experiment, the [swap] fault-injection
+   path, the >= 5x reclaim gate at 1k/16k/64k pages, post-GC heap
+   audits and conservation laws under 0.5 residency, determinism of the
+   pressure experiment, the [swap] fault-injection
    site (typed EIO_swap after bounded retries), and rate-0 bit-identity
    of a [swap:p=0] clause. *)
 
@@ -64,9 +65,11 @@ let test_swap_dev_slot_reuse () =
 
 (* [2 * pages] mapped, machine capped at [pages] resident frames; the
    reclaim plane is attached before mapping so kswapd evicts the cold
-   half as mapping crosses the watermark. *)
+   half as mapping crosses the watermark.  Physical memory holds both
+   ranges plus slack for page tables. *)
 let pressured_fixture ~pages =
-  let machine = Machine.create ~ncores:4 ~phys_mib:64 Cost_model.xeon_6130 in
+  let phys_mib = (2 * pages / 256) + 64 in
+  let machine = Machine.create ~ncores:4 ~phys_mib Cost_model.xeon_6130 in
   let r = Fault_handler.attach machine ~limit_frames:pages () in
   let proc = Process.create machine in
   let aspace = Process.aspace proc in
@@ -294,6 +297,32 @@ let test_memmove_faults_in () =
   Alcotest.(check bool) "memmove demand-faulted the swapped source" true
     (Perf.get perf Major_faults > faults0);
   Alcotest.(check bool) "swap-ins happened" true (Perf.get perf Pages_swapped_in > 0)
+
+(* The memory-pressure gate (Figs. 10-11): at 0.5 residency, SwapVA's
+   slot exchange must be >= 5x cheaper than memmove-with-faults, each
+   side's simulated cost counted with the reclaim work it left to drain.
+   Separate fixtures: memmove's fault-ins destroy the half-swapped state
+   the SwapVA side must also start from. *)
+let test_reclaim_gate ~pages () =
+  let len = pages * Addr.page_size in
+  let drained f =
+    let _, proc, aspace, r = pressured_fixture ~pages in
+    ignore (Reclaim.drain_ns r);
+    let ns = f proc aspace in
+    ns +. Reclaim.drain_ns r
+  in
+  let swapva =
+    drained (fun proc _ ->
+        Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false
+          { Swapva.src = base; dst = base + len; pages })
+  in
+  let memmove =
+    drained (fun _ aspace ->
+        Memmove.move aspace ~src:base ~dst:(base + len) ~len)
+  in
+  if not (swapva > 0.0 && memmove /. swapva >= 5.0) then
+    Alcotest.failf "%d pages: SwapVA %.0f ns vs memmove %.0f ns, under 5x" pages
+      swapva memmove
 
 (* --- Frame-to-frame memmove vs the staged reference --- *)
 
@@ -585,6 +614,13 @@ let () =
           Alcotest.test_case "memmove matches the staged reference" `Quick
             test_memmove_matches_staged_reference;
         ] );
+      ( "reclaim_gate",
+        List.map
+          (fun pages ->
+            Alcotest.test_case
+              (Printf.sprintf "SwapVA >= 5x memmove at %d pages" pages)
+              `Slow (test_reclaim_gate ~pages))
+          [ 1024; 16384; 65536 ] );
       ( "gc_under_pressure",
         [
           Alcotest.test_case "heap audit at 0.5 residency" `Slow
