@@ -9,17 +9,17 @@ module Cost_model = Svagc_vmem.Cost_model
    mutates during the phase.  Shard count is [threads] — part of the GC
    configuration, never the host domain count — and the cost vector is
    written by absolute index, preserving the exact order the previous
-   sequential implementation ([List.rev_map] over [live]) produced, so the
-   replayed work-stealing makespan is bit-identical at any domain count.
+   sequential implementation (a [List.rev_map] over the live list)
+   produced, so the replayed work-stealing makespan is bit-identical at
+   any domain count.
    A dangling/dead reference still raises the same exception: shards are
-   contiguous slices in list order and the pool re-raises the
+   contiguous slices in address order and the pool re-raises the
    lowest-numbered failing shard's (its first, hence the globally first,
    offender). *)
 let run heap ~threads ~live =
   let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
   let cost = machine.Machine.cost in
-  let live_arr = Array.of_list live in
-  let n = Array.length live_arr in
+  let n = Array.length live in
   let costs = Array.make n 0.0 in
   Svagc_par.Domain_pool.run
     (Svagc_par.Domain_pool.global ())
@@ -27,20 +27,18 @@ let run heap ~threads ~live =
     (fun s ->
       let lo, hi = Svagc_par.Reduce.slice ~len:n ~shards:threads s in
       for idx = lo to hi - 1 do
-        let obj = live_arr.(idx) in
-        let refs = obj.Obj_model.refs in
-        Array.iteri
-          (fun i addr ->
-            if addr <> 0 then
-              match Heap.object_at heap addr with
-              | Some target ->
-                if not target.Obj_model.marked then
-                  invalid_arg "Adjust.run: live object references a dead one";
-                refs.(i) <- target.Obj_model.forward
-              | None ->
-                invalid_arg
-                  (Printf.sprintf "Adjust.run: dangling reference 0x%x" addr))
-          refs;
+        let refs = live.(idx).Obj_model.refs in
+        for i = 0 to Array.length refs - 1 do
+          let addr = refs.(i) in
+          if addr <> 0 then
+            match Heap.find_object heap addr with
+            | target ->
+              if not target.Obj_model.marked then
+                invalid_arg "Adjust.run: live object references a dead one";
+              refs.(i) <- target.Obj_model.forward
+            | exception Not_found ->
+              invalid_arg (Printf.sprintf "Adjust.run: dangling reference 0x%x" addr)
+        done;
         costs.(n - 1 - idx) <-
           cost.Cost_model.adjust_obj_ns
           +. (float_of_int (Array.length refs) *. cost.Cost_model.ref_scan_ns)

@@ -14,5 +14,6 @@
 
 open Svagc_heap
 
-val run : Heap.t -> threads:int -> live:Obj_model.t list -> float
-(** Returns the phase time in ns. *)
+val run : Heap.t -> threads:int -> live:Obj_model.t array -> float
+(** [live] is {!Forward.run}'s array of marked objects in ascending
+    address order, used as-is.  Returns the phase time in ns. *)

@@ -63,14 +63,13 @@ let memmove_mover_measured ~core = memmove_mover_gen ~measure_core:core ()
 let run heap ~threads ~mover ~live ~new_top =
   let machine = Process.machine (Heap.proc heap) in
   let cost = machine.Machine.cost in
-  let plan =
-    List.filter_map
-      (fun obj ->
-        let src = obj.Obj_model.addr and dst = obj.Obj_model.forward in
-        if src = dst then None
-        else Some { obj; src; dst; len = obj.Obj_model.size })
-      live
-  in
+  let plan = ref [] in
+  for i = Array.length live - 1 downto 0 do
+    let obj = live.(i) in
+    let src = obj.Obj_model.addr and dst = obj.Obj_model.forward in
+    if src <> dst then plan := { obj; src; dst; len = obj.Obj_model.size } :: !plan
+  done;
+  let plan = !plan in
   let fixed = mover.prologue heap in
   (* [threads] copy streams run concurrently during this phase: fold them
      into the machine's contention level so per-task copy costs reflect
@@ -87,22 +86,24 @@ let run heap ~threads ~mover ~live ~new_top =
   (* Commit the new addresses and re-stamp nothing: bytes moved with the
      objects, so the stamped headers must still match (tests rely on it). *)
   List.iter (fun { obj; dst; _ } -> obj.Obj_model.addr <- dst) plan;
-  let swapped_objects =
-    List.fold_left (fun acc o -> if o.swapped then acc + 1 else acc) 0 outcomes
-  in
   (* Prune dead objects, keep the survivors (already address-ordered). *)
-  let survivors = Vec.of_list live in
   let objects = Heap.objects heap in
   Vec.clear objects;
-  Vec.iter
+  Array.iter
     (fun o ->
       o.Obj_model.marked <- false;
       o.Obj_model.forward <- 0;
       Vec.push objects o)
-    survivors;
+    live;
   Heap.rebuild_index heap;
   Heap.set_top heap new_top;
-  let costs = Array.of_list (List.map (fun o -> o.cost_ns) outcomes) in
+  let costs = Array.make (List.length outcomes) 0.0 in
+  let swapped_objects = ref 0 in
+  List.iteri
+    (fun i o ->
+      costs.(i) <- o.cost_ns;
+      if o.swapped then incr swapped_objects)
+    outcomes;
   let makespan =
     Svagc_par.Work_steal.makespan ~threads ~steal_ns:cost.Cost_model.steal_ns
       ~barrier_ns:cost.Cost_model.barrier_ns costs
@@ -110,5 +111,5 @@ let run heap ~threads ~mover ~live ~new_top =
   {
     phase_ns = makespan +. fixed;
     moved_objects = List.length plan;
-    swapped_objects;
+    swapped_objects = !swapped_objects;
   }

@@ -46,9 +46,10 @@ val memmove_mover_measured : core:int -> mover
     the page translations through [core]'s TLB (Table III). *)
 
 val run :
-  Heap.t -> threads:int -> mover:mover -> live:Obj_model.t list -> new_top:int ->
+  Heap.t -> threads:int -> mover:mover -> live:Obj_model.t array -> new_top:int ->
   result
 (** Moves objects to their forwarding addresses, prunes dead objects,
     updates the address index and the heap top, and clears mark bits.
-    [live] must be in ascending address order (as returned by
-    {!Forward.run}). *)
+    [live] must be in ascending address order: it is {!Forward.run}'s
+    array, used as-is for the move plan and as the heap's new object
+    vector. *)

@@ -5,7 +5,12 @@
     compaction phase may exchange their pages.  The returned [new_top] is
     where the heap will end after compaction; [waste] is the alignment
     fragmentation the new layout will carry (the paper's "<5% of heap"
-    claim). *)
+    claim).
+
+    Only the live set is put in address order: the marked objects are
+    gathered into an array, which is sorted only when it is not already
+    ascending.  The heap's object vector is left as it is; compaction
+    replaces it with the survivors. *)
 
 open Svagc_heap
 
@@ -13,7 +18,9 @@ type result = {
   phase_ns : float;
   new_top : int;
   waste_bytes : int;
-  live : Obj_model.t list;  (** marked objects in ascending address order *)
+  live : Obj_model.t array;
+      (** marked objects in ascending address order, handed as-is to
+          {!Adjust.run} and {!Compact.run} *)
 }
 
 val run : Heap.t -> threads:int -> result

@@ -70,7 +70,7 @@ let cost t = (Process.machine t.proc).Machine.cost
 let makespan t costs =
   Svagc_par.Work_steal.makespan ~threads:t.threads
     ~steal_ns:(cost t).Cost_model.steal_ns
-    ~barrier_ns:(cost t).Cost_model.barrier_ns (Array.of_list costs)
+    ~barrier_ns:(cost t).Cost_model.barrier_ns costs
 
 (* Young reachability: nursery roots plus every old->young reference (the
    remembered-set scan, whose cost is charged per old object examined). *)
@@ -114,7 +114,7 @@ let mark_young t =
       drain ()
   in
   drain ();
-  makespan t !scan_costs +. makespan t !mark_costs
+  makespan t (Array.of_list !scan_costs) +. makespan t (Array.of_list !mark_costs)
 
 (* Exact old-space capacity needed to promote [live] (replays the reserve
    arithmetic without committing). *)
@@ -166,7 +166,8 @@ let run_minor t ~mover =
   let outcomes = mover.Compact.move_entries t.young entries in
   let fixed = fixed +. mover.Compact.epilogue t.young in
   let copy_ns =
-    makespan t (List.map (fun o -> o.Compact.cost_ns) outcomes) +. fixed
+    makespan t (Array.of_list (List.map (fun o -> o.Compact.cost_ns) outcomes))
+    +. fixed
   in
   let swapped_objects =
     List.fold_left (fun n o -> if o.Compact.swapped then n + 1 else n) 0 outcomes
@@ -198,7 +199,7 @@ let run_minor t ~mover =
           | None -> ())
         o.Obj_model.refs)
     (Heap.objects t.old_space);
-  let adjust_ns = makespan t !adjust_costs in
+  let adjust_ns = makespan t (Array.of_list !adjust_costs) in
   Heap.reset t.young;
   let promoted_bytes =
     List.fold_left (fun acc o -> acc + o.Obj_model.size) 0 live
@@ -276,7 +277,7 @@ let run_collect_old_with_young t ~mover =
       drain ()
   in
   drain ();
-  let mark_ns = makespan t !mark_costs in
+  let mark_ns = makespan t (Array.of_list !mark_costs) in
   let fwd = Forward.run t.old_space ~threads:t.threads in
   (* Adjust: old-live references to moving old objects, skipping young
      targets (young does not move here); plus young objects' references to
@@ -293,17 +294,16 @@ let run_collect_old_with_young t ~mover =
     +. float_of_int (Array.length o.Obj_model.refs)
        *. (cost t).Cost_model.ref_scan_ns
   in
-  let adjust_costs =
-    List.map adjust_one fwd.Forward.live
-    @ Vec.to_list (Vec.map adjust_one (Heap.objects t.young))
-  in
+  let live = fwd.Forward.live in
+  let n_live = Array.length live in
+  let young = Heap.objects t.young in
+  let adjust_costs = Array.make (n_live + Vec.length young) 0.0 in
+  Array.iteri (fun i o -> adjust_costs.(i) <- adjust_one o) live;
+  Vec.iteri (fun i o -> adjust_costs.(n_live + i) <- adjust_one o) young;
   let adjust_ns = makespan t adjust_costs in
-  let live_objects = List.length fwd.Forward.live in
-  let live_bytes =
-    List.fold_left (fun acc o -> acc + o.Obj_model.size) 0 fwd.Forward.live
-  in
+  let live_bytes = Array.fold_left (fun acc o -> acc + o.Obj_model.size) 0 live in
   let compact =
-    Compact.run t.old_space ~threads:t.threads ~mover ~live:fwd.Forward.live
+    Compact.run t.old_space ~threads:t.threads ~mover ~live
       ~new_top:fwd.Forward.new_top
   in
   {
@@ -312,7 +312,7 @@ let run_collect_old_with_young t ~mover =
     adjust_ns;
     compact_ns = compact.Compact.phase_ns;
     concurrent_ns = 0.0;
-    live_objects;
+    live_objects = n_live;
     live_bytes;
     reclaimed_bytes = max 0 (top_before - fwd.Forward.new_top);
     moved_objects = compact.Compact.moved_objects;

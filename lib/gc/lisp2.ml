@@ -50,9 +50,9 @@ let collect cfg heap =
   Tracer.span_begin ~cat:"gc" "adjust";
   let adjust_ns = Adjust.run heap ~threads:cfg.threads ~live:fwd.Forward.live in
   Tracer.span_end ~dur_ns:adjust_ns ();
-  let live_objects = List.length fwd.Forward.live in
+  let live_objects = Array.length fwd.Forward.live in
   let live_bytes =
-    List.fold_left (fun acc o -> acc + o.Obj_model.size) 0 fwd.Forward.live
+    Array.fold_left (fun acc o -> acc + o.Obj_model.size) 0 fwd.Forward.live
   in
   Tracer.span_begin ~cat:"gc" "compact";
   let compact =

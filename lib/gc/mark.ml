@@ -21,43 +21,38 @@ let clear_marks heap ~shards =
         (Vec.get objs idx).Obj_model.marked <- false
       done)
 
+(* The traversal allocates nothing per object or edge: costs go straight
+   into an unboxed float buffer, the stack pops without options and
+   lookups go through [Heap.find_object].  The buffer holds one slot per
+   root and per heap object, which bounds the marked set: every object
+   the address index returns is in the object vector. *)
 let run heap ~threads =
   let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
   let cost = machine.Machine.cost in
   clear_marks heap ~shards:threads;
-  let costs = Vec.create () in
   let stack = Vec.create () in
   Heap.iter_roots heap (fun o -> Vec.push stack o);
-  let visit o =
+  let costs = Array.make (Vec.length (Heap.objects heap) + Vec.length stack) 0.0 in
+  let n = ref 0 in
+  while not (Vec.is_empty stack) do
+    let o = Vec.pop_last stack in
     if not o.Obj_model.marked then begin
       o.Obj_model.marked <- true;
       let refs = o.Obj_model.refs in
-      Vec.push costs
-        (cost.Cost_model.mark_obj_ns
-        +. (float_of_int (Array.length refs) *. cost.Cost_model.ref_scan_ns));
-      Array.iter
-        (fun addr ->
-          if addr <> 0 then
-            match Heap.object_at heap addr with
-            | Some target -> if not target.Obj_model.marked then Vec.push stack target
-            | None ->
-              invalid_arg
-                (Printf.sprintf "Mark.run: dangling reference 0x%x (GC bug)" addr))
-        refs
+      costs.(!n) <-
+        cost.Cost_model.mark_obj_ns
+        +. (float_of_int (Array.length refs) *. cost.Cost_model.ref_scan_ns);
+      incr n;
+      for i = 0 to Array.length refs - 1 do
+        let addr = refs.(i) in
+        if addr <> 0 then
+          match Heap.find_object heap addr with
+          | target -> if not target.Obj_model.marked then Vec.push stack target
+          | exception Not_found ->
+            invalid_arg
+              (Printf.sprintf "Mark.run: dangling reference 0x%x (GC bug)" addr)
+      done
     end
-  in
-  let rec drain () =
-    match Vec.pop stack with
-    | None -> ()
-    | Some o ->
-      visit o;
-      drain ()
-  in
-  drain ();
+  done;
   Svagc_par.Work_steal.makespan ~threads ~steal_ns:cost.Cost_model.steal_ns
-    ~barrier_ns:cost.Cost_model.barrier_ns (Vec.to_array costs)
-
-let live_objects heap =
-  Vec.fold_left
-    (fun acc o -> if o.Obj_model.marked then o :: acc else acc)
-    [] (Heap.objects heap)
+    ~barrier_ns:cost.Cost_model.barrier_ns (Array.sub costs 0 !n)

@@ -18,6 +18,3 @@ open Svagc_heap
 val run : Heap.t -> threads:int -> float
 (** Marks reachable objects in place and returns the phase time in ns.
     All mark bits are cleared first. *)
-
-val live_objects : Heap.t -> Obj_model.t list
-(** Marked objects, in arbitrary order (valid after {!run}). *)

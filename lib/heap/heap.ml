@@ -1,6 +1,7 @@
 open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Vec = Svagc_util.Vec
+module Addr_tbl = Hashtbl.Make (Int)
 
 type t = {
   proc : Process.t;
@@ -11,7 +12,7 @@ type t = {
   threshold_pages : int;
   stamp_headers : bool;
   objects : Obj_model.t Vec.t;
-  by_addr : (int, Obj_model.t) Hashtbl.t;
+  by_addr : Obj_model.t Addr_tbl.t;
   roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
   mutable next_id : int;
   mutable waste : int;
@@ -35,7 +36,7 @@ let create proc ?(base = default_base) ?(threshold_pages = 10)
     threshold_pages;
     stamp_headers;
     objects = Vec.create ();
-    by_addr = Hashtbl.create 1024;
+    by_addr = Addr_tbl.create 1024;
     roots = Hashtbl.create 64;
     next_id = 1;
     waste = 0;
@@ -88,7 +89,7 @@ let header_matches t obj =
 
 let register t obj =
   Vec.push t.objects obj;
-  Hashtbl.replace t.by_addr obj.Obj_model.addr obj;
+  Addr_tbl.replace t.by_addr obj.Obj_model.addr obj;
   Perf.bump (perf t) Alloc_bytes obj.Obj_model.size;
   stamp_header t obj
 
@@ -140,20 +141,24 @@ let objects t = t.objects
 let sort_objects t =
   Vec.sort (fun a b -> compare a.Obj_model.addr b.Obj_model.addr) t.objects
 
-let object_at t addr = Hashtbl.find_opt t.by_addr addr
+let object_at t addr = Addr_tbl.find_opt t.by_addr addr
 
+let find_object t addr = Addr_tbl.find t.by_addr addr
+
+(* [clear], not [reset]: the index refills to the same size after every
+   collection, so keeping the bucket array spares a regrowth per cycle. *)
 let rebuild_index t =
-  Hashtbl.reset t.by_addr;
-  Vec.iter (fun o -> Hashtbl.replace t.by_addr o.Obj_model.addr o) t.objects
+  Addr_tbl.clear t.by_addr;
+  Vec.iter (fun o -> Addr_tbl.replace t.by_addr o.Obj_model.addr o) t.objects
 
 let adopt t obj =
   if obj.Obj_model.addr < t.base || Obj_model.end_addr obj > t.limit then
     invalid_arg "Heap.adopt: object range outside this heap";
   Vec.push t.objects obj;
-  Hashtbl.replace t.by_addr obj.Obj_model.addr obj
+  Addr_tbl.replace t.by_addr obj.Obj_model.addr obj
 
 let evict t obj =
-  Hashtbl.remove t.by_addr obj.Obj_model.addr;
+  Addr_tbl.remove t.by_addr obj.Obj_model.addr;
   Hashtbl.remove t.roots obj.Obj_model.id;
   (* One in-place compaction pass; an object registered twice (impossible
      via [adopt]/[alloc]) would only lose its first slot. *)
@@ -161,7 +166,7 @@ let evict t obj =
 
 let reset t =
   Vec.clear t.objects;
-  Hashtbl.reset t.by_addr;
+  Addr_tbl.reset t.by_addr;
   Hashtbl.reset t.roots;
   t.top <- t.base
 

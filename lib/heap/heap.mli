@@ -90,6 +90,11 @@ val sort_objects : t -> unit
 val object_at : t -> int -> Obj_model.t option
 (** Lookup by current address. *)
 
+val find_object : t -> int -> Obj_model.t
+(** {!object_at} without the option: allocates nothing, which is why the
+    collector's per-reference lookups (mark, adjust) use it.
+    @raise Not_found when no object starts at the address. *)
+
 val rebuild_index : t -> unit
 (** Recompute the address index after the GC has moved objects and pruned
     the dead ones. *)

@@ -97,8 +97,55 @@ let run ~threads ~steal_ns ~barrier_ns ~cost ~execute items =
     makespan_ns = (if n = 0 then 0.0 else makespan +. barrier_ns);
   }
 
+(* [run] replayed over a cost array with no boxing and no per-step
+   allocation.  Round-robin seeding puts task [w + k*threads] in worker
+   [w]'s deque, so that deque is the index range [k] in [lo.(w), hi.(w)):
+   the owner pops at [hi], a thief takes [lo].  Tie-breaks and the order of
+   float additions are [run]'s, so the makespan is bit-identical to it.  A
+   worker only finds every deque empty once every task has run, so the
+   replay needs no per-worker liveness. *)
 let makespan ~threads ~steal_ns ~barrier_ns costs =
-  let st =
-    run ~threads ~steal_ns ~barrier_ns ~cost:(fun c -> c) ~execute:ignore costs
-  in
-  st.makespan_ns
+  if threads <= 0 then invalid_arg "Work_steal.makespan: threads must be positive";
+  let n = Array.length costs in
+  if n = 0 then 0.0
+  else begin
+    let clock = Array.make threads 0.0 in
+    let lo = Array.make threads 0 in
+    let hi = Array.make threads 0 in
+    for w = 0 to threads - 1 do
+      hi.(w) <- (n - w + threads - 1) / threads
+    done;
+    for _ = 1 to n do
+      (* Lowest clock acts next; the lowest index wins ties. *)
+      let i = ref 0 in
+      for w = 1 to threads - 1 do
+        if clock.(w) < clock.(!i) then i := w
+      done;
+      let i = !i in
+      if hi.(i) > lo.(i) then begin
+        let k = hi.(i) - 1 in
+        hi.(i) <- k;
+        clock.(i) <- clock.(i) +. costs.(i + (k * threads))
+      end
+      else begin
+        (* Steal the oldest task of the longest deque, lowest index on ties. *)
+        let v = ref 0 and longest = ref 0 in
+        for w = 0 to threads - 1 do
+          let len = hi.(w) - lo.(w) in
+          if len > !longest then begin
+            v := w;
+            longest := len
+          end
+        done;
+        let v = !v in
+        let k = lo.(v) in
+        lo.(v) <- k + 1;
+        clock.(i) <- clock.(i) +. steal_ns +. costs.(v + (k * threads))
+      end
+    done;
+    let m = ref 0.0 in
+    for w = 0 to threads - 1 do
+      m := Float.max !m clock.(w)
+    done;
+    !m +. barrier_ns
+  end

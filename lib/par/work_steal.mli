@@ -34,9 +34,16 @@ val run :
   'a array ->
   stats
 (** Round-robin initial distribution, LIFO local pops, steal-from-richest.
-    [execute] may mutate shared state; it is called once per task.
+    [execute] may mutate shared state; it is called once per task.  This
+    is the reference oracle for {!makespan} ([Check] and the tests replay
+    it).
     @raise Invalid_argument when [threads <= 0]. *)
 
 val makespan :
   threads:int -> steal_ns:float -> barrier_ns:float -> float array -> float
-(** Cost-only convenience wrapper. *)
+(** The production replay every GC phase uses: the makespan of the tasks
+    whose costs are the array, bit-identical to
+    [(run ~cost:Fun.id ~execute:ignore costs).makespan_ns] (same
+    tie-breaks, same order of float additions) but with no boxing and no
+    allocation per scheduling step.
+    @raise Invalid_argument when [threads <= 0]. *)

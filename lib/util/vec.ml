@@ -33,15 +33,15 @@ let push v x =
   v.data.(v.len) <- Obj.repr x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then None
-  else begin
-    let n = v.len - 1 in
-    let x : 'a = Obj.obj v.data.(n) in
-    v.data.(n) <- dummy;
-    v.len <- n;
-    Some x
-  end
+let pop_last v : 'a =
+  if v.len = 0 then invalid_arg "Vec.pop_last: empty vector";
+  let n = v.len - 1 in
+  let x = v.data.(n) in
+  v.data.(n) <- dummy;
+  v.len <- n;
+  Obj.obj x
+
+let pop v = if v.len = 0 then None else Some (pop_last v)
 
 let check v i =
   if i < 0 || i >= v.len then invalid_arg "Vec: index out of bounds"

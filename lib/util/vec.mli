@@ -26,6 +26,10 @@ val pop : 'a t -> 'a option
 (** [pop v] removes and returns the last element, or [None] if empty.  The
     vacated slot no longer retains the element. *)
 
+val pop_last : 'a t -> 'a
+(** [pop] without the option, so it allocates nothing.
+    @raise Invalid_argument if [v] is empty. *)
+
 val get : 'a t -> int -> 'a
 (** [get v i] is the [i]-th element.  @raise Invalid_argument if out of
     bounds. *)

@@ -16,6 +16,11 @@ let qtest ?(count = 30) name arb prop =
 
 (* --- Mark --- *)
 
+let marked_count heap =
+  Svagc_util.Vec.fold_left
+    (fun n o -> if o.Obj_model.marked then n + 1 else n)
+    0 (Heap.objects heap)
+
 let test_mark_reachability () =
   let heap = Helpers.heap () in
   let p = Helpers.populate heap in
@@ -50,13 +55,13 @@ let test_mark_handles_cycles () =
   ignore (Mark.run heap ~threads:1);
   Alcotest.(check bool) "cycle marked once, no hang" true
     (a.Obj_model.marked && b.Obj_model.marked);
-  Alcotest.(check int) "live set" 2 (List.length (Mark.live_objects heap))
+  Alcotest.(check int) "live set" 2 (marked_count heap)
 
 let test_mark_empty_roots () =
   let heap = Helpers.heap () in
   ignore (Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0);
   ignore (Mark.run heap ~threads:2);
-  Alcotest.(check int) "nothing live" 0 (List.length (Mark.live_objects heap))
+  Alcotest.(check int) "nothing live" 0 (marked_count heap)
 
 (* --- Forward --- *)
 
@@ -66,15 +71,16 @@ let forward_fixture () =
   ignore (Mark.run heap ~threads:2);
   (heap, p, Forward.run heap ~threads:2)
 
+(* [ok a b] holds for every consecutive pair of the array. *)
+let pairwise ok arr =
+  let rec go i = i >= Array.length arr || (ok arr.(i - 1) arr.(i) && go (i + 1)) in
+  go 1
+
 let test_forward_slides_down () =
   let heap, _, fwd = forward_fixture () in
-  let rec ascending = function
-    | a :: (b :: _ as rest) ->
-      a.Obj_model.forward < b.Obj_model.forward && ascending rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "forwarding addresses ascend" true (ascending fwd.Forward.live);
-  List.iter
+  Alcotest.(check bool) "forwarding addresses ascend" true
+    (pairwise (fun a b -> a.Obj_model.forward < b.Obj_model.forward) fwd.Forward.live);
+  Array.iter
     (fun o ->
       Alcotest.(check bool) "never moves up" true
         (o.Obj_model.forward <= o.Obj_model.addr))
@@ -84,7 +90,7 @@ let test_forward_slides_down () =
 
 let test_forward_aligns_large () =
   let _, _, fwd = forward_fixture () in
-  List.iter
+  Array.iter
     (fun o ->
       if Obj_model.is_large o ~threshold_pages:10 then
         Alcotest.(check bool) "large destination aligned" true
@@ -93,20 +99,52 @@ let test_forward_aligns_large () =
 
 let test_forward_no_dest_overlap () =
   let _, _, fwd = forward_fixture () in
-  let rec disjoint = function
-    | a :: (b :: _ as rest) ->
-      a.Obj_model.forward + a.Obj_model.size <= b.Obj_model.forward && disjoint rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "destinations disjoint" true (disjoint fwd.Forward.live)
+  Alcotest.(check bool) "destinations disjoint" true
+    (pairwise
+       (fun a b -> a.Obj_model.forward + a.Obj_model.size <= b.Obj_model.forward)
+       fwd.Forward.live)
 
 let test_forward_waste_bounded () =
   let _, _, fwd = forward_fixture () in
   let live_bytes =
-    List.fold_left (fun acc o -> acc + o.Obj_model.size) 0 fwd.Forward.live
+    Array.fold_left (fun acc o -> acc + o.Obj_model.size) 0 fwd.Forward.live
   in
   Alcotest.(check bool) "alignment waste below 5% of live set" true
     (float_of_int fwd.Forward.waste_bytes < 0.05 *. float_of_int live_bytes)
+
+(* Interleaved TLABs leave the object vector out of address order: Forward
+   must still hand back the live set ascending, with the layout it computes
+   on a sorted heap. *)
+let test_forward_unsorted_heap () =
+  let layout ~shuffle =
+    let heap = Helpers.heap () in
+    ignore (Helpers.populate heap);
+    ignore (Mark.run heap ~threads:2);
+    let objs = Heap.objects heap in
+    if shuffle then begin
+      let rng = Svagc_util.Rng.create ~seed:7 in
+      for i = Svagc_util.Vec.length objs - 1 downto 1 do
+        let j = Svagc_util.Rng.int rng (i + 1) in
+        let a = Svagc_util.Vec.get objs i in
+        Svagc_util.Vec.set objs i (Svagc_util.Vec.get objs j);
+        Svagc_util.Vec.set objs j a
+      done
+    end;
+    let fwd = Forward.run heap ~threads:2 in
+    ( Array.map (fun o -> (o.Obj_model.id, o.Obj_model.addr, o.Obj_model.forward))
+        fwd.Forward.live,
+      fwd )
+  in
+  let sorted, fwd_sorted = layout ~shuffle:false in
+  let shuffled, fwd_shuffled = layout ~shuffle:true in
+  Alcotest.(check bool) "live ascending" true
+    (pairwise (fun (_, a, _) (_, b, _) -> a < b) shuffled);
+  Alcotest.(check (array (triple int int int))) "same live set and forwarding" sorted
+    shuffled;
+  Alcotest.(check int) "same new top" fwd_sorted.Forward.new_top
+    fwd_shuffled.Forward.new_top;
+  Alcotest.(check int) "same waste" fwd_sorted.Forward.waste_bytes
+    fwd_shuffled.Forward.waste_bytes
 
 (* --- Adjust --- *)
 
@@ -330,6 +368,7 @@ let () =
           Alcotest.test_case "aligns large" `Quick test_forward_aligns_large;
           Alcotest.test_case "destinations disjoint" `Quick test_forward_no_dest_overlap;
           Alcotest.test_case "waste bounded" `Quick test_forward_waste_bounded;
+          Alcotest.test_case "unsorted heap" `Quick test_forward_unsorted_heap;
         ] );
       ("adjust", [ Alcotest.test_case "rewrites refs" `Quick test_adjust_rewrites_refs ]);
       ( "compact",

@@ -65,6 +65,11 @@ let test_invalid_threads () =
     (Invalid_argument "Work_steal.run: threads must be positive") (fun () ->
       ignore (run ~threads:0 [ 1.0 ]))
 
+let test_makespan_invalid_threads () =
+  Alcotest.check_raises "zero threads"
+    (Invalid_argument "Work_steal.makespan: threads must be positive") (fun () ->
+      ignore (Work_steal.makespan ~threads:0 ~steal_ns:0.0 ~barrier_ns:0.0 [| 1.0 |]))
+
 let arb_costs =
   QCheck.(
     pair (int_range 1 8)
@@ -97,6 +102,37 @@ let prop_total_work_preserved =
       let st = run ~threads costs in
       Float.abs (st.Work_steal.total_work_ns -. List.fold_left ( +. ) 0.0 costs)
       < 1e-6)
+
+(* [makespan] is the allocation-free replay of [run]: the same schedule, so
+   the same float bits.  Costs come from a few fixed values as well as a
+   range, so zero-cost tasks and equal clocks (the tie-breaks) are common;
+   n runs below the thread count too. *)
+let prop_makespan_replays_run =
+  let gen =
+    QCheck.Gen.(
+      let cost =
+        frequency
+          [ (2, return 0.0); (3, oneofl [ 1.0; 2.5; 7.0 ]); (3, float_range 0.0 50.0) ]
+      in
+      quad (int_range 1 16) (oneofl [ 0.0; 1.0; 3.5 ]) (oneofl [ 0.0; 2.0 ])
+        (int_range 0 300 >>= fun n -> array_size (return n) cost))
+  in
+  let print (threads, steal_ns, barrier_ns, costs) =
+    Printf.sprintf "threads=%d steal=%g barrier=%g costs=[%s]" threads steal_ns
+      barrier_ns
+      (String.concat "; " (Array.to_list (Array.map string_of_float costs)))
+  in
+  qtest ~count:400 "makespan is run's makespan, bit for bit" (QCheck.make ~print gen)
+    (fun (threads, steal_ns, barrier_ns, costs) ->
+      let oracle =
+        (Work_steal.run ~threads ~steal_ns ~barrier_ns ~cost:Fun.id ~execute:ignore
+           costs)
+          .Work_steal.makespan_ns
+      in
+      Int64.equal
+        (Int64.bits_of_float
+           (Work_steal.makespan ~threads ~steal_ns ~barrier_ns costs))
+        (Int64.bits_of_float oracle))
 
 (* --- Deque --- *)
 
@@ -343,9 +379,12 @@ let () =
           Alcotest.test_case "threads monotone" `Quick test_more_threads_not_slower;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "invalid threads" `Quick test_invalid_threads;
+          Alcotest.test_case "makespan invalid threads" `Quick
+            test_makespan_invalid_threads;
           prop_makespan_lower_bounds;
           prop_makespan_upper_bound;
           prop_total_work_preserved;
+          prop_makespan_replays_run;
         ] );
       ( "domain_pool",
         [

@@ -24,7 +24,12 @@ let test_vec_pop () =
   Alcotest.(check (option int)) "pop" (Some 2) (Vec.pop v);
   Alcotest.(check (option int)) "pop" (Some 1) (Vec.pop v);
   Alcotest.(check (option int)) "pop empty" None (Vec.pop v);
-  Alcotest.(check bool) "empty" true (Vec.is_empty v)
+  Alcotest.(check bool) "empty" true (Vec.is_empty v);
+  Vec.push v 4;
+  Alcotest.(check int) "pop_last" 4 (Vec.pop_last v);
+  Alcotest.check_raises "pop_last empty"
+    (Invalid_argument "Vec.pop_last: empty vector") (fun () ->
+      ignore (Vec.pop_last v))
 
 let test_vec_bounds () =
   let v = Vec.of_list [ 1 ] in
