@@ -12,7 +12,7 @@ type t = {
   heap : Heap.t;
   collector : Gc_intf.t;
   tlab_bytes : int;
-  tlabs : (int, Tlab.t) Hashtbl.t;
+  mutable tlabs : Tlab.t option array;  (* indexed by thread id *)
   app_clock : Clock.t;
   gc_clock : Clock.t;
   mutable measure_core : int option;
@@ -31,7 +31,7 @@ let create machine ~name ~heap_bytes ?(threshold_pages = 10)
     heap;
     collector = collector_of heap;
     tlab_bytes;
-    tlabs = Hashtbl.create 16;
+    tlabs = [||];
     app_clock = Clock.create ();
     gc_clock = Clock.create ();
     measure_core = None;
@@ -45,8 +45,7 @@ let machine t = Process.machine t.proc
 let collector t = t.collector
 
 let retire_tlabs t =
-  Hashtbl.iter (fun _ tlab -> Tlab.retire tlab) t.tlabs;
-  Hashtbl.reset t.tlabs
+  Array.iter (function Some tlab -> Tlab.retire tlab | None -> ()) t.tlabs
 
 (* Post-GC cost visible to the application: the mutator's working set was
    flushed from the TLBs, so the first touches after the pause re-walk. *)
@@ -106,11 +105,18 @@ let run_gc t =
   cycle
 
 let tlab_for t thread =
-  match Hashtbl.find_opt t.tlabs thread with
+  if thread < 0 then invalid_arg "Jvm.alloc: negative thread id";
+  let n = Array.length t.tlabs in
+  if thread >= n then begin
+    let tlabs = Array.make (max (thread + 1) (2 * n)) None in
+    Array.blit t.tlabs 0 tlabs 0 n;
+    t.tlabs <- tlabs
+  end;
+  match t.tlabs.(thread) with
   | Some tlab -> tlab
   | None ->
     let tlab = Tlab.create t.heap ~thread_id:thread ~chunk_bytes:t.tlab_bytes in
-    Hashtbl.replace t.tlabs thread tlab;
+    t.tlabs.(thread) <- Some tlab;
     tlab
 
 let alloc_once t ~thread ~size ~n_refs ~cls =

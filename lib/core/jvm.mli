@@ -39,9 +39,10 @@ val alloc_cost_ns : float
     nominal cost from the observed app-clock delta. *)
 
 val alloc : ?thread:int -> t -> size:int -> n_refs:int -> cls:int -> Obj_model.t
-(** TLAB allocation when [thread] is given, shared-space otherwise.  Runs a
-    GC and retries on exhaustion.  @raise Out_of_memory when even the
-    post-GC heap cannot fit the request. *)
+(** TLAB allocation when [thread] (a non-negative thread id; the TLAB
+    table is an array indexed by it) is given, shared-space otherwise.
+    Runs a GC and retries on exhaustion.  @raise Out_of_memory when even
+    the post-GC heap cannot fit the request. *)
 
 val run_gc : t -> Svagc_gc.Gc_stats.cycle
 (** Force a full collection (retires all TLABs first). *)

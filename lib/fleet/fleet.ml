@@ -298,10 +298,7 @@ let run ~collector_of ?(label = "fleet") config =
     Multi_jvm.release mj;
     Array.iter
       (fun idx -> Admission.release admission ~frames:tenants.(idx).hard)
-      ids;
-    (* Each wave materializes thousands of simulated pages; give the host
-       heap back before the next wave spawns. *)
-    Gc.full_major ()
+      ids
   in
   let wave_no = ref 0 in
   let wave = ref (List.rev !first_wave) in

@@ -1,5 +1,4 @@
 open Svagc_heap
-module Vec = Svagc_util.Vec
 module Machine = Svagc_vmem.Machine
 module Cost_model = Svagc_vmem.Cost_model
 module Process = Svagc_kernel.Process
@@ -84,19 +83,9 @@ let run heap ~threads ~mover ~live ~new_top =
   in
   let fixed = fixed +. mover.epilogue heap in
   (* Commit the new addresses and re-stamp nothing: bytes moved with the
-     objects, so the stamped headers must still match (tests rely on it). *)
-  List.iter (fun { obj; dst; _ } -> obj.Obj_model.addr <- dst) plan;
-  (* Prune dead objects, keep the survivors (already address-ordered). *)
-  let objects = Heap.objects heap in
-  Vec.clear objects;
-  Array.iter
-    (fun o ->
-      o.Obj_model.marked <- false;
-      o.Obj_model.forward <- 0;
-      Vec.push objects o)
-    live;
-  Heap.rebuild_index heap;
-  Heap.set_top heap new_top;
+     objects, so the stamped headers must still match (tests rely on it).
+     Every live object's [forward] is its destination, moved or not. *)
+  Heap.commit_survivors heap live ~top:new_top;
   let costs = Array.make (List.length outcomes) 0.0 in
   let swapped_objects = ref 0 in
   List.iteri

@@ -7,10 +7,12 @@
     fragmentation the new layout will carry (the paper's "<5% of heap"
     claim).
 
-    Only the live set is put in address order: the marked objects are
-    gathered into an array, which is sorted only when it is not already
-    ascending.  The heap's object vector is left as it is; compaction
-    replaces it with the survivors. *)
+    Only the live set is put in address order: one pass gathers the
+    marked objects and their addresses into arrays, and only when the
+    addresses are not already ascending is an index permutation sorted by
+    them (the comparator reads [int]s, never object records).  The heap's
+    object vector is left as it is; compaction replaces it with the
+    survivors. *)
 
 open Svagc_heap
 

@@ -151,17 +151,7 @@ let collect t ~mover =
       live
   in
   let adjust_ns = makespan t adjust_costs in
-  let objects = Heap.objects t.heap in
-  Vec.clear objects;
-  List.iter
-    (fun o ->
-      o.Obj_model.addr <- o.Obj_model.forward;
-      o.Obj_model.forward <- 0;
-      o.Obj_model.marked <- false;
-      Vec.push objects o)
-    live;
-  Heap.rebuild_index t.heap;
-  Heap.set_top t.heap !top;
+  Heap.commit_survivors t.heap (Array.of_list live) ~top:!top;
   t.low_active <- not t.low_active;
   let total = mark_ns +. evac_ns +. adjust_ns in
   let live_bytes = List.fold_left (fun a o -> a + o.Obj_model.size) 0 live in

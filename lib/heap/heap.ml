@@ -1,7 +1,6 @@
 open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Vec = Svagc_util.Vec
-module Addr_tbl = Hashtbl.Make (Int)
 
 type t = {
   proc : Process.t;
@@ -12,7 +11,7 @@ type t = {
   threshold_pages : int;
   stamp_headers : bool;
   objects : Obj_model.t Vec.t;
-  by_addr : Obj_model.t Addr_tbl.t;
+  by_addr : Addr_index.t;
   roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
   mutable next_id : int;
   mutable waste : int;
@@ -36,7 +35,7 @@ let create proc ?(base = default_base) ?(threshold_pages = 10)
     threshold_pages;
     stamp_headers;
     objects = Vec.create ();
-    by_addr = Addr_tbl.create 1024;
+    by_addr = Addr_index.create ();
     roots = Hashtbl.create 64;
     next_id = 1;
     waste = 0;
@@ -47,7 +46,6 @@ let base t = t.base
 let limit t = t.limit
 let top t = t.top
 let threshold_pages t = t.threshold_pages
-let set_top t v = t.top <- v
 
 let ensure_mapped_to t addr =
   let target = Addr.align_up addr in
@@ -89,7 +87,7 @@ let header_matches t obj =
 
 let register t obj =
   Vec.push t.objects obj;
-  Addr_tbl.replace t.by_addr obj.Obj_model.addr obj;
+  Addr_index.replace t.by_addr obj.Obj_model.addr obj;
   Perf.bump (perf t) Alloc_bytes obj.Obj_model.size;
   stamp_header t obj
 
@@ -141,24 +139,34 @@ let objects t = t.objects
 let sort_objects t =
   Vec.sort (fun a b -> compare a.Obj_model.addr b.Obj_model.addr) t.objects
 
-let object_at t addr = Addr_tbl.find_opt t.by_addr addr
+let object_at t addr = Addr_index.find_opt t.by_addr addr
 
-let find_object t addr = Addr_tbl.find t.by_addr addr
+let find_object t addr = Addr_index.find t.by_addr addr
 
-(* [clear], not [reset]: the index refills to the same size after every
-   collection, so keeping the bucket array spares a regrowth per cycle. *)
-let rebuild_index t =
-  Addr_tbl.clear t.by_addr;
-  Vec.iter (fun o -> Addr_tbl.replace t.by_addr o.Obj_model.addr o) t.objects
+(* One pass over the survivors does the whole commit: each record is
+   touched once, and the index keeps its capacity, since it refills to the
+   same size after every collection. *)
+let commit_survivors t survivors ~top =
+  Vec.clear t.objects;
+  Addr_index.clear t.by_addr;
+  Array.iter
+    (fun o ->
+      o.Obj_model.addr <- o.Obj_model.forward;
+      o.Obj_model.forward <- 0;
+      o.Obj_model.marked <- false;
+      Vec.push t.objects o;
+      Addr_index.replace t.by_addr o.Obj_model.addr o)
+    survivors;
+  t.top <- top
 
 let adopt t obj =
   if obj.Obj_model.addr < t.base || Obj_model.end_addr obj > t.limit then
     invalid_arg "Heap.adopt: object range outside this heap";
   Vec.push t.objects obj;
-  Addr_tbl.replace t.by_addr obj.Obj_model.addr obj
+  Addr_index.replace t.by_addr obj.Obj_model.addr obj
 
 let evict t obj =
-  Addr_tbl.remove t.by_addr obj.Obj_model.addr;
+  Addr_index.remove t.by_addr obj.Obj_model.addr;
   Hashtbl.remove t.roots obj.Obj_model.id;
   (* One in-place compaction pass; an object registered twice (impossible
      via [adopt]/[alloc]) would only lose its first slot. *)
@@ -166,7 +174,7 @@ let evict t obj =
 
 let reset t =
   Vec.clear t.objects;
-  Addr_tbl.reset t.by_addr;
+  Addr_index.clear t.by_addr;
   Hashtbl.reset t.roots;
   t.top <- t.base
 

@@ -33,9 +33,6 @@ val top : t -> int
 
 val threshold_pages : t -> int
 
-val set_top : t -> int -> unit
-(** Used by the GC after compaction. *)
-
 exception Heap_full
 
 val alloc : t -> size:int -> n_refs:int -> cls:int -> Obj_model.t
@@ -88,16 +85,22 @@ val objects : t -> Obj_model.t Svagc_util.Vec.t
 val sort_objects : t -> unit
 
 val object_at : t -> int -> Obj_model.t option
-(** Lookup by current address. *)
+(** Lookup by current address, through the heap's {!Addr_index}: an
+    open-addressing table over flat arrays that registering an object
+    keeps current. *)
 
 val find_object : t -> int -> Obj_model.t
 (** {!object_at} without the option: allocates nothing, which is why the
     collector's per-reference lookups (mark, adjust) use it.
     @raise Not_found when no object starts at the address. *)
 
-val rebuild_index : t -> unit
-(** Recompute the address index after the GC has moved objects and pruned
-    the dead ones. *)
+val commit_survivors : t -> Obj_model.t array -> top:int -> unit
+(** The end of a moving collection, in one pass over [survivors] (the live
+    objects in ascending address order, already moved): each takes its
+    [forward] address as [addr] and has [marked] and [forward] cleared;
+    the survivors become the heap's whole object set, in that order, and
+    the whole address index; the top moves to [top].  Dead objects are
+    forgotten; roots are untouched. *)
 
 val add_root : t -> Obj_model.t -> unit
 

@@ -40,26 +40,26 @@ let fresh_chunk t =
 
 let is_large t size = size >= Heap.threshold_pages t.heap * Addr.page_size
 
-(* Try to place [size] bytes in [c]; [None] when the chunk is exhausted. *)
+(* Try to place [size] bytes in [c]: its address, or -1 when the chunk is
+   exhausted. *)
 let try_place t c ~size =
   if is_large t size then begin
     (* Downward, whole pages: the object ends on the current (aligned)
        cursor and starts on a page boundary; the tail alignment gap is the
        internal waste Algorithm 3 accepts. *)
-    let place_end = c.large_cursor in
-    let addr = Addr.align_down (place_end - size) in
-    if addr < c.small_cursor then None
+    let addr = Addr.align_down (c.large_cursor - size) in
+    if addr < c.small_cursor then -1
     else begin
       c.large_cursor <- addr;
-      Some (addr, place_end - (addr + size))
+      addr
     end
   end
   else begin
     let addr = c.small_cursor in
-    if addr + size > c.large_cursor then None
+    if addr + size > c.large_cursor then -1
     else begin
       c.small_cursor <- addr + size;
-      Some (addr, 0)
+      addr
     end
   end
 
@@ -74,13 +74,17 @@ let alloc t ~size ~n_refs ~cls =
         t.chunk <- Some c;
         c
     in
-    match try_place t c ~size with
-    | Some (addr, _waste) -> Heap.alloc_at t.heap ~addr ~size ~n_refs ~cls
-    | None ->
-      (* Chunk exhausted: retire and retry once in a fresh chunk. *)
-      let c = fresh_chunk t in
-      t.chunk <- Some c;
-      (match try_place t c ~size with
-      | Some (addr, _waste) -> Heap.alloc_at t.heap ~addr ~size ~n_refs ~cls
-      | None -> invalid_arg "Tlab.alloc: object cannot fit a fresh chunk")
+    let addr = try_place t c ~size in
+    let addr =
+      if addr >= 0 then addr
+      else begin
+        (* Chunk exhausted: retire and retry once in a fresh chunk. *)
+        let c = fresh_chunk t in
+        t.chunk <- Some c;
+        let addr = try_place t c ~size in
+        if addr < 0 then invalid_arg "Tlab.alloc: object cannot fit a fresh chunk";
+        addr
+      end
+    in
+    Heap.alloc_at t.heap ~addr ~size ~n_refs ~cls
   end

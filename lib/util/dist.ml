@@ -11,7 +11,7 @@ let lognormal_mean ~mean ~sigma ~min ~max =
   Lognormal { mu = log mean -. (sigma *. sigma /. 2.0); sigma; min; max }
 
 (* Box-Muller; one draw per call is enough for our rates. *)
-let gaussian rng =
+let[@inline] gaussian rng =
   let u1 = max 1e-12 (Rng.float rng) in
   let u2 = Rng.float rng in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
@@ -23,15 +23,20 @@ let sample rng = function
     let v = exp (mu +. (sigma *. gaussian rng)) in
     clamp ~lo:min ~hi:max (int_of_float v)
   | Choice weighted ->
-    let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
-    let x = Rng.float rng *. total in
-    let rec pick i acc =
-      if i = Array.length weighted - 1 then snd weighted.(i)
-      else
-        let w, v = weighted.(i) in
-        if x < acc +. w then v else pick (i + 1) (acc +. w)
-    in
-    pick 0 0.0
+    (* Local float refs stay unboxed: the same left-to-right sums as a
+       fold, without a boxed accumulator per weight. *)
+    let last = Array.length weighted - 1 in
+    let total = ref 0.0 in
+    for i = 0 to last do
+      total := !total +. fst weighted.(i)
+    done;
+    let x = Rng.float rng *. !total in
+    let acc = ref 0.0 and i = ref 0 in
+    while !i < last && not (x < !acc +. fst weighted.(!i)) do
+      acc := !acc +. fst weighted.(!i);
+      incr i
+    done;
+    snd weighted.(!i)
 
 let mean = function
   | Fixed v -> float_of_int v

@@ -1,7 +1,11 @@
 (** Deterministic pseudo-random numbers (SplitMix64).
 
     Every stochastic component of the simulator draws from an explicit
-    [Rng.t] so that experiments are reproducible bit-for-bit from a seed. *)
+    [Rng.t] so that experiments are reproducible bit-for-bit from a seed.
+
+    The state is kept unboxed, so advancing it allocates nothing: {!int},
+    {!int_in} and {!bool} allocate nothing at all, while {!int64} and
+    {!float} allocate only the boxed number they return. *)
 
 type t
 

@@ -3,10 +3,13 @@ type stats = {
   mutable misses : int;
 }
 
+(* The set arrays are built on the first access: only the Table III
+   instrumentation touches the LLC, and every machine owns one. *)
 type t = {
-  tags : int array array; (* -1 = invalid *)
-  stamps : int array array;
+  mutable tags : int array array; (* -1 = invalid *)
+  mutable stamps : int array array;
   n_sets : int;
+  ways : int;
   line : int;
   line_shift : int;
   mutable tick : int;
@@ -22,16 +25,22 @@ let create ?(size_bytes = 8 * 1024 * 1024) ?(line_bytes = 64) ?(ways = 16) () =
   if lines mod ways <> 0 then invalid_arg "Cache_sim.create: geometry mismatch";
   let n_sets = lines / ways in
   {
-    tags = Array.init n_sets (fun _ -> Array.make ways (-1));
-    stamps = Array.init n_sets (fun _ -> Array.make ways 0);
+    tags = [||];
+    stamps = [||];
     n_sets;
+    ways;
     line = line_bytes;
     line_shift = log2 line_bytes;
     tick = 0;
     st = { accesses = 0; misses = 0 };
   }
 
+let build_sets t =
+  t.tags <- Array.init t.n_sets (fun _ -> Array.make t.ways (-1));
+  t.stamps <- Array.init t.n_sets (fun _ -> Array.make t.ways 0)
+
 let access t ~addr =
+  if Array.length t.tags = 0 then build_sets t;
   t.tick <- t.tick + 1;
   t.st.accesses <- t.st.accesses + 1;
   let line_no = addr lsr t.line_shift in

@@ -2,7 +2,11 @@
 
     Used to reproduce Table III: byte-copy compaction streams 2x the object
     bytes through the cache (polluting it), while SwapVA only touches page
-    table words.  Accesses are recorded per 64-byte line. *)
+    table words.  Accesses are recorded per 64-byte line.
+
+    Every machine owns one, but only Table III touches it, so the set
+    arrays are built on the first {!access}: creating a cache allocates
+    nothing in proportion to its size. *)
 
 type t
 

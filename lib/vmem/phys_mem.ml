@@ -9,8 +9,15 @@ type frame_state =
   | Zeroed
   | Data of bytes
 
+(* Nothing is allocated in proportion to the capacity: frames below
+   [fresh] have been handed out at least once and have a slot in
+   [frames], which grows on demand; every frame from [fresh] up is [Free].
+   A freed frame goes on the [free] stack, and allocation takes the most
+   recently freed frame first, then the lowest never-used one. *)
 type t = {
-  frames : frame_state array;
+  capacity : int;
+  mutable frames : frame_state array;
+  mutable fresh : int;
   free : int Svagc_util.Vec.t;
   mutable in_use : int;
 }
@@ -19,28 +26,45 @@ exception Out_of_frames
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
-  let free = Svagc_util.Vec.create () in
-  (* Push in reverse so frame numbers are handed out in increasing order,
-     which keeps traces readable. *)
-  for i = frames - 1 downto 0 do
-    Svagc_util.Vec.push free i
-  done;
-  { frames = Array.make frames Free; free; in_use = 0 }
+  {
+    capacity = frames;
+    frames = [||];
+    fresh = 0;
+    free = Svagc_util.Vec.create ();
+    in_use = 0;
+  }
 
-let capacity_frames t = Array.length t.frames
+let capacity_frames t = t.capacity
 
 let frames_in_use t = t.in_use
 
+(* A frame's state, with the bounds error of the array it models. *)
+let state t frame =
+  if frame < 0 || frame >= t.capacity then invalid_arg "index out of bounds";
+  if frame < t.fresh then t.frames.(frame) else Free
+
 let alloc_frame t =
-  match Svagc_util.Vec.pop t.free with
-  | None -> raise Out_of_frames
-  | Some frame ->
-    t.frames.(frame) <- Zeroed;
-    t.in_use <- t.in_use + 1;
-    frame
+  let frame =
+    if not (Svagc_util.Vec.is_empty t.free) then Svagc_util.Vec.pop_last t.free
+    else if t.fresh < t.capacity then begin
+      let frame = t.fresh in
+      let n = Array.length t.frames in
+      if frame = n then begin
+        let frames = Array.make (min t.capacity (max 64 (2 * n))) Free in
+        Array.blit t.frames 0 frames 0 n;
+        t.frames <- frames
+      end;
+      t.fresh <- frame + 1;
+      frame
+    end
+    else raise Out_of_frames
+  in
+  t.frames.(frame) <- Zeroed;
+  t.in_use <- t.in_use + 1;
+  frame
 
 let free_frame t frame =
-  match t.frames.(frame) with
+  match state t frame with
   | Free -> invalid_arg "Phys_mem.free_frame: frame not in use"
   | Zeroed | Data _ ->
     t.frames.(frame) <- Free;
@@ -48,9 +72,9 @@ let free_frame t frame =
     Svagc_util.Vec.push t.free frame
 
 let frame_contents t frame =
-  if frame < 0 || frame >= Array.length t.frames then
+  if frame < 0 || frame >= t.capacity then
     invalid_arg "Phys_mem.frame_contents: no such frame";
-  match t.frames.(frame) with
+  match state t frame with
   | Free -> invalid_arg "Phys_mem.frame_contents: frame not in use"
   | Zeroed -> None
   | Data b -> Some b
@@ -70,9 +94,9 @@ let alloc_frame_with t payload =
   frame
 
 let frame_bytes t frame =
-  if frame < 0 || frame >= Array.length t.frames then
+  if frame < 0 || frame >= t.capacity then
     invalid_arg "Phys_mem.frame_bytes: no such frame";
-  match t.frames.(frame) with
+  match state t frame with
   | Free -> invalid_arg "Phys_mem.frame_bytes: frame not in use"
   | Zeroed ->
     let b = Bytes.make Addr.page_size '\000' in
@@ -90,7 +114,7 @@ let read t ~frame ~off ~len =
 
 let read_into t ~frame ~off ~len ~dst ~dst_off =
   check_range ~off ~len;
-  match t.frames.(frame) with
+  match state t frame with
   | Free -> invalid_arg "Phys_mem.read_into: frame not in use"
   | Zeroed -> Bytes.fill dst dst_off len '\000'
   | Data b -> Bytes.blit b off dst dst_off len

@@ -1,11 +1,20 @@
 (** Simulated physical memory: a pool of 4 KiB frames backed by real
     [Bytes], so data movement performed by the kernel (memmove) and by
-    SwapVA (PTE remapping) is observable and checkable byte-for-byte. *)
+    SwapVA (PTE remapping) is observable and checkable byte-for-byte.
+
+    The pool is lazy: creating one allocates nothing in proportion to its
+    capacity.  Per-frame state exists only for frames handed out at least
+    once (it grows on demand), and a frame payload only once something
+    touches its bytes.  The handout order is a contract, because frame
+    numbers reach physical addresses, the LLC model and traces:
+    {!alloc_frame} returns the most recently freed frame first, and
+    otherwise the lowest never-used one, so a fresh pool counts up from
+    0. *)
 
 type t
 
 val create : frames:int -> t
-(** A pool of [frames] frames.  Frame payloads are allocated lazily. *)
+(** A pool of [frames] frames, none in use. *)
 
 val capacity_frames : t -> int
 
@@ -14,7 +23,9 @@ val frames_in_use : t -> int
 exception Out_of_frames
 
 val alloc_frame : t -> int
-(** Returns a free frame number (zero-filled).  @raise Out_of_frames. *)
+(** Returns a free frame number (zero-filled), in the order the module
+    header describes.  @raise Out_of_frames when all [frames] are in
+    use. *)
 
 val free_frame : t -> int -> unit
 (** Returns a frame to the pool.  @raise Invalid_argument if not in use. *)

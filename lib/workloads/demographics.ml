@@ -47,6 +47,11 @@ let stamp jvm rng p obj =
     Heap.write_payload heap obj ~off:0 b
   end
 
+(* Marks an empty slot: [slots] holds records, not [option] boxes, so
+   filling a slot allocates nothing. *)
+let empty =
+  Svagc_heap.Obj_model.(make ~id:0 ~addr:0 ~size:header_bytes ~cls:0 ~n_refs:0)
+
 let link heap p slots ~at =
   (* Neighbour links keep the mark/adjust phases honest without turning
      the working set into one giant clique.  The right neighbour is
@@ -55,26 +60,24 @@ let link heap p slots ~at =
      live set drifts above the working set. *)
   if p.n_refs > 0 then begin
     let n = Array.length slots in
-    (match (slots.(at), slots.((at + n - 1) mod n)) with
-    | Some obj, Some target when target != obj ->
-      Heap.set_ref heap obj ~slot:0 (Some target)
-    | Some _, _ | None, _ -> ());
-    match (slots.((at + 1) mod n), slots.(at)) with
-    | Some right, Some fresh when right != fresh ->
+    let obj = slots.(at) and target = slots.((at + n - 1) mod n) in
+    if obj != empty && target != empty && target != obj then
+      Heap.set_ref heap obj ~slot:0 (Some target);
+    let right = slots.((at + 1) mod n) and fresh = slots.(at) in
+    if right != empty && fresh != empty && right != fresh then
       Heap.set_ref heap right ~slot:0 (Some fresh)
-    | Some _, _ | None, _ -> ()
   end
 
 let workload p =
   let setup jvm rng =
     let heap = Jvm.heap jvm in
-    let slots = Array.make p.slots None in
+    let slots = Array.make p.slots empty in
     let place idx ~thread =
-      (match slots.(idx) with
-      | Some old ->
+      let old = slots.(idx) in
+      if old != empty then begin
         Heap.remove_root heap old;
-        slots.(idx) <- None
-      | None -> ());
+        slots.(idx) <- empty
+      end;
       let obj = alloc_object jvm rng p ~thread in
       Heap.add_root heap obj;
       stamp jvm rng p obj;
@@ -90,14 +93,12 @@ let workload p =
         (* ...and streams over a random cold part of the working set once
            (scans have no cache reuse, which keeps the LLC miss rate high
            in both configurations, as the paper's Table III shows). *)
-        (match slots.(Rng.int rng p.slots) with
-        | Some other -> Heap.touch_object heap other ~core ~max_bytes:16_384
-        | None -> ());
-        (match slots.((idx + 1) mod p.slots) with
-        | Some other -> Heap.touch_object heap other ~core ~max_bytes:8_192
-        | None -> ())
+        let other = slots.(Rng.int rng p.slots) in
+        if other != empty then Heap.touch_object heap other ~core ~max_bytes:16_384;
+        let other = slots.((idx + 1) mod p.slots) in
+        if other != empty then Heap.touch_object heap other ~core ~max_bytes:8_192
       | None -> ());
-      slots.(idx) <- Some obj;
+      slots.(idx) <- obj;
       link heap p slots ~at:idx
     in
     (* Populate the initial working set. *)

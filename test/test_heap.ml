@@ -127,13 +127,130 @@ let test_object_at_index () =
   (match Heap.object_at heap a.Obj_model.addr with
   | Some o -> Alcotest.(check int) "found" a.Obj_model.id o.Obj_model.id
   | None -> Alcotest.fail "missing");
-  (* Simulate a move and a rebuild. *)
-  a.Obj_model.addr <- a.Obj_model.addr + 4096;
-  Heap.rebuild_index heap;
+  let b = Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0 in
+  let old_b = b.Obj_model.addr in
+  (* Commit a collection in which [a] moved up a page and [b] died. *)
+  a.Obj_model.marked <- true;
+  a.Obj_model.forward <- a.Obj_model.addr + 4096;
+  Heap.commit_survivors heap [| a |] ~top:(a.Obj_model.forward + 64);
   Alcotest.(check bool) "old addr gone" true
     (Heap.object_at heap (a.Obj_model.addr - 4096) = None);
   Alcotest.(check bool) "new addr found" true
-    (Heap.object_at heap a.Obj_model.addr <> None)
+    (Heap.find_object heap a.Obj_model.addr == a);
+  Alcotest.(check bool) "dead object gone" true (Heap.object_at heap old_b = None);
+  Alcotest.(check int) "survivors only" 1 (Heap.object_count heap);
+  Alcotest.(check bool) "mark cleared" false a.Obj_model.marked;
+  Alcotest.(check int) "forward cleared" 0 a.Obj_model.forward;
+  Alcotest.(check int) "top" (a.Obj_model.addr + 64) (Heap.top heap)
+
+(* --- Address index --- *)
+
+type index_op = Replace of int | Remove of int | Find of int | Clear
+
+(* Page-aligned keys that share a home slot at a given capacity. *)
+let colliding ~capacity ~home n =
+  let rec go k acc n =
+    if n = 0 then acc
+    else if Addr_index.home ~capacity k = home then go (k + 4096) (k :: acc) (n - 1)
+    else go (k + 4096) acc n
+  in
+  go 4096 [] n
+
+(* At the starting 16 slots: one run homed at the last slot, so its probe
+   chain wraps past the end, and one run mid-table, so deletes land in the
+   middle of a chain; two more runs collide only after one and two
+   doublings; a few keys are arbitrary. *)
+let index_keys =
+  Array.of_list
+    (List.sort_uniq compare
+       (colliding ~capacity:16 ~home:15 6
+       @ colliding ~capacity:16 ~home:7 6
+       @ colliding ~capacity:32 ~home:31 4
+       @ colliding ~capacity:64 ~home:0 4
+       @ [ 0; 17; 4097; 1 lsl 40 ]))
+
+let index_op_gen =
+  let key = QCheck.Gen.int_bound (Array.length index_keys - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (20, map (fun k -> Replace k) key);
+        (10, map (fun k -> Remove k) key);
+        (9, map (fun k -> Find k) key);
+        (1, return Clear);
+      ])
+
+let pp_index_op = function
+  | Replace k -> Printf.sprintf "replace %d" index_keys.(k)
+  | Remove k -> Printf.sprintf "remove %d" index_keys.(k)
+  | Find k -> Printf.sprintf "find %d" index_keys.(k)
+  | Clear -> "clear"
+
+(* Every operation is mirrored on a [Hashtbl] model, and after each one
+   every key of the pool must look up the same way in both: a delete that
+   broke a probe chain strands a later key of that chain. *)
+let prop_index_matches_model =
+  qtest ~count:500 "address index agrees with a Hashtbl model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_index_op ops))
+       QCheck.Gen.(list_size (int_range 1 300) index_op_gen))
+    (fun ops ->
+      let idx = Addr_index.create () in
+      let model = Hashtbl.create 16 in
+      let next_id = ref 1 in
+      let agrees key =
+        let expect = Hashtbl.find_opt model key in
+        let found =
+          match Addr_index.find idx key with
+          | o -> Some o
+          | exception Not_found -> None
+        in
+        let same a b =
+          match (a, b) with Some a, Some b -> a == b | None, None -> true | _ -> false
+        in
+        same expect found && same expect (Addr_index.find_opt idx key)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace k ->
+            let key = index_keys.(k) in
+            let o = Obj_model.make ~id:!next_id ~addr:key ~size:64 ~cls:0 ~n_refs:0 in
+            incr next_id;
+            Addr_index.replace idx key o;
+            Hashtbl.replace model key o
+          | Remove k ->
+            Addr_index.remove idx index_keys.(k);
+            Hashtbl.remove model index_keys.(k)
+          | Find _ -> ()
+          | Clear ->
+            Addr_index.clear idx;
+            Hashtbl.reset model);
+          let cap = Addr_index.capacity idx in
+          Addr_index.length idx = Hashtbl.length model
+          && cap land (cap - 1) = 0
+          && 2 * Addr_index.length idx <= cap
+          && Array.for_all agrees index_keys
+          && Addr_index.find_opt idx (-1) = None)
+        ops)
+
+let test_index_capacity () =
+  let idx = Addr_index.create () in
+  Alcotest.(check int) "starts at 16 slots" 16 (Addr_index.capacity idx);
+  let dummy = Obj_model.make ~id:1 ~addr:0 ~size:64 ~cls:0 ~n_refs:0 in
+  for k = 1 to 8 do
+    Addr_index.replace idx (k * 4096) dummy
+  done;
+  Alcotest.(check int) "load one half" 16 (Addr_index.capacity idx);
+  Addr_index.replace idx (9 * 4096) dummy;
+  Alcotest.(check int) "doubles" 32 (Addr_index.capacity idx);
+  Addr_index.clear idx;
+  Alcotest.(check int) "clear empties" 0 (Addr_index.length idx);
+  Alcotest.(check int) "clear keeps capacity" 32 (Addr_index.capacity idx);
+  Alcotest.(check bool) "empty marker is no address" true
+    (Addr_index.find_opt idx (-1) = None);
+  Alcotest.(check bool) "negative address rejected" true
+    (try Addr_index.replace idx (-1) dummy; false with Invalid_argument _ -> true)
 
 (* --- Payload IO --- *)
 
@@ -404,6 +521,11 @@ let () =
           Alcotest.test_case "roots" `Quick test_roots;
           Alcotest.test_case "refs" `Quick test_refs;
           Alcotest.test_case "address index" `Quick test_object_at_index;
+        ] );
+      ( "addr_index",
+        [
+          Alcotest.test_case "capacity" `Quick test_index_capacity;
+          prop_index_matches_model;
         ] );
       ( "payload",
         [

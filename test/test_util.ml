@@ -139,6 +139,141 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 (fun i -> i)) sorted
 
+(* --- Pinned draw streams ---
+
+   The expected values below were produced by the SplitMix64 and [Dist]
+   code before their state and loops were made allocation-free: the first
+   three draws literally, all 1,000 through an FNV-style fold.  Any change
+   to the stream (arithmetic, order of draws, summation order) moves them. *)
+
+let fold_stream n draw =
+  let first = ref [] and h = ref 0L in
+  for i = 1 to n do
+    let v = draw () in
+    if i <= 3 then first := v :: !first;
+    h := Int64.add (Int64.mul !h 1099511628211L) v
+  done;
+  (List.rev !first, !h)
+
+let rng_of_label = function
+  | "create" -> fun () -> Rng.create ~seed:42
+  | "split" -> fun () -> Rng.split (Rng.create ~seed:42)
+  | "parent-after-split" ->
+    fun () ->
+      let r = Rng.create ~seed:42 in
+      ignore (Rng.split r);
+      r
+  | l -> invalid_arg l
+
+let draw_of_kind r = function
+  | "int64" -> fun () -> Rng.int64 r
+  | "int 1000" -> fun () -> Int64.of_int (Rng.int r 1000)
+  | "int max" -> fun () -> Int64.of_int (Rng.int r max_int)
+  | "float" -> fun () -> Int64.bits_of_float (Rng.float r)
+  | k -> invalid_arg k
+
+let pinned_rng_streams =
+  [
+    ( "create",
+      "int64",
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ],
+      -1507898233693108119L );
+    ("create", "int 1000", [ 853L; 72L; 964L ], -309360205685890053L);
+    ( "create",
+      "int max",
+      [ 3419864383188818853L; 737456523031723072L; 1284820937115690964L ],
+      2500200526870419203L );
+    ( "create",
+      "float",
+      [ 4604854642168692077L; 4594929399376720760L; 4598690451703514086L ],
+      -7304917322596866282L );
+    ( "split",
+      "int64",
+      [ 6332618229526065668L; -816328817471504299L; 8971565426155258802L ],
+      -1021531738302718218L );
+    ("split", "int 1000", [ 417L; 829L; 700L ], 6069624050711404511L);
+    ( "split",
+      "int max",
+      [ 1583154557381516417L; 4407603814059511829L; 2242891356538814700L ],
+      3229738719261570711L );
+    ( "split",
+      "float",
+      [ 4599855817407677468L; 4606783820744611400L; 4602432914279385664L ],
+      -2379062244334537063L );
+    ( "parent-after-split",
+      "int64",
+      [ 2949826092126892291L; 5139283748462763858L; 6349198060258255764L ],
+      -3771617631679908252L );
+    ( "parent-after-split",
+      "int 1000",
+      [ 72L; 964L; 941L ],
+      8772912307029380687L );
+    ( "parent-after-split",
+      "int max",
+      [ 737456523031723072L; 1284820937115690964L; 1587299515064563941L ],
+      -3371587861323950209L );
+    ( "parent-after-split",
+      "float",
+      [ 4594929399376720760L; 4598690451703514086L; 4599872008648626872L ],
+      6349154391873876033L );
+  ]
+
+let test_rng_streams_pinned () =
+  List.iter
+    (fun (label, kind, first, h) ->
+      let r = rng_of_label label () in
+      let first', h' = fold_stream 1000 (draw_of_kind r kind) in
+      let name = label ^ " " ^ kind in
+      Alcotest.(check (list int64)) (name ^ ": first draws") first first';
+      Alcotest.(check int64) (name ^ ": 1000 draws") h h')
+    pinned_rng_streams
+
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create ~seed:3 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.int r 1000))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 10k draws" words) true
+    (words < 100.0)
+
+let pinned_dists =
+  [
+    ("fixed", Dist.Fixed 48);
+    ("uniform", Dist.Uniform (16, 4096));
+    ("lognormal", Dist.Lognormal { mu = 5.0; sigma = 1.5; min = 16; max = 1_000_000 });
+    ("lognormal_mean", Dist.lognormal_mean ~mean:200.0 ~sigma:1.0 ~min:16 ~max:100_000);
+    ("choice", Dist.Choice [| (0.5, 32); (0.25, 64); (0.25, 40960) |]);
+    ("choice zero mid", Dist.Choice [| (0.7, 32); (0.0, 64); (0.3, 4096) |]);
+    ("choice zero first", Dist.Choice [| (0.0, 1); (2.0, 2); (1.0, 3) |]);
+    ("choice zero last", Dist.Choice [| (1.0, 1); (3.0, 2); (0.0, 3) |]);
+  ]
+
+let pinned_dist_streams =
+  [
+    ("fixed", [ 48L; 48L; 48L ], -4564571537346281728L);
+    ("uniform", [ 3808L; 1457L; 1594L ], 8792638806191058401L);
+    ("lognormal", [ 1149L; 81L; 149L ], 531487725945499278L);
+    ("lognormal_mean", [ 474L; 81L; 121L ], -3142611934318703816L);
+    ("choice", [ 32L; 32L; 40960L ], 3450718885989176096L);
+    ("choice zero mid", [ 32L; 32L; 4096L ], -2751149790975823680L);
+    ("choice zero first", [ 2L; 2L; 3L ], -5130444157444928045L);
+    ("choice zero last", [ 2L; 1L; 2L ], 6967963637149562508L);
+  ]
+
+let test_dist_streams_pinned () =
+  List.iter
+    (fun (name, first, h) ->
+      let d = List.assoc name pinned_dists in
+      let r = Rng.create ~seed:7 in
+      let first', h' =
+        fold_stream 1000 (fun () -> Int64.of_int (Dist.sample r d))
+      in
+      Alcotest.(check (list int64)) (name ^ ": first samples") first first';
+      Alcotest.(check int64) (name ^ ": 1000 samples") h h')
+    pinned_dist_streams
+
 (* --- Dist --- *)
 
 let prop_dist_uniform_range =
@@ -323,6 +458,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "pinned streams" `Quick test_rng_streams_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
           prop_rng_int_bounds;
           prop_rng_int_in;
           prop_rng_float_unit;
@@ -334,6 +472,7 @@ let () =
           Alcotest.test_case "choice mean" `Quick test_dist_choice_mean;
           Alcotest.test_case "choice weights" `Quick test_dist_choice_weights_respected;
           Alcotest.test_case "zipf skew" `Quick test_dist_zipf_skew;
+          Alcotest.test_case "pinned samples" `Quick test_dist_streams_pinned;
           prop_dist_uniform_range;
           prop_dist_lognormal_clamped;
           prop_dist_zipf_range;

@@ -103,6 +103,136 @@ let test_phys_range_check () =
   Alcotest.check_raises "escape" (Invalid_argument "Phys_mem: range escapes the page")
     (fun () -> ignore (Phys_mem.read pm ~frame:f ~off:4090 ~len:10))
 
+(* The pool hands out frames lazily, so its handout order and errors are
+   pinned to what the eager pool (a reversed free list over every frame)
+   gave: the most recently freed frame first, then the lowest never-used
+   one; [Out_of_frames] exactly at capacity. *)
+let test_phys_handout_order () =
+  let pm = Phys_mem.create ~frames:8 in
+  let log = ref [] in
+  let alloc () =
+    let f = Phys_mem.alloc_frame pm in
+    log := string_of_int f :: !log;
+    f
+  in
+  let free f =
+    Phys_mem.free_frame pm f;
+    log := ("-" ^ string_of_int f) :: !log
+  in
+  let f0 = alloc () in
+  let f1 = alloc () in
+  ignore (alloc ());
+  let f3 = alloc () in
+  ignore (alloc ());
+  free f1;
+  free f3;
+  ignore (alloc ());
+  ignore (alloc ());
+  let f5 = alloc () in
+  free f0;
+  free f5;
+  ignore (alloc ());
+  let with_data = Phys_mem.alloc_frame_with pm (Some (Bytes.make 4096 'x')) in
+  log := string_of_int with_data :: !log;
+  (match Phys_mem.take_frame pm 2 with
+  | Some _ -> log := "take 2: data" :: !log
+  | None -> log := "take 2: zero" :: !log);
+  ignore (alloc ());
+  ignore (alloc ());
+  ignore (alloc ());
+  Alcotest.(check (list string)) "handout order"
+    [ "0"; "1"; "2"; "3"; "4"; "-1"; "-3"; "3"; "1"; "5"; "-0"; "-5"; "5"; "0";
+      "take 2: zero"; "2"; "6"; "7" ]
+    (List.rev !log);
+  Alcotest.(check int) "all in use" 8 (Phys_mem.frames_in_use pm);
+  Alcotest.check_raises "exhausted at capacity" Phys_mem.Out_of_frames (fun () ->
+      ignore (Phys_mem.alloc_frame pm))
+
+let phys_error_cases =
+  [
+    ("free_frame", "never-used", "Phys_mem.free_frame: frame not in use");
+    ("free_frame", "freed", "Phys_mem.free_frame: frame not in use");
+    ("free_frame", "past-capacity", "index out of bounds");
+    ("free_frame", "far", "index out of bounds");
+    ("free_frame", "negative", "index out of bounds");
+    ("frame_contents", "never-used", "Phys_mem.frame_contents: frame not in use");
+    ("frame_contents", "freed", "Phys_mem.frame_contents: frame not in use");
+    ("frame_contents", "past-capacity", "Phys_mem.frame_contents: no such frame");
+    ("frame_contents", "far", "Phys_mem.frame_contents: no such frame");
+    ("frame_contents", "negative", "Phys_mem.frame_contents: no such frame");
+    ("frame_bytes", "never-used", "Phys_mem.frame_bytes: frame not in use");
+    ("frame_bytes", "freed", "Phys_mem.frame_bytes: frame not in use");
+    ("frame_bytes", "past-capacity", "Phys_mem.frame_bytes: no such frame");
+    ("frame_bytes", "far", "Phys_mem.frame_bytes: no such frame");
+    ("frame_bytes", "negative", "Phys_mem.frame_bytes: no such frame");
+    ("take_frame", "never-used", "Phys_mem.frame_contents: frame not in use");
+    ("take_frame", "freed", "Phys_mem.frame_contents: frame not in use");
+    ("take_frame", "past-capacity", "Phys_mem.frame_contents: no such frame");
+    ("take_frame", "far", "Phys_mem.frame_contents: no such frame");
+    ("take_frame", "negative", "Phys_mem.frame_contents: no such frame");
+    ("read", "never-used", "Phys_mem.frame_bytes: frame not in use");
+    ("read", "freed", "Phys_mem.frame_bytes: frame not in use");
+    ("read", "past-capacity", "Phys_mem.frame_bytes: no such frame");
+    ("read", "far", "Phys_mem.frame_bytes: no such frame");
+    ("read", "negative", "Phys_mem.frame_bytes: no such frame");
+    ("read_into", "never-used", "Phys_mem.read_into: frame not in use");
+    ("read_into", "freed", "Phys_mem.read_into: frame not in use");
+    ("read_into", "past-capacity", "index out of bounds");
+    ("read_into", "far", "index out of bounds");
+    ("read_into", "negative", "index out of bounds");
+    ("write", "never-used", "Phys_mem.frame_bytes: frame not in use");
+    ("write", "freed", "Phys_mem.frame_bytes: frame not in use");
+    ("write", "past-capacity", "Phys_mem.frame_bytes: no such frame");
+    ("write", "far", "Phys_mem.frame_bytes: no such frame");
+    ("write", "negative", "Phys_mem.frame_bytes: no such frame");
+    ("blit src", "never-used", "Phys_mem.frame_bytes: frame not in use");
+    ("blit src", "freed", "Phys_mem.frame_bytes: frame not in use");
+    ("blit src", "past-capacity", "Phys_mem.frame_bytes: no such frame");
+    ("blit src", "far", "Phys_mem.frame_bytes: no such frame");
+    ("blit src", "negative", "Phys_mem.frame_bytes: no such frame");
+    ("blit dst", "never-used", "Phys_mem.frame_bytes: frame not in use");
+    ("blit dst", "freed", "Phys_mem.frame_bytes: frame not in use");
+    ("blit dst", "past-capacity", "Phys_mem.frame_bytes: no such frame");
+    ("blit dst", "far", "Phys_mem.frame_bytes: no such frame");
+    ("blit dst", "negative", "Phys_mem.frame_bytes: no such frame");
+  ]
+
+let test_phys_error_messages () =
+  let pm = Phys_mem.create ~frames:16 in
+  let used = Phys_mem.alloc_frame pm in
+  let freed = Phys_mem.alloc_frame pm in
+  Phys_mem.free_frame pm freed;
+  let buf = Bytes.create 16 in
+  let frame = function
+    | "never-used" -> 9
+    | "freed" -> freed
+    | "past-capacity" -> 16
+    | "far" -> 1000
+    | "negative" -> -1
+    | c -> invalid_arg c
+  in
+  let call fn f =
+    match fn with
+    | "free_frame" -> Phys_mem.free_frame pm f
+    | "frame_contents" -> ignore (Phys_mem.frame_contents pm f)
+    | "frame_bytes" -> ignore (Phys_mem.frame_bytes pm f)
+    | "take_frame" -> ignore (Phys_mem.take_frame pm f)
+    | "read" -> ignore (Phys_mem.read pm ~frame:f ~off:0 ~len:8)
+    | "read_into" -> Phys_mem.read_into pm ~frame:f ~off:0 ~len:8 ~dst:buf ~dst_off:0
+    | "write" -> Phys_mem.write pm ~frame:f ~off:0 ~src:buf ~src_off:0 ~len:8
+    | "blit src" ->
+      Phys_mem.blit pm ~src_frame:f ~src_off:0 ~dst_frame:used ~dst_off:0 ~len:8
+    | "blit dst" ->
+      Phys_mem.blit pm ~src_frame:used ~src_off:0 ~dst_frame:f ~dst_off:0 ~len:8
+    | fn -> invalid_arg fn
+  in
+  List.iter
+    (fun (fn, case, msg) ->
+      Alcotest.check_raises (fn ^ " on a " ^ case ^ " frame") (Invalid_argument msg)
+        (fun () -> call fn (frame case)))
+    phys_error_cases;
+  Alcotest.(check int) "errors leave the pool alone" 1 (Phys_mem.frames_in_use pm)
+
 (* --- Page_table --- *)
 
 let test_pt_get_set () =
@@ -303,6 +433,43 @@ let test_cache_miss_rate () =
   Alcotest.(check (float 1e-9)) "no accesses" 0.0 (Cache_sim.miss_rate c);
   Cache_sim.access c ~addr:0;
   Alcotest.(check (float 1e-9)) "all miss" 100.0 (Cache_sim.miss_rate c)
+
+(* Access and miss counts for fixed address streams, pinned to the
+   eagerly built cache: building the sets on first access must not move a
+   single hit.  One stream mixes a sequential sweep with scattered lines,
+   the other reuses a working set half the cache's size (default) or
+   twice it (64 KiB, 4 ways). *)
+let test_cache_streams_pinned () =
+  let scattered c =
+    let x = ref 12345 in
+    for i = 0 to 99_999 do
+      x := ((!x * 1103515245) + 12345) land 0x3FFF_FFFF;
+      let addr =
+        if i land 3 = 0 then (i * 64) land 0xFF_FFFF else (!x lsl 3) land 0x3FF_FFFF
+      in
+      Cache_sim.access c ~addr
+    done;
+    Cache_sim.access_range c ~addr:4000 ~len:10_000
+  in
+  let hot c ~working_set =
+    let x = ref 99 in
+    for _ = 0 to 99_999 do
+      x := ((!x * 1103515245) + 12345) land 0x3FFF_FFFF;
+      Cache_sim.access c ~addr:((!x lsl 4) land (working_set - 1))
+    done
+  in
+  let counts name run c accesses misses =
+    run c;
+    let st = Cache_sim.stats c in
+    Alcotest.(check (pair int int)) name (accesses, misses)
+      (st.Cache_sim.accesses, st.Cache_sim.misses)
+  in
+  let small () = Cache_sim.create ~size_bytes:65536 ~ways:4 () in
+  counts "scattered, default" scattered (Cache_sim.create ()) 100157 96369;
+  counts "scattered, 64 KiB" scattered (small ()) 100157 100077;
+  counts "hot, default" (hot ~working_set:(4 * 1024 * 1024)) (Cache_sim.create ())
+    100000 55922;
+  counts "hot, 64 KiB" (hot ~working_set:(128 * 1024)) (small ()) 100000 59008
 
 (* --- Cost_model --- *)
 
@@ -602,6 +769,8 @@ let () =
           Alcotest.test_case "read/write" `Quick test_phys_read_write;
           Alcotest.test_case "blit" `Quick test_phys_blit;
           Alcotest.test_case "range check" `Quick test_phys_range_check;
+          Alcotest.test_case "handout order" `Quick test_phys_handout_order;
+          Alcotest.test_case "error messages" `Quick test_phys_error_messages;
         ] );
       ( "page_table",
         [
@@ -625,6 +794,7 @@ let () =
           Alcotest.test_case "capacity eviction" `Quick test_cache_capacity_eviction;
           Alcotest.test_case "access range" `Quick test_cache_access_range;
           Alcotest.test_case "miss rate" `Quick test_cache_miss_rate;
+          Alcotest.test_case "pinned streams" `Quick test_cache_streams_pinned;
         ] );
       ( "cost_model",
         [
