@@ -2,7 +2,9 @@
    bench, fleet, threshold, trace and check (see `svagc --help`).
 
    Every input is checked while the command line is parsed: a bad value
-   exits 124 with a message on stderr before anything runs or prints. *)
+   exits 124 with a message on stderr before anything runs or prints.  A
+   simulated kernel error no layer recovers from exits 123 with one line
+   on stderr (see [exits]). *)
 
 open Cmdliner
 module Registry = Svagc_experiments.Registry
@@ -14,6 +16,20 @@ module Check = Svagc_check.Check
 module Fleet = Svagc_fleet.Fleet
 module Fault_handler = Svagc_kernel.Fault_handler
 module Perf = Svagc_vmem.Perf
+
+(* The exit statuses every command documents: cmdliner's own, with 123
+   narrowed to the one error a run can end in, plus the oracle's 1. *)
+let exits =
+  Cmd.Exit.info 1
+    ~doc:"when the shadow oracle ($(b,--check), $(b,check)) reports a finding."
+  :: Cmd.Exit.info Cmd.Exit.some_error
+       ~doc:
+         "when a simulated kernel error ends the run, such as a swap-in whose \
+          bounded device retry failed on every attempt ($(b,--fault-spec) \
+          $(b,swap:p=...)); the error is printed on stderr."
+  :: List.filter
+       (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.some_error)
+       Cmd.Exit.defaults
 
 (* [f ()] builds a command's setup; an [Invalid_argument] it raises is a
    command-line error, reported before the command runs. *)
@@ -216,7 +232,7 @@ let list_cmd =
           w.Workload.description)
       Svagc_workloads.Spec.all
   in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "list" ~doc ~exits) Term.(const run $ const ())
 
 let exp_cmd =
   let doc = "Reproduce paper experiments by id (or 'all')." in
@@ -227,7 +243,7 @@ let exp_cmd =
     with_check check ~label:(String.concat "+" ids) (fun () ->
         List.iter (run_experiment ~quick) ids)
   in
-  Cmd.v (Cmd.info "exp" ~doc) Term.(const run $ quick_arg $ check_arg $ ids)
+  Cmd.v (Cmd.info "exp" ~doc ~exits) Term.(const run $ quick_arg $ check_arg $ ids)
 
 let bench_cmd =
   let doc = "Run one workload under one or more collectors." in
@@ -266,7 +282,7 @@ let bench_cmd =
         end)
       r.collectors
   in
-  Cmd.v (Cmd.info "bench" ~doc)
+  Cmd.v (Cmd.info "bench" ~doc ~exits)
     Term.(
       const run $ run_term ~workload ~collectors:collectors_arg ~steps:60)
 
@@ -359,7 +375,7 @@ let trace_cmd =
         const setup $ exp $ jvms $ capacity
         $ run_term ~workload ~collectors:collector ~steps:40)
   in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ setup $ out $ ascii)
+  Cmd.v (Cmd.info "trace" ~doc ~exits) Term.(const run $ setup $ out $ ascii)
 
 let check_cmd =
   let doc =
@@ -438,7 +454,7 @@ let check_cmd =
     if !failed then exit 1;
     print_endline "svagc_check: all invariants hold"
   in
-  Cmd.v (Cmd.info "check" ~doc)
+  Cmd.v (Cmd.info "check" ~doc ~exits)
     Term.(const run $ cases $ seed $ exps $ quick_arg)
 
 let fleet_cmd =
@@ -519,20 +535,35 @@ let fleet_cmd =
                  c)
              collectors))
   in
-  Cmd.v (Cmd.info "fleet" ~doc)
+  Cmd.v (Cmd.info "fleet" ~doc ~exits)
     Term.(const run $ config $ collectors_arg $ check_arg)
 
 let threshold_cmd =
   let doc = "Print the SwapVA/memmove break-even sweep (Fig. 10)." in
-  Cmd.v (Cmd.info "threshold" ~doc)
+  Cmd.v (Cmd.info "threshold" ~doc ~exits)
     Term.(const (fun () -> Svagc_experiments.Exp_fig10.run ()) $ const ())
 
 let main =
   let doc = "SVAGC: GC with scalable virtual-address swapping (simulation)" in
-  Cmd.group (Cmd.info "svagc" ~version:"1.0.0" ~doc)
+  Cmd.group (Cmd.info "svagc" ~version:"1.0.0" ~doc ~exits)
     [
       list_cmd; exp_cmd; bench_cmd; fleet_cmd; threshold_cmd; trace_cmd;
       check_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A kernel error that no layer recovers from (a swap-in whose device
+   retry failed on every attempt raises [EIO_swap]) is a typed outcome of
+   the run, not a bug: one line on stderr and exit 123.  Anything else
+   escaping is reported as cmdliner reports it. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Svagc_fault.Kernel_error.Fault e ->
+      prerr_endline ("svagc: " ^ Svagc_fault.Kernel_error.to_string e);
+      Cmd.Exit.some_error
+    | exception e ->
+      Printf.eprintf "svagc: internal error, uncaught exception:\n%s\n%s%!"
+        (Printexc.to_string e)
+        (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error)

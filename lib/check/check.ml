@@ -292,6 +292,12 @@ let reclaim_laws machine ~tables =
       "resident frames %d exceed physical capacity %d"
       (Phys_mem.frames_in_use machine.Machine.phys)
       (Phys_mem.capacity_frames machine.Machine.phys);
+    (* The tracking arena: both LRU lists and every tenant ring are sound
+       rings over exactly the tracked pages. *)
+    (match r.Machine.ri_lru_audit () with
+    | [] -> law a "reclaim-lru" true "sound"
+    | errs ->
+      List.iter (fun e -> law a "reclaim-lru" false "%s" e) errs);
     result a
 
 (* --- fleet cgroup / tier conservation laws --- *)

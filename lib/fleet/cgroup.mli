@@ -11,7 +11,14 @@
     Tenants appear implicitly (unlimited) on first charge; register real
     limits with {!set_limits} — and call
     [Svagc_reclaim.Reclaim.enforce_hard] afterwards if the tenant may
-    already be over. *)
+    already be over.
+
+    Tenants live in an array indexed by asid (doubling as asids grow), so
+    every per-page query is one array read; slots no tenant has claimed
+    share one immutable "absent" record that reads as unlimited with
+    nothing resident.  The over-soft population is kept exact on every
+    charge, uncharge and limit change, which makes {!any_over_soft} O(1),
+    and {!stats} comes out in asid order without sorting. *)
 
 type t
 
@@ -23,7 +30,8 @@ val iface : t -> Svagc_reclaim.Reclaim.cgroup_iface
 (** The accounting plane as a reclaimer-pluggable closure record. *)
 
 val set_limits : t -> asid:int -> soft:int -> hard:int -> unit
-(** @raise Invalid_argument unless [0 <= soft <= hard] and [hard >= 1]. *)
+(** @raise Invalid_argument unless [0 <= soft <= hard] and [hard >= 1],
+    or if [asid] is negative. *)
 
 val resident : t -> asid:int -> int
 (** Pages currently resident (tracked by the reclaimer); 0 for unknown

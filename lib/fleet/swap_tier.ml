@@ -3,14 +3,14 @@ module Swap_dev = Svagc_reclaim.Swap_dev
 module Vec = Svagc_util.Vec
 module Tracer = Svagc_trace.Tracer
 
-(* Where a virtual slot's payload currently lives.  The reclaimer (and the
-   swapped PTEs it writes) only ever see the virtual id, so a demotion can
-   move the payload between backing devices without touching a single
-   page table. *)
-type loc =
-  | Near of int
-  | Far of int
-  | Free
+(* Where a virtual slot's payload currently lives, as one int: [2n] is
+   near slot [n], [2n + 1] far slot [n], and [free_loc] marks an
+   unallocated id.  The reclaimer (and the swapped PTEs it writes) only
+   ever see the virtual id, so a demotion can move the payload between
+   backing devices without touching a single page table. *)
+let free_loc = -1
+
+let is_far loc = loc land 1 = 1
 
 type t = {
   machine : Machine.t;
@@ -21,13 +21,17 @@ type t = {
   near_in_ns : float;
   far_out_ns : float;
   far_in_ns : float;
-  mutable locs : loc array;  (* virtual slot id -> location *)
+  mutable locs : int array;  (* virtual slot id -> location *)
   mutable gens : int array;  (* bumped on every (re)allocation of an id *)
   free : int Vec.t;  (* freed virtual ids, reused LIFO *)
   mutable high_water : int;
-  (* Near-resident ids in allocation (= first-write) order; head = coldest.
-     Entries are invalidated lazily by generation mismatch. *)
-  cold : (int * int) Queue.t;
+  (* Near-resident ids in allocation (= first-write) order, as a ring of
+     (id, generation) pairs: pair [p] sits at [2p] and [2p + 1], the
+     oldest at [cold_head].  Entries are invalidated lazily by generation
+     mismatch. *)
+  mutable cold : int array;
+  mutable cold_head : int;
+  mutable cold_len : int;
 }
 
 let create machine ~near_slots ?(far_cost_mult = 4.0) () =
@@ -47,11 +51,13 @@ let create machine ~near_slots ?(far_cost_mult = 4.0) () =
     near_in_ns;
     far_out_ns = near_out_ns *. far_cost_mult;
     far_in_ns = near_in_ns *. far_cost_mult;
-    locs = Array.make 64 Free;
+    locs = Array.make 64 free_loc;
     gens = Array.make 64 0;
     free = Vec.create ();
     high_water = 0;
-    cold = Queue.create ();
+    cold = Array.make 128 0;
+    cold_head = 0;
+    cold_len = 0;
   }
 
 let near_slots t = t.near_slots
@@ -65,13 +71,13 @@ let slots_in_use t = near_in_use t + far_in_use t
 let stats t = (near_in_use t, far_in_use t)
 
 let allocated t ~slot =
-  slot >= 0 && slot < Array.length t.locs && t.locs.(slot) <> Free
+  slot >= 0 && slot < Array.length t.locs && t.locs.(slot) <> free_loc
 
 let ensure_capacity t n =
   let len = Array.length t.locs in
   if n >= len then begin
     let len' = Stdlib.max (2 * len) (n + 1) in
-    let locs' = Array.make len' Free in
+    let locs' = Array.make len' free_loc in
     Array.blit t.locs 0 locs' 0 len;
     t.locs <- locs';
     let gens' = Array.make len' 0 in
@@ -79,93 +85,108 @@ let ensure_capacity t n =
     t.gens <- gens'
   end
 
+(* The ring's pair capacity is a power of two, so positions wrap by
+   mask. *)
+let cold_push t vid gen =
+  let cap = Array.length t.cold / 2 in
+  if t.cold_len = cap then begin
+    let cold = Array.make (4 * cap) 0 in
+    for i = 0 to t.cold_len - 1 do
+      let p = (t.cold_head + i) land (cap - 1) in
+      cold.(2 * i) <- t.cold.(2 * p);
+      cold.((2 * i) + 1) <- t.cold.((2 * p) + 1)
+    done;
+    t.cold <- cold;
+    t.cold_head <- 0
+  end;
+  let p = (t.cold_head + t.cold_len) land ((Array.length t.cold / 2) - 1) in
+  t.cold.(2 * p) <- vid;
+  t.cold.((2 * p) + 1) <- gen;
+  t.cold_len <- t.cold_len + 1
+
 (* Move the coldest near slot's payload to the far device.  The cold
    queue can hold ids whose near residency already ended (faulted back
    in and freed); those are skipped by generation check.  Callers only
    demote when the near device is non-empty, so a live entry exists. *)
 let rec demote_coldest t =
-  match Queue.pop t.cold with
-  | exception Queue.Empty ->
-    invalid_arg "Swap_tier: near tier full but cold queue empty"
-  | vid, gen ->
-    if gen <> t.gens.(vid) then demote_coldest t
-    else begin
-      match t.locs.(vid) with
-      | Near nslot ->
-        let payload = Swap_dev.take t.near ~slot:nslot in
-        let fslot = Swap_dev.alloc_slot t.far in
-        Swap_dev.write t.far ~slot:fslot payload;
-        t.locs.(vid) <- Far fslot;
-        let perf = t.machine.Machine.perf in
-        Perf.bump perf Tier_demotions 1;
-        if Tracer.tracing () then
-          Tracer.instant ~cat:"fleet"
-            ~args:
-              [
-                ("slot", Svagc_trace.Event.Int vid);
-                ("far_in_use", Svagc_trace.Event.Int (far_in_use t));
-              ]
-            "tier.demote"
-      | Far _ | Free -> demote_coldest t
-    end
+  if t.cold_len = 0 then
+    invalid_arg "Swap_tier: near tier full but cold queue empty";
+  let p = t.cold_head in
+  let vid = t.cold.(2 * p) and gen = t.cold.((2 * p) + 1) in
+  t.cold_head <- (p + 1) land ((Array.length t.cold / 2) - 1);
+  t.cold_len <- t.cold_len - 1;
+  let loc = t.locs.(vid) in
+  if gen <> t.gens.(vid) || loc = free_loc || is_far loc then demote_coldest t
+  else begin
+    let payload = Swap_dev.take t.near ~slot:(loc lsr 1) in
+    let fslot = Swap_dev.alloc_slot t.far in
+    Swap_dev.write t.far ~slot:fslot payload;
+    t.locs.(vid) <- (2 * fslot) + 1;
+    let perf = t.machine.Machine.perf in
+    Perf.bump perf Tier_demotions 1;
+    if Tracer.tracing () then
+      Tracer.instant ~cat:"fleet"
+        ~args:
+          [
+            ("slot", Svagc_trace.Event.Int vid);
+            ("far_in_use", Svagc_trace.Event.Int (far_in_use t));
+          ]
+        "tier.demote"
+  end
 
 let alloc_slot t =
   (* A full near tier demotes its coldest slot before accepting the new
      page — freshly evicted pages are the warmest thing on the device. *)
   if near_in_use t >= t.near_slots then demote_coldest t;
   let vid =
-    match Vec.pop t.free with
-    | Some vid -> vid
-    | None ->
+    if Vec.is_empty t.free then begin
       let vid = t.high_water in
       t.high_water <- t.high_water + 1;
       vid
+    end
+    else Vec.pop_last t.free
   in
   ensure_capacity t vid;
   let nslot = Swap_dev.alloc_slot t.near in
-  t.locs.(vid) <- Near nslot;
+  t.locs.(vid) <- 2 * nslot;
   t.gens.(vid) <- t.gens.(vid) + 1;
-  Queue.push (vid, t.gens.(vid)) t.cold;
+  cold_push t vid t.gens.(vid);
   vid
 
+(* The device a location names, and the slot on it. *)
+let dev_of t loc = if is_far loc then t.far else t.near
+
 let free_slot t vid =
-  match t.locs.(vid) with
-  | Near nslot ->
-    Swap_dev.free_slot t.near nslot;
-    t.locs.(vid) <- Free;
-    Vec.push t.free vid
-  | Far fslot ->
-    Swap_dev.free_slot t.far fslot;
-    t.locs.(vid) <- Free;
-    Vec.push t.free vid
-  | Free -> invalid_arg "Swap_tier.free_slot: slot not allocated"
+  let loc = t.locs.(vid) in
+  if loc = free_loc then invalid_arg "Swap_tier.free_slot: slot not allocated";
+  Swap_dev.free_slot (dev_of t loc) (loc lsr 1);
+  t.locs.(vid) <- free_loc;
+  Vec.push t.free vid
 
 let write t ~slot:vid payload =
-  match t.locs.(vid) with
-  | Near nslot -> Swap_dev.write t.near ~slot:nslot payload
-  | Far fslot -> Swap_dev.write t.far ~slot:fslot payload
-  | Free -> invalid_arg "Swap_tier.write: slot not allocated"
+  let loc = t.locs.(vid) in
+  if loc = free_loc then invalid_arg "Swap_tier.write: slot not allocated";
+  Swap_dev.write (dev_of t loc) ~slot:(loc lsr 1) payload
 
 let peek t ~slot:vid =
-  match t.locs.(vid) with
-  | Near nslot -> Swap_dev.peek t.near ~slot:nslot
-  | Far fslot -> Swap_dev.peek t.far ~slot:fslot
-  | Free -> invalid_arg "Swap_tier.peek: slot not allocated"
+  let loc = t.locs.(vid) in
+  if loc = free_loc then invalid_arg "Swap_tier.peek: slot not allocated";
+  Swap_dev.peek (dev_of t loc) ~slot:(loc lsr 1)
 
 (* Taking a far slot is the promote-on-fault path: the payload comes back
    over the slow tier (the fault's [d_in_ns] already charged the far
    latency) and the slot is freed, so the page re-enters DRAM. *)
 let take t ~slot:vid =
-  (match t.locs.(vid) with
-  | Near _ -> ()
-  | Far _ ->
+  let loc = t.locs.(vid) in
+  if loc = free_loc then invalid_arg "Swap_tier.take: slot not allocated";
+  if is_far loc then begin
     let perf = t.machine.Machine.perf in
     Perf.bump perf Tier_promotions 1;
     if Tracer.tracing () then
       Tracer.instant ~cat:"fleet"
         ~args:[ ("slot", Svagc_trace.Event.Int vid) ]
         "tier.promote"
-  | Free -> invalid_arg "Swap_tier.take: slot not allocated");
+  end;
   let payload = peek t ~slot:vid in
   free_slot t vid;
   payload
@@ -175,9 +196,8 @@ let out_ns t =
   else t.near_out_ns
 
 let in_ns t ~slot:vid =
-  match t.locs.(vid) with
-  | Far _ -> t.far_in_ns
-  | Near _ | Free -> t.near_in_ns
+  let loc = t.locs.(vid) in
+  if loc <> free_loc && is_far loc then t.far_in_ns else t.near_in_ns
 
 let iface t =
   {

@@ -16,8 +16,14 @@
       ([tier_promotions]): the payload returns at far latency and the
       slot is freed by the reclaimer, so the page re-enters DRAM.
 
-    Deterministic: demotion order is allocation order (a FIFO queue with
-    lazy generation invalidation), no randomness, no wall clock. *)
+    Deterministic: demotion order is allocation order, no randomness, no
+    wall clock.
+
+    Representation, all unboxed: an id's location is one int ([2n] for
+    near slot [n], [2n + 1] for far slot [n], [-1] while free), freed ids
+    are reused most recently freed first, and the demotion queue is a
+    ring of (id, generation) int pairs — an id freed and reallocated gets
+    a new generation, so its stale queue entry is skipped lazily. *)
 
 type t
 

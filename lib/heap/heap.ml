@@ -1,6 +1,7 @@
 open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Vec = Svagc_util.Vec
+module Addr_index = Svagc_util.Addr_index
 
 type t = {
   proc : Process.t;
@@ -11,7 +12,7 @@ type t = {
   threshold_pages : int;
   stamp_headers : bool;
   objects : Obj_model.t Vec.t;
-  by_addr : Addr_index.t;
+  by_addr : Obj_model.t Addr_index.t;
   roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
   mutable next_id : int;
   mutable waste : int;
@@ -20,6 +21,10 @@ type t = {
 exception Heap_full
 
 let default_base = 4 * 1024 * 1024 * 1024
+
+(* Fills the address index's empty slots, so a removed record is not kept
+   alive by its old slot. *)
+let none = Obj_model.make ~id:0 ~addr:(-1) ~size:Obj_model.header_bytes ~cls:0 ~n_refs:0
 
 let create proc ?(base = default_base) ?(threshold_pages = 10)
     ?(stamp_headers = true) ~size_bytes () =
@@ -35,7 +40,7 @@ let create proc ?(base = default_base) ?(threshold_pages = 10)
     threshold_pages;
     stamp_headers;
     objects = Vec.create ();
-    by_addr = Addr_index.create ();
+    by_addr = Addr_index.create none;
     roots = Hashtbl.create 64;
     next_id = 1;
     waste = 0;

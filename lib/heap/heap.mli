@@ -85,7 +85,7 @@ val objects : t -> Obj_model.t Svagc_util.Vec.t
 val sort_objects : t -> unit
 
 val object_at : t -> int -> Obj_model.t option
-(** Lookup by current address, through the heap's {!Addr_index}: an
+(** Lookup by current address, through the heap's {!Svagc_util.Addr_index}: an
     open-addressing table over flat arrays that registering an object
     keeps current. *)
 

@@ -21,6 +21,7 @@ let attach machine ~limit_frames ?swap_cost_ns ?max_io_retries ?dev ?cgroup () =
       ri_drain_ns = (fun () -> Reclaim.drain_ns r);
       ri_cgroup_stats = (fun () -> Reclaim.cgroup_stats r);
       ri_tier_stats = (fun () -> Reclaim.tier_stats r);
+      ri_lru_audit = (fun () -> Reclaim.lru_audit r);
     }
   in
   machine.Machine.reclaim <- Some iface;

@@ -1,11 +1,7 @@
 open Svagc_vmem
 module Tracer = Svagc_trace.Tracer
-
-(* A tracked resident page.  Linked into exactly one of the two LRU lists
-   (or neither, transiently); keyed by virtual address so PTE swaps of two
-   present entries need no fixup (the node describes "the page at this
-   va", not a particular frame). *)
-type whereabouts = Nowhere | On_active | On_inactive
+module Addr_index = Svagc_util.Addr_index
+module Vec = Svagc_util.Vec
 
 (* Tracking-table key: (asid, vpn) packed into one immediate int, so the
    table hashes and compares an unboxed int instead of a heap-allocated
@@ -19,65 +15,6 @@ let page_key ~asid ~vpn =
   if vpn lsr key_vpn_bits <> 0 || asid lsr (Sys.int_size - 1 - key_vpn_bits) <> 0
   then invalid_arg "Reclaim.page_key: asid/vpn out of range";
   (asid lsl key_vpn_bits) lor vpn
-
-(* A node on no list links to itself. *)
-type page = {
-  p_asid : int;
-  p_vpn : int;
-  p_pt : Page_table.t;
-  mutable p_ref : bool;
-  mutable p_prev : page;
-  mutable p_next : page;
-  mutable p_on : whereabouts;
-}
-
-(* Circular doubly-linked list through a sentinel node: [head.p_next] is
-   the most recently added page, [head.p_prev] the least.  The links are
-   plain [page] fields, so push, remove and pop allocate nothing — kswapd
-   runs them millions of times per fleet run. *)
-type lru = {
-  whereabouts : whereabouts;
-  head : page;
-  mutable size : int;
-}
-
-let lru_create whereabouts =
-  let rec head =
-    {
-      p_asid = -1;
-      p_vpn = -1;
-      p_pt = Page_table.create ();
-      p_ref = false;
-      p_prev = head;
-      p_next = head;
-      p_on = Nowhere;
-    }
-  in
-  { whereabouts; head; size = 0 }
-
-let lru_push_front l p =
-  let h = l.head in
-  p.p_prev <- h;
-  p.p_next <- h.p_next;
-  h.p_next.p_prev <- p;
-  h.p_next <- p;
-  p.p_on <- l.whereabouts;
-  l.size <- l.size + 1
-
-let lru_remove l p =
-  p.p_prev.p_next <- p.p_next;
-  p.p_next.p_prev <- p.p_prev;
-  p.p_prev <- p;
-  p.p_next <- p;
-  p.p_on <- Nowhere;
-  l.size <- l.size - 1
-
-(* Unlink and return the least recently added page; [l] must be
-   non-empty. *)
-let lru_pop_back l =
-  let p = l.head.p_prev in
-  lru_remove l p;
-  p
 
 (* A pluggable swap device as a record of closures, mirroring the
    dependency inversion of [Machine.reclaim_iface] one level up: the
@@ -119,6 +56,19 @@ type cgroup_iface = {
   cg_stats : unit -> (int * int * int * int) list;
 }
 
+(* Tracked pages are nodes of an arena of parallel arrays, named by int
+   id, so the per-page paths chase no records and allocate nothing once
+   the arrays have grown.  Ids 0 and 1 are the sentinels of the active
+   and inactive LRU lists: circular, doubly linked through [prev]/[next],
+   [next] of a sentinel being its most recently added page.  Every tenant
+   also has one ring through [tprev]/[tnext] holding exactly its tracked
+   pages, whose sentinel (another arena id) [ring] finds by asid; that
+   ring is what [adopt_space] walks.  [tag] is the list a node is on —
+   its sentinel id plus one, 0 for none — and [refd] its referenced bit.
+   Freed ids chain through [next] and are reused LIFO. *)
+let active = 0
+let inactive = 1
+
 type t = {
   machine : Machine.t;
   dev : dev_iface;
@@ -126,22 +76,31 @@ type t = {
   gap : int;  (* hysteresis: each wake evicts down to [limit - gap] *)
   major_fault_ns : float;
   max_io_retries : int;
-  active : lru;
-  inactive : lru;
-  (* [page_key asid vpn] -> node, for every page on either list.  Which
-     list a node is on is recovered by removal sites scanning both — see
-     [drop_node]. *)
-  pages : (int, page) Hashtbl.t;
-  (* Secondary index: asid -> (vpn -> node), same membership as [pages].
-     The post-GC [adopt_space] resync enumerates ONE tenant's nodes
-     through it — iterating the flat table there was O(fleet-wide pages)
-     per tenant GC, the quadratic wall of 10k-tenant runs.  Node drops
-     are commutative, so enumeration order cannot change any outcome. *)
-  by_asid : (int, (int, page) Hashtbl.t) Hashtbl.t;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable tprev : int array;
+  mutable tnext : int array;
+  mutable asid_of : int array;
+  mutable vpn_of : int array;
+  mutable refd : Bytes.t;
+  mutable tag : Bytes.t;
+  mutable free : int;  (* head of the freed-id chain, -1 when empty *)
+  mutable high : int;  (* ids ever handed out *)
+  size : int array;  (* by sentinel id: the LRU lists' lengths *)
+  (* [page_key asid vpn] -> node id, for every page on either list. *)
+  pages : int Addr_index.t;
+  (* By asid: the tenant's ring sentinel (-1 before its first page) and
+     the page table its pages live in ([no_pt] while the ring is
+     empty). *)
+  mutable ring : int array;
+  mutable pts : Page_table.t array;
+  shrink_ids : int Vec.t;  (* [shrink_asid]'s candidate snapshot *)
   mutable pending_ns : float;
   mutable in_kswapd : bool;
   mutable cgroup : cgroup_iface option;
 }
+
+let no_pt = Page_table.create ()
 
 let flat_dev ~swap_out_ns ~swap_in_ns =
   let d = Swap_dev.create () in
@@ -158,6 +117,8 @@ let flat_dev ~swap_out_ns ~swap_in_ns =
     d_tier_stats = (fun () -> None);
   }
 
+let initial_ids = 64
+
 let create machine ~limit_frames ?swap_cost_ns ?(max_io_retries = 3) ?dev () =
   if limit_frames <= 0 then
     invalid_arg "Reclaim.create: limit_frames must be positive";
@@ -173,6 +134,7 @@ let create machine ~limit_frames ?swap_cost_ns ?(max_io_retries = 3) ?dev () =
       in
       flat_dev ~swap_out_ns ~swap_in_ns
   in
+  let self_linked () = Array.init initial_ids (fun i -> i) in
   {
     machine;
     dev;
@@ -180,14 +142,103 @@ let create machine ~limit_frames ?swap_cost_ns ?(max_io_retries = 3) ?dev () =
     gap = max 1 (limit_frames / 16);
     major_fault_ns = cost.Cost_model.major_fault_ns;
     max_io_retries;
-    active = lru_create On_active;
-    inactive = lru_create On_inactive;
-    pages = Hashtbl.create 1024;
-    by_asid = Hashtbl.create 64;
+    prev = self_linked ();
+    next = self_linked ();
+    tprev = self_linked ();
+    tnext = self_linked ();
+    asid_of = Array.make initial_ids (-1);
+    vpn_of = Array.make initial_ids (-1);
+    refd = Bytes.make initial_ids '\000';
+    tag = Bytes.make initial_ids '\000';
+    free = -1;
+    high = 2;
+    size = [| 0; 0 |];
+    pages = Addr_index.create (-1);
+    ring = Array.make initial_ids (-1);
+    pts = Array.make initial_ids no_pt;
+    shrink_ids = Vec.create ();
     pending_ns = 0.0;
     in_kswapd = false;
     cgroup = None;
   }
+
+(* --- the node arena --- *)
+
+let resize a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let extend_bytes b =
+  let b' = Bytes.make (2 * Bytes.length b) '\000' in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
+
+let alloc_id t =
+  if t.free >= 0 then begin
+    let id = t.free in
+    t.free <- t.next.(id);
+    id
+  end
+  else begin
+    let id = t.high in
+    if id = Array.length t.next then begin
+      t.prev <- resize t.prev (2 * id) (-1);
+      t.next <- resize t.next (2 * id) (-1);
+      t.tprev <- resize t.tprev (2 * id) (-1);
+      t.tnext <- resize t.tnext (2 * id) (-1);
+      t.asid_of <- resize t.asid_of (2 * id) (-1);
+      t.vpn_of <- resize t.vpn_of (2 * id) (-1);
+      t.refd <- extend_bytes t.refd;
+      t.tag <- extend_bytes t.tag
+    end;
+    t.high <- id + 1;
+    id
+  end
+
+let free_id t id =
+  t.next.(id) <- t.free;
+  t.free <- id
+
+let referenced t id = Bytes.get t.refd id <> '\000'
+
+let set_referenced t id b = Bytes.set t.refd id (if b then '\001' else '\000')
+
+let list_of t id = Char.code (Bytes.get t.tag id) - 1
+
+let lru_push_front t l id =
+  let next = t.next in
+  let first = next.(l) in
+  t.prev.(id) <- l;
+  next.(id) <- first;
+  t.prev.(first) <- id;
+  next.(l) <- id;
+  Bytes.set t.tag id (Char.chr (l + 1));
+  t.size.(l) <- t.size.(l) + 1
+
+let lru_remove t id =
+  let l = list_of t id in
+  let prev = t.prev and next = t.next in
+  next.(prev.(id)) <- next.(id);
+  prev.(next.(id)) <- prev.(id);
+  Bytes.set t.tag id '\000';
+  t.size.(l) <- t.size.(l) - 1
+
+(* Unlink and return the least recently added page; [l] must be
+   non-empty. *)
+let lru_pop_back t l =
+  let id = t.prev.(l) in
+  lru_remove t id;
+  id
+
+(* Room for [asid] in the asid-indexed arrays. *)
+let ensure_asid t asid =
+  let len = Array.length t.ring in
+  if asid >= len then begin
+    let len = Stdlib.max (2 * len) (asid + 1) in
+    t.ring <- resize t.ring len (-1);
+    t.pts <- resize t.pts len no_pt
+  end
 
 let set_cgroup t cg =
   t.cgroup <- cg;
@@ -195,7 +246,10 @@ let set_cgroup t cg =
      maps during spawn, often before its limits are registered). *)
   match cg with
   | None -> ()
-  | Some c -> Hashtbl.iter (fun _ p -> c.cg_charge ~asid:p.p_asid) t.pages
+  | Some c ->
+    for id = 2 to t.high - 1 do
+      if list_of t id >= 0 then c.cg_charge ~asid:t.asid_of.(id)
+    done
 
 let limit_frames t = t.limit
 
@@ -206,95 +260,90 @@ let drain_ns t =
   t.pending_ns <- 0.0;
   ns
 
-(* Forget a node: the (asid, vpn) key leaves the tracking table and the
-   tenant's resident count drops with it. *)
-let asid_nodes t asid =
-  match Hashtbl.find_opt t.by_asid asid with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.add t.by_asid asid tbl;
-    tbl
-
-let untrack t p =
-  Hashtbl.remove t.pages (page_key ~asid:p.p_asid ~vpn:p.p_vpn);
-  (match Hashtbl.find_opt t.by_asid p.p_asid with
-  | Some tbl ->
-    Hashtbl.remove tbl p.p_vpn;
-    if Hashtbl.length tbl = 0 then Hashtbl.remove t.by_asid p.p_asid
-  | None -> ());
+(* Forget a node: its (asid, vpn) key leaves the tracking table, the node
+   leaves its tenant's ring, its id is freed, and the tenant's resident
+   count drops with it.  A tenant whose ring empties lets go of its page
+   table, so an exited tenant's table can be collected. *)
+let untrack t id =
+  let asid = t.asid_of.(id) in
+  Addr_index.remove t.pages (page_key ~asid ~vpn:t.vpn_of.(id));
+  let tp = t.tprev.(id) and tn = t.tnext.(id) in
+  t.tnext.(tp) <- tn;
+  t.tprev.(tn) <- tp;
+  if tn = tp then t.pts.(asid) <- no_pt;
+  free_id t id;
   match t.cgroup with
-  | Some cg -> cg.cg_uncharge ~asid:p.p_asid
+  | Some cg -> cg.cg_uncharge ~asid
   | None -> ()
 
-let drop_node t p =
-  (match p.p_on with
-  | On_active -> lru_remove t.active p
-  | On_inactive -> lru_remove t.inactive p
-  | Nowhere -> ());
-  untrack t p
+let drop_node t id =
+  if list_of t id >= 0 then lru_remove t id;
+  untrack t id
 
 (* One swap-device transfer with a bounded retry against the machine's
-   fault plane; each attempt (including failed ones) pays [cost_ns]. *)
+   fault plane; each attempt (including failed ones) pays [cost_ns].  A
+   top-level recursion, so a transfer allocates no closure. *)
+let rec swap_io_attempts t inj ~va ~cost_ns attempt =
+  charge t cost_ns;
+  let site = Svagc_fault.Fault_spec.Swap_io in
+  if not (Svagc_fault.Injector.fire inj ~site ~va) then true
+  else begin
+    Perf.bump t.machine.Machine.perf Swap_io_errors 1;
+    attempt + 1 < t.max_io_retries
+    && swap_io_attempts t inj ~va ~cost_ns (attempt + 1)
+  end
+
 let swap_io_ok t ~va ~cost_ns =
-  let perf = t.machine.Machine.perf in
-  let rec go attempt =
+  match t.machine.Machine.fault with
+  | None ->
     charge t cost_ns;
-    let fired =
-      match t.machine.Machine.fault with
-      | None -> false
-      | Some inj ->
-        Svagc_fault.Injector.fire inj ~site:Svagc_fault.Fault_spec.Swap_io ~va
-    in
-    if not fired then true
-    else begin
-      Perf.bump perf Swap_io_errors 1;
-      if attempt + 1 < t.max_io_retries then go (attempt + 1) else false
-    end
-  in
-  go 0
+    true
+  | Some inj -> swap_io_attempts t inj ~va ~cost_ns 0
 
 (* Evict one tracked page: move its frame's payload to a fresh swap slot
    (freeing the frame), leave a swapped PTE behind and scrub every TLB.
    Returns false when the eviction was skipped (stale node or device
-   EIO). *)
-let swap_out t (p : page) =
+   EIO).  The node must be on no list. *)
+let swap_out t id =
   let perf = t.machine.Machine.perf in
-  let va = p.p_vpn * Addr.page_size in
-  let pte = Page_table.get_pte p.p_pt va in
+  let asid = t.asid_of.(id) and vpn = t.vpn_of.(id) in
+  let pt = t.pts.(asid) in
+  let va = vpn * Addr.page_size in
+  let pte = Page_table.get_pte pt va in
   if not (Pte.is_present pte) then begin
     (* Stale node: the entry at this va was swapped or remapped under us
        (compaction churn); tracking catches up at the next resync. *)
-    untrack t p;
+    untrack t id;
     false
   end
   else if not (swap_io_ok t ~va ~cost_ns:(t.dev.d_out_ns ())) then begin
     (* Device refused every attempt: skip this page, give it another
        round through the active list. *)
-    p.p_ref <- true;
-    lru_push_front t.active p;
+    set_referenced t id true;
+    lru_push_front t active id;
     false
   end
   else begin
     let frame = Pte.frame_exn pte in
     let slot = t.dev.d_alloc_slot () in
     t.dev.d_write ~slot (Phys_mem.take_frame t.machine.Machine.phys frame);
-    Page_table.set_pte p.p_pt va (Pte.make_swapped ~slot);
+    Page_table.set_pte pt va (Pte.make_swapped ~slot);
     (* The frame is gone: invalidate any cached translation everywhere
        (the eviction-side half of shootdown discipline). *)
-    Array.iter
-      (fun c -> Tlb.flush_page c.Machine.tlb ~asid:p.p_asid ~vpn:p.p_vpn)
-      t.machine.Machine.cores;
+    let cores = t.machine.Machine.cores in
+    for c = 0 to Array.length cores - 1 do
+      Tlb.flush_page cores.(c).Machine.tlb ~asid ~vpn
+    done;
     Perf.bump perf Tlb_flush_page 1;
     charge t t.machine.Machine.cost.Cost_model.tlb_flush_page_ns;
     Perf.bump perf Pages_swapped_out 1;
-    untrack t p;
+    untrack t id;
     if Tracer.tracing () then
       Tracer.instant ~cat:"reclaim"
         ~args:
           [
             ("va", Svagc_trace.Event.Int va);
-            ("asid", Svagc_trace.Event.Int p.p_asid);
+            ("asid", Svagc_trace.Event.Int asid);
             ("slot", Svagc_trace.Event.Int slot);
           ]
         "reclaim.swap_out";
@@ -308,6 +357,8 @@ let swap_out t (p : page) =
    page is rescued back to the active head instead of evicted.  The scan
    budget (every page can be aged once and considered once, plus slack)
    guarantees termination even when eviction makes no progress. *)
+let tracked_pages t = t.size.(active) + t.size.(inactive)
+
 let balance_incoming t ~incoming =
   let perf = t.machine.Machine.perf in
   let phys = t.machine.Machine.phys in
@@ -320,7 +371,7 @@ let balance_incoming t ~incoming =
     let ns_before = t.pending_ns in
     let scans_before = Perf.get perf Reclaim_scans in
     let target = max 0 (t.limit - t.gap) in
-    let budget = ref ((2 * (t.active.size + t.inactive.size)) + 64) in
+    let budget = ref ((2 * tracked_pages t) + 64) in
     (* Soft-limit-first victim selection: while some tenant is over its
        soft limit, pages of under-soft tenants are rescued to the active
        head instead of evicted (like a second chance, without needing a
@@ -331,45 +382,43 @@ let balance_incoming t ~incoming =
     let rotations =
       ref
         (match t.cgroup with
-        | Some cg when cg.cg_any_over_soft () ->
-          t.active.size + t.inactive.size
+        | Some cg when cg.cg_any_over_soft () -> tracked_pages t
         | _ -> 0)
-    in
-    let spare p =
-      !rotations > 0
-      &&
-      match t.cgroup with
-      | Some cg ->
-        cg.cg_any_over_soft () && not (cg.cg_prefer ~asid:p.p_asid)
-      | None -> false
     in
     while
       Phys_mem.frames_in_use phys + incoming > target
       && !budget > 0
-      && t.active.size + t.inactive.size > 0
+      && tracked_pages t > 0
     do
       decr budget;
       Perf.bump perf Reclaim_scans 1;
-      if t.inactive.size > 0 then begin
-        let p = lru_pop_back t.inactive in
-        if p.p_ref then begin
+      if t.size.(inactive) > 0 then begin
+        let id = lru_pop_back t inactive in
+        if referenced t id then begin
           (* Second chance: touched while inactive. *)
-          p.p_ref <- false;
-          lru_push_front t.active p
+          set_referenced t id false;
+          lru_push_front t active id
         end
-        else if spare p then begin
+        else if
+          !rotations > 0
+          &&
+          match t.cgroup with
+          | Some cg ->
+            cg.cg_any_over_soft () && not (cg.cg_prefer ~asid:t.asid_of.(id))
+          | None -> false
+        then begin
           decr rotations;
-          lru_push_front t.active p
+          lru_push_front t active id
         end
-        else ignore (swap_out t p)
+        else ignore (swap_out t id)
       end
       else begin
         (* Refill (the loop guard makes the active list non-empty): age
            one page from the active tail, clearing its referenced bit so a
            further touch is needed to rescue it. *)
-        let p = lru_pop_back t.active in
-        p.p_ref <- false;
-        lru_push_front t.inactive p
+        let id = lru_pop_back t active in
+        set_referenced t id false;
+        lru_push_front t inactive id
       end
     done;
     if tracing then
@@ -390,57 +439,72 @@ let balance t = balance_incoming t ~incoming:0
 
 let track t ~pt ~asid ~va =
   let vpn = Addr.page_number va in
-  match Hashtbl.find t.pages (page_key ~asid ~vpn) with
-  | p -> p.p_ref <- true
-  | exception Not_found ->
-    let rec p =
-      {
-        p_asid = asid;
-        p_vpn = vpn;
-        p_pt = pt;
-        p_ref = true;
-        p_prev = p;
-        p_next = p;
-        p_on = Nowhere;
-      }
-    in
-    Hashtbl.add t.pages (page_key ~asid ~vpn) p;
-    Hashtbl.replace (asid_nodes t asid) vpn p;
+  let key = page_key ~asid ~vpn in
+  let id = Addr_index.find_or_filler t.pages key in
+  if id >= 0 then set_referenced t id true
+  else begin
+    ensure_asid t asid;
+    let owner = t.pts.(asid) in
+    if owner == no_pt then t.pts.(asid) <- pt
+    else if owner != pt then
+      invalid_arg
+        (Printf.sprintf
+           "Reclaim.track: asid %d already tracks another page table" asid);
+    if t.ring.(asid) < 0 then begin
+      let s = alloc_id t in
+      t.tprev.(s) <- s;
+      t.tnext.(s) <- s;
+      t.ring.(asid) <- s
+    end;
+    let id = alloc_id t in
+    t.asid_of.(id) <- asid;
+    t.vpn_of.(id) <- vpn;
+    set_referenced t id true;
+    Addr_index.replace t.pages key id;
+    let s = t.ring.(asid) in
+    let first = t.tnext.(s) in
+    t.tprev.(id) <- s;
+    t.tnext.(id) <- first;
+    t.tprev.(first) <- id;
+    t.tnext.(s) <- id;
     (match t.cgroup with Some cg -> cg.cg_charge ~asid | None -> ());
-    lru_push_front t.active p
+    lru_push_front t active id
+  end
+
+(* One pass of [shrink_asid] over list [l]: snapshot the tenant's
+   candidates coldest first (back to front), then evict them while the
+   quota lasts.  A candidate a previous eviction moved off the list is
+   skipped.  Returns the running eviction count. *)
+let shrink_pass t l ~asid ~excess ~protect ~evicted =
+  let ids = t.shrink_ids in
+  Vec.clear ids;
+  let id = ref t.prev.(l) in
+  while !id <> l do
+    if t.asid_of.(!id) = asid && t.vpn_of.(!id) <> protect then
+      Vec.push ids !id;
+    id := t.prev.(!id)
+  done;
+  let evicted = ref evicted in
+  for i = 0 to Vec.length ids - 1 do
+    let id = Vec.get ids i in
+    if !evicted < excess && list_of t id >= 0 then begin
+      lru_remove t id;
+      if swap_out t id then incr evicted
+    end
+  done;
+  !evicted
 
 (* Evict up to [excess] resident pages of one tenant, coldest first
    (inactive back-to-front, then active back-to-front), regardless of the
-   global watermark — the hard-limit enforcement path.  [protect] shields
-   the page the caller is in the middle of producing (a fresh mapping or
-   a just-faulted page), whose eviction would break the caller's
-   postcondition. *)
+   global watermark — the hard-limit enforcement path.  [protect] (a vpn,
+   or -1 for none) shields the page the caller is in the middle of
+   producing (a fresh mapping or a just-faulted page), whose eviction
+   would break the caller's postcondition. *)
 let shrink_asid t ~asid ~excess ~protect =
   if excess > 0 then begin
-    let evicted = ref 0 in
-    let collect l =
-      let nodes = ref [] in
-      let cur = ref l.head.p_prev in
-      while !cur != l.head do
-        let p = !cur in
-        if p.p_asid = asid && protect <> Some p.p_vpn then
-          nodes := p :: !nodes;
-        cur := p.p_prev
-      done;
-      (* Back-to-front: coldest candidates first. *)
-      List.rev !nodes
-    in
-    let try_evict p =
-      if !evicted < excess && p.p_on <> Nowhere then begin
-        (match p.p_on with
-        | On_active -> lru_remove t.active p
-        | On_inactive -> lru_remove t.inactive p
-        | Nowhere -> ());
-        if swap_out t p then incr evicted
-      end
-    in
-    List.iter try_evict (collect t.inactive);
-    if !evicted < excess then List.iter try_evict (collect t.active)
+    let evicted = shrink_pass t inactive ~asid ~excess ~protect ~evicted:0 in
+    if evicted < excess then
+      ignore (shrink_pass t active ~asid ~excess ~protect ~evicted)
   end
 
 let enforce t ~asid ~protect =
@@ -450,50 +514,51 @@ let enforce t ~asid ~protect =
     let excess = cg.cg_excess ~asid in
     if excess > 0 then shrink_asid t ~asid ~excess ~protect
 
-let enforce_hard t ~asid = enforce t ~asid ~protect:None
+let enforce_hard t ~asid = enforce t ~asid ~protect:(-1)
 
 let page_mapped t ~pt ~asid ~va =
   track t ~pt ~asid ~va;
   balance t;
-  enforce t ~asid ~protect:(Some (Addr.page_number va))
+  enforce t ~asid ~protect:(Addr.page_number va)
 
 let page_unmapped t ~asid ~va ~pte =
   if Pte.is_swapped pte then t.dev.d_free_slot (Pte.swap_slot_exn pte);
-  match Hashtbl.find t.pages (page_key ~asid ~vpn:(Addr.page_number va)) with
-  | p -> drop_node t p
-  | exception Not_found -> ()
+  let id =
+    Addr_index.find_or_filler t.pages
+      (page_key ~asid ~vpn:(Addr.page_number va))
+  in
+  if id >= 0 then drop_node t id
 
-(* The hottest notification: every simulated heap access lands here.
-   [Hashtbl.find] on the packed int key plus the exception match keeps the
-   miss AND hit paths free of [Some]/tuple allocation. *)
+(* The hottest notification: every simulated heap access lands here. *)
 let page_touched t ~asid ~va =
-  match Hashtbl.find t.pages (page_key ~asid ~vpn:(Addr.page_number va)) with
-  | p -> p.p_ref <- true
-  | exception Not_found -> ()
+  let id =
+    Addr_index.find_or_filler t.pages
+      (page_key ~asid ~vpn:(Addr.page_number va))
+  in
+  if id >= 0 then set_referenced t id true
 
 let adopt_space t ~pt ~asid =
-  (* Drop stale nodes first (tracked but no longer present) ... *)
-  let stale = ref [] in
-  (match Hashtbl.find_opt t.by_asid asid with
-  | None -> ()
-  | Some tbl ->
-    Hashtbl.iter
-      (fun _ p ->
-        if
-          not
-            (Pte.is_present
-               (Page_table.get_pte pt (p.p_vpn * Addr.page_size)))
-        then stale := p :: !stale)
-      tbl);
-  List.iter (fun p -> drop_node t p) !stale;
+  (* Drop stale nodes first (tracked but no longer present), walking only
+     this tenant's ring; drops commute, so ring order reaches no
+     outcome ... *)
+  if asid >= 0 && asid < Array.length t.ring && t.ring.(asid) >= 0 then begin
+    let s = t.ring.(asid) in
+    let id = ref t.tnext.(s) in
+    while !id <> s do
+      let cur = !id in
+      id := t.tnext.(cur);
+      let pte = Page_table.get_pte pt (t.vpn_of.(cur) * Addr.page_size) in
+      if not (Pte.is_present pte) then drop_node t cur
+    done
+  end;
   (* ... then track present pages we do not know about, in deterministic
      page-table walk order. *)
   Page_table.iter_mapped pt ~f:(fun ~vpn ~frame:_ ->
-      if not (Hashtbl.mem t.pages (page_key ~asid ~vpn)) then
+      if Addr_index.find_or_filler t.pages (page_key ~asid ~vpn) < 0 then
         track t ~pt ~asid ~va:(vpn * Addr.page_size));
   (* The resync may have revealed pages this tenant acquired since the
      last notification; settle its hard limit before handing back. *)
-  enforce t ~asid ~protect:None
+  enforce t ~asid ~protect:(-1)
 
 let fault_in t ~pt ~asid ~va =
   let pte = Page_table.get_pte pt va in
@@ -519,7 +584,7 @@ let fault_in t ~pt ~asid ~va =
     Page_table.set_pte pt va (Pte.make ~frame);
     Perf.bump perf Pages_swapped_in 1;
     track t ~pt ~asid ~va;
-    enforce t ~asid ~protect:(Some (Addr.page_number va));
+    enforce t ~asid ~protect:(Addr.page_number va);
     if Tracer.tracing () then
       Tracer.instant ~cat:"reclaim"
         ~args:
@@ -543,42 +608,67 @@ let tier_stats t = t.dev.d_tier_stats ()
 let cgroup_stats t =
   match t.cgroup with None -> [] | Some cg -> cg.cg_stats ()
 
-let tracked_pages t = t.active.size + t.inactive.size
-
 let lru_audit t =
   let errs = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let audit name l =
-    (* Walks stop after [size + 1] nodes, so a broken ring cannot hang
-       the audit. *)
-    let walk step visit =
-      let n = ref 0 and cur = ref (step l.head) in
-      while !cur != l.head && !n <= l.size do
-        visit !cur;
-        incr n;
-        cur := step !cur
-      done;
-      !n
-    in
-    let check p =
-      if p.p_on <> l.whereabouts then
-        fail "%s list: asid %d vpn %d is marked as on another list" name
-          p.p_asid p.p_vpn;
-      match Hashtbl.find t.pages (page_key ~asid:p.p_asid ~vpn:p.p_vpn) with
-      | q when q == p -> ()
-      | _ | (exception Not_found) ->
-        fail "%s list: asid %d vpn %d is not the tracked node for its key"
-          name p.p_asid p.p_vpn
-    in
-    let fwd = walk (fun p -> p.p_next) check in
-    let bwd = walk (fun p -> p.p_prev) ignore in
-    if fwd <> l.size || bwd <> l.size then
-      fail "%s list: size %d, but %d nodes forward and %d backward" name
-        l.size fwd bwd
+  let tracked = Addr_index.length t.pages in
+  let is_tracked_node id =
+    match page_key ~asid:t.asid_of.(id) ~vpn:t.vpn_of.(id) with
+    | key -> Addr_index.find_or_filler t.pages key = id
+    | exception Invalid_argument _ -> false
   in
-  audit "active" t.active;
-  audit "inactive" t.inactive;
-  if tracked_pages t <> Hashtbl.length t.pages then
-    fail "the lists hold %d pages but %d are tracked" (tracked_pages t)
-      (Hashtbl.length t.pages);
+  (* Walks stop after [size + 1] nodes, or at a link leaving the arena,
+     so a broken ring cannot hang the audit. *)
+  let walk ~head ~size step visit =
+    let n = ref 0 and cur = ref (step head) in
+    while !cur <> head && !n <= size && !cur >= 0 && !cur < t.high do
+      visit !cur;
+      incr n;
+      cur := step !cur
+    done;
+    !n
+  in
+  let audit name l =
+    let size = t.size.(l) in
+    let check id =
+      if list_of t id <> l then
+        fail "%s list: asid %d vpn %d is marked as on another list" name
+          t.asid_of.(id) t.vpn_of.(id);
+      if not (is_tracked_node id) then
+        fail "%s list: asid %d vpn %d is not the tracked node for its key"
+          name t.asid_of.(id) t.vpn_of.(id)
+    in
+    let fwd = walk ~head:l ~size (fun id -> t.next.(id)) check in
+    let bwd = walk ~head:l ~size (fun id -> t.prev.(id)) ignore in
+    if fwd <> size || bwd <> size then
+      fail "%s list: size %d, but %d nodes forward and %d backward" name size
+        fwd bwd
+  in
+  audit "active" active;
+  audit "inactive" inactive;
+  if tracked_pages t <> tracked then
+    fail "the lists hold %d pages but %d are tracked" (tracked_pages t) tracked;
+  (* Each tenant ring holds only that tenant's tracked nodes, and the
+     rings together hold every tracked page once. *)
+  let in_rings = ref 0 in
+  Array.iteri
+    (fun asid s ->
+      if s >= 0 then begin
+        let check id =
+          if t.asid_of.(id) <> asid then
+            fail "asid %d ring: asid %d vpn %d belongs to another tenant" asid
+              t.asid_of.(id) t.vpn_of.(id);
+          if not (is_tracked_node id) then
+            fail "asid %d ring: vpn %d is not the tracked node for its key"
+              asid t.vpn_of.(id)
+        in
+        let fwd = walk ~head:s ~size:tracked (fun id -> t.tnext.(id)) check in
+        let bwd = walk ~head:s ~size:tracked (fun id -> t.tprev.(id)) ignore in
+        if fwd <> bwd then
+          fail "asid %d ring: %d nodes forward but %d backward" asid fwd bwd;
+        in_rings := !in_rings + fwd
+      end)
+    t.ring;
+  if !in_rings <> tracked then
+    fail "the tenant rings hold %d pages but %d are tracked" !in_rings tracked;
   List.rev !errs

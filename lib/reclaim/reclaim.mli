@@ -13,6 +13,22 @@
     addresses without invalidating the tracking; mixed present/swapped
     exchanges are repaired by the post-GC {!adopt_space} resync.
 
+    Tracking is a node arena of flat arrays, one int id per tracked page:
+    [prev]/[next] link the active and inactive LRU lists (ids 0 and 1 are
+    their sentinels), [tprev]/[tnext] link one ring per tenant (its
+    sentinel found through an asid-indexed array), and the page's asid,
+    vpn, referenced bit and list tag sit in parallel arrays.  A packed
+    [(asid, vpn)] key finds a node through a {!Svagc_util.Addr_index};
+    {!adopt_space} walks only its tenant's ring.  Freed ids are reused
+    most recently freed first, and the arrays start at 64 entries and
+    double.  Tracking a page, touching it, dropping it or scanning it
+    allocates nothing once the arrays have grown: no record, option or
+    closure per page.  What the eviction and fault paths still allocate
+    is the device's own (a slot's payload cell, a float returned through
+    the device closures), the boxed cost accumulator, and trace events
+    when tracing.  Each tenant's pages live in one page table, kept by
+    asid while the tenant has tracked pages.
+
     Costs: every swap-device transfer attempt charges the cost model's
     [swap_out_ns]/[swap_in_ns] (or the [swap_cost] override) and every
     demand fault charges [major_fault_ns] into an internal accumulator,
@@ -98,7 +114,10 @@ val enforce_hard : t -> asid:int -> unit
 
 val page_mapped : t -> pt:Svagc_vmem.Page_table.t -> asid:int -> va:int -> unit
 (** Track a freshly-present page (active list, referenced) and run the
-    watermark check — mapping may have pushed residency over the limit. *)
+    watermark check — mapping may have pushed residency over the limit.
+    @raise Invalid_argument if [asid] or the page number is out of the
+    packed key's range, or if the tenant's tracked pages live in another
+    page table (likewise for {!adopt_space} and {!fault_in}). *)
 
 val page_unmapped : t -> asid:int -> va:int -> pte:Svagc_vmem.Pte.value -> unit
 (** Stop tracking [va]; a swapped [pte] releases its slot. *)
@@ -149,11 +168,15 @@ val tracked_pages : t -> int
 (** Pages currently on the LRU lists. *)
 
 val lru_audit : t -> string list
-(** Structural check of the LRU lists: walking each list forward and
-    backward from its sentinel visits [size] nodes, every node's list tag
-    names the list it is on and it is the tracking table's node for its
-    [(asid, vpn)], and the lists together hold exactly the tracked pages.
-    Returns the violations found; [[]] when sound. *)
+(** Structural check of the tracking arena.  LRU lists: walking each
+    list forward and backward from its sentinel visits [size] nodes,
+    every node's list tag names the list it is on and it is the tracking
+    table's node for its [(asid, vpn)], and the lists together hold
+    exactly the tracked pages.  Tenant rings: each ring walks to its
+    length both ways and holds only its tenant's tracked nodes, and the
+    rings together hold every tracked page.  Walks are bounded by the
+    sizes, so a broken ring cannot hang the audit.  Returns the
+    violations found; [[]] when sound. *)
 
 val drain_ns : t -> float
 (** Return and reset the accumulated reclaim cost. *)

@@ -19,16 +19,16 @@ let grow t =
 
 let alloc_slot t =
   let slot =
-    (* The free list is kept min-first-ish by pushing in LIFO order from a
-       monotone frontier; recycled slots are reused before the frontier
-       advances, which keeps slot numbers small and deterministic. *)
-    match Svagc_util.Vec.pop t.free with
-    | Some s -> s
-    | None ->
+    (* Freed slots are reused most recently freed first, before the
+       frontier advances, which keeps slot numbers small and
+       deterministic. *)
+    if Svagc_util.Vec.is_empty t.free then begin
       let s = t.high_water in
       t.high_water <- s + 1;
       if s >= Array.length t.slots then grow t;
       s
+    end
+    else Svagc_util.Vec.pop_last t.free
   in
   t.slots.(slot) <- Held None;
   t.in_use <- t.in_use + 1;

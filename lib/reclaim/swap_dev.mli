@@ -14,8 +14,8 @@ val create : unit -> t
 (** An empty device; capacity grows on demand. *)
 
 val alloc_slot : t -> int
-(** Claim a free slot (lowest-numbered first, so slot numbers are
-    deterministic and traces read well). *)
+(** Claim a slot: the most recently freed one, or else the next never-used
+    one, so slot numbers are deterministic and stay small. *)
 
 val free_slot : t -> int -> unit
 (** @raise Invalid_argument if the slot is not allocated. *)

@@ -21,6 +21,7 @@ type reclaim_iface = {
   ri_drain_ns : unit -> float;
   ri_cgroup_stats : unit -> (int * int * int * int) list;
   ri_tier_stats : unit -> (int * int) option;
+  ri_lru_audit : unit -> string list;
 }
 
 (* Machine-owned scratch for the flat SwapVA engine: two reusable run

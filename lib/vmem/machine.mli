@@ -52,6 +52,10 @@ type reclaim_iface = {
   ri_tier_stats : unit -> (int * int) option;
       (** [(near_slots_in_use, far_slots_in_use)] when the swap device is
           tiered; [None] for a flat single-latency device. *)
+  ri_lru_audit : unit -> string list;
+      (** Structural check of the reclaimer's page tracking (its LRU lists
+          and per-tenant rings); [[]] when sound.  Observer for the shadow
+          oracle's [reclaim-lru] law. *)
 }
 
 type t = {

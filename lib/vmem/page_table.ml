@@ -78,33 +78,34 @@ let find_leaf t va =
   | Some leaf -> Some leaf.ptes
   | None -> None
 
-let ensure_dir slot_get slot_set =
-  match slot_get () with
-  | Some (Dir entries) -> entries
+(* The directory below slot [i] of [entries], created when missing. *)
+let ensure_dir entries i =
+  match entries.(i) with
+  | Some (Dir sub) -> sub
   | Some (Leaf _) -> invalid_arg "Page_table: leaf found at directory level"
   | None ->
-    let entries = Array.make Addr.entries_per_table None in
-    slot_set (Dir entries);
-    entries
+    let sub = Array.make Addr.entries_per_table None in
+    entries.(i) <- Some (Dir sub);
+    sub
 
+(* An existing leaf comes back through [leaf_at]; only a missing level
+   takes the creating walk. *)
 let ensure_leaf_record t va =
-  let i_pgd, i_p4d, i_pud, i_pmd = indices va in
-  let p4d =
-    ensure_dir (fun () -> t.root.(i_pgd)) (fun n -> t.root.(i_pgd) <- Some n)
-  in
-  let pud =
-    ensure_dir (fun () -> p4d.(i_p4d)) (fun n -> p4d.(i_p4d) <- Some n)
-  in
-  let pmd =
-    ensure_dir (fun () -> pud.(i_pud)) (fun n -> pud.(i_pud) <- Some n)
-  in
-  match pmd.(i_pmd) with
-  | Some (Leaf leaf) -> leaf
-  | Some (Dir _) -> invalid_arg "Page_table: directory found at leaf level"
-  | None ->
-    let leaf = make_leaf () in
-    pmd.(i_pmd) <- Some (Leaf leaf);
-    leaf
+  let leaf = leaf_at t va in
+  if leaf != no_leaf then leaf
+  else begin
+    let p4d = ensure_dir t.root (Addr.pgd_index va) in
+    let pud = ensure_dir p4d (Addr.p4d_index va) in
+    let pmd = ensure_dir pud (Addr.pud_index va) in
+    let i_pmd = Addr.pmd_index va in
+    match pmd.(i_pmd) with
+    | Some (Leaf leaf) -> leaf
+    | Some (Dir _) -> invalid_arg "Page_table: directory found at leaf level"
+    | None ->
+      let leaf = make_leaf () in
+      pmd.(i_pmd) <- Some (Leaf leaf);
+      leaf
+  end
 
 let ensure_leaf t va = (ensure_leaf_record t va).ptes
 
@@ -261,63 +262,45 @@ let run_buf_push buf leaf ~start ~len =
   buf.rb_pack.(n) <- (start lsl 10) lor len;
   buf.rb_n <- n + 1
 
-let fold_leaves t ~f =
-  (* Reconstruct virtual page numbers from the index path. *)
-  let rec walk node ~level ~base =
-    match node with
-    | Leaf leaf ->
-      Array.iteri
-        (fun i v ->
-          if Pte.is_present v then
-            f ~vpn:((base * Addr.entries_per_table) + i) ~frame:(Pte.frame_exn v))
-        leaf.ptes
-    | Dir entries ->
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | None -> ()
-          | Some child ->
-            walk child ~level:(level - 1) ~base:((base * Addr.entries_per_table) + i))
-        entries
-  in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | None -> ()
-      | Some child -> walk child ~level:(walk_dir_levels - 1) ~base:i)
-    t.root
+(* Every mapped PTE (present or swapped) in ascending vpn order, as
+   [f vpn pte]: directories walk by index, and a leaf is read through its
+   presence words, so its unmapped entries are never loaded.  A vpn is
+   rebuilt from the index path. *)
+let rec iter_dir entries base f =
+  for i = 0 to Array.length entries - 1 do
+    match entries.(i) with
+    | None -> ()
+    | Some (Dir sub) -> iter_dir sub ((base * Addr.entries_per_table) + i) f
+    | Some (Leaf leaf) -> iter_leaf leaf ((base * Addr.entries_per_table) + i) f
+  done
 
-let iter_mapped t ~f = fold_leaves t ~f
+and iter_leaf leaf base f =
+  let first_vpn = base * Addr.entries_per_table in
+  for w = 0 to words_per_leaf - 1 do
+    let bits = ref leaf.mapped_words.(w) in
+    while !bits <> 0 do
+      (* Lowest set bit first: ascending index order. *)
+      let low = !bits land (- !bits) in
+      let i = (w * word_bits) + popcount32 (low - 1) in
+      f (first_vpn + i) leaf.ptes.(i);
+      bits := !bits lxor low
+    done
+  done
+
+let iter_mapped t ~f =
+  iter_dir t.root 0 (fun vpn v ->
+      if Pte.is_present v then f ~vpn ~frame:(Pte.frame_exn v))
 
 let mapped_pages t =
   let n = ref 0 in
-  fold_leaves t ~f:(fun ~vpn:_ ~frame:_ -> incr n);
+  iter_mapped t ~f:(fun ~vpn:_ ~frame:_ -> incr n);
   !n
 
-(* Same walk as [fold_leaves] but over the non-present half of the encoding:
-   the svagc_check reclaim oracle uses this to account for every swap slot a
-   table references. *)
+(* The non-present half of the encoding: the svagc_check reclaim oracle
+   uses this to account for every swap slot a table references. *)
 let iter_swapped t ~f =
-  let rec walk node ~base =
-    match node with
-    | Leaf leaf ->
-      Array.iteri
-        (fun i v ->
-          if Pte.is_swapped v then
-            f ~vpn:((base * Addr.entries_per_table) + i) ~slot:(Pte.swap_slot_exn v))
-        leaf.ptes
-    | Dir entries ->
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | None -> ()
-          | Some child -> walk child ~base:((base * Addr.entries_per_table) + i))
-        entries
-  in
-  Array.iteri
-    (fun i slot ->
-      match slot with None -> () | Some child -> walk child ~base:i)
-    t.root
+  iter_dir t.root 0 (fun vpn v ->
+      if Pte.is_swapped v then f ~vpn ~slot:(Pte.swap_slot_exn v))
 
 let swapped_pages t =
   let n = ref 0 in

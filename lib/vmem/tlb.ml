@@ -87,9 +87,11 @@ let flush_asid t ~asid =
    sets cannot hold it: scanning that one set is the whole flush. *)
 let flush_page t ~asid ~vpn =
   t.st.flushes_page <- t.st.flushes_page + 1;
-  Array.iter
-    (fun e -> if e.asid = asid && e.vpn = vpn then e.valid <- false)
-    (set_of t vpn)
+  let set = set_of t vpn in
+  for i = 0 to Array.length set - 1 do
+    let e = set.(i) in
+    if e.asid = asid && e.vpn = vpn then e.valid <- false
+  done
 
 let stats t = t.st
 

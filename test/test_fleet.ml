@@ -132,6 +132,107 @@ let test_tier_payload_round_trip () =
   Alcotest.(check bool) "far payloads came back by promotion" true
     (Perf.get m.Machine.perf Tier_promotions > 0)
 
+(* --- Cgroup accounting against a model --- *)
+
+type cgroup_op =
+  | Charge of int
+  | Uncharge of int
+  | Set_limits of int * int * int
+
+let pp_cgroup_op = function
+  | Charge a -> Printf.sprintf "charge %d" a
+  | Uncharge a -> Printf.sprintf "uncharge %d" a
+  | Set_limits (a, s, h) -> Printf.sprintf "limits %d soft %d hard %d" a s h
+
+(* Asids up to 300 outgrow the tenant array's first size, while most ops
+   hit a few busy tenants whose small limits (some invalid) they cross
+   both ways.  The model keeps [(resident, soft, hard)] per tenant and
+   recomputes every derived answer from scratch. *)
+let prop_cgroup_model =
+  let asid =
+    QCheck.Gen.(frequency [ (8, int_range 1 4); (1, int_range 1 300) ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun a -> Charge a) asid);
+          (3, map (fun a -> Uncharge a) asid);
+          ( 2,
+            map3 (fun a s h -> Set_limits (a, s, h)) asid (int_range (-1) 6)
+              (int_range 0 8) );
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"agrees with a Hashtbl model"
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map pp_cgroup_op ops))
+          QCheck.Gen.(list_size (int_range 1 400) op))
+       (fun ops ->
+         let cg = Cgroup.create () in
+         let plane = Cgroup.iface cg in
+         let model = Hashtbl.create 16 in
+         let get a =
+           Option.value ~default:(0, max_int, max_int) (Hashtbl.find_opt model a)
+         in
+         let bump a d =
+           let r, s, h = get a in
+           Hashtbl.replace model a (r + d, s, h)
+         in
+         List.for_all
+           (fun op ->
+             let error =
+               match op with
+               | Charge a ->
+                 plane.Reclaim.cg_charge ~asid:a;
+                 bump a 1;
+                 None
+               | Uncharge a ->
+                 plane.Reclaim.cg_uncharge ~asid:a;
+                 bump a (-1);
+                 None
+               | Set_limits (a, soft, hard) -> (
+                 let expect =
+                   if hard < 1 then Some "Cgroup.set_limits: hard must be >= 1"
+                   else if soft < 0 || soft > hard then
+                     Some "Cgroup.set_limits: need 0 <= soft <= hard"
+                   else None
+                 in
+                 match Cgroup.set_limits cg ~asid:a ~soft ~hard with
+                 | () ->
+                   let r, _, _ = get a in
+                   Hashtbl.replace model a (r, soft, hard);
+                   if expect = None then None else Some "accepted bad limits"
+                 | exception Invalid_argument msg ->
+                   if expect = Some msg then None else Some ("raised " ^ msg))
+             in
+             let asid =
+               match op with Charge a | Uncharge a | Set_limits (a, _, _) -> a
+             in
+             let r, s, h = get asid in
+             let stats =
+               Hashtbl.fold (fun a (r, s, h) acc -> (a, r, s, h) :: acc) model []
+               |> List.sort compare
+             in
+             let over =
+               Hashtbl.fold (fun _ (r, s, _) any -> any || r > s) model false
+             in
+             match error with
+             | Some e -> QCheck.Test.fail_reportf "%s: %s" (pp_cgroup_op op) e
+             | None ->
+               Cgroup.resident cg ~asid = r
+               && Cgroup.excess cg ~asid = max 0 (r - h)
+               && Cgroup.prefer cg ~asid = (r > s)
+               && Cgroup.any_over_soft cg = over
+               && Cgroup.tenant_count cg = Hashtbl.length model
+               && Cgroup.stats cg = stats
+               && Cgroup.resident cg ~asid:301 = 0
+               && Cgroup.excess cg ~asid:1000 = 0
+               && (not (Cgroup.prefer cg ~asid:0))
+               || QCheck.Test.fail_reportf "after %s: disagrees"
+                    (pp_cgroup_op op))
+           ops))
+
 (* --- Cgroup enforcement through the kernel --- *)
 
 let test_cgroup_hard_limit () =
@@ -333,6 +434,7 @@ let () =
           Alcotest.test_case "hard limit enforced" `Quick test_cgroup_hard_limit;
           Alcotest.test_case "soft-limit-first victims" `Quick
             test_soft_limit_first;
+          prop_cgroup_model;
         ] );
       ( "fleet",
         [

@@ -4,6 +4,7 @@
 open Svagc_vmem
 open Svagc_heap
 module Process = Svagc_kernel.Process
+module Addr_index = Svagc_util.Addr_index
 
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
@@ -147,6 +148,9 @@ let test_object_at_index () =
 
 type index_op = Replace of int | Remove of int | Find of int | Clear
 
+let index_filler =
+  Obj_model.make ~id:0 ~addr:(-1) ~size:Obj_model.header_bytes ~cls:0 ~n_refs:0
+
 (* Page-aligned keys that share a home slot at a given capacity. *)
 let colliding ~capacity ~home n =
   let rec go k acc n =
@@ -195,7 +199,7 @@ let prop_index_matches_model =
        ~print:(fun ops -> String.concat "; " (List.map pp_index_op ops))
        QCheck.Gen.(list_size (int_range 1 300) index_op_gen))
     (fun ops ->
-      let idx = Addr_index.create () in
+      let idx = Addr_index.create index_filler in
       let model = Hashtbl.create 16 in
       let next_id = ref 1 in
       let agrees key =
@@ -208,7 +212,10 @@ let prop_index_matches_model =
         let same a b =
           match (a, b) with Some a, Some b -> a == b | None, None -> true | _ -> false
         in
-        same expect found && same expect (Addr_index.find_opt idx key)
+        same expect found
+        && same expect (Addr_index.find_opt idx key)
+        && Addr_index.find_or_filler idx key
+           == Option.value expect ~default:index_filler
       in
       List.for_all
         (fun op ->
@@ -235,7 +242,7 @@ let prop_index_matches_model =
         ops)
 
 let test_index_capacity () =
-  let idx = Addr_index.create () in
+  let idx = Addr_index.create index_filler in
   Alcotest.(check int) "starts at 16 slots" 16 (Addr_index.capacity idx);
   let dummy = Obj_model.make ~id:1 ~addr:0 ~size:64 ~cls:0 ~n_refs:0 in
   for k = 1 to 8 do

@@ -56,10 +56,21 @@ let test_swap_dev_slot_reuse () =
   let a = Swap_dev.alloc_slot dev in
   let b = Swap_dev.alloc_slot dev in
   Swap_dev.free_slot dev a;
-  (* Lowest-numbered-first: the freed slot is reused deterministically. *)
+  (* A freed slot is reused before the frontier advances, most recently
+     freed first. *)
   Alcotest.(check int) "freed slot reused" a (Swap_dev.alloc_slot dev);
   Alcotest.(check bool) "b still allocated" true (Swap_dev.allocated dev ~slot:b);
-  Alcotest.(check int) "two in use" 2 (Swap_dev.slots_in_use dev)
+  Alcotest.(check int) "two in use" 2 (Swap_dev.slots_in_use dev);
+  (* Not lowest-numbered first: with 0 and 2 freed, in that order, 2
+     comes back. *)
+  let dev = Swap_dev.create () in
+  let s0 = Swap_dev.alloc_slot dev in
+  let _s1 = Swap_dev.alloc_slot dev in
+  let s2 = Swap_dev.alloc_slot dev in
+  Swap_dev.free_slot dev s0;
+  Swap_dev.free_slot dev s2;
+  Alcotest.(check (list int)) "handed out in order" [ 0; 2 ] [ s0; s2 ];
+  Alcotest.(check int) "most recently freed first" 2 (Swap_dev.alloc_slot dev)
 
 (* --- Address-space round trips under pressure --- *)
 
@@ -170,29 +181,43 @@ let test_alias_law_flags_shared_buffer () =
 
 (* --- LRU structure --- *)
 
+(* Ops name a tenant (0-2) and its page(s).  [Adopt] is a compaction's
+   aftermath: exchange two mapped pages' PTEs with SwapVA (present for
+   swapped leaves tracking stale), then run the post-GC resync. *)
 type lru_op =
-  | Map of int
-  | Touch of int
-  | Fault of int
-  | Unmap of int
+  | Map of int * int
+  | Touch of int * int
+  | Fault of int * int
+  | Unmap of int * int
+  | Adopt of int * int * int
+
+let lru_tenants = 3
 
 let lru_op_gen =
   QCheck.Gen.(
-    let page = int_bound 23 in
+    let tenant = int_bound (lru_tenants - 1) and page = int_bound 23 in
     oneof
       [
-        map (fun i -> Map i) page;
-        map (fun i -> Touch i) page;
-        map (fun i -> Fault i) page;
-        map (fun i -> Unmap i) page;
+        map2 (fun t i -> Map (t, i)) tenant page;
+        map2 (fun t i -> Touch (t, i)) tenant page;
+        map2 (fun t i -> Fault (t, i)) tenant page;
+        map2 (fun t i -> Unmap (t, i)) tenant page;
+        map3 (fun t i j -> Adopt (t, i, j)) tenant page page;
       ])
 
 let pp_lru_op = function
-  | Map i -> Printf.sprintf "map %d" i
-  | Touch i -> Printf.sprintf "touch %d" i
-  | Fault i -> Printf.sprintf "fault %d" i
-  | Unmap i -> Printf.sprintf "unmap %d" i
+  | Map (t, i) -> Printf.sprintf "map %d:%d" t i
+  | Touch (t, i) -> Printf.sprintf "touch %d:%d" t i
+  | Fault (t, i) -> Printf.sprintf "fault %d:%d" t i
+  | Unmap (t, i) -> Printf.sprintf "unmap %d:%d" t i
+  | Adopt (t, i, j) -> Printf.sprintf "exchange %d:%d,%d + adopt" t i j
 
+(* Three tenants on one reclaimer, with a test-local cgroup plane: tenant
+   0 is capped at soft 3 / hard 6 pages, tenant 1 at soft 2 / hard 5,
+   tenant 2 unlimited, so soft-first victim choice and hard-limit shrinks
+   both run.  After every op the audit (LRU lists and tenant rings) must
+   be clean, and each tenant's charge must equal its tracked pages — with
+   tracking in sync after every op, that is its present pages. *)
 let prop_lru_audit =
   qtest "LRU lists stay sound under map/touch/fault/unmap"
     (QCheck.make
@@ -200,27 +225,65 @@ let prop_lru_audit =
        QCheck.Gen.(list_size (int_range 1 120) lru_op_gen))
     (fun ops ->
       let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
-      let r = Fault_handler.attach machine ~limit_frames:8 () in
-      let aspace = Process.aspace (Process.create machine) in
-      let pt = Address_space.page_table aspace in
-      let asid = Address_space.asid aspace in
+      let charged = Hashtbl.create 4 and limits = Hashtbl.create 4 in
+      let resident asid =
+        Option.value ~default:0 (Hashtbl.find_opt charged asid)
+      in
+      let limit asid =
+        Option.value ~default:(max_int, max_int) (Hashtbl.find_opt limits asid)
+      in
+      let soft asid = fst (limit asid) and hard asid = snd (limit asid) in
+      let cgroup =
+        {
+          Reclaim.cg_charge =
+            (fun ~asid -> Hashtbl.replace charged asid (resident asid + 1));
+          cg_uncharge =
+            (fun ~asid -> Hashtbl.replace charged asid (resident asid - 1));
+          cg_excess = (fun ~asid -> max 0 (resident asid - hard asid));
+          cg_prefer = (fun ~asid -> resident asid > soft asid);
+          cg_any_over_soft =
+            (fun () ->
+              Hashtbl.fold (fun asid n any -> any || n > soft asid) charged false);
+          cg_stats = (fun () -> []);
+        }
+      in
+      let r = Fault_handler.attach machine ~limit_frames:8 ~cgroup () in
+      let procs = Array.init lru_tenants (fun _ -> Process.create machine) in
+      let aspace t = Process.aspace procs.(t) in
+      let asid t = Address_space.asid (aspace t) in
+      let pt t = Address_space.page_table (aspace t) in
+      Hashtbl.replace limits (asid 0) (3, 6);
+      Hashtbl.replace limits (asid 1) (2, 5);
       let va i = base + (i * Addr.page_size) in
+      let mapped t i = Address_space.is_mapped (aspace t) ~va:(va i) in
+      let charges_in_step t = resident (asid t) = Page_table.mapped_pages (pt t) in
       List.for_all
         (fun op ->
           (match op with
-          | Map i ->
-            if not (Address_space.is_mapped aspace ~va:(va i)) then
-              Address_space.map_range aspace ~va:(va i) ~pages:1
-          | Touch i ->
-            if Address_space.is_mapped aspace ~va:(va i) then
-              ignore (Address_space.read_u8 aspace ~va:(va i))
-          | Fault i -> Reclaim.fault_in r ~pt ~asid ~va:(va i)
-          | Unmap i -> Address_space.unmap_range aspace ~va:(va i) ~pages:1);
+          | Map (t, i) ->
+            if not (mapped t i) then
+              Address_space.map_range (aspace t) ~va:(va i) ~pages:1
+          | Touch (t, i) ->
+            if mapped t i then
+              ignore (Address_space.read_u8 (aspace t) ~va:(va i))
+          | Fault (t, i) -> Reclaim.fault_in r ~pt:(pt t) ~asid:(asid t) ~va:(va i)
+          | Unmap (t, i) ->
+            Address_space.unmap_range (aspace t) ~va:(va i) ~pages:1
+          | Adopt (t, i, j) ->
+            if i <> j && mapped t i && mapped t j then
+              ignore
+                (Swapva.swap procs.(t) ~opts:Swapva.default_opts ~src:(va i)
+                   ~dst:(va j) ~pages:1);
+            Reclaim.adopt_space r ~pt:(pt t) ~asid:(asid t));
           match Reclaim.lru_audit r with
           | [] ->
-            (* Every resident frame is a tracked page. *)
+            (* Every resident frame is a tracked page, charged to its
+               tenant. *)
             Reclaim.tracked_pages r
             = Phys_mem.frames_in_use machine.Machine.phys
+            && List.for_all charges_in_step (List.init lru_tenants Fun.id)
+            || QCheck.Test.fail_reportf "after %s: charges out of step"
+                 (pp_lru_op op)
           | errs ->
             QCheck.Test.fail_reportf "after %s: %s" (pp_lru_op op)
               (String.concat "; " errs))

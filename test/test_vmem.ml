@@ -267,6 +267,55 @@ let test_pt_iter_mapped () =
   Alcotest.(check (list int)) "vpns recovered" (List.sort compare vpns)
     (List.sort compare !seen)
 
+module Int_map = Map.Make (Int)
+
+(* The walks read leaves through their presence words; they must still
+   yield exactly the present (resp. swapped) entries, in ascending vpn
+   order.  Vpns cluster around bases in different leaves, PMDs, PUDs and
+   PGD slots, and each write leaves a page present, swapped or none. *)
+let prop_pt_walks =
+  let bases = [| 0; 512; 3 * 512; 1 lsl 18; (1 lsl 27) + 7; 1 lsl 36 |] in
+  let write =
+    QCheck.Gen.(
+      map3
+        (fun b off kind -> (bases.(b) + off, kind))
+        (int_bound (Array.length bases - 1))
+        (int_bound 600) (int_bound 2))
+  in
+  qtest ~count:100 "walks yield the present and swapped pages in order"
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       QCheck.Gen.(list_size (int_range 1 300) write))
+    (fun writes ->
+      let pt = Page_table.create () in
+      let present = ref Int_map.empty and swapped = ref Int_map.empty in
+      List.iteri
+        (fun n (vpn, kind) ->
+          let va = Addr.of_page vpn in
+          present := Int_map.remove vpn !present;
+          swapped := Int_map.remove vpn !swapped;
+          match kind with
+          | 0 -> Page_table.set_pte pt va Pte.none
+          | 1 ->
+            Page_table.set_pte pt va (Pte.make ~frame:n);
+            present := Int_map.add vpn n !present
+          | _ ->
+            Page_table.set_pte pt va (Pte.make_swapped ~slot:n);
+            swapped := Int_map.add vpn n !swapped)
+        writes;
+      let walk iter =
+        let seen = ref [] in
+        iter (fun vpn x -> seen := (vpn, x) :: !seen);
+        List.rev !seen
+      in
+      walk (fun f -> Page_table.iter_mapped pt ~f:(fun ~vpn ~frame -> f vpn frame))
+      = Int_map.bindings !present
+      && walk (fun f -> Page_table.iter_swapped pt ~f:(fun ~vpn ~slot -> f vpn slot))
+         = Int_map.bindings !swapped
+      && Page_table.mapped_pages pt = Int_map.cardinal !present
+      && Page_table.swapped_pages pt = Int_map.cardinal !swapped
+      && Page_table.bitset_violations pt = 0)
+
 let prop_pt_model =
   qtest ~count:60 "page table agrees with a hashtable model"
     QCheck.(list (pair (int_range 0 5000) (int_range 0 100)))
@@ -777,6 +826,7 @@ let () =
           Alcotest.test_case "get/set/translate" `Quick test_pt_get_set;
           Alcotest.test_case "leaf sharing" `Quick test_pt_leaf_sharing;
           Alcotest.test_case "iter mapped" `Quick test_pt_iter_mapped;
+          prop_pt_walks;
           prop_pt_model;
         ] );
       ( "tlb",
