@@ -15,6 +15,7 @@ module Report = Svagc_metrics.Report
 module Check = Svagc_check.Check
 module Fleet = Svagc_fleet.Fleet
 module Fault_handler = Svagc_kernel.Fault_handler
+module Swap_tier = Svagc_reclaim.Swap_tier
 module Perf = Svagc_vmem.Perf
 
 (* The exit statuses every command documents: cmdliner's own, with 123
@@ -204,7 +205,8 @@ let run_term ~workload ~collectors ~steps =
       let machine = Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130 in
       Option.iter
         (fun limit_frames ->
-          ignore (Fault_handler.attach machine ~limit_frames ?swap_cost_ns ()))
+          let dev = Swap_tier.create machine ?swap_cost_ns () in
+          ignore (Fault_handler.attach machine ~limit_frames ~dev ()))
         mem_limit_frames;
       machine
     in

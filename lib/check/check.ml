@@ -278,6 +278,13 @@ let reclaim_laws machine ~tables =
       "swap device holds %d slots but the page tables reference %d"
       (r.Machine.ri_slots_in_use ())
       !swapped_total;
+    (* Tier conservation: demotion and promotion move payloads between
+       the device's tiers but never create or leak a slot. *)
+    let near, far = r.Machine.ri_tier_stats () in
+    law a "tier-conservation"
+      (near + far = r.Machine.ri_slots_in_use ())
+      "near (%d) + far (%d) slots disagree with the device total %d" near far
+      (r.Machine.ri_slots_in_use ());
     (* Conservation: every resident frame is owned by exactly one present
        PTE, so resident + swapped accounts for every mapped page. *)
     law a "reclaim-conservation"
@@ -300,7 +307,7 @@ let reclaim_laws machine ~tables =
       List.iter (fun e -> law a "reclaim-lru" false "%s" e) errs);
     result a
 
-(* --- fleet cgroup / tier conservation laws --- *)
+(* --- fleet cgroup conservation laws --- *)
 
 (* Run only when the reclaim plane carries a cgroup accounting plane
    ([ri_cgroup_stats] non-empty); a fleet-free machine skips the pass
@@ -368,16 +375,6 @@ let cgroup_laws machine ~tables =
            %d frames"
           !total_resident
           (Phys_mem.frames_in_use machine.Machine.phys);
-      (* Tier conservation: demote/promote moves payloads between tiers
-         but never creates or leaks a slot. *)
-      (match r.Machine.ri_tier_stats () with
-      | None -> ()
-      | Some (near, far) ->
-        law a "tier-conservation"
-          (near + far = r.Machine.ri_slots_in_use ())
-          "near (%d) + far (%d) slots disagree with the device total %d" near
-          far
-          (r.Machine.ri_slots_in_use ()));
       result a
     end
 

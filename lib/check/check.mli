@@ -86,7 +86,9 @@ val reclaim_laws :
     reclaim plane attached (trivially passes otherwise): every swapped
     PTE's slot is allocated on the swap device and referenced by exactly
     one PTE; the device holds exactly as many slots as there are swapped
-    PTEs (slot-leak detection); the machine's resident frame count
+    PTEs (slot-leak detection), and its near + far slots in use equal
+    that total ([tier-conservation]: demotion and promotion neither leak
+    nor forge slots); the machine's resident frame count
     equals the total present-PTE count over [tables] (every frame owned by
     exactly one page); and no two present frames or allocated slots share
     one payload buffer ([reclaim-alias] — payloads move by ownership);
@@ -100,15 +102,13 @@ val cgroup_laws :
   Svagc_vmem.Machine.t ->
   tables:(int * Svagc_vmem.Page_table.t) list ->
   int * finding list
-(** Fleet cgroup and swap-tier conservation, evaluated only when the
-    reclaim plane carries a cgroup accounting plane ([ri_cgroup_stats]
-    non-empty; trivially passes otherwise): per-tenant limits are sane
+(** Fleet cgroup conservation, evaluated only when the reclaim plane
+    carries a cgroup accounting plane ([ri_cgroup_stats] non-empty;
+    trivially passes otherwise): per-tenant limits are sane
     ([soft <= hard]), no tenant holds more resident pages than its hard
     limit, each tenant's charge equals its page table's present-PTE
-    count, the charges sum to the machine's resident frames (when every
-    populated space belongs to a tenant), and — on a tiered device —
-    near + far slots in use equal the device total (demotion/promotion
-    neither leaks nor forges slots). *)
+    count, and the charges sum to the machine's resident frames (when
+    every populated space belongs to a tenant). *)
 
 val cycle_laws : ?label:string -> Svagc_gc.Gc_stats.cycle -> int * finding list
 (** Per-cycle accounting: phase times non-negative,

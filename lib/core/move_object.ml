@@ -282,21 +282,3 @@ let mover ?measure_core (cfg : Config.t) =
     Svagc_util.Vec.to_list out
   in
   { Compact.mover_name = "swapva"; prologue; move_entries; epilogue }
-
-let move_cost_ns (cfg : Config.t) heap ~len =
-  let machine = Process.machine (Heap.proc heap) in
-  let cost = machine.Machine.cost in
-  if should_swap cfg ~len then begin
-    let pages = Addr.pages_spanned len in
-    let per_page =
-      (* getPTE x2 (cached or walk) + lock pairs + two slot reads and two
-         writes: mirrors Swapva.swap_disjoint_body. *)
-      let pte = cost.Cost_model.pt_entry_ns in
-      let get = if cfg.pmd_caching then pte else Cost_model.walk_cost_ns cost in
-      (2.0 *. get) +. (2.0 *. cost.Cost_model.lock_pair_ns) +. (4.0 *. pte)
-    in
-    cost.Cost_model.syscall_ns +. cost.Cost_model.swap_setup_ns
-    +. (float_of_int pages *. per_page)
-    +. cost.Cost_model.tlb_flush_local_ns
-  end
-  else Memmove.cost_ns ~cold:true machine ~len

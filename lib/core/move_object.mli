@@ -18,14 +18,8 @@
     [Config.fault_spec] is non-empty the mover's prologue arms the
     machine's injection plane with [Config.fault_seed]. *)
 
-open Svagc_heap
-
 val should_swap : Config.t -> len:int -> bool
 (** The [pages >= Threshold_Swapping] test. *)
-
-val move_cost_ns : Config.t -> Heap.t -> len:int -> float
-(** Analytic cost of moving one object of [len] bytes under the current
-    machine state, without side effects (used for threshold sweeps). *)
 
 val mover : ?measure_core:int -> Config.t -> Svagc_gc.Compact.mover
 (** [measure_core] routes the byte-copy fallback's traffic through the

@@ -34,10 +34,7 @@ let crossover_pages cost =
       Address_space.map_range aspace ~va:src ~pages;
       Address_space.map_range aspace ~va:dst ~pages;
       let mm = Memmove.move aspace ~src ~dst ~len:(pages * Addr.page_size) in
-      let opts =
-        { Swapva.pmd_caching = true; flush = Shootdown.Local_pinned;
-          allow_overlap = false; leaf_swap = false }
-      in
+      let opts = { Swapva.default_opts with allow_overlap = false } in
       let sv = Swapva.swap proc ~opts ~src ~dst ~pages in
       if sv < mm then Some pages else find (pages + 1)
     end
@@ -82,11 +79,10 @@ let fig9_gap cost =
     let total = ref 0.0 in
     let opts =
       if optimized then
-        { Swapva.pmd_caching = true; flush = Shootdown.Local_pinned;
-          allow_overlap = false; leaf_swap = false }
+        { Swapva.default_opts with allow_overlap = false }
       else
-        { Swapva.pmd_caching = true; flush = Shootdown.Broadcast_per_call;
-          allow_overlap = false; leaf_swap = false }
+        { Swapva.default_opts with
+          allow_overlap = false; flush = Shootdown.Broadcast_per_call }
     in
     if optimized then
       total :=

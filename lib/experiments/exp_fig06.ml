@@ -31,8 +31,7 @@ let build_requests proc ~requests ~pages =
 let opts =
   (* Pure single-core microbenchmark: PMD caching on, local flushing (the
      i5 run in the paper is a pinned single-threaded driver). *)
-  { Swapva.pmd_caching = true; flush = Svagc_kernel.Shootdown.Local_pinned;
-    allow_overlap = false; leaf_swap = false }
+  { Swapva.default_opts with allow_overlap = false }
 
 let measure ?(requests = 64) () =
   List.map

@@ -32,11 +32,10 @@ let storm ~cores ~objects ~pages ~optimized =
   end;
   let opts =
     if optimized then
-      { Swapva.pmd_caching = true; flush = Shootdown.Local_pinned;
-        allow_overlap = false; leaf_swap = false }
+      { Swapva.default_opts with allow_overlap = false }
     else
-      { Swapva.pmd_caching = true; flush = Shootdown.Broadcast_per_call;
-        allow_overlap = false; leaf_swap = false }
+      { Swapva.default_opts with
+        allow_overlap = false; flush = Shootdown.Broadcast_per_call }
   in
   for i = 0 to objects - 1 do
     let off = i * pages * Addr.page_size in

@@ -7,6 +7,8 @@ module Histogram = Svagc_util.Histogram
 module Rng = Svagc_util.Rng
 module Tracer = Svagc_trace.Tracer
 module Process = Svagc_kernel.Process
+module Swap_tier = Svagc_reclaim.Swap_tier
+module Cgroup = Svagc_reclaim.Cgroup
 
 type config = {
   tenants : int;  (* main cohort, all sized to fit the overcommit budget *)
@@ -199,7 +201,7 @@ let run ~collector_of ?(label = "fleet") config =
      page so each heap page enters the LRU lists as it is mapped. *)
   ignore
     (Svagc_kernel.Fault_handler.attach machine ~limit_frames:pool_frames
-       ~dev:(Swap_tier.iface tier) ~cgroup:(Cgroup.iface cgroup) ());
+       ~dev:tier ~cgroup ());
   let admission =
     Admission.create machine ~capacity_frames:pool_frames
       ~overcommit:config.overcommit ~queue_limit:config.queue_limit ()

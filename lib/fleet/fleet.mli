@@ -1,6 +1,7 @@
 (** The fleet driver: 1k+ heterogeneous tenants on one overcommitted
-    node, tying together {!Admission} (who runs), {!Cgroup} (per-tenant
-    residency limits), {!Swap_tier} (where cold pages go) and
+    node, tying together {!Admission} (who runs),
+    {!Svagc_reclaim.Cgroup} (per-tenant residency limits),
+    {!Svagc_reclaim.Swap_tier} (where cold pages go) and
     [Multi_jvm] (copy-bandwidth contention while a wave runs).
 
     Tenants arrive in id order and commit their hard limit of resident

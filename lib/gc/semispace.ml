@@ -58,38 +58,9 @@ let makespan t costs =
     ~steal_ns:(cost t).Cost_model.steal_ns
     ~barrier_ns:(cost t).Cost_model.barrier_ns (Array.of_list costs)
 
-let mark t =
-  Vec.iter (fun o -> o.Obj_model.marked <- false) (Heap.objects t.heap);
-  let costs = Vec.create () in
-  let stack = Vec.create () in
-  Heap.iter_roots t.heap (fun o -> Vec.push stack o);
-  let rec drain () =
-    match Vec.pop stack with
-    | None -> ()
-    | Some o ->
-      if not o.Obj_model.marked then begin
-        o.Obj_model.marked <- true;
-        Vec.push costs
-          ((cost t).Cost_model.mark_obj_ns
-          +. float_of_int (Array.length o.Obj_model.refs)
-             *. (cost t).Cost_model.ref_scan_ns);
-        Array.iter
-          (fun addr ->
-            if addr <> 0 then
-              match Heap.object_at t.heap addr with
-              | Some target ->
-                if not target.Obj_model.marked then Vec.push stack target
-              | None -> invalid_arg "Semispace: dangling reference")
-          o.Obj_model.refs
-      end;
-      drain ()
-  in
-  drain ();
-  makespan t (Vec.to_list costs)
-
 let collect t ~mover =
   let used_before = Heap.top t.heap - active_base t in
-  let mark_ns = mark t in
+  let mark_ns = Mark.run t.heap ~threads:t.threads in
   Heap.sort_objects t.heap;
   let live =
     Vec.fold_left

@@ -1,10 +1,8 @@
 open Svagc_vmem
 module Reclaim = Svagc_reclaim.Reclaim
 
-let attach machine ~limit_frames ?swap_cost_ns ?max_io_retries ?dev ?cgroup () =
-  let r =
-    Reclaim.create machine ~limit_frames ?swap_cost_ns ?max_io_retries ?dev ()
-  in
+let attach machine ~limit_frames ?max_io_retries ?dev ?cgroup () =
+  let r = Reclaim.create machine ~limit_frames ?max_io_retries ?dev () in
   Reclaim.set_cgroup r cgroup;
   let iface =
     {

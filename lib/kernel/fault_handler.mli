@@ -12,22 +12,21 @@
 val attach :
   Svagc_vmem.Machine.t ->
   limit_frames:int ->
-  ?swap_cost_ns:float ->
   ?max_io_retries:int ->
-  ?dev:Svagc_reclaim.Reclaim.dev_iface ->
-  ?cgroup:Svagc_reclaim.Reclaim.cgroup_iface ->
+  ?dev:Svagc_reclaim.Swap_tier.t ->
+  ?cgroup:Svagc_reclaim.Cgroup.t ->
   unit ->
   Svagc_reclaim.Reclaim.t
 (** Create the reclaim state and install the closure record on
     [machine.reclaim].  Idempotent in spirit but not in state: attaching
     twice replaces the first reclaimer, orphaning its swap slots — use
-    {!attached} to guard.  [swap_cost_ns] overrides both device
-    latencies; [max_io_retries] (default 3) bounds device attempts per
-    transfer before the swap-out skips the page / the fault surfaces
-    [EIO_swap].  [dev] replaces the flat swap device with a custom one
-    (e.g. the fleet layer's tiered far-memory device); [cgroup] installs
-    per-tenant resident accounting.  Omitting both keeps the machine
-    bit-identical to the pre-fleet reclaimer.
+    {!attached} to guard.  [max_io_retries] (default 3) bounds device
+    attempts per transfer before the swap-out skips the page / the fault
+    surfaces [EIO_swap].  [dev] is the swap device, made on [machine]:
+    the default is a tier with an unbounded near side at the cost model's
+    latencies, and [Swap_tier.create ~swap_cost_ns] overrides them, while
+    [~near_slots] bounds the near tier (the fleet's far-memory device).
+    [cgroup] installs per-tenant resident accounting.
     @raise Invalid_argument if [limit_frames <= 0]. *)
 
 val attached : Svagc_vmem.Machine.t -> bool

@@ -16,46 +16,6 @@ let page_key ~asid ~vpn =
   then invalid_arg "Reclaim.page_key: asid/vpn out of range";
   (asid lsl key_vpn_bits) lor vpn
 
-(* A pluggable swap device as a record of closures, mirroring the
-   dependency inversion of [Machine.reclaim_iface] one level up: the
-   tiered far-memory device lives in [svagc_fleet], which sits above this
-   library.  [d_out_ns]/[d_in_ns] are per-attempt transfer costs —
-   [d_out_ns] is queried {e before} the slot is allocated (so a tiered
-   device reports the cost of the demotion the next allocation will
-   trigger without mutating anything), [d_in_ns] is the cost of reading
-   [slot] (a far-tier slot is slower).  Payloads move by ownership:
-   [d_write] keeps the buffer it is given, [d_take] gives it back and
-   frees the slot.  The default device wraps a flat {!Swap_dev} with
-   constant costs and is bit-identical to the pre-iface reclaimer. *)
-type dev_iface = {
-  d_alloc_slot : unit -> int;
-  d_free_slot : int -> unit;
-  d_write : slot:int -> bytes option -> unit;
-  d_take : slot:int -> bytes option;
-  d_peek : slot:int -> bytes option;
-  d_allocated : slot:int -> bool;
-  d_slots_in_use : unit -> int;
-  d_out_ns : unit -> float;
-  d_in_ns : slot:int -> float;
-  d_tier_stats : unit -> (int * int) option;
-}
-
-(* Per-tenant resident accounting, also inverted: the cgroup state lives
-   in [svagc_fleet].  [cg_charge]/[cg_uncharge] fire exactly when a page
-   enters/leaves the tracking table, so a tenant's resident count is its
-   tracked-node count.  [cg_prefer] marks tenants over their soft limit
-   (preferred eviction victims); [cg_excess] is pages above the hard
-   limit; [cg_any_over_soft] must be O(1) — kswapd consults it on every
-   wake. *)
-type cgroup_iface = {
-  cg_charge : asid:int -> unit;
-  cg_uncharge : asid:int -> unit;
-  cg_excess : asid:int -> int;
-  cg_prefer : asid:int -> bool;
-  cg_any_over_soft : unit -> bool;
-  cg_stats : unit -> (int * int * int * int) list;
-}
-
 (* Tracked pages are nodes of an arena of parallel arrays, named by int
    id, so the per-page paths chase no records and allocate nothing once
    the arrays have grown.  Ids 0 and 1 are the sentinels of the active
@@ -71,7 +31,7 @@ let inactive = 1
 
 type t = {
   machine : Machine.t;
-  dev : dev_iface;
+  dev : Swap_tier.t;
   limit : int;
   gap : int;  (* hysteresis: each wake evicts down to [limit - gap] *)
   major_fault_ns : float;
@@ -97,42 +57,18 @@ type t = {
   shrink_ids : int Vec.t;  (* [shrink_asid]'s candidate snapshot *)
   mutable pending_ns : float;
   mutable in_kswapd : bool;
-  mutable cgroup : cgroup_iface option;
+  mutable cgroup : Cgroup.t option;
 }
 
 let no_pt = Page_table.create ()
 
-let flat_dev ~swap_out_ns ~swap_in_ns =
-  let d = Swap_dev.create () in
-  {
-    d_alloc_slot = (fun () -> Swap_dev.alloc_slot d);
-    d_free_slot = (fun slot -> Swap_dev.free_slot d slot);
-    d_write = (fun ~slot b -> Swap_dev.write d ~slot b);
-    d_take = (fun ~slot -> Swap_dev.take d ~slot);
-    d_peek = (fun ~slot -> Swap_dev.peek d ~slot);
-    d_allocated = (fun ~slot -> Swap_dev.allocated d ~slot);
-    d_slots_in_use = (fun () -> Swap_dev.slots_in_use d);
-    d_out_ns = (fun () -> swap_out_ns);
-    d_in_ns = (fun ~slot:_ -> swap_in_ns);
-    d_tier_stats = (fun () -> None);
-  }
-
 let initial_ids = 64
 
-let create machine ~limit_frames ?swap_cost_ns ?(max_io_retries = 3) ?dev () =
+let create machine ~limit_frames ?(max_io_retries = 3) ?dev () =
   if limit_frames <= 0 then
     invalid_arg "Reclaim.create: limit_frames must be positive";
-  let cost = machine.Machine.cost in
   let dev =
-    match dev with
-    | Some d -> d
-    | None ->
-      let swap_out_ns, swap_in_ns =
-        match swap_cost_ns with
-        | Some ns -> (ns, ns)
-        | None -> (cost.Cost_model.swap_out_ns, cost.Cost_model.swap_in_ns)
-      in
-      flat_dev ~swap_out_ns ~swap_in_ns
+    match dev with Some d -> d | None -> Swap_tier.create machine ()
   in
   let self_linked () = Array.init initial_ids (fun i -> i) in
   {
@@ -140,7 +76,7 @@ let create machine ~limit_frames ?swap_cost_ns ?(max_io_retries = 3) ?dev () =
     dev;
     limit = limit_frames;
     gap = max 1 (limit_frames / 16);
-    major_fault_ns = cost.Cost_model.major_fault_ns;
+    major_fault_ns = machine.Machine.cost.Cost_model.major_fault_ns;
     max_io_retries;
     prev = self_linked ();
     next = self_linked ();
@@ -248,7 +184,7 @@ let set_cgroup t cg =
   | None -> ()
   | Some c ->
     for id = 2 to t.high - 1 do
-      if list_of t id >= 0 then c.cg_charge ~asid:t.asid_of.(id)
+      if list_of t id >= 0 then Cgroup.charge c ~asid:t.asid_of.(id)
     done
 
 let limit_frames t = t.limit
@@ -273,7 +209,7 @@ let untrack t id =
   if tn = tp then t.pts.(asid) <- no_pt;
   free_id t id;
   match t.cgroup with
-  | Some cg -> cg.cg_uncharge ~asid
+  | Some cg -> Cgroup.uncharge cg ~asid
   | None -> ()
 
 let drop_node t id =
@@ -316,7 +252,7 @@ let swap_out t id =
     untrack t id;
     false
   end
-  else if not (swap_io_ok t ~va ~cost_ns:(t.dev.d_out_ns ())) then begin
+  else if not (swap_io_ok t ~va ~cost_ns:(Swap_tier.out_ns t.dev)) then begin
     (* Device refused every attempt: skip this page, give it another
        round through the active list. *)
     set_referenced t id true;
@@ -325,8 +261,9 @@ let swap_out t id =
   end
   else begin
     let frame = Pte.frame_exn pte in
-    let slot = t.dev.d_alloc_slot () in
-    t.dev.d_write ~slot (Phys_mem.take_frame t.machine.Machine.phys frame);
+    let slot = Swap_tier.alloc_slot t.dev in
+    Swap_tier.write t.dev ~slot
+      (Phys_mem.take_frame t.machine.Machine.phys frame);
     Page_table.set_pte pt va (Pte.make_swapped ~slot);
     (* The frame is gone: invalidate any cached translation everywhere
        (the eviction-side half of shootdown discipline). *)
@@ -382,7 +319,7 @@ let balance_incoming t ~incoming =
     let rotations =
       ref
         (match t.cgroup with
-        | Some cg when cg.cg_any_over_soft () -> tracked_pages t
+        | Some cg when Cgroup.any_over_soft cg -> tracked_pages t
         | _ -> 0)
     in
     while
@@ -404,7 +341,8 @@ let balance_incoming t ~incoming =
           &&
           match t.cgroup with
           | Some cg ->
-            cg.cg_any_over_soft () && not (cg.cg_prefer ~asid:t.asid_of.(id))
+            Cgroup.any_over_soft cg
+            && not (Cgroup.prefer cg ~asid:t.asid_of.(id))
           | None -> false
         then begin
           decr rotations;
@@ -467,7 +405,7 @@ let track t ~pt ~asid ~va =
     t.tnext.(id) <- first;
     t.tprev.(first) <- id;
     t.tnext.(s) <- id;
-    (match t.cgroup with Some cg -> cg.cg_charge ~asid | None -> ());
+    (match t.cgroup with Some cg -> Cgroup.charge cg ~asid | None -> ());
     lru_push_front t active id
   end
 
@@ -511,7 +449,7 @@ let enforce t ~asid ~protect =
   match t.cgroup with
   | None -> ()
   | Some cg ->
-    let excess = cg.cg_excess ~asid in
+    let excess = Cgroup.excess cg ~asid in
     if excess > 0 then shrink_asid t ~asid ~excess ~protect
 
 let enforce_hard t ~asid = enforce t ~asid ~protect:(-1)
@@ -522,7 +460,7 @@ let page_mapped t ~pt ~asid ~va =
   enforce t ~asid ~protect:(Addr.page_number va)
 
 let page_unmapped t ~asid ~va ~pte =
-  if Pte.is_swapped pte then t.dev.d_free_slot (Pte.swap_slot_exn pte);
+  if Pte.is_swapped pte then Swap_tier.free_slot t.dev (Pte.swap_slot_exn pte);
   let id =
     Addr_index.find_or_filler t.pages
       (page_key ~asid ~vpn:(Addr.page_number va))
@@ -571,7 +509,7 @@ let fault_in t ~pt ~asid ~va =
        caller's fault-then-retry loop terminate. *)
     balance_incoming t ~incoming:1;
     let slot = Pte.swap_slot_exn pte in
-    if not (swap_io_ok t ~va ~cost_ns:(t.dev.d_in_ns ~slot)) then
+    if not (swap_io_ok t ~va ~cost_ns:(Swap_tier.in_ns t.dev ~slot)) then
       raise
         (Svagc_fault.Kernel_error.Fault (Svagc_fault.Kernel_error.EIO_swap { va }));
     let phys = t.machine.Machine.phys in
@@ -580,7 +518,7 @@ let fault_in t ~pt ~asid ~va =
     if Phys_mem.frames_in_use phys >= Phys_mem.capacity_frames phys then
       raise Phys_mem.Out_of_frames;
     (* The slot's buffer becomes the frame's; a zero page stays lazy. *)
-    let frame = Phys_mem.alloc_frame_with phys (t.dev.d_take ~slot) in
+    let frame = Phys_mem.alloc_frame_with phys (Swap_tier.take t.dev ~slot) in
     Page_table.set_pte pt va (Pte.make ~frame);
     Perf.bump perf Pages_swapped_in 1;
     track t ~pt ~asid ~va;
@@ -597,16 +535,16 @@ let fault_in t ~pt ~asid ~va =
         "reclaim.fault_in"
   end
 
-let slot_bytes t ~slot = t.dev.d_peek ~slot
+let slot_bytes t ~slot = Swap_tier.peek t.dev ~slot
 
-let slot_allocated t ~slot = t.dev.d_allocated ~slot
+let slot_allocated t ~slot = Swap_tier.allocated t.dev ~slot
 
-let slots_in_use t = t.dev.d_slots_in_use ()
+let slots_in_use t = Swap_tier.slots_in_use t.dev
 
-let tier_stats t = t.dev.d_tier_stats ()
+let tier_stats t = Swap_tier.stats t.dev
 
 let cgroup_stats t =
-  match t.cgroup with None -> [] | Some cg -> cg.cg_stats ()
+  match t.cgroup with None -> [] | Some cg -> Cgroup.stats cg
 
 let lru_audit t =
   let errs = ref [] in

@@ -1,6 +1,7 @@
 (** Kernel-side memory-pressure engine: per-machine active/inactive LRU
     page lists, a kswapd-style watermark reclaimer, and the swap-out /
-    fault-in mechanics over {!Swap_dev}.
+    fault-in mechanics over a {!Swap_tier}, with an optional {!Cgroup}
+    plane for per-tenant limits.  Both are called directly.
 
     This module owns the {e policy and state}; the {e wiring} lives in
     [Svagc_kernel.Fault_handler], which wraps these operations in the
@@ -24,13 +25,13 @@
     double.  Tracking a page, touching it, dropping it or scanning it
     allocates nothing once the arrays have grown: no record, option or
     closure per page.  What the eviction and fault paths still allocate
-    is the device's own (a slot's payload cell, a float returned through
-    the device closures), the boxed cost accumulator, and trace events
+    is the device's own (a slot's payload cell, its free-id and
+    demotion-queue growth), the boxed cost accumulator, and trace events
     when tracing.  Each tenant's pages live in one page table, kept by
     asid while the tenant has tracked pages.
 
-    Costs: every swap-device transfer attempt charges the cost model's
-    [swap_out_ns]/[swap_in_ns] (or the [swap_cost] override) and every
+    Costs: every swap-device transfer attempt charges the device's
+    per-attempt cost ({!Swap_tier.out_ns}/{!Swap_tier.in_ns}) and every
     demand fault charges [major_fault_ns] into an internal accumulator,
     drained by the caller that triggered the work ({!drain_ns}) into the
     appropriate simulated clock.  Determinism: no wall clock, no RNG of
@@ -39,68 +40,24 @@
 
 type t
 
-(** A pluggable swap device as a record of closures — the same dependency
-    inversion as [Machine.reclaim_iface], one level up: the tiered
-    far-memory device lives in [svagc_fleet], above this library.
-    [d_out_ns] is the per-attempt cost of the {e next} swap-out, queried
-    before the slot is allocated (a tiered device folds in the demotion
-    its next allocation will trigger, without mutating anything);
-    [d_in_ns ~slot] is the per-attempt cost of reading [slot] back (far
-    slots are slower).  [d_tier_stats] is [(near_in_use, far_in_use)] for
-    a tiered device, [None] for a flat one.
-
-    Payloads move by ownership, never by copy: [d_write] keeps the buffer
-    it is given (the caller drops its reference), [d_take] frees the slot
-    and hands its buffer back, and [d_peek] is the one aliasing read — the
-    device's own buffer, which the caller must not mutate. *)
-type dev_iface = {
-  d_alloc_slot : unit -> int;
-  d_free_slot : int -> unit;
-  d_write : slot:int -> bytes option -> unit;
-  d_take : slot:int -> bytes option;
-  d_peek : slot:int -> bytes option;
-  d_allocated : slot:int -> bool;
-  d_slots_in_use : unit -> int;
-  d_out_ns : unit -> float;
-  d_in_ns : slot:int -> float;
-  d_tier_stats : unit -> (int * int) option;
-}
-
-(** Per-tenant resident-page accounting, likewise inverted (the state
-    lives in [svagc_fleet]).  [cg_charge]/[cg_uncharge] fire when a page
-    enters/leaves the reclaim tracking table; [cg_excess] is resident
-    pages above the tenant's hard limit; [cg_prefer] marks tenants over
-    their soft limit (preferred kswapd victims); [cg_any_over_soft] must
-    be O(1) — it is consulted on every kswapd wake; [cg_stats] lists
-    [(asid, resident, soft, hard)] in ascending-asid order. *)
-type cgroup_iface = {
-  cg_charge : asid:int -> unit;
-  cg_uncharge : asid:int -> unit;
-  cg_excess : asid:int -> int;
-  cg_prefer : asid:int -> bool;
-  cg_any_over_soft : unit -> bool;
-  cg_stats : unit -> (int * int * int * int) list;
-}
-
 val create :
   Svagc_vmem.Machine.t ->
   limit_frames:int ->
-  ?swap_cost_ns:float ->
   ?max_io_retries:int ->
-  ?dev:dev_iface ->
+  ?dev:Swap_tier.t ->
   unit ->
   t
 (** A reclaimer that keeps the machine's resident frame count at or below
     [limit_frames] (evicting down to a small hysteresis gap below it on
-    each wake).  [swap_cost_ns] overrides both per-page device latencies;
-    [max_io_retries] (default 3) bounds device attempts per transfer.
-    [dev] replaces the default flat swap device (in which case the device
-    owns all transfer costs and [swap_cost_ns] is ignored).
+    each wake).  [max_io_retries] (default 3) bounds device attempts per
+    transfer.  [dev] is the swap device, which owns every transfer cost;
+    the default is [Swap_tier.create machine ()], a tier whose near side
+    has no bound.
     @raise Invalid_argument if [limit_frames <= 0]. *)
 
 val limit_frames : t -> int
 
-val set_cgroup : t -> cgroup_iface option -> unit
+val set_cgroup : t -> Cgroup.t option -> unit
 (** Install (or remove) the per-tenant accounting plane.  Pages already
     tracked are charged to their tenants on installation. *)
 
@@ -157,8 +114,8 @@ val slot_allocated : t -> slot:int -> bool
 
 val slots_in_use : t -> int
 
-val tier_stats : t -> (int * int) option
-(** The device's [(near_in_use, far_in_use)]; [None] for a flat device. *)
+val tier_stats : t -> int * int
+(** The device's [(near_in_use, far_in_use)]. *)
 
 val cgroup_stats : t -> (int * int * int * int) list
 (** Per-tenant [(asid, resident, soft, hard)]; [[]] without a cgroup

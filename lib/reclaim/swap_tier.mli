@@ -1,0 +1,96 @@
+(** The reclaimer's swap device: a "near" tier (local NVMe, the cost
+    model's swap latencies) in front of an unbounded "far" tier (remote
+    far memory, [far_cost_mult] times slower).  {!Reclaim} calls it
+    directly; its default device is a tier whose near side has no bound,
+    which never demotes and so behaves as one flat device.
+
+    Slot ids handed to the reclaimer (and encoded into swapped PTEs) are
+    {e virtual}: an id's payload can migrate between the backing devices
+    without any page-table fixup.  Placement policy:
+
+    - swap-out always lands in the near tier (freshly evicted pages are
+      the warmest thing on the device);
+    - when a bounded near tier is full, its {e coldest} slot — oldest
+      allocation still near-resident — is demoted to the far tier first
+      ([tier_demotions], cost [far_out_ns] folded into the swap-out);
+    - a demand fault that reads a far slot counts as a promotion
+      ([tier_promotions]): the payload returns at far latency, the slot is
+      freed, and the page re-enters DRAM.  Nothing moves into the near
+      tier and nothing is demoted to make room.
+
+    Deterministic: demotion order is allocation order, no randomness, no
+    wall clock.
+
+    Payloads move by ownership, never by copy: {!write} keeps the buffer
+    it is given (the caller drops its reference), {!take} frees the slot
+    and hands its buffer back, and {!peek} is the one aliasing read — the
+    device's own buffer, which the caller must not mutate.
+
+    Representation, all unboxed: an id's location is one int ([2n] for
+    near slot [n], [2n + 1] for far slot [n], [-1] while free), freed ids
+    are reused most recently freed first, and a bounded tier's demotion
+    queue is a ring of (id, generation) int pairs — an id freed and
+    reallocated gets a new generation, so its stale queue entry is
+    skipped.  A full ring drops its stale entries before it grows, so it
+    stays within a constant factor of the near slots in use. *)
+
+type t
+
+val create :
+  Svagc_vmem.Machine.t ->
+  ?near_slots:int ->
+  ?far_cost_mult:float ->
+  ?swap_cost_ns:float ->
+  unit ->
+  t
+(** [near_slots] bounds the near tier (default: no bound); near-tier
+    latencies are the machine's [swap_out_ns]/[swap_in_ns], or
+    [swap_cost_ns] for both when given; [far_cost_mult] (default 4.0)
+    scales both into the far tier's.  Demotion/promotion counters are
+    bumped on [machine]'s perf.
+    @raise Invalid_argument if [near_slots <= 0] or [far_cost_mult < 1]. *)
+
+(** {2 The device} *)
+
+val alloc_slot : t -> int
+(** A fresh virtual id in the near tier, demoting the coldest near slot
+    first when a bounded near tier is full. *)
+
+val write : t -> slot:int -> bytes option -> unit
+(** Store a payload by ownership ([None] = zero page).
+    @raise Invalid_argument if the slot is not allocated (likewise for
+    {!take}, {!free_slot} and {!peek}). *)
+
+val take : t -> slot:int -> bytes option
+(** Free the slot and hand its payload back; a far slot counts a
+    promotion. *)
+
+val free_slot : t -> int -> unit
+
+val peek : t -> slot:int -> bytes option
+(** The slot's payload without side effects (oracle path). *)
+
+val out_ns : t -> float
+(** Per-attempt cost of the {e next} swap-out, folding in the demotion its
+    allocation will trigger; queried before the slot is allocated. *)
+
+val in_ns : t -> slot:int -> float
+(** Per-attempt cost of reading [slot] back (far slots are slower). *)
+
+(** {2 Observers} *)
+
+val allocated : t -> slot:int -> bool
+(** Is [slot] a live virtual id (on either tier)? *)
+
+val near_in_use : t -> int
+(** Allocated slots whose payload currently lives in the near tier. *)
+
+val far_in_use : t -> int
+(** Allocated slots whose payload has been demoted to the far tier. *)
+
+val slots_in_use : t -> int
+(** Live virtual slot ids; equals [near_in_use + far_in_use] unless a
+    backing slot leaked. *)
+
+val stats : t -> int * int
+(** [(near_in_use, far_in_use)]. *)

@@ -55,8 +55,8 @@ type t = {
       (** writing one 4 KiB page to the simulated swap device (submission +
           transfer at NVMe-class bandwidth); charged per page evicted by
           kswapd-style reclaim, and per device retry after an injected
-          EIO.  [Fault_handler.attach ?swap_cost_ns] can override it per
-          machine. *)
+          EIO.  [Swap_tier.create ?swap_cost_ns] can override it per
+          device. *)
   swap_in_ns : float;
       (** reading one 4 KiB page back from the swap device on a demand
           fault; same override as [swap_out_ns] *)

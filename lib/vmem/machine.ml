@@ -20,7 +20,7 @@ type reclaim_iface = {
   ri_slots_in_use : unit -> int;
   ri_drain_ns : unit -> float;
   ri_cgroup_stats : unit -> (int * int * int * int) list;
-  ri_tier_stats : unit -> (int * int) option;
+  ri_tier_stats : unit -> int * int;
   ri_lru_audit : unit -> string list;
 }
 

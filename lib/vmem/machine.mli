@@ -49,9 +49,8 @@ type reclaim_iface = {
           ascending-asid order when a cgroup plane is installed on the
           reclaimer; [[]] otherwise.  Observer for the shadow oracle's
           cgroup conservation laws. *)
-  ri_tier_stats : unit -> (int * int) option;
-      (** [(near_slots_in_use, far_slots_in_use)] when the swap device is
-          tiered; [None] for a flat single-latency device. *)
+  ri_tier_stats : unit -> int * int;
+      (** The swap device's [(near_slots_in_use, far_slots_in_use)]. *)
   ri_lru_audit : unit -> string list;
       (** Structural check of the reclaimer's page tracking (its LRU lists
           and per-tenant rings); [[]] when sound.  Observer for the shadow

@@ -50,22 +50,6 @@ let test_should_swap_threshold () =
   Alcotest.(check bool) "at" true (Move_object.should_swap cfg ~len:(10 * 4096));
   Alcotest.(check bool) "above" true (Move_object.should_swap cfg ~len:(1 lsl 20))
 
-let test_move_cost_crossover () =
-  let heap = Helpers.heap () in
-  let cfg = Config.default in
-  (* Analytic costs: memmove below threshold, swap above; the swap path
-     must win decisively for megabyte objects. *)
-  let small = Move_object.move_cost_ns cfg heap ~len:(4 * 4096) in
-  let large_swap = Move_object.move_cost_ns cfg heap ~len:(1 lsl 20) in
-  let large_copy =
-    Svagc_kernel.Memmove.cost_ns ~cold:true
-      (Svagc_kernel.Process.machine (Heap.proc heap))
-      ~len:(1 lsl 20)
-  in
-  Alcotest.(check bool) "small positive" true (small > 0.0);
-  Alcotest.(check bool) "swap 5x cheaper at 1 MiB" true
-    (large_swap *. 5.0 < large_copy)
-
 (* --- The differential test --- *)
 
 let collect_with collector_of seed =
@@ -232,7 +216,6 @@ let () =
       ( "move_object",
         [
           Alcotest.test_case "threshold" `Quick test_should_swap_threshold;
-          Alcotest.test_case "cost crossover" `Quick test_move_cost_crossover;
         ] );
       ( "differential",
         [

@@ -1,20 +1,21 @@
-(* Tests for svagc_fleet: admission decisions, FIFO fairness and the
+(* Tests for svagc_fleet and the reclaimer's fleet-facing parts
+   (Swap_tier, Cgroup): admission decisions, FIFO fairness and the
    admission_rejects counter; tiered swap-device demotion/promotion with
-   payload integrity across the migration; cgroup hard-limit enforcement
-   on the mapping and faulting paths; soft-limit-first victim selection
-   (an under-soft tenant's pages survive kswapd while a hog is over);
-   equivalence of an oversized near tier with the default flat device;
-   bit-determinism of the fleet driver (tier placement, counters and
-   percentiles replay); a fleet run under the shadow oracle's
-   cgroup/tier conservation laws; and the SwapVA <= memmove fleet p99
-   gate at the quick and default fleet sizes. *)
+   payload integrity across the migration; a tier's host footprint under
+   churn; cgroup hard-limit enforcement on the mapping and faulting
+   paths; soft-limit-first victim selection (an under-soft tenant's pages
+   survive kswapd while a hog is over); equivalence of an oversized near
+   tier with the default (unbounded) device; bit-determinism of the
+   fleet driver (tier placement, counters and percentiles replay); a
+   fleet run under the shadow oracle's cgroup and tier conservation
+   laws; and the SwapVA <= memmove fleet p99 gate at the quick and
+   default fleet sizes. *)
 
 open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Fault_handler = Svagc_kernel.Fault_handler
-module Reclaim = Svagc_reclaim.Reclaim
-module Swap_tier = Svagc_fleet.Swap_tier
-module Cgroup = Svagc_fleet.Cgroup
+module Swap_tier = Svagc_reclaim.Swap_tier
+module Cgroup = Svagc_reclaim.Cgroup
 module Admission = Svagc_fleet.Admission
 module Fleet = Svagc_fleet.Fleet
 module Histogram = Svagc_util.Histogram
@@ -65,13 +66,12 @@ let test_admission_decisions () =
 let test_tier_demote_promote () =
   let m = machine () in
   let tier = Swap_tier.create m ~near_slots:2 ~far_cost_mult:3.0 () in
-  let dev = Swap_tier.iface tier in
-  let out_empty = dev.Reclaim.d_out_ns () in
+  let out_empty = Swap_tier.out_ns tier in
   let payload i = Bytes.make Addr.page_size (Char.chr (Char.code 'A' + i)) in
   let slots =
     List.init 3 (fun i ->
-        let s = dev.Reclaim.d_alloc_slot () in
-        dev.Reclaim.d_write ~slot:s (Some (payload i));
+        let s = Swap_tier.alloc_slot tier in
+        Swap_tier.write tier ~slot:s (Some (payload i));
         s)
   in
   (* The third allocation found the near tier full and demoted the
@@ -80,7 +80,7 @@ let test_tier_demote_promote () =
     (Swap_tier.stats tier);
   Alcotest.(check int) "demotion counted" 1 (Perf.get m.Machine.perf Tier_demotions);
   Alcotest.(check bool) "full near tier makes swap-out dearer" true
-    (dev.Reclaim.d_out_ns () > out_empty);
+    (Swap_tier.out_ns tier > out_empty);
   let s0 = List.nth slots 0 and s1 = List.nth slots 1 in
   (* peek is the oracle path: payload visible, no promotion side effect. *)
   (match Swap_tier.peek tier ~slot:s0 with
@@ -89,21 +89,45 @@ let test_tier_demote_promote () =
   Alcotest.(check int) "peek is not a promotion" 0
     (Perf.get m.Machine.perf Tier_promotions);
   Alcotest.(check bool) "far slot reads slower" true
-    (dev.Reclaim.d_in_ns ~slot:s0 > dev.Reclaim.d_in_ns ~slot:s1);
+    (Swap_tier.in_ns tier ~slot:s0 > Swap_tier.in_ns tier ~slot:s1);
   (* A demand-fault take of the far slot is a promotion, and the payload
      survived the near->far migration byte-for-byte. *)
-  (match dev.Reclaim.d_take ~slot:s0 with
+  (match Swap_tier.take tier ~slot:s0 with
   | Some b ->
     Alcotest.(check bytes) "payload intact across demotion" (payload 0) b
   | None -> Alcotest.fail "take lost the demoted payload");
   Alcotest.(check int) "promotion counted" 1
     (Perf.get m.Machine.perf Tier_promotions);
   Alcotest.(check bool) "take frees the slot" false
-    (dev.Reclaim.d_allocated ~slot:s0);
-  List.iter (fun s -> dev.Reclaim.d_free_slot s) (List.tl slots);
+    (Swap_tier.allocated tier ~slot:s0);
+  List.iter (fun s -> Swap_tier.free_slot tier s) (List.tl slots);
   Alcotest.(check int) "no slot leak" 0 (Swap_tier.slots_in_use tier);
   Alcotest.(check (pair int int)) "both tiers empty" (0, 0)
     (Swap_tier.stats tier)
+
+(* Churn that never fills the near tier (allocate, write, take) leaves
+   the tier's host footprint flat: its demotion queue drops stale entries
+   instead of growing, and the unbounded default keeps no queue at all. *)
+let test_tier_churn_bounded () =
+  let churn tier rounds =
+    for _ = 1 to rounds do
+      let slot = Swap_tier.alloc_slot tier in
+      Swap_tier.write tier ~slot None;
+      ignore (Swap_tier.take tier ~slot)
+    done
+  in
+  List.iter
+    (fun (name, near_slots) ->
+      let tier = Swap_tier.create (machine ()) ?near_slots () in
+      churn tier 100;
+      let before = Obj.reachable_words (Obj.repr tier) in
+      churn tier 100_000;
+      let after = Obj.reachable_words (Obj.repr tier) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d -> %d words" name before after)
+        true
+        (after - before <= 1024))
+    [ ("near_slots 4", Some 4); ("unbounded near tier", None) ]
 
 (* Through the whole reclaim plane: payloads written under pressure go
    near, get demoted to far as the near tier fills, and come back through
@@ -112,7 +136,7 @@ let test_tier_demote_promote () =
 let test_tier_payload_round_trip () =
   let m = machine () in
   let tier = Swap_tier.create m ~near_slots:4 () in
-  ignore (Fault_handler.attach m ~limit_frames:8 ~dev:(Swap_tier.iface tier) ());
+  ignore (Fault_handler.attach m ~limit_frames:8 ~dev:tier ());
   let aspace = Process.aspace (Process.create m) in
   let pages = 32 in
   let va i = base + (i * Addr.page_size) in
@@ -130,7 +154,17 @@ let test_tier_payload_round_trip () =
       (Address_space.read_bytes aspace ~va:(va i) ~len:Addr.page_size)
   done;
   Alcotest.(check bool) "far payloads came back by promotion" true
-    (Perf.get m.Machine.perf Tier_promotions > 0)
+    (Perf.get m.Machine.perf Tier_promotions > 0);
+  (* The oracle's reclaim laws hold on this cgroup-free machine, tier
+     conservation included: no backing slot outlived its id. *)
+  let tables =
+    [ (Address_space.asid aspace, Address_space.page_table aspace) ]
+  in
+  Alcotest.(check (list string))
+    "reclaim laws hold" []
+    (List.map
+       (fun f -> f.Svagc_check.Check.detail)
+       (snd (Svagc_check.Check.reclaim_laws m ~tables)))
 
 (* --- Cgroup accounting against a model --- *)
 
@@ -170,7 +204,6 @@ let prop_cgroup_model =
           QCheck.Gen.(list_size (int_range 1 400) op))
        (fun ops ->
          let cg = Cgroup.create () in
-         let plane = Cgroup.iface cg in
          let model = Hashtbl.create 16 in
          let get a =
            Option.value ~default:(0, max_int, max_int) (Hashtbl.find_opt model a)
@@ -184,11 +217,11 @@ let prop_cgroup_model =
              let error =
                match op with
                | Charge a ->
-                 plane.Reclaim.cg_charge ~asid:a;
+                 Cgroup.charge cg ~asid:a;
                  bump a 1;
                  None
                | Uncharge a ->
-                 plane.Reclaim.cg_uncharge ~asid:a;
+                 Cgroup.uncharge cg ~asid:a;
                  bump a (-1);
                  None
                | Set_limits (a, soft, hard) -> (
@@ -238,8 +271,7 @@ let prop_cgroup_model =
 let test_cgroup_hard_limit () =
   let m = machine () in
   let cg = Cgroup.create () in
-  ignore
-    (Fault_handler.attach m ~limit_frames:1000 ~cgroup:(Cgroup.iface cg) ());
+  ignore (Fault_handler.attach m ~limit_frames:1000 ~cgroup:cg ());
   let proc = Process.create m in
   let aspace = Process.aspace proc in
   let asid = Address_space.asid aspace in
@@ -263,8 +295,7 @@ let test_cgroup_hard_limit () =
 let test_soft_limit_first () =
   let m = machine () in
   let cg = Cgroup.create () in
-  ignore
-    (Fault_handler.attach m ~limit_frames:12 ~cgroup:(Cgroup.iface cg) ());
+  ignore (Fault_handler.attach m ~limit_frames:12 ~cgroup:cg ());
   let pa = Process.create m and pb = Process.create m in
   let aa = Process.aspace pa and ab = Process.aspace pb in
   let asid_a = Address_space.asid aa and asid_b = Address_space.asid ab in
@@ -283,7 +314,7 @@ let test_soft_limit_first () =
   Alcotest.(check bool) "hog paid the eviction" true
     (Cgroup.resident cg ~asid:asid_a < 10)
 
-(* --- flat-device equivalence --- *)
+(* --- equivalence with the default (flat) device --- *)
 
 (* Pressure churn (map 2x the limit, then touch everything once) with an
    optional device; returns the machine's full counter set plus the
@@ -312,10 +343,11 @@ let test_oversized_near_tier_is_flat () =
   let flat, flat_ns = pressure_counters ~dev_of:(fun _ -> None) in
   let tiered, tiered_ns =
     pressure_counters ~dev_of:(fun m ->
-        Some (Swap_tier.iface (Swap_tier.create m ~near_slots:1_000_000 ())))
+        Some (Swap_tier.create m ~near_slots:1_000_000 ()))
   in
   (* A near tier that never fills never demotes: same slots, same costs,
-     same counters as the built-in flat device, to the bit. *)
+     same counters as the default device, whose near side has no bound,
+     to the bit. *)
   Alcotest.(check (list (pair string int)))
     "counters identical to the flat device" flat tiered;
   Alcotest.(check (float 0.0)) "reclaim cost identical" flat_ns tiered_ns
@@ -424,6 +456,8 @@ let () =
         [
           Alcotest.test_case "demote/promote + payload" `Quick
             test_tier_demote_promote;
+          Alcotest.test_case "churn keeps the tier bounded" `Quick
+            test_tier_churn_bounded;
           Alcotest.test_case "payload round trip through faults" `Quick
             test_tier_payload_round_trip;
           Alcotest.test_case "oversized near tier = flat device" `Quick

@@ -16,6 +16,7 @@ module Memmove = Svagc_kernel.Memmove
 module Fault_handler = Svagc_kernel.Fault_handler
 module Reclaim = Svagc_reclaim.Reclaim
 module Swap_dev = Svagc_reclaim.Swap_dev
+module Cgroup = Svagc_reclaim.Cgroup
 module Fault_spec = Svagc_fault.Fault_spec
 module Kernel_error = Svagc_fault.Kernel_error
 module Config = Svagc_core.Config
@@ -212,8 +213,8 @@ let pp_lru_op = function
   | Unmap (t, i) -> Printf.sprintf "unmap %d:%d" t i
   | Adopt (t, i, j) -> Printf.sprintf "exchange %d:%d,%d + adopt" t i j
 
-(* Three tenants on one reclaimer, with a test-local cgroup plane: tenant
-   0 is capped at soft 3 / hard 6 pages, tenant 1 at soft 2 / hard 5,
+(* Three tenants on one reclaimer, with a cgroup plane: tenant 0 is
+   capped at soft 3 / hard 6 pages, tenant 1 at soft 2 / hard 5,
    tenant 2 unlimited, so soft-first victim choice and hard-limit shrinks
    both run.  After every op the audit (LRU lists and tenant rings) must
    be clean, and each tenant's charge must equal its tracked pages — with
@@ -225,38 +226,19 @@ let prop_lru_audit =
        QCheck.Gen.(list_size (int_range 1 120) lru_op_gen))
     (fun ops ->
       let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
-      let charged = Hashtbl.create 4 and limits = Hashtbl.create 4 in
-      let resident asid =
-        Option.value ~default:0 (Hashtbl.find_opt charged asid)
-      in
-      let limit asid =
-        Option.value ~default:(max_int, max_int) (Hashtbl.find_opt limits asid)
-      in
-      let soft asid = fst (limit asid) and hard asid = snd (limit asid) in
-      let cgroup =
-        {
-          Reclaim.cg_charge =
-            (fun ~asid -> Hashtbl.replace charged asid (resident asid + 1));
-          cg_uncharge =
-            (fun ~asid -> Hashtbl.replace charged asid (resident asid - 1));
-          cg_excess = (fun ~asid -> max 0 (resident asid - hard asid));
-          cg_prefer = (fun ~asid -> resident asid > soft asid);
-          cg_any_over_soft =
-            (fun () ->
-              Hashtbl.fold (fun asid n any -> any || n > soft asid) charged false);
-          cg_stats = (fun () -> []);
-        }
-      in
+      let cgroup = Cgroup.create () in
       let r = Fault_handler.attach machine ~limit_frames:8 ~cgroup () in
       let procs = Array.init lru_tenants (fun _ -> Process.create machine) in
       let aspace t = Process.aspace procs.(t) in
       let asid t = Address_space.asid (aspace t) in
       let pt t = Address_space.page_table (aspace t) in
-      Hashtbl.replace limits (asid 0) (3, 6);
-      Hashtbl.replace limits (asid 1) (2, 5);
+      Cgroup.set_limits cgroup ~asid:(asid 0) ~soft:3 ~hard:6;
+      Cgroup.set_limits cgroup ~asid:(asid 1) ~soft:2 ~hard:5;
       let va i = base + (i * Addr.page_size) in
       let mapped t i = Address_space.is_mapped (aspace t) ~va:(va i) in
-      let charges_in_step t = resident (asid t) = Page_table.mapped_pages (pt t) in
+      let charges_in_step t =
+        Cgroup.resident cgroup ~asid:(asid t) = Page_table.mapped_pages (pt t)
+      in
       List.for_all
         (fun op ->
           (match op with
