@@ -14,8 +14,8 @@ module Workload = Svagc_workloads.Workload
 module Report = Svagc_metrics.Report
 module Check = Svagc_check.Check
 module Fleet = Svagc_fleet.Fleet
-module Fault_handler = Svagc_kernel.Fault_handler
 module Swap_tier = Svagc_reclaim.Swap_tier
+module Reclaim = Svagc_reclaim.Reclaim
 module Perf = Svagc_vmem.Perf
 
 (* The exit statuses every command documents: cmdliner's own, with 123
@@ -206,7 +206,7 @@ let run_term ~workload ~collectors ~steps =
       Option.iter
         (fun limit_frames ->
           let dev = Swap_tier.create machine ?swap_cost_ns () in
-          ignore (Fault_handler.attach machine ~limit_frames ~dev ()))
+          ignore (Reclaim.attach machine ~limit_frames ~dev ()))
         mem_limit_frames;
       machine
     in
@@ -274,7 +274,7 @@ let bench_cmd =
         Report.kv "max pause" (Report.ns summary.max_pause_ns);
         Report.kv "throughput"
           (Printf.sprintf "%.3f steps/ms" res.Runner.throughput);
-        if Fault_handler.attached machine then begin
+        if machine.Svagc_vmem.Machine.reclaim <> None then begin
           let perf = machine.Svagc_vmem.Machine.perf in
           Report.kv "major faults" (string_of_int (Perf.get perf Major_faults));
           Report.kv "pages swapped out"

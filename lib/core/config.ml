@@ -3,13 +3,11 @@ module Shootdown = Svagc_kernel.Shootdown
 type t = {
   threshold_pages : int;
   pmd_caching : bool;
-  aggregation : bool;
   aggregation_batch : int;
   coalesce_runs : bool;
   pmd_leaf_swap : bool;
   allow_overlap : bool;
   flush : Shootdown.policy;
-  pin_compaction : bool;
   gc_threads : int;
   fault_spec : Svagc_fault.Fault_spec.t;
   fault_seed : int;
@@ -19,13 +17,11 @@ let default =
   {
     threshold_pages = 10;
     pmd_caching = true;
-    aggregation = true;
     aggregation_batch = 64;
     coalesce_runs = true;
     pmd_leaf_swap = false;
     allow_overlap = true;
     flush = Shootdown.Local_pinned;
-    pin_compaction = true;
     gc_threads = 4;
     fault_spec = Svagc_fault.Fault_spec.empty;
     fault_seed = 0;
@@ -35,13 +31,11 @@ let unoptimized =
   {
     threshold_pages = 10;
     pmd_caching = false;
-    aggregation = false;
     aggregation_batch = 1;
     coalesce_runs = false;
     pmd_leaf_swap = false;
     allow_overlap = false;
     flush = Shootdown.Broadcast_per_call;
-    pin_compaction = false;
     gc_threads = 4;
     fault_spec = Svagc_fault.Fault_spec.empty;
     fault_seed = 0;
@@ -50,12 +44,4 @@ let unoptimized =
 let validate t =
   if t.threshold_pages <= 0 then invalid_arg "Config: threshold must be positive";
   if t.aggregation_batch <= 0 then invalid_arg "Config: batch must be positive";
-  if t.gc_threads <= 0 then invalid_arg "Config: gc_threads must be positive";
-  match t.flush with
-  | Shootdown.Local_pinned when not t.pin_compaction ->
-    invalid_arg
-      "Config: Local_pinned flushing is only sound under pinned compaction \
-       (Algorithm 4)"
-  | Shootdown.Local_pinned | Shootdown.Broadcast_per_call
-  | Shootdown.Process_targeted | Shootdown.Self_invalidate ->
-    ()
+  if t.gc_threads <= 0 then invalid_arg "Config: gc_threads must be positive"

@@ -7,8 +7,9 @@ type t = {
       (** Algorithm 3 [Threshold_Swapping]; 10 pages is the paper's
           break-even (Fig. 10) *)
   pmd_caching : bool;  (** Fig. 7/8 *)
-  aggregation : bool;  (** Fig. 5/6 *)
-  aggregation_batch : int;  (** max requests folded into one syscall *)
+  aggregation_batch : int;
+      (** Fig. 5/6: max requests folded into one syscall; 1 turns
+          aggregation off *)
   coalesce_runs : bool;
       (** request-level aggregation: adjacent compaction entries whose src
           AND dst ranges are contiguous merge into one larger SwapVA
@@ -21,7 +22,8 @@ type t = {
           by default and evaluated in its own ablation *)
   allow_overlap : bool;  (** Algorithm 2 for overlapping src/dst *)
   flush : Svagc_kernel.Shootdown.policy;
-  pin_compaction : bool;  (** Algorithm 4 *)
+      (** [Local_pinned] is Algorithm 4's pinned compaction: pin, one
+          up-front all-core shootdown, local-only flushes per call *)
   gc_threads : int;
   fault_spec : Svagc_fault.Fault_spec.t;
       (** Deterministic kernel fault injection ([--fault-spec]).  Empty
@@ -43,5 +45,5 @@ val unoptimized : t
     shootdowns — the Fig. 8/9 baseline. *)
 
 val validate : t -> unit
-(** @raise Invalid_argument on inconsistent settings (e.g. [Local_pinned]
-    flushing without [pin_compaction]). *)
+(** @raise Invalid_argument on a non-positive threshold, batch or thread
+    count. *)

@@ -126,15 +126,12 @@ let degrade_item proc ~opts ~aspace ?measure_core ~emit ~carry err (req, entries
    DESIGN.md fault chapter: completed requests keep their swaps, the
    failing request retries/falls back to memmove, and the untried suffix
    is re-flushed (a fresh syscall batch). *)
-let rec flush_batch proc ~opts ~aspace ?measure_core ~emit ~aggregated batch =
+let rec flush_batch proc ~opts ~aspace ?measure_core ~emit batch =
   match batch with
   | [] -> ()
   | items ->
     let requests = List.map fst items in
-    let outcome =
-      if aggregated then Swapva.swap_aggregated proc ~opts requests
-      else Swapva.swap_separated proc ~opts requests
-    in
+    let outcome = Swapva.swap_aggregated proc ~opts requests in
     (match outcome.Swapva.failure with
     | None ->
       let total_pages =
@@ -167,10 +164,11 @@ let rec flush_batch proc ~opts ~aspace ?measure_core ~emit ~aggregated batch =
         done_items;
       let carry = if completed = 0 then outcome.Swapva.ns else 0.0 in
       degrade_item proc ~opts ~aspace ?measure_core ~emit ~carry err failed_item;
-      flush_batch proc ~opts ~aspace ?measure_core ~emit ~aggregated rest_items)
+      flush_batch proc ~opts ~aspace ?measure_core ~emit rest_items)
 
 let mover ?measure_core (cfg : Config.t) =
   Config.validate cfg;
+  let pinned = cfg.flush = Shootdown.Local_pinned in
   let prologue heap =
     let proc = Heap.proc heap in
     (* Arm the machine's fault plane on first use.  Installation is
@@ -185,7 +183,7 @@ let mover ?measure_core (cfg : Config.t) =
        | None ->
          machine.Machine.fault <-
            Some (Svagc_fault.Injector.create cfg.fault_spec ~seed:cfg.fault_seed));
-    if cfg.pin_compaction then begin
+    if pinned then begin
       let machine = Process.machine proc in
       let pin_cost = Process.pin proc ~core:(Process.current_core proc) in
       let flush_cost =
@@ -199,7 +197,7 @@ let mover ?measure_core (cfg : Config.t) =
   in
   let epilogue heap =
     let proc = Heap.proc heap in
-    if cfg.pin_compaction then Process.unpin proc else 0.0
+    if pinned then Process.unpin proc else 0.0
   in
   let move_entries heap entries =
     let proc = Heap.proc heap in
@@ -225,8 +223,7 @@ let mover ?measure_core (cfg : Config.t) =
     let flush_pending () =
       if !pending <> [] then begin
         let items = List.rev_map (fun (r, ep) -> (r, List.rev ep)) !pending in
-        flush_batch proc ~opts ~aspace ?measure_core ~emit
-          ~aggregated:cfg.aggregation items
+        flush_batch proc ~opts ~aspace ?measure_core ~emit items
       end;
       if !pending_count > 0 && Tracer.tracing () then
         Tracer.instant ~cat:"gc"

@@ -1,9 +1,9 @@
 (** Algorithm 3 [MoveObject] as a compaction mover: objects spanning at
     least [threshold_pages] pages move by swapping their PTEs (batched into
-    aggregated SwapVA calls when enabled), everything else falls back to
-    byte copy.  With [pin_compaction] the mover implements Algorithm 4:
-    pin, one up-front all-core shootdown, local-only flushes per call,
-    unpin.
+    aggregated SwapVA calls of up to [aggregation_batch] requests),
+    everything else falls back to byte copy.  With [Local_pinned]
+    flushing the mover implements Algorithm 4: pin, one up-front all-core
+    shootdown, local-only flushes per call, unpin.
 
     {b Kernel error handling.}  SwapVA reports failures as typed
     [Svagc_fault.Kernel_error.t] values and guarantees a failed request

@@ -17,7 +17,7 @@ val create :
   t
 (** Spawns [instances] JVMs and sets the machine's contention level.
     Memory pressure is the machine's, not the co-run's: attach a reclaim
-    plane ([Svagc_kernel.Fault_handler.attach]) when the machine is made,
+    plane ([Svagc_reclaim.Reclaim.attach]) when the machine is made,
     so every tenant's heap pages are LRU-tracked from their first
     mapping. *)
 

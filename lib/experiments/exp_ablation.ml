@@ -118,21 +118,18 @@ let knockouts =
     ("full SVAGC", Config.default);
     ("no PMD caching", { Config.default with Config.pmd_caching = false });
     ( "no aggregation",
-      { Config.default with Config.aggregation = false; aggregation_batch = 1 } );
+      { Config.default with Config.aggregation_batch = 1 } );
     ( "no SwapVA at all (threshold = infinity)",
       (* The biggest knock-out: every move falls back to memmove.  (The
          heap is built with the same threshold, so nothing page-aligns
          either — this is exactly the paper's "-SwapVA" configuration.) *)
       { Config.default with Config.threshold_pages = 1_000_000 } );
     ( "no pinning (process-targeted shootdowns)",
-      { Config.default with Config.pin_compaction = false;
-        flush = Shootdown.Process_targeted } );
+      { Config.default with Config.flush = Shootdown.Process_targeted } );
     ( "naive shootdowns (broadcast per call)",
-      { Config.default with Config.pin_compaction = false;
-        flush = Shootdown.Broadcast_per_call } );
+      { Config.default with Config.flush = Shootdown.Broadcast_per_call } );
     ( "self-invalidating TLBs (no IPIs, Awad et al.)",
-      { Config.default with Config.pin_compaction = false;
-        flush = Shootdown.Self_invalidate } );
+      { Config.default with Config.flush = Shootdown.Self_invalidate } );
   ]
 
 let run_knockout w (label, cfg) =

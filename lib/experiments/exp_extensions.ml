@@ -78,8 +78,7 @@ let evac_case ~swapva =
       (* Concurrent collectors issue relocations independently: no
          aggregation, no pinning, targeted shootdowns (Table I row 3). *)
       Move_object.mover
-        { Config.default with Config.aggregation = false; aggregation_batch = 1;
-          pin_compaction = false;
+        { Config.default with Config.aggregation_batch = 1;
           flush = Svagc_kernel.Shootdown.Process_targeted }
     else Compact.memmove_mover
   in

@@ -1,6 +1,6 @@
 (** Memory-pressure extension — full GCs under constrained residency.
 
-    The reclaim plane ({!Svagc_kernel.Fault_handler}) caps the machine at a
+    The reclaim plane ({!Svagc_reclaim.Reclaim}) caps the machine at a
     fraction of the workload's natural footprint; cold heap pages are
     evicted to the simulated swap device and fault back in on touch.  The
     sweep contrasts the two compaction engines under that pressure:
@@ -43,7 +43,7 @@ let run_once ~steps ~limit_frames kind =
   let machine = Exp_common.fresh_machine Cost_model.xeon_6130 in
   (match limit_frames with
   | Some limit_frames ->
-    ignore (Svagc_kernel.Fault_handler.attach machine ~limit_frames ())
+    ignore (Svagc_reclaim.Reclaim.attach machine ~limit_frames ())
   | None -> ());
   let workload = Svagc_workloads.Spec.find workload_name in
   let jvm =

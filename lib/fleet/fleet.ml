@@ -9,6 +9,7 @@ module Tracer = Svagc_trace.Tracer
 module Process = Svagc_kernel.Process
 module Swap_tier = Svagc_reclaim.Swap_tier
 module Cgroup = Svagc_reclaim.Cgroup
+module Reclaim = Svagc_reclaim.Reclaim
 
 type config = {
   tenants : int;  (* main cohort, all sized to fit the overcommit budget *)
@@ -200,8 +201,7 @@ let run ~collector_of ?(label = "fleet") config =
   (* One shared frame pool for every wave, armed before any tenant maps a
      page so each heap page enters the LRU lists as it is mapped. *)
   ignore
-    (Svagc_kernel.Fault_handler.attach machine ~limit_frames:pool_frames
-       ~dev:tier ~cgroup ());
+    (Reclaim.attach machine ~limit_frames:pool_frames ~dev:tier ~cgroup ());
   let admission =
     Admission.create machine ~capacity_frames:pool_frames
       ~overcommit:config.overcommit ~queue_limit:config.queue_limit ()

@@ -11,8 +11,8 @@
     the mapping/faulting/adopt paths.
 
     Tenants appear implicitly (unlimited) on first charge; register real
-    limits with {!set_limits} — and call {!Reclaim.enforce_hard}
-    afterwards if the tenant may already be over.
+    limits with {!set_limits}.  A tenant already over a tightened hard
+    limit is brought back under on its next mapping, fault or adopt.
 
     Tenants live in an array indexed by asid (doubling as asids grow), so
     every per-page query is one array read; slots no tenant has claimed

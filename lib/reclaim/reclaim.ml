@@ -57,16 +57,16 @@ type t = {
   shrink_ids : int Vec.t;  (* [shrink_asid]'s candidate snapshot *)
   mutable pending_ns : float;
   mutable in_kswapd : bool;
-  mutable cgroup : Cgroup.t option;
+  cgroup : Cgroup.t option;
 }
 
 let no_pt = Page_table.create ()
 
 let initial_ids = 64
 
-let create machine ~limit_frames ?(max_io_retries = 3) ?dev () =
+let create machine ~limit_frames ?(max_io_retries = 3) ?dev ?cgroup () =
   if limit_frames <= 0 then
-    invalid_arg "Reclaim.create: limit_frames must be positive";
+    invalid_arg "Reclaim.attach: limit_frames must be positive";
   let dev =
     match dev with Some d -> d | None -> Swap_tier.create machine ()
   in
@@ -95,7 +95,7 @@ let create machine ~limit_frames ?(max_io_retries = 3) ?dev () =
     shrink_ids = Vec.create ();
     pending_ns = 0.0;
     in_kswapd = false;
-    cgroup = None;
+    cgroup;
   }
 
 (* --- the node arena --- *)
@@ -175,19 +175,6 @@ let ensure_asid t asid =
     t.ring <- resize t.ring len (-1);
     t.pts <- resize t.pts len no_pt
   end
-
-let set_cgroup t cg =
-  t.cgroup <- cg;
-  (* Adopt pages tracked before the cgroup plane existed (a tenant's heap
-     maps during spawn, often before its limits are registered). *)
-  match cg with
-  | None -> ()
-  | Some c ->
-    for id = 2 to t.high - 1 do
-      if list_of t id >= 0 then Cgroup.charge c ~asid:t.asid_of.(id)
-    done
-
-let limit_frames t = t.limit
 
 let charge t ns = t.pending_ns <- t.pending_ns +. ns
 
@@ -452,8 +439,6 @@ let enforce t ~asid ~protect =
     let excess = Cgroup.excess cg ~asid in
     if excess > 0 then shrink_asid t ~asid ~excess ~protect
 
-let enforce_hard t ~asid = enforce t ~asid ~protect:(-1)
-
 let page_mapped t ~pt ~asid ~va =
   track t ~pt ~asid ~va;
   balance t;
@@ -535,17 +520,6 @@ let fault_in t ~pt ~asid ~va =
         "reclaim.fault_in"
   end
 
-let slot_bytes t ~slot = Swap_tier.peek t.dev ~slot
-
-let slot_allocated t ~slot = Swap_tier.allocated t.dev ~slot
-
-let slots_in_use t = Swap_tier.slots_in_use t.dev
-
-let tier_stats t = Swap_tier.stats t.dev
-
-let cgroup_stats t =
-  match t.cgroup with None -> [] | Some cg -> Cgroup.stats cg
-
 let lru_audit t =
   let errs = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -610,3 +584,28 @@ let lru_audit t =
   if !in_rings <> tracked then
     fail "the tenant rings hold %d pages but %d are tracked" !in_rings tracked;
   List.rev !errs
+
+let attach machine ~limit_frames ?max_io_retries ?dev ?cgroup () =
+  let t = create machine ~limit_frames ?max_io_retries ?dev ?cgroup () in
+  let dev = t.dev in
+  machine.Machine.reclaim <-
+    Some
+      {
+        Machine.ri_page_mapped =
+          (fun ~pt ~asid ~va -> page_mapped t ~pt ~asid ~va);
+        ri_page_unmapped =
+          (fun ~asid ~va ~pte -> page_unmapped t ~asid ~va ~pte);
+        ri_page_touched = (fun ~asid ~va -> page_touched t ~asid ~va);
+        ri_fault_in = (fun ~pt ~asid ~va -> fault_in t ~pt ~asid ~va);
+        ri_adopt = (fun ~pt ~asid -> adopt_space t ~pt ~asid);
+        ri_slot_bytes = (fun ~slot -> Swap_tier.peek dev ~slot);
+        ri_slot_allocated = (fun ~slot -> Swap_tier.allocated dev ~slot);
+        ri_slots_in_use = (fun () -> Swap_tier.slots_in_use dev);
+        ri_drain_ns = (fun () -> drain_ns t);
+        ri_cgroup_stats =
+          (fun () ->
+            match cgroup with None -> [] | Some cg -> Cgroup.stats cg);
+        ri_tier_stats = (fun () -> Swap_tier.stats dev);
+        ri_lru_audit = (fun () -> lru_audit t);
+      };
+  t

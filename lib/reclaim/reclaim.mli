@@ -3,11 +3,12 @@
     fault-in mechanics over a {!Swap_tier}, with an optional {!Cgroup}
     plane for per-tenant limits.  Both are called directly.
 
-    This module owns the {e policy and state}; the {e wiring} lives in
-    [Svagc_kernel.Fault_handler], which wraps these operations in the
+    {!attach} is the one constructor: it wraps these operations in the
     closure record [Machine.reclaim_iface] and installs it on the machine
     so that the vmem layer (which cannot depend on this library) can
     notify page lifecycle events and demand-fault swapped pages back in.
+    A machine with no attachment (the default) is bit-identical to one
+    that never heard of reclaim.
 
     Pages are tracked per virtual address [(asid, vpn)] — a PTE-level
     SwapVA that exchanges two {e present} entries moves frames between
@@ -25,9 +26,8 @@
     double.  Tracking a page, touching it, dropping it or scanning it
     allocates nothing once the arrays have grown: no record, option or
     closure per page.  What the eviction and fault paths still allocate
-    is the device's own (a slot's payload cell, its free-id and
-    demotion-queue growth), the boxed cost accumulator, and trace events
-    when tracing.  Each tenant's pages live in one page table, kept by
+    is the device's own (its free-id and demotion-queue growth), the
+    boxed cost accumulator, and trace events when tracing.  Each tenant's pages live in one page table, kept by
     asid while the tenant has tracked pages.
 
     Costs: every swap-device transfer attempt charges the device's
@@ -40,32 +40,26 @@
 
 type t
 
-val create :
+val attach :
   Svagc_vmem.Machine.t ->
   limit_frames:int ->
   ?max_io_retries:int ->
   ?dev:Swap_tier.t ->
+  ?cgroup:Cgroup.t ->
   unit ->
   t
-(** A reclaimer that keeps the machine's resident frame count at or below
-    [limit_frames] (evicting down to a small hysteresis gap below it on
-    each wake).  [max_io_retries] (default 3) bounds device attempts per
-    transfer.  [dev] is the swap device, which owns every transfer cost;
-    the default is [Swap_tier.create machine ()], a tier whose near side
-    has no bound.
+(** Create a reclaimer and install it on [machine.reclaim], turning on
+    memory pressure for every address space on that machine.  It keeps
+    the machine's resident frame count at or below [limit_frames]
+    (evicting down to a small hysteresis gap below it on each wake).
+    [max_io_retries] (default 3) bounds device attempts per transfer
+    before the swap-out skips the page or the fault surfaces [EIO_swap].
+    [dev] is the swap device, made on [machine], which owns every
+    transfer cost: the default is [Swap_tier.create machine ()], a tier
+    whose near side has no bound.  [cgroup] is the per-tenant accounting
+    plane, fixed for the reclaimer's life.  Attaching twice replaces the
+    first reclaimer and orphans its swap slots.
     @raise Invalid_argument if [limit_frames <= 0]. *)
-
-val limit_frames : t -> int
-
-val set_cgroup : t -> Cgroup.t option -> unit
-(** Install (or remove) the per-tenant accounting plane.  Pages already
-    tracked are charged to their tenants on installation. *)
-
-val enforce_hard : t -> asid:int -> unit
-(** Evict the tenant's coldest pages until it is back under its hard
-    limit (no-op without a cgroup plane, or when already under).  Called
-    by the fleet layer after tightening a tenant's limits; the mapping,
-    faulting and adopt paths run the same enforcement automatically. *)
 
 (** {2 Page lifecycle notifications} *)
 
@@ -105,21 +99,6 @@ val balance : t -> unit
 (** Run the watermark check / kswapd loop explicitly (tests). *)
 
 (** {2 Observers (oracle-safe: never mutate)} *)
-
-val slot_bytes : t -> slot:int -> bytes option
-(** The slot's payload without faulting ([None] = zero page); the device's
-    own buffer, so callers must not mutate it. *)
-
-val slot_allocated : t -> slot:int -> bool
-
-val slots_in_use : t -> int
-
-val tier_stats : t -> int * int
-(** The device's [(near_in_use, far_in_use)]. *)
-
-val cgroup_stats : t -> (int * int * int * int) list
-(** Per-tenant [(asid, resident, soft, hard)]; [[]] without a cgroup
-    plane. *)
 
 val tracked_pages : t -> int
 (** Pages currently on the LRU lists. *)

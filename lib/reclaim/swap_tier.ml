@@ -2,14 +2,13 @@ open Svagc_vmem
 module Vec = Svagc_util.Vec
 module Tracer = Svagc_trace.Tracer
 
-(* Where a virtual slot's payload currently lives, as one int: [2n] is
-   near slot [n], [2n + 1] far slot [n], and [free_loc] marks an
-   unallocated id.  The reclaimer (and the swapped PTEs it writes) only
-   ever see the virtual id, so a demotion can move the payload between
-   backing devices without touching a single page table. *)
-let free_loc = -1
-
-let is_far loc = loc land 1 = 1
+(* Which tier a virtual slot id sits in.  The payload itself lives in one
+   array indexed by the id, so a demotion only re-tags the id: the
+   reclaimer (and the swapped PTEs it writes) only ever see the id, and
+   no buffer moves. *)
+let free = 0
+let near = 1
+let far = 2
 
 (* A near tier of [unbounded] slots never fills, so it never demotes and
    keeps no demotion order. *)
@@ -17,17 +16,18 @@ let unbounded = max_int
 
 type t = {
   machine : Machine.t;
-  near : Swap_dev.t;
-  far : Swap_dev.t;
   near_slots : int;
   near_out_ns : float;
   near_in_ns : float;
   far_out_ns : float;
   far_in_ns : float;
-  mutable locs : int array;  (* virtual slot id -> location *)
+  mutable tier : int array;  (* virtual slot id -> free / near / far *)
+  mutable payloads : bytes option array;  (* by id; [None] = zero page *)
   mutable gens : int array;  (* bumped on every (re)allocation of an id *)
-  free : int Vec.t;  (* freed virtual ids, reused LIFO *)
+  free_ids : int Vec.t;  (* freed virtual ids, reused LIFO *)
   mutable high_water : int;
+  mutable near_in_use : int;
+  mutable far_in_use : int;
   (* Near-resident ids in allocation (= first-write) order, as a ring of
      (id, generation) pairs: pair [p] sits at [2p] and [2p + 1], the
      oldest at [cold_head].  Entries are invalidated lazily by generation
@@ -51,59 +51,60 @@ let create machine ?(near_slots = unbounded) ?(far_cost_mult = 4.0)
   in
   {
     machine;
-    near = Swap_dev.create ();
-    far = Swap_dev.create ();
     near_slots;
     near_out_ns;
     near_in_ns;
     far_out_ns = near_out_ns *. far_cost_mult;
     far_in_ns = near_in_ns *. far_cost_mult;
-    locs = Array.make 64 free_loc;
+    tier = Array.make 64 free;
+    payloads = Array.make 64 None;
     gens = Array.make 64 0;
-    free = Vec.create ();
+    free_ids = Vec.create ();
     high_water = 0;
+    near_in_use = 0;
+    far_in_use = 0;
     cold = (if near_slots = unbounded then [||] else Array.make 128 0);
     cold_head = 0;
     cold_len = 0;
   }
 
-let near_in_use t = Swap_dev.slots_in_use t.near
+let near_in_use t = t.near_in_use
 
-let far_in_use t = Swap_dev.slots_in_use t.far
+let far_in_use t = t.far_in_use
 
-(* Counted from the virtual ids, not the backing devices, so the oracle's
-   tier-conservation law (near + far = slots in use) can see a backing
-   slot that outlived its id. *)
-let slots_in_use t = t.high_water - Vec.length t.free
+(* Counted from the virtual ids, not the tier counters, so the oracle's
+   tier-conservation law (near + far = slots in use) can see a counter
+   that drifted from the ids. *)
+let slots_in_use t = t.high_water - Vec.length t.free_ids
 
-let stats t = (near_in_use t, far_in_use t)
+let stats t = (t.near_in_use, t.far_in_use)
 
 let allocated t ~slot =
-  slot >= 0 && slot < Array.length t.locs && t.locs.(slot) <> free_loc
+  slot >= 0 && slot < Array.length t.tier && t.tier.(slot) <> free
 
-(* The location of a live id; [what] names the caller in the error. *)
-let loc_of t vid what =
+(* The tier of a live id; [what] names the caller in the error. *)
+let tier_of t vid what =
   if not (allocated t ~slot:vid) then
     invalid_arg ("Swap_tier." ^ what ^ ": slot not allocated");
-  t.locs.(vid)
+  t.tier.(vid)
+
+let grow a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let ensure_capacity t n =
-  let len = Array.length t.locs in
+  let len = Array.length t.tier in
   if n >= len then begin
     let len' = Stdlib.max (2 * len) (n + 1) in
-    let locs' = Array.make len' free_loc in
-    Array.blit t.locs 0 locs' 0 len;
-    t.locs <- locs';
-    let gens' = Array.make len' 0 in
-    Array.blit t.gens 0 gens' 0 len;
-    t.gens <- gens'
+    t.tier <- grow t.tier len' free;
+    t.payloads <- grow t.payloads len' None;
+    t.gens <- grow t.gens len' 0
   end
 
 (* Is a cold-ring entry still a near-resident slot?  A stale entry never
    becomes live again: reallocating its id bumps the generation. *)
-let cold_live t vid gen =
-  let loc = t.locs.(vid) in
-  gen = t.gens.(vid) && loc <> free_loc && not (is_far loc)
+let cold_live t vid gen = gen = t.gens.(vid) && t.tier.(vid) = near
 
 (* The ring's pair capacity is a power of two, so positions wrap by mask.
    A full ring first drops its stale entries in place, keeping the live
@@ -141,10 +142,11 @@ let cold_push t vid gen =
   t.cold.((2 * p) + 1) <- gen;
   t.cold_len <- t.cold_len + 1
 
-(* Move the coldest near slot's payload to the far device.  The cold
-   queue can hold ids whose near residency already ended (faulted back
-   in and freed); those are skipped by generation check.  Callers only
-   demote when the near device is non-empty, so a live entry exists. *)
+(* Re-tag the coldest near slot as far; its payload stays where it is.
+   The cold queue can hold ids whose near residency already ended
+   (faulted back in and freed); those are skipped by generation check.
+   Callers only demote when the near tier is non-empty, so a live entry
+   exists. *)
 let rec demote_coldest t =
   if t.cold_len = 0 then
     invalid_arg "Swap_tier: near tier full but cold queue empty";
@@ -154,18 +156,16 @@ let rec demote_coldest t =
   t.cold_len <- t.cold_len - 1;
   if not (cold_live t vid gen) then demote_coldest t
   else begin
-    let payload = Swap_dev.take t.near ~slot:(t.locs.(vid) lsr 1) in
-    let fslot = Swap_dev.alloc_slot t.far in
-    Swap_dev.write t.far ~slot:fslot payload;
-    t.locs.(vid) <- (2 * fslot) + 1;
-    let perf = t.machine.Machine.perf in
-    Perf.bump perf Tier_demotions 1;
+    t.tier.(vid) <- far;
+    t.near_in_use <- t.near_in_use - 1;
+    t.far_in_use <- t.far_in_use + 1;
+    Perf.bump t.machine.Machine.perf Tier_demotions 1;
     if Tracer.tracing () then
       Tracer.instant ~cat:"fleet"
         ~args:
           [
             ("slot", Svagc_trace.Event.Int vid);
-            ("far_in_use", Svagc_trace.Event.Int (far_in_use t));
+            ("far_in_use", Svagc_trace.Event.Int t.far_in_use);
           ]
         "tier.demote"
   end
@@ -173,59 +173,56 @@ let rec demote_coldest t =
 let alloc_slot t =
   (* A full near tier demotes its coldest slot before accepting the new
      page — freshly evicted pages are the warmest thing on the device. *)
-  if near_in_use t >= t.near_slots then demote_coldest t;
+  if t.near_in_use >= t.near_slots then demote_coldest t;
   let vid =
-    if Vec.is_empty t.free then begin
+    if Vec.is_empty t.free_ids then begin
       let vid = t.high_water in
       t.high_water <- t.high_water + 1;
       vid
     end
-    else Vec.pop_last t.free
+    else Vec.pop_last t.free_ids
   in
   ensure_capacity t vid;
-  let nslot = Swap_dev.alloc_slot t.near in
-  t.locs.(vid) <- 2 * nslot;
+  t.tier.(vid) <- near;
+  t.near_in_use <- t.near_in_use + 1;
   t.gens.(vid) <- t.gens.(vid) + 1;
   if t.near_slots <> unbounded then cold_push t vid t.gens.(vid);
   vid
 
-(* The device a location names, and the slot on it. *)
-let dev_of t loc = if is_far loc then t.far else t.near
-
 let free_slot t vid =
-  let loc = loc_of t vid "free_slot" in
-  Swap_dev.free_slot (dev_of t loc) (loc lsr 1);
-  t.locs.(vid) <- free_loc;
-  Vec.push t.free vid
+  if tier_of t vid "free_slot" = far then t.far_in_use <- t.far_in_use - 1
+  else t.near_in_use <- t.near_in_use - 1;
+  t.tier.(vid) <- free;
+  t.payloads.(vid) <- None;
+  Vec.push t.free_ids vid
 
 let write t ~slot:vid payload =
-  let loc = loc_of t vid "write" in
-  Swap_dev.write (dev_of t loc) ~slot:(loc lsr 1) payload
+  ignore (tier_of t vid "write");
+  t.payloads.(vid) <- payload
 
 let peek t ~slot:vid =
-  let loc = loc_of t vid "peek" in
-  Swap_dev.peek (dev_of t loc) ~slot:(loc lsr 1)
+  ignore (tier_of t vid "peek");
+  t.payloads.(vid)
 
 (* Taking a far slot is the fault path from the slow tier: the payload
    comes back at far latency (the fault's [in_ns] already charged it) and
    the slot is freed, so the page re-enters DRAM. *)
 let take t ~slot:vid =
-  if is_far (loc_of t vid "take") then begin
-    let perf = t.machine.Machine.perf in
-    Perf.bump perf Tier_promotions 1;
+  if tier_of t vid "take" = far then begin
+    Perf.bump t.machine.Machine.perf Tier_promotions 1;
     if Tracer.tracing () then
       Tracer.instant ~cat:"fleet"
         ~args:[ ("slot", Svagc_trace.Event.Int vid) ]
         "tier.promote"
   end;
-  let payload = peek t ~slot:vid in
+  let payload = t.payloads.(vid) in
   free_slot t vid;
   payload
 
 let out_ns t =
-  if near_in_use t >= t.near_slots then t.far_out_ns +. t.near_out_ns
+  if t.near_in_use >= t.near_slots then t.far_out_ns +. t.near_out_ns
   else t.near_out_ns
 
 let in_ns t ~slot:vid =
-  if allocated t ~slot:vid && is_far t.locs.(vid) then t.far_in_ns
+  if allocated t ~slot:vid && t.tier.(vid) = far then t.far_in_ns
   else t.near_in_ns

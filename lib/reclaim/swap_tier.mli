@@ -5,8 +5,8 @@
     which never demotes and so behaves as one flat device.
 
     Slot ids handed to the reclaimer (and encoded into swapped PTEs) are
-    {e virtual}: an id's payload can migrate between the backing devices
-    without any page-table fixup.  Placement policy:
+    {e virtual}: an id changes tier without any page-table fixup.
+    Placement policy:
 
     - swap-out always lands in the near tier (freshly evicted pages are
       the warmest thing on the device);
@@ -26,13 +26,15 @@
     and hands its buffer back, and {!peek} is the one aliasing read — the
     device's own buffer, which the caller must not mutate.
 
-    Representation, all unboxed: an id's location is one int ([2n] for
-    near slot [n], [2n + 1] for far slot [n], [-1] while free), freed ids
-    are reused most recently freed first, and a bounded tier's demotion
-    queue is a ring of (id, generation) int pairs — an id freed and
-    reallocated gets a new generation, so its stale queue entry is
-    skipped.  A full ring drops its stale entries before it grows, so it
-    stays within a constant factor of the near slots in use. *)
+    Representation: one payload array indexed by virtual id, and beside
+    it one int tag per id (free, near or far), so a demotion re-tags the
+    id and moves no buffer; [near_in_use] and [far_in_use] are two
+    counters.  Freed ids are reused most recently freed first, and a
+    bounded tier's demotion queue is a ring of (id, generation) int pairs
+    — an id freed and reallocated gets a new generation, so its stale
+    queue entry is skipped.  A full ring drops its stale entries before
+    it grows, so it stays within a constant factor of the near slots in
+    use. *)
 
 type t
 
@@ -53,8 +55,10 @@ val create :
 (** {2 The device} *)
 
 val alloc_slot : t -> int
-(** A fresh virtual id in the near tier, demoting the coldest near slot
-    first when a bounded near tier is full. *)
+(** A virtual id in the near tier, holding a zero page until {!write}:
+    the most recently freed id, or else the next never-used one, so ids
+    are deterministic and stay small.  A full bounded near tier demotes
+    its coldest slot first. *)
 
 val write : t -> slot:int -> bytes option -> unit
 (** Store a payload by ownership ([None] = zero page).
@@ -83,14 +87,14 @@ val allocated : t -> slot:int -> bool
 (** Is [slot] a live virtual id (on either tier)? *)
 
 val near_in_use : t -> int
-(** Allocated slots whose payload currently lives in the near tier. *)
+(** Allocated slots in the near tier. *)
 
 val far_in_use : t -> int
-(** Allocated slots whose payload has been demoted to the far tier. *)
+(** Allocated slots demoted to the far tier. *)
 
 val slots_in_use : t -> int
-(** Live virtual slot ids; equals [near_in_use + far_in_use] unless a
-    backing slot leaked. *)
+(** Live virtual slot ids, counted from the ids; equals
+    [near_in_use + far_in_use] unless a tier counter drifted. *)
 
 val stats : t -> int * int
 (** [(near_in_use, far_in_use)]. *)

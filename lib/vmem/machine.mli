@@ -13,8 +13,8 @@ type core = {
 (** The machine's memory-pressure plane as a record of closures.  The
     reclaim state (swap device, LRU lists, watermarks) lives in
     [svagc_reclaim], which sits above this library, so — like the fault
-    injector and the shadow-oracle hooks — the wiring is inverted: the
-    kernel's fault handler builds these closures and installs them in
+    injector and the shadow-oracle hooks — the wiring is inverted:
+    [Reclaim.attach] builds these closures and installs them in
     {!t.reclaim}.  [None] (the default) means no memory limit and keeps
     unlimited runs bit-identical. *)
 type reclaim_iface = {
@@ -75,7 +75,7 @@ type t = {
           [Config.fault_seed]. *)
   mutable reclaim : reclaim_iface option;
       (** The memory-pressure plane; [None] (the default) means unlimited
-          physical memory.  Installed by [Fault_handler.attach]. *)
+          physical memory.  Installed by [Reclaim.attach]. *)
   scratch : hot_scratch option array;
       (** Lazily-built hot-path scratch, one slot per execution stream
           (indexed by [Svagc_util.Domain_slot]); use {!hot_scratch}. *)

@@ -23,13 +23,6 @@ let test_config_defaults_valid () =
   Config.validate Config.default;
   Config.validate Config.unoptimized
 
-let test_config_pinning_constraint () =
-  Alcotest.(check bool) "local flush requires pinning" true
-    (try
-       Config.validate { Config.default with Config.pin_compaction = false };
-       false
-     with Invalid_argument _ -> true)
-
 let test_config_bad_values () =
   let invalid cfg =
     try Config.validate cfg; false with Invalid_argument _ -> true
@@ -210,7 +203,6 @@ let () =
       ( "config",
         [
           Alcotest.test_case "defaults valid" `Quick test_config_defaults_valid;
-          Alcotest.test_case "pinning constraint" `Quick test_config_pinning_constraint;
           Alcotest.test_case "bad values" `Quick test_config_bad_values;
         ] );
       ( "move_object",

@@ -13,9 +13,9 @@
 
 open Svagc_vmem
 module Process = Svagc_kernel.Process
-module Fault_handler = Svagc_kernel.Fault_handler
 module Swap_tier = Svagc_reclaim.Swap_tier
 module Cgroup = Svagc_reclaim.Cgroup
+module Reclaim = Svagc_reclaim.Reclaim
 module Admission = Svagc_fleet.Admission
 module Fleet = Svagc_fleet.Fleet
 module Histogram = Svagc_util.Histogram
@@ -136,7 +136,7 @@ let test_tier_churn_bounded () =
 let test_tier_payload_round_trip () =
   let m = machine () in
   let tier = Swap_tier.create m ~near_slots:4 () in
-  ignore (Fault_handler.attach m ~limit_frames:8 ~dev:tier ());
+  ignore (Reclaim.attach m ~limit_frames:8 ~dev:tier ());
   let aspace = Process.aspace (Process.create m) in
   let pages = 32 in
   let va i = base + (i * Addr.page_size) in
@@ -271,7 +271,7 @@ let prop_cgroup_model =
 let test_cgroup_hard_limit () =
   let m = machine () in
   let cg = Cgroup.create () in
-  ignore (Fault_handler.attach m ~limit_frames:1000 ~cgroup:cg ());
+  ignore (Reclaim.attach m ~limit_frames:1000 ~cgroup:cg ());
   let proc = Process.create m in
   let aspace = Process.aspace proc in
   let asid = Address_space.asid aspace in
@@ -295,7 +295,7 @@ let test_cgroup_hard_limit () =
 let test_soft_limit_first () =
   let m = machine () in
   let cg = Cgroup.create () in
-  ignore (Fault_handler.attach m ~limit_frames:12 ~cgroup:cg ());
+  ignore (Reclaim.attach m ~limit_frames:12 ~cgroup:cg ());
   let pa = Process.create m and pb = Process.create m in
   let aa = Process.aspace pa and ab = Process.aspace pb in
   let asid_a = Address_space.asid aa and asid_b = Address_space.asid ab in
@@ -322,7 +322,7 @@ let test_soft_limit_first () =
 let pressure_counters ~dev_of =
   let m = machine () in
   let dev = dev_of m in
-  ignore (Fault_handler.attach m ~limit_frames:48 ?dev ());
+  ignore (Reclaim.attach m ~limit_frames:48 ?dev ());
   let proc = Process.create m in
   let aspace = Process.aspace proc in
   Address_space.map_range aspace ~va:base ~pages:96;

@@ -302,16 +302,6 @@ let test_summarize_single_cycle () =
 
 (* --- Baselines --- *)
 
-let test_epsilon_noop () =
-  let heap = Helpers.heap () in
-  let p = Helpers.populate heap in
-  let collector = Svagc_gc.Epsilon.collector heap in
-  let c = Gc_intf.collect collector in
-  Alcotest.(check (float 1e-9)) "no pause" 0.0 (Gc_stats.pause_ns c);
-  Alcotest.(check int) "nothing reclaimed"
-    (List.length p.Helpers.rooted + List.length p.Helpers.dropped)
-    (Heap.object_count heap)
-
 let test_shenandoah_concurrent_mark () =
   let heap = Helpers.heap () in
   ignore (Helpers.populate heap);
@@ -392,7 +382,6 @@ let () =
         ] );
       ( "baselines",
         [
-          Alcotest.test_case "epsilon noop" `Quick test_epsilon_noop;
           Alcotest.test_case "shenandoah concurrent mark" `Quick
             test_shenandoah_concurrent_mark;
           Alcotest.test_case "shenandoah 1-thread copy" `Quick

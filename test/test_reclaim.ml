@@ -13,9 +13,8 @@ open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Swapva = Svagc_kernel.Swapva
 module Memmove = Svagc_kernel.Memmove
-module Fault_handler = Svagc_kernel.Fault_handler
 module Reclaim = Svagc_reclaim.Reclaim
-module Swap_dev = Svagc_reclaim.Swap_dev
+module Swap_tier = Svagc_reclaim.Swap_tier
 module Cgroup = Svagc_reclaim.Cgroup
 module Fault_spec = Svagc_fault.Fault_spec
 module Kernel_error = Svagc_fault.Kernel_error
@@ -31,47 +30,76 @@ let qtest ?(count = 50) name arb prop =
 
 let base = 1 lsl 32
 
-(* --- Swap_dev --- *)
+(* --- Swap_tier slots --- *)
 
-let prop_swap_dev_round_trip =
+let tier ?near_slots () =
+  Swap_tier.create
+    (Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130)
+    ?near_slots ()
+
+(* A two-slot near tier, so longer lists also round-trip payloads that
+   were demoted to the far tier on the way. *)
+let prop_swap_tier_round_trip =
   qtest "swap device round-trips any payload"
     QCheck.(list (option (string_of_size (QCheck.Gen.return Addr.page_size))))
     (fun payloads ->
-      let dev = Swap_dev.create () in
+      let dev = tier ~near_slots:2 () in
       let slots =
         List.map
           (fun payload ->
-            let slot = Swap_dev.alloc_slot dev in
-            Swap_dev.write dev ~slot (Option.map Bytes.of_string payload);
+            let slot = Swap_tier.alloc_slot dev in
+            Swap_tier.write dev ~slot (Option.map Bytes.of_string payload);
             (slot, payload))
           payloads
       in
       List.for_all
         (fun (slot, payload) ->
-          Option.map Bytes.to_string (Swap_dev.take dev ~slot) = payload)
+          Option.map Bytes.to_string (Swap_tier.take dev ~slot) = payload)
         slots
-      && Swap_dev.slots_in_use dev = 0)
+      && Swap_tier.slots_in_use dev = 0
+      && Swap_tier.stats dev = (0, 0))
 
-let test_swap_dev_slot_reuse () =
-  let dev = Swap_dev.create () in
-  let a = Swap_dev.alloc_slot dev in
-  let b = Swap_dev.alloc_slot dev in
-  Swap_dev.free_slot dev a;
-  (* A freed slot is reused before the frontier advances, most recently
+let test_swap_tier_slot_reuse () =
+  let dev = tier () in
+  let a = Swap_tier.alloc_slot dev in
+  let b = Swap_tier.alloc_slot dev in
+  Swap_tier.free_slot dev a;
+  (* A freed id is reused before the frontier advances, most recently
      freed first. *)
-  Alcotest.(check int) "freed slot reused" a (Swap_dev.alloc_slot dev);
-  Alcotest.(check bool) "b still allocated" true (Swap_dev.allocated dev ~slot:b);
-  Alcotest.(check int) "two in use" 2 (Swap_dev.slots_in_use dev);
+  Alcotest.(check int) "freed slot reused" a (Swap_tier.alloc_slot dev);
+  Alcotest.(check bool) "b still allocated" true
+    (Swap_tier.allocated dev ~slot:b);
+  Alcotest.(check int) "two in use" 2 (Swap_tier.slots_in_use dev);
   (* Not lowest-numbered first: with 0 and 2 freed, in that order, 2
      comes back. *)
-  let dev = Swap_dev.create () in
-  let s0 = Swap_dev.alloc_slot dev in
-  let _s1 = Swap_dev.alloc_slot dev in
-  let s2 = Swap_dev.alloc_slot dev in
-  Swap_dev.free_slot dev s0;
-  Swap_dev.free_slot dev s2;
+  let dev = tier () in
+  let s0 = Swap_tier.alloc_slot dev in
+  let _s1 = Swap_tier.alloc_slot dev in
+  let s2 = Swap_tier.alloc_slot dev in
+  Swap_tier.free_slot dev s0;
+  Swap_tier.free_slot dev s2;
   Alcotest.(check (list int)) "handed out in order" [ 0; 2 ] [ s0; s2 ];
-  Alcotest.(check int) "most recently freed first" 2 (Swap_dev.alloc_slot dev)
+  Alcotest.(check int) "most recently freed first" 2
+    (Swap_tier.alloc_slot dev)
+
+(* A demotion re-tags the id: the far slot holds the very buffer the near
+   slot was given. *)
+let test_demotion_moves_no_payload () =
+  let dev = tier ~near_slots:1 () in
+  let buf = Bytes.make Addr.page_size 'd' in
+  let slot = Swap_tier.alloc_slot dev in
+  Swap_tier.write dev ~slot (Some buf);
+  let same () =
+    match Swap_tier.peek dev ~slot with Some b -> b == buf | None -> false
+  in
+  Alcotest.(check bool) "near slot holds the buffer" true (same ());
+  ignore (Swap_tier.alloc_slot dev);
+  Alcotest.(check (pair int int)) "the first slot went far" (1, 1)
+    (Swap_tier.stats dev);
+  Alcotest.(check bool) "far slot holds the same buffer" true (same ());
+  match Swap_tier.take dev ~slot with
+  | Some b -> Alcotest.(check bool) "take hands it back" true (b == buf)
+  | None -> Alcotest.fail "take lost the payload"
 
 (* --- Address-space round trips under pressure --- *)
 
@@ -82,11 +110,18 @@ let test_swap_dev_slot_reuse () =
 let pressured_fixture ~pages =
   let phys_mib = (2 * pages / 256) + 64 in
   let machine = Machine.create ~ncores:4 ~phys_mib Cost_model.xeon_6130 in
-  let r = Fault_handler.attach machine ~limit_frames:pages () in
+  let r = Reclaim.attach machine ~limit_frames:pages () in
   let proc = Process.create machine in
   let aspace = Process.aspace proc in
   Address_space.map_range aspace ~va:base ~pages:(2 * pages);
   (machine, proc, aspace, r)
+
+(* A slot's payload as the oracle reads it: the device's own buffer,
+   through the machine's installed plane. *)
+let slot_bytes machine ~slot =
+  match machine.Machine.reclaim with
+  | Some ri -> ri.Machine.ri_slot_bytes ~slot
+  | None -> Alcotest.fail "reclaim not attached"
 
 let count_swapped aspace =
   Page_table.swapped_pages (Address_space.page_table aspace)
@@ -118,7 +153,7 @@ let test_zero_page_faults_in_lazy () =
 
 let test_fault_in_owns_its_payload () =
   let pages = 8 in
-  let _, _, aspace, r = pressured_fixture ~pages in
+  let machine, _, aspace, r = pressured_fixture ~pages in
   let pt = Address_space.page_table aspace in
   (* Distinct bytes per page; the fills fault pages in and out, so every
      slot ends up holding real data. *)
@@ -134,7 +169,7 @@ let test_fault_in_owns_its_payload () =
   Page_table.iter_swapped pt ~f:(fun ~vpn:_ ~slot ->
       if slot <> taken then
         others :=
-          (slot, Option.map Bytes.to_string (Reclaim.slot_bytes r ~slot))
+          (slot, Option.map Bytes.to_string (slot_bytes machine ~slot))
           :: !others);
   Alcotest.(check bool) "other slots hold data" true
     (List.exists (fun (_, b) -> Option.is_some b) !others);
@@ -145,12 +180,12 @@ let test_fault_in_owns_its_payload () =
       Alcotest.(check (option string))
         (Printf.sprintf "slot %d unchanged by the write" slot)
         before
-        (Option.map Bytes.to_string (Reclaim.slot_bytes r ~slot)))
+        (Option.map Bytes.to_string (slot_bytes machine ~slot)))
     !others
 
 let test_alias_law_flags_shared_buffer () =
   let pages = 8 in
-  let machine, _, aspace, r = pressured_fixture ~pages in
+  let machine, _, aspace, _ = pressured_fixture ~pages in
   let pt = Address_space.page_table aspace in
   let tables = [ (Address_space.asid aspace, pt) ] in
   for i = 0 to (2 * pages) - 1 do
@@ -168,7 +203,7 @@ let test_alias_law_flags_shared_buffer () =
   let slot =
     Pte.swap_slot_exn (Page_table.get_pte pt (first_swapped_va aspace))
   in
-  let shared = Reclaim.slot_bytes r ~slot in
+  let shared = slot_bytes machine ~slot in
   let before = Option.map Bytes.to_string shared in
   (* Map the slot's own buffer at a fresh page as well: one buffer, two
      owners. *)
@@ -178,7 +213,7 @@ let test_alias_law_flags_shared_buffer () =
     (invariants ());
   Alcotest.(check (option string)) "the pass leaves the payload as found"
     before
-    (Option.map Bytes.to_string (Reclaim.slot_bytes r ~slot))
+    (Option.map Bytes.to_string (slot_bytes machine ~slot))
 
 (* --- LRU structure --- *)
 
@@ -227,7 +262,7 @@ let prop_lru_audit =
     (fun ops ->
       let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
       let cgroup = Cgroup.create () in
-      let r = Fault_handler.attach machine ~limit_frames:8 ~cgroup () in
+      let r = Reclaim.attach machine ~limit_frames:8 ~cgroup () in
       let procs = Array.init lru_tenants (fun _ -> Process.create machine) in
       let aspace t = Process.aspace procs.(t) in
       let asid t = Address_space.asid (aspace t) in
@@ -290,7 +325,7 @@ let prop_swap_out_fault_in_round_trip =
           Address_space.write_bytes aspace ~va:(base + (i * Addr.page_size)) ~src)
         payloads;
       (* Attach with room for half the pages: adoption + balance evicts. *)
-      let r = Fault_handler.attach machine ~limit_frames:(pages / 2) () in
+      let r = Reclaim.attach machine ~limit_frames:(pages / 2) () in
       Reclaim.adopt_space r ~pt:(Address_space.page_table aspace)
         ~asid:(Address_space.asid aspace);
       Reclaim.balance r;
@@ -396,7 +431,7 @@ let pp_copy_case (written, seed, moves) =
    Pages not in [written] stay lazily zero. *)
 let pressured_window ~written ~seed =
   let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
-  let r = Fault_handler.attach machine ~limit_frames:5 () in
+  let r = Reclaim.attach machine ~limit_frames:5 () in
   let aspace = Process.aspace (Process.create machine) in
   Address_space.map_range aspace ~va:base ~pages:copy_window_pages;
   let rng = Svagc_util.Rng.create ~seed in
@@ -484,7 +519,7 @@ let pressured_gc_run ?fault_spec ?(residency = 0.5) () =
     let machine = Exp_common.fresh_machine Cost_model.xeon_6130 in
     (match limit_frames with
     | Some limit_frames ->
-      ignore (Fault_handler.attach machine ~limit_frames ())
+      ignore (Reclaim.attach machine ~limit_frames ())
     | None -> ());
     let workload = Svagc_workloads.Spec.find "Sigverify" in
     let jvm =
@@ -589,7 +624,7 @@ let test_swap_spec_round_trip () =
 let test_eio_swap_after_bounded_retries () =
   let pages = 8 in
   let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
-  let r = Fault_handler.attach machine ~limit_frames:pages ~max_io_retries:2 () in
+  let r = Reclaim.attach machine ~limit_frames:pages ~max_io_retries:2 () in
   let proc = Process.create machine in
   let aspace = Process.aspace proc in
   Address_space.map_range aspace ~va:base ~pages:(2 * pages);
@@ -636,9 +671,13 @@ let test_swap_rate0_bit_identical () =
 let () =
   Alcotest.run "svagc_reclaim"
     [
-      ( "swap_dev",
-        [ prop_swap_dev_round_trip;
-          Alcotest.test_case "slot reuse" `Quick test_swap_dev_slot_reuse ] );
+      ( "swap_tier",
+        [
+          prop_swap_tier_round_trip;
+          Alcotest.test_case "slot reuse" `Quick test_swap_tier_slot_reuse;
+          Alcotest.test_case "demotion moves no payload" `Quick
+            test_demotion_moves_no_payload;
+        ] );
       ( "round_trip",
         [
           prop_swap_out_fault_in_round_trip;
