@@ -1,4 +1,4 @@
-(* Host-time gates for the simulator itself.  Every run times three
+(* Host-time gates for the simulator itself.  Every run times two
    micro-workloads on one wall clock and checks each gate as a ratio
    within the run, so host speed cancels out:
 
@@ -6,9 +6,6 @@
      frame-to-frame memmove up to [memmove_max_pages]).  Gate: flat >= 5x
      at 512k pages.  The two engines must charge bit-identical simulated
      cost at every size.
-   - calendar: a 1k-tenant imitation fleet replayed by the event calendar
-     vs the lockstep reference scan.  Gate: calendar >= 3x.  Both must
-     leave bit-identical final state.
    - par: the 64-shard page-table sweep on 1 / 2 / 4 real domains.  Gate:
      >= 2x at 4 domains, on hosts with >= 4 cores.  Every domain count
      must return the same result, whose checksum must match
@@ -26,7 +23,6 @@ open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Swapva = Svagc_kernel.Swapva
 module Memmove = Svagc_kernel.Memmove
-module Engine = Svagc_sched.Engine
 module Domain_pool = Svagc_par.Domain_pool
 module Par_sweep = Svagc_par.Par_sweep
 module Json = Svagc_trace.Json
@@ -122,80 +118,6 @@ let swap_size ~pages =
       (!per_page_sim = !flat_sim),
     per_page /. flat )
 
-(* --- calendar --- *)
-
-let lcg x = ((x * 1103515245) + 12345) land 0x3FFFFFFF
-
-(* Per-tenant LCG accumulator, events fired and last firing ns. *)
-type fleet_state = { acc : int array; fired : int array; last : float array }
-
-(* A fleet of self-rescheduling single-use procs: every 20th tenant is hot
-   (512 events at small strides, so same-instant ties are common), the
-   rest fire 8 events at large strides — where the lockstep scan pays
-   O(tenants) host work per event and the calendar O(log tenants).  The
-   whole schedule derives from the tenant index, so every build replays
-   the same fleet. *)
-let build_fleet ~tenants =
-  let st =
-    {
-      acc = Array.init tenants (fun i -> lcg ((i * 7919) + 17));
-      fired = Array.make tenants 0;
-      last = Array.make tenants 0.0;
-    }
-  in
-  let procs =
-    Array.init tenants (fun i ->
-        let hot = i mod 20 = 0 in
-        let budget = if hot then 512 else 8 in
-        let stride_mask = if hot then 63 else 16383 in
-        Engine.proc ~first_ns:(float_of_int (lcg (i * 31) land 1023))
-          (fun ~now ->
-            st.acc.(i) <- lcg (st.acc.(i) lxor (st.fired.(i) * 31));
-            st.fired.(i) <- st.fired.(i) + 1;
-            st.last.(i) <- now;
-            if st.fired.(i) >= budget then Engine.done_ns
-            else now +. float_of_int (st.acc.(i) land stride_mask)))
-  in
-  (procs, st)
-
-(* Seconds per whole-fleet replay, the event count and the final state
-   of the last replay.  Proc construction stays outside the timed region,
-   so both engines are measured on dispatch alone. *)
-let replay dispatch ~tenants =
-  let last = ref (0, None) in
-  let per =
-    best_of (fun n ->
-        let t = ref 0.0 in
-        for _ = 1 to n do
-          let procs, st = build_fleet ~tenants in
-          let t0 = now_s () in
-          let fired = dispatch procs in
-          t := !t +. (now_s () -. t0);
-          last := (fired, Some st)
-        done;
-        !t)
-  in
-  (per, !last)
-
-let calendar ~tenants =
-  let scan, scan_final =
-    replay Svagc_check.Differential.run_lockstep_scan ~tenants
-  in
-  let cal, cal_final = replay (fun p -> Engine.run_calendar p) ~tenants in
-  let events = float_of_int (fst cal_final) in
-  let row =
-    Json.Obj
-      [
-        ("tenants", Json.Int tenants);
-        ("events", Json.Int (fst cal_final));
-        ("scan_ns_per_event", ns (scan /. events));
-        ("calendar_ns_per_event", ns (cal /. events));
-      ]
-  in
-  ( row,
-    identity "calendar: final state = lockstep scan" (scan_final = cal_final),
-    scan /. cal )
-
 (* --- par --- *)
 
 let par_size ~pages =
@@ -245,19 +167,17 @@ let run quick output =
     List.map (fun pages -> swap_size ~pages)
       (if quick then [ 1024; 16384 ] else [ 1024; 65536; 524288 ])
   in
-  let cal = calendar ~tenants:(if quick then 200 else 1000) in
   let par =
     List.map (fun pages -> par_size ~pages)
       (if quick then [ 16384 ] else [ 65536; 524288 ])
   in
   let full = not quick in
-  let checks = List.map (fun (_, c, _) -> c) (swap @ [ cal ] @ par) in
+  let checks = List.map (fun (_, c, _) -> c) (swap @ par) in
   let gates =
     checks
     @ [
         speed "swap: flat vs per-page at the largest size" ~armed:full
           (last swap) 5.0;
-        speed "calendar vs lockstep scan" ~armed:full cal 3.0;
         speed "par: 4 domains vs 1 at the largest size"
           ~armed:(full && host_cores >= 4) (last par) 2.0;
       ]
@@ -281,7 +201,6 @@ let run quick output =
         ("host_cores", Json.Int host_cores);
         ("quick", Json.Bool quick);
         ("swap", rows swap);
-        ("calendar", rows [ cal ]);
         ("par", rows par);
         ("gates", Json.List (List.map gate_json gates));
       ]

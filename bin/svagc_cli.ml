@@ -139,7 +139,10 @@ type ('w, 'c) run = {
           [--mem-limit-frames] is given *)
 }
 
-let run_term ~workload ~collectors ~steps =
+(* The simulated MMU translates 48-bit virtual addresses. *)
+let max_heap_bytes = (1 lsl 48) - Svagc_heap.Heap.default_base
+
+let run_term ~workload ~min_heap_bytes ~collectors ~steps =
   let steps = opt_arg Arg.int steps [ "steps" ] "Mutator steps." in
   let heap_factor =
     opt_arg Arg.float 1.2 [ "heap-factor" ]
@@ -150,12 +153,6 @@ let run_term ~workload ~collectors ~steps =
       "Disable run coalescing: adjacent compaction entries with contiguous \
        src and dst ranges are no longer merged into one SwapVA request \
        before aggregation."
-  in
-  let pmd_leaf_swap =
-    flag_arg [ "pmd-leaf-swap" ]
-      "Enable whole-PMD leaf swapping: 512-page PMD-aligned sub-runs are \
-       exchanged at the page-directory level in O(1) simulated cost. Opt-in \
-       because it changes the cost model."
   in
   let fault_spec =
     opt_arg fault_spec_conv Svagc_fault.Fault_spec.empty ~docv:"SPEC"
@@ -186,19 +183,28 @@ let run_term ~workload ~collectors ~steps =
        with NS nanoseconds per page transfer. Only meaningful together with \
        $(b,--mem-limit-frames)."
   in
-  let make workload collectors steps heap_factor no_coalesce pmd_leaf_swap
-      fault_spec fault_seed mem_limit_frames swap_cost_ns () =
+  let make workload collectors steps heap_factor no_coalesce fault_spec
+      fault_seed mem_limit_frames swap_cost_ns () =
     require (steps >= 1) "--steps must be >= 1";
-    require (heap_factor >= 1.0) "--heap-factor must be >= 1";
+    require
+      (Float.is_finite heap_factor && heap_factor >= 1.0)
+      "--heap-factor must be finite and >= 1";
+    require
+      (float_of_int (min_heap_bytes workload) *. heap_factor
+      <= float_of_int max_heap_bytes)
+      "--heap-factor: the heap does not fit the 48-bit address space";
     Option.iter
       (fun n -> require (n > 0) "--mem-limit-frames must be positive")
       mem_limit_frames;
     Option.iter
-      (fun ns -> require (ns >= 0.0) "--swap-cost must be non-negative")
+      (fun ns ->
+        require
+          (ns >= 0.0 && Float.is_finite ns)
+          "--swap-cost must be finite and non-negative")
       swap_cost_ns;
     let config =
       { Svagc_core.Config.default with
-        coalesce_runs = not no_coalesce; pmd_leaf_swap; fault_spec; fault_seed }
+        coalesce_runs = not no_coalesce; fault_spec; fault_seed }
     in
     Svagc_core.Config.validate config;
     let machine () =
@@ -215,8 +221,7 @@ let run_term ~workload ~collectors ~steps =
   validated
     Term.(
       const make $ workload $ collectors $ steps $ heap_factor $ no_coalesce
-      $ pmd_leaf_swap $ fault_spec $ fault_seed $ mem_limit_frames
-      $ swap_cost_ns)
+      $ fault_spec $ fault_seed $ mem_limit_frames $ swap_cost_ns)
 
 (* --- Subcommands --- *)
 
@@ -286,7 +291,10 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~doc ~exits)
     Term.(
-      const run $ run_term ~workload ~collectors:collectors_arg ~steps:60)
+      const run
+      $ run_term ~workload
+          ~min_heap_bytes:(fun (_, w) -> w.Workload.min_heap_bytes)
+          ~collectors:collectors_arg ~steps:60)
 
 let trace_cmd =
   let doc =
@@ -350,9 +358,8 @@ let trace_cmd =
             steppers.(index) <- workload.Workload.setup jvm rng;
             jvm)
       in
-      for _ = 1 to r.steps do
-        Array.iter (fun stepper -> stepper ()) steppers
-      done;
+      Svagc_core.Multi_jvm.run_round_robin multi ~steps:r.steps
+        ~step:(fun ~index _jvm _s -> steppers.(index) ());
       Svagc_core.Multi_jvm.release multi
     end
   in
@@ -375,7 +382,11 @@ let trace_cmd =
     validated
       Term.(
         const setup $ exp $ jvms $ capacity
-        $ run_term ~workload ~collectors:collector ~steps:40)
+        $ run_term ~workload
+            ~min_heap_bytes:(function
+              | Some (_, w) -> w.Workload.min_heap_bytes
+              | None -> 0)
+            ~collectors:collector ~steps:40)
   in
   Cmd.v (Cmd.info "trace" ~doc ~exits) Term.(const run $ setup $ out $ ascii)
 
@@ -388,7 +399,13 @@ let check_cmd =
      any finding."
   in
   let cases =
-    opt_arg Arg.int 40 ~docv:"N" [ "cases" ] "Differential schedules to replay."
+    validated
+      Term.(
+        const (fun n () ->
+            require (n >= 1) "--cases must be >= 1";
+            n)
+        $ opt_arg Arg.int 40 ~docv:"N" [ "cases" ]
+            "Differential schedules to replay.")
   in
   let seed =
     opt_arg Arg.int 0xC0FFEE ~docv:"SEED" [ "seed" ] "Schedule-generator seed."

@@ -164,9 +164,8 @@ let counter_laws machine =
     (Perf.get p Tier_demotions <= Perf.get p Pages_swapped_out)
     "tier_demotions = %d exceeds pages_swapped_out = %d"
     (Perf.get p Tier_demotions) (Perf.get p Pages_swapped_out);
-  (* Event-calendar accounting: an event is dispatched or cancelled at
-     most once, and only after being scheduled — lazy cancellation must
-     never double-count a seq. *)
+  (* Co-run accounting: a queued step is run or dropped at most once,
+     and only after being queued. *)
   law a "counter-law"
     (Perf.get p Sched_dispatched + Perf.get p Sched_cancelled
     <= Perf.get p Sched_scheduled)

@@ -57,30 +57,6 @@ val zero_fault_identity : case -> int * Check.finding list
 (** Full-syscall replays with no injector vs. an all-zero-rate injector
     must be bit-identical. *)
 
-type sched_case = {
-  sc_seed : int;
-  sc_firsts : float array;  (** entry ns per proc (small ints: many ties) *)
-  sc_plans : int array array;  (** per-proc stride sequence; 0 keeps ties *)
-}
-
-val gen_sched_case :
-  ?max_procs:int -> ?max_events:int -> seed:int -> unit -> sched_case
-(** Deterministic random schedule: strides and entry times drawn up front
-    so both replays consume the identical plan; small integer ns with
-    zero strides allowed make same-instant FIFO ties common. *)
-
-val run_lockstep_scan : Svagc_sched.Engine.proc array -> int
-(** The reference scheduler: the old lockstep wave loop, where every
-    dispatch scans the whole process array for the minimum
-    [(next_ns, stamp)] pair, so each event costs O(n) host work.  Fires
-    the same events in the same order as
-    [Svagc_sched.Engine.run_calendar]; returns the number fired. *)
-
-val sched_identity : sched_case -> int * Check.finding list
-(** Replay the schedule through {!run_lockstep_scan} and
-    [Svagc_sched.Engine.run_calendar]; the (proc, ns) firing sequences
-    must be bit-identical (the calendar's FIFO tie-break contract). *)
-
 val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
 (** The host-parallelism oracle (DESIGN.md §13): replay one deterministic
     workload — two traced LISP2 GC cycles over a seeded object soup
@@ -96,6 +72,6 @@ val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
     [domains] defaults to 4. *)
 
 val run_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
-(** [cases] generated schedules (default 40) through {!compare_case},
-    {!zero_fault_identity} and {!sched_identity}, plus a handful of
-    {!par_identity} replays; returns the combined (items, findings). *)
+(** [cases] generated schedules (default 40) through {!compare_case}
+    and {!zero_fault_identity}, plus a handful of {!par_identity}
+    replays; returns the combined (items, findings). *)

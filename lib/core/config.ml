@@ -5,7 +5,6 @@ type t = {
   pmd_caching : bool;
   aggregation_batch : int;
   coalesce_runs : bool;
-  pmd_leaf_swap : bool;
   allow_overlap : bool;
   flush : Shootdown.policy;
   gc_threads : int;
@@ -19,7 +18,6 @@ let default =
     pmd_caching = true;
     aggregation_batch = 64;
     coalesce_runs = true;
-    pmd_leaf_swap = false;
     allow_overlap = true;
     flush = Shootdown.Local_pinned;
     gc_threads = 4;
@@ -33,7 +31,6 @@ let unoptimized =
     pmd_caching = false;
     aggregation_batch = 1;
     coalesce_runs = false;
-    pmd_leaf_swap = false;
     allow_overlap = false;
     flush = Shootdown.Broadcast_per_call;
     gc_threads = 4;

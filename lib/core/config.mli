@@ -15,11 +15,6 @@ type t = {
           AND dst ranges are contiguous merge into one larger SwapVA
           request before call-level batching, saving one per-request setup
           fee and keeping the kernel's PMD cache warm across the seam *)
-  pmd_leaf_swap : bool;
-      (** opt-in leaf-swap mode: whole PMD-aligned 512-page sub-runs are
-          exchanged at the PMD directory level in O(1) simulated cost
-          ([Cost_model.pmd_swap_ns]); changes the cost model, so it is off
-          by default and evaluated in its own ablation *)
   allow_overlap : bool;  (** Algorithm 2 for overlapping src/dst *)
   flush : Svagc_kernel.Shootdown.policy;
       (** [Local_pinned] is Algorithm 4's pinned compaction: pin, one

@@ -22,7 +22,6 @@ let swap_opts (cfg : Config.t) =
     Swapva.pmd_caching = cfg.pmd_caching;
     flush = cfg.flush;
     allow_overlap = cfg.allow_overlap;
-    leaf_swap = cfg.pmd_leaf_swap;
   }
 
 module Kernel_error = Svagc_fault.Kernel_error

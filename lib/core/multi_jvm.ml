@@ -15,31 +15,24 @@ let create machine ~instances ~spawn =
 
 let jvms t = t.jvms
 
-(* Event-driven core: each JVM is a self-rescheduling process on the
-   calendar; step [s] is its event at simulated ns [s].  All processes
-   enter at ns 0 in index order and re-enter in firing order, so the
-   (ns, seq) FIFO heap replays the nested lockstep loop's interleaving
-   exactly (see Svagc_sched.Engine) while idle tenants cost no host
-   work. *)
-let run_round_robin_indexed t ~steps ~step =
-  if steps > 0 then begin
-    let procs =
-      Array.mapi
-        (fun i jvm ->
-          Svagc_sched.Engine.proc ~first_ns:0.0 (fun ~now ->
-              let s = int_of_float now in
-              step ~index:i jvm s;
-              let s' = s + 1 in
-              if s' < steps then float_of_int s'
-              else Svagc_sched.Engine.done_ns))
-        t.jvms
-    in
-    ignore
-      (Svagc_sched.Engine.run_calendar ~perf:t.machine.Machine.perf procs)
-  end
-
+(* Every instance runs every step, so a co-run is a nested loop: step
+   [s] goes to each JVM in index order before any JVM sees [s + 1].  The
+   sched_* counters keep the accounting of a self-rescheduling process
+   per JVM: each enters once, each step is one dispatch, and every step
+   but the last re-enters it. *)
 let run_round_robin t ~steps ~step =
-  run_round_robin_indexed t ~steps ~step:(fun ~index:_ jvm s -> step jvm s)
+  if steps > 0 then begin
+    let perf = t.machine.Machine.perf in
+    let n = Array.length t.jvms in
+    Perf.bump perf Sched_scheduled n;
+    for s = 0 to steps - 1 do
+      for i = 0 to n - 1 do
+        Perf.bump perf Sched_dispatched 1;
+        step ~index:i t.jvms.(i) s;
+        if s < steps - 1 then Perf.bump perf Sched_scheduled 1
+      done
+    done
+  end
 
 let max_total_ns t =
   Array.fold_left (fun acc jvm -> Float.max acc (Jvm.total_ns jvm)) 0.0 t.jvms

@@ -23,17 +23,13 @@ val create :
 
 val jvms : t -> Jvm.t array
 
-val run_round_robin : t -> steps:int -> step:(Jvm.t -> int -> unit) ->
-  unit
-(** Interleave [steps] iterations across the instances: step s goes to
-    every JVM in turn ([step jvm s]).  Backed by the
-    {!Svagc_sched.Calendar} event-driven core; the firing order is
-    proven bit-identical to the nested lockstep loop (FIFO seq
-    tie-breaking replays the wave interleaving exactly). *)
-
-val run_round_robin_indexed :
+val run_round_robin :
   t -> steps:int -> step:(index:int -> Jvm.t -> int -> unit) -> unit
-(** Same engine, passing each instance's index to [step]. *)
+(** Interleave [steps] iterations across the instances, step-major:
+    [for s = 0 to steps - 1 do for i = 0 to n - 1 do step ~index:i
+    jvm_i s done done].  Bumps the machine's [Sched_*] counters: one
+    [Sched_dispatched] per step, and one [Sched_scheduled] per instance
+    entry and per step that has a successor. *)
 
 val max_total_ns : t -> float
 (** Wall-clock of the co-run: the slowest instance. *)

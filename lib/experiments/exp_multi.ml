@@ -33,9 +33,8 @@ let run_one ~collector ~instances ~steps =
         jvm)
   in
   (* Interleave: step s visits every instance in turn, so all JVMs make
-     progress under the same contention level.  The event calendar
-     replays that wave order exactly (FIFO ties at each step's ns). *)
-  Multi_jvm.run_round_robin_indexed multi ~steps ~step:(fun ~index _jvm _s ->
+     progress under the same contention level. *)
+  Multi_jvm.run_round_robin multi ~steps ~step:(fun ~index _jvm _s ->
       steppers.(index) ());
   let jvms = Multi_jvm.jvms multi in
   let max_pause =

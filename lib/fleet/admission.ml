@@ -6,11 +6,6 @@ type decision =
   | Queued
   | Rejected
 
-let decision_name = function
-  | Admitted -> "admitted"
-  | Queued -> "queued"
-  | Rejected -> "rejected"
-
 type t = {
   machine : Machine.t;
   capacity_frames : int;

@@ -14,10 +14,6 @@ type decision =
   | Queued
   | Rejected
 
-val decision_name : decision -> string
-(** ["admitted"] / ["queued"] / ["rejected"], as printed in reports and
-    trace instants. *)
-
 type t
 
 val create :

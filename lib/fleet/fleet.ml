@@ -269,17 +269,15 @@ let run ~collector_of ?(label = "fleet") config =
           make_stepper t jvm rng stats.(t.id))
         jvms
     in
-    (* The wave runs on the event calendar: each tenant is a process
-       whose event at simulated step s is one mutator step, and whose
-       final event (s = steps) is the forced compacting collection — at
-       peak pool pressure: by then the wave's whole working set is
-       allocated and the cold majority of it swapped out, so this is
-       where the compaction engines diverge — memmove demand-faults
-       every swapped page (at far-tier latency for the demoted ones)
-       while SwapVA exchanges slot handles without touching either
-       tier.  FIFO seq tie-breaking makes the calendar replay the old
-       lockstep wave order bit-for-bit. *)
-    Multi_jvm.run_round_robin_indexed mj ~steps:(config.steps + 1)
+    (* The wave is Multi_jvm's step-major loop: at step s every tenant
+       takes one mutator step, and the final step (s = steps) is each
+       tenant's forced compacting collection — at peak pool pressure:
+       by then the wave's whole working set is allocated and the cold
+       majority of it swapped out, so this is where the compaction
+       engines diverge — memmove demand-faults every swapped page (at
+       far-tier latency for the demoted ones) while SwapVA exchanges
+       slot handles without touching either tier. *)
+    Multi_jvm.run_round_robin mj ~steps:(config.steps + 1)
       ~step:(fun ~index jvm s ->
         if s < config.steps then steppers.(index) ()
         else ignore (Jvm.run_gc jvm));

@@ -29,22 +29,6 @@ type summary = {
   total_bytes_remapped : int;
 }
 
-let empty_cycle =
-  {
-    mark_ns = 0.0;
-    forward_ns = 0.0;
-    adjust_ns = 0.0;
-    compact_ns = 0.0;
-    concurrent_ns = 0.0;
-    live_objects = 0;
-    live_bytes = 0;
-    reclaimed_bytes = 0;
-    moved_objects = 0;
-    swapped_objects = 0;
-    bytes_copied = 0;
-    bytes_remapped = 0;
-  }
-
 let summarize cycles =
   let n = List.length cycles in
   let total_pause = List.fold_left (fun acc c -> acc +. pause_ns c) 0.0 cycles in
@@ -61,20 +45,3 @@ let summarize cycles =
     total_bytes_remapped =
       List.fold_left (fun acc c -> acc + c.bytes_remapped) 0 cycles;
   }
-
-let pp_cycle ppf c =
-  Format.fprintf ppf
-    "pause=%a (mark=%a fwd=%a adj=%a compact=%a) live=%d objs/%d B moved=%d \
-     (swapped=%d) copied=%dB remapped=%dB"
-    Svagc_vmem.Clock.pp_ns (pause_ns c) Svagc_vmem.Clock.pp_ns c.mark_ns
-    Svagc_vmem.Clock.pp_ns c.forward_ns Svagc_vmem.Clock.pp_ns c.adjust_ns
-    Svagc_vmem.Clock.pp_ns c.compact_ns c.live_objects c.live_bytes c.moved_objects
-    c.swapped_objects c.bytes_copied c.bytes_remapped
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "cycles=%d total=%a avg=%a max=%a compact=%a other=%a concurrent=%a"
-    s.cycles Svagc_vmem.Clock.pp_ns s.total_pause_ns Svagc_vmem.Clock.pp_ns
-    s.avg_pause_ns Svagc_vmem.Clock.pp_ns s.max_pause_ns Svagc_vmem.Clock.pp_ns
-    s.total_compact_ns Svagc_vmem.Clock.pp_ns s.total_other_ns
-    Svagc_vmem.Clock.pp_ns s.total_concurrent_ns

@@ -37,10 +37,4 @@ type summary = {
   total_bytes_remapped : int;
 }
 
-val empty_cycle : cycle
-
 val summarize : cycle list -> summary
-
-val pp_cycle : Format.formatter -> cycle -> unit
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -8,6 +8,9 @@
 
 type t
 
+val default_base : int
+(** 4 GiB: where {!create} places a heap unless told otherwise. *)
+
 val create :
   Svagc_kernel.Process.t ->
   ?base:int ->
@@ -16,8 +19,8 @@ val create :
   size_bytes:int ->
   unit ->
   t
-(** A heap of [size_bytes] starting at [base] (default 4 GiB mark, page
-    aligned).  [threshold_pages] (default 10, the paper's break-even) is
+(** A heap of [size_bytes] starting at [base] (default {!default_base},
+    page aligned).  [threshold_pages] (default 10, the paper's break-even) is
     the Algorithm 3 [Threshold_Swapping].  [stamp_headers] (default true)
     writes each object's id/size into simulated memory — disable for very
     large runs to keep host memory flat. *)

@@ -4,7 +4,6 @@ type opts = {
   pmd_caching : bool;
   flush : Shootdown.policy;
   allow_overlap : bool;
-  leaf_swap : bool;
 }
 
 let default_opts =
@@ -12,7 +11,6 @@ let default_opts =
     pmd_caching = true;
     flush = Shootdown.Local_pinned;
     allow_overlap = true;
-    leaf_swap = false;
   }
 
 let naive_opts =
@@ -20,7 +18,6 @@ let naive_opts =
     pmd_caching = false;
     flush = Shootdown.Broadcast_per_call;
     allow_overlap = false;
-    leaf_swap = false;
   }
 
 type request = {
@@ -149,7 +146,7 @@ let resolve_mapped_slices ?(fault = None) pt ~va ~pages ~buf =
    bulk through [Pte_walker.charge_steady_swap_pages], whose memo replays
    the exact reference float for a repeated key).
 
-   With [leaf_swap] (the opt-in pmd_leaf_swap mode) sub-runs that cover a
+   With [leaf_swap] (off on the syscall path) sub-runs that cover a
    whole PMD-aligned 512-page leaf on both sides are exchanged at the PMD
    directory level in O(1) simulated cost — this mode deliberately changes
    the cost model and is excluded from the equivalence guarantee. *)
@@ -278,7 +275,7 @@ let request_cost proc ~opts req =
   else
     setup
     +. swap_disjoint_flat ~fault proc ~pmd_caching:opts.pmd_caching
-         ~leaf_swap:opts.leaf_swap req
+         ~leaf_swap:false req
 
 let call_overhead proc =
   let machine = Process.machine proc in

@@ -11,18 +11,11 @@ type opts = {
   pmd_caching : bool;
   flush : Shootdown.policy;
   allow_overlap : bool;  (** dispatch overlapping requests to Algorithm 2 *)
-  leaf_swap : bool;
-      (** opt-in pmd_leaf_swap mode: sub-runs covering a whole PMD-aligned
-          512-page leaf on both sides are exchanged at the PMD directory
-          level in O(1) simulated cost ([Cost_model.pmd_swap_ns]).  Unlike
-          every other option this changes the modeled cost, so it is off in
-          both presets and excluded from the per-page/flat equivalence
-          guarantee. *)
 }
 
 val default_opts : opts
-(** PMD caching on, [Local_pinned] flushing, overlap allowed, no leaf
-    swapping — the configuration SVAGC runs with. *)
+(** PMD caching on, [Local_pinned] flushing, overlap allowed — the
+    configuration SVAGC runs with. *)
 
 val naive_opts : opts
 (** Everything off / broadcast flushing: the Fig. 8/9 baselines. *)
@@ -62,8 +55,8 @@ val swap_disjoint_flat :
     replaying the exact reference float.  [leaf_swap] additionally
     exchanges whole PMD-aligned 512-page sub-runs at the directory level
     for [Cost_model.pmd_swap_ns] each — outside the cost-equivalence
-    guarantee.  [fault]'s [pte] clause is consulted per page in address
-    order.
+    guarantee, so {!swap} always passes [false].  [fault]'s [pte] clause
+    is consulted per page in address order.
     @raise Svagc_fault.Kernel_error.Fault before any mutation on a
     non-mapped page or firing clause. *)
 

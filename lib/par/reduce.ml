@@ -37,7 +37,5 @@ let sum_ints parts = fold_shards parts ~init:0 ~f:( + )
 
 let sum_floats parts = fold_shards parts ~init:0.0 ~f:( +. )
 
-let max_floats parts = fold_shards parts ~init:0.0 ~f:Float.max
-
 let merge_perfs ~into parts =
   Array.iter (fun delta -> Svagc_vmem.Perf.add ~into delta) parts

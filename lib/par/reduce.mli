@@ -46,10 +46,6 @@ val sum_floats : float array -> float
 (** Left-to-right float sum.  Domain-invariant at a fixed shard count;
     NOT partition-invariant (see the module header). *)
 
-val max_floats : float array -> float
-(** Maximum (0.0 for the empty array) — partition- and
-    domain-invariant; the merge for per-shard makespans. *)
-
 val merge_perfs :
   into:Svagc_vmem.Perf.t -> Svagc_vmem.Perf.t array -> unit
 (** Add per-shard perf-counter deltas into [into], in shard order.  All

@@ -55,15 +55,6 @@ let p99 t = quantile t 0.99
 
 let p999 t = quantile t 0.999
 
-let stddev t =
-  let n = count t in
-  if n < 2 then 0.0
-  else begin
-    let m = mean t in
-    let ss = Vec.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 t.samples in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 let merge_into ~into b =
   if Vec.length b.samples > 0 then begin
     Vec.append into.samples b.samples;

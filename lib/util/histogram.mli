@@ -40,8 +40,6 @@ val p99 : t -> float
 val p999 : t -> float
 (** Tail-latency accessors: [quantile] at 0.5 / 0.99 / 0.999. *)
 
-val stddev : t -> float
-
 val merge : t -> t -> t
 (** Combine two sample sets into a fresh one. *)
 

@@ -19,9 +19,10 @@ type t = {
   pmd_swap_ns : float;
       (** leaf-swap fast path: exchanging one pair of PMD directory entries
           (two locked 8-byte writes at the PMD level) remaps a whole
-          512-page leaf in O(1).  Only charged in the opt-in
-          [pmd_leaf_swap] mode; the default SwapVA paths never use it, so
-          default simulated costs are unaffected by its value. *)
+          512-page leaf in O(1).  Only charged by
+          [Swapva.swap_disjoint_flat ~leaf_swap:true]; the syscall path
+          never uses it, so SwapVA's simulated costs are unaffected by its
+          value. *)
   syscall_ns : float;  (** user/kernel crossing, round trip *)
   swap_setup_ns : float;
       (** per-request setup inside SwapVA (vma checks, argument

@@ -174,11 +174,6 @@ let ipi_broadcast_cost ?(scale = 1.0) t ~from_core =
     *. (t.cost.ipi_ns +. (float_of_int (remote - 1) *. t.cost.ipi_ack_ns))
     +. ipi_delivery_penalty_ns t ~from_core
 
-let flush_tlb_local t ~asid ~core =
-  Tlb.flush_asid (Stdlib.Array.get t.cores core).tlb ~asid;
-  Perf.bump t.perf Tlb_flush_local 1;
-  t.cost.tlb_flush_local_ns
-
 let flush_tlb_all_cores t ~asid ~from_core =
   Array.iter (fun c -> Tlb.flush_asid c.tlb ~asid) t.cores;
   (* One local-flush event per core actually flushed (every core walks its

@@ -148,9 +148,6 @@ val flush_tlb_all_cores : t -> asid:int -> from_core:int -> float
     [perf.tlb_flush_local] event per core flushed plus one
     [perf.tlb_flush_all] event, and fires {!shootdown_hook}. *)
 
-val flush_tlb_local : t -> asid:int -> core:int -> float
-(** Local-only flush of the process's entries on [core]. *)
-
 (** {2 Shadow-oracle observation hooks}
 
     Installed by [svagc_check] while check mode is enabled; [None]

@@ -25,8 +25,6 @@ type node =
 
 type t = { root : node option array }
 
-let walk_dir_levels = 4
-
 let word_bits = 32
 let words_per_leaf = Addr.entries_per_table / word_bits
 let full_word = 0xFFFFFFFF
@@ -107,11 +105,8 @@ let ensure_leaf_record t va =
       leaf
   end
 
-let ensure_leaf t va = (ensure_leaf_record t va).ptes
-
 let get_pte t va = (leaf_at t va).ptes.(Addr.pte_index va)
 
-let leaf_mapped_count leaf = leaf.mapped_count
 let leaf_ptes leaf = leaf.ptes
 
 (* First index in [lo, hi) whose PTE is none, or -1 when the whole window

@@ -27,17 +27,11 @@ val find_leaf_record : t -> int -> leaf option
 
 val leaf_ptes : leaf -> Pte.value array
 
-val leaf_mapped_count : leaf -> int
-(** Maintained popcount of the leaf's presence bitset. *)
-
 val leaf_first_unmapped : leaf -> lo:int -> hi:int -> int
 (** First index in [\[lo, hi)] whose PTE is [Pte.none], or -1 when the
     whole window is mapped.  O(1) when the leaf is fully mapped
     (popcount precheck), otherwise a masked scan of the bitset words —
     at most 16 word loads instead of up to 512 PTE loads. *)
-
-val ensure_leaf : t -> int -> Pte.value array
-(** Like {!find_leaf} but materializes the directory path on demand. *)
 
 val get_pte : t -> int -> Pte.value
 (** [Pte.none] when unmapped. *)
@@ -74,9 +68,6 @@ val iter_swapped : t -> f:(vpn:int -> slot:int -> unit) -> unit
 
 val swapped_pages : t -> int
 (** Number of swapped PTEs (O(mapped)). *)
-
-val walk_dir_levels : int
-(** Directory levels traversed per [getPTE]: 4 (pgd, p4d, pud, pmd). *)
 
 (** {2 Flat run resolution (allocation-free scratch API)}
 

@@ -18,8 +18,8 @@ type counter =
       (** compaction move entries merged into a preceding contiguous
           SwapVA request (request-level aggregation) *)
   | Pmd_leaf_swaps
-      (** whole 512-page leaf pairs exchanged at the PMD level by the
-          opt-in [pmd_leaf_swap] mode *)
+      (** whole 512-page leaf pairs exchanged at the PMD level by
+          [Swapva.swap_disjoint_flat ~leaf_swap:true] *)
   | Bytes_copied  (** physically moved by memmove *)
   | Bytes_remapped  (** logically moved by SwapVA *)
   | Tlb_flush_local
@@ -67,12 +67,15 @@ type counter =
       (** tenants refused outright by fleet admission control (neither
           admitted nor queued) *)
   | Sched_scheduled
-      (** events inserted into an event calendar ({!Svagc_sched.Calendar}) *)
+      (** co-run steps queued by [Multi_jvm.run_round_robin]: one per
+          instance on entry, plus one per step that has a successor *)
   | Sched_dispatched
-      (** calendar events actually delivered to their process; always
+      (** co-run steps actually run, one per (instance, step); always
           [<= Sched_scheduled - Sched_cancelled] *)
   | Sched_cancelled
-      (** calendar events removed before firing (lazy deletion) *)
+      (** queued steps dropped before running.  Nothing bumps it since
+          co-runs became a plain loop; it stays so the counter set, and
+          every report and digest built on it, is unchanged *)
 
 type t
 (** One value per {!counter}. *)

@@ -1,14 +1,21 @@
-(* Smoke checker for `svagc_cli trace` output: the file must parse as
-   Chrome trace-event JSON and contain complete spans for all four LISP2
-   phases.  Exits non-zero with a message otherwise (used from the
-   runtest smoke rule in test/dune). *)
+(* Smoke checker for `svagc_cli trace` output:
+   `check_trace FILE [SPAN...]`.  The file must parse as Chrome
+   trace-event JSON, hold at least one event, and contain a complete span
+   for every SPAN named (the LISP2 runtest rules name mark, forward,
+   adjust and compact).  Exits non-zero with a message otherwise.  On
+   success it prints the event and span counts and the file's MD5, so a
+   runtest golden in test/dune pins the exported bytes. *)
 
 module Json = Svagc_trace.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("check_trace: " ^ m); exit 1) fmt
 
 let () =
-  let file = if Array.length Sys.argv > 1 then Sys.argv.(1) else fail "usage: check_trace FILE" in
+  let file, required =
+    match Array.to_list Sys.argv with
+    | _ :: file :: spans -> (file, spans)
+    | _ -> fail "usage: check_trace FILE [SPAN...]"
+  in
   let contents =
     let ic = open_in_bin file in
     Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
@@ -36,6 +43,7 @@ let () =
     (fun phase ->
       if not (List.mem phase span_names) then
         fail "%s has no %S phase span" file phase)
-    [ "mark"; "forward"; "adjust"; "compact" ];
-  Printf.printf "check_trace: %s ok (%d events, %d spans)\n" file
+    required;
+  Printf.printf "check_trace: %s ok (%d events, %d spans, md5 %s)\n" file
     (List.length events) (List.length span_names)
+    (Digest.to_hex (Digest.file file))

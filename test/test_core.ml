@@ -1,8 +1,9 @@
 (* Tests for the paper's contribution: SVAGC configuration, MoveObject,
-   the SwapVA mover, JVM instances and multi-JVM contention.  The central
-   differential property: an SVAGC collection must leave the heap in
-   exactly the state a memmove collection leaves it in — same addresses,
-   same bytes — while copying almost nothing. *)
+   the SwapVA mover, JVM instances, multi-JVM contention and the co-run
+   loop's step-major order.  The central differential property: an
+   SVAGC collection must leave the heap in exactly the state a memmove
+   collection leaves it in — same addresses, same bytes — while copying
+   almost nothing. *)
 
 open Svagc_vmem
 open Svagc_heap
@@ -190,6 +191,32 @@ let test_multi_jvm_contention () =
   Multi_jvm.release multi;
   Alcotest.(check int) "released" 1 machine.Machine.copy_streams
 
+(* The co-run loop is step-major: every instance takes step s before any
+   takes s + 1.  Its sched_* accounting: 3 entries + 3 * 4 re-entries
+   scheduled, 15 steps dispatched, nothing cancelled. *)
+let test_multi_jvm_step_major () =
+  let machine = Helpers.machine () in
+  let multi =
+    Multi_jvm.create machine ~instances:3 ~spawn:(fun ~index m ->
+        Jvm.create m
+          ~name:(Printf.sprintf "jvm-%d" index)
+          ~heap_bytes:(2 * 1024 * 1024)
+          ~collector_of:(Svagc.collector ~config:Config.default)
+          ())
+  in
+  let order = ref [] in
+  Multi_jvm.run_round_robin multi ~steps:5 ~step:(fun ~index _jvm s ->
+      order := (index, s) :: !order);
+  Multi_jvm.release multi;
+  Alcotest.(check (list (pair int int)))
+    "step-major"
+    (List.concat (List.init 5 (fun s -> List.init 3 (fun i -> (i, s)))))
+    (List.rev !order);
+  let get c = Perf.get machine.Machine.perf c in
+  Alcotest.(check int) "sched_scheduled" 15 (get Sched_scheduled);
+  Alcotest.(check int) "sched_dispatched" 15 (get Sched_dispatched);
+  Alcotest.(check int) "sched_cancelled" 0 (get Sched_cancelled)
+
 let test_multi_jvm_bandwidth_division () =
   let machine = Helpers.machine () in
   let solo = Svagc_kernel.Memmove.cost_ns ~cold:true machine ~len:(1 lsl 20) in
@@ -233,5 +260,6 @@ let () =
         [
           Alcotest.test_case "contention level" `Quick test_multi_jvm_contention;
           Alcotest.test_case "bandwidth division" `Quick test_multi_jvm_bandwidth_division;
+          Alcotest.test_case "step-major order" `Quick test_multi_jvm_step_major;
         ] );
     ]

@@ -1,15 +1,15 @@
 (* Tests for svagc_fleet and the reclaimer's fleet-facing parts
    (Swap_tier, Cgroup): admission decisions, FIFO fairness and the
-   admission_rejects counter; tiered swap-device demotion/promotion with
-   payload integrity across the migration; a tier's host footprint under
-   churn; cgroup hard-limit enforcement on the mapping and faulting
-   paths; soft-limit-first victim selection (an under-soft tenant's pages
-   survive kswapd while a hog is over); equivalence of an oversized near
-   tier with the default (unbounded) device; bit-determinism of the
-   fleet driver (tier placement, counters and percentiles replay); a
-   fleet run under the shadow oracle's cgroup and tier conservation
-   laws; and the SwapVA <= memmove fleet p99 gate at the quick and
-   default fleet sizes. *)
+   admission_rejects counter, also at 10k tenants; tiered swap-device
+   demotion/promotion with payload integrity across the migration; a
+   tier's host footprint under churn; cgroup hard-limit enforcement on
+   the mapping and faulting paths; soft-limit-first victim selection (an
+   under-soft tenant's pages survive kswapd while a hog is over);
+   equivalence of an oversized near tier with the default (unbounded)
+   device; bit-determinism of the fleet driver (tier placement, counters
+   and percentiles replay); a fleet run under the shadow oracle's cgroup
+   and tier conservation laws; and the SwapVA <= memmove fleet p99 gate
+   at the quick and default fleet sizes. *)
 
 open Svagc_vmem
 module Process = Svagc_kernel.Process
@@ -60,6 +60,41 @@ let test_admission_decisions () =
     (Admission.committed_frames adm);
   Alcotest.(check int) "admitted total" 3 (Admission.admitted adm);
   Alcotest.(check int) "rejected total" 2 (Admission.rejected adm)
+
+(* Admission math at fleet scale, exercised directly on [Admission] so
+   it stays a fast unit test. *)
+let test_admission_10k () =
+  let m = Helpers.machine () in
+  let frames = 16 in
+  let adm =
+    Admission.create m
+      ~capacity_frames:(10_000 * frames)
+      ~overcommit:1.0 ~queue_limit:24 ()
+  in
+  let admitted = ref 0 and queued = ref 0 and rejected = ref 0 in
+  for tenant = 0 to 10_499 do
+    match Admission.request adm ~tenant ~frames with
+    | Admission.Admitted -> incr admitted
+    | Admission.Queued -> incr queued
+    | Admission.Rejected -> incr rejected
+  done;
+  Alcotest.(check int) "admitted main wave" 10_000 !admitted;
+  Alcotest.(check int) "queued" 24 !queued;
+  Alcotest.(check int) "rejected over full queue" 476 !rejected;
+  Alcotest.(check int) "committed = budget" (10_000 * frames)
+    (Admission.committed_frames adm);
+  (* Departures free exactly enough for the whole queue: it must drain
+     FIFO, oldest waiter first. *)
+  Admission.release adm ~frames:(24 * frames);
+  let ready = Admission.take_ready adm in
+  Alcotest.(check int) "queue drains fully" 24 (List.length ready);
+  Alcotest.(check (list int)) "FIFO drain order"
+    (List.init 24 (fun i -> 10_000 + i))
+    (List.map fst ready);
+  Alcotest.(check int) "admitted total" 10_024 (Admission.admitted adm);
+  Alcotest.(check int) "rejected total" 476 (Admission.rejected adm);
+  Alcotest.(check int) "rejects counted on the machine" 476
+    (Perf.get m.Machine.perf Admission_rejects)
 
 (* --- Swap_tier --- *)
 
@@ -451,7 +486,10 @@ let () =
   Alcotest.run "svagc_fleet"
     [
       ( "admission",
-        [ Alcotest.test_case "decisions & FIFO" `Quick test_admission_decisions ] );
+        [
+          Alcotest.test_case "decisions & FIFO" `Quick test_admission_decisions;
+          Alcotest.test_case "10k tenants" `Quick test_admission_10k;
+        ] );
       ( "swap_tier",
         [
           Alcotest.test_case "demote/promote + payload" `Quick

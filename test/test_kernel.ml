@@ -108,7 +108,6 @@ let opts_pinned =
     Swapva.pmd_caching = true;
     flush = Shootdown.Local_pinned;
     allow_overlap = true;
-    leaf_swap = false;
   }
 
 let test_swap_exchanges_contents () =
@@ -486,7 +485,7 @@ let test_flat_engine_unmapped_no_mutation () =
   Alcotest.(check int) "no PTE exchanged" swapped0
     (Perf.get machine.Machine.perf Ptes_swapped)
 
-(* --- pmd_leaf_swap (opt-in whole-leaf mode) --- *)
+(* --- leaf_swap (swap_disjoint_flat's whole-leaf mode) --- *)
 
 let leaf = Addr.pages_per_pmd
 
@@ -557,21 +556,6 @@ let test_leaf_swap_partial_tail () =
   Alcotest.(check bool) "window changed" true (c0 <> csum ());
   ignore (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:true req);
   Alcotest.(check int64) "double swap restores" c0 (csum ())
-
-let test_leaf_swap_ignores_overlap_path () =
-  (* With leaf_swap on, overlapping requests still dispatch to Algorithm 2
-     unchanged. *)
-  let machine, proc = fresh () in
-  let _ = mapped_window proc ~pages:12 in
-  let before = Perf.get machine.Machine.perf Ptes_swapped in
-  ignore
-    (Swapva.swap proc
-       ~opts:{ opts_pinned with Swapva.leaf_swap = true }
-       ~src:(base + (2 * Addr.page_size)) ~dst:base ~pages:8);
-  Alcotest.(check int) "overlap path used" 10
-    (Perf.get machine.Machine.perf Ptes_swapped - before);
-  Alcotest.(check int) "no leaf swaps" 0
-    (Perf.get machine.Machine.perf Pmd_leaf_swaps)
 
 (* --- Shootdown --- *)
 
@@ -681,8 +665,6 @@ let () =
             test_leaf_swap_falls_back_when_unaligned;
           Alcotest.test_case "partial tail + involution" `Quick
             test_leaf_swap_partial_tail;
-          Alcotest.test_case "overlap path untouched" `Quick
-            test_leaf_swap_ignores_overlap_path;
         ] );
       ( "shootdown",
         [
