@@ -317,9 +317,14 @@ let trace_cmd =
     opt_arg Arg.int 1 ~docv:"N" [ "jvms" ]
       "Co-running JVM instances (one trace track each)."
   in
+  (* The ring is allocated up front, one word per event. *)
+  let max_capacity = 1 lsl 24 in
   let capacity =
     opt_arg Arg.int 65536 ~docv:"N" [ "capacity" ]
-      "Ring-buffer capacity in events (oldest dropped beyond this)."
+      (Printf.sprintf
+         "Ring-buffer capacity in events (oldest dropped beyond this), at \
+          most %d (2^24)."
+         max_capacity)
   in
   let out =
     opt_arg Arg.string "trace.json" ~docv:"FILE" [ "o"; "output" ]
@@ -329,6 +334,8 @@ let trace_cmd =
   let setup exp jvms capacity r () =
     require (jvms >= 1) "--jvms must be >= 1";
     require (capacity > 0) "--capacity must be positive";
+    require (capacity <= max_capacity)
+      (Printf.sprintf "--capacity must be at most %d" max_capacity);
     let target =
       match (exp, r.workload) with
       | Some id, _ -> `Exp id

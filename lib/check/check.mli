@@ -146,7 +146,8 @@ val domain_safety : Svagc_par.Par_sweep.result -> int * finding list
     totals are exactly the shard sums — counts and checksum by
     commutative addition, [walk_ns] as the bit-exact left-to-right float
     sum.  Together with {!Differential.par_identity} this pins the
-    host-parallel sweep to the sequential semantics. *)
+    host-parallel sweep, the one computation on the pool, to the
+    sequential semantics. *)
 
 (** {1 Shadow mode} *)
 

@@ -202,139 +202,50 @@ let zero_fault_identity case =
         label);
   (!items, List.rev !findings)
 
-(* --- host-parallelism identity: 1 domain vs N domains --- *)
+(* --- host-parallelism identity: the sharded sweep at 1 vs N domains --- *)
 
 module Domain_pool = Svagc_par.Domain_pool
 module Par_sweep = Svagc_par.Par_sweep
-module Heap = Svagc_heap.Heap
-module Lisp2 = Svagc_gc.Lisp2
-module Gc_stats = Svagc_gc.Gc_stats
-module Tracer = Svagc_trace.Tracer
-module Chrome_trace = Svagc_trace.Chrome_trace
 
-(* Everything a GC-plus-sweep workload can observably produce, with every
-   float bit-cast: the comparison below is bit-identity, not tolerance. *)
-type par_observation = {
-  po_cycles : (int64 list * int list) list;
-      (** per GC cycle: float-bit fields, integer fields *)
-  po_counters : (string * int) list;
-  po_layout : (int * int) list;
-  po_trace : string;  (** canonical Chrome JSON, compared byte for byte *)
-  po_sweep_ints : int list;
-  po_sweep_bits : int64 list;
-  po_sweep_checksums : int64 list;
-  po_checksum : int64;
-  po_checksum_ref : int64;
-  po_safety : int * Check.finding list;
-}
+(* Every field of a sweep result with the floats bit-cast: the comparison
+   below is bit-identity, not tolerance. *)
+let sweep_digest (r : Par_sweep.result) =
+  let shards = Array.to_list r.Par_sweep.shards in
+  ( r.Par_sweep.leaves :: r.Par_sweep.present :: r.Par_sweep.swapped
+    :: List.concat_map
+         (fun s ->
+           [
+             s.Par_sweep.ss_shard;
+             s.Par_sweep.ss_leaf_lo;
+             s.Par_sweep.ss_leaf_hi;
+             s.Par_sweep.ss_leaves;
+             s.Par_sweep.ss_present;
+             s.Par_sweep.ss_swapped;
+           ])
+         shards,
+    r.Par_sweep.checksum
+    :: Int64.bits_of_float r.Par_sweep.walk_ns
+    :: Int64.bits_of_float r.Par_sweep.makespan_ns
+    :: List.concat_map
+         (fun s ->
+           [ s.Par_sweep.ss_checksum; Int64.bits_of_float s.Par_sweep.ss_cost_ns ])
+         shards )
 
-let cycle_digest (c : Gc_stats.cycle) =
-  ( List.map Int64.bits_of_float
-      [
-        c.Gc_stats.mark_ns;
-        c.Gc_stats.forward_ns;
-        c.Gc_stats.adjust_ns;
-        c.Gc_stats.compact_ns;
-        c.Gc_stats.concurrent_ns;
-      ],
-    [
-      c.Gc_stats.live_objects;
-      c.Gc_stats.live_bytes;
-      c.Gc_stats.reclaimed_bytes;
-      c.Gc_stats.moved_objects;
-      c.Gc_stats.swapped_objects;
-      c.Gc_stats.bytes_copied;
-      c.Gc_stats.bytes_remapped;
-    ] )
-
-(* Deterministic object soup: a mix of small and page-aligned swappable
-   objects, most rooted and chained both ways, the rest garbage — enough
-   structure that every LISP2 phase (and both fan-out sites: mark's
-   flag-clear, adjust's rewrites) has real work. *)
-let par_populate rng heap ~objects =
-  let prev = ref None in
-  for i = 0 to objects - 1 do
-    let size =
-      if Rng.int rng 10 < 3 then (40 * 1024) + Rng.int rng (48 * 1024)
-      else 64 + Rng.int rng 1024
-    in
-    let obj = Heap.alloc heap ~size ~n_refs:2 ~cls:(i mod 3) in
-    if Rng.int rng 3 > 0 then begin
-      Heap.add_root heap obj;
-      (match !prev with
-      | Some p ->
-        Heap.set_ref heap obj ~slot:0 (Some p);
-        Heap.set_ref heap p ~slot:1 (Some obj)
-      | None -> ());
-      prev := Some obj
-    end
-  done
-
-(* One full run of the workload under whatever global pool is installed:
-   two traced LISP2 cycles (the second re-marks a compacted heap) plus a
-   sharded page-table sweep, everything digested. *)
-let par_workload ~seed () =
-  let machine = Machine.create ~ncores:4 ~phys_mib:128 Cost_model.xeon_6130 in
-  let proc = Process.create ~name:"par-identity" machine in
-  let heap = Heap.create proc ~size_bytes:(12 * 1024 * 1024) () in
+(* One 8-shard sweep under whatever global pool is installed, over an
+   8-leaf arena scrambled by the seed's swap schedule; returns the result
+   and the sequential reference checksum. *)
+let par_sweep ~seed () =
+  let case = gen_case ~arena_pages:4096 ~seed () in
+  let _, proc = fresh_proc ~arena_pages:case.arena_pages in
+  List.iter
+    (fun req ->
+      ignore
+        (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false req))
+    case.requests;
   let pt = Address_space.page_table (Process.aspace proc) in
-  let rng = Rng.create ~seed in
-  let obs, tracer =
-    Tracer.with_tracer (fun () ->
-        Tracer.set_counter_source (fun () ->
-            Perf.to_assoc machine.Machine.perf);
-        Fun.protect ~finally:Tracer.clear_counter_source (fun () ->
-            let cfg = Lisp2.config ~label:"par-identity" ~threads:4 () in
-            par_populate rng heap ~objects:140;
-            let c1 = Lisp2.collect cfg heap in
-            par_populate rng heap ~objects:60;
-            let c2 = Lisp2.collect cfg heap in
-            let va = Heap.base heap in
-            let pages = (Heap.limit heap - va) / Addr.page_size in
-            let sweep = Par_sweep.run machine pt ~va ~pages ~shards:8 in
-            let reference = Par_sweep.checksum_reference pt ~va ~pages in
-            (c1, c2, sweep, reference)))
-  in
-  let c1, c2, sweep, reference = obs in
-  let shard_list = Array.to_list sweep.Par_sweep.shards in
-  {
-    po_cycles = [ cycle_digest c1; cycle_digest c2 ];
-    po_counters = Perf.to_assoc machine.Machine.perf;
-    po_layout = layout_of proc;
-    po_trace = Chrome_trace.to_string tracer;
-    po_sweep_ints =
-      sweep.Par_sweep.leaves :: sweep.Par_sweep.present
-      :: sweep.Par_sweep.swapped
-      :: List.concat_map
-           (fun s ->
-             [
-               s.Par_sweep.ss_shard;
-               s.Par_sweep.ss_leaf_lo;
-               s.Par_sweep.ss_leaf_hi;
-               s.Par_sweep.ss_leaves;
-               s.Par_sweep.ss_present;
-               s.Par_sweep.ss_swapped;
-             ])
-           shard_list;
-    po_sweep_bits =
-      Int64.bits_of_float sweep.Par_sweep.walk_ns
-      :: Int64.bits_of_float sweep.Par_sweep.makespan_ns
-      :: List.map
-           (fun s -> Int64.bits_of_float s.Par_sweep.ss_cost_ns)
-           shard_list;
-    po_sweep_checksums =
-      List.map (fun s -> s.Par_sweep.ss_checksum) shard_list;
-    po_checksum = sweep.Par_sweep.checksum;
-    po_checksum_ref = reference;
-    po_safety = Check.domain_safety sweep;
-  }
-
-let first_byte_mismatch a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i =
-    if i >= n then n else if a.[i] <> b.[i] then i else go (i + 1)
-  in
-  go 0
+  let pages = case.arena_pages in
+  ( Par_sweep.run (Process.machine proc) pt ~va:arena_base ~pages ~shards:8,
+    Par_sweep.checksum_reference pt ~va:arena_base ~pages )
 
 let par_identity ?(domains = 4) ~seed () =
   let items = ref 0 and findings = ref [] in
@@ -342,43 +253,20 @@ let par_identity ?(domains = 4) ~seed () =
     incr items;
     if not ok then findings := f () :: !findings
   in
-  let base = Domain_pool.with_global ~domains:1 (par_workload ~seed) in
-  let par = Domain_pool.with_global ~domains (par_workload ~seed) in
+  let base = Domain_pool.with_global ~domains:1 (par_sweep ~seed) in
+  let par = Domain_pool.with_global ~domains (par_sweep ~seed) in
   let label = Printf.sprintf "par case seed=%d (1 vs %d domains)" seed domains in
   List.iter
-    (fun (who, o) ->
-      let n, f = o.po_safety in
+    (fun (who, (sweep, reference)) ->
+      let n, f = Check.domain_safety sweep in
       items := !items + n;
       findings := List.rev_append f !findings;
-      law (o.po_checksum = o.po_checksum_ref) (fun () ->
+      law (sweep.Par_sweep.checksum = reference) (fun () ->
           mk "par-identity"
             "%s: %s sweep checksum %Ld <> sequential reference %Ld" label who
-            o.po_checksum o.po_checksum_ref))
+            sweep.Par_sweep.checksum reference))
     [ ("1-domain", base); (Printf.sprintf "%d-domain" domains, par) ];
-  law (base.po_cycles = par.po_cycles) (fun () ->
-      mk "par-identity"
-        "%s: GC cycle stats (clocks or accounting) are not bit-identical"
-        label);
-  law (base.po_counters = par.po_counters) (fun () ->
-      match first_counter_mismatch base.po_counters par.po_counters with
-      | Some ((k, v1), (_, v2)) ->
-        mk "par-identity" "%s: counter %s = %d (1 domain) vs %d (%d domains)"
-          label k v1 v2 domains
-      | None -> mk "par-identity" "%s: counter sets differ" label);
-  law (base.po_layout = par.po_layout) (fun () ->
-      mk "par-identity" "%s: final heap layouts differ" label);
-  law (base.po_trace = par.po_trace) (fun () ->
-      mk "par-identity" "%s: traces diverge at byte %d (lengths %d vs %d)"
-        label
-        (first_byte_mismatch base.po_trace par.po_trace)
-        (String.length base.po_trace)
-        (String.length par.po_trace));
-  law
-    (base.po_sweep_ints = par.po_sweep_ints
-    && base.po_sweep_bits = par.po_sweep_bits
-    && base.po_sweep_checksums = par.po_sweep_checksums
-    && base.po_checksum = par.po_checksum)
-    (fun () ->
+  law (sweep_digest (fst base) = sweep_digest (fst par)) (fun () ->
       mk "par-identity" "%s: sharded sweep results are not bit-identical"
         label);
   (!items, List.rev !findings)
@@ -395,7 +283,7 @@ let run_suite ?(cases = 40) ?(seed = 0xC0FFEE) () =
     items := !items + n1 + n2;
     findings := !findings @ f1 @ f2
   done;
-  (* Host-parallelism identity is a full double GC per replay, so run a
+  (* Host-parallelism identity spawns a fresh pool per replay, so run a
      handful of seeds rather than one per case. *)
   for i = 0 to (cases / 16) + 1 do
     let n, f = par_identity ~seed:(seed + (7919 * i)) () in

@@ -18,7 +18,10 @@
     ([swap_separated] with broadcast flushing and [swap_aggregated] with
     the SVAGC defaults) twice — once with no fault injector and once with
     an all-zero-rate injector — asserting the two runs are bit-identical
-    in cost, counters and layout (the fault plane's rate-0 guarantee). *)
+    in cost, counters and layout (the fault plane's rate-0 guarantee).
+
+    {!par_identity} holds the sharded page-table sweep, the only pool
+    computation, to the same bar across host domain counts. *)
 
 type case = {
   seed : int;
@@ -58,20 +61,18 @@ val zero_fault_identity : case -> int * Check.finding list
     must be bit-identical. *)
 
 val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
-(** The host-parallelism oracle (DESIGN.md §13): replay one deterministic
-    workload — two traced LISP2 GC cycles over a seeded object soup
-    followed by a sharded {!Svagc_par.Par_sweep} — once under a 1-domain
-    global pool and once under a [domains]-domain pool
-    ([Svagc_par.Domain_pool.with_global]), and assert the two runs are
-    {e bit-identical} in every observable: per-cycle clocks (float bits),
-    cycle accounting, the full perf-counter vector, the final heap
-    layout, the canonical Chrome trace (byte for byte, per-span counter
-    deltas included), and the sweep's per-shard stats, costs and
-    checksums.  Each replay also passes {!Check.domain_safety} and checks
-    the sweep checksum against {!Svagc_par.Par_sweep.checksum_reference}.
-    [domains] defaults to 4. *)
+(** The host-parallelism oracle (DESIGN.md §13), for the one computation
+    that runs on the pool: an 8-shard {!Svagc_par.Par_sweep} over an
+    arena scrambled by [seed]'s swap schedule, replayed once under a
+    1-domain global pool and once under a [domains]-domain pool
+    ([Svagc_par.Domain_pool.with_global]).  The two sweep results must
+    be {e bit-identical} (per-shard stats, costs as float bits,
+    checksums); each replay must also pass {!Check.domain_safety}, and
+    its checksum must equal {!Svagc_par.Par_sweep.checksum_reference}.
+    The GC phases run on the calling domain, so there is nothing of
+    theirs to compare.  [domains] defaults to 4. *)
 
 val run_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
 (** [cases] generated schedules (default 40) through {!compare_case}
     and {!zero_fault_identity}, plus a handful of {!par_identity}
-    replays; returns the combined (items, findings). *)
+    sweeps; returns the combined (items, findings). *)

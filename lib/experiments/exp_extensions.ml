@@ -208,9 +208,10 @@ module Swapva = Svagc_kernel.Swapva
 (* One request over [pages] PMD-aligned pages per side, through each of the
    three disjoint-swap engines on a fresh process.  The per-page and flat
    engines must agree bit-for-bit on simulated cost (the flat engine only
-   changes how the simulator spends host time); the opt-in leaf-swap mode
-   trades the per-page charges of whole 512-page leaves for one
-   [pmd_swap_ns] constant each, so its simulated cost drops too. *)
+   changes how the simulator spends host time); the leaf-swap mode, an
+   extension no collector uses, trades the per-page charges of whole
+   512-page leaves for one [pmd_swap_ns] constant each, so its simulated
+   cost drops too. *)
 let swap_engine_case ~pages engine =
   let proc = fresh_proc () in
   let aspace = Process.aspace proc in
@@ -245,7 +246,7 @@ let swap_engine_rows ~pages =
   [
     row "per-page (reference)" (pp_ns, pp_perf);
     row "flat (live)" (flat_ns, flat_perf);
-    row "pmd_leaf_swap (opt-in)" (leaf_ns, leaf_perf);
+    row "leaf swaps (extension)" (leaf_ns, leaf_perf);
     [ "flat == per-page cost";
       (if flat_ns = pp_ns then "bit-identical" else "MISMATCH"); ""; ""; "" ];
     [ "leaf vs per-page cost"; Report.speedup (pp_ns /. leaf_ns); ""; ""; "" ];

@@ -14,9 +14,6 @@ module Table = Svagc_metrics.Table
 module Domain_pool = Svagc_par.Domain_pool
 module Par_sweep = Svagc_par.Par_sweep
 module Rng = Svagc_util.Rng
-module Heap = Svagc_heap.Heap
-module Lisp2 = Svagc_gc.Lisp2
-module Gc_stats = Svagc_gc.Gc_stats
 
 let base = 1 lsl 30
 
@@ -41,41 +38,9 @@ let fixture ~arena_pages ~seed =
   done;
   (machine, Address_space.page_table (Process.aspace proc))
 
-(* One traced-free LISP2 cycle over a seeded object soup, digested to the
-   numbers whose bit-identity across domain counts we want to exhibit. *)
-let gc_digest ~domains =
-  Domain_pool.with_global ~domains (fun () ->
-      let machine =
-        Machine.create ~ncores:4 ~phys_mib:128 Cost_model.xeon_6130
-      in
-      let proc = Process.create machine in
-      let heap = Heap.create proc ~size_bytes:(8 * 1024 * 1024) () in
-      let rng = Rng.create ~seed:31 in
-      let prev = ref None in
-      for i = 0 to 119 do
-        let size =
-          if Rng.int rng 10 < 3 then (40 * 1024) + Rng.int rng (32 * 1024)
-          else 64 + Rng.int rng 1024
-        in
-        let obj = Heap.alloc heap ~size ~n_refs:2 ~cls:(i mod 3) in
-        if Rng.int rng 3 > 0 then begin
-          Heap.add_root heap obj;
-          (match !prev with
-          | Some p -> Heap.set_ref heap obj ~slot:0 (Some p)
-          | None -> ());
-          prev := Some obj
-        end
-      done;
-      let c = Lisp2.collect (Lisp2.config ~threads:4 ()) heap in
-      ( List.map Int64.bits_of_float
-          [ c.Gc_stats.mark_ns; c.Gc_stats.adjust_ns; c.Gc_stats.compact_ns ],
-        (c.Gc_stats.live_objects, c.Gc_stats.live_bytes),
-        c ))
-
 let run ?(quick = false) () =
   Report.section
-    "Host parallelism - sharded sweep & GC fan-out, deterministic reduction \
-     (extension)";
+    "Host parallelism - sharded sweep, deterministic reduction (extension)";
   let arena_pages = if quick then 4096 else 16384 in
   let machine, pt = fixture ~arena_pages ~seed:7 in
   let reference = Par_sweep.checksum_reference pt ~va:base ~pages:arena_pages in
@@ -96,8 +61,8 @@ let run ?(quick = false) () =
            Report.speedup (r1.Par_sweep.walk_ns /. r.Par_sweep.makespan_ns);
          ])
        [ 1; 2; 4; 8; 16 ]);
-  (* Domain-invariance, demonstrated live: the same 8-shard sweep and the
-     same GC cycle executed on 1 vs 4 real domains. *)
+  (* Domain-invariance, demonstrated live: the same 8-shard sweep executed
+     on 1 vs 4 real domains. *)
   let sweep_with domains =
     Domain_pool.with_pool ~domains (fun pool ->
         Par_sweep.run ~pool machine pt ~va:base ~pages:arena_pages ~shards:8)
@@ -110,13 +75,6 @@ let run ?(quick = false) () =
           = Int64.bits_of_float s4.Par_sweep.walk_ns
      then "bit-identical"
      else "DIVERGED");
-  let g1_bits, g1_ints, c1 = gc_digest ~domains:1 in
-  let g4_bits, g4_ints, _ = gc_digest ~domains:4 in
-  Report.kv "LISP2 cycle, 1 vs 4 domains"
-    (if g1_bits = g4_bits && g1_ints = g4_ints then "bit-identical"
-     else "DIVERGED");
-  Report.kv "mark" (Report.ns c1.Gc_stats.mark_ns);
-  Report.kv "adjust" (Report.ns c1.Gc_stats.adjust_ns);
   Report.kv "sweep checksum" (Printf.sprintf "0x%016Lx" reference);
   Report.note
     "Shard counts are simulation semantics (the partition is fixed); host \

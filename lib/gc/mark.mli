@@ -6,12 +6,9 @@
     slot; the phase time is the work-stealing makespan across the GC
     threads.
 
-    Host parallelism (DESIGN.md §13): the flag-clear sweep fans out over
-    [threads] shards on the global [Svagc_par.Domain_pool] — each shard
-    clears a disjoint slice of distinct object records, nothing to
-    merge.  The traversal itself stays on the calling domain: discovery
-    order defines the cost-vector order the simulated schedule replays,
-    so parallelizing it would change published makespans. *)
+    The whole phase runs on the calling domain (DESIGN.md §13): the
+    flag clear is a plain loop, and discovery order defines the
+    cost-vector order the simulated schedule replays. *)
 
 open Svagc_heap
 

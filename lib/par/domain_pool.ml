@@ -1,4 +1,5 @@
-module Domain_slot = Svagc_util.Domain_slot
+(* Upper bound on execution streams (workers + the caller). *)
+let max_domains = 128
 
 (* One fan-out: a shard counter claimed with an atomic fetch-and-add.
    The [b_done] counter doubles as the synchronisation edge — workers
@@ -45,8 +46,7 @@ let drain t b =
   in
   claim ()
 
-let worker_loop t slot =
-  Domain_slot.set_slot slot;
+let worker_loop t =
   let seen = ref 0 in
   let rec loop () =
     Mutex.lock t.mu;
@@ -67,7 +67,7 @@ let worker_loop t slot =
   loop ()
 
 let create ~domains =
-  if domains < 1 || domains > Domain_slot.max_slots then
+  if domains < 1 || domains > max_domains then
     invalid_arg "Domain_pool.create: domains out of range";
   let t =
     {
@@ -82,8 +82,7 @@ let create ~domains =
     }
   in
   t.workers <-
-    Array.init (domains - 1) (fun w ->
-        Domain.spawn (fun () -> worker_loop t (w + 1)));
+    Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let shutdown t =
@@ -131,7 +130,7 @@ let run_batch t b =
 let run t ~shards task =
   if shards < 0 then invalid_arg "Domain_pool.run: negative shards";
   if shards = 0 then ()
-  else if t.n_domains = 1 || shards = 1 || Domain_slot.my_slot () <> 0 then
+  else if t.n_domains = 1 || shards = 1 || not (Domain.is_main_domain ()) then
     run_inline ~shards task
   else begin
     let b =
@@ -170,7 +169,7 @@ let default_domains () =
   match Sys.getenv_opt "DOMAINS" with
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n -> max 1 (min n Domain_slot.max_slots)
+    | Some n -> max 1 (min n max_domains)
     | None -> 1)
   | None -> max 1 (min 4 (Domain.recommended_domain_count ()))
 

@@ -7,9 +7,10 @@
       (the numbers the experiments publish) are replays of a
       work-stealing schedule over per-task simulated costs, exactly as
       before.
-    - [Domain_pool] is the {e host-time} executor: the side effects of a
-      data-parallel phase (flag sweeps, pointer rewrites, page-table
-      walks) actually run on [domains] hardware threads.
+    - [Domain_pool] is the {e host-time} executor: the shards of
+      {!Par_sweep}'s page-table audit actually run on [domains] hardware
+      threads.  The GC phases never fan out; they run on the calling
+      domain.
 
     Determinism contract ("sharding is semantic, domains are
     mechanical"): work is always expressed as a fixed number of
@@ -22,25 +23,24 @@
     an N-domain run execute byte-identical per-shard computations and
     merge them in the identical order: every observable output — clocks,
     counters, layouts, traces — is bit-identical.
-    [Svagc_check.Differential.par_identity] enforces this end to end.
+    [Svagc_check.Differential.par_identity] enforces this for the sweep.
 
     Scheduling of shards onto domains is dynamic (an atomic claim
     counter), which affects only {e which} domain runs a shard, never
     the shard's result or the merge order.
 
-    Workers carry {!Svagc_util.Domain_slot} slots [1 .. domains-1], so
-    per-domain machine state ([Machine.hot_scratch]) is keyed without
-    locking.  The pool is driven from the main domain (slot 0) only; a
-    [run] issued from inside a worker (nesting) degrades to inline
-    sequential execution, which is always safe. *)
+    The pool is driven from the main domain only; a [run] issued from
+    any other domain (nesting inside a worker) degrades to inline
+    sequential execution, which is always safe.  Pool tasks never run
+    SwapVA, whose scratch ([Machine.hot_scratch]) belongs to the main
+    domain. *)
 
 type t
 
 val create : domains:int -> t
 (** Spawn a pool of [domains - 1] worker domains ([domains = 1] spawns
     none and {!run} executes inline).
-    @raise Invalid_argument unless
-      [1 <= domains <= Svagc_util.Domain_slot.max_slots]. *)
+    @raise Invalid_argument unless [1 <= domains <= 128]. *)
 
 val domains : t -> int
 (** Total execution streams, the caller's domain included. *)
@@ -55,8 +55,8 @@ val run : t -> shards:int -> (int -> unit) -> unit
     module header).  If any task raised, the exception of the
     lowest-numbered failing shard is re-raised on the caller (canonical
     choice — independent of domain count); other shards still ran.
-    With [domains t = 1], [shards <= 1], when called from a worker
-    domain, or re-entrantly (from inside a shard of a batch already in
+    With [domains t = 1], [shards <= 1], when called from any domain but
+    the main one, or re-entrantly (from inside a shard of a batch already in
     flight), execution is inline and in shard order.
     @raise Invalid_argument when [shards < 0] or the pool is shut
     down. *)
@@ -68,15 +68,15 @@ val map_shards : t -> shards:int -> (int -> 'a) -> 'a array
 
 val default_domains : unit -> int
 (** The [DOMAINS] environment variable when set (clamped to
-    [1 .. Domain_slot.max_slots]); otherwise
+    [1 .. 128]); otherwise
     [min 4 (Domain.recommended_domain_count ())] — 4 matching the
     paper's [GCThreadsCount] tuning, fewer when the host has fewer
     cores. *)
 
 val global : unit -> t
 (** The process-wide pool, created on first use with
-    {!default_domains} and joined at process exit.  GC phases fan out
-    through this pool by default. *)
+    {!default_domains} and joined at process exit.  {!Par_sweep.run}
+    fans out through it by default; nothing else does. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** Scoped pool for tests and benchmarks: create, run [f], always
@@ -86,6 +86,6 @@ val with_global : domains:int -> (unit -> 'a) -> 'a
 (** Run [f] with the process-wide pool temporarily replaced by a fresh
     [domains]-wide one (shut down afterwards; the previous global, if
     any, is restored untouched).  This is the oracle's lever:
-    [Svagc_check.Differential.par_identity] replays the same workload
-    under [with_global ~domains:1] and [~domains:4] and asserts the
-    outputs are bit-identical. *)
+    [Svagc_check.Differential.par_identity] replays the same sharded
+    sweep under [with_global ~domains:1] and [~domains:4] and asserts
+    the results are bit-identical.  [bench/e2e] pins [~domains:1]. *)

@@ -1,6 +1,7 @@
 (** Deterministic reduction combinators for sharded computations.
 
-    Everything the pool fans out comes back through here: per-shard
+    Everything the pool fans out (the sharded {!Par_sweep}; the GC
+    phases run on the calling domain) comes back through here: per-shard
     partial results are merged in {e canonical shard order} (index 0
     upward), never in completion order.  Because each shard's value is
     computed by a pure deterministic function of the shard's slice, and

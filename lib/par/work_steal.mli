@@ -9,9 +9,9 @@
     deques and steal from the most loaded victim when empty.  Task side
     effects run exactly once, in schedule order, on the calling domain, so
     the simulation stays deterministic while the *makespan* — the number
-    the experiments publish — reflects parallel execution.  Whether the
-    side effects of a phase {e also} run on real domains is an orthogonal
-    choice made per phase through {!Domain_pool}.
+    the experiments publish — reflects parallel execution.  The GC phases
+    run their side effects on the calling domain too; only
+    {!Par_sweep} executes on {!Domain_pool}.
 
     Guarantees checked by the property tests:
     makespan >= max(total_work / threads, max_task_cost) and

@@ -33,11 +33,10 @@ type reclaim_iface = {
    serial float chain.  [hs_memo_enc] holds [(pages lsl 1) lor cached]
    (never 0, so 0 marks an empty slot).
 
-   Scratch is per-domain: each execution stream (keyed by its
-   Domain_slot) owns its own buffers and memo, so a pool worker can
-   never scribble over another stream's half-built run list.  Memo
-   contents only affect which computations are skipped, never their
-   results, so per-domain memos cannot perturb bit-identity either. *)
+   There is one scratch per machine and only the main domain may use
+   it: SwapVA never runs in a pool task, and [hot_scratch] refuses any
+   other domain rather than let two streams share a half-built run
+   list. *)
 type hot_scratch = {
   hs_src_runs : Page_table.run_buf;
   hs_dst_runs : Page_table.run_buf;
@@ -59,7 +58,7 @@ type t = {
   mutable next_asid : int;
   mutable fault : Svagc_fault.Injector.t option;
   mutable reclaim : reclaim_iface option;
-  scratch : hot_scratch option array;
+  mutable scratch : hot_scratch option;
 }
 
 (* Observation hooks for the shadow oracle (svagc_check).  The vmem layer
@@ -88,7 +87,7 @@ let create ?ncores ?(phys_mib = 512) (cost : Cost_model.t) =
       next_asid = 1;
       fault = None;
       reclaim = None;
-      scratch = Array.make Svagc_util.Domain_slot.max_slots None;
+      scratch = None;
     }
   in
   (match !created_hook with None -> () | Some f -> f t);
@@ -99,8 +98,9 @@ let core t i =
   t.cores.(i)
 
 let hot_scratch t =
-  let slot = Svagc_util.Domain_slot.my_slot () in
-  match t.scratch.(slot) with
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Machine.hot_scratch: SwapVA scratch is main-domain only";
+  match t.scratch with
   | Some s -> s
   | None ->
     let s =
@@ -112,7 +112,7 @@ let hot_scratch t =
         hs_memo_out = Array.make memo_slots 0.0;
       }
     in
-    t.scratch.(slot) <- Some s;
+    t.scratch <- Some s;
     s
 
 let fresh_asid t =

@@ -162,6 +162,29 @@ let test_adjust_rewrites_refs () =
   Alcotest.(check int) "ref points at b's forwarding address"
     b.Obj_model.forward a.Obj_model.refs.(0)
 
+let test_adjust_first_offender () =
+  (* Two live objects far apart in address order each get a bogus
+     reference; the lower-addressed one holds the larger address, so
+     neither value order nor slice order can pass for address order. *)
+  let heap, _, fwd = forward_fixture () in
+  let live = fwd.Forward.live in
+  let with_refs =
+    List.filter
+      (fun o -> Array.length o.Obj_model.refs > 0)
+      (Array.to_list live)
+  in
+  let first = List.hd with_refs
+  and last = List.nth with_refs (List.length with_refs - 1) in
+  Alcotest.(check bool) "planted objects in address order" true
+    (first.Obj_model.addr < last.Obj_model.addr);
+  let bogus_first = 0x7ff0_0008 and bogus_last = 0x10 in
+  first.Obj_model.refs.(0) <- bogus_first;
+  last.Obj_model.refs.(0) <- bogus_last;
+  Alcotest.check_raises "names the lower-addressed object's bogus ref"
+    (Invalid_argument
+       (Printf.sprintf "Adjust.run: dangling reference 0x%x" bogus_first))
+    (fun () -> ignore (Adjust.run heap ~threads:4 ~live))
+
 (* --- Compact (memmove) --- *)
 
 let run_lisp2 ?(threads = 4) heap =
@@ -360,7 +383,12 @@ let () =
           Alcotest.test_case "waste bounded" `Quick test_forward_waste_bounded;
           Alcotest.test_case "unsorted heap" `Quick test_forward_unsorted_heap;
         ] );
-      ("adjust", [ Alcotest.test_case "rewrites refs" `Quick test_adjust_rewrites_refs ]);
+      ( "adjust",
+        [
+          Alcotest.test_case "rewrites refs" `Quick test_adjust_rewrites_refs;
+          Alcotest.test_case "first offender in address order" `Quick
+            test_adjust_first_offender;
+        ] );
       ( "compact",
         [
           Alcotest.test_case "preserves contents" `Quick test_compact_preserves_contents;

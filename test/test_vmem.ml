@@ -592,6 +592,22 @@ let test_machine_flush_all_cores () =
         (Tlb.lookup c.Machine.tlb ~asid:7 ~vpn:1))
     m.Machine.cores
 
+let test_machine_scratch_main_domain_only () =
+  (* SwapVA's scratch is one per machine; a second domain must be refused
+     rather than share its half-built run lists. *)
+  let m = Machine.create ~phys_mib:1 Cost_model.xeon_6130 in
+  ignore (Machine.hot_scratch m);
+  let refused =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match Machine.hot_scratch m with
+           | _ -> false
+           | exception Invalid_argument _ -> true))
+  in
+  Alcotest.(check bool) "spawned domain refused" true refused;
+  Alcotest.(check bool) "main domain keeps its scratch" true
+    (Machine.hot_scratch m == Machine.hot_scratch m)
+
 (* --- Address_space --- *)
 
 let machine () = Machine.create ~phys_mib:32 Cost_model.xeon_6130
@@ -859,6 +875,8 @@ let () =
           Alcotest.test_case "ipi broadcast cost" `Quick test_machine_ipi_cost;
           Alcotest.test_case "single-core ipi free" `Quick test_machine_single_core_ipi_free;
           Alcotest.test_case "flush all cores" `Quick test_machine_flush_all_cores;
+          Alcotest.test_case "scratch is main-domain only" `Quick
+            test_machine_scratch_main_domain_only;
         ] );
       ( "address_space",
         [
