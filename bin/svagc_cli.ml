@@ -1,5 +1,5 @@
 (* svagc — command-line front end for the SVAGC reproduction: list, exp,
-   bench, fleet, threshold, trace and check (see `svagc --help`).
+   bench, fleet, trace and check (see `svagc --help`).
 
    Every input is checked while the command line is parsed: a bad value
    exits 124 with a message on stderr before anything runs or prints.  A
@@ -148,12 +148,6 @@ let run_term ~workload ~min_heap_bytes ~collectors ~steps =
     opt_arg Arg.float 1.2 [ "heap-factor" ]
       "Heap over the workload's minimum (>= 1)."
   in
-  let no_coalesce =
-    flag_arg [ "no-coalesce" ]
-      "Disable run coalescing: adjacent compaction entries with contiguous \
-       src and dst ranges are no longer merged into one SwapVA request \
-       before aggregation."
-  in
   let fault_spec =
     opt_arg fault_spec_conv Svagc_fault.Fault_spec.empty ~docv:"SPEC"
       [ "fault-spec" ]
@@ -183,8 +177,8 @@ let run_term ~workload ~min_heap_bytes ~collectors ~steps =
        with NS nanoseconds per page transfer. Only meaningful together with \
        $(b,--mem-limit-frames)."
   in
-  let make workload collectors steps heap_factor no_coalesce fault_spec
-      fault_seed mem_limit_frames swap_cost_ns () =
+  let make workload collectors steps heap_factor fault_spec fault_seed
+      mem_limit_frames swap_cost_ns () =
     require (steps >= 1) "--steps must be >= 1";
     require
       (Float.is_finite heap_factor && heap_factor >= 1.0)
@@ -202,10 +196,7 @@ let run_term ~workload ~min_heap_bytes ~collectors ~steps =
           (ns >= 0.0 && Float.is_finite ns)
           "--swap-cost must be finite and non-negative")
       swap_cost_ns;
-    let config =
-      { Svagc_core.Config.default with
-        coalesce_runs = not no_coalesce; fault_spec; fault_seed }
-    in
+    let config = { Svagc_core.Config.default with fault_spec; fault_seed } in
     Svagc_core.Config.validate config;
     let machine () =
       let machine = Exp_common.fresh_machine Svagc_vmem.Cost_model.xeon_6130 in
@@ -220,8 +211,8 @@ let run_term ~workload ~min_heap_bytes ~collectors ~steps =
   in
   validated
     Term.(
-      const make $ workload $ collectors $ steps $ heap_factor $ no_coalesce
-      $ fault_spec $ fault_seed $ mem_limit_frames $ swap_cost_ns)
+      const make $ workload $ collectors $ steps $ heap_factor $ fault_spec
+      $ fault_seed $ mem_limit_frames $ swap_cost_ns)
 
 (* --- Subcommands --- *)
 
@@ -401,9 +392,9 @@ let check_cmd =
   let doc =
     "Run the shadow invariant oracle: the qcheck-style differential harness \
      (per-page vs flat vs pmd-leaf SwapVA engines, rate-0 fault \
-     bit-identity), the work-steal scheduler laws, a traced workload with \
-     span-nesting checks, and oracle-enabled experiments. Exits non-zero on \
-     any finding."
+     bit-identity, the sharded sweep at 1 vs 4 domains), the work-steal \
+     scheduler laws, a traced workload with span-nesting checks, and \
+     oracle-enabled experiments. Exits non-zero on any finding."
   in
   let cases =
     validated
@@ -442,6 +433,8 @@ let check_cmd =
     Report.section "svagc_check: differential harness";
     stateless "swap engines + rate-0"
       (Differential.run_suite ~cases ~seed ());
+    stateless "sharded sweep, 1 vs 4 domains"
+      (Differential.par_suite ~cases ~seed ());
     Report.section "svagc_check: work-steal scheduler laws";
     let rng = Svagc_util.Rng.create ~seed in
     let random_costs n =
@@ -507,45 +500,21 @@ let fleet_cmd =
   in
   let steps = opt_arg Arg.int d.steps [ "steps" ] "Mutator steps per tenant." in
   let seed = opt_arg Arg.int d.seed [ "seed" ] "Base RNG seed." in
-  let cgroup_soft =
-    opt_arg Arg.float d.cgroup_soft ~docv:"FRAC" [ "cgroup-soft" ]
-      "Per-tenant cgroup soft limit as a fraction of its heap pages; kswapd \
-       prefers over-soft tenants' pages when evicting."
-  in
-  let cgroup_hard =
-    opt_arg Arg.float d.cgroup_hard ~docv:"FRAC" [ "cgroup-hard" ]
-      "Per-tenant cgroup hard limit as a fraction of its heap pages (also \
-       the tenant's admission commitment); enforced by direct reclaim on \
-       every mapping."
-  in
-  let far_tier_cost =
-    opt_arg Arg.float d.far_tier_cost ~docv:"X" [ "far-tier-cost" ]
-      "Far-memory tier latency as a multiple of the near tier's."
-  in
-  let near_frac =
-    opt_arg Arg.float d.near_frac ~docv:"FRAC" [ "near-frac" ]
-      "Near-tier (local NVMe) slot count as a fraction of the pool; beyond \
-       it, the coldest slots demote to the far tier."
-  in
   let queue_limit =
     opt_arg Arg.int d.queue_limit ~docv:"N" [ "queue-limit" ]
       "Admission wait-queue capacity."
   in
-  let make tenants surge overcommit steps seed cgroup_soft cgroup_hard
-      far_tier_cost near_frac queue_limit () =
+  let make tenants surge overcommit steps seed queue_limit () =
     let surge = Option.value surge ~default:(Stdlib.max 1 (tenants / 20)) in
-    let config =
-      { Fleet.tenants; surge; overcommit; steps; seed; cgroup_soft;
-        cgroup_hard; far_tier_cost; near_frac; queue_limit }
-    in
+    let config = { Fleet.tenants; surge; overcommit; steps; seed; queue_limit } in
     Fleet.validate config;
     config
   in
   let config =
     validated
       Term.(
-        const make $ tenants $ surge $ overcommit $ steps $ seed $ cgroup_soft
-        $ cgroup_hard $ far_tier_cost $ near_frac $ queue_limit)
+        const make $ tenants $ surge $ overcommit $ steps $ seed
+        $ queue_limit)
   in
   let run (c : Fleet.config) collectors check =
     with_check check ~label:"fleet" (fun () ->
@@ -564,17 +533,11 @@ let fleet_cmd =
   Cmd.v (Cmd.info "fleet" ~doc ~exits)
     Term.(const run $ config $ collectors_arg $ check_arg)
 
-let threshold_cmd =
-  let doc = "Print the SwapVA/memmove break-even sweep (Fig. 10)." in
-  Cmd.v (Cmd.info "threshold" ~doc ~exits)
-    Term.(const (fun () -> Svagc_experiments.Exp_fig10.run ()) $ const ())
-
 let main =
   let doc = "SVAGC: GC with scalable virtual-address swapping (simulation)" in
   Cmd.group (Cmd.info "svagc" ~version:"1.0.0" ~doc ~exits)
     [
-      list_cmd; exp_cmd; bench_cmd; fleet_cmd; threshold_cmd; trace_cmd;
-      check_cmd;
+      list_cmd; exp_cmd; bench_cmd; fleet_cmd; trace_cmd; check_cmd;
     ]
 
 (* A kernel error that no layer recovers from (a swap-in whose device

@@ -335,7 +335,7 @@ let cgroup_laws machine ~tables =
           law a "cgroup-limits"
             (0 <= soft && soft <= hard)
             "asid %d has soft = %d > hard = %d" asid soft hard;
-          law a "cgroup-hard"
+          law a "cgroup-resident"
             (resident <= hard)
             "asid %d holds %d resident pages above its hard limit %d" asid
             resident hard;

@@ -70,14 +70,6 @@ val counter_laws : Svagc_vmem.Machine.t -> int * finding list
     [sched_dispatched + sched_cancelled <= sched_scheduled] (co-runs:
     every step run or dropped was queued first). *)
 
-val bitset_laws :
-  tables:(int * Svagc_vmem.Page_table.t) list -> int * finding list
-(** Recompute every leaf's presence bitset from its PTE words
-    ({!Svagc_vmem.Page_table.bitset_violations}) for each registered
-    address space.  A violation means some PTE-exchange path broke its
-    mappedness-preservation contract — the invariant the flat SwapVA
-    engine's bitset prechecks rely on. *)
-
 val reclaim_laws :
   Svagc_vmem.Machine.t ->
   tables:(int * Svagc_vmem.Page_table.t) list ->
@@ -97,33 +89,6 @@ val reclaim_laws :
     rings).  The alias pass tags each buffer's first word and restores
     it before returning.  [tables] must cover all the machine's address spaces —
     shadow mode registers them at creation. *)
-
-val cgroup_laws :
-  Svagc_vmem.Machine.t ->
-  tables:(int * Svagc_vmem.Page_table.t) list ->
-  int * finding list
-(** Fleet cgroup conservation, evaluated only when the reclaim plane
-    carries a cgroup accounting plane ([ri_cgroup_stats] non-empty;
-    trivially passes otherwise): per-tenant limits are sane
-    ([soft <= hard]), no tenant holds more resident pages than its hard
-    limit, each tenant's charge equals its page table's present-PTE
-    count, and the charges sum to the machine's resident frames (when
-    every populated space belongs to a tenant). *)
-
-val cycle_laws : ?label:string -> Svagc_gc.Gc_stats.cycle -> int * finding list
-(** Per-cycle accounting: phase times non-negative,
-    [swapped_objects <= moved_objects], byte counters non-negative and
-    [bytes_remapped] page-sized, and nothing moved implies nothing
-    copied/remapped. *)
-
-val heap_invariants : ?label:string -> Svagc_heap.Heap.t -> int * finding list
-(** [Heap.audit] folded into findings: object ranges in bounds, every page
-    translating, headers intact, no overlaps. *)
-
-val trace_wellformed : Svagc_trace.Tracer.t -> int * finding list
-(** Spans have non-negative durations and timestamps, per-track span
-    intervals nest properly (no partial overlap), per-track instants are
-    monotone in simulated time, and no span is left open. *)
 
 val work_steal_oracle :
   ?threads:int ->
@@ -167,11 +132,18 @@ val observe_clock : key:string -> float -> unit
 
 val post_gc :
   ?label:string -> Svagc_heap.Heap.t -> Svagc_gc.Gc_stats.cycle -> unit
-(** Phase-boundary assertion for the end of a GC cycle: cycle laws, heap
-    audit, TLB coherence, counter laws and {!bitset_laws} on the heap's
-    machine, plus {!reclaim_laws} when a reclaim plane is attached.
-    Called by [Jvm.run_gc]; no-op when shadow mode is off. *)
+(** Phase-boundary assertion for the end of a GC cycle: the cycle's
+    accounting laws (non-negative phase times and byte counters,
+    [swapped_objects <= moved_objects], page-sized [bytes_remapped]),
+    [Heap.audit], TLB coherence, counter laws and the page tables'
+    presence bitsets on the heap's machine, plus {!reclaim_laws} when a
+    reclaim plane is attached and the fleet cgroup laws (limits sane, no
+    tenant above its hard limit, charges equal to present PTEs) when it
+    carries cgroups.  Called by [Jvm.run_gc]; no-op when shadow mode is
+    off. *)
 
 val observe_tracer : Svagc_trace.Tracer.t -> unit
-(** Fold a {!trace_wellformed} pass over a (stopped or running) tracer
-    into the shadow report.  No-op when shadow mode is off. *)
+(** Fold a trace well-formedness pass over a (stopped or running) tracer
+    into the shadow report: non-negative span durations and timestamps,
+    properly nested per-track spans, per-track instants monotone in
+    simulated time, no span left open.  No-op when shadow mode is off. *)

@@ -57,11 +57,6 @@ let gen_case ?(arena_pages = 1536) ?(max_requests = 10) ~seed () =
 
 type path = Per_page | Flat | Leaf
 
-let path_name = function
-  | Per_page -> "per-page"
-  | Flat -> "flat"
-  | Leaf -> "pmd-leaf"
-
 type replay = {
   cost : float;
   counters : (string * int) list;
@@ -69,7 +64,8 @@ type replay = {
 }
 
 let fresh_proc ~arena_pages =
-  let machine = Machine.create ~ncores:4 ~phys_mib:64 Cost_model.xeon_6130 in
+  let phys_mib = max 64 (2 * arena_pages * page / (1024 * 1024)) in
+  let machine = Machine.create ~ncores:4 ~phys_mib Cost_model.xeon_6130 in
   let proc = Process.create ~name:"differential" machine in
   Address_space.map_range (Process.aspace proc) ~va:arena_base
     ~pages:arena_pages;
@@ -231,20 +227,23 @@ let sweep_digest (r : Par_sweep.result) =
            [ s.Par_sweep.ss_checksum; Int64.bits_of_float s.Par_sweep.ss_cost_ns ])
          shards )
 
-(* One 8-shard sweep under whatever global pool is installed, over an
-   8-leaf arena scrambled by the seed's swap schedule; returns the result
-   and the sequential reference checksum. *)
-let par_sweep ~seed () =
-  let case = gen_case ~arena_pages:4096 ~seed () in
-  let _, proc = fresh_proc ~arena_pages:case.arena_pages in
+let scrambled_arena ~arena_pages ~seed =
+  let case = gen_case ~arena_pages ~seed () in
+  let machine, proc = fresh_proc ~arena_pages in
   List.iter
     (fun req ->
       ignore
         (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false req))
     case.requests;
-  let pt = Address_space.page_table (Process.aspace proc) in
-  let pages = case.arena_pages in
-  ( Par_sweep.run (Process.machine proc) pt ~va:arena_base ~pages ~shards:8,
+  (machine, Address_space.page_table (Process.aspace proc))
+
+(* One 8-shard sweep under whatever global pool is installed, over an
+   8-leaf scrambled arena; returns the result and the sequential reference
+   checksum. *)
+let par_sweep ~seed () =
+  let pages = 4096 in
+  let machine, pt = scrambled_arena ~arena_pages:pages ~seed in
+  ( Par_sweep.run machine pt ~va:arena_base ~pages ~shards:8,
     Par_sweep.checksum_reference pt ~va:arena_base ~pages )
 
 let par_identity ?(domains = 4) ~seed () =
@@ -283,8 +282,12 @@ let run_suite ?(cases = 40) ?(seed = 0xC0FFEE) () =
     items := !items + n1 + n2;
     findings := !findings @ f1 @ f2
   done;
-  (* Host-parallelism identity spawns a fresh pool per replay, so run a
-     handful of seeds rather than one per case. *)
+  (!items, !findings)
+
+(* Each replay spawns a fresh pool, so run a handful of seeds rather than
+   one per case. *)
+let par_suite ?(cases = 40) ?(seed = 0xC0FFEE) () =
+  let items = ref 0 and findings = ref [] in
   for i = 0 to (cases / 16) + 1 do
     let n, f = par_identity ~seed:(seed + (7919 * i)) () in
     items := !items + n;

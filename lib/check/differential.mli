@@ -41,8 +41,6 @@ val gen_case : ?arena_pages:int -> ?max_requests:int -> seed:int -> unit -> case
 
 type path = Per_page | Flat | Leaf
 
-val path_name : path -> string
-
 type replay = {
   cost : float;
   counters : (string * int) list;  (** [Perf.to_assoc] with [leaf_runs] zeroed *)
@@ -60,6 +58,13 @@ val zero_fault_identity : case -> int * Check.finding list
 (** Full-syscall replays with no injector vs. an all-zero-rate injector
     must be bit-identical. *)
 
+val scrambled_arena :
+  arena_pages:int -> seed:int -> Svagc_vmem.Machine.t * Svagc_vmem.Page_table.t
+(** A fresh 4-core machine with [arena_pages] pages mapped at
+    {!arena_base} and {!gen_case}[ ~arena_pages ~seed]'s schedule applied
+    through the flat engine: the scrambled page table the sharded-sweep
+    checks and [exp par] audit. *)
+
 val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
 (** The host-parallelism oracle (DESIGN.md §13), for the one computation
     that runs on the pool: an 8-shard {!Svagc_par.Par_sweep} over an
@@ -74,5 +79,9 @@ val par_identity : ?domains:int -> seed:int -> unit -> int * Check.finding list
 
 val run_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
 (** [cases] generated schedules (default 40) through {!compare_case}
-    and {!zero_fault_identity}, plus a handful of {!par_identity}
-    sweeps; returns the combined (items, findings). *)
+    and {!zero_fault_identity}; returns the combined (items, findings). *)
+
+val par_suite : ?cases:int -> ?seed:int -> unit -> int * Check.finding list
+(** [cases / 16 + 2] {!par_identity} sweeps at 1 vs 4 domains, seeded
+    from [seed] (defaults as {!run_suite}); returns the combined (items,
+    findings). *)

@@ -4,8 +4,6 @@ type t = {
   threshold_pages : int;
   pmd_caching : bool;
   aggregation_batch : int;
-  coalesce_runs : bool;
-  allow_overlap : bool;
   flush : Shootdown.policy;
   gc_threads : int;
   fault_spec : Svagc_fault.Fault_spec.t;
@@ -17,22 +15,7 @@ let default =
     threshold_pages = 10;
     pmd_caching = true;
     aggregation_batch = 64;
-    coalesce_runs = true;
-    allow_overlap = true;
     flush = Shootdown.Local_pinned;
-    gc_threads = 4;
-    fault_spec = Svagc_fault.Fault_spec.empty;
-    fault_seed = 0;
-  }
-
-let unoptimized =
-  {
-    threshold_pages = 10;
-    pmd_caching = false;
-    aggregation_batch = 1;
-    coalesce_runs = false;
-    allow_overlap = false;
-    flush = Shootdown.Broadcast_per_call;
     gc_threads = 4;
     fault_spec = Svagc_fault.Fault_spec.empty;
     fault_seed = 0;

@@ -1,6 +1,8 @@
-(** SVAGC configuration: the swapping threshold and every optimization
-    toggle the paper evaluates (Table I / §III-IV), so each one can be
-    ablated independently. *)
+(** SVAGC configuration: the swapping threshold and the optimization
+    toggles the paper's ablations vary (Table I / §III-IV).  Run
+    coalescing and the overlapping-area path (Algorithm 2) are always on;
+    an all-off baseline is [{ default with pmd_caching = false;
+    aggregation_batch = 1; flush = Broadcast_per_call }]. *)
 
 type t = {
   threshold_pages : int;
@@ -10,12 +12,6 @@ type t = {
   aggregation_batch : int;
       (** Fig. 5/6: max requests folded into one syscall; 1 turns
           aggregation off *)
-  coalesce_runs : bool;
-      (** request-level aggregation: adjacent compaction entries whose src
-          AND dst ranges are contiguous merge into one larger SwapVA
-          request before call-level batching, saving one per-request setup
-          fee and keeping the kernel's PMD cache warm across the seam *)
-  allow_overlap : bool;  (** Algorithm 2 for overlapping src/dst *)
   flush : Svagc_kernel.Shootdown.policy;
       (** [Local_pinned] is Algorithm 4's pinned compaction: pin, one
           up-front all-core shootdown, local-only flushes per call *)
@@ -32,12 +28,7 @@ type t = {
 
 val default : t
 (** All optimizations on: threshold 10, PMD caching, aggregation (batch
-    64), overlap swapping, pinned compaction with local flushes, 4 GC
-    threads. *)
-
-val unoptimized : t
-(** SwapVA with no internal optimizations and naive per-call broadcast
-    shootdowns — the Fig. 8/9 baseline. *)
+    64), pinned compaction with local flushes, 4 GC threads. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on a non-positive threshold, batch or thread

@@ -6,12 +6,14 @@ module Gc_stats = Svagc_gc.Gc_stats
 
 exception Out_of_memory
 
+(* Each mutator thread's allocation buffer refills in chunks this large. *)
+let tlab_chunk = 256 * 1024
+
 type t = {
   name : string;
   proc : Process.t;
   heap : Heap.t;
   collector : Gc_intf.t;
-  tlab_bytes : int;
   mutable tlabs : Tlab.t option array;  (* indexed by thread id *)
   app_clock : Clock.t;
   gc_clock : Clock.t;
@@ -20,7 +22,7 @@ type t = {
 }
 
 let create machine ~name ~heap_bytes ?(threshold_pages = 10)
-    ?(stamp_headers = true) ?(tlab_bytes = 256 * 1024) ~collector_of () =
+    ?(stamp_headers = true) ~collector_of () =
   let proc = Process.create ~name machine in
   let heap =
     Heap.create proc ~threshold_pages ~stamp_headers ~size_bytes:heap_bytes ()
@@ -30,7 +32,6 @@ let create machine ~name ~heap_bytes ?(threshold_pages = 10)
     proc;
     heap;
     collector = collector_of heap;
-    tlab_bytes;
     tlabs = [||];
     app_clock = Clock.create ();
     gc_clock = Clock.create ();
@@ -59,7 +60,6 @@ let gc_ns t = Clock.now_ns t.gc_clock
 let total_ns t = app_ns t +. gc_ns t
 
 let set_trace_pid t pid = t.trace_pid <- pid
-let trace_pid t = t.trace_pid
 
 module Tracer = Svagc_trace.Tracer
 
@@ -115,7 +115,7 @@ let tlab_for t thread =
   match t.tlabs.(thread) with
   | Some tlab -> tlab
   | None ->
-    let tlab = Tlab.create t.heap ~thread_id:thread ~chunk_bytes:t.tlab_bytes in
+    let tlab = Tlab.create t.heap ~thread_id:thread ~chunk_bytes:tlab_chunk in
     t.tlabs.(thread) <- Some tlab;
     tlab
 

@@ -18,7 +18,6 @@ val create :
   heap_bytes:int ->
   ?threshold_pages:int ->
   ?stamp_headers:bool ->
-  ?tlab_bytes:int ->
   collector_of:(Heap.t -> Svagc_gc.Gc_intf.t) ->
   unit ->
   t
@@ -53,8 +52,6 @@ val set_trace_pid : t -> int -> unit
     decoupled from the simulated kernel pid, which is allocated from a
     process-global counter and therefore not stable across runs — trace
     determinism requires caller-chosen ids. *)
-
-val trace_pid : t -> int
 
 val set_measure_core : t -> int option -> unit
 (** Enable the measured access path (cache + TLB models) for this

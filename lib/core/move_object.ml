@@ -18,11 +18,7 @@ let should_swap (cfg : Config.t) ~len =
   len >= cfg.threshold_pages * Addr.page_size
 
 let swap_opts (cfg : Config.t) =
-  {
-    Swapva.pmd_caching = cfg.pmd_caching;
-    flush = cfg.flush;
-    allow_overlap = cfg.allow_overlap;
-  }
+  { Swapva.pmd_caching = cfg.pmd_caching; flush = cfg.flush }
 
 module Kernel_error = Svagc_fault.Kernel_error
 
@@ -206,8 +202,7 @@ let mover ?measure_core (cfg : Config.t) =
     let out = Svagc_util.Vec.create () in
     (* Runs of consecutive swappable moves become one aggregated call;
        order across runs and memmoves is preserved, so the sliding
-       invariant holds.  With [coalesce_runs], an entry whose src AND dst
-       ranges butt against the previous pending request merges into it —
+       invariant holds.  An entry whose src AND dst ranges butt against the previous pending request merges into it —
        one larger request, one setup fee — as long as the merged ranges
        stay disjoint (overlap would change which kernel path runs).
        [pending] is newest-first; each item carries the reversed per-entry
@@ -247,7 +242,7 @@ let mover ?measure_core (cfg : Config.t) =
           incr pending_entries;
           let merged =
             match !pending with
-            | (r, ep) :: rest when cfg.coalesce_runs ->
+            | (r, ep) :: rest ->
               let bytes = r.Swapva.pages * Addr.page_size in
               if r.Swapva.src + bytes = src && r.Swapva.dst + bytes = dst then begin
                 let m = { r with Swapva.pages = r.Swapva.pages + pages } in

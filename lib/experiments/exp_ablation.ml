@@ -34,8 +34,7 @@ let crossover_pages cost =
       Address_space.map_range aspace ~va:src ~pages;
       Address_space.map_range aspace ~va:dst ~pages;
       let mm = Memmove.move aspace ~src ~dst ~len:(pages * Addr.page_size) in
-      let opts = { Swapva.default_opts with allow_overlap = false } in
-      let sv = Swapva.swap proc ~opts ~src ~dst ~pages in
+      let sv = Swapva.swap proc ~opts:Swapva.default_opts ~src ~dst ~pages in
       if sv < mm then Some pages else find (pages + 1)
     end
   in
@@ -78,11 +77,8 @@ let fig9_gap cost =
     Address_space.map_range aspace ~va:(1 lsl 30) ~pages:(100 * 8);
     let total = ref 0.0 in
     let opts =
-      if optimized then
-        { Swapva.default_opts with allow_overlap = false }
-      else
-        { Swapva.default_opts with
-          allow_overlap = false; flush = Shootdown.Broadcast_per_call }
+      if optimized then Swapva.default_opts
+      else { Swapva.default_opts with flush = Shootdown.Broadcast_per_call }
     in
     if optimized then
       total :=

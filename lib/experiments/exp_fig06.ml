@@ -31,7 +31,7 @@ let build_requests proc ~requests ~pages =
 let opts =
   (* Pure single-core microbenchmark: PMD caching on, local flushing (the
      i5 run in the paper is a pinned single-threaded driver). *)
-  { Swapva.default_opts with allow_overlap = false }
+  Swapva.default_opts
 
 let measure ?(requests = 64) () =
   List.map

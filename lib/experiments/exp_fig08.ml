@@ -18,7 +18,7 @@ let swap_once ~pmd_caching ~pages =
   let src = 1 lsl 30 and dst = (1 lsl 30) + (1 lsl 29) in
   Address_space.map_range aspace ~va:src ~pages;
   Address_space.map_range aspace ~va:dst ~pages;
-  let opts = { Swapva.default_opts with allow_overlap = false; pmd_caching } in
+  let opts = { Swapva.default_opts with pmd_caching } in
   Swapva.swap proc ~opts ~src ~dst ~pages
 
 let measure () =

@@ -31,11 +31,8 @@ let storm ~cores ~objects ~pages ~optimized =
            ~core:0 Shootdown.Local_pinned
   end;
   let opts =
-    if optimized then
-      { Swapva.default_opts with allow_overlap = false }
-    else
-      { Swapva.default_opts with
-        allow_overlap = false; flush = Shootdown.Broadcast_per_call }
+    if optimized then Swapva.default_opts
+    else { Swapva.default_opts with flush = Shootdown.Broadcast_per_call }
   in
   for i = 0 to objects - 1 do
     let off = i * pages * Addr.page_size in

@@ -29,8 +29,9 @@ let sweep_machine cost =
         Address_space.map_range aspace ~va:dst ~pages;
         let len = pages * Addr.page_size in
         let memmove_ns = Memmove.move aspace ~src ~dst ~len in
-        let opts = { Swapva.default_opts with allow_overlap = false } in
-        let swapva_ns = Swapva.swap proc ~opts ~src ~dst ~pages in
+        let swapva_ns =
+          Swapva.swap proc ~opts:Swapva.default_opts ~src ~dst ~pages
+        in
         { pages; memmove_ns; swapva_ns })
       [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 14; 16; 20; 24; 32; 48; 64 ]
   in

@@ -109,7 +109,8 @@ let run ?(quick = false) () =
   Report.kv "tenants"
     (Printf.sprintf "%d + %d surge" cfg.Fleet.tenants cfg.Fleet.surge);
   Report.kv "overcommit" (Printf.sprintf "%gx" cfg.Fleet.overcommit);
-  Report.kv "far tier" (Printf.sprintf "%gx near cost" cfg.Fleet.far_tier_cost);
+  Report.kv "far tier"
+    (Printf.sprintf "%gx near cost" Svagc_reclaim.Swap_tier.far_cost_factor);
   let svagc = measure ~quick Exp_common.Svagc in
   let memmove = measure ~quick Exp_common.Lisp2_memmove in
   print_results [ svagc; memmove ];

@@ -2,11 +2,6 @@
     and a tiered far-memory swap device, contrasting SwapVA vs memmove
     tail GC pauses under 2x overcommit.  Registered as [exp fleet]. *)
 
-val config_for : quick:bool -> Svagc_fleet.Fleet.config
-(** The sweep's configuration: {!Svagc_fleet.Fleet.default} (1000 + 50
-    surge tenants, 10 steps) normally, a trimmed 96-tenant grid under
-    [quick]. *)
-
 val measure : quick:bool -> Exp_common.collector_kind -> Svagc_fleet.Fleet.result
 (** One deterministic fleet run for the given collector. *)
 

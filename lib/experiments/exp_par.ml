@@ -6,43 +6,21 @@
    output under DOMAINS=1 and DOMAINS=4.  Host wall-clock scaling is timed
    by the par workload of bench/host_gates.exe (BENCH_host.json). *)
 
-open Svagc_vmem
-module Process = Svagc_kernel.Process
-module Swapva = Svagc_kernel.Swapva
 module Report = Svagc_metrics.Report
 module Table = Svagc_metrics.Table
 module Domain_pool = Svagc_par.Domain_pool
 module Par_sweep = Svagc_par.Par_sweep
-module Rng = Svagc_util.Rng
+module Differential = Svagc_check.Differential
 
-let base = 1 lsl 30
-
-(* A page table scrambled by a deterministic swap schedule, so the sweep
-   audits a non-trivial mapping. *)
-let fixture ~arena_pages ~seed =
-  let machine = Machine.create ~ncores:4 ~phys_mib:128 Cost_model.xeon_6130 in
-  let proc = Process.create machine in
-  Address_space.map_range (Process.aspace proc) ~va:base ~pages:arena_pages;
-  let rng = Rng.create ~seed in
-  for _ = 1 to 12 do
-    let pages = 1 + Rng.int rng 128 in
-    let a = Rng.int rng (arena_pages - (2 * pages) + 1) in
-    let b = a + pages + Rng.int rng (arena_pages - a - (2 * pages) + 1) in
-    ignore
-      (Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false
-         {
-           Swapva.src = base + (a * Addr.page_size);
-           dst = base + (b * Addr.page_size);
-           pages;
-         })
-  done;
-  (machine, Address_space.page_table (Process.aspace proc))
+let base = Differential.arena_base
 
 let run ?(quick = false) () =
   Report.section
     "Host parallelism - sharded sweep, deterministic reduction (extension)";
   let arena_pages = if quick then 4096 else 16384 in
-  let machine, pt = fixture ~arena_pages ~seed:7 in
+  (* A page table scrambled by a deterministic swap schedule, so the sweep
+     audits a non-trivial mapping. *)
+  let machine, pt = Differential.scrambled_arena ~arena_pages ~seed:7 in
   let reference = Par_sweep.checksum_reference pt ~va:base ~pages:arena_pages in
   let r1 = Par_sweep.run machine pt ~va:base ~pages:arena_pages ~shards:1 in
   Table.print

@@ -33,7 +33,7 @@ let aggregation_demo () =
         let base = (1 lsl 30) + (i * 2 * pages * Addr.page_size) in
         { Swapva.src = base; dst = base + (pages * Addr.page_size); pages })
   in
-  let opts = { Swapva.default_opts with allow_overlap = false } in
+  let opts = Swapva.default_opts in
   let separated = (Swapva.swap_separated proc ~opts reqs).Swapva.ns in
   let aggregated = (Swapva.swap_aggregated proc ~opts reqs).Swapva.ns in
   let single = (Swapva.swap_separated proc ~opts [ List.hd reqs ]).Swapva.ns in

@@ -62,6 +62,4 @@ val to_string : t -> string
 (** Canonical rendering; [parse (to_string t)] re-reads to an equal
     spec. *)
 
-val site_name : site -> string
-
 val pp : Format.formatter -> t -> unit

@@ -3,7 +3,6 @@ type t =
   | EINVAL_unaligned of { va : int }
   | EINVAL_bad_pages of { pages : int }
   | EINVAL_identical
-  | EINVAL_overlap
   | EINVAL_geometry of { reason : string }
   | EAGAIN_contended
   | EIPI_lost of { core : int }
@@ -14,7 +13,7 @@ exception Fault_ns of t * float
 
 let errno_name = function
   | EFAULT_unmapped _ -> "EFAULT"
-  | EINVAL_unaligned _ | EINVAL_bad_pages _ | EINVAL_identical | EINVAL_overlap
+  | EINVAL_unaligned _ | EINVAL_bad_pages _ | EINVAL_identical
   | EINVAL_geometry _ ->
     "EINVAL"
   | EAGAIN_contended -> "EAGAIN"
@@ -29,7 +28,6 @@ let to_string = function
   | EINVAL_bad_pages { pages } ->
     Printf.sprintf "EINVAL: page count must be positive (got %d)" pages
   | EINVAL_identical -> "EINVAL: source and destination ranges are identical"
-  | EINVAL_overlap -> "EINVAL: overlapping ranges (enable allow_overlap)"
   | EINVAL_geometry { reason } -> Printf.sprintf "EINVAL: %s" reason
   | EAGAIN_contended -> "EAGAIN: page-table lock contended"
   | EIPI_lost { core } ->
@@ -43,7 +41,7 @@ let is_transient = function EAGAIN_contended -> true | _ -> false
 
 let is_degradable = function
   | EFAULT_unmapped _ | EAGAIN_contended -> true
-  | EINVAL_unaligned _ | EINVAL_bad_pages _ | EINVAL_identical | EINVAL_overlap
+  | EINVAL_unaligned _ | EINVAL_bad_pages _ | EINVAL_identical
   | EINVAL_geometry _ | EIPI_lost _ | EIO_swap _ ->
     false
 

@@ -22,9 +22,6 @@ type t =
   | EINVAL_bad_pages of { pages : int }
       (** The request's page count is zero or negative. *)
   | EINVAL_identical  (** Source and destination ranges coincide. *)
-  | EINVAL_overlap
-      (** The ranges overlap and the caller did not enable the
-          overlapping-area path (Algorithm 2). *)
   | EINVAL_geometry of { reason : string }
       (** An overlapping-area precondition does not hold (e.g. the window
           does not actually overlap, or [dst <= src]). *)

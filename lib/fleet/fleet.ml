@@ -17,10 +17,6 @@ type config = {
   overcommit : float;  (* committed : pool ratio the node is run at *)
   steps : int;  (* mutator steps per tenant *)
   seed : int;
-  cgroup_soft : float;  (* soft limit as a fraction of the tenant's heap *)
-  cgroup_hard : float;  (* hard limit as a fraction of the tenant's heap *)
-  far_tier_cost : float;  (* far-tier latency multiplier over near *)
-  near_frac : float;  (* near-tier slots as a fraction of the pool *)
   queue_limit : int;  (* admission wait-queue capacity *)
 }
 
@@ -31,12 +27,12 @@ let default =
     overcommit = 2.0;
     steps = 10;
     seed = 42;
-    cgroup_soft = 0.5;
-    cgroup_hard = 1.0;
-    far_tier_cost = 4.0;
-    near_frac = 0.5;
     queue_limit = 24;
   }
+
+let cgroup_soft = 0.5  (* soft limit as a fraction of the tenant's heap *)
+let cgroup_hard = 1.0  (* hard limit as a fraction of the tenant's heap *)
+let near_frac = 0.5  (* near-tier slots as a fraction of the pool *)
 
 (* Heterogeneous tenant classes, assigned round-robin by id.  Object
    sizes scale with the heap so every class keeps a low live fraction and
@@ -70,13 +66,13 @@ type tenant = {
   allocs_per_step : int;
 }
 
-let make_tenant config id =
+let make_tenant id =
   let klass = classes.(id mod Array.length classes) in
   let heap_pages = klass.k_heap_pages in
   let heap_bytes = heap_pages * Addr.page_size in
   let frac f = int_of_float (ceil (f *. float_of_int heap_pages)) in
-  let hard = Stdlib.max 2 (frac config.cgroup_hard) in
-  let soft = Stdlib.max 1 (Stdlib.min hard (frac config.cgroup_soft)) in
+  let hard = Stdlib.max 2 (frac cgroup_hard) in
+  let soft = Stdlib.max 1 (Stdlib.min hard (frac cgroup_soft)) in
   let mean_obj =
     Obj_model.header_bytes + klass.k_min_bytes + (klass.k_span_bytes / 2)
   in
@@ -157,13 +153,6 @@ let validate config =
   if config.steps < 1 then invalid_arg "Fleet: steps must be >= 1";
   if not (config.overcommit >= 1.0) then
     invalid_arg "Fleet: overcommit must be >= 1";
-  if not (config.cgroup_soft > 0.0 && config.cgroup_soft <= config.cgroup_hard)
-  then invalid_arg "Fleet: need 0 < cgroup_soft <= cgroup_hard";
-  if config.cgroup_hard > 4.0 then invalid_arg "Fleet: cgroup_hard too large";
-  if not (config.near_frac > 0.0 && config.near_frac <= 1.0) then
-    invalid_arg "Fleet: near_frac must be in (0, 1]";
-  if not (config.far_tier_cost >= 1.0) then
-    invalid_arg "Fleet: far_tier_cost must be >= 1";
   if config.queue_limit < 0 then invalid_arg "Fleet: queue_limit must be >= 0"
 
 (* The pool is sized so the main cohort's total hard-limit commitment is
@@ -175,7 +164,7 @@ let validate config =
 let run ~collector_of ?(label = "fleet") config =
   validate config;
   let total = config.tenants + config.surge in
-  let tenants = Array.init total (make_tenant config) in
+  let tenants = Array.init total make_tenant in
   let committed_main =
     Array.fold_left
       (fun acc t -> if t.id < config.tenants then acc + t.hard else acc)
@@ -191,12 +180,9 @@ let run ~collector_of ?(label = "fleet") config =
   in
   let machine = Machine.create ~phys_mib Cost_model.xeon_6130 in
   let near_slots =
-    Stdlib.max 1
-      (int_of_float (config.near_frac *. float_of_int pool_frames))
+    Stdlib.max 1 (int_of_float (near_frac *. float_of_int pool_frames))
   in
-  let tier =
-    Swap_tier.create machine ~near_slots ~far_cost_mult:config.far_tier_cost ()
-  in
+  let tier = Swap_tier.create machine ~near_slots () in
   let cgroup = Cgroup.create () in
   (* One shared frame pool for every wave, armed before any tenant maps a
      page so each heap page enters the LRU lists as it is mapped. *)

@@ -11,7 +11,12 @@
     tenants run in later waves as commitments release; the rest are
     rejected.  Per-tenant GC-pause and allocation-stall distributions are
     collected into {!Svagc_util.Histogram}s so p50/p99/p999 — not just
-    means — survive into the result. *)
+    means — survive into the result.
+
+    Fixed shape: each tenant's cgroup soft and hard limits are 0.5 and
+    1.0 of its heap pages (the hard limit is also its admission
+    commitment), and the near swap tier holds half the pool, in front of
+    a far tier {!Svagc_reclaim.Swap_tier.far_cost_factor} times slower. *)
 
 type config = {
   tenants : int;  (* main cohort, all sized to fit the overcommit budget *)
@@ -19,17 +24,12 @@ type config = {
   overcommit : float;  (* committed : pool ratio the node is run at *)
   steps : int;  (* mutator steps per tenant *)
   seed : int;
-  cgroup_soft : float;  (* soft limit as a fraction of the tenant's heap *)
-  cgroup_hard : float;  (* hard limit as a fraction of the tenant's heap *)
-  far_tier_cost : float;  (* far-tier latency multiplier over near *)
-  near_frac : float;  (* near-tier slots as a fraction of the pool *)
   queue_limit : int;  (* admission wait-queue capacity *)
 }
 
 val default : config
-(** 1000 tenants + 50 surge arrivals at 2x overcommit, 10 steps,
-    soft = 0.5 / hard = 1.0 of each heap, 4x far tier over half the
-    pool, queue capacity 24. *)
+(** 1000 tenants + 50 surge arrivals at 2x overcommit, 10 steps, seed
+    42, queue capacity 24. *)
 
 type tenant_stats = {
   t_id : int;
@@ -64,8 +64,9 @@ type result = {
 }
 
 val validate : config -> unit
-(** @raise Invalid_argument naming the first out-of-range field (e.g.
-    [tenants < 1], [overcommit < 1], [near_frac] outside (0, 1]). *)
+(** @raise Invalid_argument naming the first out-of-range field:
+    [tenants < 1], [surge < 0], [steps < 1], [overcommit < 1] (or NaN)
+    or [queue_limit < 0]. *)
 
 val run :
   collector_of:(Svagc_heap.Heap.t -> Svagc_gc.Gc_intf.t) ->

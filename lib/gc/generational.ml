@@ -11,7 +11,6 @@ type t = {
   old_space : Heap.t;
   threads : int;
   mutable minors : minor_stats list;
-  mutable fulls : Gc_stats.cycle list;
 }
 
 and minor_stats = {
@@ -33,12 +32,11 @@ let create proc ?(threshold_pages = 10) ~young_bytes ~old_bytes () =
   let old_space =
     Heap.create proc ~base:(8 * gib) ~threshold_pages ~size_bytes:old_bytes ()
   in
-  { proc; young; old_space; threads = 4; minors = []; fulls = [] }
+  { proc; young; old_space; threads = 4; minors = [] }
 
 let young t = t.young
 let old_space t = t.old_space
 let minors t = List.rev t.minors
-let fulls t = List.rev t.fulls
 
 let in_young t addr = addr >= Heap.base t.young && addr < Heap.limit t.young
 
@@ -338,25 +336,21 @@ let collect_old_with_young t ~mover =
    old space with the nursery treated as roots, which frees the headroom
    the next minor needs. *)
 let full t ~mover =
-  let cycle =
-    match
-      if Heap.object_count t.young > 0 then Some (minor t ~mover) else None
-    with
-    | Some m ->
-      let cfg =
-        Lisp2.config ~label:"generational-full" ~threads:t.threads ~mover ()
-      in
-      let cycle = Lisp2.collect cfg t.old_space in
-      { cycle with Gc_stats.compact_ns = cycle.Gc_stats.compact_ns +. m.pause_ns }
-    | None ->
-      let cfg =
-        Lisp2.config ~label:"generational-full" ~threads:t.threads ~mover ()
-      in
-      Lisp2.collect cfg t.old_space
-    | exception Heap.Heap_full -> collect_old_with_young t ~mover
-  in
-  t.fulls <- cycle :: t.fulls;
-  cycle
+  match
+    if Heap.object_count t.young > 0 then Some (minor t ~mover) else None
+  with
+  | Some m ->
+    let cfg =
+      Lisp2.config ~label:"generational-full" ~threads:t.threads ~mover ()
+    in
+    let cycle = Lisp2.collect cfg t.old_space in
+    { cycle with Gc_stats.compact_ns = cycle.Gc_stats.compact_ns +. m.pause_ns }
+  | None ->
+    let cfg =
+      Lisp2.config ~label:"generational-full" ~threads:t.threads ~mover ()
+    in
+    Lisp2.collect cfg t.old_space
+  | exception Heap.Heap_full -> collect_old_with_young t ~mover
 
 let alloc t ~size ~n_refs ~cls =
   let try_young () = Heap.alloc t.young ~size ~n_refs ~cls in

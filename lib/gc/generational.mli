@@ -67,5 +67,3 @@ val full : t -> mover:Compact.mover -> Gc_stats.cycle
 (** Full LISP2 collection of the old space. *)
 
 val minors : t -> minor_stats list
-
-val fulls : t -> Gc_stats.cycle list

@@ -9,7 +9,6 @@ type t = {
   proc : Process.t;
   heap : Heap.t;
   space_bytes : int;
-  concurrent_fraction : float;
   threads : int;
   mutable low_active : bool;
   mutable cycles : cycle_stats list;
@@ -25,10 +24,10 @@ and cycle_stats = {
 
 exception Out_of_memory
 
-let create proc ?(threshold_pages = 10) ?(concurrent_fraction = 0.9)
-    ?(threads = 4) ~space_bytes () =
-  if concurrent_fraction < 0.0 || concurrent_fraction > 1.0 then
-    invalid_arg "Semispace.create: fraction out of range";
+(* Share of the mark and evacuation work charged off-pause. *)
+let off_pause = 0.9
+
+let create proc ?(threshold_pages = 10) ?(threads = 4) ~space_bytes () =
   let heap =
     Heap.create proc ~threshold_pages ~size_bytes:(2 * Addr.align_up space_bytes)
       ()
@@ -37,7 +36,6 @@ let create proc ?(threshold_pages = 10) ?(concurrent_fraction = 0.9)
     proc;
     heap;
     space_bytes = Addr.align_up space_bytes;
-    concurrent_fraction;
     threads;
     low_active = true;
     cycles = [];
@@ -128,8 +126,8 @@ let collect t ~mover =
   let live_bytes = List.fold_left (fun a o -> a + o.Obj_model.size) 0 live in
   let stats =
     {
-      pause_ns = (1.0 -. t.concurrent_fraction) *. total;
-      concurrent_ns = t.concurrent_fraction *. total;
+      pause_ns = (1.0 -. off_pause) *. total;
+      concurrent_ns = off_pause *. total;
       evacuated_objects = List.length live;
       swapped_objects;
       reclaimed_bytes = max 0 (used_before - live_bytes);

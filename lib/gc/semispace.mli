@@ -29,13 +29,12 @@ type cycle_stats = {
 val create :
   Svagc_kernel.Process.t ->
   ?threshold_pages:int ->
-  ?concurrent_fraction:float ->
   ?threads:int ->
   space_bytes:int ->
   unit ->
   t
-(** Two [space_bytes] halves.  [concurrent_fraction] (default 0.9) of the
-    mark and evacuation work is charged off-pause. *)
+(** Two [space_bytes] halves.  90% of the mark and evacuation work is
+    charged off-pause. *)
 
 val heap : t -> Heap.t
 

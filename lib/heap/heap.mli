@@ -130,8 +130,6 @@ val read_payload : t -> Obj_model.t -> off:int -> len:int -> bytes
 val checksum_object : t -> Obj_model.t -> int64
 (** Over the full object range, header included. *)
 
-val stamp_header : t -> Obj_model.t -> unit
-
 val touch_object : t -> Obj_model.t -> core:int -> max_bytes:int -> unit
 (** Measured access to the object's first [max_bytes] (TLB + LLC models);
     used by the Table III instrumentation. *)

@@ -35,4 +35,3 @@ val cycle_prologue : Machine.t -> asid:int -> core:int -> policy -> float
 (** Cost paid once per GC cycle before any swap: the Algorithm 4 line 5
     [flush_tlb_all_cores] for [Local_pinned], 0 for the others. *)
 
-val policy_name : policy -> string

@@ -3,22 +3,10 @@ open Svagc_vmem
 type opts = {
   pmd_caching : bool;
   flush : Shootdown.policy;
-  allow_overlap : bool;
 }
 
-let default_opts =
-  {
-    pmd_caching = true;
-    flush = Shootdown.Local_pinned;
-    allow_overlap = true;
-  }
-
-let naive_opts =
-  {
-    pmd_caching = false;
-    flush = Shootdown.Broadcast_per_call;
-    allow_overlap = false;
-  }
+let default_opts = { pmd_caching = true; flush = Shootdown.Local_pinned }
+let naive_opts = { pmd_caching = false; flush = Shootdown.Broadcast_per_call }
 
 type request = {
   src : int;
@@ -258,7 +246,6 @@ let request_cost proc ~opts req =
   | _ -> ());
   let setup = machine.Machine.cost.Cost_model.swap_setup_ns in
   if ranges_overlap req then begin
-    if not opts.allow_overlap then kerror Kernel_error.EINVAL_overlap;
     let src = min req.src req.dst and dst = max req.src req.dst in
     let per_page_flush =
       match opts.flush with

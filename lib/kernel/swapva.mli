@@ -10,12 +10,12 @@
 type opts = {
   pmd_caching : bool;
   flush : Shootdown.policy;
-  allow_overlap : bool;  (** dispatch overlapping requests to Algorithm 2 *)
 }
+(** Overlapping requests always take Algorithm 2. *)
 
 val default_opts : opts
-(** PMD caching on, [Local_pinned] flushing, overlap allowed — the
-    configuration SVAGC runs with. *)
+(** PMD caching on, [Local_pinned] flushing — the configuration SVAGC
+    runs with. *)
 
 val naive_opts : opts
 (** Everything off / broadcast flushing: the Fig. 8/9 baselines. *)
@@ -77,9 +77,8 @@ val swap : Process.t -> opts:opts -> src:int -> dst:int -> pages:int -> float
     total simulated cost in ns (syscall crossing + setup + PTE work +
     shootdown per the policy).
     @raise Svagc_fault.Kernel_error.Fault_ns on any typed kernel error —
-    unaligned/unmapped ranges, overlapping ranges when [allow_overlap] is
-    false, or a firing fault-injection clause — carrying the error and the
-    ns the failed call still cost.  An error implies no PTE was mutated. *)
+    unaligned/unmapped ranges or a firing fault-injection clause —
+    carrying the error and the ns the failed call still cost.  An error implies no PTE was mutated. *)
 
 val swap_result :
   Process.t ->

@@ -37,16 +37,8 @@
 
 type t
 
-val create : domains:int -> t
-(** Spawn a pool of [domains - 1] worker domains ([domains = 1] spawns
-    none and {!run} executes inline).
-    @raise Invalid_argument unless [1 <= domains <= 128]. *)
-
 val domains : t -> int
 (** Total execution streams, the caller's domain included. *)
-
-val shutdown : t -> unit
-(** Stop and join the workers.  Idempotent; {!run} afterwards raises. *)
 
 val run : t -> shards:int -> (int -> unit) -> unit
 (** [run t ~shards task] executes [task 0 .. task (shards-1)], each
@@ -66,21 +58,19 @@ val map_shards : t -> shards:int -> (int -> 'a) -> 'a array
     via {!run}: results land in canonical shard order regardless of
     which domain produced them. *)
 
-val default_domains : unit -> int
-(** The [DOMAINS] environment variable when set (clamped to
-    [1 .. 128]); otherwise
-    [min 4 (Domain.recommended_domain_count ())] — 4 matching the
-    paper's [GCThreadsCount] tuning, fewer when the host has fewer
-    cores. *)
-
 val global : unit -> t
-(** The process-wide pool, created on first use with
-    {!default_domains} and joined at process exit.  {!Par_sweep.run}
-    fans out through it by default; nothing else does. *)
+(** The process-wide pool, created on first use and joined at process
+    exit.  Its width is the [DOMAINS] environment variable when set
+    (clamped to [1 .. 128]), otherwise
+    [min 4 (Domain.recommended_domain_count ())] — 4 matching the paper's
+    [GCThreadsCount] tuning, fewer when the host has fewer cores.
+    {!Par_sweep.run} fans out through it by default; nothing else does. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
-(** Scoped pool for tests and benchmarks: create, run [f], always
-    shut down. *)
+(** Scoped pool for tests and benchmarks: spawn [domains - 1] worker
+    domains ([domains = 1] spawns none and {!run} executes inline), run
+    [f], always shut the workers down.
+    @raise Invalid_argument unless [1 <= domains <= 128]. *)
 
 val with_global : domains:int -> (unit -> 'a) -> 'a
 (** Run [f] with the process-wide pool temporarily replaced by a fresh

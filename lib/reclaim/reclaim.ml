@@ -35,7 +35,6 @@ type t = {
   limit : int;
   gap : int;  (* hysteresis: each wake evicts down to [limit - gap] *)
   major_fault_ns : float;
-  max_io_retries : int;
   mutable prev : int array;
   mutable next : int array;
   mutable tprev : int array;
@@ -64,7 +63,11 @@ let no_pt = Page_table.create ()
 
 let initial_ids = 64
 
-let create machine ~limit_frames ?(max_io_retries = 3) ?dev ?cgroup () =
+(* Device attempts per transfer before a swap-out skips the page or a
+   fault surfaces [EIO_swap]. *)
+let io_attempts = 3
+
+let create machine ~limit_frames ?dev ?cgroup () =
   if limit_frames <= 0 then
     invalid_arg "Reclaim.attach: limit_frames must be positive";
   let dev =
@@ -77,7 +80,6 @@ let create machine ~limit_frames ?(max_io_retries = 3) ?dev ?cgroup () =
     limit = limit_frames;
     gap = max 1 (limit_frames / 16);
     major_fault_ns = machine.Machine.cost.Cost_model.major_fault_ns;
-    max_io_retries;
     prev = self_linked ();
     next = self_linked ();
     tprev = self_linked ();
@@ -212,7 +214,7 @@ let rec swap_io_attempts t inj ~va ~cost_ns attempt =
   if not (Svagc_fault.Injector.fire inj ~site ~va) then true
   else begin
     Perf.bump t.machine.Machine.perf Swap_io_errors 1;
-    attempt + 1 < t.max_io_retries
+    attempt + 1 < io_attempts
     && swap_io_attempts t inj ~va ~cost_ns (attempt + 1)
   end
 
@@ -585,8 +587,8 @@ let lru_audit t =
     fail "the tenant rings hold %d pages but %d are tracked" !in_rings tracked;
   List.rev !errs
 
-let attach machine ~limit_frames ?max_io_retries ?dev ?cgroup () =
-  let t = create machine ~limit_frames ?max_io_retries ?dev ?cgroup () in
+let attach machine ~limit_frames ?dev ?cgroup () =
+  let t = create machine ~limit_frames ?dev ?cgroup () in
   let dev = t.dev in
   machine.Machine.reclaim <-
     Some

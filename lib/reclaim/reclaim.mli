@@ -43,7 +43,6 @@ type t
 val attach :
   Svagc_vmem.Machine.t ->
   limit_frames:int ->
-  ?max_io_retries:int ->
   ?dev:Swap_tier.t ->
   ?cgroup:Cgroup.t ->
   unit ->
@@ -52,8 +51,8 @@ val attach :
     memory pressure for every address space on that machine.  It keeps
     the machine's resident frame count at or below [limit_frames]
     (evicting down to a small hysteresis gap below it on each wake).
-    [max_io_retries] (default 3) bounds device attempts per transfer
-    before the swap-out skips the page or the fault surfaces [EIO_swap].
+    Each transfer gets three device attempts before the swap-out skips
+    the page or the fault surfaces [EIO_swap].
     [dev] is the swap device, made on [machine], which owns every
     transfer cost: the default is [Swap_tier.create machine ()], a tier
     whose near side has no bound.  [cgroup] is the per-tenant accounting

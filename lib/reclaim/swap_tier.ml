@@ -14,6 +14,8 @@ let far = 2
    keeps no demotion order. *)
 let unbounded = max_int
 
+let far_cost_factor = 4.0
+
 type t = {
   machine : Machine.t;
   near_slots : int;
@@ -37,12 +39,9 @@ type t = {
   mutable cold_len : int;
 }
 
-let create machine ?(near_slots = unbounded) ?(far_cost_mult = 4.0)
-    ?swap_cost_ns () =
+let create machine ?(near_slots = unbounded) ?swap_cost_ns () =
   if near_slots <= 0 then
     invalid_arg "Swap_tier.create: near_slots must be positive";
-  if far_cost_mult < 1.0 then
-    invalid_arg "Swap_tier.create: far_cost_mult must be >= 1.0";
   let cost = machine.Machine.cost in
   let near_out_ns, near_in_ns =
     match swap_cost_ns with
@@ -54,8 +53,8 @@ let create machine ?(near_slots = unbounded) ?(far_cost_mult = 4.0)
     near_slots;
     near_out_ns;
     near_in_ns;
-    far_out_ns = near_out_ns *. far_cost_mult;
-    far_in_ns = near_in_ns *. far_cost_mult;
+    far_out_ns = near_out_ns *. far_cost_factor;
+    far_in_ns = near_in_ns *. far_cost_factor;
     tier = Array.make 64 free;
     payloads = Array.make 64 None;
     gens = Array.make 64 0;

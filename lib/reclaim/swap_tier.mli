@@ -1,6 +1,6 @@
 (** The reclaimer's swap device: a "near" tier (local NVMe, the cost
     model's swap latencies) in front of an unbounded "far" tier (remote
-    far memory, [far_cost_mult] times slower).  {!Reclaim} calls it
+    far memory, {!far_cost_factor} times slower).  {!Reclaim} calls it
     directly; its default device is a tier whose near side has no bound,
     which never demotes and so behaves as one flat device.
 
@@ -38,19 +38,17 @@
 
 type t
 
+val far_cost_factor : float
+(** The far tier's latencies over the near tier's: 4.0. *)
+
 val create :
-  Svagc_vmem.Machine.t ->
-  ?near_slots:int ->
-  ?far_cost_mult:float ->
-  ?swap_cost_ns:float ->
-  unit ->
-  t
+  Svagc_vmem.Machine.t -> ?near_slots:int -> ?swap_cost_ns:float -> unit -> t
 (** [near_slots] bounds the near tier (default: no bound); near-tier
     latencies are the machine's [swap_out_ns]/[swap_in_ns], or
-    [swap_cost_ns] for both when given; [far_cost_mult] (default 4.0)
-    scales both into the far tier's.  Demotion/promotion counters are
-    bumped on [machine]'s perf.
-    @raise Invalid_argument if [near_slots <= 0] or [far_cost_mult < 1]. *)
+    [swap_cost_ns] for both when given; {!far_cost_factor} scales both
+    into the far tier's.  Demotion/promotion counters are bumped on
+    [machine]'s perf.
+    @raise Invalid_argument if [near_slots <= 0]. *)
 
 (** {2 The device} *)
 

@@ -9,8 +9,6 @@
     Rendering is canonical (see {!Json}), so two identical simulated runs
     produce byte-identical files — the determinism tests rely on it. *)
 
-val to_json : Tracer.t -> Json.t
-
 val to_string : Tracer.t -> string
 
 val write_file : Tracer.t -> string -> unit

@@ -34,6 +34,4 @@ val dur_ns : t -> float
 val end_ts : t -> float
 (** [ts + dur_ns]. *)
 
-val pp_value : Format.formatter -> value -> unit
-
 val pp : Format.formatter -> t -> unit

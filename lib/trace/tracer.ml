@@ -63,9 +63,6 @@ let with_tracer ?capacity f =
 let set_counter_source f =
   match !cur with None -> () | Some t -> t.counter_source <- Some f
 
-let clear_counter_source () =
-  match !cur with None -> () | Some t -> t.counter_source <- None
-
 let set_now ns = match !cur with None -> () | Some t -> t.cursor <- ns
 
 let now () = match !cur with None -> 0.0 | Some t -> t.cursor

@@ -41,8 +41,6 @@ val with_tracer : ?capacity:int -> (unit -> 'a) -> 'a * t
 
 val set_counter_source : (unit -> (string * int) list) -> unit
 
-val clear_counter_source : unit -> unit
-
 val set_now : float -> unit
 (** Re-seed the time cursor (simulated ns). *)
 

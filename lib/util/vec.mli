@@ -60,8 +60,6 @@ val to_array : 'a t -> 'a array
 
 val of_list : 'a list -> 'a t
 
-val of_array : 'a array -> 'a t
-
 val map : ('a -> 'b) -> 'a t -> 'b t
 
 val filter : ('a -> bool) -> 'a t -> 'a t

@@ -5,14 +5,8 @@
     levels of 512 entries each, exactly as in the paper's Algorithm 1
     (PGD -> P4D -> PUD -> PMD -> PTE). *)
 
-val page_shift : int
-(** 12. *)
-
 val page_size : int
 (** 4096 bytes. *)
-
-val level_bits : int
-(** 9: entries per directory level = 512. *)
 
 val entries_per_table : int
 (** 512. *)

@@ -117,28 +117,21 @@ val fresh_asid : t -> int
 val effective_copy_bw : t -> bytes_len:int -> float
 (** Single-stream memmove bandwidth under the current contention level. *)
 
-val ipi_delivery_penalty_ns : t -> from_core:int -> float
-(** Ask the fault plane whether this IPI round loses a message.  On a
-    firing [ipi] clause the initiator detects the missing ack and resends
-    once: [perf.ipis_lost] and [perf.ipis_sent] are bumped, an
-    ["ipi.lost"] instant is traced on the victim core, and the extra
-    [ipi_ns +. ipi_ack_ns] round is returned.  [0.0] (and no counter
-    movement) when no injector is installed or the clause does not fire.
-    Lost IPIs never surface as errors — see [Kernel_error.EIPI_lost]. *)
-
 val ipi_broadcast_cost : ?scale:float -> t -> from_core:int -> float
 (** Cost charged to the initiating core for IPI-ing every other online core
-    (counts the IPIs and the broadcast in perf, and includes any
-    fault-injected {!ipi_delivery_penalty_ns} when there is at least one
-    remote core).  [scale] (default 1.0) discounts the broadcast term only
-    — the kernel's process-targeted shootdown acks at 60% of a full round
-    trip — never the lost-IPI resend penalty.  This is the single costed
+    (counts the IPIs and the broadcast in perf, and, when tracing, records
+    one ["ipi"] instant on every remote core's track).  When there is at
+    least one remote core and a firing [ipi] fault clause loses a
+    message, the initiator detects the missing ack and resends once:
+    [perf.ipis_lost] and [perf.ipis_sent] are bumped, an ["ipi.lost"]
+    instant is traced on the victim core and the extra
+    [ipi_ns +. ipi_ack_ns] round is added.  Lost IPIs never surface as
+    errors — see [Kernel_error.EIPI_lost].  [scale] (default 1.0)
+    discounts the broadcast term only — the kernel's process-targeted
+    shootdown acks at 60% of a full round trip — never the lost-IPI
+    resend penalty.  This is the single costed
     IPI-broadcast helper; every shootdown flavor must route through it so
     counters cannot drift from costs. *)
-
-val trace_ipis : t -> from_core:int -> unit
-(** When tracing is on, record one "ipi" instant on every remote core's
-    track.  Called by {!ipi_broadcast_cost}. *)
 
 val flush_tlb_all_cores : t -> asid:int -> from_core:int -> float
 (** The paper's [flush_tlb_all_cores(pid)]: invalidates the process's

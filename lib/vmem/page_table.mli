@@ -96,9 +96,6 @@ val run_buf_len : run_buf -> int -> int
 val run_buf_push : run_buf -> leaf -> start:int -> len:int -> unit
 (** Append a slice (amortized allocation-free on a warm buffer). *)
 
-val iter_leaf_records : t -> f:(leaf -> unit) -> unit
-(** Every materialized leaf, in table order (oracle walks). *)
-
 val bitset_violations : t -> int
 (** Recompute every leaf's presence bitset from its PTE array and count
     the leaves whose stored bitset or popcount disagree — 0 under the

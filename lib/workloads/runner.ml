@@ -22,14 +22,17 @@ let make_jvm ?(heap_factor = 1.2) ?(stamp_headers = true) ~machine ~collector_of
     ~name:(workload.Workload.name ^ "-jvm")
     ~heap_bytes ~stamp_headers ~collector_of ()
 
-let run ?(heap_factor = 1.2) ?(steps = 60) ?(min_gcs = 4) ?(max_steps = 3000)
-    ?(seed = 7) ?(stamp_headers = true) ~machine ~collector_of workload =
+(* Steps a run may take while it still owes [min_gcs] collections. *)
+let step_cap = 3000
+
+let run ?(heap_factor = 1.2) ?(steps = 60) ?(min_gcs = 4) ?(seed = 7)
+    ?(stamp_headers = true) ~machine ~collector_of workload =
   let jvm = make_jvm ~heap_factor ~stamp_headers ~machine ~collector_of workload in
   let rng = Svagc_util.Rng.create ~seed in
   let step = workload.Workload.setup jvm rng in
   let executed = ref 0 in
   let continue () =
-    !executed < steps || (Jvm.gc_count jvm < min_gcs && !executed < max_steps)
+    !executed < steps || (Jvm.gc_count jvm < min_gcs && !executed < step_cap)
   in
   while continue () do
     step ();

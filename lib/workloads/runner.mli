@@ -20,7 +20,6 @@ val run :
   ?heap_factor:float ->
   ?steps:int ->
   ?min_gcs:int ->
-  ?max_steps:int ->
   ?seed:int ->
   ?stamp_headers:bool ->
   machine:Svagc_vmem.Machine.t ->
@@ -29,7 +28,7 @@ val run :
   result
 (** Defaults: heap factor 1.2 (the paper's tight configuration), at least
     [steps] = 60 iterations and [min_gcs] = 4 full collections, capped at
-    [max_steps] = 3000.  The collector's history and clocks are fresh per
+    3000 steps.  The collector's history and clocks are fresh per
     run; the machine's perf counters are not reset (snapshot around the
     call if you need deltas). *)
 

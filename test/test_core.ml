@@ -20,9 +20,19 @@ let qtest ?(count = 12) name arb prop =
 
 (* --- Config --- *)
 
+(* Every optimization the config can switch off, switched off: no PMD
+   caching, no aggregation, a broadcast shootdown per SwapVA call. *)
+let all_off =
+  {
+    Config.default with
+    Config.pmd_caching = false;
+    aggregation_batch = 1;
+    flush = Svagc_kernel.Shootdown.Broadcast_per_call;
+  }
+
 let test_config_defaults_valid () =
   Config.validate Config.default;
-  Config.validate Config.unoptimized
+  Config.validate all_off
 
 let test_config_bad_values () =
   let invalid cfg =
@@ -90,16 +100,35 @@ let test_svagc_threshold_mismatch_rejected () =
      with Invalid_argument _ -> true)
 
 let test_unoptimized_config_still_correct () =
-  (* All optimizations off (broadcast flushing, no aggregation, no
-     overlap): the unoptimized config must still produce a correct heap —
-     but note allow_overlap=false forces sub-threshold...; overlap moves
-     fall back to a correct dispatch because MoveObject only swaps
-     disjoint ranges then. *)
-  let cfg =
-    { Config.unoptimized with Config.allow_overlap = true }
-  in
-  let h1, p, _ = collect_with (Svagc.collector ~config:cfg) 11 in
+  let h1, p, _ = collect_with (Svagc.collector ~config:all_off) 11 in
   Helpers.assert_live_set h1 p.Helpers.rooted
+
+(* The all-off config through whole workloads whose compactions issue
+   overlapping SwapVA requests: each must take Algorithm 2 and leave a
+   heap that passes its audit. *)
+let test_all_off_suite_runs () =
+  List.iter
+    (fun name ->
+      let heap = ref None in
+      let collector_of h =
+        heap := Some h;
+        Svagc.collector ~config:all_off h
+      in
+      let r =
+        Svagc_workloads.Runner.run ~heap_factor:1.2 ~steps:8 ~min_gcs:4
+          ~machine:(Helpers.machine ~phys_mib:1024 ()) ~collector_of
+          (Svagc_workloads.Spec.find name)
+      in
+      Alcotest.(check bool) (name ^ " collected") true
+        (r.Svagc_workloads.Runner.cycles <> []);
+      match !heap with
+      | None -> Alcotest.failf "%s: no heap" name
+      | Some h -> (
+        match Heap.audit h with
+        | Ok () -> ()
+        | Error (e :: _) -> Alcotest.failf "%s: %s" name e
+        | Error [] -> Alcotest.failf "%s: audit failed" name))
+    [ "CryptoAES"; "Compress" ]
 
 let test_ablation_ordering () =
   (* Each optimization must not make the collector slower. *)
@@ -107,7 +136,7 @@ let test_ablation_ordering () =
     let _, _, c = collect_with (Svagc.collector ~config:cfg) seed in
     Gc_stats.pause_ns c
   in
-  let base = { Config.unoptimized with Config.allow_overlap = true } in
+  let base = all_off in
   let with_pmd = { base with Config.pmd_caching = true } in
   let full = Config.default in
   Alcotest.(check bool) "pmd caching helps" true (pause with_pmd 5 <= pause base 5);
@@ -244,6 +273,8 @@ let () =
             test_svagc_threshold_mismatch_rejected;
           Alcotest.test_case "unoptimized correct" `Quick
             test_unoptimized_config_still_correct;
+          Alcotest.test_case "all-off suite runs" `Quick
+            test_all_off_suite_runs;
           Alcotest.test_case "ablation ordering" `Quick test_ablation_ordering;
           prop_svagc_equals_memmove_gc;
         ] );

@@ -100,7 +100,7 @@ let test_admission_10k () =
 
 let test_tier_demote_promote () =
   let m = machine () in
-  let tier = Swap_tier.create m ~near_slots:2 ~far_cost_mult:3.0 () in
+  let tier = Swap_tier.create m ~near_slots:2 () in
   let out_empty = Swap_tier.out_ns tier in
   let payload i = Bytes.make Addr.page_size (Char.chr (Char.code 'A' + i)) in
   let slots =
@@ -451,12 +451,6 @@ let test_fleet_validate () =
       ("no steps", { d with Fleet.steps = 0 });
       ("undercommit", { d with Fleet.overcommit = 0.5 });
       ("NaN overcommit", { d with Fleet.overcommit = Float.nan });
-      ("negative hard limit", { d with Fleet.cgroup_hard = -1.0 });
-      ("NaN soft limit", { d with Fleet.cgroup_soft = Float.nan });
-      ("near tier above the pool", { d with Fleet.near_frac = 2.0 });
-      ("NaN near tier", { d with Fleet.near_frac = Float.nan });
-      ("far tier faster than near", { d with Fleet.far_tier_cost = 0.5 });
-      ("NaN far tier", { d with Fleet.far_tier_cost = Float.nan });
       ("negative queue", { d with Fleet.queue_limit = -1 });
     ]
 

@@ -103,12 +103,7 @@ let test_memmove_cold_slower () =
 
 (* --- Swapva: disjoint (Algorithm 1) --- *)
 
-let opts_pinned =
-  {
-    Swapva.pmd_caching = true;
-    flush = Shootdown.Local_pinned;
-    allow_overlap = true;
-  }
+let opts_pinned = { Swapva.pmd_caching = true; flush = Shootdown.Local_pinned }
 
 let test_swap_exchanges_contents () =
   let _, proc = fresh () in
@@ -194,18 +189,6 @@ let test_swap_result_reifies_errors () =
   with
   | Ok ns -> Alcotest.(check bool) "success cost" true (ns > 0.0)
   | Error (e, _) -> Alcotest.failf "unexpected %s" (Kernel_error.to_string e)
-
-let test_swap_overlap_rejected_when_disallowed () =
-  let _, proc = fresh () in
-  let _ = mapped_window proc ~pages:8 in
-  let opts = { opts_pinned with Swapva.allow_overlap = false } in
-  Alcotest.(check bool) "overlap rejected" true
-    (try
-       ignore
-         (Swapva.swap proc ~opts ~src:base ~dst:(base + (2 * Addr.page_size))
-            ~pages:4);
-       false
-     with Kernel_error.Fault_ns (Kernel_error.EINVAL_overlap, _) -> true)
 
 let test_swap_invalidates_tlbs () =
   let machine, proc = fresh () in
@@ -631,8 +614,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_swap_validation;
           Alcotest.test_case "swap_result reifies errors" `Quick
             test_swap_result_reifies_errors;
-          Alcotest.test_case "overlap opt-in" `Quick
-            test_swap_overlap_rejected_when_disallowed;
           Alcotest.test_case "TLB invalidation" `Quick test_swap_invalidates_tlbs;
         ] );
       ( "aggregation+pmd",

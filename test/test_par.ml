@@ -286,22 +286,9 @@ let test_reduce_concat_and_sums () =
 (* A machine whose page table holds the aftermath of a random (seeded)
    swap schedule — the state the sweep properties run against. *)
 let sweep_fixture ~seed =
-  let case = Differential.gen_case ~arena_pages:1536 ~seed () in
-  let machine =
-    Machine.create ~ncores:4 ~phys_mib:64 Svagc_vmem.Cost_model.xeon_6130
-  in
-  let proc = Process.create ~name:"par-sweep" machine in
-  Svagc_vmem.Address_space.map_range (Process.aspace proc)
-    ~va:Differential.arena_base ~pages:case.Differential.arena_pages;
-  List.iter
-    (fun req ->
-      ignore
-        (Svagc_kernel.Swapva.swap_disjoint_flat proc ~pmd_caching:true
-           ~leaf_swap:false req))
-    case.Differential.requests;
-  ( machine,
-    Svagc_vmem.Address_space.page_table (Process.aspace proc),
-    case.Differential.arena_pages )
+  let pages = 1536 in
+  let machine, pt = Differential.scrambled_arena ~arena_pages:pages ~seed in
+  (machine, pt, pages)
 
 let prop_sweep_partition_invariant =
   qtest ~count:12 "sweep checksum & perf delta are partition-invariant"
