@@ -219,9 +219,10 @@ let reclaim_laws machine ~tables =
             incr present_total;
             if not (Hashtbl.mem frame_seen frame) then begin
               Hashtbl.add frame_seen frame ();
-              match Phys_mem.frame_contents phys frame with
-              | Some b -> payloads := ("frame", frame, b) :: !payloads
-              | None -> ()
+              match Phys_mem.payload phys frame with
+              | p ->
+                if Phys_mem.lines p > 0 then
+                  payloads := ("frame", frame, p) :: !payloads
               | exception Invalid_argument _ ->
                 law a "reclaim-conservation" false
                   "asid %d vpn %d maps frame %d, which is not in use" asid
@@ -242,35 +243,26 @@ let reclaim_laws machine ~tables =
             | None -> (
               a.items <- a.items + 1;
               Hashtbl.add slot_owner slot (asid, vpn);
-              match
-                if allocated then r.Machine.ri_slot_bytes ~slot else None
-              with
-              | Some b -> payloads := ("slot", slot, b) :: !payloads
-              | None -> ())))
+              if allocated then begin
+                let p = r.Machine.ri_slot_payload ~slot in
+                if Phys_mem.lines p > 0 then
+                  payloads := ("slot", slot, p) :: !payloads
+              end)))
       tables;
     (* Aliasing: payloads move between frames and slots by ownership, so
-       no two owners may hold one buffer.  OCaml has no identity hash, so
-       each buffer gets a distinct tag in its first word: a buffer reached
-       twice reads back the later tag.  The saved words are put back
-       before returning, leaving every payload as found. *)
+       no two owners may hold one payload. *)
     let owners = Array.of_list !payloads in
-    let n = Array.length owners in
-    let saved = Bytes.create (8 * n) in
-    Array.iteri (fun i (_, _, b) -> Bytes.blit b 0 saved (8 * i) 8) owners;
+    let last = Phys_mem.last_alias (Array.map (fun (_, _, p) -> p) owners) in
     Array.iteri
-      (fun i (_, _, b) -> Bytes.set_int64_le b 0 (Int64.of_int i))
-      owners;
-    Array.iteri
-      (fun i (kind, id, b) ->
-        let j = Int64.to_int (Bytes.get_int64_le b 0) in
+      (fun i (kind, id, _) ->
+        let j = last.(i) in
         if j = i then a.items <- a.items + 1
         else begin
           let kind', id', _ = owners.(j) in
           law a "reclaim-alias" false
-            "%s %d and %s %d share one payload buffer" kind id kind' id'
+            "%s %d and %s %d share one payload" kind id kind' id'
         end)
       owners;
-    Array.iteri (fun i (_, _, b) -> Bytes.blit saved (8 * i) b 0 8) owners;
     (* Slot leak: the device holds exactly one slot per swapped PTE. *)
     law a "reclaim-leak"
       (r.Machine.ri_slots_in_use () = !swapped_total)

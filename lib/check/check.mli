@@ -83,11 +83,11 @@ val reclaim_laws :
     nor forge slots); the machine's resident frame count
     equals the total present-PTE count over [tables] (every frame owned by
     exactly one page); and no two present frames or allocated slots share
-    one payload buffer ([reclaim-alias] — payloads move by ownership);
+    one stored payload ([reclaim-alias] — payloads move by ownership);
     and the reclaimer's tracking arena is sound ([reclaim-lru]: its
     [ri_lru_audit] finds nothing wrong with the LRU lists or the tenant
-    rings).  The alias pass tags each buffer's first word and restores
-    it before returning.  [tables] must cover all the machine's address spaces —
+    rings).  The alias pass ({!Svagc_vmem.Phys_mem.last_alias}) leaves
+    every payload as found.  [tables] must cover all the machine's address spaces —
     shadow mode registers them at creation. *)
 
 val work_steal_oracle :

@@ -504,7 +504,7 @@ let fault_in t ~pt ~asid ~va =
        leaves the page swapped and its slot intact. *)
     if Phys_mem.frames_in_use phys >= Phys_mem.capacity_frames phys then
       raise Phys_mem.Out_of_frames;
-    (* The slot's buffer becomes the frame's; a zero page stays lazy. *)
+    (* The slot's payload becomes the frame's; a zero page stays lazy. *)
     let frame = Phys_mem.alloc_frame_with phys (Swap_tier.take t.dev ~slot) in
     Page_table.set_pte pt va (Pte.make ~frame);
     Perf.bump perf Pages_swapped_in 1;
@@ -600,7 +600,7 @@ let attach machine ~limit_frames ?dev ?cgroup () =
         ri_page_touched = (fun ~asid ~va -> page_touched t ~asid ~va);
         ri_fault_in = (fun ~pt ~asid ~va -> fault_in t ~pt ~asid ~va);
         ri_adopt = (fun ~pt ~asid -> adopt_space t ~pt ~asid);
-        ri_slot_bytes = (fun ~slot -> Swap_tier.peek dev ~slot);
+        ri_slot_payload = (fun ~slot -> Swap_tier.peek dev ~slot);
         ri_slot_allocated = (fun ~slot -> Swap_tier.allocated dev ~slot);
         ri_slots_in_use = (fun () -> Swap_tier.slots_in_use dev);
         ri_drain_ns = (fun () -> drain_ns t);

@@ -86,7 +86,7 @@ val adopt_space : t -> pt:Svagc_vmem.Page_table.t -> asid:int -> unit
 val fault_in : t -> pt:Svagc_vmem.Page_table.t -> asid:int -> va:int -> unit
 (** The major-fault path: charge the fault, evict first if at the limit
     (so the incoming page cannot be chosen), take the slot's payload back
-    with a bounded device retry — the slot's buffer becomes the new
+    with a bounded device retry — the slot's payload becomes the new
     frame's, and a zero page stays lazily zero — and make the PTE present.
     No-op when the PTE is already present (a racing fault resolved it).
     @raise Svagc_fault.Kernel_error.Fault ([EIO_swap]) when every device

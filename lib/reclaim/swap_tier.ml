@@ -5,7 +5,7 @@ module Tracer = Svagc_trace.Tracer
 (* Which tier a virtual slot id sits in.  The payload itself lives in one
    array indexed by the id, so a demotion only re-tags the id: the
    reclaimer (and the swapped PTEs it writes) only ever see the id, and
-   no buffer moves. *)
+   no payload moves. *)
 let free = 0
 let near = 1
 let far = 2
@@ -24,7 +24,7 @@ type t = {
   far_out_ns : float;
   far_in_ns : float;
   mutable tier : int array;  (* virtual slot id -> free / near / far *)
-  mutable payloads : bytes option array;  (* by id; [None] = zero page *)
+  mutable payloads : Phys_mem.payload array;  (* by id *)
   mutable gens : int array;  (* bumped on every (re)allocation of an id *)
   free_ids : int Vec.t;  (* freed virtual ids, reused LIFO *)
   mutable high_water : int;
@@ -56,7 +56,7 @@ let create machine ?(near_slots = unbounded) ?swap_cost_ns () =
     far_out_ns = near_out_ns *. far_cost_factor;
     far_in_ns = near_in_ns *. far_cost_factor;
     tier = Array.make 64 free;
-    payloads = Array.make 64 None;
+    payloads = Array.make 64 Phys_mem.zero;
     gens = Array.make 64 0;
     free_ids = Vec.create ();
     high_water = 0;
@@ -97,7 +97,7 @@ let ensure_capacity t n =
   if n >= len then begin
     let len' = Stdlib.max (2 * len) (n + 1) in
     t.tier <- grow t.tier len' free;
-    t.payloads <- grow t.payloads len' None;
+    t.payloads <- grow t.payloads len' Phys_mem.zero;
     t.gens <- grow t.gens len' 0
   end
 
@@ -192,7 +192,7 @@ let free_slot t vid =
   if tier_of t vid "free_slot" = far then t.far_in_use <- t.far_in_use - 1
   else t.near_in_use <- t.near_in_use - 1;
   t.tier.(vid) <- free;
-  t.payloads.(vid) <- None;
+  t.payloads.(vid) <- Phys_mem.zero;
   Vec.push t.free_ids vid
 
 let write t ~slot:vid payload =

@@ -21,14 +21,14 @@
     Deterministic: demotion order is allocation order, no randomness, no
     wall clock.
 
-    Payloads move by ownership, never by copy: {!write} keeps the buffer
+    Payloads move by ownership, never by copy: {!write} keeps the payload
     it is given (the caller drops its reference), {!take} frees the slot
-    and hands its buffer back, and {!peek} is the one aliasing read — the
-    device's own buffer, which the caller must not mutate.
+    and hands its payload back, and {!peek} is the one aliasing read — the
+    device's own payload, which the caller must not install anywhere.
 
     Representation: one payload array indexed by virtual id, and beside
     it one int tag per id (free, near or far), so a demotion re-tags the
-    id and moves no buffer; [near_in_use] and [far_in_use] are two
+    id and moves no payload; [near_in_use] and [far_in_use] are two
     counters.  Freed ids are reused most recently freed first, and a
     bounded tier's demotion queue is a ring of (id, generation) int pairs
     — an id freed and reallocated gets a new generation, so its stale
@@ -53,23 +53,24 @@ val create :
 (** {2 The device} *)
 
 val alloc_slot : t -> int
-(** A virtual id in the near tier, holding a zero page until {!write}:
+(** A virtual id in the near tier, holding {!Svagc_vmem.Phys_mem.zero}
+    until {!write}:
     the most recently freed id, or else the next never-used one, so ids
     are deterministic and stay small.  A full bounded near tier demotes
     its coldest slot first. *)
 
-val write : t -> slot:int -> bytes option -> unit
-(** Store a payload by ownership ([None] = zero page).
+val write : t -> slot:int -> Svagc_vmem.Phys_mem.payload -> unit
+(** Store a payload by ownership.
     @raise Invalid_argument if the slot is not allocated (likewise for
     {!take}, {!free_slot} and {!peek}). *)
 
-val take : t -> slot:int -> bytes option
+val take : t -> slot:int -> Svagc_vmem.Phys_mem.payload
 (** Free the slot and hand its payload back; a far slot counts a
     promotion. *)
 
 val free_slot : t -> int -> unit
 
-val peek : t -> slot:int -> bytes option
+val peek : t -> slot:int -> Svagc_vmem.Phys_mem.payload
 (** The slot's payload without side effects (oracle path). *)
 
 val out_ns : t -> float

@@ -99,9 +99,10 @@ let iter_chunks t ~va ~len f =
 
 let read_bytes t ~va ~len =
   let out = Bytes.create len in
+  let phys = t.machine.Machine.phys in
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at ->
-      let src = Phys_mem.frame_bytes t.machine.Machine.phys frame in
-      Bytes.blit src off out at chunk);
+      Phys_mem.read_into (Phys_mem.payload phys frame) ~off ~len:chunk ~dst:out
+        ~dst_off:at);
   out
 
 let write_bytes t ~va ~src =
@@ -111,34 +112,28 @@ let write_bytes t ~va ~src =
 
 let read_u8 t ~va =
   let frame = frame_of_exn t va in
-  Char.code
-    (Bytes.get
-       (Phys_mem.frame_bytes t.machine.Machine.phys frame)
-       (Addr.page_offset va))
+  Phys_mem.get_u8 (Phys_mem.payload t.machine.Machine.phys frame) (Addr.page_offset va)
 
 let write_u8 t ~va v =
   let frame = frame_of_exn t va in
-  Bytes.set
-    (Phys_mem.frame_bytes t.machine.Machine.phys frame)
-    (Addr.page_offset va)
+  Phys_mem.fill t.machine.Machine.phys ~frame ~off:(Addr.page_offset va) ~len:1
     (Char.chr (v land 0xff))
 
-(* An 8-aligned header never straddles a page: one resolve, then the
-   frame itself.  A straddling access takes the chunked path. *)
+(* Object headers sit at any byte offset (object sizes are drawn in
+   bytes), and a word within one page takes one resolve and no buffer.  A
+   word straddling two pages takes the chunked path. *)
 let read_i64 t ~va =
   let off = Addr.page_offset va in
   if off <= Addr.page_size - 8 then
-    Bytes.get_int64_le
-      (Phys_mem.frame_bytes t.machine.Machine.phys (frame_of_exn t va))
+    Phys_mem.get_i64
+      (Phys_mem.payload t.machine.Machine.phys (frame_of_exn t va))
       off
   else Bytes.get_int64_le (read_bytes t ~va ~len:8) 0
 
 let write_i64 t ~va v =
   let off = Addr.page_offset va in
   if off <= Addr.page_size - 8 then
-    Bytes.set_int64_le
-      (Phys_mem.frame_bytes t.machine.Machine.phys (frame_of_exn t va))
-      off v
+    Phys_mem.set_i64 t.machine.Machine.phys ~frame:(frame_of_exn t va) ~off v
   else begin
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 v;
@@ -147,37 +142,23 @@ let write_i64 t ~va v =
 
 let fill t ~va ~len c =
   iter_chunks t ~va ~len (fun ~frame ~off ~chunk ~at:_ ->
-      Bytes.fill (Phys_mem.frame_bytes t.machine.Machine.phys frame) off chunk c)
+      Phys_mem.fill t.machine.Machine.phys ~frame ~off ~len:chunk c)
 
-(* The payload of the page holding [va] without faulting: [None] for a
-   logically-zero page. *)
+(* The payload of the page holding [va] without faulting: a swapped
+   page's comes from its slot. *)
 let peek_payload t va =
   let pte = Page_table.get_pte t.pt va in
   if Pte.is_present pte then
-    Phys_mem.frame_contents t.machine.Machine.phys (Pte.frame_exn pte)
+    Phys_mem.payload t.machine.Machine.phys (Pte.frame_exn pte)
   else if Pte.is_swapped pte then begin
     match t.machine.Machine.reclaim with
-    | Some r -> r.Machine.ri_slot_bytes ~slot:(Pte.swap_slot_exn pte)
+    | Some r -> r.Machine.ri_slot_payload ~slot:(Pte.swap_slot_exn pte)
     | None ->
       invalid_arg
         (Format.asprintf
            "Address_space: swapped address %a with no reclaim plane" Addr.pp va)
   end
   else invalid_arg (Format.asprintf "Address_space: unmapped address %a" Addr.pp va)
-
-(* Copy [len] bytes at [va], all in one page, into [dst] at [dst_off]
-   through the peek view.  A present page is read in place without
-   allocating; only a swapped page goes through its slot's payload. *)
-let peek_into t ~va ~len ~dst ~dst_off =
-  let off = Addr.page_offset va in
-  let pte = Page_table.get_pte t.pt va in
-  if Pte.is_present pte then
-    Phys_mem.read_into t.machine.Machine.phys ~frame:(Pte.frame_exn pte) ~off
-      ~len ~dst ~dst_off
-  else
-    match peek_payload t va with
-    | Some b -> Bytes.blit b off dst dst_off len
-    | None -> Bytes.fill dst dst_off len '\000'
 
 let copy t ~src ~dst ~len =
   if len < 0 then invalid_arg "Address_space.copy: negative length";
@@ -203,24 +184,24 @@ let copy t ~src ~dst ~len =
        ascending copy never overwrites a source byte it has yet to read. *)
     let phys = t.machine.Machine.phys in
     let at = ref 0 in
-    let frame = ref Bytes.empty in
+    let frame = ref 0 in
     while !at < len do
       let s = src + !at and d = dst + !at in
-      let doff = Addr.page_offset d in
-      if !at = 0 || doff = 0 then frame := Phys_mem.frame_bytes phys (frame_of_exn t d);
+      let doff = Addr.page_offset d and soff = Addr.page_offset s in
+      if !at = 0 || doff = 0 then frame := frame_of_exn t d;
       let chunk =
-        Int.min (len - !at)
-          (Int.min (Addr.page_size - doff) (Addr.page_size - Addr.page_offset s))
+        Int.min (len - !at) (Int.min (Addr.page_size - doff) (Addr.page_size - soff))
       in
-      peek_into t ~va:s ~len:chunk ~dst:!frame ~dst_off:doff;
+      Phys_mem.copy phys ~src:(peek_payload t s) ~src_off:soff ~frame:!frame
+        ~off:doff ~len:chunk;
       at := !at + chunk
     done
   end
 
-(* Non-faulting page-chunk iteration: [f] receives the page's payload as
-   [Some bytes] (read at [off]) or [None] for a logically-zero page.  Used
-   by the oracles (checksum, audit) so that *observing* the heap never
-   swaps pages in, materializes zero frames, or perturbs LRU state. *)
+(* Non-faulting page-chunk iteration: [f] receives the page's payload,
+   read at [off].  Used by the oracles (checksum, audit) so that
+   *observing* the heap never swaps pages in, materializes zero frames, or
+   perturbs LRU state. *)
 let iter_chunks_peek t ~va ~len f =
   let pos = ref va in
   let remaining = ref len in
@@ -237,29 +218,18 @@ let iter_chunks_peek t ~va ~len f =
 let peek_bytes t ~va ~len =
   let out = Bytes.create len in
   iter_chunks_peek t ~va ~len (fun ~payload ~off ~chunk ~at ->
-      match payload with
-      | Some b -> Bytes.blit b off out at chunk
-      | None -> Bytes.fill out at chunk '\000');
+      Phys_mem.read_into payload ~off ~len:chunk ~dst:out ~dst_off:at);
   out
 
 let peek_i64 t ~va =
-  let b = peek_bytes t ~va ~len:8 in
-  Bytes.get_int64_le b 0
+  let off = Addr.page_offset va in
+  if off <= Addr.page_size - 8 then Phys_mem.get_i64 (peek_payload t va) off
+  else Bytes.get_int64_le (peek_bytes t ~va ~len:8) 0
 
 let checksum t ~va ~len =
   let h = ref 0xcbf29ce484222325L in
   iter_chunks_peek t ~va ~len (fun ~payload ~off ~chunk ~at:_ ->
-      match payload with
-      | Some b ->
-        for i = off to off + chunk - 1 do
-          h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
-          h := Int64.mul !h 0x100000001b3L
-        done
-      | None ->
-        (* FNV-1a over [chunk] zero bytes: xor-with-0 is the identity. *)
-        for _ = 1 to chunk do
-          h := Int64.mul !h 0x100000001b3L
-        done);
+      h := Phys_mem.fnv1a payload ~off ~len:chunk !h);
   !h
 
 let touch t ~core ~va =

@@ -15,7 +15,7 @@ type reclaim_iface = {
   ri_page_touched : asid:int -> va:int -> unit;
   ri_fault_in : pt:Page_table.t -> asid:int -> va:int -> unit;
   ri_adopt : pt:Page_table.t -> asid:int -> unit;
-  ri_slot_bytes : slot:int -> bytes option;
+  ri_slot_payload : slot:int -> Phys_mem.payload;
   ri_slot_allocated : slot:int -> bool;
   ri_slots_in_use : unit -> int;
   ri_drain_ns : unit -> float;

@@ -35,9 +35,8 @@ type reclaim_iface = {
       (** (Re)synchronize LRU tracking with the page table — adopt
           pre-attach mappings, repair tracking after a compaction whose
           SwapVA requests mixed present and swapped entries. *)
-  ri_slot_bytes : slot:int -> bytes option;
-      (** Peek at a swap slot's payload without faulting anything in;
-          [None] means a logically zero page. *)
+  ri_slot_payload : slot:int -> Phys_mem.payload;
+      (** Peek at a swap slot's payload without faulting anything in. *)
   ri_slot_allocated : slot:int -> bool;
   ri_slots_in_use : unit -> int;
   ri_drain_ns : unit -> float;

@@ -1,24 +1,42 @@
-(* A frame in use starts [Zeroed]: logically zero-filled, but with no
-   backing [Bytes] until something actually touches its contents.  A
-   simulated machine can hold millions of frames for workloads (like PTE
-   swapping) that never read or write a single payload byte — allocating
-   gigabytes of real zeroes up front both slows machine setup and keeps a
-   huge live heap that paces the host GC during everything that follows. *)
-type frame_state =
-  | Free
-  | Zeroed
-  | Data of bytes
+(* A page's contents are 32 lines of 128 bytes.  [mask] has one bit per
+   line that has been written; [data] holds the present lines packed in
+   line order, and an absent line reads as zero.  A sparse payload grows
+   its [data] fourfold up to half a page; one line more and it turns
+   dense: every bit set, [data] a whole page with line [i] at [i * 128],
+   read and written with no lookup at all.  Most simulated frames hold a
+   few 16-byte object headers, so they cost one or two lines, not 4 KiB.
+
+   A frame nothing has written holds the shared [zero] payload, which is
+   never written: the first line written to a frame gives it a payload of
+   its own.  Writing zeros into an absent line leaves it absent. *)
+type payload = {
+  mutable mask : int;
+  mutable data : bytes;
+}
+
+let line_bits = 7
+let line_size = 1 lsl line_bits
+let lines_per_page = Addr.page_size / line_size
+let full = (1 lsl lines_per_page) - 1
+
+(* A sparse payload holds at most this many lines. *)
+let sparse_max = lines_per_page / 2
+
+let zero = { mask = 0; data = Bytes.empty }
+
+(* The state of a frame not in use; never handed out. *)
+let free = { mask = 0; data = Bytes.empty }
 
 (* Nothing is allocated in proportion to the capacity: frames below
    [fresh] have been handed out at least once and have a slot in
-   [frames], which grows on demand; every frame from [fresh] up is [Free].
-   A freed frame goes on the [free] stack, and allocation takes the most
-   recently freed frame first, then the lowest never-used one. *)
+   [frames], which grows on demand; every frame from [fresh] up is free.
+   A freed frame goes on the [free_list] stack, and allocation takes the
+   most recently freed frame first, then the lowest never-used one. *)
 type t = {
   capacity : int;
-  mutable frames : frame_state array;
+  mutable frames : payload array;
   mutable fresh : int;
-  free : int Svagc_util.Vec.t;
+  free_list : int Svagc_util.Vec.t;
   mutable in_use : int;
 }
 
@@ -30,7 +48,7 @@ let create ~frames =
     capacity = frames;
     frames = [||];
     fresh = 0;
-    free = Svagc_util.Vec.create ();
+    free_list = Svagc_util.Vec.create ();
     in_use = 0;
   }
 
@@ -38,19 +56,23 @@ let capacity_frames t = t.capacity
 
 let frames_in_use t = t.in_use
 
-(* A frame's state, with the bounds error of the array it models. *)
-let state t frame =
-  if frame < 0 || frame >= t.capacity then invalid_arg "index out of bounds";
-  if frame < t.fresh then t.frames.(frame) else Free
+(* The payload of a frame in use; [fn] names the caller in the error. *)
+let in_use t frame fn =
+  if frame < 0 || frame >= t.capacity then
+    invalid_arg ("Phys_mem." ^ fn ^ ": no such frame");
+  let p = if frame < t.fresh then t.frames.(frame) else free in
+  if p == free then invalid_arg ("Phys_mem." ^ fn ^ ": frame not in use");
+  p
 
-let alloc_frame t =
+let alloc_frame_with t payload =
   let frame =
-    if not (Svagc_util.Vec.is_empty t.free) then Svagc_util.Vec.pop_last t.free
+    if not (Svagc_util.Vec.is_empty t.free_list) then
+      Svagc_util.Vec.pop_last t.free_list
     else if t.fresh < t.capacity then begin
       let frame = t.fresh in
       let n = Array.length t.frames in
       if frame = n then begin
-        let frames = Array.make (min t.capacity (max 64 (2 * n))) Free in
+        let frames = Array.make (min t.capacity (max 64 (2 * n))) free in
         Array.blit t.frames 0 frames 0 n;
         t.frames <- frames
       end;
@@ -59,71 +81,303 @@ let alloc_frame t =
     end
     else raise Out_of_frames
   in
-  t.frames.(frame) <- Zeroed;
+  t.frames.(frame) <- payload;
   t.in_use <- t.in_use + 1;
   frame
 
-let free_frame t frame =
-  match state t frame with
-  | Free -> invalid_arg "Phys_mem.free_frame: frame not in use"
-  | Zeroed | Data _ ->
-    t.frames.(frame) <- Free;
-    t.in_use <- t.in_use - 1;
-    Svagc_util.Vec.push t.free frame
+let alloc_frame t = alloc_frame_with t zero
 
-let frame_contents t frame =
-  if frame < 0 || frame >= t.capacity then
-    invalid_arg "Phys_mem.frame_contents: no such frame";
-  match state t frame with
-  | Free -> invalid_arg "Phys_mem.frame_contents: frame not in use"
-  | Zeroed -> None
-  | Data b -> Some b
+let free_frame t frame =
+  ignore (in_use t frame "free_frame");
+  t.frames.(frame) <- free;
+  t.in_use <- t.in_use - 1;
+  Svagc_util.Vec.push t.free_list frame
+
+let payload t frame = in_use t frame "payload"
 
 let take_frame t frame =
-  let payload = frame_contents t frame in
+  let p = in_use t frame "take_frame" in
   free_frame t frame;
-  payload
+  p
 
-let alloc_frame_with t payload =
-  (match payload with
-  | Some b when Bytes.length b <> Addr.page_size ->
-    invalid_arg "Phys_mem.alloc_frame_with: payload is not one page"
-  | _ -> ());
-  let frame = alloc_frame t in
-  Option.iter (fun b -> t.frames.(frame) <- Data b) payload;
-  frame
+(* --- Lines --- *)
 
-let frame_bytes t frame =
-  if frame < 0 || frame >= t.capacity then
-    invalid_arg "Phys_mem.frame_bytes: no such frame";
-  match state t frame with
-  | Free -> invalid_arg "Phys_mem.frame_bytes: frame not in use"
-  | Zeroed ->
-    let b = Bytes.make Addr.page_size '\000' in
-    t.frames.(frame) <- Data b;
-    b
-  | Data b -> b
+let popcount x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) land 0xffffffff) lsr 24
+
+let lines p = popcount (p.mask land full)
+
+let present p l = p.mask land (1 lsl l) <> 0
+
+(* Where present line [l] starts in [p.data]. *)
+let line_at p l =
+  if p.mask = full then l lsl line_bits
+  else popcount (p.mask land ((1 lsl l) - 1)) lsl line_bits
+
+(* Make absent line [l] of [p] present and zero: shift the lines after it
+   up one, growing [data] if it is full, or turn the page dense. *)
+let add_line p l =
+  let n = lines p in
+  if n >= sparse_max then begin
+    let d = Bytes.make Addr.page_size '\000' in
+    let k = ref 0 in
+    for i = 0 to lines_per_page - 1 do
+      if present p i then begin
+        Bytes.blit p.data (!k lsl line_bits) d (i lsl line_bits) line_size;
+        incr k
+      end
+    done;
+    p.data <- d;
+    p.mask <- full
+  end
+  else begin
+    let at = popcount (p.mask land ((1 lsl l) - 1)) lsl line_bits in
+    let tail = (n lsl line_bits) - at in
+    if n lsl line_bits < Bytes.length p.data then
+      Bytes.blit p.data at p.data (at + line_size) tail
+    else begin
+      (* Room for 1, then 4, then [sparse_max] lines. *)
+      let d = Bytes.create (max line_size (4 * Bytes.length p.data)) in
+      Bytes.blit p.data 0 d 0 at;
+      Bytes.blit p.data at d (at + line_size) tail;
+      p.data <- d
+    end;
+    Bytes.fill p.data at line_size '\000';
+    p.mask <- p.mask lor (1 lsl l)
+  end
+
+(* The payload of [frame] with line [l] present, giving the frame a
+   payload of its own first if it holds [zero]. *)
+let materialize t frame l =
+  let p = t.frames.(frame) in
+  let p =
+    if p == zero then begin
+      let p = { mask = 0; data = Bytes.empty } in
+      t.frames.(frame) <- p;
+      p
+    end
+    else p
+  in
+  if not (present p l) then add_line p l;
+  p
 
 let check_range ~off ~len =
   if off < 0 || len < 0 || off + len > Addr.page_size then
     invalid_arg "Phys_mem: range escapes the page"
 
-let read t ~frame ~off ~len =
-  check_range ~off ~len;
-  Bytes.sub (frame_bytes t frame) off len
+(* The bytes of [off, off+len) up to the end of the line holding [off]. *)
+let seg_len ~off ~stop = min stop ((off lor (line_size - 1)) + 1) - off
 
-let read_into t ~frame ~off ~len ~dst ~dst_off =
+(* Where the run of lines from [l] that are all stored (or all absent)
+   in [p], like line [l], ends: a byte offset, at most [stop].  A run of
+   stored lines is one contiguous stretch of [p.data]. *)
+let run_end p l ~stop =
+  let want = present p l in
+  let l = ref (l + 1) in
+  while !l lsl line_bits < stop && present p !l = want do
+    incr l
+  done;
+  min stop (!l lsl line_bits)
+
+(* The lines [off, off+len) touches, as a mask. *)
+let lines_of ~off ~len =
+  if len = 0 then 0
+  else (1 lsl (((off + len - 1) lsr line_bits) + 1)) - (1 lsl (off lsr line_bits))
+
+(* Where byte [off] is in [p.data]; its line must be stored. *)
+let data_at p off = line_at p (off lsr line_bits) + (off land (line_size - 1))
+
+(* --- Reads --- *)
+
+let read_into p ~off ~len ~dst ~dst_off =
   check_range ~off ~len;
-  match state t frame with
-  | Free -> invalid_arg "Phys_mem.read_into: frame not in use"
-  | Zeroed -> Bytes.fill dst dst_off len '\000'
-  | Data b -> Bytes.blit b off dst dst_off len
+  let pos = ref off and stop = off + len in
+  while !pos < stop do
+    let l = !pos lsr line_bits in
+    let e = run_end p l ~stop and at = dst_off + (!pos - off) in
+    if present p l then Bytes.blit p.data (data_at p !pos) dst at (e - !pos)
+    else Bytes.fill dst at (e - !pos) '\000';
+    pos := e
+  done
+
+let get_u8 p off =
+  check_range ~off ~len:1;
+  let l = off lsr line_bits in
+  if present p l then
+    Char.code (Bytes.get p.data (data_at p off))
+  else 0
+
+let get_u32 p off =
+  get_u8 p off
+  lor (get_u8 p (off + 1) lsl 8)
+  lor (get_u8 p (off + 2) lsl 16)
+  lor (get_u8 p (off + 3) lsl 24)
+
+let get_i64 p off =
+  check_range ~off ~len:8;
+  if p.mask = full then Bytes.get_int64_le p.data off
+  else begin
+    if off land (line_size - 1) <= line_size - 8 then
+      if present p (off lsr line_bits) then Bytes.get_int64_le p.data (data_at p off)
+      else 0L
+    else
+      (* The word straddles two lines: assemble it a byte at a time. *)
+      Int64.logor
+        (Int64.of_int (get_u32 p off))
+        (Int64.shift_left (Int64.of_int (get_u32 p (off + 4))) 32)
+  end
+
+let fnv1a p ~off ~len h =
+  check_range ~off ~len;
+  let h = ref h and pos = ref off and stop = off + len in
+  while !pos < stop do
+    let l = !pos lsr line_bits in
+    let e = run_end p l ~stop in
+    if present p l then begin
+      let at = data_at p !pos in
+      for i = at to at + (e - !pos) - 1 do
+        h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get p.data i)));
+        h := Int64.mul !h 0x100000001b3L
+      done
+    end
+    else
+      (* xor with a zero byte is the identity. *)
+      for _ = 1 to e - !pos do
+        h := Int64.mul !h 0x100000001b3L
+      done;
+    pos := e
+  done;
+  !h
+
+(* --- Writes --- *)
+
+let all_zero b ~off ~len =
+  let i = ref off in
+  while !i < off + len && Bytes.get b !i = '\000' do
+    incr i
+  done;
+  !i = off + len
 
 let write t ~frame ~off ~src ~src_off ~len =
   check_range ~off ~len;
-  Bytes.blit src src_off (frame_bytes t frame) off len
+  let p = in_use t frame "write" in
+  if p.mask = full then Bytes.blit src src_off p.data off len
+  else begin
+    let pos = ref off and stop = off + len in
+    while !pos < stop do
+      let l = !pos lsr line_bits and n = seg_len ~off:!pos ~stop in
+      let s = src_off + (!pos - off) in
+      if present t.frames.(frame) l || not (all_zero src ~off:s ~len:n) then begin
+        let p = materialize t frame l in
+        Bytes.blit src s p.data (data_at p !pos) n
+      end;
+      pos := !pos + n
+    done
+  end
 
-let blit t ~src_frame ~src_off ~dst_frame ~dst_off ~len =
+let set_u8 t frame off v =
+  let l = off lsr line_bits in
+  if v <> 0 || present t.frames.(frame) l then begin
+    let p = materialize t frame l in
+    Bytes.set p.data (data_at p off) (Char.unsafe_chr v)
+  end
+
+let set_i64 t ~frame ~off v =
+  check_range ~off ~len:8;
+  let p = in_use t frame "set_i64" in
+  if p.mask = full then Bytes.set_int64_le p.data off v
+  else begin
+    let l = off lsr line_bits in
+    if off land (line_size - 1) <= line_size - 8 then begin
+      if present p l || not (Int64.equal v 0L) then begin
+        let p = materialize t frame l in
+        Bytes.set_int64_le p.data (data_at p off) v
+      end
+    end
+    else
+      (* The word straddles two lines: store it a byte at a time. *)
+      for i = 0 to 7 do
+        set_u8 t frame (off + i)
+          (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+      done
+  end
+
+let fill t ~frame ~off ~len c =
+  check_range ~off ~len;
+  let p = in_use t frame "fill" in
+  if p.mask = full then Bytes.fill p.data off len c
+  else begin
+    let pos = ref off and stop = off + len in
+    while !pos < stop do
+      let l = !pos lsr line_bits and n = seg_len ~off:!pos ~stop in
+      if c <> '\000' || present t.frames.(frame) l then begin
+        let p = materialize t frame l in
+        Bytes.fill p.data (data_at p !pos) n c
+      end;
+      pos := !pos + n
+    done
+  end
+
+(* Zero [off, off+len) of [p] where its lines are stored. *)
+let zero_stored p ~off ~len =
+  let pos = ref off and stop = off + len in
+  if p.mask land lines_of ~off ~len = 0 then pos := stop;
+  while !pos < stop do
+    let l = !pos lsr line_bits in
+    let e = run_end p l ~stop in
+    if present p l then Bytes.fill p.data (data_at p !pos) (e - !pos) '\000';
+    pos := e
+  done
+
+(* Run by run of the source's lines: a stored run stores every line it
+   lands on in [frame] and is then one blit, since stored lines are
+   contiguous in [data]; an absent run zeroes what [frame] stores there.
+   [src] may be [frame]'s own payload: storing destination lines never
+   splits a stored source run, and its place in [data] is looked up
+   after them.  Ascending runs with [off < src_off] read every source
+   byte before it is overwritten. *)
+let copy t ~src ~src_off ~frame ~off ~len =
   check_range ~off:src_off ~len;
-  check_range ~off:dst_off ~len;
-  Bytes.blit (frame_bytes t src_frame) src_off (frame_bytes t dst_frame) dst_off len
+  check_range ~off ~len;
+  let d = in_use t frame "copy" in
+  if src.mask = full && d.mask = full then
+    Bytes.blit src.data src_off d.data off len
+  else begin
+    let pos = ref src_off and stop = src_off + len and shift = off - src_off in
+    while !pos < stop do
+      let l = !pos lsr line_bits in
+      let e = run_end src l ~stop and o = !pos + shift in
+      if present src l then begin
+        let need = lines_of ~off:o ~len:(e - !pos) in
+        if t.frames.(frame).mask land need <> need then
+          for dl = o lsr line_bits to (e + shift - 1) lsr line_bits do
+            ignore (materialize t frame dl)
+          done;
+        let d = t.frames.(frame) in
+        Bytes.blit src.data (data_at src !pos) d.data (data_at d o) (e - !pos)
+      end
+      else zero_stored t.frames.(frame) ~off:o ~len:(e - !pos);
+      pos := e
+    done
+  end
+
+(* --- Identity --- *)
+
+(* OCaml has no identity hash, so each payload is tagged with its index
+   in the mask bits above the page's lines: a payload reached twice reads
+   back the later index.  The tags are cleared before returning. *)
+let last_alias ps =
+  let n = Array.length ps in
+  let tag = lines_per_page in
+  let shared = Array.make n 0 in
+  Array.iteri
+    (fun i p -> if p != zero then p.mask <- (p.mask land full) lor ((i + 1) lsl tag))
+    ps;
+  Array.iteri
+    (fun i p -> shared.(i) <- (if p == zero then i else (p.mask lsr tag) - 1))
+    ps;
+  Array.iter (fun p -> p.mask <- p.mask land full) ps;
+  shared

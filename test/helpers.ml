@@ -70,3 +70,17 @@ let assert_live_set heap rooted =
       | Some _ | None ->
         Alcotest.failf "rooted object %d lost by the GC" o.Obj_model.id)
     rooted
+
+(* A page's payload holding [s] (one page long), made the way the
+   simulator makes one: written into a frame, then taken from it. *)
+let payload_of_string s =
+  let pm = Phys_mem.create ~frames:1 in
+  let frame = Phys_mem.alloc_frame pm in
+  Phys_mem.write pm ~frame ~off:0 ~src:(Bytes.of_string s) ~src_off:0
+    ~len:(String.length s);
+  Phys_mem.take_frame pm frame
+
+let string_of_payload p =
+  let b = Bytes.create Addr.page_size in
+  Phys_mem.read_into p ~off:0 ~len:Addr.page_size ~dst:b ~dst_off:0;
+  Bytes.to_string b

@@ -102,11 +102,11 @@ let test_tier_demote_promote () =
   let m = machine () in
   let tier = Swap_tier.create m ~near_slots:2 () in
   let out_empty = Swap_tier.out_ns tier in
-  let payload i = Bytes.make Addr.page_size (Char.chr (Char.code 'A' + i)) in
+  let payload i = String.make Addr.page_size (Char.chr (Char.code 'A' + i)) in
   let slots =
     List.init 3 (fun i ->
         let s = Swap_tier.alloc_slot tier in
-        Swap_tier.write tier ~slot:s (Some (payload i));
+        Swap_tier.write tier ~slot:s (Helpers.payload_of_string (payload i));
         s)
   in
   (* The third allocation found the near tier full and demoted the
@@ -118,19 +118,16 @@ let test_tier_demote_promote () =
     (Swap_tier.out_ns tier > out_empty);
   let s0 = List.nth slots 0 and s1 = List.nth slots 1 in
   (* peek is the oracle path: payload visible, no promotion side effect. *)
-  (match Swap_tier.peek tier ~slot:s0 with
-  | Some b -> Alcotest.(check char) "peek sees payload" 'A' (Bytes.get b 0)
-  | None -> Alcotest.fail "peek lost the demoted payload");
+  Alcotest.(check int) "peek sees payload" (Char.code 'A')
+    (Phys_mem.get_u8 (Swap_tier.peek tier ~slot:s0) 0);
   Alcotest.(check int) "peek is not a promotion" 0
     (Perf.get m.Machine.perf Tier_promotions);
   Alcotest.(check bool) "far slot reads slower" true
     (Swap_tier.in_ns tier ~slot:s0 > Swap_tier.in_ns tier ~slot:s1);
   (* A demand-fault take of the far slot is a promotion, and the payload
      survived the near->far migration byte-for-byte. *)
-  (match Swap_tier.take tier ~slot:s0 with
-  | Some b ->
-    Alcotest.(check bytes) "payload intact across demotion" (payload 0) b
-  | None -> Alcotest.fail "take lost the demoted payload");
+  Alcotest.(check string) "payload intact across demotion" (payload 0)
+    (Helpers.string_of_payload (Swap_tier.take tier ~slot:s0));
   Alcotest.(check int) "promotion counted" 1
     (Perf.get m.Machine.perf Tier_promotions);
   Alcotest.(check bool) "take frees the slot" false
@@ -147,7 +144,7 @@ let test_tier_churn_bounded () =
   let churn tier rounds =
     for _ = 1 to rounds do
       let slot = Swap_tier.alloc_slot tier in
-      Swap_tier.write tier ~slot None;
+      Swap_tier.write tier ~slot Phys_mem.zero;
       ignore (Swap_tier.take tier ~slot)
     done
   in

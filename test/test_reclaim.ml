@@ -48,13 +48,17 @@ let prop_swap_tier_round_trip =
         List.map
           (fun payload ->
             let slot = Swap_tier.alloc_slot dev in
-            Swap_tier.write dev ~slot (Option.map Bytes.of_string payload);
+            Swap_tier.write dev ~slot
+              (match payload with
+              | Some s -> Helpers.payload_of_string s
+              | None -> Phys_mem.zero);
             (slot, payload))
           payloads
       in
       List.for_all
         (fun (slot, payload) ->
-          Option.map Bytes.to_string (Swap_tier.take dev ~slot) = payload)
+          Helpers.string_of_payload (Swap_tier.take dev ~slot)
+          = Option.value payload ~default:(String.make Addr.page_size '\000'))
         slots
       && Swap_tier.slots_in_use dev = 0
       && Swap_tier.stats dev = (0, 0))
@@ -82,24 +86,20 @@ let test_swap_tier_slot_reuse () =
   Alcotest.(check int) "most recently freed first" 2
     (Swap_tier.alloc_slot dev)
 
-(* A demotion re-tags the id: the far slot holds the very buffer the near
-   slot was given. *)
+(* A demotion re-tags the id: the far slot holds the very payload the
+   near slot was given. *)
 let test_demotion_moves_no_payload () =
   let dev = tier ~near_slots:1 () in
-  let buf = Bytes.make Addr.page_size 'd' in
+  let buf = Helpers.payload_of_string (String.make Addr.page_size 'd') in
   let slot = Swap_tier.alloc_slot dev in
-  Swap_tier.write dev ~slot (Some buf);
-  let same () =
-    match Swap_tier.peek dev ~slot with Some b -> b == buf | None -> false
-  in
-  Alcotest.(check bool) "near slot holds the buffer" true (same ());
+  Swap_tier.write dev ~slot buf;
+  let same () = Swap_tier.peek dev ~slot == buf in
+  Alcotest.(check bool) "near slot holds the payload" true (same ());
   ignore (Swap_tier.alloc_slot dev);
   Alcotest.(check (pair int int)) "the first slot went far" (1, 1)
     (Swap_tier.stats dev);
-  Alcotest.(check bool) "far slot holds the same buffer" true (same ());
-  match Swap_tier.take dev ~slot with
-  | Some b -> Alcotest.(check bool) "take hands it back" true (b == buf)
-  | None -> Alcotest.fail "take lost the payload"
+  Alcotest.(check bool) "far slot holds the same payload" true (same ());
+  Alcotest.(check bool) "take hands it back" true (Swap_tier.take dev ~slot == buf)
 
 (* --- Address-space round trips under pressure --- *)
 
@@ -116,12 +116,16 @@ let pressured_fixture ~pages =
   Address_space.map_range aspace ~va:base ~pages:(2 * pages);
   (machine, proc, aspace, r)
 
-(* A slot's payload as the oracle reads it: the device's own buffer,
+(* A slot's payload as the oracle reads it: the device's own payload,
    through the machine's installed plane. *)
-let slot_bytes machine ~slot =
+let slot_payload machine ~slot =
   match machine.Machine.reclaim with
-  | Some ri -> ri.Machine.ri_slot_bytes ~slot
+  | Some ri -> ri.Machine.ri_slot_payload ~slot
   | None -> Alcotest.fail "reclaim not attached"
+
+let slot_bytes machine ~slot =
+  let p = slot_payload machine ~slot in
+  if Phys_mem.lines p = 0 then None else Some (Helpers.string_of_payload p)
 
 let count_swapped aspace =
   Page_table.swapped_pages (Address_space.page_table aspace)
@@ -148,7 +152,7 @@ let test_zero_page_faults_in_lazy () =
   match Address_space.translate aspace ~va with
   | Some (frame, _) ->
     Alcotest.(check bool) "the faulted-in zero page is not materialized" true
-      (Option.is_none (Phys_mem.frame_contents machine.Machine.phys frame))
+      (Phys_mem.lines (Phys_mem.payload machine.Machine.phys frame) = 0)
   | None -> Alcotest.fail "fault_in left the page swapped"
 
 let test_fault_in_owns_its_payload () =
@@ -169,7 +173,7 @@ let test_fault_in_owns_its_payload () =
   Page_table.iter_swapped pt ~f:(fun ~vpn:_ ~slot ->
       if slot <> taken then
         others :=
-          (slot, Option.map Bytes.to_string (slot_bytes machine ~slot))
+          (slot, slot_bytes machine ~slot)
           :: !others);
   Alcotest.(check bool) "other slots hold data" true
     (List.exists (fun (_, b) -> Option.is_some b) !others);
@@ -180,7 +184,7 @@ let test_fault_in_owns_its_payload () =
       Alcotest.(check (option string))
         (Printf.sprintf "slot %d unchanged by the write" slot)
         before
-        (Option.map Bytes.to_string (slot_bytes machine ~slot)))
+        (slot_bytes machine ~slot))
     !others
 
 let test_alias_law_flags_shared_buffer () =
@@ -203,17 +207,16 @@ let test_alias_law_flags_shared_buffer () =
   let slot =
     Pte.swap_slot_exn (Page_table.get_pte pt (first_swapped_va aspace))
   in
-  let shared = slot_bytes machine ~slot in
-  let before = Option.map Bytes.to_string shared in
-  (* Map the slot's own buffer at a fresh page as well: one buffer, two
+  let shared = slot_payload machine ~slot in
+  let before = slot_bytes machine ~slot in
+  (* Map the slot's own payload at a fresh page as well: one payload, two
      owners. *)
   let frame = Phys_mem.alloc_frame_with machine.Machine.phys shared in
   Page_table.set_pte pt (base + (2 * pages * Addr.page_size)) (Pte.make ~frame);
   Alcotest.(check (list string)) "the alias is found" [ "reclaim-alias" ]
     (invariants ());
   Alcotest.(check (option string)) "the pass leaves the payload as found"
-    before
-    (Option.map Bytes.to_string (slot_bytes machine ~slot))
+    before (slot_bytes machine ~slot)
 
 (* --- LRU structure --- *)
 
@@ -470,10 +473,10 @@ let test_memmove_matches_staged_reference () =
         Some
           {
             ri with
-            Machine.ri_slot_bytes =
+            Machine.ri_slot_payload =
               (fun ~slot ->
                 if !counting then incr slot_reads;
-                ri.Machine.ri_slot_bytes ~slot);
+                ri.Machine.ri_slot_payload ~slot);
           }
     | None -> Alcotest.fail "reclaim not attached");
     let window = copy_window_pages * Addr.page_size in

@@ -79,29 +79,31 @@ let test_phys_out_of_frames () =
   Alcotest.check_raises "exhausted" Phys_mem.Out_of_frames (fun () ->
       ignore (Phys_mem.alloc_frame pm))
 
+let read pm ~frame ~off ~len =
+  let b = Bytes.create len in
+  Phys_mem.read_into (Phys_mem.payload pm frame) ~off ~len ~dst:b ~dst_off:0;
+  Bytes.to_string b
+
 let test_phys_read_write () =
   let pm = Phys_mem.create ~frames:2 in
   let f = Phys_mem.alloc_frame pm in
   Phys_mem.write pm ~frame:f ~off:100 ~src:(Bytes.of_string "hello") ~src_off:0
     ~len:5;
-  Alcotest.(check string) "readback" "hello"
-    (Bytes.to_string (Phys_mem.read pm ~frame:f ~off:100 ~len:5));
-  Alcotest.(check string) "zero fill" "\000"
-    (Bytes.to_string (Phys_mem.read pm ~frame:f ~off:0 ~len:1))
+  Alcotest.(check string) "readback" "hello" (read pm ~frame:f ~off:100 ~len:5);
+  Alcotest.(check string) "zero fill" "\000" (read pm ~frame:f ~off:0 ~len:1)
 
 let test_phys_blit () =
   let pm = Phys_mem.create ~frames:2 in
   let a = Phys_mem.alloc_frame pm and b = Phys_mem.alloc_frame pm in
   Phys_mem.write pm ~frame:a ~off:0 ~src:(Bytes.of_string "xyz") ~src_off:0 ~len:3;
-  Phys_mem.blit pm ~src_frame:a ~src_off:0 ~dst_frame:b ~dst_off:10 ~len:3;
-  Alcotest.(check string) "blitted" "xyz"
-    (Bytes.to_string (Phys_mem.read pm ~frame:b ~off:10 ~len:3))
+  Phys_mem.copy pm ~src:(Phys_mem.payload pm a) ~src_off:0 ~frame:b ~off:10 ~len:3;
+  Alcotest.(check string) "blitted" "xyz" (read pm ~frame:b ~off:10 ~len:3)
 
 let test_phys_range_check () =
   let pm = Phys_mem.create ~frames:1 in
   let f = Phys_mem.alloc_frame pm in
   Alcotest.check_raises "escape" (Invalid_argument "Phys_mem: range escapes the page")
-    (fun () -> ignore (Phys_mem.read pm ~frame:f ~off:4090 ~len:10))
+    (fun () -> ignore (read pm ~frame:f ~off:4090 ~len:10))
 
 (* The pool hands out frames lazily, so its handout order and errors are
    pinned to what the eager pool (a reversed free list over every frame)
@@ -132,11 +134,14 @@ let test_phys_handout_order () =
   free f0;
   free f5;
   ignore (alloc ());
-  let with_data = Phys_mem.alloc_frame_with pm (Some (Bytes.make 4096 'x')) in
+  let with_data =
+    Phys_mem.alloc_frame_with pm (Helpers.payload_of_string (String.make 4096 'x'))
+  in
   log := string_of_int with_data :: !log;
-  (match Phys_mem.take_frame pm 2 with
-  | Some _ -> log := "take 2: data" :: !log
-  | None -> log := "take 2: zero" :: !log);
+  log :=
+    (if Phys_mem.lines (Phys_mem.take_frame pm 2) = 0 then "take 2: zero"
+     else "take 2: data")
+    :: !log;
   ignore (alloc ());
   ignore (alloc ());
   ignore (alloc ());
@@ -148,53 +153,44 @@ let test_phys_handout_order () =
   Alcotest.check_raises "exhausted at capacity" Phys_mem.Out_of_frames (fun () ->
       ignore (Phys_mem.alloc_frame pm))
 
+(* Every function that takes a frame names itself in its error. *)
 let phys_error_cases =
   [
     ("free_frame", "never-used", "Phys_mem.free_frame: frame not in use");
     ("free_frame", "freed", "Phys_mem.free_frame: frame not in use");
-    ("free_frame", "past-capacity", "index out of bounds");
-    ("free_frame", "far", "index out of bounds");
-    ("free_frame", "negative", "index out of bounds");
-    ("frame_contents", "never-used", "Phys_mem.frame_contents: frame not in use");
-    ("frame_contents", "freed", "Phys_mem.frame_contents: frame not in use");
-    ("frame_contents", "past-capacity", "Phys_mem.frame_contents: no such frame");
-    ("frame_contents", "far", "Phys_mem.frame_contents: no such frame");
-    ("frame_contents", "negative", "Phys_mem.frame_contents: no such frame");
-    ("frame_bytes", "never-used", "Phys_mem.frame_bytes: frame not in use");
-    ("frame_bytes", "freed", "Phys_mem.frame_bytes: frame not in use");
-    ("frame_bytes", "past-capacity", "Phys_mem.frame_bytes: no such frame");
-    ("frame_bytes", "far", "Phys_mem.frame_bytes: no such frame");
-    ("frame_bytes", "negative", "Phys_mem.frame_bytes: no such frame");
-    ("take_frame", "never-used", "Phys_mem.frame_contents: frame not in use");
-    ("take_frame", "freed", "Phys_mem.frame_contents: frame not in use");
-    ("take_frame", "past-capacity", "Phys_mem.frame_contents: no such frame");
-    ("take_frame", "far", "Phys_mem.frame_contents: no such frame");
-    ("take_frame", "negative", "Phys_mem.frame_contents: no such frame");
-    ("read", "never-used", "Phys_mem.frame_bytes: frame not in use");
-    ("read", "freed", "Phys_mem.frame_bytes: frame not in use");
-    ("read", "past-capacity", "Phys_mem.frame_bytes: no such frame");
-    ("read", "far", "Phys_mem.frame_bytes: no such frame");
-    ("read", "negative", "Phys_mem.frame_bytes: no such frame");
-    ("read_into", "never-used", "Phys_mem.read_into: frame not in use");
-    ("read_into", "freed", "Phys_mem.read_into: frame not in use");
-    ("read_into", "past-capacity", "index out of bounds");
-    ("read_into", "far", "index out of bounds");
-    ("read_into", "negative", "index out of bounds");
-    ("write", "never-used", "Phys_mem.frame_bytes: frame not in use");
-    ("write", "freed", "Phys_mem.frame_bytes: frame not in use");
-    ("write", "past-capacity", "Phys_mem.frame_bytes: no such frame");
-    ("write", "far", "Phys_mem.frame_bytes: no such frame");
-    ("write", "negative", "Phys_mem.frame_bytes: no such frame");
-    ("blit src", "never-used", "Phys_mem.frame_bytes: frame not in use");
-    ("blit src", "freed", "Phys_mem.frame_bytes: frame not in use");
-    ("blit src", "past-capacity", "Phys_mem.frame_bytes: no such frame");
-    ("blit src", "far", "Phys_mem.frame_bytes: no such frame");
-    ("blit src", "negative", "Phys_mem.frame_bytes: no such frame");
-    ("blit dst", "never-used", "Phys_mem.frame_bytes: frame not in use");
-    ("blit dst", "freed", "Phys_mem.frame_bytes: frame not in use");
-    ("blit dst", "past-capacity", "Phys_mem.frame_bytes: no such frame");
-    ("blit dst", "far", "Phys_mem.frame_bytes: no such frame");
-    ("blit dst", "negative", "Phys_mem.frame_bytes: no such frame");
+    ("free_frame", "past-capacity", "Phys_mem.free_frame: no such frame");
+    ("free_frame", "far", "Phys_mem.free_frame: no such frame");
+    ("free_frame", "negative", "Phys_mem.free_frame: no such frame");
+    ("payload", "never-used", "Phys_mem.payload: frame not in use");
+    ("payload", "freed", "Phys_mem.payload: frame not in use");
+    ("payload", "past-capacity", "Phys_mem.payload: no such frame");
+    ("payload", "far", "Phys_mem.payload: no such frame");
+    ("payload", "negative", "Phys_mem.payload: no such frame");
+    ("take_frame", "never-used", "Phys_mem.take_frame: frame not in use");
+    ("take_frame", "freed", "Phys_mem.take_frame: frame not in use");
+    ("take_frame", "past-capacity", "Phys_mem.take_frame: no such frame");
+    ("take_frame", "far", "Phys_mem.take_frame: no such frame");
+    ("take_frame", "negative", "Phys_mem.take_frame: no such frame");
+    ("write", "never-used", "Phys_mem.write: frame not in use");
+    ("write", "freed", "Phys_mem.write: frame not in use");
+    ("write", "past-capacity", "Phys_mem.write: no such frame");
+    ("write", "far", "Phys_mem.write: no such frame");
+    ("write", "negative", "Phys_mem.write: no such frame");
+    ("set_i64", "never-used", "Phys_mem.set_i64: frame not in use");
+    ("set_i64", "freed", "Phys_mem.set_i64: frame not in use");
+    ("set_i64", "past-capacity", "Phys_mem.set_i64: no such frame");
+    ("set_i64", "far", "Phys_mem.set_i64: no such frame");
+    ("set_i64", "negative", "Phys_mem.set_i64: no such frame");
+    ("fill", "never-used", "Phys_mem.fill: frame not in use");
+    ("fill", "freed", "Phys_mem.fill: frame not in use");
+    ("fill", "past-capacity", "Phys_mem.fill: no such frame");
+    ("fill", "far", "Phys_mem.fill: no such frame");
+    ("fill", "negative", "Phys_mem.fill: no such frame");
+    ("copy", "never-used", "Phys_mem.copy: frame not in use");
+    ("copy", "freed", "Phys_mem.copy: frame not in use");
+    ("copy", "past-capacity", "Phys_mem.copy: no such frame");
+    ("copy", "far", "Phys_mem.copy: no such frame");
+    ("copy", "negative", "Phys_mem.copy: no such frame");
   ]
 
 let test_phys_error_messages () =
@@ -214,16 +210,14 @@ let test_phys_error_messages () =
   let call fn f =
     match fn with
     | "free_frame" -> Phys_mem.free_frame pm f
-    | "frame_contents" -> ignore (Phys_mem.frame_contents pm f)
-    | "frame_bytes" -> ignore (Phys_mem.frame_bytes pm f)
+    | "payload" -> ignore (Phys_mem.payload pm f)
     | "take_frame" -> ignore (Phys_mem.take_frame pm f)
-    | "read" -> ignore (Phys_mem.read pm ~frame:f ~off:0 ~len:8)
-    | "read_into" -> Phys_mem.read_into pm ~frame:f ~off:0 ~len:8 ~dst:buf ~dst_off:0
     | "write" -> Phys_mem.write pm ~frame:f ~off:0 ~src:buf ~src_off:0 ~len:8
-    | "blit src" ->
-      Phys_mem.blit pm ~src_frame:f ~src_off:0 ~dst_frame:used ~dst_off:0 ~len:8
-    | "blit dst" ->
-      Phys_mem.blit pm ~src_frame:used ~src_off:0 ~dst_frame:f ~dst_off:0 ~len:8
+    | "set_i64" -> Phys_mem.set_i64 pm ~frame:f ~off:0 1L
+    | "fill" -> Phys_mem.fill pm ~frame:f ~off:0 ~len:8 'x'
+    | "copy" ->
+      Phys_mem.copy pm ~src:(Phys_mem.payload pm used) ~src_off:0 ~frame:f
+        ~off:0 ~len:8
     | fn -> invalid_arg fn
   in
   List.iter
@@ -232,6 +226,181 @@ let test_phys_error_messages () =
         (fun () -> call fn (frame case)))
     phys_error_cases;
   Alcotest.(check int) "errors leave the pool alone" 1 (Phys_mem.frames_in_use pm)
+
+(* The payload against a plain page of [Bytes]: random word gets and
+   sets, writes, fills, reads, copies between frames and from taken
+   payloads, takes and installs.  Offsets are byte-granular and often
+   straddle a 128-byte line; slides are same-frame copies to a lower,
+   overlapping offset; about half the values written are zero.  A frame
+   or payload that nothing non-zero has reached must store no line. *)
+type pm_op =
+  | Alloc
+  | Free of int
+  | Get of int * int
+  | Set of int * int * int64
+  | Write of int * int * string
+  | Fill of int * int * int * char
+  | Read of int * int * int
+  | Copy of int * int * int * int * int
+  | Slide of int * int * int * int
+  | Take of int
+  | Install of int
+
+let pp_pm_op = function
+  | Alloc -> "alloc"
+  | Free i -> Printf.sprintf "free %d" i
+  | Get (i, o) -> Printf.sprintf "get %d@%d" i o
+  | Set (i, o, v) -> Printf.sprintf "set %d@%d %Ld" i o v
+  | Write (i, o, s) ->
+    Printf.sprintf "write %d@%d len %d%s" i o (String.length s)
+      (if String.for_all (( = ) '\000') s then " zeros" else "")
+  | Fill (i, o, n, c) -> Printf.sprintf "fill %d@%d len %d %C" i o n c
+  | Read (i, o, n) -> Printf.sprintf "read %d@%d len %d" i o n
+  | Copy (s, so, d, o, n) -> Printf.sprintf "copy %d@%d -> %d@%d len %d" s so d o n
+  | Slide (i, o, by, n) -> Printf.sprintf "slide %d@%d down %d len %d" i (o + by) by n
+  | Take i -> Printf.sprintf "take %d" i
+  | Install i -> Printf.sprintf "install %d" i
+
+let pm_op_gen =
+  QCheck.Gen.(
+    let idx = int_bound 7 in
+    let off =
+      oneof
+        [
+          int_bound (Addr.page_size - 8);
+          map2 (fun l k -> (l * 128) + 120 + k) (int_bound 30) (int_bound 7);
+          int_bound 300;
+        ]
+    in
+    let len = oneof [ int_range 1 16; int_range 1 300; int_range 1 Addr.page_size ] in
+    let byte = oneof [ return '\000'; char ] in
+    let data n =
+      oneof [ return (String.make n '\000'); string_size ~gen:byte (return n) ]
+    in
+    frequency
+      [
+        (2, return Alloc);
+        (1, map (fun i -> Free i) idx);
+        (3, map2 (fun i o -> Get (i, o)) idx off);
+        ( 4,
+          map3
+            (fun i o v -> Set (i, o, v))
+            idx off
+            (oneof [ return 0L; map Int64.of_int int; ui64 ]) );
+        (3, map3 (fun i o s -> Write (i, o, s)) idx off (len >>= data));
+        (2, map3 (fun i o (n, c) -> Fill (i, o, n, c)) idx off (pair len byte));
+        (2, map3 (fun i o n -> Read (i, o, n)) idx off len);
+        ( 3,
+          map3
+            (fun (s, so) (d, o) n -> Copy (s, so, d, o, n))
+            (pair idx off) (pair idx off) len );
+        ( 3,
+          map3
+            (fun (i, o) by n -> Slide (i, o, by, n))
+            (pair idx off) (int_range 1 256) len );
+        (1, map (fun i -> Take i) idx);
+        (1, map (fun i -> Install i) idx);
+      ])
+
+let test_phys_payload_model =
+  qtest ~count:300 "payload agrees with a Bytes model"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_pm_op ops))
+        Gen.(list_size (int_range 1 60) pm_op_gen))
+    (fun ops ->
+      let pm = Phys_mem.create ~frames:6 in
+      (* Model: each live frame's bytes and whether anything non-zero
+         reached it; taken payloads in hand likewise. *)
+      let live = ref [] and hand = ref [] in
+      let nth l i = List.nth l (i mod List.length l) in
+      let clamp o n = (o, max 0 (min n (Addr.page_size - o))) in
+      let ok = ref true in
+      let expect what b = if not b then (ok := false; print_endline ("mismatch: " ^ what)) in
+      let dirty_if (_, _, d) cond = if cond then d := true in
+      List.iter
+        (fun op ->
+          match op with
+          | Alloc ->
+            if Phys_mem.frames_in_use pm < 6 then
+              live :=
+                (Phys_mem.alloc_frame pm, Bytes.make Addr.page_size '\000', ref false)
+                :: !live
+          | Install i when !hand <> [] ->
+            let ((p, b, d) as h) = nth !hand i in
+            if Phys_mem.frames_in_use pm < 6 then begin
+              hand := List.filter (fun x -> x != h) !hand;
+              live := (Phys_mem.alloc_frame_with pm p, b, d) :: !live
+            end
+          | Install _ -> ()
+          | _ when !live = [] -> ()
+          | Free i ->
+            let ((f, _, _) as e) = nth !live i in
+            Phys_mem.free_frame pm f;
+            live := List.filter (fun x -> x != e) !live
+          | Take i ->
+            let ((f, b, d) as e) = nth !live i in
+            live := List.filter (fun x -> x != e) !live;
+            hand := (Phys_mem.take_frame pm f, b, d) :: !hand
+          | Get (i, o) ->
+            let f, b, _ = nth !live i in
+            expect (pp_pm_op op)
+              (Int64.equal (Bytes.get_int64_le b o)
+                 (Phys_mem.get_i64 (Phys_mem.payload pm f) o))
+          | Set (i, o, v) ->
+            let ((f, b, _) as e) = nth !live i in
+            Phys_mem.set_i64 pm ~frame:f ~off:o v;
+            Bytes.set_int64_le b o v;
+            dirty_if e (not (Int64.equal v 0L))
+          | Write (i, o, s) ->
+            let ((f, b, _) as e) = nth !live i in
+            let o, n = clamp o (String.length s) in
+            Phys_mem.write pm ~frame:f ~off:o ~src:(Bytes.of_string s) ~src_off:0
+              ~len:n;
+            Bytes.blit_string s 0 b o n;
+            dirty_if e (String.exists (( <> ) '\000') (String.sub s 0 n))
+          | Fill (i, o, n, c) ->
+            let ((f, b, _) as e) = nth !live i in
+            let o, n = clamp o n in
+            Phys_mem.fill pm ~frame:f ~off:o ~len:n c;
+            Bytes.fill b o n c;
+            dirty_if e (n > 0 && c <> '\000')
+          | Read (i, o, n) ->
+            let f, b, _ = nth !live i in
+            let o, n = clamp o n in
+            let out = Bytes.make n '?' in
+            Phys_mem.read_into (Phys_mem.payload pm f) ~off:o ~len:n ~dst:out ~dst_off:0;
+            expect (pp_pm_op op) (Bytes.equal out (Bytes.sub b o n))
+          | Copy (s, so, d, o, n) ->
+            let sources =
+              List.map (fun (f, b, d) -> (Phys_mem.payload pm f, b, d)) !live @ !hand
+            in
+            let sp, sb, sd = nth sources s in
+            let ((f, db, _) as e) = nth !live d in
+            let n = max 0 (min n (Addr.page_size - max so o)) in
+            (* A same-frame copy must not slide up over itself. *)
+            let so, o = if sb == db then (max so o, min so o) else (so, o) in
+            Phys_mem.copy pm ~src:sp ~src_off:so ~frame:f ~off:o ~len:n;
+            Bytes.blit sb so db o n;
+            dirty_if e (n > 0 && !sd)
+          | Slide (i, o, by, n) ->
+            let ((f, b, d) as e) = nth !live i in
+            let so = min (o + by) (Addr.page_size - 1) in
+            let n = max 0 (min n (Addr.page_size - so)) in
+            Phys_mem.copy pm ~src:(Phys_mem.payload pm f) ~src_off:so ~frame:f ~off:o
+              ~len:n;
+            Bytes.blit b so b o n;
+            dirty_if e (n > 0 && !d))
+        ops;
+      let check what p b d =
+        let out = Bytes.create Addr.page_size in
+        Phys_mem.read_into p ~off:0 ~len:Addr.page_size ~dst:out ~dst_off:0;
+        expect (what ^ " contents") (Bytes.equal out b);
+        expect (what ^ " stays unmaterialized") (!d || Phys_mem.lines p = 0)
+      in
+      List.iter (fun (f, b, d) -> check "frame" (Phys_mem.payload pm f) b d) !live;
+      List.iter (fun (p, b, d) -> check "taken payload" p b d) !hand;
+      !ok)
 
 (* --- Page_table --- *)
 
@@ -836,6 +1005,7 @@ let () =
           Alcotest.test_case "range check" `Quick test_phys_range_check;
           Alcotest.test_case "handout order" `Quick test_phys_handout_order;
           Alcotest.test_case "error messages" `Quick test_phys_error_messages;
+          test_phys_payload_model;
         ] );
       ( "page_table",
         [
