@@ -632,8 +632,8 @@ let domain_safety (r : Par_sweep.result) =
 (* --- shadow mode --- *)
 
 (* One registered machine.  The machine itself is held weakly so check
-   mode never keeps simulated frames alive; page tables (small radix
-   trees) are held strongly because a TLB entry can outlive the moment we
+   mode never keeps simulated frames alive; page tables (small leaf
+   indexes) are held strongly because a TLB entry can outlive the moment we
    would otherwise re-discover its address space. *)
 type mstate = {
   wmachine : Machine.t Weak.t;

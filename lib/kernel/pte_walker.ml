@@ -1,17 +1,15 @@
 open Svagc_vmem
 
-(* No leaf cached; a shared empty array can never equal a real leaf. *)
-let no_leaf : Pte.value array = [||]
-
 type t = {
   machine : Machine.t;
   pt : Page_table.t;
   pmd_caching : bool;
-  (* Two-entry cache keyed by the PMD region (vpn / 512): one slot per swap
-     stream so alternating src/dst accesses both hit.  Kept as four flat
-     mutable fields (region ints + leaf pointers, -1 = empty) instead of
-     [(int * array) option] slots: probing and rotating are then pure
-     int/pointer stores with no option or tuple allocation per page. *)
+  (* Two-entry cache keyed by the PMD region ([Addr.pmd_number]): one
+     slot per swap stream so alternating src/dst accesses both hit.
+     Kept as four flat mutable fields (region ints + leaf pointers, -1 =
+     empty) instead of [(int * array) option] slots: probing and rotating
+     are then pure int/pointer stores with no option or tuple allocation
+     per page. *)
   mutable r0 : int;
   mutable l0 : Pte.value array;
   mutable r1 : int;
@@ -20,14 +18,13 @@ type t = {
 }
 
 let create machine pt ~pmd_caching =
-  { machine; pt; pmd_caching; r0 = -1; l0 = no_leaf; r1 = -1; l1 = no_leaf;
+  let empty = Page_table.(leaf_ptes no_leaf) in
+  { machine; pt; pmd_caching; r0 = -1; l0 = empty; r1 = -1; l1 = empty;
     cost = 0.0 }
 
 let cost_ns t = t.cost
 
 let add_cost t c = t.cost <- t.cost +. c
-
-let pmd_region va = Addr.page_number va / Addr.pages_per_pmd
 
 (* 0 / 1 = hit in that slot, -1 = miss.  Same probe order as the old
    option-based cache (newest slot first). *)
@@ -44,7 +41,7 @@ let remember t region leaf =
 let get_pte t va =
   let cost = t.machine.Machine.cost in
   let perf = t.machine.Machine.perf in
-  let region = pmd_region va in
+  let region = Addr.pmd_number va in
   let slot = if t.pmd_caching then cache_find t region else -1 in
   let leaf =
     if slot >= 0 then begin
@@ -52,29 +49,30 @@ let get_pte t va =
       t.cost <- t.cost +. cost.Cost_model.pt_entry_ns;
       if slot = 0 then t.l0 else t.l1
     end
-    else
-      match Page_table.find_leaf t.pt va with
-      | None ->
+    else begin
+      let leaf = Page_table.leaf_at t.pt va in
+      if leaf == Page_table.no_leaf then
         raise
           (Svagc_fault.Kernel_error.Fault
-             (Svagc_fault.Kernel_error.EFAULT_unmapped { va }))
-      | Some leaf ->
-        Perf.bump perf Pt_walks 1;
-        t.cost <- t.cost +. Cost_model.walk_cost_ns cost;
-        if t.pmd_caching then remember t region leaf;
-        leaf
+             (Svagc_fault.Kernel_error.EFAULT_unmapped { va }));
+      let ptes = Page_table.leaf_ptes leaf in
+      Perf.bump perf Pt_walks 1;
+      t.cost <- t.cost +. Cost_model.walk_cost_ns cost;
+      if t.pmd_caching then remember t region ptes;
+      ptes
+    end
   in
   (leaf, Addr.pte_index va)
 
-let cache_holds t va = t.pmd_caching && cache_find t (pmd_region va) >= 0
+let cache_holds t va = t.pmd_caching && cache_find t (Addr.pmd_number va) >= 0
 
 let charge_get_pte t va ~leaf =
   (* Identical accounting to [get_pte] — cache probe, hit/walk cost,
-     counter bumps, cache rotation — with the radix descent elided because
+     counter bumps, cache rotation — with the leaf lookup elided because
      the caller already resolved [leaf] for the whole run. *)
   let cost = t.machine.Machine.cost in
   let perf = t.machine.Machine.perf in
-  let region = pmd_region va in
+  let region = Addr.pmd_number va in
   if t.pmd_caching && cache_find t region >= 0 then begin
     Perf.bump perf Pmd_cache_hits 1;
     t.cost <- t.cost +. cost.Cost_model.pt_entry_ns

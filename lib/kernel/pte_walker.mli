@@ -32,7 +32,7 @@ val cache_holds : t -> int -> bool
 val charge_get_pte : t -> int -> leaf:Pte.value array -> unit
 (** Charge exactly what {!get_pte} would for this address — cache probe,
     hit or walk cost, counters, cache rotation — given that the caller
-    already resolved the covering [leaf] (no radix descent happens). *)
+    already resolved the covering [leaf] (no leaf lookup happens). *)
 
 val charge_steady_swap_pages : t -> pages:int -> cached:bool -> unit
 (** Bulk-charge [pages] steady iterations of Algorithm 1's inner loop

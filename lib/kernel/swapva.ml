@@ -76,7 +76,7 @@ let swap_disjoint_per_page proc ~pmd_caching req =
   Pte_walker.cost_ns walker
 
 (* Resolve [pages] pages starting at [va] into (leaf, start, len) slices —
-   one directory probe per PMD leaf instead of one per page — verifying
+   one leaf lookup per PMD leaf instead of one per page — verifying
    along the way that every PTE is mapped, with the same first-failure
    order as the per-page precheck (leaf missing -> EFAULT at the cursor;
    absent page -> EFAULT at that page).  Raising here precedes all
@@ -99,33 +99,32 @@ let resolve_mapped_slices ?(fault = None) pt ~va ~pages ~buf =
     let cursor = ref va and remaining = ref pages in
     run_buf_clear buf;
     while !remaining > 0 do
-      match find_leaf_record pt !cursor with
-      | None -> unmapped ~va:!cursor ()
-      | Some leaf ->
-        let start = Addr.pte_index !cursor in
-        let len = min !remaining (Addr.entries_per_table - start) in
-        (match fault with
-        | None -> (
-          match leaf_first_unmapped leaf ~lo:start ~hi:(start + len) with
-          | -1 -> ()
-          | bad -> unmapped ~va:(!cursor + ((bad - start) * ps)) ())
-        | Some inj ->
-          let ptes = leaf_ptes leaf in
-          for i = start to start + len - 1 do
-            let page_va = !cursor + ((i - start) * ps) in
-            if
-              Array.unsafe_get ptes i = absent
-              || Svagc_fault.Injector.fire inj
-                   ~site:Svagc_fault.Fault_spec.Pte_resolve ~va:page_va
-            then unmapped ~va:page_va ()
-          done);
-        run_buf_push buf leaf ~start ~len;
-        cursor := !cursor + (len * ps);
-        remaining := !remaining - len
+      let leaf = leaf_at pt !cursor in
+      if leaf == no_leaf then unmapped ~va:!cursor ();
+      let start = Addr.pte_index !cursor in
+      let len = min !remaining (Addr.entries_per_table - start) in
+      (match fault with
+      | None -> (
+        match leaf_first_unmapped leaf ~lo:start ~hi:(start + len) with
+        | -1 -> ()
+        | bad -> unmapped ~va:(!cursor + ((bad - start) * ps)) ())
+      | Some inj ->
+        let ptes = leaf_ptes leaf in
+        for i = start to start + len - 1 do
+          let page_va = !cursor + ((i - start) * ps) in
+          if
+            Array.unsafe_get ptes i = absent
+            || Svagc_fault.Injector.fire inj
+                 ~site:Svagc_fault.Fault_spec.Pte_resolve ~va:page_va
+          then unmapped ~va:page_va ()
+        done);
+      run_buf_push buf leaf ~start ~len;
+      cursor := !cursor + (len * ps);
+      remaining := !remaining - len
     done)
 
 (* Flat body of Algorithm 1: same observable behaviour and simulated cost
-   as [swap_disjoint_per_page], paid for with one directory walk per
+   as [swap_disjoint_per_page], paid for with one leaf lookup per
    512-page leaf instead of two walks + two cache probes per page.  Slice
    descriptors live in the machine's scratch run buffers (int-packed,
    reused across ops).  PTE slices are exchanged with tight array loops;

@@ -54,9 +54,9 @@ let sweep_leaves pt ~vpn_lo ~pages ~gl_lo ~gl_hi ~shard ~(cost : Cost_model.t)
   let checksum = ref 0L in
   for l = gl_lo to gl_hi - 1 do
     let leaf_vpn = l * Addr.pages_per_pmd in
-    match Page_table.find_leaf pt (Addr.of_page leaf_vpn) with
-    | None -> ()
-    | Some arr ->
+    let leaf = Page_table.leaf_at pt (Addr.of_page leaf_vpn) in
+    if leaf != Page_table.no_leaf then begin
+      let arr = Page_table.leaf_ptes leaf in
       incr leaves;
       let lo = max vpn_lo leaf_vpn in
       let hi = min (vpn_lo + pages) (leaf_vpn + Addr.pages_per_pmd) in
@@ -71,6 +71,7 @@ let sweep_leaves pt ~vpn_lo ~pages ~gl_lo ~gl_hi ~shard ~(cost : Cost_model.t)
           checksum := Int64.add !checksum (mix ~vpn ~pte)
         end
       done
+    end
   done;
   Perf.bump perf Pt_walks !leaves;
   let cost_ns =

@@ -11,12 +11,6 @@ let align_up va = (va + page_size - 1) land lnot (page_size - 1)
 let align_down va = va land lnot (page_size - 1)
 let pages_spanned len = (len + page_size - 1) lsr page_shift
 
-let index ~level va =
-  (va lsr (page_shift + (level * level_bits))) land (entries_per_table - 1)
-
-let pte_index va = index ~level:0 va
-let pmd_index va = index ~level:1 va
-let pud_index va = index ~level:2 va
-let p4d_index va = index ~level:3 va
-let pgd_index va = index ~level:4 va
+let pte_index va = page_number va land (entries_per_table - 1)
+let pmd_number va = va lsr (page_shift + level_bits)
 let pp ppf va = Format.fprintf ppf "0x%x" va

@@ -1,9 +1,10 @@
 (** Virtual-address arithmetic for the simulated x86-64-style MMU.
 
     Addresses are plain [int]s (OCaml's 63-bit ints comfortably cover the
-    48-bit canonical space).  Pages are 4 KiB and the radix tree has four
-    levels of 512 entries each, exactly as in the paper's Algorithm 1
-    (PGD -> P4D -> PUD -> PMD -> PTE). *)
+    48-bit canonical space).  Pages are 4 KiB.  The cost model charges the
+    four-level walk of the paper's Algorithm 1 (PGD -> P4D -> PUD -> PMD ->
+    PTE, 512 entries a level); the host structure behind it is a leaf
+    index keyed by {!pmd_number}. *)
 
 val page_size : int
 (** 4096 bytes. *)
@@ -34,15 +35,12 @@ val align_down : int -> int
 val pages_spanned : int -> int
 (** [pages_spanned len] is ⌈len / page_size⌉. *)
 
-val pgd_index : int -> int
-
-val p4d_index : int -> int
-
-val pud_index : int -> int
-
-val pmd_index : int -> int
-
 val pte_index : int -> int
+(** Slot of the page in its PTE leaf table. *)
+
+val pmd_number : int -> int
+(** Which 2 MiB PMD region the address lies in: the key of the page
+    table's leaf index. *)
 
 val pp : Format.formatter -> int -> unit
 (** Hexadecimal rendering. *)

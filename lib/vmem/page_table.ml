@@ -11,7 +11,7 @@
    slots, the overlap rotation) only ever write already-mapped values
    over already-mapped values, so they cannot invalidate it.  The
    svagc_check oracle re-derives the bitset from the PTE array
-   (see [iter_leaf_records]) to enforce exactly that. *)
+   (see [bitset_violations]) to enforce exactly that. *)
 
 type leaf = {
   ptes : Pte.value array;
@@ -19,11 +19,18 @@ type leaf = {
   mutable mapped_count : int;
 }
 
-type node =
-  | Dir of node option array
-  | Leaf of leaf
+module Index = Svagc_util.Addr_index
+module Vec = Svagc_util.Vec
 
-type t = { root : node option array }
+(* The host structure is a leaf index: the cost model charges Algorithm
+   1's four-level walk, but the host keeps only the leaves, keyed by PMD
+   number.  [pmds] holds the same keys in ascending order for the walks;
+   leaves are never removed and a PMD swap only exchanges two values, so
+   it only ever grows. *)
+type t = {
+  leaves : leaf Index.t;
+  pmds : int Vec.t;
+}
 
 let word_bits = 32
 let words_per_leaf = Addr.entries_per_table / word_bits
@@ -42,67 +49,32 @@ let make_leaf () =
     mapped_count = 0;
   }
 
-let create () = { root = Array.make Addr.entries_per_table None }
-
-let indices va =
-  (Addr.pgd_index va, Addr.p4d_index va, Addr.pud_index va, Addr.pmd_index va)
-
 (* Stands in for a missing leaf: every PTE is [Pte.none], and nothing
-   ever writes through it.  Also the filler of unused run-buffer slots. *)
+   ever writes through it.  Also the filler of the index and of unused
+   run-buffer slots. *)
 let no_leaf = make_leaf ()
 
-(* The leaf covering [va], or [no_leaf] when a level is missing.  It
-   allocates nothing: every frame-resolving access looks a page up here. *)
-let leaf_at t va =
-  match t.root.(Addr.pgd_index va) with
-  | Some (Dir p4d) -> (
-    match p4d.(Addr.p4d_index va) with
-    | Some (Dir pud) -> (
-      match pud.(Addr.pud_index va) with
-      | Some (Dir pmd) -> (
-        match pmd.(Addr.pmd_index va) with
-        | Some (Leaf leaf) -> leaf
-        | Some (Dir _) | None -> no_leaf)
-      | Some (Leaf _) | None -> no_leaf)
-    | Some (Leaf _) | None -> no_leaf)
-  | Some (Leaf _) | None -> no_leaf
+let create () = { leaves = Index.create no_leaf; pmds = Vec.create () }
 
-let find_leaf_record t va =
-  let leaf = leaf_at t va in
-  if leaf == no_leaf then None else Some leaf
+(* One probe of the index; allocates nothing and writes nothing, so
+   concurrent readers are safe while no domain writes. *)
+let leaf_at t va = Index.find_or_filler t.leaves (Addr.pmd_number va)
 
-let find_leaf t va =
-  match find_leaf_record t va with
-  | Some leaf -> Some leaf.ptes
-  | None -> None
-
-(* The directory below slot [i] of [entries], created when missing. *)
-let ensure_dir entries i =
-  match entries.(i) with
-  | Some (Dir sub) -> sub
-  | Some (Leaf _) -> invalid_arg "Page_table: leaf found at directory level"
-  | None ->
-    let sub = Array.make Addr.entries_per_table None in
-    entries.(i) <- Some (Dir sub);
-    sub
-
-(* An existing leaf comes back through [leaf_at]; only a missing level
-   takes the creating walk. *)
-let ensure_leaf_record t va =
+let ensure_leaf t va =
   let leaf = leaf_at t va in
   if leaf != no_leaf then leaf
   else begin
-    let p4d = ensure_dir t.root (Addr.pgd_index va) in
-    let pud = ensure_dir p4d (Addr.p4d_index va) in
-    let pmd = ensure_dir pud (Addr.pud_index va) in
-    let i_pmd = Addr.pmd_index va in
-    match pmd.(i_pmd) with
-    | Some (Leaf leaf) -> leaf
-    | Some (Dir _) -> invalid_arg "Page_table: directory found at leaf level"
-    | None ->
-      let leaf = make_leaf () in
-      pmd.(i_pmd) <- Some (Leaf leaf);
-      leaf
+    let leaf = make_leaf () and pmd = Addr.pmd_number va in
+    Index.replace t.leaves pmd leaf;
+    (* Insertion sort; heaps grow upward, so the loop rarely runs. *)
+    Vec.push t.pmds pmd;
+    let i = ref (Vec.length t.pmds - 1) in
+    while !i > 0 && Vec.get t.pmds (!i - 1) > pmd do
+      Vec.set t.pmds !i (Vec.get t.pmds (!i - 1));
+      decr i
+    done;
+    Vec.set t.pmds !i pmd;
+    leaf
   end
 
 let get_pte t va = (leaf_at t va).ptes.(Addr.pte_index va)
@@ -170,38 +142,18 @@ let swap_pte_runs leaf_a ~start_a leaf_b ~start_b ~len =
     Array.unsafe_set leaf_b (start_b + i) a
   done
 
-let pmd_slot t va =
-  let i_pgd, i_p4d, i_pud, i_pmd = indices va in
-  let step slot =
-    match slot with
-    | Some (Dir entries) -> Some entries
-    | Some (Leaf _) | None -> None
-  in
-  match step t.root.(i_pgd) with
-  | None -> None
-  | Some p4d -> (
-    match step p4d.(i_p4d) with
-    | None -> None
-    | Some pud -> (
-      match step pud.(i_pud) with
-      | None -> None
-      | Some pmd -> Some (pmd, i_pmd)))
-
 let swap_pmd_entries t va_a va_b =
   let aligned va = Addr.pte_index va = 0 && Addr.page_offset va = 0 in
   if not (aligned va_a && aligned va_b) then
     invalid_arg "Page_table.swap_pmd_entries: addresses must be PMD-aligned";
-  match (pmd_slot t va_a, pmd_slot t va_b) with
-  | Some (pmd_a, i_a), Some (pmd_b, i_b) -> (
-    match (pmd_a.(i_a), pmd_b.(i_b)) with
-    | (Some (Leaf _) as a), (Some (Leaf _) as b) ->
-      pmd_a.(i_a) <- b;
-      pmd_b.(i_b) <- a
-    | _ -> invalid_arg "Page_table.swap_pmd_entries: no leaf at PMD slot")
-  | _ -> invalid_arg "Page_table.swap_pmd_entries: no leaf at PMD slot"
+  let a = leaf_at t va_a and b = leaf_at t va_b in
+  if a == no_leaf || b == no_leaf then
+    invalid_arg "Page_table.swap_pmd_entries: no leaf at PMD slot";
+  Index.replace t.leaves (Addr.pmd_number va_a) b;
+  Index.replace t.leaves (Addr.pmd_number va_b) a
 
 let set_pte t va v =
-  let leaf = ensure_leaf_record t va in
+  let leaf = ensure_leaf t va in
   let idx = Addr.pte_index va in
   let old = leaf.ptes.(idx) in
   leaf.ptes.(idx) <- v;
@@ -257,33 +209,28 @@ let run_buf_push buf leaf ~start ~len =
   buf.rb_pack.(n) <- (start lsl 10) lor len;
   buf.rb_n <- n + 1
 
-(* Every mapped PTE (present or swapped) in ascending vpn order, as
-   [f vpn pte]: directories walk by index, and a leaf is read through its
-   presence words, so its unmapped entries are never loaded.  A vpn is
-   rebuilt from the index path. *)
-let rec iter_dir entries base f =
-  for i = 0 to Array.length entries - 1 do
-    match entries.(i) with
-    | None -> ()
-    | Some (Dir sub) -> iter_dir sub ((base * Addr.entries_per_table) + i) f
-    | Some (Leaf leaf) -> iter_leaf leaf ((base * Addr.entries_per_table) + i) f
-  done
+(* Every leaf with its PMD number, in ascending PMD order. *)
+let iter_leaves t f = Vec.iter (fun pmd -> f pmd (Index.find t.leaves pmd)) t.pmds
 
-and iter_leaf leaf base f =
-  let first_vpn = base * Addr.entries_per_table in
-  for w = 0 to words_per_leaf - 1 do
-    let bits = ref leaf.mapped_words.(w) in
-    while !bits <> 0 do
-      (* Lowest set bit first: ascending index order. *)
-      let low = !bits land (- !bits) in
-      let i = (w * word_bits) + popcount32 (low - 1) in
-      f (first_vpn + i) leaf.ptes.(i);
-      bits := !bits lxor low
-    done
-  done
+(* Every mapped PTE (present or swapped) in ascending vpn order, as
+   [f vpn pte]: a leaf is read through its presence words, so its
+   unmapped entries are never loaded. *)
+let iter_ptes t f =
+  iter_leaves t (fun pmd leaf ->
+      let first_vpn = pmd * Addr.entries_per_table in
+      for w = 0 to words_per_leaf - 1 do
+        let bits = ref leaf.mapped_words.(w) in
+        while !bits <> 0 do
+          (* Lowest set bit first: ascending index order. *)
+          let low = !bits land (- !bits) in
+          let i = (w * word_bits) + popcount32 (low - 1) in
+          f (first_vpn + i) leaf.ptes.(i);
+          bits := !bits lxor low
+        done
+      done)
 
 let iter_mapped t ~f =
-  iter_dir t.root 0 (fun vpn v ->
+  iter_ptes t (fun vpn v ->
       if Pte.is_present v then f ~vpn ~frame:(Pte.frame_exn v))
 
 let mapped_pages t =
@@ -294,7 +241,7 @@ let mapped_pages t =
 (* The non-present half of the encoding: the svagc_check reclaim oracle
    uses this to account for every swap slot a table references. *)
 let iter_swapped t ~f =
-  iter_dir t.root 0 (fun vpn v ->
+  iter_ptes t (fun vpn v ->
       if Pte.is_swapped v then f ~vpn ~slot:(Pte.swap_slot_exn v))
 
 let swapped_pages t =
@@ -302,24 +249,11 @@ let swapped_pages t =
   iter_swapped t ~f:(fun ~vpn:_ ~slot:_ -> incr n);
   !n
 
-let iter_leaf_records t ~f =
-  let rec walk node =
-    match node with
-    | Leaf leaf -> f leaf
-    | Dir entries ->
-      Array.iter
-        (fun slot -> match slot with None -> () | Some child -> walk child)
-        entries
-  in
-  Array.iter
-    (fun slot -> match slot with None -> () | Some child -> walk child)
-    t.root
-
 (* Oracle for the bitset invariant: recompute every leaf's presence words
    from its PTE array.  Returns the number of inconsistent leaves. *)
 let bitset_violations t =
   let bad = ref 0 in
-  iter_leaf_records t ~f:(fun leaf ->
+  iter_leaves t (fun _ leaf ->
       let count = ref 0 in
       let ok = ref true in
       for w = 0 to words_per_leaf - 1 do

@@ -1,8 +1,10 @@
-(** Four-level radix page table (PGD -> P4D -> PUD -> PMD -> PTE leaf).
+(** Page table: the PTE leaves, indexed by PMD number.
 
-    The structure mirrors Algorithm 1's walk: each [getPTE] descends four
-    directory levels to reach the leaf array of PTE words.  The leaf array
-    is exposed on purpose — the paper's PMD-caching optimization consists of
+    The cost model charges Algorithm 1's four-level walk (PGD -> P4D ->
+    PUD -> PMD -> PTE) for each [getPTE]; the host reaches a leaf with
+    one probe of an {!Svagc_util.Addr_index} keyed by {!Addr.pmd_number}
+    and keeps the keys sorted for the ascending walks.  The leaf array is
+    exposed on purpose — the paper's PMD-caching optimization consists of
     holding on to that array across consecutive pages, and SwapVA swaps
     slots inside it. *)
 
@@ -18,12 +20,13 @@ type leaf
 
 val create : unit -> t
 
-val find_leaf : t -> int -> Pte.value array option
-(** [find_leaf t va] is the PTE leaf table covering [va], if the directory
-    path exists.  Performs no allocation. *)
+val no_leaf : leaf
+(** What {!leaf_at} returns where no leaf exists: every PTE is
+    [Pte.none].  Compare with [==]; never write through it. *)
 
-val find_leaf_record : t -> int -> leaf option
-(** Like {!find_leaf} but returning the leaf with its presence bitset. *)
+val leaf_at : t -> int -> leaf
+(** [leaf_at t va] is the leaf covering [va], or {!no_leaf}.  Allocates
+    nothing and writes nothing. *)
 
 val leaf_ptes : leaf -> Pte.value array
 
@@ -44,13 +47,12 @@ val swap_pte_runs :
     @raise Invalid_argument on out-of-bounds or overlapping slices. *)
 
 val swap_pmd_entries : t -> int -> int -> unit
-(** Exchange the PMD-level directory entries (whole 512-PTE leaf tables) of
-    two PMD-aligned addresses: the O(1) leaf-swap fast path.  Both slots
-    must hold leaf tables.
+(** Exchange the whole 512-PTE leaf tables of two PMD-aligned addresses:
+    the O(1) leaf-swap fast path.  Both slots must hold leaf tables.
     @raise Invalid_argument when unaligned or either slot has no leaf. *)
 
 val set_pte : t -> int -> Pte.value -> unit
-(** Creates the directory path if needed. *)
+(** Creates the leaf if needed. *)
 
 val translate : t -> int -> (int * int) option
 (** [translate t va] is [Some (frame, offset)] when mapped.  A swapped

@@ -4,18 +4,20 @@
    stay under [ceiling_words].
 
    The ceiling is the measured slope plus a stated slack.  With sparse
-   page payloads the slope is about 8,650 words (69 KB) per tenant; when
-   every touched frame held a whole 4 KiB page it was about 16,200 words
-   (130 KB), which this test rejects.  The slack (27%) covers changes in
-   the OCaml runtime's heap growth policy, not in the simulator: the runs
-   are deterministic. *)
+   page payloads and the page table kept as a leaf index the slope is
+   about 6,250 words (50 KB) per tenant.  This test rejects the earlier
+   layouts: about 8,650 words while each page table was a four-level
+   tree of 512-slot directories, and about 16,200 words (130 KB) when
+   every touched frame held a whole 4 KiB page.  The slack (27%) covers
+   changes in the OCaml runtime's heap growth policy, not in the
+   simulator: the runs are deterministic. *)
 
 module Fleet = Svagc_fleet.Fleet
 module Exp_common = Svagc_experiments.Exp_common
 
 let small = 100
 let large = 400
-let ceiling_words = 11_000
+let ceiling_words = 7_950
 
 let top_heap_after tenants =
   ignore

@@ -28,12 +28,10 @@ let test_addr_pages_spanned () =
   Alcotest.(check int) "zero" 0 (Addr.pages_spanned 0)
 
 let test_addr_indices () =
-  (* A known decomposition: vpn = pte + 512*pmd + 512^2*pud + ... *)
+  (* A known decomposition: vpn = pte + 512 * pmd number. *)
   let va = Addr.of_page ((3 * 512 * 512) + (5 * 512) + 7) in
   Alcotest.(check int) "pte" 7 (Addr.pte_index va);
-  Alcotest.(check int) "pmd" 5 (Addr.pmd_index va);
-  Alcotest.(check int) "pud" 3 (Addr.pud_index va);
-  Alcotest.(check int) "p4d" 0 (Addr.p4d_index va)
+  Alcotest.(check int) "pmd number" ((3 * 512) + 5) (Addr.pmd_number va)
 
 let prop_addr_roundtrip =
   qtest "addr: of_page/page_number roundtrip"
@@ -418,13 +416,31 @@ let test_pt_leaf_sharing () =
   let va = Addr.of_page 1000 in
   Page_table.set_pte pt va (Pte.make ~frame:1);
   Page_table.set_pte pt (va + Addr.page_size) (Pte.make ~frame:2);
-  match Page_table.find_leaf pt va with
-  | None -> Alcotest.fail "leaf missing"
-  | Some leaf ->
-    (* Both pages are in the same PMD region, hence the same leaf array. *)
-    Alcotest.(check int) "slot 1" 1 (Pte.frame_exn leaf.(Addr.pte_index va));
-    Alcotest.(check int) "slot 2" 2
-      (Pte.frame_exn leaf.(Addr.pte_index (va + Addr.page_size)))
+  let leaf = Page_table.leaf_at pt va in
+  Alcotest.(check bool) "leaf exists" true (leaf != Page_table.no_leaf);
+  Alcotest.(check bool) "no leaf elsewhere" true
+    (Page_table.leaf_at pt (Addr.of_page 5000) == Page_table.no_leaf);
+  (* Both pages are in the same PMD region, hence the same leaf array. *)
+  let ptes = Page_table.leaf_ptes leaf in
+  Alcotest.(check int) "slot 1" 1 (Pte.frame_exn ptes.(Addr.pte_index va));
+  Alcotest.(check int) "slot 2" 2
+    (Pte.frame_exn ptes.(Addr.pte_index (va + Addr.page_size)))
+
+let test_pt_swap_pmd_errors () =
+  let pt = Page_table.create () in
+  let a = Addr.of_page 512 and b = Addr.of_page 1024 in
+  Page_table.set_pte pt a (Pte.make ~frame:1);
+  Alcotest.check_raises "unaligned"
+    (Invalid_argument "Page_table.swap_pmd_entries: addresses must be PMD-aligned")
+    (fun () -> Page_table.swap_pmd_entries pt a (b + Addr.page_size));
+  Alcotest.check_raises "no leaf"
+    (Invalid_argument "Page_table.swap_pmd_entries: no leaf at PMD slot")
+    (fun () -> Page_table.swap_pmd_entries pt a b);
+  Page_table.set_pte pt (b + Addr.page_size) (Pte.make ~frame:2);
+  Page_table.swap_pmd_entries pt a b;
+  Alcotest.(check int) "moved to b" 1 (Pte.frame_exn (Page_table.get_pte pt b));
+  Alcotest.(check int) "moved to a" 2
+    (Pte.frame_exn (Page_table.get_pte pt (a + Addr.page_size)))
 
 let test_pt_iter_mapped () =
   let pt = Page_table.create () in
@@ -438,40 +454,98 @@ let test_pt_iter_mapped () =
 
 module Int_map = Map.Make (Int)
 
+type pt_op =
+  | Write of int * int  (* vpn, kind: 0 none, 1 present, 2 swapped *)
+  | Swap of int * int  (* ranks among the existing leaves *)
+
 (* The walks read leaves through their presence words; they must still
    yield exactly the present (resp. swapped) entries, in ascending vpn
-   order.  Vpns cluster around bases in different leaves, PMDs, PUDs and
-   PGD slots, and each write leaves a page present, swapped or none. *)
+   order, however the leaves came to be.  Vpns cluster around bases far
+   apart, and each write leaves a page present, swapped or none.  Before
+   the writes, every reachable leaf may be made in descending or in
+   interleaved (highest, lowest, next highest, ...) PMD order, and swaps
+   of two whole leaves fall between the writes. *)
 let prop_pt_walks =
   let bases = [| 0; 512; 3 * 512; 1 lsl 18; (1 lsl 27) + 7; 1 lsl 36 |] in
-  let write =
+  let span = 600 in
+  let op =
     QCheck.Gen.(
-      map3
-        (fun b off kind -> (bases.(b) + off, kind))
-        (int_bound (Array.length bases - 1))
-        (int_bound 600) (int_bound 2))
+      frequency
+        [
+          ( 6,
+            map3
+              (fun b off kind -> Write (bases.(b) + off, kind))
+              (int_bound (Array.length bases - 1))
+              (int_bound span) (int_bound 2) );
+          (1, map2 (fun i j -> Swap (i, j)) (int_bound 15) (int_bound 15));
+        ])
+  in
+  let print_op = function
+    | Write (vpn, kind) -> Printf.sprintf "write %d %d" vpn kind
+    | Swap (i, j) -> Printf.sprintf "swap %d %d" i j
+  in
+  let reachable =
+    Array.to_list bases
+    |> List.concat_map (fun b -> [ b / 512; (b + span) / 512 ])
+    |> List.sort_uniq (fun a b -> compare b a)
+  in
+  let rec interleave = function
+    | [] -> []
+    | hi :: rest -> hi :: interleave (List.rev rest)
   in
   qtest ~count:100 "walks yield the present and swapped pages in order"
     (QCheck.make
-       ~print:QCheck.Print.(list (pair int int))
-       QCheck.Gen.(list_size (int_range 1 300) write))
-    (fun writes ->
+       ~print:QCheck.Print.(pair int (list print_op))
+       QCheck.Gen.(pair (int_bound 2) (list_size (int_range 1 300) op)))
+    (fun (order, ops) ->
       let pt = Page_table.create () in
       let present = ref Int_map.empty and swapped = ref Int_map.empty in
+      let leaves = ref Int_map.empty in
+      let touch pmd = leaves := Int_map.add pmd () !leaves in
+      let move pa pb m =
+        Int_map.fold
+          (fun vpn x acc ->
+            let p = vpn / 512 in
+            let d = if p = pa then pb - pa else if p = pb then pa - pb else 0 in
+            Int_map.add (vpn + (d * 512)) x acc)
+          m Int_map.empty
+      in
+      let first =
+        match order with 0 -> [] | 1 -> reachable | _ -> interleave reachable
+      in
+      List.iter
+        (fun pmd ->
+          Page_table.set_pte pt (Addr.of_page (pmd * 512)) Pte.none;
+          touch pmd)
+        first;
       List.iteri
-        (fun n (vpn, kind) ->
-          let va = Addr.of_page vpn in
-          present := Int_map.remove vpn !present;
-          swapped := Int_map.remove vpn !swapped;
-          match kind with
-          | 0 -> Page_table.set_pte pt va Pte.none
-          | 1 ->
-            Page_table.set_pte pt va (Pte.make ~frame:n);
-            present := Int_map.add vpn n !present
-          | _ ->
-            Page_table.set_pte pt va (Pte.make_swapped ~slot:n);
-            swapped := Int_map.add vpn n !swapped)
-        writes;
+        (fun n op ->
+          match op with
+          | Swap (i, j) ->
+            let pmds = Array.of_list (List.map fst (Int_map.bindings !leaves)) in
+            let k = Array.length pmds in
+            if k > 0 then begin
+              let pa = pmds.(i mod k) and pb = pmds.(j mod k) in
+              Page_table.swap_pmd_entries pt
+                (Addr.of_page (pa * 512))
+                (Addr.of_page (pb * 512));
+              present := move pa pb !present;
+              swapped := move pa pb !swapped
+            end
+          | Write (vpn, kind) -> (
+            let va = Addr.of_page vpn in
+            touch (vpn / 512);
+            present := Int_map.remove vpn !present;
+            swapped := Int_map.remove vpn !swapped;
+            match kind with
+            | 0 -> Page_table.set_pte pt va Pte.none
+            | 1 ->
+              Page_table.set_pte pt va (Pte.make ~frame:n);
+              present := Int_map.add vpn n !present
+            | _ ->
+              Page_table.set_pte pt va (Pte.make_swapped ~slot:n);
+              swapped := Int_map.add vpn n !swapped))
+        ops;
       let walk iter =
         let seen = ref [] in
         iter (fun vpn x -> seen := (vpn, x) :: !seen);
@@ -1011,6 +1085,7 @@ let () =
         [
           Alcotest.test_case "get/set/translate" `Quick test_pt_get_set;
           Alcotest.test_case "leaf sharing" `Quick test_pt_leaf_sharing;
+          Alcotest.test_case "swap_pmd_entries errors" `Quick test_pt_swap_pmd_errors;
           Alcotest.test_case "iter mapped" `Quick test_pt_iter_mapped;
           prop_pt_walks;
           prop_pt_model;
