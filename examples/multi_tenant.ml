@@ -27,7 +27,7 @@ let co_run ~instances collector_of =
   let multi =
     Multi_jvm.create machine ~instances ~spawn:(fun ~index machine ->
         let jvm =
-          Runner.make_jvm ~stamp_headers:false ~machine ~collector_of workload
+          Runner.make_jvm ~machine ~collector_of workload
         in
         steppers.(index) <-
           workload.Workload.setup jvm (Svagc_util.Rng.create ~seed:(77 + index));

@@ -22,11 +22,9 @@ type t = {
 }
 
 let create machine ~name ~heap_bytes ?(threshold_pages = 10)
-    ?(stamp_headers = true) ~collector_of () =
+    ~collector_of () =
   let proc = Process.create ~name machine in
-  let heap =
-    Heap.create proc ~threshold_pages ~stamp_headers ~size_bytes:heap_bytes ()
-  in
+  let heap = Heap.create proc ~threshold_pages ~size_bytes:heap_bytes () in
   {
     name;
     proc;

@@ -17,7 +17,6 @@ val create :
   name:string ->
   heap_bytes:int ->
   ?threshold_pages:int ->
-  ?stamp_headers:bool ->
   collector_of:(Heap.t -> Svagc_gc.Gc_intf.t) ->
   unit ->
   t

@@ -56,6 +56,15 @@ let suite_run ~quick kind ~heap_factor workload =
     Hashtbl.replace cache key r;
     r
 
+let baseline_rows ~quick ~heap_factor =
+  List.map
+    (fun w ->
+      let sva = suite_run ~quick Svagc ~heap_factor w in
+      let par = suite_run ~quick Parallelgc ~heap_factor w in
+      let shen = suite_run ~quick Shenandoah ~heap_factor w in
+      (w.Workload.name, shen, par, sva))
+    (suite ~quick)
+
 let geomean_ratio pairs ~metric =
   Svagc_util.Num_util.geomean
     (List.map

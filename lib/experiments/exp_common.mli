@@ -33,6 +33,17 @@ val suite : quick:bool -> Svagc_workloads.Workload.t list
 (** The Fig. 11 / Table III benchmark list; [quick] trims it to a
     representative subset so `dune runtest` stays fast. *)
 
+val baseline_rows :
+  quick:bool ->
+  heap_factor:float ->
+  (string
+  * Svagc_workloads.Runner.result
+  * Svagc_workloads.Runner.result
+  * Svagc_workloads.Runner.result)
+  list
+(** One [(benchmark, shenandoah, parallelgc, svagc)] row per {!suite}
+    benchmark, from {!suite_run} — the grid of Figs. 12, 13 and 16. *)
+
 val geomean_ratio :
   (Svagc_workloads.Runner.result * Svagc_workloads.Runner.result) list ->
   metric:(Svagc_workloads.Runner.result -> float) ->

@@ -13,6 +13,8 @@ open Svagc_vmem
 module Generational = Svagc_gc.Generational
 module Semispace = Svagc_gc.Semispace
 module Compact = Svagc_gc.Compact
+module Gc_stats = Svagc_gc.Gc_stats
+module Check = Svagc_check.Check
 module Move_object = Svagc_core.Move_object
 module Config = Svagc_core.Config
 module Process = Svagc_kernel.Process
@@ -42,19 +44,23 @@ let minor_case ~swapva =
   let mover =
     if swapva then Move_object.mover Config.default else Compact.memmove_mover
   in
-  Generational.minor gen ~mover
+  let cycle = Generational.minor gen ~mover in
+  List.iter
+    (Check.post_gc ~label:"minor" (Generational.old_space gen))
+    (Generational.minors gen);
+  cycle
 
 let minor_rows () =
   let mm = minor_case ~swapva:false in
   let sv = minor_case ~swapva:true in
+  let pause = Gc_stats.pause_ns in
   [
-    [ "minor pause"; Report.ns mm.Generational.pause_ns;
-      Report.ns sv.Generational.pause_ns;
-      Report.speedup (mm.Generational.pause_ns /. sv.Generational.pause_ns) ];
-    [ "promoted objects"; string_of_int mm.Generational.promoted_objects;
-      string_of_int sv.Generational.promoted_objects; "" ];
-    [ "promoted via SwapVA"; string_of_int mm.Generational.swapped_objects;
-      string_of_int sv.Generational.swapped_objects; "" ];
+    [ "minor pause"; Report.ns (pause mm); Report.ns (pause sv);
+      Report.speedup (pause mm /. pause sv) ];
+    [ "promoted objects"; string_of_int mm.Gc_stats.moved_objects;
+      string_of_int sv.Gc_stats.moved_objects; "" ];
+    [ "promoted via SwapVA"; string_of_int mm.Gc_stats.swapped_objects;
+      string_of_int sv.Gc_stats.swapped_objects; "" ];
   ]
 
 (* --- 2. concurrent evacuation --- *)
@@ -82,22 +88,21 @@ let evac_case ~swapva =
           flush = Svagc_kernel.Shootdown.Process_targeted }
     else Compact.memmove_mover
   in
-  Semispace.collect semi ~mover
+  let cycle = Semispace.collect semi ~mover in
+  List.iter (Check.post_gc ~label:"semispace" heap) (Semispace.cycles semi);
+  cycle
 
 let evac_rows () =
   let mm = evac_case ~swapva:false in
   let sv = evac_case ~swapva:true in
+  let pause = Gc_stats.pause_ns in
+  let work c = pause c +. c.Gc_stats.concurrent_ns in
   [
-    [ "cycle work (pause + concurrent)";
-      Report.ns (mm.Semispace.pause_ns +. mm.Semispace.concurrent_ns);
-      Report.ns (sv.Semispace.pause_ns +. sv.Semispace.concurrent_ns);
-      Report.speedup
-        ((mm.Semispace.pause_ns +. mm.Semispace.concurrent_ns)
-        /. (sv.Semispace.pause_ns +. sv.Semispace.concurrent_ns)) ];
-    [ "stop-the-world slice"; Report.ns mm.Semispace.pause_ns;
-      Report.ns sv.Semispace.pause_ns; "" ];
-    [ "relocated via SwapVA"; string_of_int mm.Semispace.swapped_objects;
-      string_of_int sv.Semispace.swapped_objects; "" ];
+    [ "cycle work (pause + concurrent)"; Report.ns (work mm); Report.ns (work sv);
+      Report.speedup (work mm /. work sv) ];
+    [ "stop-the-world slice"; Report.ns (pause mm); Report.ns (pause sv); "" ];
+    [ "relocated via SwapVA"; string_of_int mm.Gc_stats.swapped_objects;
+      string_of_int sv.Gc_stats.swapped_objects; "" ];
   ]
 
 (* --- 3. NVM wear --- *)

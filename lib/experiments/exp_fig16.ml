@@ -9,15 +9,7 @@ module Table = Svagc_metrics.Table
 
 let print_factor ~quick ~heap_factor ~label ~paper_par ~paper_shen =
   Report.subsection label;
-  let rows =
-    List.map
-      (fun w ->
-        let sva = Exp_common.suite_run ~quick Exp_common.Svagc ~heap_factor w in
-        let par = Exp_common.suite_run ~quick Exp_common.Parallelgc ~heap_factor w in
-        let shen = Exp_common.suite_run ~quick Exp_common.Shenandoah ~heap_factor w in
-        (w.Svagc_workloads.Workload.name, shen, par, sva))
-      (Exp_common.suite ~quick)
-  in
+  let rows = Exp_common.baseline_rows ~quick ~heap_factor in
   Table.print
     ~headers:[ "benchmark"; "Shen t/ms"; "Par t/ms"; "SVAGC t/ms"; "vs Par"; "vs Shen" ]
     (List.map

@@ -25,7 +25,7 @@ let run_one ~collector ~instances ~steps =
   let multi =
     Multi_jvm.create machine ~instances ~spawn:(fun ~index machine ->
         let jvm =
-          Runner.make_jvm ~heap_factor:1.2 ~stamp_headers:false ~machine
+          Runner.make_jvm ~heap_factor:1.2 ~machine
             ~collector_of:(Exp_common.collector_of collector) workload
         in
         let rng = Svagc_util.Rng.create ~seed:(1000 + index) in

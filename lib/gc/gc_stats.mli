@@ -1,9 +1,10 @@
 (** Per-cycle and aggregate GC accounting.
 
-    A full-GC cycle produces one {!cycle}: the four LISP2 phase times (the
+    Every collection produces one {!cycle}: the four LISP2 phase times (the
     paper's Fig. 1 breakdown), the moved-byte counters, and the part of the
     cycle's work that ran concurrently with the application (non-zero only
-    for the Shenandoah-style collector). *)
+    for [Semispace]).  The copying collectors ([Evacuate]) charge no
+    forward time: placement is part of the move. *)
 
 type cycle = {
   mark_ns : float;

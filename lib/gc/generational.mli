@@ -2,8 +2,9 @@
     "Minor (copying)" row of the paper's Table I.
 
     The young space is a bump-allocated nursery; a minor collection copies
-    every reachable young object into the old space and resets the
-    nursery.  Young and old occupy disjoint address ranges, so:
+    every reachable young object into the old space through {!Evacuate}
+    and resets the nursery.  Young and old occupy disjoint address ranges,
+    so:
 
     - plain SwapVA applies (the ranges never overlap — the Table I "-" for
       the overlapping optimization),
@@ -13,28 +14,15 @@
 
     Old-to-young references are found by scanning old objects' reference
     slots (a remembered set / card table is modeled as a scan cost; the
-    set of discovered roots is exact).  Old-space exhaustion triggers a
-    full LISP2 collection of the old space through any {!Compact.mover}. *)
+    set of discovered roots is exact).  The old space is never collected:
+    a promotion that does not fit is {!Out_of_memory}. *)
 
 open Svagc_heap
 
 type t
 
-type minor_stats = {
-  pause_ns : float;
-  promoted_objects : int;
-  promoted_bytes : int;
-  swapped_objects : int;  (** promoted via SwapVA *)
-  reclaimed_bytes : int;
-}
-
 val create :
-  Svagc_kernel.Process.t ->
-  ?threshold_pages:int ->
-  young_bytes:int ->
-  old_bytes:int ->
-  unit ->
-  t
+  Svagc_kernel.Process.t -> young_bytes:int -> old_bytes:int -> unit -> t
 
 val young : t -> Heap.t
 
@@ -43,9 +31,10 @@ val old_space : t -> Heap.t
 exception Out_of_memory
 
 val alloc : t -> size:int -> n_refs:int -> cls:int -> Obj_model.t
-(** Allocate in the nursery; a full nursery triggers a minor collection
-    (and, if promotion fills the old space, a full collection).
-    @raise Out_of_memory when even that does not help. *)
+(** Allocate in the nursery; a full nursery triggers a minor collection,
+    and an object bigger than the emptied nursery is pretenured into the
+    old space.  @raise Out_of_memory when the survivors or the pretenured
+    object do not fit in the old space. *)
 
 val add_root : t -> Obj_model.t -> unit
 (** Root an object wherever it currently lives. *)
@@ -57,13 +46,13 @@ val set_ref : t -> Obj_model.t -> slot:int -> Obj_model.t option -> unit
 val deref : t -> Obj_model.t -> slot:int -> Obj_model.t option
 (** Resolves across both spaces. *)
 
-val minor : t -> mover:Compact.mover -> minor_stats
+val minor : t -> mover:Compact.mover -> Gc_stats.cycle
 (** One minor collection: trace the nursery from its roots plus the
     old-to-young references, promote survivors (moved through [mover]:
     SwapVA for page-aligned large objects, memmove otherwise), reset the
-    nursery. *)
+    nursery.  The cycle's [moved_objects] / [live_bytes] are the promoted
+    objects / bytes; it is all pause.
+    @raise Out_of_memory, before anything moves, when the survivors do
+    not fit in the old space. *)
 
-val full : t -> mover:Compact.mover -> Gc_stats.cycle
-(** Full LISP2 collection of the old space. *)
-
-val minors : t -> minor_stats list
+val minors : t -> Gc_stats.cycle list

@@ -7,21 +7,17 @@ type config = {
   threads : int;
   compact_threads : int;
   mover : Compact.mover;
-  concurrent_mark_fraction : float;
 }
 
 let config ?(label = "lisp2") ?(threads = 4) ?compact_threads
-    ?(mover = Compact.memmove_mover) ?(concurrent_mark_fraction = 0.0) () =
+    ?(mover = Compact.memmove_mover) () =
   if threads <= 0 then invalid_arg "Lisp2.config: threads must be positive";
-  if concurrent_mark_fraction < 0.0 || concurrent_mark_fraction > 1.0 then
-    invalid_arg "Lisp2.config: fraction out of range";
   {
     label;
     threads;
     compact_threads =
       (match compact_threads with Some c -> c | None -> threads);
     mover;
-    concurrent_mark_fraction;
   }
 
 module Tracer = Svagc_trace.Tracer
@@ -38,12 +34,8 @@ let collect cfg heap =
     ~args:[ ("threads", Event.Int cfg.threads) ]
     cfg.label;
   Tracer.span_begin ~cat:"gc" "mark";
-  let mark_total = Mark.run heap ~threads:cfg.threads in
-  let concurrent_ns = mark_total *. cfg.concurrent_mark_fraction in
-  let mark_ns = mark_total -. concurrent_ns in
-  Tracer.span_end
-    ~args:[ ("concurrent_ns", Event.Float concurrent_ns) ]
-    ~dur_ns:mark_ns ();
+  let mark_ns = Mark.run heap ~threads:cfg.threads in
+  Tracer.span_end ~dur_ns:mark_ns ();
   Tracer.span_begin ~cat:"gc" "forward";
   let fwd = Forward.run heap ~threads:cfg.threads in
   Tracer.span_end ~dur_ns:fwd.Forward.phase_ns ();
@@ -73,7 +65,7 @@ let collect cfg heap =
       forward_ns = fwd.Forward.phase_ns;
       adjust_ns;
       compact_ns = compact.Compact.phase_ns;
-      concurrent_ns;
+      concurrent_ns = 0.0;
       live_objects;
       live_bytes;
       reclaimed_bytes = max 0 (top_before - fwd.Forward.new_top);

@@ -1,10 +1,13 @@
 (** The four-phase LISP2 mark-compact full GC (§II of the paper), with
     parallelized phases and a pluggable compaction mover.
 
-    Every collector in this repository is an instance of this engine:
+    Every full collector in this repository is an instance of this engine:
     - baseline "Epsilon + parallel LISP2 (memmove)": {!Compact.memmove_mover}
     - SVAGC: the SwapVA mover from [Svagc_core.Move_object]
-    - ParallelGC / Shenandoah models: see [Parallel_gc] / [Shenandoah]. *)
+    - ParallelGC / Shenandoah models: see [Parallel_gc] / [Shenandoah].
+
+    The copying collectors ([Generational], [Semispace]) move through
+    {!Evacuate} instead. *)
 
 open Svagc_heap
 
@@ -13,9 +16,6 @@ type config = {
   threads : int;  (** GC threads for mark/forward/adjust *)
   compact_threads : int;  (** copy-phase threads (Shenandoah models 1) *)
   mover : Compact.mover;
-  concurrent_mark_fraction : float;
-      (** share of the mark phase that runs concurrently with the app
-          (0 for stop-the-world collectors) *)
 }
 
 val config :
@@ -23,12 +23,12 @@ val config :
   ?threads:int ->
   ?compact_threads:int ->
   ?mover:Compact.mover ->
-  ?concurrent_mark_fraction:float ->
   unit ->
   config
-(** Defaults: 4 threads, same compact threads, memmove mover, fully STW. *)
+(** Defaults: 4 threads, same compact threads, memmove mover. *)
 
 val collect : config -> Heap.t -> Gc_stats.cycle
-(** One full cycle: mark, forward, adjust, compact. *)
+(** One full cycle: mark, forward, adjust, compact, all stop-the-world
+    ([concurrent_ns] is 0). *)
 
 val collector : config -> Heap.t -> Gc_intf.t

@@ -1,6 +1,3 @@
-let collector ?(threads = 4) ?(concurrent_mark_fraction = 0.0) heap =
-  let cfg =
-    Lisp2.config ~label:"shenandoah" ~threads ~compact_threads:1
-      ~concurrent_mark_fraction ()
-  in
+let collector ?(threads = 4) heap =
+  let cfg = Lisp2.config ~label:"shenandoah" ~threads ~compact_threads:1 () in
   Lisp2.collector cfg heap

@@ -10,7 +10,6 @@ type t = {
   mutable top : int;
   mutable mapped_until : int;
   threshold_pages : int;
-  stamp_headers : bool;
   objects : Obj_model.t Vec.t;
   by_addr : Obj_model.t Addr_index.t;
   roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
@@ -26,8 +25,7 @@ let default_base = 4 * 1024 * 1024 * 1024
    alive by its old slot. *)
 let none = Obj_model.make ~id:0 ~addr:(-1) ~size:Obj_model.header_bytes ~cls:0 ~n_refs:0
 
-let create proc ?(base = default_base) ?(threshold_pages = 10)
-    ?(stamp_headers = true) ~size_bytes () =
+let create proc ?(base = default_base) ?(threshold_pages = 10) ~size_bytes () =
   if not (Addr.is_page_aligned base) then invalid_arg "Heap.create: unaligned base";
   if size_bytes <= 0 then invalid_arg "Heap.create: empty heap";
   if threshold_pages <= 0 then invalid_arg "Heap.create: threshold must be positive";
@@ -38,7 +36,6 @@ let create proc ?(base = default_base) ?(threshold_pages = 10)
     top = base;
     mapped_until = base;
     threshold_pages;
-    stamp_headers;
     objects = Vec.create ();
     by_addr = Addr_index.create none;
     roots = Hashtbl.create 64;
@@ -70,25 +67,20 @@ let account_waste t bytes =
   end
 
 let stamp_header t obj =
-  if t.stamp_headers then begin
-    let aspace = Process.aspace t.proc in
-    ensure_mapped_to t (obj.Obj_model.addr + Obj_model.header_bytes);
-    Address_space.write_i64 aspace ~va:obj.Obj_model.addr
-      (Int64.of_int obj.Obj_model.id);
-    Address_space.write_i64 aspace ~va:(obj.Obj_model.addr + 8)
-      (Int64.of_int obj.Obj_model.size)
-  end
+  let aspace = Process.aspace t.proc in
+  ensure_mapped_to t (obj.Obj_model.addr + Obj_model.header_bytes);
+  Address_space.write_i64 aspace ~va:obj.Obj_model.addr
+    (Int64.of_int obj.Obj_model.id);
+  Address_space.write_i64 aspace ~va:(obj.Obj_model.addr + 8)
+    (Int64.of_int obj.Obj_model.size)
 
 let header_matches t obj =
-  if not t.stamp_headers then true
-  else begin
-    let aspace = Process.aspace t.proc in
-    (* Peek, don't read: verifying a header must not demand-fault a
-       swapped page in (the audit under memory pressure stays passive). *)
-    let id = Address_space.peek_i64 aspace ~va:obj.Obj_model.addr in
-    let size = Address_space.peek_i64 aspace ~va:(obj.Obj_model.addr + 8) in
-    Int64.to_int id = obj.Obj_model.id && Int64.to_int size = obj.Obj_model.size
-  end
+  let aspace = Process.aspace t.proc in
+  (* Peek, don't read: verifying a header must not demand-fault a swapped
+     page in (the audit under memory pressure stays passive). *)
+  let id = Address_space.peek_i64 aspace ~va:obj.Obj_model.addr in
+  let size = Address_space.peek_i64 aspace ~va:(obj.Obj_model.addr + 8) in
+  Int64.to_int id = obj.Obj_model.id && Int64.to_int size = obj.Obj_model.size
 
 let register t obj =
   Vec.push t.objects obj;
@@ -169,13 +161,6 @@ let adopt t obj =
     invalid_arg "Heap.adopt: object range outside this heap";
   Vec.push t.objects obj;
   Addr_index.replace t.by_addr obj.Obj_model.addr obj
-
-let evict t obj =
-  Addr_index.remove t.by_addr obj.Obj_model.addr;
-  Hashtbl.remove t.roots obj.Obj_model.id;
-  (* One in-place compaction pass; an object registered twice (impossible
-     via [adopt]/[alloc]) would only lose its first slot. *)
-  ignore (Vec.remove_first (fun o -> o == obj) t.objects)
 
 let reset t =
   Vec.clear t.objects;

@@ -15,15 +15,14 @@ val create :
   Svagc_kernel.Process.t ->
   ?base:int ->
   ?threshold_pages:int ->
-  ?stamp_headers:bool ->
   size_bytes:int ->
   unit ->
   t
 (** A heap of [size_bytes] starting at [base] (default {!default_base},
     page aligned).  [threshold_pages] (default 10, the paper's break-even) is
-    the Algorithm 3 [Threshold_Swapping].  [stamp_headers] (default true)
-    writes each object's id/size into simulated memory — disable for very
-    large runs to keep host memory flat. *)
+    the Algorithm 3 [Threshold_Swapping].  Every object's id and size are
+    stamped into its header in simulated memory, which {!header_matches}
+    and {!audit} read back. *)
 
 val proc : t -> Svagc_kernel.Process.t
 
@@ -65,11 +64,6 @@ val adopt : t -> Obj_model.t -> unit
     its [addr] inside this heap — the promotion path: the object keeps its
     identity while changing spaces.  @raise Invalid_argument if the range
     is outside the heap. *)
-
-val evict : t -> Obj_model.t -> unit
-(** Remove an object from this heap's bookkeeping without touching its
-    bytes (the other half of a promotion).  Roots pointing at it are
-    dropped here and must be re-added on the destination heap if needed. *)
 
 val reset : t -> unit
 (** Empty the space: forget every object and root and pull the top back to

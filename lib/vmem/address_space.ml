@@ -235,14 +235,15 @@ let checksum t ~va ~len =
 let touch t ~core ~va =
   let c = Machine.core t.machine core in
   let vpn = Addr.page_number va in
+  let frame = Tlb.lookup c.Machine.tlb ~asid:t.asid ~vpn in
   let frame =
-    match Tlb.lookup c.Machine.tlb ~asid:t.asid ~vpn with
-    | Some frame ->
+    if frame >= 0 then begin
       (match t.machine.Machine.reclaim with
       | None -> ()
       | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
       frame
-    | None ->
+    end
+    else begin
       (* TLB miss: a swapped page demand-faults here (frame_of_exn runs
          the fault handler), after which the refill proceeds normally.
          Swap-out scrubs the page from every TLB, so a hit above always
@@ -250,6 +251,7 @@ let touch t ~core ~va =
       let frame = frame_of_exn t va in
       Tlb.insert c.Machine.tlb ~asid:t.asid ~vpn ~frame;
       frame
+    end
   in
   let pa = (frame * Addr.page_size) + Addr.page_offset va in
   Cache_sim.access t.machine.Machine.llc ~addr:pa

@@ -34,21 +34,22 @@ let create ?(entries = 64) ?(ways = 4) () =
 
 let set_of t vpn = t.sets.(vpn mod t.n_sets)
 
+(* Every matching way is stamped and the last one's frame wins; [insert]
+   only follows a miss, so at most one way matches in practice. *)
 let lookup t ~asid ~vpn =
   t.tick <- t.tick + 1;
   let set = set_of t vpn in
-  let found = ref None in
-  Array.iter
-    (fun e ->
-      if e.valid && e.asid = asid && e.vpn = vpn then begin
-        e.stamp <- t.tick;
-        found := Some e.frame
-      end)
-    set;
-  (match !found with
-  | Some _ -> t.st.hits <- t.st.hits + 1
-  | None -> t.st.misses <- t.st.misses + 1);
-  !found
+  let frame = ref (-1) in
+  for i = 0 to Array.length set - 1 do
+    let e = set.(i) in
+    if e.valid && e.asid = asid && e.vpn = vpn then begin
+      e.stamp <- t.tick;
+      frame := e.frame
+    end
+  done;
+  if !frame < 0 then t.st.misses <- t.st.misses + 1
+  else t.st.hits <- t.st.hits + 1;
+  !frame
 
 let insert t ~asid ~vpn ~frame =
   t.tick <- t.tick + 1;

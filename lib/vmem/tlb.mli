@@ -15,8 +15,9 @@ type stats = {
 val create : ?entries:int -> ?ways:int -> unit -> t
 (** Defaults: 64 entries, 4-way (a typical L1 DTLB). *)
 
-val lookup : t -> asid:int -> vpn:int -> int option
-(** [Some frame] on a hit; updates recency and hit/miss counters. *)
+val lookup : t -> asid:int -> vpn:int -> int
+(** The frame on a hit, [-1] on a miss; updates recency and hit/miss
+    counters. *)
 
 val insert : t -> asid:int -> vpn:int -> frame:int -> unit
 (** Fill after a page walk, evicting the set's LRU way if needed. *)

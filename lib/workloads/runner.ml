@@ -15,19 +15,18 @@ type result = {
   cycles : Svagc_gc.Gc_stats.cycle list;
 }
 
-let make_jvm ?(heap_factor = 1.2) ?(stamp_headers = true) ~machine ~collector_of
-    workload =
+let make_jvm ?(heap_factor = 1.2) ~machine ~collector_of workload =
   let heap_bytes = Workload.heap_bytes workload ~factor:heap_factor in
   Jvm.create machine
     ~name:(workload.Workload.name ^ "-jvm")
-    ~heap_bytes ~stamp_headers ~collector_of ()
+    ~heap_bytes ~collector_of ()
 
 (* Steps a run may take while it still owes [min_gcs] collections. *)
 let step_cap = 3000
 
 let run ?(heap_factor = 1.2) ?(steps = 60) ?(min_gcs = 4) ?(seed = 7)
-    ?(stamp_headers = true) ~machine ~collector_of workload =
-  let jvm = make_jvm ~heap_factor ~stamp_headers ~machine ~collector_of workload in
+    ~machine ~collector_of workload =
+  let jvm = make_jvm ~heap_factor ~machine ~collector_of workload in
   let rng = Svagc_util.Rng.create ~seed in
   let step = workload.Workload.setup jvm rng in
   let executed = ref 0 in

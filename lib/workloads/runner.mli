@@ -21,7 +21,6 @@ val run :
   ?steps:int ->
   ?min_gcs:int ->
   ?seed:int ->
-  ?stamp_headers:bool ->
   machine:Svagc_vmem.Machine.t ->
   collector_of:(Svagc_heap.Heap.t -> Svagc_gc.Gc_intf.t) ->
   Workload.t ->
@@ -34,7 +33,6 @@ val run :
 
 val make_jvm :
   ?heap_factor:float ->
-  ?stamp_headers:bool ->
   machine:Svagc_vmem.Machine.t ->
   collector_of:(Svagc_heap.Heap.t -> Svagc_gc.Gc_intf.t) ->
   Workload.t ->

@@ -6,6 +6,7 @@ open Svagc_heap
 module Generational = Svagc_gc.Generational
 module Semispace = Svagc_gc.Semispace
 module Compact = Svagc_gc.Compact
+module Gc_stats = Svagc_gc.Gc_stats
 module Move_object = Svagc_core.Move_object
 module Config = Svagc_core.Config
 
@@ -45,13 +46,13 @@ let test_minor_promotes_survivors () =
   let objs = populate_young gen ~n:40 ~rng in
   let young_count = Heap.object_count (Generational.young gen) in
   let stats = Generational.minor gen ~mover:swap_mover in
-  Alcotest.(check int) "roots promoted" 20 stats.Generational.promoted_objects;
+  Alcotest.(check int) "roots promoted" 20 stats.Gc_stats.moved_objects;
   Alcotest.(check int) "nursery empty" 0
     (Heap.object_count (Generational.young gen));
   Alcotest.(check int) "survivors in old space" 20
     (Heap.object_count (Generational.old_space gen));
   Alcotest.(check bool) "some garbage reclaimed" true
-    (stats.Generational.reclaimed_bytes > 0);
+    (stats.Gc_stats.reclaimed_bytes > 0);
   Alcotest.(check bool) "nursery had everything before" true (young_count = 40);
   (* Promoted objects live at old-space addresses. *)
   List.iteri
@@ -69,7 +70,7 @@ let test_minor_uses_swapva_for_large () =
   let flush_page_before = Perf.get machine.Machine.perf Tlb_flush_page in
   let stats = Generational.minor gen ~mover:swap_mover in
   Alcotest.(check bool) "large survivors swapped" true
-    (stats.Generational.swapped_objects > 0);
+    (stats.Gc_stats.swapped_objects > 0);
   (* Disjoint spaces: the Algorithm 2 (overlap) path never fires, so no
      per-page flushes were issued (Table I: Overlapping = "-" for minor). *)
   Alcotest.(check int) "overlap path never used" flush_page_before
@@ -125,19 +126,26 @@ let test_old_to_young_roots () =
       (o.Obj_model.addr >= Heap.base (Generational.old_space gen))
   | None -> Alcotest.fail "old->young reference dropped")
 
-let test_full_collects_old_garbage () =
-  let gen = gen_fixture () in
-  let rng = Svagc_util.Rng.create ~seed:5 in
-  ignore (populate_young gen ~n:40 ~rng);
-  ignore (Generational.minor gen ~mover:swap_mover);
-  (* Drop every old root: a full collection must empty the old space. *)
-  Svagc_util.Vec.iter
-    (fun o -> Generational.remove_root gen o)
-    (Heap.objects (Generational.old_space gen));
-  let cycle = Generational.full gen ~mover:swap_mover in
-  Alcotest.(check int) "old space emptied" 0
-    (Heap.object_count (Generational.old_space gen));
-  Alcotest.(check bool) "bytes reclaimed" true (cycle.Svagc_gc.Gc_stats.reclaimed_bytes > 0)
+let test_promotion_overflow () =
+  let gen =
+    Generational.create (proc ()) ~young_bytes:(4 * 1024 * 1024)
+      ~old_bytes:(1024 * 1024) ()
+  in
+  (* Every object stays rooted: the minor that a full nursery triggers has
+     more survivors than the old space holds. *)
+  Alcotest.check_raises "alloc raises" Generational.Out_of_memory (fun () ->
+      for _ = 1 to 80 do
+        Generational.add_root gen
+          (Generational.alloc gen ~size:(64 * 1024) ~n_refs:0 ~cls:0)
+      done);
+  let young = Generational.young gen and old_space = Generational.old_space gen in
+  Alcotest.(check int) "nothing promoted" 0 (Heap.object_count old_space);
+  Alcotest.(check bool) "nursery kept its objects" true
+    (Heap.object_count young > 0);
+  List.iter
+    (fun (name, heap) ->
+      Alcotest.(check (result unit (list string))) name (Ok ()) (Heap.audit heap))
+    [ ("young audit", young); ("old audit", old_space) ]
 
 let test_alloc_survives_pressure () =
   let gen =
@@ -169,9 +177,7 @@ let prop_minor_deterministic =
         let gen = gen_fixture () in
         let rng = Svagc_util.Rng.create ~seed in
         ignore (populate_young gen ~n:30 ~rng);
-        let s = Generational.minor gen ~mover:swap_mover in
-        (s.Generational.promoted_objects, s.Generational.promoted_bytes,
-         s.Generational.swapped_objects)
+        Generational.minor gen ~mover:swap_mover
       in
       run () = run ())
 
@@ -211,7 +217,7 @@ let test_semispace_no_overlap_path () =
   let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
   let flush_page_before = Perf.get machine.Machine.perf Tlb_flush_page in
   let stats = Semispace.collect semi ~mover:(Move_object.mover Config.default) in
-  Alcotest.(check bool) "evacuation swapped" true (stats.Semispace.swapped_objects > 0);
+  Alcotest.(check bool) "evacuation swapped" true (stats.Gc_stats.swapped_objects > 0);
   Alcotest.(check int) "Algorithm 2 never fired (disjoint spaces)"
     flush_page_before (Perf.get machine.Machine.perf Tlb_flush_page)
 
@@ -223,7 +229,7 @@ let test_semispace_mostly_concurrent () =
   done;
   let stats = Semispace.collect semi ~mover:Compact.memmove_mover in
   Alcotest.(check bool) "pause is the small slice" true
-    (stats.Semispace.pause_ns < stats.Semispace.concurrent_ns /. 4.0)
+    (Gc_stats.pause_ns stats < stats.Gc_stats.concurrent_ns /. 4.0)
 
 let test_semispace_alloc_triggers_collection () =
   let semi =
@@ -258,8 +264,8 @@ let () =
           Alcotest.test_case "minor rewrites references" `Quick
             test_minor_rewrites_references;
           Alcotest.test_case "old->young roots" `Quick test_old_to_young_roots;
-          Alcotest.test_case "full collects old garbage" `Quick
-            test_full_collects_old_garbage;
+          Alcotest.test_case "promotion overflow raises" `Quick
+            test_promotion_overflow;
           Alcotest.test_case "sustained churn" `Slow test_alloc_survives_pressure;
           prop_minor_deterministic;
         ] );

@@ -587,10 +587,10 @@ let prop_pt_model =
 
 let test_tlb_hit_miss () =
   let tlb = Tlb.create () in
-  Alcotest.(check (option int)) "cold miss" None (Tlb.lookup tlb ~asid:1 ~vpn:10);
+  Alcotest.(check int) "cold miss" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:10);
   Tlb.insert tlb ~asid:1 ~vpn:10 ~frame:99;
-  Alcotest.(check (option int)) "hit" (Some 99) (Tlb.lookup tlb ~asid:1 ~vpn:10);
-  Alcotest.(check (option int)) "other asid misses" None
+  Alcotest.(check int) "hit" 99 (Tlb.lookup tlb ~asid:1 ~vpn:10);
+  Alcotest.(check int) "other asid misses" (-1)
     (Tlb.lookup tlb ~asid:2 ~vpn:10);
   let st = Tlb.stats tlb in
   Alcotest.(check int) "hits" 1 st.Tlb.hits;
@@ -601,16 +601,16 @@ let test_tlb_flush_asid () =
   Tlb.insert tlb ~asid:1 ~vpn:1 ~frame:1;
   Tlb.insert tlb ~asid:2 ~vpn:2 ~frame:2;
   Tlb.flush_asid tlb ~asid:1;
-  Alcotest.(check (option int)) "asid 1 gone" None (Tlb.lookup tlb ~asid:1 ~vpn:1);
-  Alcotest.(check (option int)) "asid 2 stays" (Some 2) (Tlb.lookup tlb ~asid:2 ~vpn:2)
+  Alcotest.(check int) "asid 1 gone" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:1);
+  Alcotest.(check int) "asid 2 stays" 2 (Tlb.lookup tlb ~asid:2 ~vpn:2)
 
 let test_tlb_flush_page () =
   let tlb = Tlb.create () in
   Tlb.insert tlb ~asid:1 ~vpn:1 ~frame:1;
   Tlb.insert tlb ~asid:1 ~vpn:2 ~frame:2;
   Tlb.flush_page tlb ~asid:1 ~vpn:1;
-  Alcotest.(check (option int)) "flushed" None (Tlb.lookup tlb ~asid:1 ~vpn:1);
-  Alcotest.(check (option int)) "kept" (Some 2) (Tlb.lookup tlb ~asid:1 ~vpn:2)
+  Alcotest.(check int) "flushed" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:1);
+  Alcotest.(check int) "kept" 2 (Tlb.lookup tlb ~asid:1 ~vpn:2)
 
 let test_tlb_capacity_eviction () =
   let tlb = Tlb.create ~entries:8 ~ways:2 () in
@@ -620,8 +620,8 @@ let test_tlb_capacity_eviction () =
   ignore (Tlb.lookup tlb ~asid:1 ~vpn:0);
   (* vpn 4 is now LRU; inserting vpn 8 must evict it. *)
   Tlb.insert tlb ~asid:1 ~vpn:8 ~frame:8;
-  Alcotest.(check (option int)) "lru evicted" None (Tlb.lookup tlb ~asid:1 ~vpn:4);
-  Alcotest.(check (option int)) "mru kept" (Some 0) (Tlb.lookup tlb ~asid:1 ~vpn:0)
+  Alcotest.(check int) "lru evicted" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:4);
+  Alcotest.(check int) "mru kept" 0 (Tlb.lookup tlb ~asid:1 ~vpn:0)
 
 let test_tlb_occupancy () =
   let tlb = Tlb.create ~entries:8 ~ways:2 () in
@@ -831,7 +831,7 @@ let test_machine_flush_all_cores () =
   ignore (Machine.flush_tlb_all_cores m ~asid:7 ~from_core:0);
   Array.iter
     (fun c ->
-      Alcotest.(check (option int)) "invalidated" None
+      Alcotest.(check int) "invalidated" (-1)
         (Tlb.lookup c.Machine.tlb ~asid:7 ~vpn:1))
     m.Machine.cores
 
