@@ -69,7 +69,6 @@ let evac_case ~swapva =
   let semi =
     Semispace.create (fresh_proc ()) ~space_bytes:(24 * 1024 * 1024) ()
   in
-  let heap = Semispace.heap semi in
   let rng = Svagc_util.Rng.create ~seed:4 in
   for i = 0 to 120 do
     let size =
@@ -77,7 +76,8 @@ let evac_case ~swapva =
       else 256 + Svagc_util.Rng.int rng 4096
     in
     let obj = Semispace.alloc semi ~size ~n_refs:0 ~cls:0 in
-    if i mod 2 = 0 then Svagc_heap.Heap.add_root heap obj
+    (* A collection swaps the active heap, so root through the current one. *)
+    if i mod 2 = 0 then Svagc_heap.Heap.add_root (Semispace.heap semi) obj
   done;
   let mover =
     if swapva then
@@ -89,7 +89,9 @@ let evac_case ~swapva =
     else Compact.memmove_mover
   in
   let cycle = Semispace.collect semi ~mover in
-  List.iter (Check.post_gc ~label:"semispace" heap) (Semispace.cycles semi);
+  List.iter
+    (Check.post_gc ~label:"semispace" (Semispace.heap semi))
+    (Semispace.cycles semi);
   cycle
 
 let evac_rows () =

@@ -59,33 +59,11 @@ let memmove_mover = memmove_mover_gen ()
 
 let memmove_mover_measured ~core = memmove_mover_gen ~measure_core:core ()
 
-let run heap ~threads ~mover ~live ~new_top =
-  let machine = Process.machine (Heap.proc heap) in
-  let cost = machine.Machine.cost in
-  let plan = ref [] in
-  for i = Array.length live - 1 downto 0 do
-    let obj = live.(i) in
-    let src = obj.Obj_model.addr and dst = obj.Obj_model.forward in
-    if src <> dst then plan := { obj; src; dst; len = obj.Obj_model.size } :: !plan
-  done;
-  let plan = !plan in
+let move heap ~threads ~mover plan =
+  let cost = (Process.machine (Heap.proc heap)).Machine.cost in
   let fixed = mover.prologue heap in
-  (* [threads] copy streams run concurrently during this phase: fold them
-     into the machine's contention level so per-task copy costs reflect
-     each thread's share of the bandwidth ceiling (the makespan then
-     recombines them, saturating at machine_copy_bw). *)
-  let saved_streams = machine.Machine.copy_streams in
-  machine.Machine.copy_streams <- saved_streams * max 1 threads;
-  let outcomes =
-    Fun.protect
-      ~finally:(fun () -> machine.Machine.copy_streams <- saved_streams)
-      (fun () -> mover.move_entries heap plan)
-  in
+  let outcomes = mover.move_entries heap plan in
   let fixed = fixed +. mover.epilogue heap in
-  (* Commit the new addresses and re-stamp nothing: bytes moved with the
-     objects, so the stamped headers must still match (tests rely on it).
-     Every live object's [forward] is its destination, moved or not. *)
-  Heap.commit_survivors heap live ~top:new_top;
   let costs = Array.make (List.length outcomes) 0.0 in
   let swapped_objects = ref 0 in
   List.iteri
@@ -102,3 +80,28 @@ let run heap ~threads ~mover ~live ~new_top =
     moved_objects = List.length plan;
     swapped_objects = !swapped_objects;
   }
+
+let run heap ~threads ~mover ~live ~new_top =
+  let machine = Process.machine (Heap.proc heap) in
+  let plan = ref [] in
+  for i = Array.length live - 1 downto 0 do
+    let obj = live.(i) in
+    let src = obj.Obj_model.addr and dst = obj.Obj_model.forward in
+    if src <> dst then plan := { obj; src; dst; len = obj.Obj_model.size } :: !plan
+  done;
+  (* [threads] copy streams run concurrently during this phase: fold them
+     into the machine's contention level so per-task copy costs reflect
+     each thread's share of the bandwidth ceiling (the makespan then
+     recombines them, saturating at machine_copy_bw). *)
+  let saved_streams = machine.Machine.copy_streams in
+  machine.Machine.copy_streams <- saved_streams * max 1 threads;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> machine.Machine.copy_streams <- saved_streams)
+      (fun () -> move heap ~threads ~mover !plan)
+  in
+  (* Commit the new addresses and re-stamp nothing: bytes moved with the
+     objects, so the stamped headers must still match (tests rely on it).
+     Every live object's [forward] is its destination, moved or not. *)
+  Heap.commit_survivors heap live ~top:new_top;
+  result

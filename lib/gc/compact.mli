@@ -45,11 +45,20 @@ val memmove_mover_measured : core:int -> mover
 (** Same, but every copied line goes through the machine's cache model and
     the page translations through [core]'s TLB (Table III). *)
 
+val move : Heap.t -> threads:int -> mover:mover -> entry list -> result
+(** One pass through [mover]: its prologue, the entries in the given
+    order, its epilogue.  [phase_ns] is the work-stealing makespan of the
+    per-move costs over [threads] workers plus the fixed prologue and
+    epilogue; [moved_objects] counts the entries.  Shared by {!run} and
+    {!Evacuate.run}. *)
+
 val run :
   Heap.t -> threads:int -> mover:mover -> live:Obj_model.t array -> new_top:int ->
   result
-(** Moves objects to their forwarding addresses, prunes dead objects,
-    updates the address index and the heap top, and clears mark bits.
+(** Moves the objects whose forwarding address differs from their
+    address through {!move}, with the machine's copy streams scaled by
+    [threads] for the pass; then prunes dead objects, updates the address
+    index and the heap top, and clears mark bits.
     [live] must be in ascending address order: it is {!Forward.run}'s
     array, used as-is for the move plan and as the heap's new object
     vector. *)

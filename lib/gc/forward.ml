@@ -1,6 +1,5 @@
 open Svagc_heap
 module Vec = Svagc_util.Vec
-module Addr = Svagc_vmem.Addr
 module Machine = Svagc_vmem.Machine
 module Cost_model = Svagc_vmem.Cost_model
 
@@ -47,33 +46,19 @@ let live_in_address_order heap =
 
 (* Forward stays on the calling domain (DESIGN.md §13): the new address of
    each object is a prefix sum over all earlier live objects in address
-   order (with alignment rounding), an inherently sequential dependence —
-   the paper's real VM parallelizes it with per-region precomputation the
-   simulator has no need for. *)
+   order (with {!Heap.place}'s alignment rounding), an inherently
+   sequential dependence — the paper's real VM parallelizes it with
+   per-region precomputation the simulator has no need for. *)
 let run heap ~threads =
   let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
   let cost = machine.Machine.cost in
   let live = live_in_address_order heap in
-  let threshold = Heap.threshold_pages heap in
-  let if_swap_align obj addr =
-    if Obj_model.is_large obj ~threshold_pages:threshold then Addr.align_up addr
-    else addr
-  in
-  let comp_pnt = ref (Heap.base heap) in
-  let waste = ref 0 in
-  Array.iter
-    (fun obj ->
-      let aligned = if_swap_align obj !comp_pnt in
-      waste := !waste + (aligned - !comp_pnt);
-      obj.Obj_model.forward <- aligned;
-      comp_pnt := aligned + obj.Obj_model.size;
-      let tail_aligned = if_swap_align obj !comp_pnt in
-      waste := !waste + (tail_aligned - !comp_pnt);
-      comp_pnt := tail_aligned)
-    live;
+  let base = Heap.base heap in
+  let new_top = Heap.place heap ~top:base live in
+  let live_bytes = Array.fold_left (fun acc o -> acc + o.Obj_model.size) 0 live in
   let costs = Array.make (Array.length live) cost.Cost_model.forward_obj_ns in
   let phase_ns =
     Svagc_par.Work_steal.makespan ~threads ~steal_ns:cost.Cost_model.steal_ns
       ~barrier_ns:cost.Cost_model.barrier_ns costs
   in
-  { phase_ns; new_top = !comp_pnt; waste_bytes = !waste; live }
+  { phase_ns; new_top; waste_bytes = new_top - base - live_bytes; live }

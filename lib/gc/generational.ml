@@ -1,5 +1,4 @@
 open Svagc_heap
-module Addr = Svagc_vmem.Addr
 module Machine = Svagc_vmem.Machine
 module Cost_model = Svagc_vmem.Cost_model
 module Vec = Svagc_util.Vec
@@ -102,52 +101,18 @@ let mark_young t =
   drain ();
   makespan t (Array.of_list !scan_costs) +. makespan t (Array.of_list !mark_costs)
 
-(* Exact old-space capacity needed to promote [live] (replays the reserve
-   arithmetic without committing). *)
-let promotion_demand t live =
-  let threshold = Heap.threshold_pages t.old_space in
-  let top = ref (Heap.top t.old_space) in
-  Array.iter
-    (fun o ->
-      let align a =
-        if Obj_model.is_large o ~threshold_pages:threshold then Addr.align_up a
-        else a
-      in
-      top := align !top + o.Obj_model.size;
-      top := align !top)
-    live;
-  !top - Heap.top t.old_space
-
 module Tracer = Svagc_trace.Tracer
 
 (* Promotion: survivors go to the old space at Algorithm 3 placements and
    keep their rootedness; the old space's references are rewritten with a
    flat charge per object (the remembered-set scan); the nursery empties. *)
 let run_minor t ~mover =
-  let used_bytes = Heap.used_bytes t.young in
   let mark_ns = mark_young t in
-  let place live =
-    if promotion_demand t live > Heap.free_bytes t.old_space then
-      raise Out_of_memory;
-    Array.iter
-      (fun o ->
-        o.Obj_model.forward <- Heap.reserve t.old_space ~size:o.Obj_model.size)
-      live
-  in
-  let commit live =
-    Array.iter
-      (fun o ->
-        o.Obj_model.addr <- o.Obj_model.forward;
-        o.Obj_model.forward <- 0;
-        o.Obj_model.marked <- false;
-        Heap.adopt t.old_space o)
-      live;
-    Heap.iter_roots t.young (Heap.add_root t.old_space);
-    Heap.reset t.young
-  in
   let cycle =
-    Evacuate.run t.young ~into:t.old_space ~threads ~mover ~mark_ns ~used_bytes
-      ~ref_scan_ns:0.0 ~place ~commit
+    try
+      Evacuate.run t.young ~into:t.old_space ~threads ~mover ~mark_ns
+        ~ref_scan_ns:0.0
+    with Heap.Heap_full -> raise Out_of_memory
   in
   t.minors <- cycle :: t.minors;
   cycle

@@ -1,10 +1,12 @@
 (** A generational heap with SwapVA-accelerated minor collections — the
     "Minor (copying)" row of the paper's Table I.
 
-    The young space is a bump-allocated nursery; a minor collection copies
-    every reachable young object into the old space through {!Evacuate}
-    and resets the nursery.  Young and old occupy disjoint address ranges,
-    so:
+    Young and old are two plain heaps of one process, so object ids are
+    unique across both.  The young space is a bump-allocated nursery; a
+    minor collection evacuates every reachable young object into the old
+    space through {!Evacuate} (placed there as an allocation would place
+    it) and empties the nursery.  The two heaps occupy disjoint address
+    ranges, so:
 
     - plain SwapVA applies (the ranges never overlap — the Table I "-" for
       the overlapping optimization),

@@ -1,11 +1,12 @@
 (** A semispace evacuation collector — the "Concurrent (evacuation,
     relocation)" row of the paper's Table I.
 
-    Live objects are evacuated through {!Evacuate} from the active half of
-    the heap into the idle half (always-disjoint ranges), then the halves
-    flip.  Most of the cycle's work runs concurrently with the
-    application, ZGC/Shenandoah style; only brief init/final pauses stop
-    the world.  Per Table I:
+    Two plain heaps of one process, at adjacent address ranges, swap
+    roles: the live objects of the active one are evacuated through
+    {!Evacuate} into the idle one (always-disjoint ranges), which then
+    becomes the active heap.  Most of the cycle's work runs concurrently
+    with the application, ZGC/Shenandoah style; only brief init/final
+    pauses stop the world.  Per Table I:
 
     - SwapVA applies (each above-threshold object is relocated by one
       PTE-swap call),
@@ -20,22 +21,25 @@ open Svagc_heap
 type t
 
 val create : Svagc_kernel.Process.t -> space_bytes:int -> unit -> t
-(** Two [space_bytes] halves. *)
+(** Two heaps of [space_bytes] each, the first at {!Heap.default_base}
+    and the second right after it. *)
 
 val heap : t -> Heap.t
+(** The active heap: where {!alloc} places objects and where roots are
+    added.  A collection makes the other heap active. *)
 
 exception Out_of_memory
 
 val alloc : t -> size:int -> n_refs:int -> cls:int -> Obj_model.t
-(** Bump allocation in the active half; exhaustion triggers a cycle.
-    @raise Out_of_memory when the survivors themselves overflow a half. *)
+(** {!Heap.alloc} in the active heap; when it is full, one cycle and one
+    retry.  @raise Out_of_memory when the survivors overflow the idle heap
+    or the object does not fit after the cycle. *)
 
 val collect : t -> mover:Compact.mover -> Gc_stats.cycle
-(** Evacuate the active half into the idle one and flip.  10% of each
-    phase is pause; the other 90% of the mark, evacuation and rewrite
-    work is the cycle's [concurrent_ns]. *)
+(** Evacuate the active heap into the idle one and swap their roles.
+    10% of each phase is pause; the other 90% of the mark, evacuation and
+    rewrite work is the cycle's [concurrent_ns].
+    @raise Out_of_memory, before anything moves, when the survivors do
+    not fit in the idle heap. *)
 
 val cycles : t -> Gc_stats.cycle list
-
-val active_base : t -> int
-(** Start of the half currently being allocated into (for tests). *)

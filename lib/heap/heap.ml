@@ -13,7 +13,6 @@ type t = {
   objects : Obj_model.t Vec.t;
   by_addr : Obj_model.t Addr_index.t;
   roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
-  mutable next_id : int;
   mutable waste : int;
 }
 
@@ -39,7 +38,6 @@ let create proc ?(base = default_base) ?(threshold_pages = 10) ~size_bytes () =
     objects = Vec.create ();
     by_addr = Addr_index.create none;
     roots = Hashtbl.create 64;
-    next_id = 1;
     waste = 0;
   }
 
@@ -92,26 +90,31 @@ let register t obj =
 let if_swap_align t ~size addr =
   if size >= t.threshold_pages * Addr.page_size then Addr.align_up addr else addr
 
-let reserve t ~size =
-  if size < Obj_model.header_bytes then invalid_arg "Heap.reserve: size below header";
-  let new_top = if_swap_align t ~size t.top in
-  if new_top + size > t.limit then raise Heap_full;
-  account_waste t (new_top - t.top);
-  t.top <- new_top;
-  let addr = t.top in
-  t.top <- t.top + size;
-  let aligned_top = if_swap_align t ~size t.top in
-  account_waste t (aligned_top - t.top);
-  t.top <- aligned_top;
-  ensure_mapped_to t (min t.limit (Addr.align_up t.top));
-  addr
+let place t ~top live =
+  Array.fold_left
+    (fun top o ->
+      let size = o.Obj_model.size in
+      let addr = if_swap_align t ~size top in
+      o.Obj_model.forward <- addr;
+      if_swap_align t ~size (addr + size))
+    top live
 
-let alloc t ~size ~n_refs ~cls =
-  let addr = reserve t ~size in
-  let obj = Obj_model.make ~id:t.next_id ~addr ~size ~cls ~n_refs in
-  t.next_id <- t.next_id + 1;
+let make_object t ~addr ~size ~n_refs ~cls =
+  let obj =
+    Obj_model.make ~id:(Process.fresh_object_id t.proc) ~addr ~size ~cls ~n_refs
+  in
   register t obj;
   obj
+
+let alloc t ~size ~n_refs ~cls =
+  if size < Obj_model.header_bytes then invalid_arg "Heap.alloc: size below header";
+  let addr = if_swap_align t ~size t.top in
+  if addr + size > t.limit then raise Heap_full;
+  let new_top = if_swap_align t ~size (addr + size) in
+  account_waste t (new_top - t.top - size);
+  t.top <- new_top;
+  ensure_mapped_to t new_top;
+  make_object t ~addr ~size ~n_refs ~cls
 
 let alloc_chunk t ~bytes =
   if bytes <= 0 then invalid_arg "Heap.alloc_chunk: empty chunk";
@@ -125,27 +128,17 @@ let alloc_chunk t ~bytes =
 let alloc_at t ~addr ~size ~n_refs ~cls =
   if addr < t.base || addr + size > t.limit then
     invalid_arg "Heap.alloc_at: outside the heap";
-  ensure_mapped_to t (Addr.align_up (addr + size));
-  let obj = Obj_model.make ~id:t.next_id ~addr ~size ~cls ~n_refs in
-  t.next_id <- t.next_id + 1;
-  register t obj;
-  obj
+  ensure_mapped_to t (addr + size);
+  make_object t ~addr ~size ~n_refs ~cls
 
 let objects t = t.objects
-
-let sort_objects t =
-  Vec.sort (fun a b -> compare a.Obj_model.addr b.Obj_model.addr) t.objects
 
 let object_at t addr = Addr_index.find_opt t.by_addr addr
 
 let find_object t addr = Addr_index.find t.by_addr addr
 
-(* One pass over the survivors does the whole commit: each record is
-   touched once, and the index keeps its capacity, since it refills to the
-   same size after every collection. *)
-let commit_survivors t survivors ~top =
-  Vec.clear t.objects;
-  Addr_index.clear t.by_addr;
+(* One pass: each record is touched once. *)
+let adopt_survivors t survivors ~top =
   Array.iter
     (fun o ->
       o.Obj_model.addr <- o.Obj_model.forward;
@@ -156,11 +149,12 @@ let commit_survivors t survivors ~top =
     survivors;
   t.top <- top
 
-let adopt t obj =
-  if obj.Obj_model.addr < t.base || Obj_model.end_addr obj > t.limit then
-    invalid_arg "Heap.adopt: object range outside this heap";
-  Vec.push t.objects obj;
-  Addr_index.replace t.by_addr obj.Obj_model.addr obj
+(* The index keeps its capacity: it refills to the same size after every
+   collection. *)
+let commit_survivors t survivors ~top =
+  Vec.clear t.objects;
+  Addr_index.clear t.by_addr;
+  adopt_survivors t survivors ~top
 
 let reset t =
   Vec.clear t.objects;
@@ -218,8 +212,6 @@ let touch_object t obj ~core ~max_bytes =
 let used_bytes t = t.top - t.base
 
 let live_bytes t = Vec.fold_left (fun acc o -> acc + o.Obj_model.size) 0 t.objects
-
-let free_bytes t = t.limit - t.top
 
 let wasted_bytes t = t.waste
 

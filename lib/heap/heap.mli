@@ -3,8 +3,15 @@
     swapping threshold are placed on page boundaries and own their pages
     exclusively, so the GC can move them by swapping PTEs.
 
+    Algorithm 3's placement rule ([IfSwapAlign]) lives here once: {!alloc}
+    applies it to a new object ([AllocMem]) and {!place} to a collection's
+    survivors ([CalcNewAdd]), whether they slide within this heap (LISP2)
+    or are evacuated into it from another (the copying collectors).
+
     The heap is GC-agnostic: collectors (lib/gc, lib/core) drive marking,
-    forwarding, adjusting and compaction through this interface. *)
+    forwarding, adjusting and compaction through this interface.  Object
+    ids come from the owning process ({!Svagc_kernel.Process.fresh_object_id}),
+    so they stay unique across every heap of that process. *)
 
 type t
 
@@ -52,22 +59,17 @@ val alloc_chunk : t -> bytes:int -> int
 (** Carve a page-aligned TLAB chunk out of the shared space and return its
     start.  @raise Heap_full when it does not fit. *)
 
-val reserve : t -> size:int -> int
-(** Algorithm 3 placement without object registration: page-align if at or
-    above the threshold, advance the top (tail-aligning large objects so
-    they own their pages), map the backing and return the address.  Used
-    by the generational collector to compute promotion destinations.
-    @raise Heap_full. *)
-
-val adopt : t -> Obj_model.t -> unit
-(** Register an object record that already lives (or is about to live) at
-    its [addr] inside this heap — the promotion path: the object keeps its
-    identity while changing spaces.  @raise Invalid_argument if the range
-    is outside the heap. *)
+val place : t -> top:int -> Obj_model.t array -> int
+(** Algorithm 3 [CalcNewAdd]: lay [live] out in the given order from
+    [top], page-aligning each object at or above the threshold before and
+    after it exactly as {!alloc} would, set each one's [forward] to its
+    placement and return the top the layout ends at.  Mutates nothing
+    else: neither the heap (the result may exceed {!limit}) nor the
+    objects' addresses. *)
 
 val reset : t -> unit
 (** Empty the space: forget every object and root and pull the top back to
-    the base (the end of a minor collection for the young space).  Backing
+    the base (the end of an evacuation for the from-space).  Backing
     frames stay mapped. *)
 
 val ensure_mapped_to : t -> int -> unit
@@ -76,10 +78,8 @@ val ensure_mapped_to : t -> int -> unit
 (** {2 Object graph} *)
 
 val objects : t -> Obj_model.t Svagc_util.Vec.t
-(** All live-or-unreclaimed objects; sorted by address on demand via
-    {!sort_objects}. *)
-
-val sort_objects : t -> unit
+(** All live-or-unreclaimed objects, in allocation order until a
+    collection leaves them in address order. *)
 
 val object_at : t -> int -> Obj_model.t option
 (** Lookup by current address, through the heap's {!Svagc_util.Addr_index}: an
@@ -91,13 +91,17 @@ val find_object : t -> int -> Obj_model.t
     collector's per-reference lookups (mark, adjust) use it.
     @raise Not_found when no object starts at the address. *)
 
+val adopt_survivors : t -> Obj_model.t array -> top:int -> unit
+(** The end of a moving collection into this heap, in one pass over
+    [survivors] (objects already moved to their [forward] addresses inside
+    this heap, in ascending address order): each takes its [forward]
+    address as [addr] and has [marked] and [forward] cleared, and is
+    appended to the object set and the address index; the top moves to
+    [top].  Roots are untouched. *)
+
 val commit_survivors : t -> Obj_model.t array -> top:int -> unit
-(** The end of a moving collection, in one pass over [survivors] (the live
-    objects in ascending address order, already moved): each takes its
-    [forward] address as [addr] and has [marked] and [forward] cleared;
-    the survivors become the heap's whole object set, in that order, and
-    the whole address index; the top moves to [top].  Dead objects are
-    forgotten; roots are untouched. *)
+(** {!adopt_survivors} after forgetting every object: the survivors become
+    the heap's whole object set — the end of a compaction in place. *)
 
 val add_root : t -> Obj_model.t -> unit
 
@@ -139,8 +143,6 @@ val used_bytes : t -> int
 
 val live_bytes : t -> int
 (** Sum of registered object sizes. *)
-
-val free_bytes : t -> int
 
 val wasted_bytes : t -> int
 (** Alignment waste accumulated by this heap's allocations. *)

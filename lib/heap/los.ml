@@ -12,7 +12,6 @@ type t = {
   size_bytes : int;
   mutable holes : hole list;  (* sorted by address, coalesced *)
   by_addr : (int, Obj_model.t) Hashtbl.t;
-  mutable next_id : int;
   mutable mapped : bool;
 }
 
@@ -30,7 +29,6 @@ let create proc ?(base = default_base) ~size_bytes () =
     size_bytes;
     holes = [ { addr = base; pages = size_bytes / Addr.page_size } ];
     by_addr = Hashtbl.create 64;
-    next_id = 1;
     mapped = false;
   }
 
@@ -81,8 +79,9 @@ let alloc t ~size ~n_refs ~cls =
   in
   let addr, holes = take [] t.holes in
   t.holes <- holes;
-  let obj = Obj_model.make ~id:t.next_id ~addr ~size ~cls ~n_refs in
-  t.next_id <- t.next_id + 1;
+  let obj =
+    Obj_model.make ~id:(Process.fresh_object_id t.proc) ~addr ~size ~cls ~n_refs
+  in
   Hashtbl.replace t.by_addr addr obj;
   obj
 

@@ -19,8 +19,6 @@ let make ~id ~addr ~size ~cls ~n_refs =
 
 let pages t = Addr.pages_spanned t.size
 
-let is_large t ~threshold_pages = t.size >= threshold_pages * Addr.page_size
-
 let end_addr t = t.addr + t.size
 
 let pp ppf t =

@@ -25,10 +25,6 @@ val make : id:int -> addr:int -> size:int -> cls:int -> n_refs:int -> t
 val pages : t -> int
 (** Pages spanned when page-aligned: ⌈size / page_size⌉. *)
 
-val is_large : t -> threshold_pages:int -> bool
-(** The Algorithm 3 test: does the object qualify for SwapVA moving (and
-    hence page-aligned placement)? *)
-
 val end_addr : t -> int
 (** [addr + size]. *)
 

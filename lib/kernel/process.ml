@@ -7,6 +7,7 @@ type t = {
   machine : Machine.t;
   mutable current_core : int;
   mutable pinned : bool;
+  mutable next_object_id : int;
 }
 
 let next_pid = ref 100
@@ -22,6 +23,7 @@ let create ?name machine =
     machine;
     current_core = 0;
     pinned = false;
+    next_object_id = 1;
   }
 
 let pid t = t.pid
@@ -29,6 +31,11 @@ let name t = t.name
 let aspace t = t.aspace
 let machine t = t.machine
 let current_core t = t.current_core
+
+let fresh_object_id t =
+  let id = t.next_object_id in
+  t.next_object_id <- id + 1;
+  id
 
 let set_current_core t core =
   if core < 0 || core >= t.machine.Machine.ncores then

@@ -18,6 +18,12 @@ val aspace : t -> Address_space.t
 
 val machine : t -> Machine.t
 
+val fresh_object_id : t -> int
+(** The next object id, counting from 1.  Every heap and large object
+    space of the process draws from this one counter, so an object keeps
+    a unique id (the key of root sets and stamped headers) whichever
+    space it lives in. *)
+
 val current_core : t -> int
 (** The core the process is running on (0 unless migrated). *)
 

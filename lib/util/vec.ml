@@ -122,20 +122,6 @@ let filter p v =
   iter (fun x -> if p x then push out x) v;
   out
 
-let remove_first p v =
-  let n = v.len in
-  let i = ref 0 in
-  while !i < n && not (p (Obj.obj v.data.(!i) : 'a)) do
-    incr i
-  done;
-  if !i = n then false
-  else begin
-    Array.blit v.data (!i + 1) v.data !i (n - !i - 1);
-    v.data.(n - 1) <- dummy;
-    v.len <- n - 1;
-    true
-  end
-
 let append dst src =
   let need = dst.len + src.len in
   if need > Array.length dst.data then begin

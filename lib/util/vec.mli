@@ -70,11 +70,6 @@ val append : 'a t -> 'a t -> unit
     unchanged; growing [dst] rounds its capacity up to the next power of
     two that fits. *)
 
-val remove_first : ('a -> bool) -> 'a t -> bool
-(** [remove_first p v] removes the first element satisfying [p], shifting
-    the tail down in place (one pass, no allocation); [false] when no
-    element matches. *)
-
 val sort : ('a -> 'a -> int) -> 'a t -> unit
 (** [sort cmp v] sorts [v] in place. *)
 

@@ -92,7 +92,7 @@ let test_forward_aligns_large () =
   let _, _, fwd = forward_fixture () in
   Array.iter
     (fun o ->
-      if Obj_model.is_large o ~threshold_pages:10 then
+      if o.Obj_model.size >= 10 * Addr.page_size then
         Alcotest.(check bool) "large destination aligned" true
           (Addr.is_page_aligned o.Obj_model.forward))
     fwd.Forward.live

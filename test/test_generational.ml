@@ -169,6 +169,27 @@ let test_alloc_survives_pressure () =
   Alcotest.(check bool) "minors happened" true
     (List.length (Generational.minors gen) >= 2)
 
+(* A minor promotes the small object into the old space, then the big one
+   is pretenured there: both must keep distinct ids, which key the old
+   space's root set. *)
+let test_promoted_and_pretenured_ids_differ () =
+  let gen =
+    Generational.create (proc ()) ~young_bytes:(1024 * 1024)
+      ~old_bytes:(8 * 1024 * 1024) ()
+  in
+  let small = Generational.alloc gen ~size:4096 ~n_refs:0 ~cls:0 in
+  Generational.add_root gen small;
+  let big = Generational.alloc gen ~size:(2 * 1024 * 1024) ~n_refs:0 ~cls:0 in
+  Generational.add_root gen big;
+  let old_space = Generational.old_space gen in
+  Alcotest.(check bool) "ids differ" true (small.Obj_model.id <> big.Obj_model.id);
+  Alcotest.(check int) "both rooted in the old space" 2 (Heap.root_count old_space);
+  Generational.remove_root gen big;
+  let rooted = ref [] in
+  Heap.iter_roots old_space (fun o -> rooted := o :: !rooted);
+  Alcotest.(check bool) "the small object stays rooted" true
+    (match !rooted with [ o ] -> o == small | _ -> false)
+
 let prop_minor_deterministic =
   qtest "minor collections are deterministic"
     QCheck.(int_range 0 1000)
@@ -186,26 +207,47 @@ let prop_minor_deterministic =
 let semi_fixture () =
   Semispace.create (proc ()) ~space_bytes:(8 * 1024 * 1024) ()
 
+(* Three collections, so the heaps swap roles and swap back.  Each round
+   allocates through the active heap: a rooted survivor with a payload and
+   an unrooted one that must be dropped. *)
 let test_semispace_flip () =
   let semi = semi_fixture () in
-  let heap = Semispace.heap semi in
-  let base0 = Semispace.active_base semi in
-  let keep =
-    List.init 6 (fun i ->
-        let o = Semispace.alloc semi ~size:(64 * 1024) ~n_refs:0 ~cls:0 in
-        Heap.write_payload heap o ~off:0 (Bytes.make 32 (Char.chr (97 + i)));
-        Heap.add_root heap o;
-        (o, Heap.checksum_object heap o))
-  in
-  ignore (Semispace.collect semi ~mover:(Move_object.mover Config.default));
-  Alcotest.(check bool) "halves flipped" true (Semispace.active_base semi <> base0);
-  List.iter
-    (fun (o, ck) ->
-      Alcotest.(check bool) "evacuated into the other half" true
-        (o.Obj_model.addr >= Semispace.active_base semi
-        && o.Obj_model.addr < Semispace.active_base semi + (8 * 1024 * 1024));
-      Alcotest.(check int64) "contents preserved" ck (Heap.checksum_object heap o))
-    keep
+  let mover = Move_object.mover Config.default in
+  let keep = ref [] in
+  for round = 0 to 2 do
+    let heap = Semispace.heap semi in
+    for i = 0 to 5 do
+      let o = Semispace.alloc semi ~size:(64 * 1024) ~n_refs:0 ~cls:0 in
+      Heap.write_payload heap o ~off:0
+        (Bytes.make 32 (Char.chr (97 + (6 * round) + i)));
+      Heap.add_root heap o;
+      keep := (o, Heap.checksum_object heap o) :: !keep;
+      ignore (Semispace.alloc semi ~size:(16 * 1024) ~n_refs:0 ~cls:0)
+    done;
+    ignore (Semispace.collect semi ~mover);
+    let active = Semispace.heap semi in
+    Alcotest.(check bool) "heaps swapped" true (active != heap);
+    Alcotest.(check (result unit (list string))) "active heap audits" (Ok ())
+      (Heap.audit active);
+    Alcotest.(check int) "only the rooted survive" (List.length !keep)
+      (Heap.object_count active);
+    let ids =
+      Svagc_util.Vec.fold_left (fun acc o -> o.Obj_model.id :: acc) []
+        (Heap.objects active)
+    in
+    Alcotest.(check int) "live ids distinct" (List.length ids)
+      (List.length (List.sort_uniq compare ids));
+    Alcotest.(check int) "emptied heap has no objects" 0 (Heap.object_count heap);
+    Alcotest.(check int) "emptied heap has no roots" 0 (Heap.root_count heap);
+    List.iter
+      (fun (o, ck) ->
+        Alcotest.(check bool) "evacuated into the active heap" true
+          (o.Obj_model.addr >= Heap.base active
+          && o.Obj_model.addr < Heap.limit active);
+        Alcotest.(check int64) "contents preserved" ck
+          (Heap.checksum_object active o))
+      !keep
+  done
 
 let test_semispace_no_overlap_path () =
   let semi = semi_fixture () in
@@ -244,11 +286,10 @@ let test_semispace_oom_when_survivors_overflow () =
   let semi =
     Semispace.create (proc ()) ~space_bytes:(1024 * 1024) ()
   in
-  let heap = Semispace.heap semi in
   Alcotest.check_raises "overflow" Semispace.Out_of_memory (fun () ->
       for _ = 1 to 40 do
         let o = Semispace.alloc semi ~size:(128 * 1024) ~n_refs:0 ~cls:0 in
-        Heap.add_root heap o
+        Heap.add_root (Semispace.heap semi) o
       done)
 
 let () =
@@ -267,6 +308,8 @@ let () =
           Alcotest.test_case "promotion overflow raises" `Quick
             test_promotion_overflow;
           Alcotest.test_case "sustained churn" `Slow test_alloc_survives_pressure;
+          Alcotest.test_case "promoted and pretenured ids differ" `Quick
+            test_promoted_and_pretenured_ids_differ;
           prop_minor_deterministic;
         ] );
       ( "semispace",

@@ -22,9 +22,6 @@ let fresh_heap ?(size_mib = 16) ?(threshold_pages = 10) () =
 let test_obj_model () =
   let o = Obj_model.make ~id:1 ~addr:4096 ~size:(48 * kib) ~cls:0 ~n_refs:2 in
   Alcotest.(check int) "pages" 12 (Obj_model.pages o);
-  Alcotest.(check bool) "large" true (Obj_model.is_large o ~threshold_pages:10);
-  Alcotest.(check bool) "small at higher threshold" false
-    (Obj_model.is_large o ~threshold_pages:13);
   Alcotest.(check int) "end addr" (4096 + (48 * kib)) (Obj_model.end_addr o)
 
 let test_obj_model_validation () =
@@ -300,9 +297,7 @@ let test_stats () =
   Alcotest.(check int) "live bytes" 3000 (Heap.live_bytes heap);
   Alcotest.(check int) "count" 2 (Heap.object_count heap);
   Alcotest.(check int) "used = top - base" (Heap.top heap - Heap.base heap)
-    (Heap.used_bytes heap);
-  Alcotest.(check int) "free + used = size" (Heap.limit heap - Heap.base heap)
-    (Heap.free_bytes heap + Heap.used_bytes heap)
+    (Heap.used_bytes heap)
 
 (* --- TLAB --- *)
 
@@ -364,35 +359,62 @@ let prop_tlab_no_overlap =
       in
       disjoint ranges)
 
-(* --- Promotion hooks (reserve / adopt / reset) --- *)
+(* --- Promotion hooks (place / adopt_survivors / reset) --- *)
 
-let test_reserve_matches_alloc_placement () =
-  let h1 = fresh_heap () and h2 = fresh_heap () in
-  (* The same request sequence through reserve and alloc must produce the
-     same addresses: alloc is reserve + registration. *)
-  let sizes = [ 100; threshold_bytes; 500; 2 * threshold_bytes; 64 ] in
-  List.iter
-    (fun size ->
-      let a = Heap.reserve h1 ~size in
-      let o = Heap.alloc h2 ~size ~n_refs:0 ~cls:0 in
-      Alcotest.(check int) "same placement" o.Obj_model.addr a)
-    sizes
+(* Sizes on both sides of the swapping threshold, and right at it. *)
+let straddling_sizes =
+  QCheck.(
+    list_of_size
+      Gen.(1 -- 40)
+      (oneof
+         [
+           int_range Obj_model.header_bytes 4096;
+           int_range (threshold_bytes - 64) (threshold_bytes + 64);
+           int_range threshold_bytes (3 * threshold_bytes);
+         ]))
+
+(* Algorithm 3 is one rule: the same sizes laid out by [place] from a
+   heap's top, by [alloc] one at a time, and by a full-heap [Forward.run]
+   over what [alloc] placed give the same addresses, the same final top
+   and the same alignment waste. *)
+let prop_place_matches_alloc =
+  qtest ~count:50 "place = alloc placement" straddling_sizes (fun sizes ->
+      let allocated = fresh_heap () and placed = fresh_heap () in
+      let objs =
+        Array.of_list
+          (List.map (fun size -> Heap.alloc allocated ~size ~n_refs:0 ~cls:0) sizes)
+      in
+      let records =
+        Array.map
+          (fun o ->
+            Obj_model.make ~id:o.Obj_model.id ~addr:0 ~size:o.Obj_model.size
+              ~cls:0 ~n_refs:0)
+          objs
+      in
+      let top = Heap.place placed ~top:(Heap.top placed) records in
+      Array.iter (fun o -> o.Obj_model.marked <- true) objs;
+      let fwd = Svagc_gc.Forward.run allocated ~threads:1 in
+      top = Heap.top allocated
+      && fwd.Svagc_gc.Forward.new_top = Heap.top allocated
+      && fwd.Svagc_gc.Forward.waste_bytes = Heap.wasted_bytes allocated
+      && Array.for_all2
+           (fun o r ->
+             r.Obj_model.forward = o.Obj_model.addr
+             && o.Obj_model.forward = o.Obj_model.addr)
+           objs records)
 
 let test_adopt () =
   let src = fresh_heap () and dst = fresh_heap () in
   let o = Heap.alloc src ~size:4096 ~n_refs:0 ~cls:0 in
-  let addr = Heap.reserve dst ~size:4096 in
-  o.Obj_model.addr <- addr;
-  Heap.adopt dst o;
+  let top = Heap.place dst ~top:(Heap.top dst) [| o |] in
+  Heap.ensure_mapped_to dst top;
+  Heap.adopt_survivors dst [| o |] ~top;
   Alcotest.(check int) "adopted" 1 (Heap.object_count dst);
+  Alcotest.(check int) "moved to its placement" (Heap.base dst) o.Obj_model.addr;
+  Alcotest.(check int) "forward cleared" 0 o.Obj_model.forward;
+  Alcotest.(check int) "top advanced" top (Heap.top dst);
   Alcotest.(check bool) "indexed at new address" true
-    (Heap.object_at dst addr <> None)
-
-let test_adopt_rejects_foreign_range () =
-  let heap = fresh_heap () in
-  let o = Obj_model.make ~id:999 ~addr:4096 ~size:64 ~cls:0 ~n_refs:0 in
-  Alcotest.(check bool) "outside range rejected" true
-    (try Heap.adopt heap o; false with Invalid_argument _ -> true)
+    (Heap.object_at dst o.Obj_model.addr <> None)
 
 let test_reset_empties () =
   let heap = fresh_heap () in
@@ -540,10 +562,8 @@ let () =
         ] );
       ( "promotion-hooks",
         [
-          Alcotest.test_case "reserve = alloc placement" `Quick
-            test_reserve_matches_alloc_placement;
+          prop_place_matches_alloc;
           Alcotest.test_case "adopt" `Quick test_adopt;
-          Alcotest.test_case "adopt range check" `Quick test_adopt_rejects_foreign_range;
           Alcotest.test_case "reset" `Quick test_reset_empties;
         ] );
       ( "los",

@@ -38,28 +38,6 @@ let test_vec_bounds () =
   Alcotest.check_raises "negative" (Invalid_argument "Vec: index out of bounds")
     (fun () -> ignore (Vec.get v (-1)))
 
-let test_vec_remove_first () =
-  let v = Vec.of_list [ 1; 2; 3; 2; 4 ] in
-  Alcotest.(check bool) "removed" true (Vec.remove_first (fun x -> x = 2) v);
-  Alcotest.(check (list int)) "first match only, order kept" [ 1; 3; 2; 4 ]
-    (Vec.to_list v);
-  Alcotest.(check bool) "no match" false (Vec.remove_first (fun x -> x = 9) v);
-  Alcotest.(check int) "length unchanged on miss" 4 (Vec.length v);
-  Alcotest.(check bool) "remove last" true (Vec.remove_first (fun x -> x = 4) v);
-  Alcotest.(check (list int)) "tail removal" [ 1; 3; 2 ] (Vec.to_list v)
-
-let prop_vec_remove_first_model =
-  qtest ~count:200 "remove_first agrees with the list model"
-    QCheck.(pair (list small_int) small_int)
-    (fun (l, x) ->
-      let v = Vec.of_list l in
-      let removed = Vec.remove_first (fun y -> y = x) v in
-      let rec model = function
-        | [] -> []
-        | y :: tl -> if y = x then tl else y :: model tl
-      in
-      removed = List.mem x l && Vec.to_list v = model l)
-
 let test_vec_iterators () =
   let v = Vec.of_list [ 1; 2; 3; 4 ] in
   Alcotest.(check int) "fold" 10 (Vec.fold_left ( + ) 0 v);
@@ -448,10 +426,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
           Alcotest.test_case "clear/reuse" `Quick test_vec_clear_reuse;
-          Alcotest.test_case "remove_first" `Quick test_vec_remove_first;
           prop_vec_roundtrip;
           prop_vec_sort;
-          prop_vec_remove_first_model;
         ] );
       ( "rng",
         [
