@@ -58,7 +58,7 @@ let tlb_coherence machine ~tables =
   let a = acc () in
   Array.iter
     (fun core ->
-      Tlb.iter_valid core.Machine.tlb (fun ~asid ~vpn ~frame ->
+      Tlb.iter_valid core.Machine.tlb (fun ~asid ~vpn ~frame ~stamp:_ ->
           match List.assoc_opt asid tables with
           | None -> ()
           | Some pt -> (
@@ -86,7 +86,7 @@ let shootdown_flushed machine ~asid =
   let a = acc () in
   Array.iter
     (fun core ->
-      Tlb.iter_valid core.Machine.tlb (fun ~asid:entry_asid ~vpn ~frame ->
+      Tlb.iter_valid core.Machine.tlb (fun ~asid:entry_asid ~vpn ~frame ~stamp:_ ->
           a.items <- a.items + 1;
           if entry_asid = asid then
             a.rev <-

@@ -10,13 +10,6 @@ module Compact = Svagc_gc.Compact
 module Perf = Svagc_vmem.Perf
 module Tracer = Svagc_trace.Tracer
 
-(* Byte-based, to agree exactly with the allocator's IfSwapAlign test: the
-   paper's Algorithm 3 writes the threshold both as pages >= T (MoveObject)
-   and |object| >= T*|PAGE| (IfSwapAlign); only objects that satisfied the
-   latter at allocation time are page-aligned and safely swappable. *)
-let should_swap (cfg : Config.t) ~len =
-  len >= cfg.threshold_pages * Addr.page_size
-
 let swap_opts (cfg : Config.t) =
   { Swapva.pmd_caching = cfg.pmd_caching; flush = cfg.flush }
 
@@ -235,7 +228,12 @@ let mover ?measure_core (cfg : Config.t) =
     in
     List.iter
       (fun { Compact.src; dst; len; _ } ->
-        if should_swap cfg ~len then begin
+        (* The heap's own IfSwapAlign test, not [cfg.threshold_pages]:
+           the paper's Algorithm 3 writes the threshold both as pages >= T
+           (MoveObject) and |object| >= T*|PAGE| (IfSwapAlign), and only
+           objects that passed the latter were placed page-aligned.
+           [Svagc.collector] rejects a config whose threshold disagrees. *)
+        if Heap.swap_sized heap ~size:len then begin
           assert (Addr.is_page_aligned src && Addr.is_page_aligned dst);
           let pages = Addr.pages_spanned len in
           let entry = { e_src = src; e_dst = dst; e_len = len; e_pages = pages } in

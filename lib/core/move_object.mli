@@ -18,9 +18,6 @@
     [Config.fault_spec] is non-empty the mover's prologue arms the
     machine's injection plane with [Config.fault_seed]. *)
 
-val should_swap : Config.t -> len:int -> bool
-(** The [pages >= Threshold_Swapping] test. *)
-
 val mover : ?measure_core:int -> Config.t -> Svagc_gc.Compact.mover
 (** [measure_core] routes the byte-copy fallback's traffic through the
     cache/TLB models; PTE-swapped moves touch no data lines, which is the

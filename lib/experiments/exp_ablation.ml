@@ -145,9 +145,7 @@ let run_knockout w (label, cfg) =
     step ();
     incr executed
   done;
-  let gc = Svagc_core.Jvm.gc_ns jvm in
-  Gc.full_major ();
-  (label, gc)
+  (label, Svagc_core.Jvm.gc_ns jvm)
 
 let run ?(quick = false) () =
   Report.section "Ablations (extension): sensitivity and knock-outs";

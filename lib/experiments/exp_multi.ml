@@ -45,7 +45,6 @@ let run_one ~collector ~instances ~steps =
           acc (Jvm.cycles jvm))
       0.0 jvms
   in
-  Gc.full_major ();
   let point =
     {
       instances;

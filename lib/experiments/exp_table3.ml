@@ -62,7 +62,6 @@ let instrumented_run ~swapva ~heap_factor workload =
     step ();
     incr executed
   done;
-  Gc.full_major ();
   let cache_pct = Cache_sim.miss_rate machine.Machine.llc in
   let tlb_stats = Tlb.stats (Machine.core machine measure_core).Machine.tlb in
   let dtlb_pct =

@@ -86,9 +86,11 @@ let register t obj =
   Perf.bump (perf t) Alloc_bytes obj.Obj_model.size;
   stamp_header t obj
 
+let swap_sized t ~size = size >= t.threshold_pages * Addr.page_size
+
 (* IfSwapAlign from Algorithm 3. *)
 let if_swap_align t ~size addr =
-  if size >= t.threshold_pages * Addr.page_size then Addr.align_up addr else addr
+  if swap_sized t ~size then Addr.align_up addr else addr
 
 let place t ~top live =
   Array.fold_left

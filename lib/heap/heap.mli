@@ -42,6 +42,12 @@ val top : t -> int
 
 val threshold_pages : t -> int
 
+val swap_sized : t -> size:int -> bool
+(** Algorithm 3's one size test, [size >= threshold_pages * page_size]:
+    an object this large is page-aligned before and after it wherever the
+    heap places it ({!alloc}, {!place}, a TLAB's page-aligned end), so
+    it owns its pages and may move by swapping PTEs. *)
+
 exception Heap_full
 
 val alloc : t -> size:int -> n_refs:int -> cls:int -> Obj_model.t

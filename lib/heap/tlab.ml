@@ -38,12 +38,10 @@ let fresh_chunk t =
     large_cursor = Addr.align_down chunk_end;
   }
 
-let is_large t size = size >= Heap.threshold_pages t.heap * Addr.page_size
-
 (* Try to place [size] bytes in [c]: its address, or -1 when the chunk is
    exhausted. *)
 let try_place t c ~size =
-  if is_large t size then begin
+  if Heap.swap_sized t.heap ~size then begin
     (* Downward, whole pages: the object ends on the current (aligned)
        cursor and starts on a page boundary; the tail alignment gap is the
        internal waste Algorithm 3 accepts. *)

@@ -232,37 +232,57 @@ let checksum t ~va ~len =
       h := Phys_mem.fnv1a payload ~off ~len:chunk !h);
   !h
 
-let touch t ~core ~va =
+(* The TLB half of a measured access: the frame backing [va], through a
+   lookup or, on a miss, a page-table refill. *)
+let resolve t ~core ~va =
   let c = Machine.core t.machine core in
   let vpn = Addr.page_number va in
   let frame = Tlb.lookup c.Machine.tlb ~asid:t.asid ~vpn in
-  let frame =
-    if frame >= 0 then begin
-      (match t.machine.Machine.reclaim with
-      | None -> ()
-      | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
-      frame
-    end
-    else begin
-      (* TLB miss: a swapped page demand-faults here (frame_of_exn runs
-         the fault handler), after which the refill proceeds normally.
-         Swap-out scrubs the page from every TLB, so a hit above always
-         means present. *)
-      let frame = frame_of_exn t va in
-      Tlb.insert c.Machine.tlb ~asid:t.asid ~vpn ~frame;
-      frame
-    end
-  in
+  if frame >= 0 then begin
+    (match t.machine.Machine.reclaim with
+    | None -> ()
+    | Some r -> r.Machine.ri_page_touched ~asid:t.asid ~va);
+    frame
+  end
+  else begin
+    (* TLB miss: a swapped page demand-faults here (frame_of_exn runs
+       the fault handler), after which the refill proceeds normally.
+       Swap-out scrubs the page from every TLB, so a hit above always
+       means present. *)
+    let frame = frame_of_exn t va in
+    Tlb.insert c.Machine.tlb ~asid:t.asid ~vpn ~frame;
+    frame
+  end
+
+let touch t ~core ~va =
+  let frame = resolve t ~core ~va in
   let pa = (frame * Addr.page_size) + Addr.page_offset va in
   Cache_sim.access t.machine.Machine.llc ~addr:pa
 
+(* Page by page: the first line resolves the page, which leaves its entry
+   resident, so each further line's lookup would be a hit on that entry
+   and [Tlb.rehit] accounts them in one call.  The pressure plane hears
+   one [ri_page_touched] per page rather than per line: it only sets the
+   page's referenced bit, so repeating it changes nothing.  The LLC still
+   sees every line, in address order. *)
 let touch_range t ~core ~va ~len =
   if len > 0 then begin
-    let line = Cache_sim.line_bytes t.machine.Machine.llc in
+    let llc = t.machine.Machine.llc in
+    let line = Cache_sim.line_bytes llc in
+    let tlb = (Machine.core t.machine core).Machine.tlb in
+    let stop = va + len in
     let pos = ref (va - (va mod line)) in
-    while !pos < va + len do
-      touch t ~core ~va:!pos;
-      pos := !pos + line
+    while !pos < stop do
+      let page = Addr.align_down !pos in
+      let lines = (min stop (page + Addr.page_size) - !pos + line - 1) / line in
+      let frame = resolve t ~core ~va:!pos in
+      if lines > 1 then
+        Tlb.rehit tlb ~asid:t.asid ~vpn:(Addr.page_number page) ~times:(lines - 1);
+      let pa = (frame * Addr.page_size) - page + !pos in
+      for i = 0 to lines - 1 do
+        Cache_sim.access llc ~addr:(pa + (i * line))
+      done;
+      pos := !pos + (lines * line)
     done
   end
 

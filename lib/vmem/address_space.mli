@@ -87,7 +87,8 @@ val touch : t -> core:int -> va:int -> unit
     @raise Invalid_argument if unmapped. *)
 
 val touch_range : t -> core:int -> va:int -> len:int -> unit
-(** {!touch} every cache line of the range: one TLB lookup (and LLC
-    access) per cache line, not per page. *)
+(** {!touch} every cache line of the range, with the same TLB, LLC and
+    reclaim effects: one LLC access per cache line, and one TLB
+    resolution per page whose other lines count as hits in bulk. *)
 
 val mapped_pages : t -> int

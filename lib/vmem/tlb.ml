@@ -51,6 +51,22 @@ let lookup t ~asid ~vpn =
   else t.st.hits <- t.st.hits + 1;
   !frame
 
+(* [times] further lookups of a resident entry in one call: the same tick
+   advance, hit count and final stamp, with no frame to return. *)
+let rehit t ~asid ~vpn ~times =
+  t.tick <- t.tick + times;
+  let set = set_of t vpn in
+  let found = ref false in
+  for i = 0 to Array.length set - 1 do
+    let e = set.(i) in
+    if e.valid && e.asid = asid && e.vpn = vpn then begin
+      e.stamp <- t.tick;
+      found := true
+    end
+  done;
+  if not !found then invalid_arg "Tlb.rehit: entry not resident";
+  t.st.hits <- t.st.hits + times
+
 let insert t ~asid ~vpn ~frame =
   t.tick <- t.tick + 1;
   let set = set_of t vpn in
@@ -74,7 +90,7 @@ let iter_entries t f = Array.iter (fun set -> Array.iter f set) t.sets
 
 let iter_valid t f =
   iter_entries t (fun e ->
-      if e.valid then f ~asid:e.asid ~vpn:e.vpn ~frame:e.frame)
+      if e.valid then f ~asid:e.asid ~vpn:e.vpn ~frame:e.frame ~stamp:e.stamp)
 
 let flush_all t =
   t.st.flushes_full <- t.st.flushes_full + 1;

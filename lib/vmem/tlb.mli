@@ -19,6 +19,11 @@ val lookup : t -> asid:int -> vpn:int -> int
 (** The frame on a hit, [-1] on a miss; updates recency and hit/miss
     counters. *)
 
+val rehit : t -> asid:int -> vpn:int -> times:int -> unit
+(** [times] more hits on a resident entry, as [times] {!lookup}s that all
+    hit would count and stamp them, in one call.
+    @raise Invalid_argument if [(asid, vpn)] is not resident. *)
+
 val insert : t -> asid:int -> vpn:int -> frame:int -> unit
 (** Fill after a page walk, evicting the set's LRU way if needed. *)
 
@@ -28,9 +33,12 @@ val flush_asid : t -> asid:int -> unit
 
 val flush_page : t -> asid:int -> vpn:int -> unit
 
-val iter_valid : t -> (asid:int -> vpn:int -> frame:int -> unit) -> unit
-(** Walk every valid entry without touching recency, hit/miss stats or the
-    entry order — the read path of the svagc_check TLB coherence oracle. *)
+val iter_valid :
+  t -> (asid:int -> vpn:int -> frame:int -> stamp:int -> unit) -> unit
+(** Walk every valid entry, set by set and way by way, without touching
+    recency, hit/miss stats or the entry order — the read path of the
+    svagc_check TLB coherence oracle.  [stamp] is the entry's recency:
+    the tick of its last lookup hit or fill. *)
 
 val stats : t -> stats
 

@@ -27,6 +27,13 @@ let step_cap = 3000
 let run ?(heap_factor = 1.2) ?(steps = 60) ?(min_gcs = 4) ?(seed = 7)
     ~machine ~collector_of workload =
   let jvm = make_jvm ~heap_factor ~machine ~collector_of workload in
+  (* One host major cycle while this run's heap is still empty: the
+     previous run's machine is garbage by now, so the cycle frees its
+     frames before this run's population raises the host heap's
+     high-water mark, and of this run it marks only an empty JVM.  It
+     comes after the JVM is built, so a caller that times from the first
+     JVM construction counts it in the run, not in its setup. *)
+  Gc.major ();
   let rng = Svagc_util.Rng.create ~seed in
   let step = workload.Workload.setup jvm rng in
   let executed = ref 0 in
@@ -39,10 +46,6 @@ let run ?(heap_factor = 1.2) ?(steps = 60) ?(min_gcs = 4) ?(seed = 7)
   done;
   let cycles = Jvm.cycles jvm in
   let total_ns = Jvm.total_ns jvm in
-  (* Each run materializes up to a couple hundred MiB of simulated frames;
-     sweeping experiments run dozens of JVMs back to back, so return the
-     memory eagerly instead of letting host RSS ratchet up. *)
-  Gc.full_major ();
   {
     workload = workload.Workload.name;
     collector = Gc_intf.name (Jvm.collector jvm);

@@ -8,7 +8,6 @@
 open Svagc_vmem
 open Svagc_heap
 module Config = Svagc_core.Config
-module Move_object = Svagc_core.Move_object
 module Svagc = Svagc_core.Svagc
 module Jvm = Svagc_core.Jvm
 module Multi_jvm = Svagc_core.Multi_jvm
@@ -47,12 +46,13 @@ let test_config_bad_values () =
 
 (* --- Move_object --- *)
 
+(* Algorithm 3's size test, which the SwapVA mover applies to each move. *)
 let test_should_swap_threshold () =
-  let cfg = Config.default in
+  let heap = Helpers.heap ~threshold_pages:10 () in
   Alcotest.(check bool) "below" false
-    (Move_object.should_swap cfg ~len:((10 * 4096) - 1));
-  Alcotest.(check bool) "at" true (Move_object.should_swap cfg ~len:(10 * 4096));
-  Alcotest.(check bool) "above" true (Move_object.should_swap cfg ~len:(1 lsl 20))
+    (Heap.swap_sized heap ~size:((10 * 4096) - 1));
+  Alcotest.(check bool) "at" true (Heap.swap_sized heap ~size:(10 * 4096));
+  Alcotest.(check bool) "above" true (Heap.swap_sized heap ~size:(1 lsl 20))
 
 (* --- The differential test --- *)
 

@@ -657,7 +657,8 @@ let tlb_op_gen =
 
 let tlb_valid tlb =
   let acc = ref [] in
-  Tlb.iter_valid tlb (fun ~asid ~vpn ~frame -> acc := (asid, vpn, frame) :: !acc);
+  Tlb.iter_valid tlb (fun ~asid ~vpn ~frame ~stamp:_ ->
+      acc := (asid, vpn, frame) :: !acc);
   List.rev !acc
 
 let prop_tlb_flush_page =
@@ -939,6 +940,50 @@ let prop_as_fill_checksum_deterministic =
       in
       mk () = mk ())
 
+(* [touch_range] against a per-line reference: each cache line of the
+   range through [touch], one TLB lookup per line.  Ranges start anywhere
+   in a region of 96 pages, more than the TLB's 64 entries, so the
+   sequences cross pages and evict. *)
+let touch_region_pages = 96
+
+let touch_lines aspace ~core ~va ~len =
+  let line = Cache_sim.line_bytes (Address_space.machine aspace).Machine.llc in
+  let pos = ref (if len > 0 then va - (va mod line) else va) in
+  while !pos < va + len do
+    Address_space.touch aspace ~core ~va:!pos;
+    pos := !pos + line
+  done
+
+let touched_state m =
+  let tlb = (Machine.core m 0).Machine.tlb in
+  let st = Tlb.stats tlb in
+  let entries = ref [] in
+  Tlb.iter_valid tlb (fun ~asid ~vpn ~frame ~stamp ->
+      entries := (asid, vpn, frame, stamp) :: !entries);
+  let llc = Cache_sim.stats m.Machine.llc in
+  ( (st.Tlb.hits, st.Tlb.misses),
+    List.rev !entries,
+    (llc.Cache_sim.accesses, llc.Cache_sim.misses) )
+
+let prop_as_touch_range_per_line =
+  qtest ~count:60 "touch_range matches per-line touches"
+    QCheck.(
+      list_of_size Gen.(int_range 1 40)
+        (pair (int_bound ((touch_region_pages * 4096) - 1)) (int_bound (3 * 4096))))
+    (fun ranges ->
+      let replay touch =
+        let m = machine () in
+        let aspace = Address_space.create m in
+        Address_space.map_range aspace ~va:4096 ~pages:touch_region_pages;
+        List.iter
+          (fun (off, len) ->
+            let len = min len ((touch_region_pages * 4096) - off) in
+            touch aspace ~core:0 ~va:(4096 + off) ~len)
+          ranges;
+        touched_state m
+      in
+      replay touch_lines = replay Address_space.touch_range)
+
 (* --- Perf --- *)
 
 let bump_some_counters p =
@@ -1133,6 +1178,7 @@ let () =
           Alcotest.test_case "checksum sensitivity" `Quick test_as_checksum_sensitivity;
           Alcotest.test_case "i64 roundtrip" `Quick test_as_i64_roundtrip;
           Alcotest.test_case "touch counts" `Quick test_as_touch_counts;
+          prop_as_touch_range_per_line;
           prop_as_fill_checksum_deterministic;
         ] );
       ( "perf",

@@ -116,6 +116,24 @@ let test_workload_gc_correctness_end_to_end () =
       Alcotest.(check bool) "header intact" true (Svagc_heap.Heap.header_matches heap o))
     (Svagc_heap.Heap.objects heap)
 
+(* A finished run keeps nothing of its machine alive: the test holds the
+   result, but the machine only through a weak pointer, so any global
+   that still reaches the machine after a full host collection shows up
+   here.  The run lives in a function of its own so that no stack slot
+   of the test holds the machine either. *)
+let[@inline never] run_on_weak_machine weak =
+  let m = machine () in
+  Weak.set weak 0 (Some m);
+  Runner.run ~machine:m ~collector_of:svagc ~steps:5 ~min_gcs:1
+    Svagc_workloads.Sparse.quarter
+
+let test_run_retains_no_machine () =
+  let weak = Weak.create 1 in
+  let r = run_on_weak_machine weak in
+  Gc.full_major ();
+  Alcotest.(check bool) "run finished" true (r.Runner.steps > 0);
+  Alcotest.(check bool) "machine collected" false (Weak.check weak 0)
+
 let () =
   Alcotest.run "svagc_workloads"
     [
@@ -132,5 +150,7 @@ let () =
           Alcotest.test_case "bisort small objects" `Slow test_bisort_objects_are_small;
           Alcotest.test_case "end-to-end integrity" `Slow
             test_workload_gc_correctness_end_to_end;
+          Alcotest.test_case "run retains no machine" `Quick
+            test_run_retains_no_machine;
         ] );
     ]
