@@ -15,25 +15,21 @@ let swap_opts (cfg : Config.t) =
 
 module Kernel_error = Svagc_fault.Kernel_error
 
-(* A batch item: one SwapVA request plus the compaction entries coalesced
-   into it (head first).  Entries keep their (src, dst, len) so a request
-   the kernel refuses can still be completed entry-by-entry with memmove. *)
-type batch_entry = { e_src : int; e_dst : int; e_len : int; e_pages : int }
+(* A pending SwapVA request and the plan slice [lo, hi) it moves.  Only
+   the newest request is ever extended, so each slice is contiguous and a
+   request the kernel refuses can still be completed object by object
+   with memmove. *)
+type pending = {
+  src : int;
+  dst : int;
+  mutable pages : int;
+  lo : int;
+  mutable hi : int;
+}
 
 let max_swap_retries = 3
 
-(* Distribute a call's cost over the entries it moved, proportional to
-   page counts (the dominant term).  Outcomes are handed to [emit] rather
-   than collected in lists: the batch machinery below emits straight into
-   the caller's output vector, so the fault-free path builds no
-   per-entry cost lists (each attribution is an independent float
-   expression, so emission order cannot change any value). *)
-let emit_attributed ~emit ~total ~total_pages ~swapped entries =
-  List.iter
-    (fun e ->
-      emit (total *. float_of_int e.e_pages /. float_of_int (max 1 total_pages))
-        swapped)
-    entries
+let object_pages (o : Obj_model.t) = Addr.pages_spanned o.size
 
 let trace_fallback err ~entries ~pages ~retries =
   if Tracer.tracing () then
@@ -48,111 +44,17 @@ let trace_fallback err ~entries ~pages ~retries =
         ]
       "gc.swap_fallback"
 
-(* A request the kernel failed: bounded retry for transient errors, then
-   graceful degradation to the byte-copy path.  [carry] is simulated ns
-   already spent on the failed attempt(s) that still must be charged.
-   Emits one (cost, swapped) outcome per entry of the item.
+(* A move of [pages] pages from [src] to [dst] butts against [p] on both
+   sides, and the merged ranges stay disjoint (overlap would change which
+   kernel path runs). *)
+let extends p ~src ~dst ~pages =
+  let bytes = p.pages * Addr.page_size in
+  p.src + bytes = src
+  && p.dst + bytes = dst
+  && not
+       (Swapva.ranges_overlap { Swapva.src = p.src; dst = p.dst; pages = p.pages + pages })
 
-   The kernel's "error implies no mutation" contract is what makes this
-   sound: a failed request left every entry at its source address, so
-   memmove sees exactly the pre-call bytes.  Non-degradable EINVALs are a
-   GC bug (malformed request) and re-raised loudly. *)
-let degrade_item proc ~opts ~aspace ?measure_core ~emit ~carry err (req, entries)
-    =
-  let machine = Process.machine proc in
-  let perf = machine.Machine.perf in
-  let cost = machine.Machine.cost in
-  if not (Kernel_error.is_degradable err) then raise (Kernel_error.Fault err);
-  (* Bounded retry with exponential backoff, transient errors only. *)
-  let spent = ref carry in
-  let retries = ref 0 in
-  let result = ref (Error err) in
-  while
-    (match !result with Error e -> Kernel_error.is_transient e | Ok _ -> false)
-    && !retries < max_swap_retries
-  do
-    spent :=
-      !spent +. (cost.Cost_model.retry_backoff_ns *. (2.0 ** float_of_int !retries));
-    incr retries;
-    Perf.bump perf Swap_retries 1;
-    match
-      Swapva.swap_result proc ~opts ~src:req.Swapva.src ~dst:req.Swapva.dst
-        ~pages:req.Swapva.pages
-    with
-    | Ok ns -> result := Ok ns
-    | Error (e, attempt_ns) ->
-      spent := !spent +. attempt_ns;
-      result := Error e
-  done;
-  let total_pages = req.Swapva.pages in
-  match !result with
-  | Ok ns ->
-    (* A retry went through: entries were swapped after all; spread the
-       whole episode's cost (backoffs + failed attempts + success). *)
-    let total = !spent +. ns in
-    emit_attributed ~emit ~total ~total_pages ~swapped:true entries
-  | Error err ->
-    if not (Kernel_error.is_degradable err) then raise (Kernel_error.Fault err);
-    Perf.bump perf Swap_fallbacks 1;
-    trace_fallback err ~entries:(List.length entries) ~pages:total_pages
-      ~retries:!retries;
-    (* Degrade: complete every entry of the request with memmove.  The
-       accumulated failure cost rides on the first entry. *)
-    List.iteri
-      (fun i e ->
-        let mv =
-          Memmove.move ?measure_core ~cold:true aspace ~src:e.e_src ~dst:e.e_dst
-            ~len:e.e_len
-        in
-        emit (if i = 0 then !spent +. mv else mv) false)
-      entries
-
-(* Flush a pending batch of swap requests, emitting one (cost_ns, swapped)
-   outcome per compaction entry, in entry order.  The fault-free path is
-   float-for-float identical to charging the call total proportionally by
-   page count.  On a typed kernel failure the batch degrades per the
-   DESIGN.md fault chapter: completed requests keep their swaps, the
-   failing request retries/falls back to memmove, and the untried suffix
-   is re-flushed (a fresh syscall batch). *)
-let rec flush_batch proc ~opts ~aspace ?measure_core ~emit batch =
-  match batch with
-  | [] -> ()
-  | items ->
-    let requests = List.map fst items in
-    let outcome = Swapva.swap_aggregated proc ~opts requests in
-    (match outcome.Swapva.failure with
-    | None ->
-      let total_pages =
-        List.fold_left (fun acc r -> acc + r.Swapva.pages) 0 requests
-      in
-      List.iter
-        (fun (_, entries) ->
-          emit_attributed ~emit ~total:outcome.Swapva.ns ~total_pages
-            ~swapped:true entries)
-        items
-    | Some err ->
-      let completed = outcome.Swapva.completed in
-      let rec split k acc = function
-        | failed :: rest when k = 0 -> (List.rev acc, failed, rest)
-        | item :: rest -> split (k - 1) (item :: acc) rest
-        | [] -> assert false
-      in
-      let done_items, failed_item, rest_items = split completed [] items in
-      (* Completed requests absorb the call's cost (including the failed
-         request's setup — the price of discovering the fault); when
-         nothing completed, the whole spent ns carries to the failed
-         request's handling so no simulated time is lost. *)
-      let done_pages =
-        List.fold_left (fun acc (r, _) -> acc + r.Swapva.pages) 0 done_items
-      in
-      List.iter
-        (fun (_, entries) ->
-          emit_attributed ~emit ~total:outcome.Swapva.ns ~total_pages:done_pages
-            ~swapped:true entries)
-        done_items;
-      let carry = if completed = 0 then outcome.Swapva.ns else 0.0 in
-      degrade_item proc ~opts ~aspace ?measure_core ~emit ~carry err failed_item;
-      flush_batch proc ~opts ~aspace ?measure_core ~emit rest_items)
+let request p = { Swapva.src = p.src; dst = p.dst; pages = p.pages }
 
 let mover ?measure_core (cfg : Config.t) =
   Config.validate cfg;
@@ -187,87 +89,171 @@ let mover ?measure_core (cfg : Config.t) =
     let proc = Heap.proc heap in
     if pinned then Process.unpin proc else 0.0
   in
-  let move_entries heap entries =
+  let move_entries heap plan =
     let proc = Heap.proc heap in
     let aspace = Process.aspace proc in
-    let perf = (Process.machine proc).Machine.perf in
+    let machine = Process.machine proc in
+    let perf = machine.Machine.perf in
+    let cost = machine.Machine.cost in
     let opts = swap_opts cfg in
-    let out = Svagc_util.Vec.create () in
+    let costs = Array.make (Array.length plan) 0.0 in
+    let swapped = ref 0 in
+    let memmove i =
+      let o = plan.(i) in
+      Memmove.move ?measure_core ~cold:true aspace ~src:o.Obj_model.addr
+        ~dst:o.Obj_model.forward ~len:o.Obj_model.size
+    in
+    (* [p]'s objects went through SwapVA: distribute the call's cost over
+       them, proportional to page counts (the dominant term).  Each
+       attribution is an independent float expression, so the order the
+       slots are written in cannot change any value. *)
+    let swapped_all ~total ~total_pages p =
+      for i = p.lo to p.hi - 1 do
+        costs.(i) <-
+          total *. float_of_int (object_pages plan.(i)) /. float_of_int (max 1 total_pages)
+      done;
+      swapped := !swapped + (p.hi - p.lo)
+    in
+    (* A request the kernel failed: bounded retry for transient errors,
+       then graceful degradation to the byte-copy path.  [carry] is
+       simulated ns already spent on the failed attempt(s) that still must
+       be charged.
+
+       The kernel's "error implies no mutation" contract is what makes
+       this sound: a failed request left every object at its source
+       address, so memmove sees exactly the pre-call bytes.
+       Non-degradable EINVALs are a GC bug (malformed request) and
+       re-raised loudly. *)
+    let degrade ~carry err p =
+      if not (Kernel_error.is_degradable err) then raise (Kernel_error.Fault err);
+      (* Bounded retry with exponential backoff, transient errors only. *)
+      let spent = ref carry in
+      let retries = ref 0 in
+      let result = ref (Error err) in
+      while
+        (match !result with Error e -> Kernel_error.is_transient e | Ok _ -> false)
+        && !retries < max_swap_retries
+      do
+        spent :=
+          !spent
+          +. (cost.Cost_model.retry_backoff_ns *. (2.0 ** float_of_int !retries));
+        incr retries;
+        Perf.bump perf Swap_retries 1;
+        match Swapva.swap_result proc ~opts ~src:p.src ~dst:p.dst ~pages:p.pages with
+        | Ok ns -> result := Ok ns
+        | Error (e, attempt_ns) ->
+          spent := !spent +. attempt_ns;
+          result := Error e
+      done;
+      match !result with
+      | Ok ns ->
+        (* A retry went through: the objects were swapped after all;
+           spread the whole episode's cost (backoffs + failed attempts +
+           success). *)
+        swapped_all ~total:(!spent +. ns) ~total_pages:p.pages p
+      | Error err ->
+        if not (Kernel_error.is_degradable err) then raise (Kernel_error.Fault err);
+        Perf.bump perf Swap_fallbacks 1;
+        trace_fallback err ~entries:(p.hi - p.lo) ~pages:p.pages ~retries:!retries;
+        (* Degrade: complete every object of the request with memmove.
+           The accumulated failure cost rides on the first object. *)
+        for i = p.lo to p.hi - 1 do
+          let mv = memmove i in
+          costs.(i) <- (if i = p.lo then !spent +. mv else mv)
+        done
+    in
+    (* Flush pending requests (oldest first) as one aggregated call.  The
+       fault-free path is float-for-float identical to charging the call
+       total proportionally by page count.  On a typed kernel failure the
+       batch degrades per the DESIGN.md fault chapter: completed requests
+       keep their swaps, the failing request retries/falls back to
+       memmove, and the untried suffix is re-flushed (a fresh syscall
+       batch). *)
+    let rec flush_batch = function
+      | [] -> ()
+      | batch -> (
+        let outcome = Swapva.swap_aggregated proc ~opts (List.map request batch) in
+        match outcome.Swapva.failure with
+        | None ->
+          let total_pages = List.fold_left (fun acc p -> acc + p.pages) 0 batch in
+          List.iter (swapped_all ~total:outcome.Swapva.ns ~total_pages) batch
+        | Some err ->
+          let completed = outcome.Swapva.completed in
+          (* Completed requests absorb the call's cost (including the
+             failed request's setup — the price of discovering the fault);
+             when nothing completed, the whole spent ns carries to the
+             failed request's handling so no simulated time is lost. *)
+          let done_pages = ref 0 in
+          List.iteri
+            (fun k p -> if k < completed then done_pages := !done_pages + p.pages)
+            batch;
+          let rec split k = function
+            | failed :: rest when k = completed ->
+              let carry = if completed = 0 then outcome.Swapva.ns else 0.0 in
+              degrade ~carry err failed;
+              flush_batch rest
+            | p :: rest ->
+              swapped_all ~total:outcome.Swapva.ns ~total_pages:!done_pages p;
+              split (k + 1) rest
+            | [] -> assert false
+          in
+          split 0 batch)
+    in
     (* Runs of consecutive swappable moves become one aggregated call;
        order across runs and memmoves is preserved, so the sliding
-       invariant holds.  An entry whose src AND dst ranges butt against the previous pending request merges into it —
-       one larger request, one setup fee — as long as the merged ranges
-       stay disjoint (overlap would change which kernel path runs).
-       [pending] is newest-first; each item carries the reversed per-entry
-       page counts so flushing can attribute one outcome per entry. *)
+       invariant holds.  An object that {!extends} the newest pending
+       request grows it in place — one larger request, one setup fee.
+       [pending] is newest-first. *)
     let pending = ref [] in
     let pending_count = ref 0 in
-    let pending_entries = ref 0 in
     let coalesced = ref 0 in
-    let emit cost_ns swapped =
-      Svagc_util.Vec.push out { Compact.cost_ns; swapped }
-    in
     let flush_pending () =
-      if !pending <> [] then begin
-        let items = List.rev_map (fun (r, ep) -> (r, List.rev ep)) !pending in
-        flush_batch proc ~opts ~aspace ?measure_core ~emit items
-      end;
-      if !pending_count > 0 && Tracer.tracing () then
-        Tracer.instant ~cat:"gc"
-          ~args:
-            [
-              ("entries", Svagc_trace.Event.Int !pending_entries);
-              ("requests", Svagc_trace.Event.Int !pending_count);
-              ("coalesced", Svagc_trace.Event.Int !coalesced);
-            ]
-          "gc.swap_batch";
-      pending := [];
-      pending_count := 0;
-      pending_entries := 0;
-      coalesced := 0
+      match !pending with
+      | [] -> ()
+      | newest :: _ ->
+        let batch = List.rev !pending in
+        flush_batch batch;
+        if Tracer.tracing () then
+          Tracer.instant ~cat:"gc"
+            ~args:
+              [
+                ("entries", Svagc_trace.Event.Int (newest.hi - (List.hd batch).lo));
+                ("requests", Svagc_trace.Event.Int !pending_count);
+                ("coalesced", Svagc_trace.Event.Int !coalesced);
+              ]
+            "gc.swap_batch";
+        pending := [];
+        pending_count := 0;
+        coalesced := 0
     in
-    List.iter
-      (fun { Compact.src; dst; len; _ } ->
+    Array.iteri
+      (fun i o ->
+        let src = o.Obj_model.addr and dst = o.Obj_model.forward in
         (* The heap's own IfSwapAlign test, not [cfg.threshold_pages]:
            the paper's Algorithm 3 writes the threshold both as pages >= T
            (MoveObject) and |object| >= T*|PAGE| (IfSwapAlign), and only
            objects that passed the latter were placed page-aligned.
            [Svagc.collector] rejects a config whose threshold disagrees. *)
-        if Heap.swap_sized heap ~size:len then begin
+        if Heap.swap_sized heap ~size:o.Obj_model.size then begin
           assert (Addr.is_page_aligned src && Addr.is_page_aligned dst);
-          let pages = Addr.pages_spanned len in
-          let entry = { e_src = src; e_dst = dst; e_len = len; e_pages = pages } in
-          incr pending_entries;
-          let merged =
-            match !pending with
-            | (r, ep) :: rest ->
-              let bytes = r.Swapva.pages * Addr.page_size in
-              if r.Swapva.src + bytes = src && r.Swapva.dst + bytes = dst then begin
-                let m = { r with Swapva.pages = r.Swapva.pages + pages } in
-                if Swapva.ranges_overlap m then None
-                else begin
-                  Perf.bump perf Runs_coalesced 1;
-                  incr coalesced;
-                  Some ((m, entry :: ep) :: rest)
-                end
-              end
-              else None
-            | _ -> None
-          in
-          match merged with
-          | Some pending' -> pending := pending'
-          | None ->
-            pending := ({ Swapva.src; dst; pages }, [ entry ]) :: !pending;
+          let pages = object_pages o in
+          match !pending with
+          | p :: _ when extends p ~src ~dst ~pages ->
+            p.pages <- p.pages + pages;
+            p.hi <- i + 1;
+            Perf.bump perf Runs_coalesced 1;
+            incr coalesced
+          | _ ->
+            pending := { src; dst; pages; lo = i; hi = i + 1 } :: !pending;
             incr pending_count;
             if !pending_count >= cfg.aggregation_batch then flush_pending ()
         end
         else begin
           flush_pending ();
-          let cost_ns = Memmove.move ?measure_core ~cold:true aspace ~src ~dst ~len in
-          Svagc_util.Vec.push out { Compact.cost_ns; swapped = false }
+          costs.(i) <- memmove i
         end)
-      entries;
+      plan;
     flush_pending ();
-    Svagc_util.Vec.to_list out
+    (costs, !swapped)
   in
   { Compact.mover_name = "swapva"; prologue; move_entries; epilogue }

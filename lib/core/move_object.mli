@@ -11,7 +11,7 @@
     the GC: transient [EAGAIN] faults are retried up to 3 times with
     exponential backoff ([Cost_model.retry_backoff_ns], charged to
     simulated time and counted in [perf.swap_retries]); degradable
-    failures ([EFAULT], exhausted retries) complete the request's entries
+    failures ([EFAULT], exhausted retries) complete the request's objects
     through the byte-copy path instead ([perf.swap_fallbacks], a
     ["gc.swap_fallback"] trace instant).  Non-degradable [EINVAL]s mean
     the GC built a malformed request and re-raise loudly.  When

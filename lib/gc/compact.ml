@@ -12,22 +12,10 @@ module Process = Svagc_kernel.Process
    are genuinely data-parallel (mark's clear sweep, adjust's rewrites,
    Par_sweep). *)
 
-type entry = {
-  obj : Obj_model.t;
-  src : int;
-  dst : int;
-  len : int;
-}
-
-type move_outcome = {
-  cost_ns : float;
-  swapped : bool;
-}
-
 type mover = {
   mover_name : string;
   prologue : Heap.t -> float;
-  move_entries : Heap.t -> entry list -> move_outcome list;
+  move_entries : Heap.t -> Obj_model.t array -> float array * int;
   epilogue : Heap.t -> float;
 }
 
@@ -42,16 +30,14 @@ let memmove_mover_gen ?measure_core () =
     mover_name = "memmove";
     prologue = (fun _ -> 0.0);
     move_entries =
-      (fun heap entries ->
+      (fun heap plan ->
         let aspace = Process.aspace (Heap.proc heap) in
-        List.map
-          (fun { src; dst; len; _ } ->
-            let cost_ns =
-              Svagc_kernel.Memmove.move ?measure_core ~cold:true aspace ~src ~dst
-                ~len
-            in
-            { cost_ns; swapped = false })
-          entries);
+        ( Array.map
+            (fun o ->
+              Svagc_kernel.Memmove.move ?measure_core ~cold:true aspace
+                ~src:o.Obj_model.addr ~dst:o.Obj_model.forward ~len:o.Obj_model.size)
+            plan,
+          0 ));
     epilogue = (fun _ -> 0.0);
   }
 
@@ -62,33 +48,26 @@ let memmove_mover_measured ~core = memmove_mover_gen ~measure_core:core ()
 let move heap ~threads ~mover plan =
   let cost = (Process.machine (Heap.proc heap)).Machine.cost in
   let fixed = mover.prologue heap in
-  let outcomes = mover.move_entries heap plan in
+  let costs, swapped_objects = mover.move_entries heap plan in
   let fixed = fixed +. mover.epilogue heap in
-  let costs = Array.make (List.length outcomes) 0.0 in
-  let swapped_objects = ref 0 in
-  List.iteri
-    (fun i o ->
-      costs.(i) <- o.cost_ns;
-      if o.swapped then incr swapped_objects)
-    outcomes;
   let makespan =
     Svagc_par.Work_steal.makespan ~threads ~steal_ns:cost.Cost_model.steal_ns
       ~barrier_ns:cost.Cost_model.barrier_ns costs
   in
   {
     phase_ns = makespan +. fixed;
-    moved_objects = List.length plan;
-    swapped_objects = !swapped_objects;
+    moved_objects = Array.length plan;
+    swapped_objects;
   }
 
 let run heap ~threads ~mover ~live ~new_top =
   let machine = Process.machine (Heap.proc heap) in
-  let plan = ref [] in
-  for i = Array.length live - 1 downto 0 do
-    let obj = live.(i) in
-    let src = obj.Obj_model.addr and dst = obj.Obj_model.forward in
-    if src <> dst then plan := { obj; src; dst; len = obj.Obj_model.size } :: !plan
-  done;
+  (* The plan: the objects that move, in address order. *)
+  let moves o = o.Obj_model.addr <> o.Obj_model.forward in
+  let n = Array.fold_left (fun n o -> if moves o then n + 1 else n) 0 live in
+  let plan = if n = 0 then [||] else Array.make n live.(0) in
+  let k = ref 0 in
+  Array.iter (fun o -> if moves o then (plan.(!k) <- o; incr k)) live;
   (* [threads] copy streams run concurrently during this phase: fold them
      into the machine's contention level so per-task copy costs reflect
      each thread's share of the bandwidth ceiling (the makespan then
@@ -98,7 +77,7 @@ let run heap ~threads ~mover ~live ~new_top =
   let result =
     Fun.protect
       ~finally:(fun () -> machine.Machine.copy_streams <- saved_streams)
-      (fun () -> move heap ~threads ~mover !plan)
+      (fun () -> move heap ~threads ~mover plan)
   in
   (* Commit the new addresses and re-stamp nothing: bytes moved with the
      objects, so the stamped headers must still match (tests rely on it).

@@ -1,34 +1,25 @@
 (** Phase IV — compaction.
 
-    Executes the move plan produced by phase II, in ascending address
-    order (the sliding invariant), through a pluggable {!mover}.  The
-    baseline mover copies bytes; lib/core provides the SwapVA mover
-    implementing Algorithm 3's [MoveObject] and the Algorithm 4 pinned
-    cycle.  Physical execution is sequential for determinism; phase time
-    is the work-stealing makespan of the per-object costs, plus whatever
-    fixed prologue/epilogue the mover charges (paid once, off the
-    parallel part). *)
+    The move plan is an array of objects in ascending address order (the
+    sliding invariant): each moves from its [addr] to the [forward]
+    address phase II gave it, through a pluggable {!mover}.  The baseline
+    mover copies bytes; lib/core provides the SwapVA mover implementing
+    Algorithm 3's [MoveObject] and the Algorithm 4 pinned cycle.  Physical
+    execution is sequential for determinism; phase time is the
+    work-stealing makespan of the per-object costs, plus whatever fixed
+    prologue/epilogue the mover charges (paid once, off the parallel
+    part). *)
 
 open Svagc_heap
-
-type entry = {
-  obj : Obj_model.t;
-  src : int;
-  dst : int;
-  len : int;
-}
-
-type move_outcome = {
-  cost_ns : float;
-  swapped : bool;  (** true when the move went through SwapVA *)
-}
 
 type mover = {
   mover_name : string;
   prologue : Heap.t -> float;
       (** charged once per cycle before any move (Algorithm 4 lines 2-5) *)
-  move_entries : Heap.t -> entry list -> move_outcome list;
-      (** perform the moves in the given order *)
+  move_entries : Heap.t -> Obj_model.t array -> float array * int;
+      (** move each object of the plan from [addr] to [forward], in order;
+          returns each move's simulated cost (index for index) and the
+          number of moves that went through SwapVA *)
   epilogue : Heap.t -> float;  (** e.g. unpin *)
 }
 
@@ -45,11 +36,11 @@ val memmove_mover_measured : core:int -> mover
 (** Same, but every copied line goes through the machine's cache model and
     the page translations through [core]'s TLB (Table III). *)
 
-val move : Heap.t -> threads:int -> mover:mover -> entry list -> result
-(** One pass through [mover]: its prologue, the entries in the given
-    order, its epilogue.  [phase_ns] is the work-stealing makespan of the
-    per-move costs over [threads] workers plus the fixed prologue and
-    epilogue; [moved_objects] counts the entries.  Shared by {!run} and
+val move : Heap.t -> threads:int -> mover:mover -> Obj_model.t array -> result
+(** One pass through [mover]: its prologue, the plan's moves in order,
+    its epilogue.  [phase_ns] is the work-stealing makespan of the
+    mover's cost array over [threads] workers plus the fixed prologue and
+    epilogue; [moved_objects] is the plan's length.  Shared by {!run} and
     {!Evacuate.run}. *)
 
 val run :

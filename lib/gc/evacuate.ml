@@ -13,15 +13,7 @@ let run from ~into ~threads ~mover ~mark_ns ~ref_scan_ns =
   let new_top = Heap.place into ~top:(Heap.top into) live in
   if new_top > Heap.limit into then raise Heap.Heap_full;
   Heap.ensure_mapped_to into new_top;
-  let entries =
-    Array.fold_right
-      (fun o acc ->
-        { Compact.obj = o; src = o.Obj_model.addr; dst = o.Obj_model.forward;
-          len = o.Obj_model.size }
-        :: acc)
-      live []
-  in
-  let moved = Compact.move from ~threads ~mover entries in
+  let moved = Compact.move from ~threads ~mover live in
   Heap.adopt_survivors into live ~top:new_top;
   (* [from]'s index still maps each old address to its record, which now
      holds the new address. *)

@@ -54,6 +54,94 @@ let test_should_swap_threshold () =
   Alcotest.(check bool) "at" true (Heap.swap_sized heap ~size:(10 * 4096));
   Alcotest.(check bool) "above" true (Heap.swap_sized heap ~size:(1 lsl 20))
 
+(* The SwapVA mover driven directly on a hand-built plan (P = one page;
+   threshold 10 pages, batches of 4 requests):
+   - A and B (10P each) slide down 30P: their moves butt and the merged
+     ranges stay disjoint, so they coalesce into one request;
+   - a small object s between runs is byte-copied and flushes A+B;
+   - C..G (10P each) slide down 10P: each pair butts, but a merge would
+     overlap, so they stay five requests, flushed as 4 + 1.
+   Returns each move's cost, the swapped count, the perf deltas and the
+   memmove cost each object would have alone. *)
+let drive_swapva_mover cfg =
+  let p = Addr.page_size in
+  let heap = Helpers.heap ~threshold_pages:10 () in
+  let alloc size = Heap.alloc heap ~size ~n_refs:0 ~cls:0 in
+  let garbage = alloc (30 * p) in
+  let a = alloc (10 * p) and b = alloc (10 * p) in
+  let s = alloc 100 in
+  let run = List.init 5 (fun _ -> alloc (10 * p)) in
+  let plan = Array.of_list (a :: b :: s :: run) in
+  let base = garbage.Obj_model.addr in
+  a.Obj_model.forward <- base;
+  b.Obj_model.forward <- base + (10 * p);
+  s.Obj_model.forward <- base + (20 * p);
+  List.iter (fun o -> o.Obj_model.forward <- o.Obj_model.addr - (10 * p)) run;
+  Array.iteri
+    (fun i o ->
+      Heap.write_payload heap o ~off:0 (Bytes.make 64 (Char.chr (65 + i))))
+    plan;
+  let sums = Helpers.checksums heap (Array.to_list plan) in
+  let machine = Svagc_kernel.Process.machine (Heap.proc heap) in
+  let alone =
+    Array.map
+      (fun o ->
+        Svagc_kernel.Memmove.cost_ns ~cold:true machine ~len:o.Obj_model.size)
+      plan
+  in
+  let perf = machine.Machine.perf in
+  let counters = [ Perf.Runs_coalesced; Swapva_calls; Memmove_calls; Swap_retries ] in
+  let before = List.map (Perf.get perf) counters in
+  let mover = Svagc_core.Move_object.mover cfg in
+  ignore (mover.Svagc_gc.Compact.prologue heap);
+  let costs, swapped = mover.Svagc_gc.Compact.move_entries heap plan in
+  ignore (mover.Svagc_gc.Compact.epilogue heap);
+  let deltas = List.map2 (fun c b -> Perf.get perf c - b) counters before in
+  let last = plan.(Array.length plan - 1) in
+  Heap.commit_survivors heap plan ~top:(last.Obj_model.forward + last.Obj_model.size);
+  Helpers.assert_checksums heap sums;
+  (match Heap.audit heap with
+  | Ok () -> ()
+  | Error problems -> Alcotest.fail (String.concat "; " problems));
+  (costs, swapped, deltas, alone)
+
+let batch4 = { Config.default with Config.aggregation_batch = 4 }
+
+let test_swapva_mover_plan () =
+  let costs, swapped, deltas, _ = drive_swapva_mover batch4 in
+  Alcotest.(check int) "costs per object" 8 (Array.length costs);
+  Alcotest.(check int) "all large objects swapped" 7 swapped;
+  Alcotest.(check (list int)) "coalesced, swapva calls, memmoves, retries"
+    [ 1; 3; 1; 0 ] deltas;
+  Array.iteri
+    (fun i c ->
+      if not (c > 0.0) then Alcotest.failf "move %d charged %g ns" i c)
+    costs
+
+(* Every lock acquisition fails: each of the 6 requests retries 3 times,
+   then falls back to byte copies; the failure cost rides only on the
+   request's first object. *)
+let test_swapva_mover_lock_faults () =
+  let spec = Result.get_ok (Svagc_fault.Fault_spec.parse "lock:every=1") in
+  let costs, swapped, deltas, alone =
+    drive_swapva_mover { batch4 with Config.fault_spec = spec }
+  in
+  Alcotest.(check int) "nothing swapped" 0 swapped;
+  (match deltas with
+  | [ _; _; memmoves; retries ] ->
+    Alcotest.(check int) "every object byte-copied" 8 memmoves;
+    Alcotest.(check int) "3 retries per request" 18 retries
+  | _ -> assert false);
+  let firsts = [ 0; 3; 4; 5; 6; 7 ] in
+  Array.iteri
+    (fun i c ->
+      if List.mem i firsts then begin
+        if not (c > alone.(i)) then
+          Alcotest.failf "first object %d carries no failure cost" i
+      end
+      else Alcotest.(check (float 0.0)) (Printf.sprintf "object %d" i) alone.(i) c)
+    costs
+
 (* --- The differential test --- *)
 
 let collect_with collector_of seed =
@@ -264,6 +352,9 @@ let () =
       ( "move_object",
         [
           Alcotest.test_case "threshold" `Quick test_should_swap_threshold;
+          Alcotest.test_case "swapva mover plan" `Quick test_swapva_mover_plan;
+          Alcotest.test_case "swapva mover lock faults" `Quick
+            test_swapva_mover_lock_faults;
         ] );
       ( "differential",
         [
