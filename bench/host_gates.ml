@@ -11,7 +11,12 @@
      must return the same result, whose checksum must match
      [checksum_reference].
 
-   The speed gates arm on full runs only; the identity checks always.
+   - shootdown: [Machine.flush_asid_everywhere] on a 32-core machine
+     whose TLBs are all empty, as every SwapVA call's final flush finds
+     them outside Table III.  Gate: 0 minor words over 10k calls.
+
+   The speed gates arm on full runs only; the identity checks and the
+   allocation gate always.
    Time is bechamel's monotonic wall clock: CPU time sums across domains
    and would hide any parallel speedup.
 
@@ -157,6 +162,35 @@ let par_size ~pages =
       (same && r1.Par_sweep.checksum = reference),
     t1 /. t4 )
 
+(* --- shootdown --- *)
+
+let shootdown_calls = 10_000
+
+let shootdown () =
+  let machine = Machine.create ~ncores:32 ~phys_mib:1 Cost_model.xeon_6130 in
+  let flush () = Machine.flush_asid_everywhere machine ~asid:1 in
+  let before = Gc.minor_words () in
+  for _ = 1 to shootdown_calls do
+    flush ()
+  done;
+  let words = Gc.minor_words () -. before in
+  let row =
+    Json.Obj
+      [
+        ("cores", Json.Int machine.Machine.ncores);
+        ("calls", Json.Int shootdown_calls);
+        ("minor_words", Json.Float words);
+        ("flush_ns", ns (per_op flush));
+      ]
+  in
+  ( row,
+    identity
+      (Printf.sprintf
+         "shootdown: flush asid everywhere on 32 empty TLBs allocates 0 \
+          words over %d calls"
+         shootdown_calls)
+      (words = 0.0) )
+
 (* --- driver --- *)
 
 let run quick output =
@@ -171,8 +205,9 @@ let run quick output =
     List.map (fun pages -> par_size ~pages)
       (if quick then [ 16384 ] else [ 65536; 524288 ])
   in
+  let shootdown_row, shootdown_gate = shootdown () in
   let full = not quick in
-  let checks = List.map (fun (_, c, _) -> c) (swap @ par) in
+  let checks = List.map (fun (_, c, _) -> c) (swap @ par) @ [ shootdown_gate ] in
   let gates =
     checks
     @ [
@@ -202,6 +237,7 @@ let run quick output =
         ("quick", Json.Bool quick);
         ("swap", rows swap);
         ("par", rows par);
+        ("shootdown", shootdown_row);
         ("gates", Json.List (List.map gate_json gates));
       ]
   in

@@ -9,9 +9,6 @@ type policy =
 (* Epoch bump: one atomic store plus store-buffer drain. *)
 let epoch_bump_ns = 45.0
 
-let invalidate_everywhere machine ~asid =
-  Array.iter (fun c -> Tlb.flush_asid c.Machine.tlb ~asid) machine.Machine.cores
-
 let policy_name = function
   | Broadcast_per_call -> "broadcast-per-call"
   | Process_targeted -> "process-targeted"
@@ -35,7 +32,7 @@ let trace_flush ~core policy ns =
 
 let flush_after_swap machine ~asid ~core policy =
   (* State change is policy-independent; only the charged cost differs. *)
-  invalidate_everywhere machine ~asid;
+  Machine.flush_asid_everywhere machine ~asid;
   let cost = machine.Machine.cost in
   let ns =
     match policy with

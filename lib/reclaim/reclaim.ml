@@ -256,10 +256,7 @@ let swap_out t id =
     Page_table.set_pte pt va (Pte.make_swapped ~slot);
     (* The frame is gone: invalidate any cached translation everywhere
        (the eviction-side half of shootdown discipline). *)
-    let cores = t.machine.Machine.cores in
-    for c = 0 to Array.length cores - 1 do
-      Tlb.flush_page cores.(c).Machine.tlb ~asid ~vpn
-    done;
+    Machine.flush_page_everywhere t.machine ~asid ~vpn;
     Perf.bump perf Tlb_flush_page 1;
     charge t t.machine.Machine.cost.Cost_model.tlb_flush_page_ns;
     Perf.bump perf Pages_swapped_out 1;

@@ -278,10 +278,9 @@ let touch_range t ~core ~va ~len =
       let frame = resolve t ~core ~va:!pos in
       if lines > 1 then
         Tlb.rehit tlb ~asid:t.asid ~vpn:(Addr.page_number page) ~times:(lines - 1);
-      let pa = (frame * Addr.page_size) - page + !pos in
-      for i = 0 to lines - 1 do
-        Cache_sim.access llc ~addr:(pa + (i * line))
-      done;
+      Cache_sim.access_range llc
+        ~addr:((frame * Addr.page_size) - page + !pos)
+        ~len:(lines * line);
       pos := !pos + (lines * line)
     done
   end

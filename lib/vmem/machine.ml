@@ -174,8 +174,20 @@ let ipi_broadcast_cost ?(scale = 1.0) t ~from_core =
     *. (t.cost.ipi_ns +. (float_of_int (remote - 1) *. t.cost.ipi_ack_ns))
     +. ipi_delivery_penalty_ns t ~from_core
 
+let flush_asid_everywhere t ~asid =
+  let cores = t.cores in
+  for c = 0 to Array.length cores - 1 do
+    Tlb.flush_asid cores.(c).tlb ~asid
+  done
+
+let flush_page_everywhere t ~asid ~vpn =
+  let cores = t.cores in
+  for c = 0 to Array.length cores - 1 do
+    Tlb.flush_page cores.(c).tlb ~asid ~vpn
+  done
+
 let flush_tlb_all_cores t ~asid ~from_core =
-  Array.iter (fun c -> Tlb.flush_asid c.tlb ~asid) t.cores;
+  flush_asid_everywhere t ~asid;
   (* One local-flush event per core actually flushed (every core walks its
      own TLB when the IPI lands) plus one machine-wide event — the Eq. 2
      bookkeeping the shadow oracle cross-checks. *)

@@ -132,6 +132,14 @@ val ipi_broadcast_cost : ?scale:float -> t -> from_core:int -> float
     IPI-broadcast helper; every shootdown flavor must route through it so
     counters cannot drift from costs. *)
 
+val flush_asid_everywhere : t -> asid:int -> unit
+(** Invalidate the process's entries in every core's TLB: one
+    [Tlb.flush_asid] per core and nothing else — no perf counter, no
+    cost, no hook.  Allocates nothing. *)
+
+val flush_page_everywhere : t -> asid:int -> vpn:int -> unit
+(** The same for one page: one [Tlb.flush_page] per core. *)
+
 val flush_tlb_all_cores : t -> asid:int -> from_core:int -> float
 (** The paper's [flush_tlb_all_cores(pid)]: invalidates the process's
     entries in every core's TLB and returns the initiator-side cost

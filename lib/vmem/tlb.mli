@@ -1,6 +1,10 @@
 (** Per-core translation lookaside buffer: set-associative, LRU, tagged by
     address-space id so flushes can target one process (the paper's
-    process-scoped shootdown) or a single page. *)
+    process-scoped shootdown) or a single page.
+
+    Asids are non-negative; every function taking one raises
+    [Invalid_argument] on a negative asid.  A flush of an empty TLB costs
+    O(1), whatever its size. *)
 
 type t
 
@@ -13,7 +17,9 @@ type stats = {
 }
 
 val create : ?entries:int -> ?ways:int -> unit -> t
-(** Defaults: 64 entries, 4-way (a typical L1 DTLB). *)
+(** Defaults: 64 entries, 4-way (a typical L1 DTLB).
+    @raise Invalid_argument unless [entries] and [ways] are positive and
+    [ways] divides [entries]. *)
 
 val lookup : t -> asid:int -> vpn:int -> int
 (** The frame on a hit, [-1] on a miss; updates recency and hit/miss
@@ -25,7 +31,10 @@ val rehit : t -> asid:int -> vpn:int -> times:int -> unit
     @raise Invalid_argument if [(asid, vpn)] is not resident. *)
 
 val insert : t -> asid:int -> vpn:int -> frame:int -> unit
-(** Fill after a page walk, evicting the set's LRU way if needed. *)
+(** Fill after a page walk: the set's first empty way, or else its LRU
+    way, is evicted.  A resident [(asid, vpn)] is rewritten in place with
+    the new frame and a fresh stamp, so no two ways ever hold the same
+    pair and {!occupied} does not grow. *)
 
 val flush_all : t -> unit
 
@@ -47,3 +56,4 @@ val reset_stats : t -> unit
 val entries : t -> int
 
 val occupied : t -> int
+(** Valid entries; O(1). *)

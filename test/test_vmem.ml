@@ -691,6 +691,226 @@ let prop_tlb_flush_page =
       && st.Tlb.flushes_asid = !asids
       && st.Tlb.flushes_full = 0)
 
+let test_tlb_insert_resident () =
+  (* A second fill of a resident (asid, vpn) rewrites its way in place:
+     the new frame wins and no second way is taken. *)
+  let tlb = Tlb.create ~entries:8 ~ways:2 () in
+  Tlb.insert tlb ~asid:1 ~vpn:10 ~frame:99;
+  Tlb.insert tlb ~asid:1 ~vpn:10 ~frame:7;
+  Alcotest.(check int) "one way" 1 (Tlb.occupied tlb);
+  Alcotest.(check int) "new frame" 7 (Tlb.lookup tlb ~asid:1 ~vpn:10);
+  Tlb.flush_page tlb ~asid:1 ~vpn:10;
+  Alcotest.(check int) "one flush drops it" (-1) (Tlb.lookup tlb ~asid:1 ~vpn:10)
+
+let test_tlb_geometry () =
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "zero ways" (fun () -> Tlb.create ~ways:0 ());
+  rejects "zero entries" (fun () -> Tlb.create ~entries:0 ());
+  rejects "negative ways" (fun () -> Tlb.create ~entries:8 ~ways:(-2) ());
+  rejects "ways do not divide entries" (fun () -> Tlb.create ~entries:10 ~ways:4 ());
+  let tlb = Tlb.create () in
+  rejects "negative asid" (fun () -> Tlb.insert tlb ~asid:(-1) ~vpn:0 ~frame:0);
+  rejects "negative asid flush" (fun () -> Tlb.flush_asid tlb ~asid:(-1))
+
+(* The record-based TLB the flat one replaced, kept as its reference: one
+   mutable record per way, an explicit valid bit, closures over every
+   entry.  Its one change is the documented fill of a resident pair,
+   which rewrites that way instead of evicting another. *)
+module Ref_tlb = struct
+  type entry = {
+    mutable valid : bool;
+    mutable asid : int;
+    mutable vpn : int;
+    mutable frame : int;
+    mutable stamp : int;
+  }
+
+  type t = { sets : entry array array; n_sets : int; mutable tick : int; st : Tlb.stats }
+
+  let create ~entries ~ways =
+    let n_sets = entries / ways in
+    let fresh () = { valid = false; asid = 0; vpn = 0; frame = 0; stamp = 0 } in
+    {
+      sets = Array.init n_sets (fun _ -> Array.init ways (fun _ -> fresh ()));
+      n_sets;
+      tick = 0;
+      st = { hits = 0; misses = 0; flushes_full = 0; flushes_asid = 0; flushes_page = 0 };
+    }
+
+  let set_of t vpn = t.sets.(vpn mod t.n_sets)
+  let matches e ~asid ~vpn = e.valid && e.asid = asid && e.vpn = vpn
+
+  let lookup t ~asid ~vpn =
+    t.tick <- t.tick + 1;
+    let frame = ref (-1) in
+    Array.iter
+      (fun e ->
+        if matches e ~asid ~vpn then begin
+          e.stamp <- t.tick;
+          frame := e.frame
+        end)
+      (set_of t vpn);
+    if !frame < 0 then t.st.misses <- t.st.misses + 1
+    else t.st.hits <- t.st.hits + 1;
+    !frame
+
+  let rehit t ~asid ~vpn ~times =
+    t.tick <- t.tick + times;
+    let found = ref false in
+    Array.iter
+      (fun e ->
+        if matches e ~asid ~vpn then begin
+          e.stamp <- t.tick;
+          found := true
+        end)
+      (set_of t vpn);
+    if not !found then invalid_arg "Ref_tlb.rehit";
+    t.st.hits <- t.st.hits + times
+
+  let insert t ~asid ~vpn ~frame =
+    t.tick <- t.tick + 1;
+    let set = set_of t vpn in
+    let victim =
+      match Array.find_opt (matches ~asid ~vpn) set with
+      | Some e -> e
+      | None ->
+        let victim = ref set.(0) in
+        Array.iter
+          (fun e ->
+            if not e.valid then begin
+              if !victim.valid then victim := e
+            end
+            else if !victim.valid && e.stamp < !victim.stamp then victim := e)
+          set;
+        !victim
+    in
+    victim.valid <- true;
+    victim.asid <- asid;
+    victim.vpn <- vpn;
+    victim.frame <- frame;
+    victim.stamp <- t.tick
+
+  let iter_entries t f = Array.iter (fun set -> Array.iter f set) t.sets
+
+  let flush_all t =
+    t.st.flushes_full <- t.st.flushes_full + 1;
+    iter_entries t (fun e -> e.valid <- false)
+
+  let flush_asid t ~asid =
+    t.st.flushes_asid <- t.st.flushes_asid + 1;
+    iter_entries t (fun e -> if e.asid = asid then e.valid <- false)
+
+  let flush_page t ~asid ~vpn =
+    t.st.flushes_page <- t.st.flushes_page + 1;
+    Array.iter (fun e -> if e.asid = asid && e.vpn = vpn then e.valid <- false) (set_of t vpn)
+
+  let reset_stats t =
+    t.st.hits <- 0;
+    t.st.misses <- 0;
+    t.st.flushes_full <- 0;
+    t.st.flushes_asid <- 0;
+    t.st.flushes_page <- 0
+
+  let valid t =
+    let acc = ref [] in
+    iter_entries t (fun e ->
+        if e.valid then acc := (e.asid, e.vpn, e.frame, e.stamp) :: !acc);
+    List.rev !acc
+end
+
+type tlb_ref_op =
+  | R_lookup of int * int
+  | R_rehit of int * int * int
+  | R_insert of int * int * int
+  | R_flush_asid of int
+  | R_flush_page of int * int
+  | R_flush_all
+  | R_reset_stats
+
+let pp_tlb_ref_op = function
+  | R_lookup (a, v) -> Printf.sprintf "lookup %d/%d" a v
+  | R_rehit (a, v, n) -> Printf.sprintf "rehit %d/%d x%d" a v n
+  | R_insert (a, v, f) -> Printf.sprintf "insert %d/%d->%d" a v f
+  | R_flush_asid a -> Printf.sprintf "flush_asid %d" a
+  | R_flush_page (a, v) -> Printf.sprintf "flush_page %d/%d" a v
+  | R_flush_all -> "flush_all"
+  | R_reset_stats -> "reset_stats"
+
+(* Few asids and vpns, so sets overflow, fills repeat resident pairs and
+   flushes land on both empty and full TLBs. *)
+let tlb_ref_op_gen =
+  QCheck.Gen.(
+    let asid = int_bound 2 and vpn = int_bound 23 in
+    frequency
+      [
+        (5, map2 (fun a v -> R_lookup (a, v)) asid vpn);
+        (2, map3 (fun a v n -> R_rehit (a, v, n)) asid vpn (int_bound 5));
+        (6, map3 (fun a v f -> R_insert (a, v, f)) asid vpn (int_bound 999));
+        (2, map (fun a -> R_flush_asid a) asid);
+        (2, map2 (fun a v -> R_flush_page (a, v)) asid vpn);
+        (1, return R_flush_all);
+        (1, return R_reset_stats);
+      ])
+
+let tlb_geometries = [ (8, 2); (12, 3); (16, 4); (64, 4) ]
+
+let flat_valid tlb =
+  let acc = ref [] in
+  Tlb.iter_valid tlb (fun ~asid ~vpn ~frame ~stamp ->
+      acc := (asid, vpn, frame, stamp) :: !acc);
+  List.rev !acc
+
+let prop_tlb_reference =
+  qtest ~count:300 "flat TLB agrees with the record-based reference"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (pair int int) (list pp_tlb_ref_op))
+       QCheck.Gen.(
+         pair (oneofl tlb_geometries) (list_size (int_range 1 300) tlb_ref_op_gen)))
+    (fun ((entries, ways), ops) ->
+      let flat = Tlb.create ~entries ~ways () in
+      let model = Ref_tlb.create ~entries ~ways in
+      let outcome f = match f () with r -> Ok r | exception Invalid_argument _ -> Error () in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | R_lookup (asid, vpn) ->
+              Tlb.lookup flat ~asid ~vpn = Ref_tlb.lookup model ~asid ~vpn
+            | R_rehit (asid, vpn, times) ->
+              outcome (fun () -> Tlb.rehit flat ~asid ~vpn ~times)
+              = outcome (fun () -> Ref_tlb.rehit model ~asid ~vpn ~times)
+            | R_insert (asid, vpn, frame) ->
+              Tlb.insert flat ~asid ~vpn ~frame;
+              Ref_tlb.insert model ~asid ~vpn ~frame;
+              true
+            | R_flush_asid asid ->
+              Tlb.flush_asid flat ~asid;
+              Ref_tlb.flush_asid model ~asid;
+              true
+            | R_flush_page (asid, vpn) ->
+              Tlb.flush_page flat ~asid ~vpn;
+              Ref_tlb.flush_page model ~asid ~vpn;
+              true
+            | R_flush_all ->
+              Tlb.flush_all flat;
+              Ref_tlb.flush_all model;
+              true
+            | R_reset_stats ->
+              Tlb.reset_stats flat;
+              Ref_tlb.reset_stats model;
+              true
+          in
+          let valid = Ref_tlb.valid model in
+          same
+          && Tlb.stats flat = model.Ref_tlb.st
+          && Tlb.occupied flat = List.length valid
+          && flat_valid flat = valid)
+        ops
+      && Tlb.entries flat = entries)
+
 (* --- Cache_sim --- *)
 
 let test_cache_hit_after_fill () =
@@ -763,6 +983,133 @@ let test_cache_streams_pinned () =
   counts "hot, default" (hot ~working_set:(4 * 1024 * 1024)) (Cache_sim.create ())
     100000 55922;
   counts "hot, 64 KiB" (hot ~working_set:(128 * 1024)) (small ()) 100000 59008
+
+let test_cache_geometry () =
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "zero ways" (fun () -> Cache_sim.create ~ways:0 ());
+  rejects "zero size" (fun () -> Cache_sim.create ~size_bytes:0 ());
+  rejects "negative line" (fun () -> Cache_sim.create ~line_bytes:(-64) ());
+  rejects "line not a power of two" (fun () ->
+      Cache_sim.create ~size_bytes:(48 * 64) ~line_bytes:48 ~ways:16 ());
+  rejects "size not whole lines" (fun () -> Cache_sim.create ~size_bytes:1000 ());
+  rejects "lines not whole sets" (fun () ->
+      Cache_sim.create ~size_bytes:(3 * 64) ~line_bytes:64 ~ways:2 ());
+  rejects "three sets" (fun () ->
+      Cache_sim.create ~size_bytes:(3 * 2 * 64) ~line_bytes:64 ~ways:2 ());
+  (* A way count that is not a power of two is a valid geometry. *)
+  let c = Cache_sim.create ~size_bytes:(4 * 3 * 64) ~line_bytes:64 ~ways:3 () in
+  List.iter (fun addr -> Cache_sim.access c ~addr) [ 0; 4 * 64; 8 * 64; 0; 12 * 64; 4 * 64 ];
+  Alcotest.(check int) "three ways of one set, LRU evicted" 5
+    (Cache_sim.stats c).Cache_sim.misses
+
+(* The two-array LLC the packed one replaced, kept as its reference: tags
+   and stamps per set, a full scan for the hit and another for the
+   victim, and an unbounded clock. *)
+module Ref_cache = struct
+  type t = {
+    tags : int array array; (* -1 = invalid *)
+    stamps : int array array;
+    n_sets : int;
+    line : int;
+    mutable tick : int;
+    mutable misses : int;
+  }
+
+  let create ~size_bytes ~line_bytes ~ways =
+    let n_sets = size_bytes / line_bytes / ways in
+    {
+      tags = Array.init n_sets (fun _ -> Array.make ways (-1));
+      stamps = Array.init n_sets (fun _ -> Array.make ways 0);
+      n_sets;
+      line = line_bytes;
+      tick = 0;
+      misses = 0;
+    }
+
+  let access t ~addr =
+    t.tick <- t.tick + 1;
+    let line_no = addr / t.line in
+    let set = line_no mod t.n_sets and tag = line_no / t.n_sets in
+    let tags = t.tags.(set) and stamps = t.stamps.(set) in
+    let hit = ref false in
+    Array.iteri
+      (fun w tg ->
+        if tg = tag then begin
+          hit := true;
+          stamps.(w) <- t.tick
+        end)
+      tags;
+    if not !hit then begin
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      for w = 1 to Array.length tags - 1 do
+        if tags.(w) = -1 && tags.(!victim) <> -1 then victim := w
+        else if tags.(!victim) <> -1 && stamps.(w) < stamps.(!victim) then victim := w
+      done;
+      tags.(!victim) <- tag;
+      stamps.(!victim) <- t.tick
+    end
+end
+
+(* Same misses after every access, so every victim was the same way. *)
+let same_misses packed model addrs =
+  List.for_all
+    (fun addr ->
+      Cache_sim.access packed ~addr;
+      Ref_cache.access model ~addr;
+      (Cache_sim.stats packed).Cache_sim.misses = model.Ref_cache.misses)
+    addrs
+
+let cache_geometries =
+  [ (256, 64, 2); (1024, 64, 4); (4 * 3 * 32, 32, 3); (4096, 128, 16); (65536, 64, 8) ]
+
+let prop_cache_reference =
+  qtest ~count:300 "packed LLC agrees with the two-array reference"
+    QCheck.(
+      pair (oneofl cache_geometries)
+        (list_of_size Gen.(int_range 1 2000)
+           (oneof [ int_bound 8191; int_bound (1 lsl 20); int_bound (1 lsl 36) ])))
+    (fun ((size_bytes, line_bytes, ways), addrs) ->
+      same_misses
+        (Cache_sim.create ~size_bytes ~line_bytes ~ways ())
+        (Ref_cache.create ~size_bytes ~line_bytes ~ways)
+        addrs)
+
+(* One set driven across the stamp bound: the clock jumps to just below it
+   in both models, then a stream over more tags than ways keeps evicting
+   through the wrap.  A second set holds lines from before the jump, so
+   the renumbering must keep its LRU order too. *)
+let test_cache_stamp_wrap () =
+  let size_bytes = 512 and line_bytes = 64 and ways = 4 in
+  let packed = Cache_sim.create ~size_bytes ~line_bytes ~ways () in
+  let model = Ref_cache.create ~size_bytes ~line_bytes ~ways in
+  let n_sets = size_bytes / line_bytes / ways in
+  let line_of ~set ~tag = ((tag * n_sets) + set) * line_bytes in
+  let rng = Random.State.make [| 31 |] in
+  let stream n ~set =
+    List.init n (fun _ -> line_of ~set ~tag:(Random.State.int rng (ways + 3)))
+  in
+  let max_stamp = (1 lsl 31) - 1 in
+  Alcotest.(check bool) "warm-up" true
+    (same_misses packed model (stream 40 ~set:0 @ stream 40 ~set:1));
+  let jump = max_stamp - 30 - model.Ref_cache.tick in
+  Cache_sim.skip_ticks packed jump;
+  model.Ref_cache.tick <- model.Ref_cache.tick + jump;
+  Alcotest.(check bool) "across the bound" true
+    (same_misses packed model (stream 400 ~set:0));
+  Alcotest.(check bool) "the other set after the wrap" true
+    (same_misses packed model (stream 100 ~set:1 @ stream 100 ~set:0));
+  Alcotest.(check bool) "stream long enough to miss" true
+    (model.Ref_cache.misses > 100);
+  (* The clock restarted below the bound, so a long jump fits again. *)
+  Cache_sim.skip_ticks packed (max_stamp - 1000);
+  Alcotest.(check bool) "a jump past the bound is refused" true
+    (match Cache_sim.skip_ticks packed 1000 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* --- Cost_model --- *)
 
@@ -1143,6 +1490,9 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_tlb_capacity_eviction;
           Alcotest.test_case "occupancy" `Quick test_tlb_occupancy;
           prop_tlb_flush_page;
+          Alcotest.test_case "fill of a resident pair" `Quick test_tlb_insert_resident;
+          Alcotest.test_case "geometry checked" `Quick test_tlb_geometry;
+          prop_tlb_reference;
         ] );
       ( "cache_sim",
         [
@@ -1151,6 +1501,9 @@ let () =
           Alcotest.test_case "access range" `Quick test_cache_access_range;
           Alcotest.test_case "miss rate" `Quick test_cache_miss_rate;
           Alcotest.test_case "pinned streams" `Quick test_cache_streams_pinned;
+          Alcotest.test_case "geometry checked" `Quick test_cache_geometry;
+          prop_cache_reference;
+          Alcotest.test_case "stamp wrap" `Quick test_cache_stamp_wrap;
         ] );
       ( "cost_model",
         [
