@@ -104,7 +104,7 @@ let swap_size ~pages =
     if pages > memmove_max_pages then []
     else
       let aspace = Process.aspace proc in
-      let move () = Memmove.move aspace ~src:base ~dst:(base + len) ~len in
+      let move () = Memmove.move ~streams:1 aspace ~src:base ~dst:(base + len) ~len in
       [ ("memmove_ns", ns (per_op move)) ]
   in
   let row =

@@ -357,8 +357,7 @@ let trace_cmd =
             jvm)
       in
       Svagc_core.Multi_jvm.run_round_robin multi ~steps:r.steps
-        ~step:(fun ~index _jvm _s -> steppers.(index) ());
-      Svagc_core.Multi_jvm.release multi
+        ~step:(fun ~index _jvm _s -> steppers.(index) ())
     end
   in
   let run (target, capacity) out ascii =

@@ -36,10 +36,7 @@ let co_run ~instances collector_of =
   for _ = 1 to steps do
     Array.iter (fun step -> step ()) steppers
   done;
-  let app = Multi_jvm.avg_app_ns multi in
-  let gc = Multi_jvm.avg_gc_ns multi in
-  Multi_jvm.release multi;
-  (app, gc)
+  (Multi_jvm.avg_app_ns multi, Multi_jvm.avg_gc_ns multi)
 
 let sweep name collector_of =
   Report.subsection name;

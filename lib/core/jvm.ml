@@ -155,13 +155,9 @@ let charge_app_ns t ns =
   drain_reclaim_app t
 
 let charge_app_mem t ~bytes =
-  let machine = Process.machine t.proc in
-  let bw =
-    Cost_model.contended_bw machine.Machine.cost
-      ~streams:machine.Machine.copy_streams
-      ~bw:machine.Machine.cost.Cost_model.dram_copy_bw
-  in
-  Clock.advance t.app_clock (float_of_int bytes /. bw);
+  Clock.advance t.app_clock
+    (Svagc_kernel.Memmove.cost_ns ~cold:true (Process.machine t.proc)
+       ~streams:(Process.co_runners t.proc) ~len:bytes);
   drain_reclaim_app t
 
 let gc_count t = List.length (Gc_intf.cycles t.collector)

@@ -62,8 +62,8 @@ val charge_app_ns : t -> float -> unit
 (** Pure compute time. *)
 
 val charge_app_mem : t -> bytes:int -> unit
-(** Application memory traffic: charged at the bandwidth left under the
-    machine's current contention level. *)
+(** Application memory traffic: a cold copy of [bytes] as one of the
+    process's co-runner streams ([Memmove.cost_ns ~cold:true]). *)
 
 val app_ns : t -> float
 

@@ -89,7 +89,7 @@ let mover ?measure_core (cfg : Config.t) =
     let proc = Heap.proc heap in
     if pinned then Process.unpin proc else 0.0
   in
-  let move_entries heap plan =
+  let move_entries heap { Compact.objects = plan; streams } =
     let proc = Heap.proc heap in
     let aspace = Process.aspace proc in
     let machine = Process.machine proc in
@@ -100,7 +100,7 @@ let mover ?measure_core (cfg : Config.t) =
     let swapped = ref 0 in
     let memmove i =
       let o = plan.(i) in
-      Memmove.move ?measure_core ~cold:true aspace ~src:o.Obj_model.addr
+      Memmove.move ?measure_core ~cold:true ~streams aspace ~src:o.Obj_model.addr
         ~dst:o.Obj_model.forward ~len:o.Obj_model.size
     in
     (* [p]'s objects went through SwapVA: distribute the call's cost over

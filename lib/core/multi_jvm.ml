@@ -10,7 +10,9 @@ let create machine ~instances ~spawn =
   let jvms = Array.init instances (fun index -> spawn ~index machine) in
   (* One trace track per co-running instance (Fig. 2 / Fig. 14 views). *)
   Array.iteri (fun index jvm -> Jvm.set_trace_pid jvm index) jvms;
-  machine.Machine.copy_streams <- instances;
+  Array.iter
+    (fun jvm -> Svagc_kernel.Process.set_co_runners (Jvm.proc jvm) instances)
+    jvms;
   { machine; jvms }
 
 let jvms t = t.jvms
@@ -44,5 +46,3 @@ let avg_over t f =
 let avg_gc_ns t = avg_over t Jvm.gc_ns
 
 let avg_app_ns t = avg_over t Jvm.app_ns
-
-let release t = t.machine.Machine.copy_streams <- 1

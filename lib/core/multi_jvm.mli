@@ -15,7 +15,10 @@ val create :
   instances:int ->
   spawn:(index:int -> Machine.t -> Jvm.t) ->
   t
-(** Spawns [instances] JVMs and sets the machine's contention level.
+(** Spawns [instances] JVMs, then sets each one's process to
+    [instances] co-runners ({!Svagc_kernel.Process.set_co_runners}), so
+    every byte copy it makes from then on takes its share of the
+    machine's bandwidth.
     Memory pressure is the machine's, not the co-run's: attach a reclaim
     plane ([Svagc_reclaim.Reclaim.attach]) when the machine is made,
     so every tenant's heap pages are LRU-tracked from their first
@@ -37,6 +40,3 @@ val max_total_ns : t -> float
 val avg_gc_ns : t -> float
 
 val avg_app_ns : t -> float
-
-val release : t -> unit
-(** Reset the machine's contention level to 1. *)

@@ -33,7 +33,7 @@ let crossover_pages cost =
       let src = 1 lsl 30 and dst = (1 lsl 30) + (1 lsl 29) in
       Address_space.map_range aspace ~va:src ~pages;
       Address_space.map_range aspace ~va:dst ~pages;
-      let mm = Memmove.move aspace ~src ~dst ~len:(pages * Addr.page_size) in
+      let mm = Memmove.move ~streams:1 aspace ~src ~dst ~len:(pages * Addr.page_size) in
       let sv = Swapva.swap proc ~opts:Swapva.default_opts ~src ~dst ~pages in
       if sv < mm then Some pages else find (pages + 1)
     end

@@ -28,7 +28,7 @@ let sweep_machine cost =
         Address_space.map_range aspace ~va:src ~pages;
         Address_space.map_range aspace ~va:dst ~pages;
         let len = pages * Addr.page_size in
-        let memmove_ns = Memmove.move aspace ~src ~dst ~len in
+        let memmove_ns = Memmove.move ~streams:1 aspace ~src ~dst ~len in
         let swapva_ns =
           Swapva.swap proc ~opts:Swapva.default_opts ~src ~dst ~pages
         in

@@ -45,18 +45,14 @@ let run_one ~collector ~instances ~steps =
           acc (Jvm.cycles jvm))
       0.0 jvms
   in
-  let point =
-    {
-      instances;
-      avg_app_ns = Multi_jvm.avg_app_ns multi;
-      avg_gc_total_ns = Multi_jvm.avg_gc_ns multi;
-      max_gc_pause_ns = max_pause;
-      app_increase_pct = 0.0;
-      gc_increase_pct = 0.0;
-    }
-  in
-  Multi_jvm.release multi;
-  point
+  {
+    instances;
+    avg_app_ns = Multi_jvm.avg_app_ns multi;
+    avg_gc_total_ns = Multi_jvm.avg_gc_ns multi;
+    max_gc_pause_ns = max_pause;
+    app_increase_pct = 0.0;
+    gc_increase_pct = 0.0;
+  }
 
 let sweep ~collector ?(steps = 40) ?(instances = [ 1; 2; 4; 8; 16; 32 ]) () =
   let raw = List.map (fun i -> run_one ~collector ~instances:i ~steps) instances in

@@ -281,7 +281,6 @@ let run ~collector_of ?(label = "fleet") config =
         s.t_gc_count <- Jvm.gc_count jvm)
       jvms;
     total_ns := !total_ns +. Multi_jvm.max_total_ns mj;
-    Multi_jvm.release mj;
     Array.iter
       (fun idx -> Admission.release admission ~frames:tenants.(idx).hard)
       ids

@@ -12,10 +12,15 @@ module Process = Svagc_kernel.Process
    are genuinely data-parallel (mark's clear sweep, adjust's rewrites,
    Par_sweep). *)
 
+type plan = {
+  objects : Obj_model.t array;
+  streams : int;
+}
+
 type mover = {
   mover_name : string;
   prologue : Heap.t -> float;
-  move_entries : Heap.t -> Obj_model.t array -> float array * int;
+  move_entries : Heap.t -> plan -> float array * int;
   epilogue : Heap.t -> float;
 }
 
@@ -30,13 +35,13 @@ let memmove_mover_gen ?measure_core () =
     mover_name = "memmove";
     prologue = (fun _ -> 0.0);
     move_entries =
-      (fun heap plan ->
+      (fun heap { objects; streams } ->
         let aspace = Process.aspace (Heap.proc heap) in
         ( Array.map
             (fun o ->
-              Svagc_kernel.Memmove.move ?measure_core ~cold:true aspace
+              Svagc_kernel.Memmove.move ?measure_core ~cold:true ~streams aspace
                 ~src:o.Obj_model.addr ~dst:o.Obj_model.forward ~len:o.Obj_model.size)
-            plan,
+            objects,
           0 ));
     epilogue = (fun _ -> 0.0);
   }
@@ -45,8 +50,13 @@ let memmove_mover = memmove_mover_gen ()
 
 let memmove_mover_measured ~core = memmove_mover_gen ~measure_core:core ()
 
-let move heap ~threads ~mover plan =
-  let cost = (Process.machine (Heap.proc heap)).Machine.cost in
+let move heap ~threads ~mover objects =
+  let proc = Heap.proc heap in
+  let cost = (Process.machine proc).Machine.cost in
+  (* The pass runs [threads] copy streams next to every co-runner's, so
+     each move gets that share of the bandwidth ceiling (the makespan then
+     recombines them, saturating at machine_copy_bw). *)
+  let plan = { objects; streams = Process.co_runners proc * threads } in
   let fixed = mover.prologue heap in
   let costs, swapped_objects = mover.move_entries heap plan in
   let fixed = fixed +. mover.epilogue heap in
@@ -56,29 +66,18 @@ let move heap ~threads ~mover plan =
   in
   {
     phase_ns = makespan +. fixed;
-    moved_objects = Array.length plan;
+    moved_objects = Array.length objects;
     swapped_objects;
   }
 
 let run heap ~threads ~mover ~live ~new_top =
-  let machine = Process.machine (Heap.proc heap) in
   (* The plan: the objects that move, in address order. *)
   let moves o = o.Obj_model.addr <> o.Obj_model.forward in
   let n = Array.fold_left (fun n o -> if moves o then n + 1 else n) 0 live in
-  let plan = if n = 0 then [||] else Array.make n live.(0) in
+  let moving = if n = 0 then [||] else Array.make n live.(0) in
   let k = ref 0 in
-  Array.iter (fun o -> if moves o then (plan.(!k) <- o; incr k)) live;
-  (* [threads] copy streams run concurrently during this phase: fold them
-     into the machine's contention level so per-task copy costs reflect
-     each thread's share of the bandwidth ceiling (the makespan then
-     recombines them, saturating at machine_copy_bw). *)
-  let saved_streams = machine.Machine.copy_streams in
-  machine.Machine.copy_streams <- saved_streams * max 1 threads;
-  let result =
-    Fun.protect
-      ~finally:(fun () -> machine.Machine.copy_streams <- saved_streams)
-      (fun () -> move heap ~threads ~mover plan)
-  in
+  Array.iter (fun o -> if moves o then (moving.(!k) <- o; incr k)) live;
+  let result = move heap ~threads ~mover moving in
   (* Commit the new addresses and re-stamp nothing: bytes moved with the
      objects, so the stamped headers must still match (tests rely on it).
      Every live object's [forward] is its destination, moved or not. *)

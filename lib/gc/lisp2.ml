@@ -12,13 +12,10 @@ type config = {
 let config ?(label = "lisp2") ?(threads = 4) ?compact_threads
     ?(mover = Compact.memmove_mover) () =
   if threads <= 0 then invalid_arg "Lisp2.config: threads must be positive";
-  {
-    label;
-    threads;
-    compact_threads =
-      (match compact_threads with Some c -> c | None -> threads);
-    mover;
-  }
+  let compact_threads = Option.value compact_threads ~default:threads in
+  if compact_threads <= 0 then
+    invalid_arg "Lisp2.config: compact_threads must be positive";
+  { label; threads; compact_threads; mover }
 
 module Tracer = Svagc_trace.Tracer
 module Event = Svagc_trace.Event

@@ -25,7 +25,8 @@ val config :
   ?mover:Compact.mover ->
   unit ->
   config
-(** Defaults: 4 threads, same compact threads, memmove mover. *)
+(** Defaults: 4 threads, same compact threads, memmove mover.
+    @raise Invalid_argument unless both thread counts are positive. *)
 
 val collect : config -> Heap.t -> Gc_stats.cycle
 (** One full cycle: mark, forward, adjust, compact, all stop-the-world

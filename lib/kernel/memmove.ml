@@ -1,19 +1,16 @@
 open Svagc_vmem
 
-let cost_ns ?(cold = false) machine ~len =
+let cost_ns ?(cold = false) machine ~streams ~len =
   if len <= 0 then 0.0
   else begin
+    let cost = machine.Machine.cost in
     let bw =
-      if cold then
-        Cost_model.contended_bw machine.Machine.cost
-          ~streams:machine.Machine.copy_streams
-          ~bw:machine.Machine.cost.Cost_model.dram_copy_bw
-      else Machine.effective_copy_bw machine ~bytes_len:len
+      if cold then cost.dram_copy_bw else Cost_model.memmove_bw cost ~bytes_len:len
     in
-    float_of_int len /. bw
+    float_of_int len /. Cost_model.contended_bw cost ~streams ~bw
   end
 
-let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
+let move ?measure_core ?(cold = false) ~streams aspace ~src ~dst ~len =
   if len < 0 then invalid_arg "Memmove.move: negative length";
   let machine = Address_space.machine aspace in
   if len = 0 then 0.0
@@ -36,7 +33,7 @@ let move ?measure_core ?(cold = false) aspace ~src ~dst ~len =
       | None -> 0.0
       | Some r -> r.Machine.ri_drain_ns ()
     in
-    let ns = cost_ns ~cold machine ~len +. reclaim_ns in
+    let ns = cost_ns ~cold machine ~streams ~len +. reclaim_ns in
     if Svagc_trace.Tracer.tracing () then
       Svagc_trace.Tracer.instant ~cat:"kernel" ~advance_ns:ns
         ~args:[ ("len", Svagc_trace.Event.Int len) ]

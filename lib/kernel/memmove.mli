@@ -10,19 +10,21 @@ open Svagc_vmem
 val move :
   ?measure_core:int ->
   ?cold:bool ->
+  streams:int ->
   Address_space.t ->
   src:int ->
   dst:int ->
   len:int ->
   float
-(** [move as_ ~src ~dst ~len] copies [len] bytes and returns the cost in
-    ns.  Overlapping ranges behave like C [memmove].  When [measure_core]
-    is given, source and destination lines are pushed through the LLC model
-    and the page translations through that core's TLB.  [cold] (default
+(** [move ~streams as_ ~src ~dst ~len] copies [len] bytes as one of
+    [streams] copy streams and returns the cost in ns.  Overlapping
+    ranges behave like C [memmove].  When [measure_core] is given, source
+    and destination lines are pushed through the LLC model and the page
+    translations through that core's TLB.  [cold] (default
     false) charges DRAM-tier bandwidth regardless of size — the GC
     compaction case, where sources are compulsory misses; hot microbenches
     keep the size-tiered model. *)
 
-val cost_ns : ?cold:bool -> Machine.t -> len:int -> float
-(** The analytic cost of copying [len] bytes under the machine's current
-    contention level, without doing it (used by planners/tests). *)
+val cost_ns : ?cold:bool -> Machine.t -> streams:int -> len:int -> float
+(** The analytic cost of copying [len] bytes as one of [streams]
+    concurrent streams ({!Cost_model.contended_bw}), without doing it. *)

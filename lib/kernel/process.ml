@@ -8,6 +8,7 @@ type t = {
   mutable current_core : int;
   mutable pinned : bool;
   mutable next_object_id : int;
+  mutable co_runners : int;
 }
 
 let next_pid = ref 100
@@ -24,6 +25,7 @@ let create ?name machine =
     current_core = 0;
     pinned = false;
     next_object_id = 1;
+    co_runners = 1;
   }
 
 let pid t = t.pid
@@ -36,6 +38,10 @@ let fresh_object_id t =
   let id = t.next_object_id in
   t.next_object_id <- id + 1;
   id
+
+let co_runners t = t.co_runners
+
+let set_co_runners t k = t.co_runners <- k
 
 let set_current_core t core =
   if core < 0 || core >= t.machine.Machine.ncores then

@@ -24,6 +24,12 @@ val fresh_object_id : t -> int
     a unique id (the key of root sets and stamped headers) whichever
     space it lives in. *)
 
+val co_runners : t -> int
+(** Co-running processes sharing the machine's copy bandwidth, this one
+    included: 1 until [Multi_jvm.create] sets it for its instances. *)
+
+val set_co_runners : t -> int -> unit
+
 val current_core : t -> int
 (** The core the process is running on (0 unless migrated). *)
 

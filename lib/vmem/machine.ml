@@ -54,7 +54,6 @@ type t = {
   phys : Phys_mem.t;
   perf : Perf.t;
   llc : Cache_sim.t;
-  mutable copy_streams : int;
   mutable next_asid : int;
   mutable fault : Svagc_fault.Injector.t option;
   mutable reclaim : reclaim_iface option;
@@ -83,7 +82,6 @@ let create ?ncores ?(phys_mib = 512) (cost : Cost_model.t) =
       phys = Phys_mem.create ~frames;
       perf = Perf.create ();
       llc = Cache_sim.create ();
-      copy_streams = 1;
       next_asid = 1;
       fault = None;
       reclaim = None;
@@ -119,10 +117,6 @@ let fresh_asid t =
   let asid = t.next_asid in
   t.next_asid <- asid + 1;
   asid
-
-let effective_copy_bw t ~bytes_len =
-  let bw = Cost_model.memmove_bw t.cost ~bytes_len in
-  Cost_model.contended_bw t.cost ~streams:t.copy_streams ~bw
 
 module Tracer = Svagc_trace.Tracer
 

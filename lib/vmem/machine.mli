@@ -3,7 +3,8 @@
 
     A machine hosts one or more processes ({!Address_space}s); the paper's
     multi-JVM experiments run several processes on one machine so they share
-    copy bandwidth (see {!copy_streams}). *)
+    copy bandwidth.  The machine keeps no contention state: every copy's
+    caller passes its stream count ([Memmove.cost_ns ~streams]). *)
 
 type core = {
   core_id : int;
@@ -63,9 +64,6 @@ type t = {
   phys : Phys_mem.t;
   perf : Perf.t;
   llc : Cache_sim.t;
-  mutable copy_streams : int;
-      (** Concurrent memory-intensive streams; divides the machine copy
-          bandwidth ceiling (multi-JVM contention). *)
   mutable next_asid : int;
   mutable fault : Svagc_fault.Injector.t option;
       (** The machine's fault-injection plane; [None] (the default) and an
@@ -112,9 +110,6 @@ val create : ?ncores:int -> ?phys_mib:int -> Cost_model.t -> t
 val core : t -> int -> core
 
 val fresh_asid : t -> int
-
-val effective_copy_bw : t -> bytes_len:int -> float
-(** Single-stream memmove bandwidth under the current contention level. *)
 
 val ipi_broadcast_cost : ?scale:float -> t -> from_core:int -> float
 (** Cost charged to the initiating core for IPI-ing every other online core

@@ -355,9 +355,16 @@ let test_collector_history () =
   Alcotest.(check int) "reset" 0 (List.length (Gc_intf.cycles collector))
 
 let test_lisp2_config_validation () =
+  let rejected f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "bad threads rejected" true
-    (try ignore (Lisp2.config ~threads:0 ()); false
-     with Invalid_argument _ -> true)
+    (rejected (fun () -> Lisp2.config ~threads:0 ()));
+  List.iter
+    (fun compact_threads ->
+      Alcotest.(check bool)
+        (Printf.sprintf "compact_threads %d rejected" compact_threads)
+        true
+        (rejected (fun () -> Lisp2.config ~compact_threads ())))
+    [ 0; -1 ]
 
 let () =
   Alcotest.run "svagc_gc"

@@ -6,6 +6,7 @@ open Svagc_heap
 module Generational = Svagc_gc.Generational
 module Semispace = Svagc_gc.Semispace
 module Compact = Svagc_gc.Compact
+module Lisp2 = Svagc_gc.Lisp2
 module Gc_stats = Svagc_gc.Gc_stats
 module Move_object = Svagc_core.Move_object
 module Config = Svagc_core.Config
@@ -190,6 +191,35 @@ let test_promoted_and_pretenured_ids_differ () =
   Alcotest.(check bool) "the small object stays rooted" true
     (match !rooted with [ o ] -> o == small | _ -> false)
 
+(* On i5-7600 one of four copy streams gets min (11, 26 / 4) = 6.5 B/ns:
+   the minor's four copy threads together cannot beat the machine's
+   26 B/ns ceiling.  Sixteen equal survivors split evenly across them, so
+   the makespan sits just above that floor. *)
+let test_minor_copy_saturates () =
+  let machine = Machine.create ~ncores:4 ~phys_mib:128 Cost_model.i5_7600 in
+  let gen =
+    Generational.create (Svagc_kernel.Process.create machine)
+      ~young_bytes:(8 * 1024 * 1024) ~old_bytes:(32 * 1024 * 1024) ()
+  in
+  for _ = 1 to 16 do
+    Generational.add_root gen
+      (Generational.alloc gen ~size:(48 * 1024) ~n_refs:0 ~cls:0)
+  done;
+  let stats = Generational.minor gen ~mover:Compact.memmove_mover in
+  Alcotest.(check int) "every survivor copied" (16 * 48 * 1024)
+    stats.Gc_stats.bytes_copied;
+  let floor =
+    float_of_int stats.Gc_stats.bytes_copied
+    /. Cost_model.i5_7600.Cost_model.machine_copy_bw
+  in
+  let compact = stats.Gc_stats.compact_ns in
+  if compact < floor then
+    Alcotest.failf "copy phase %.0f ns beats the bandwidth ceiling's %.0f ns"
+      compact floor;
+  if compact > floor *. 1.1 then
+    Alcotest.failf "copy phase %.0f ns, over 1.1x the ceiling's %.0f ns"
+      compact floor
+
 let prop_minor_deterministic =
   qtest "minor collections are deterministic"
     QCheck.(int_range 0 1000)
@@ -201,6 +231,147 @@ let prop_minor_deterministic =
         Generational.minor gen ~mover:swap_mover
       in
       run () = run ())
+
+(* --- One graph law for every collector --- *)
+
+(* A random object graph: each object's size and reference slots (a
+   target index or null), and whether it is rooted. *)
+type graph = {
+  objects : (int * int option list) array;
+  rooted : bool array;
+}
+
+let graph_arb =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 24 >>= fun n ->
+      let obj =
+        pair
+          (frequency
+             [ (3, int_range 64 4096); (1, int_range (40 * 1024) (96 * 1024)) ])
+          (list_size (int_bound 3) (opt (int_bound (n - 1))))
+      in
+      map2
+        (fun objects rooted -> { objects; rooted })
+        (array_repeat n obj) (array_repeat n bool))
+  in
+  let print g =
+    String.concat "; "
+      (Array.to_list
+         (Array.mapi
+            (fun i (size, refs) ->
+              Printf.sprintf "%d%s:%d->[%s]" i
+                (if g.rooted.(i) then "*" else "")
+                size
+                (String.concat ","
+                   (List.map
+                      (function Some j -> string_of_int j | None -> "null")
+                      refs)))
+            g.objects))
+  in
+  QCheck.make ~print gen
+
+(* The rooted graph [heap] holds, in id order: each object reachable from
+   its roots with its reference slots as target ids and its checksum. *)
+let rooted_graph heap =
+  let seen = Hashtbl.create 32 in
+  let rec visit o =
+    if not (Hashtbl.mem seen o.Obj_model.id) then begin
+      let targets =
+        List.init (Array.length o.Obj_model.refs) (fun slot -> Heap.deref heap o ~slot)
+      in
+      Hashtbl.replace seen o.Obj_model.id
+        ( List.map (Option.map (fun t -> t.Obj_model.id)) targets,
+          Heap.checksum_object heap o );
+      List.iter (Option.iter visit) targets
+    end
+  in
+  Heap.iter_roots heap visit;
+  List.sort compare
+    (Hashtbl.fold (fun id (refs, sum) acc -> (id, refs, sum) :: acc) seen [])
+
+(* Each collector as the heap a graph is built in, its allocator, and a
+   collection that returns the heap the survivors live in. *)
+let collectors ~mover =
+  let mib n = n * 1024 * 1024 in
+  [
+    ( "lisp2",
+      fun () ->
+        let heap = Heap.create (proc ()) ~size_bytes:(mib 24) () in
+        let cfg = Lisp2.config ~mover () in
+        (heap, Heap.alloc heap, fun () -> ignore (Lisp2.collect cfg heap); heap) );
+    ( "generational",
+      fun () ->
+        let gen =
+          Generational.create (proc ()) ~young_bytes:(mib 8) ~old_bytes:(mib 32) ()
+        in
+        ( Generational.young gen,
+          Generational.alloc gen,
+          fun () ->
+            ignore (Generational.minor gen ~mover);
+            Generational.old_space gen ) );
+    ( "semispace",
+      fun () ->
+        let semi = Semispace.create (proc ()) ~space_bytes:(mib 8) () in
+        ( Semispace.heap semi,
+          Semispace.alloc semi,
+          fun () ->
+            ignore (Semispace.collect semi ~mover);
+            Semispace.heap semi ) );
+  ]
+
+(* Build [g] in the collector's heap, collect, and compare the rooted
+   graph with a pure reachability model over [g]: the same ids, the same
+   reference shape, and every survivor's bytes as they were. *)
+let graph_law_holds g (name, make) =
+  let heap, alloc, collect = make () in
+  let objs =
+    Array.mapi
+      (fun i (size, refs) ->
+        let o = alloc ~size ~n_refs:(List.length refs) ~cls:0 in
+        let len = min 64 (size - Obj_model.header_bytes) in
+        let pattern = Bytes.init len (fun k -> Char.chr (((i * 37) + k) land 255)) in
+        Heap.write_payload heap o ~off:0 pattern;
+        Heap.write_payload heap o ~off:(size - Obj_model.header_bytes - len) pattern;
+        if g.rooted.(i) then Heap.add_root heap o;
+        o)
+      g.objects
+  in
+  Array.iteri
+    (fun i (_, refs) ->
+      List.iteri
+        (fun slot target ->
+          Heap.set_ref heap objs.(i) ~slot (Option.map (fun j -> objs.(j)) target))
+        refs)
+    g.objects;
+  let sums = Array.map (Heap.checksum_object heap) objs in
+  let reachable = Array.make (Array.length objs) false in
+  let rec reach i =
+    if not reachable.(i) then begin
+      reachable.(i) <- true;
+      List.iter (Option.iter reach) (snd g.objects.(i))
+    end
+  in
+  Array.iteri (fun i r -> if r then reach i) g.rooted;
+  let id i = objs.(i).Obj_model.id in
+  let model =
+    List.sort compare
+      (List.filter_map
+         (fun i ->
+           if reachable.(i) then
+             Some (id i, List.map (Option.map id) (snd g.objects.(i)), sums.(i))
+           else None)
+         (List.init (Array.length objs) Fun.id))
+  in
+  rooted_graph (collect ()) = model
+  || QCheck.Test.fail_reportf "%s: the rooted graph differs from the model" name
+
+let prop_graph_law =
+  qtest ~count:25 "every collector keeps the rooted graph (random graphs)" graph_arb
+    (fun g ->
+      List.for_all
+        (fun mover -> List.for_all (graph_law_holds g) (collectors ~mover))
+        [ Compact.memmove_mover; swap_mover ])
 
 (* --- Semispace --- *)
 
@@ -310,6 +481,8 @@ let () =
           Alcotest.test_case "sustained churn" `Slow test_alloc_survives_pressure;
           Alcotest.test_case "promoted and pretenured ids differ" `Quick
             test_promoted_and_pretenured_ids_differ;
+          Alcotest.test_case "minor copy saturates the machine" `Quick
+            test_minor_copy_saturates;
           prop_minor_deterministic;
         ] );
       ( "semispace",
@@ -322,4 +495,5 @@ let () =
           Alcotest.test_case "survivor overflow" `Quick
             test_semispace_oom_when_survivors_overflow;
         ] );
+      ("graph law", [ prop_graph_law ]);
     ]

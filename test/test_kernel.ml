@@ -41,7 +41,10 @@ let page_byte aspace i = Address_space.read_u8 aspace ~va:(base + (i * Addr.page
 let test_memmove_disjoint () =
   let _, proc = fresh () in
   let aspace = mapped_window proc ~pages:4 in
-  let cost = Memmove.move aspace ~src:base ~dst:(base + (2 * Addr.page_size)) ~len:4096 in
+  let cost =
+    Memmove.move ~streams:1 aspace ~src:base ~dst:(base + (2 * Addr.page_size))
+      ~len:4096
+  in
   Alcotest.(check bool) "positive cost" true (cost > 0.0);
   Alcotest.(check int) "copied" (Char.code 'A') (page_byte aspace 2)
 
@@ -51,7 +54,7 @@ let test_memmove_overlap_semantics () =
   Address_space.map_range aspace ~va:base ~pages:2;
   Address_space.write_bytes aspace ~va:base ~src:(Bytes.of_string "abcdef");
   (* Overlapping forward copy: memmove semantics must preserve source. *)
-  ignore (Memmove.move aspace ~src:base ~dst:(base + 2) ~len:6);
+  ignore (Memmove.move ~streams:1 aspace ~src:base ~dst:(base + 2) ~len:6);
   Alcotest.(check string) "memmove overlap" "ababcdef"
     (Bytes.to_string (Address_space.read_bytes aspace ~va:base ~len:8))
 
@@ -85,20 +88,22 @@ let prop_memmove_matches_bytes_blit =
             ~va:(base + (p * Addr.page_size))
             ~src:(Bytes.sub model (p * Addr.page_size) Addr.page_size)
       done;
-      ignore (Memmove.move aspace ~src:(base + src_off) ~dst:(base + dst_off) ~len);
+      ignore
+        (Memmove.move ~streams:1 aspace ~src:(base + src_off)
+           ~dst:(base + dst_off) ~len);
       Bytes.blit model src_off model dst_off len;
       Bytes.equal model (Address_space.peek_bytes aspace ~va:base ~len:window))
 
 let test_memmove_cost_scales () =
   let machine, _ = fresh () in
-  let small = Memmove.cost_ns machine ~len:4096 in
-  let large = Memmove.cost_ns machine ~len:(4096 * 100) in
+  let small = Memmove.cost_ns machine ~streams:1 ~len:4096 in
+  let large = Memmove.cost_ns machine ~streams:1 ~len:(4096 * 100) in
   Alcotest.(check bool) "monotone" true (large > small *. 50.0)
 
 let test_memmove_cold_slower () =
   let machine, _ = fresh () in
-  let hot = Memmove.cost_ns machine ~len:65536 in
-  let cold = Memmove.cost_ns ~cold:true machine ~len:65536 in
+  let hot = Memmove.cost_ns machine ~streams:1 ~len:65536 in
+  let cold = Memmove.cost_ns ~cold:true machine ~streams:1 ~len:65536 in
   Alcotest.(check bool) "cold copies run at DRAM tier" true (cold > hot)
 
 (* --- Swapva: disjoint (Algorithm 1) --- *)

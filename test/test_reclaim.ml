@@ -376,7 +376,7 @@ let test_memmove_faults_in () =
   let perf = machine.Machine.perf in
   let faults0 = Perf.get perf Major_faults in
   let len = pages * Addr.page_size in
-  ignore (Memmove.move aspace ~src:base ~dst:(base + len) ~len);
+  ignore (Memmove.move ~streams:1 aspace ~src:base ~dst:(base + len) ~len);
   Alcotest.(check bool) "memmove demand-faulted the swapped source" true
     (Perf.get perf Major_faults > faults0);
   Alcotest.(check bool) "swap-ins happened" true (Perf.get perf Pages_swapped_in > 0)
@@ -401,7 +401,7 @@ let test_reclaim_gate ~pages () =
   in
   let memmove =
     drained (fun _ aspace ->
-        Memmove.move aspace ~src:base ~dst:(base + len) ~len)
+        Memmove.move ~streams:1 aspace ~src:base ~dst:(base + len) ~len)
   in
   if not (swapva > 0.0 && memmove /. swapva >= 5.0) then
     Alcotest.failf "%d pages: SwapVA %.0f ns vs memmove %.0f ns, under 5x" pages
@@ -485,11 +485,11 @@ let test_memmove_matches_staged_reference () =
         let what = Printf.sprintf "%s, move %d" (pp_copy_case case) i in
         let src = base + src_off and dst = base + dst_off in
         counting := true;
-        let ns_a = Memmove.move a ~src ~dst ~len in
+        let ns_a = Memmove.move ~streams:1 a ~src ~dst ~len in
         counting := false;
         Address_space.write_bytes b ~va:dst
           ~src:(Address_space.read_bytes b ~va:src ~len);
-        let ns_b = Memmove.cost_ns mb ~len +. Reclaim.drain_ns rb in
+        let ns_b = Memmove.cost_ns mb ~streams:1 ~len +. Reclaim.drain_ns rb in
         Alcotest.(check string) ("bytes: " ^ what)
           (Bytes.to_string (Address_space.peek_bytes b ~va:base ~len:window))
           (Bytes.to_string (Address_space.peek_bytes a ~va:base ~len:window));

@@ -203,7 +203,7 @@ let traced_run ?(capacity = 65536) ?(jvms = 1) () =
     ignore (Runner.run ~steps:10 ~min_gcs:2 ~machine ~collector_of workload)
   else begin
     let steppers = Array.make jvms (fun () -> ()) in
-    let multi =
+    let (_ : Svagc_core.Multi_jvm.t) =
       Svagc_core.Multi_jvm.create machine ~instances:jvms
         ~spawn:(fun ~index machine ->
           let jvm = Runner.make_jvm ~machine ~collector_of workload in
@@ -214,8 +214,7 @@ let traced_run ?(capacity = 65536) ?(jvms = 1) () =
     (* Enough mutator steps that every instance triggers at least one GC. *)
     for _ = 1 to 60 do
       Array.iter (fun stepper -> stepper ()) steppers
-    done;
-    Svagc_core.Multi_jvm.release multi
+    done
   end;
   match Tracer.stop () with
   | Some t -> t
