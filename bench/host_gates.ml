@@ -14,6 +14,10 @@
    - shootdown: [Machine.flush_asid_everywhere] on a 32-core machine
      whose TLBs are all empty, as every SwapVA call's final flush finds
      them outside Table III.  Gate: 0 minor words over 10k calls.
+   - copy: [Address_space.copy] of a whole page from a never-written
+     page, of a whole dense page onto a dense page, and of 48 bytes
+     between dense pages.  Gate: the two whole-page shapes allocate 0
+     minor words over 10k calls each.
 
    The speed gates arm on full runs only; the identity checks and the
    allocation gate always.
@@ -191,6 +195,59 @@ let shootdown () =
          shootdown_calls)
       (words = 0.0) )
 
+(* --- copy --- *)
+
+let copy_calls = 10_000
+
+(* Page 0 is never written; pages 1-3 are dense. *)
+let copy () =
+  let _, proc = mapped_proc ~phys_mib:1 ~pages:4 in
+  let aspace = Process.aspace proc in
+  let page i = base + (i * Addr.page_size) in
+  Address_space.fill aspace ~va:(page 1) ~len:(3 * Addr.page_size) 'x';
+  let shapes =
+    [
+      ("zero_page", true, fun () ->
+          Address_space.copy aspace ~src:(page 0) ~dst:(page 1) ~len:Addr.page_size);
+      ("dense_page", true, fun () ->
+          Address_space.copy aspace ~src:(page 2) ~dst:(page 3) ~len:Addr.page_size);
+      ("dense_48_bytes", false, fun () ->
+          Address_space.copy aspace ~src:(page 2 + 1000) ~dst:(page 3 + 2000) ~len:48);
+    ]
+  in
+  let rows =
+    List.map
+      (fun (shape, gated, f) ->
+        f ();
+        let before = Gc.minor_words () in
+        for _ = 1 to copy_calls do
+          f ()
+        done;
+        let words = Gc.minor_words () -. before in
+        (shape, gated, words, per_op f))
+      shapes
+  in
+  let row =
+    Json.List
+      (List.map
+         (fun (shape, _, words, t) ->
+           Json.Obj
+             [
+               ("shape", Json.Str shape);
+               ("calls", Json.Int copy_calls);
+               ("minor_words", Json.Float words);
+               ("ns_per_page", ns t);
+             ])
+         rows)
+  in
+  ( row,
+    identity
+      (Printf.sprintf
+         "copy: whole-page copies from a zero page and dense onto dense \
+          allocate 0 words over %d calls each"
+         copy_calls)
+      (List.for_all (fun (_, gated, words, _) -> (not gated) || words = 0.0) rows) )
+
 (* --- driver --- *)
 
 let run quick output =
@@ -206,8 +263,11 @@ let run quick output =
       (if quick then [ 16384 ] else [ 65536; 524288 ])
   in
   let shootdown_row, shootdown_gate = shootdown () in
+  let copy_row, copy_gate = copy () in
   let full = not quick in
-  let checks = List.map (fun (_, c, _) -> c) (swap @ par) @ [ shootdown_gate ] in
+  let checks =
+    List.map (fun (_, c, _) -> c) (swap @ par) @ [ shootdown_gate; copy_gate ]
+  in
   let gates =
     checks
     @ [
@@ -238,6 +298,7 @@ let run quick output =
         ("swap", rows swap);
         ("par", rows par);
         ("shootdown", shootdown_row);
+        ("copy", copy_row);
         ("gates", Json.List (List.map gate_json gates));
       ]
   in

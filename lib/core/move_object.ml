@@ -100,8 +100,8 @@ let mover ?measure_core (cfg : Config.t) =
     let swapped = ref 0 in
     let memmove i =
       let o = plan.(i) in
-      Memmove.move ?measure_core ~cold:true ~streams aspace ~src:o.Obj_model.addr
-        ~dst:o.Obj_model.forward ~len:o.Obj_model.size
+      Memmove.move_into costs i ~measure_core ~cold:true ~streams aspace
+        ~src:o.Obj_model.addr ~dst:o.Obj_model.forward ~len:o.Obj_model.size
     in
     (* [p]'s objects went through SwapVA: distribute the call's cost over
        them, proportional to page counts (the dominant term).  Each
@@ -158,9 +158,9 @@ let mover ?measure_core (cfg : Config.t) =
         (* Degrade: complete every object of the request with memmove.
            The accumulated failure cost rides on the first object. *)
         for i = p.lo to p.hi - 1 do
-          let mv = memmove i in
-          costs.(i) <- (if i = p.lo then !spent +. mv else mv)
-        done
+          memmove i
+        done;
+        costs.(p.lo) <- !spent +. costs.(p.lo)
     in
     (* Flush pending requests (oldest first) as one aggregated call.  The
        fault-free path is float-for-float identical to charging the call
@@ -250,7 +250,7 @@ let mover ?measure_core (cfg : Config.t) =
         end
         else begin
           flush_pending ();
-          costs.(i) <- memmove i
+          memmove i
         end)
       plan;
     flush_pending ();

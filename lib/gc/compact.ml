@@ -37,12 +37,14 @@ let memmove_mover_gen ?measure_core () =
     move_entries =
       (fun heap { objects; streams } ->
         let aspace = Process.aspace (Heap.proc heap) in
-        ( Array.map
-            (fun o ->
-              Svagc_kernel.Memmove.move ?measure_core ~cold:true ~streams aspace
-                ~src:o.Obj_model.addr ~dst:o.Obj_model.forward ~len:o.Obj_model.size)
-            objects,
-          0 ));
+        let costs = Array.make (Array.length objects) 0.0 in
+        Array.iteri
+          (fun i o ->
+            Svagc_kernel.Memmove.move_into costs i ~measure_core ~cold:true ~streams
+              aspace ~src:o.Obj_model.addr ~dst:o.Obj_model.forward
+              ~len:o.Obj_model.size)
+          objects;
+        (costs, 0));
     epilogue = (fun _ -> 0.0);
   }
 

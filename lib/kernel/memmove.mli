@@ -23,7 +23,25 @@ val move :
     translations through that core's TLB.  [cold] (default
     false) charges DRAM-tier bandwidth regardless of size — the GC
     compaction case, where sources are compulsory misses; hot microbenches
-    keep the size-tiered model. *)
+    keep the size-tiered model.  It boxes its result: a loop over many
+    moves calls {!move_into}. *)
+
+val move_into :
+  float array ->
+  int ->
+  measure_core:int option ->
+  cold:bool ->
+  streams:int ->
+  Address_space.t ->
+  src:int ->
+  dst:int ->
+  len:int ->
+  unit
+(** [move_into costs i] is {!move} writing its cost into [costs.(i)].
+    A [cold] move with no [measure_core] and tracing off allocates
+    nothing of its own: what it allocates is the destination buffers
+    {!Phys_mem.copy} grows, and the float a pressure plane's drain
+    returns. *)
 
 val cost_ns : ?cold:bool -> Machine.t -> streams:int -> len:int -> float
 (** The analytic cost of copying [len] bytes as one of [streams]

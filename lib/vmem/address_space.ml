@@ -169,31 +169,38 @@ let copy t ~src ~dst ~len =
        collectors move between disjoint spaces). *)
     write_bytes t ~va:dst ~src:(read_bytes t ~va:src ~len)
   else begin
-    (* Resolve every source page first, in ascending order, exactly as a
-       staged read would: the pressure plane sees the same touches and
-       fault-ins in the same order. *)
-    let pos = ref src in
-    while !pos < src + len do
-      ignore (frame_of_exn t !pos);
-      pos := Addr.align_down !pos + Addr.page_size
-    done;
+    (* With a pressure plane, resolve every source page first, in
+       ascending order, exactly as a staged read would: the plane sees the
+       same touches and fault-ins in the same order.  Without one a
+       resolve only checks the page, which the lookup below does too. *)
+    if Option.is_some t.machine.Machine.reclaim then begin
+      let pos = ref src in
+      while !pos < src + len do
+        ignore (frame_of_exn t !pos);
+        pos := Addr.align_down !pos + Addr.page_size
+      done
+    end;
     (* Then resolve each destination page and write its chunks at once.
-       Source bytes are read as each chunk is written, through the peek
-       view: a destination fault-in may have evicted a source page, whose
-       payload then sits intact in its slot.  With [dst < src] an
-       ascending copy never overwrites a source byte it has yet to read. *)
+       Each source page's payload is looked up once, through the peek
+       view, when the copy reaches it: a destination fault-in may have
+       evicted the page, whose payload then sits intact in its slot, and
+       an eviction after the lookup moves that very payload there.  With
+       [dst < src] an ascending copy never writes a source page before it
+       has read it, except the chunk that copies a page onto itself. *)
     let phys = t.machine.Machine.phys in
     let at = ref 0 in
     let frame = ref 0 in
+    let payload = ref Phys_mem.zero in
     while !at < len do
       let s = src + !at and d = dst + !at in
       let doff = Addr.page_offset d and soff = Addr.page_offset s in
+      if !at = 0 || soff = 0 then payload := peek_payload t s;
       if !at = 0 || doff = 0 then frame := frame_of_exn t d;
       let chunk =
         Int.min (len - !at) (Int.min (Addr.page_size - doff) (Addr.page_size - soff))
       in
-      Phys_mem.copy phys ~src:(peek_payload t s) ~src_off:soff ~frame:!frame
-        ~off:doff ~len:chunk;
+      Phys_mem.copy phys ~src:!payload ~src_off:soff ~frame:!frame ~off:doff
+        ~len:chunk;
       at := !at + chunk
     done
   end

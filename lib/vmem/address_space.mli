@@ -54,17 +54,22 @@ val peek_i64 : t -> va:int -> int64
 val write_bytes : t -> va:int -> src:bytes -> unit
 
 val copy : t -> src:int -> dst:int -> len:int -> unit
-(** C [memmove] of [len] bytes from [src] to [dst], frame to frame.  Every
-    source page is resolved first, in ascending order, then each
-    destination page in ascending order with its bytes written as soon as
-    it resolves — the same demand faults and LRU touches, in the same
-    order, as {!read_bytes} of the source followed by {!write_bytes} to
-    the destination.  Source bytes are read through the peek view (see
-    {!peek_bytes}) as each chunk is written, so a source page evicted by a
-    destination fault-in is read from its swap slot, and a lazily-zero
-    source page is never materialized.  A forward overlap
-    ([src < dst < src + len]) is staged through a buffer instead.
-    @raise Invalid_argument if [len < 0] or any page is unmapped. *)
+(** C [memmove] of [len] bytes from [src] to [dst], frame to frame, one
+    {!Phys_mem.copy} per page-bounded chunk (a whole page when both sides
+    are page-aligned).  Each source page's payload is looked up once,
+    through the peek view (see {!peek_bytes}), when the copy reaches it,
+    and each destination page is resolved once, with its bytes written
+    as soon as it resolves; with no pressure plane attached that is all
+    the page-table walking a copy does.  With a plane, every source page
+    is resolved first, in ascending order, so the plane sees the same
+    demand faults and LRU touches, in the same order, as {!read_bytes} of
+    the source followed by {!write_bytes} to the destination; a source
+    page a destination fault-in evicts is then read from its swap slot,
+    where its payload keeps its identity, and a lazily-zero source page is
+    never materialized.  A forward overlap ([src < dst < src + len]) is
+    staged through a buffer instead.
+    @raise Invalid_argument if [len < 0] or any page is unmapped, possibly
+    after copying the pages before it. *)
 
 val read_u8 : t -> va:int -> int
 

@@ -8,7 +8,8 @@
 
    A frame nothing has written holds the shared [zero] payload, which is
    never written: the first line written to a frame gives it a payload of
-   its own.  Writing zeros into an absent line leaves it absent. *)
+   its own.  Writing zeros into an absent line leaves it absent, and a
+   copy can make a line absent again (see [copy]). *)
 type payload = {
   mutable mask : int;
   mutable data : bytes;
@@ -38,9 +39,16 @@ type t = {
   mutable fresh : int;
   free_list : int Svagc_util.Vec.t;
   mutable in_use : int;
+  spare : payload array;  (* payloads [copy] dropped, [spares] of them *)
+  mutable spares : int;
 }
 
 exception Out_of_frames
+
+(* A copy that slides a page's lines to another page often covers the
+   page with a zero one next, so it frees a payload as the next page
+   needs one: up to this many dropped payloads wait for reuse. *)
+let spare_max = 16
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
@@ -50,6 +58,8 @@ let create ~frames =
     fresh = 0;
     free_list = Svagc_util.Vec.create ();
     in_use = 0;
+    spare = Array.make spare_max free;
+    spares = 0;
   }
 
 let capacity_frames t = t.capacity
@@ -149,18 +159,38 @@ let add_line p l =
     p.mask <- p.mask lor (1 lsl l)
   end
 
+(* [frame]'s payload [d], made the frame's own if it is [zero]: a spare
+   one when there is one, with no line stored. *)
+let own t frame d =
+  if d != zero then d
+  else begin
+    let p =
+      if t.spares = 0 then { mask = 0; data = Bytes.empty }
+      else begin
+        t.spares <- t.spares - 1;
+        let p = t.spare.(t.spares) in
+        t.spare.(t.spares) <- free;
+        p
+      end
+    in
+    t.frames.(frame) <- p;
+    p
+  end
+
+(* [frame], whose payload is [d], stores nothing any more: it holds
+   [zero], and [d] waits as a spare. *)
+let drop t frame d =
+  t.frames.(frame) <- zero;
+  if d != zero && t.spares < spare_max then begin
+    d.mask <- 0;
+    t.spare.(t.spares) <- d;
+    t.spares <- t.spares + 1
+  end
+
 (* The payload of [frame] with line [l] present, giving the frame a
    payload of its own first if it holds [zero]. *)
 let materialize t frame l =
-  let p = t.frames.(frame) in
-  let p =
-    if p == zero then begin
-      let p = { mask = 0; data = Bytes.empty } in
-      t.frames.(frame) <- p;
-      p
-    end
-    else p
-  in
+  let p = own t frame t.frames.(frame) in
   if not (present p l) then add_line p l;
   p
 
@@ -171,13 +201,13 @@ let check_range ~off ~len =
 (* The bytes of [off, off+len) up to the end of the line holding [off]. *)
 let seg_len ~off ~stop = min stop ((off lor (line_size - 1)) + 1) - off
 
-(* Where the run of lines from [l] that are all stored (or all absent)
-   in [p], like line [l], ends: a byte offset, at most [stop].  A run of
-   stored lines is one contiguous stretch of [p.data]. *)
-let run_end p l ~stop =
-  let want = present p l in
+(* Where the run of lines from [l] that are all in [mask] (or all out),
+   like line [l], ends: a byte offset, at most [stop].  A run of a
+   payload's stored lines is one contiguous stretch of its [data]. *)
+let run_end mask l ~stop =
+  let want = mask land (1 lsl l) <> 0 in
   let l = ref (l + 1) in
-  while !l lsl line_bits < stop && present p !l = want do
+  while !l lsl line_bits < stop && (mask land (1 lsl !l) <> 0) = want do
     incr l
   done;
   min stop (!l lsl line_bits)
@@ -197,7 +227,7 @@ let read_into p ~off ~len ~dst ~dst_off =
   let pos = ref off and stop = off + len in
   while !pos < stop do
     let l = !pos lsr line_bits in
-    let e = run_end p l ~stop and at = dst_off + (!pos - off) in
+    let e = run_end p.mask l ~stop and at = dst_off + (!pos - off) in
     if present p l then Bytes.blit p.data (data_at p !pos) dst at (e - !pos)
     else Bytes.fill dst at (e - !pos) '\000';
     pos := e
@@ -235,7 +265,7 @@ let fnv1a p ~off ~len h =
   let h = ref h and pos = ref off and stop = off + len in
   while !pos < stop do
     let l = !pos lsr line_bits in
-    let e = run_end p l ~stop in
+    let e = run_end p.mask l ~stop in
     if present p l then begin
       let at = data_at p !pos in
       for i = at to at + (e - !pos) - 1 do
@@ -327,42 +357,156 @@ let zero_stored p ~off ~len =
   if p.mask land lines_of ~off ~len = 0 then pos := stop;
   while !pos < stop do
     let l = !pos lsr line_bits in
-    let e = run_end p l ~stop in
+    let e = run_end p.mask l ~stop in
     if present p l then Bytes.fill p.data (data_at p !pos) (e - !pos) '\000';
     pos := e
   done
 
-(* Run by run of the source's lines: a stored run stores every line it
-   lands on in [frame] and is then one blit, since stored lines are
-   contiguous in [data]; an absent run zeroes what [frame] stores there.
-   [src] may be [frame]'s own payload: storing destination lines never
-   splits a stored source run, and its place in [data] is looked up
-   after them.  Ascending runs with [off < src_off] read every source
-   byte before it is overwritten. *)
+(* The bytes of sparse data with room for [n] lines: 1, 4 or [sparse_max]
+   lines, the sizes [add_line] grows through. *)
+let sparse_bytes n =
+  if n <= 1 then line_size else if n <= 4 then 4 * line_size else sparse_max * line_size
+
+(* [m] moved up [k] lines (down when [k] is negative); lines past the top
+   are kept for the caller to mask off. *)
+let shift_lines m k = if k >= 0 then m lsl k else m lsr (-k)
+
+(* A whole page: [frame] ends up storing exactly [src]'s lines, in a
+   buffer of its own, so no two owners ever share one. *)
+let copy_page t ~src ~frame d =
+  if src != d then begin
+    let n = lines src in
+    if n = 0 then drop t frame d
+    else begin
+      let bytes = if src.mask = full then Addr.page_size else n lsl line_bits in
+      let d = own t frame d in
+      if Bytes.length d.data < bytes then
+        d.data <-
+          Bytes.create (if src.mask = full then Addr.page_size else sparse_bytes n);
+      Bytes.blit src.data 0 d.data 0 bytes;
+      d.mask <- src.mask land full
+    end
+  end
+
+(* Run by run of the source lines in [stored], which [src] stores, onto a
+   destination that already stores every line a run of them lands on: a
+   stored run is one blit, since stored lines are contiguous in [data];
+   an absent run zeroes what the destination stores there (and [src]
+   holds zeros there, if anything).  [src] may be [d], with [off <=
+   src_off]: ascending runs read every source byte before it is
+   overwritten. *)
+let copy_runs ~src ~stored ~src_off d ~off ~len =
+  let pos = ref src_off and stop = src_off + len and shift = off - src_off in
+  while !pos < stop do
+    let l = !pos lsr line_bits in
+    let e = run_end stored l ~stop and o = !pos + shift in
+    if stored land (1 lsl l) <> 0 then
+      Bytes.blit src.data (data_at src !pos) d.data (data_at d o) (e - !pos)
+    else zero_stored d ~off:o ~len:(e - !pos);
+    pos := e
+  done
+
+(* Make [d] store the lines of [m], a superset of its mask, in one pass
+   from the top line down: a line moves only up, above every line still
+   to move, so the pass works in place when [d]'s buffer has room, and
+   otherwise fills one fresh buffer.  An added line reads as zero.  A
+   page of more than [sparse_max] lines turns dense. *)
+let add_lines d m =
+  let n = popcount m in
+  let m = if n > sparse_max then full else m in
+  let n = if m = full then lines_per_page else n in
+  let b =
+    if Bytes.length d.data >= n lsl line_bits then d.data
+    else Bytes.create (if m = full then Addr.page_size else sparse_bytes n)
+  in
+  (* [!k] lines of [m] and [!old] of [d] lie below line [!l]; once they
+     are as many, in place, every line below is where it belongs. *)
+  let k = ref n and old = ref (lines d) and l = ref lines_per_page in
+  while !l > 0 && not (b == d.data && !k = !old) do
+    decr l;
+    if m land (1 lsl !l) <> 0 then begin
+      decr k;
+      if present d !l then begin
+        decr old;
+        Bytes.blit d.data (!old lsl line_bits) b (!k lsl line_bits) line_size
+      end
+      else Bytes.fill b (!k lsl line_bits) line_size '\000'
+    end
+  done;
+  d.data <- b;
+  d.mask <- m
+
+(* Make sparse [d] store only the lines of [m], a subset of its mask, in
+   one pass from the bottom line up. *)
+let drop_lines d m =
+  let k = ref 0 and old = ref 0 in
+  for l = 0 to lines_per_page - 1 do
+    if present d l then begin
+      if m land (1 lsl l) <> 0 then begin
+        if !k <> !old then
+          Bytes.blit d.data (!old lsl line_bits) d.data (!k lsl line_bits) line_size;
+        incr k
+      end;
+      incr old
+    end
+  done;
+  d.mask <- m
+
+(* [frame]'s sparse payload [d] stops storing the lines of [r]. *)
+let remove_lines t frame d r =
+  let keep = d.mask land lnot r in
+  if keep <> d.mask && d.mask <> full then
+    if keep = 0 then drop t frame d else drop_lines d keep
+
+(* A copy onto a sparse page drops the whole lines it covers with absent
+   source bytes ([drop_lines]), stores every line a stored source line
+   lands on ([add_lines]), then copies run by run; a partly covered line
+   keeps its state.  The drop comes first when the bytes come from
+   another payload, so the page never holds both sets of lines; when the
+   page copies onto itself it comes last, once every source byte is read
+   (adding lines moves none of them out of reach).  A dense page stays
+   dense. *)
+let copy_partial t ~src ~src_off ~frame d ~off ~len =
+  let stored = src.mask in
+  if d.mask = full then copy_runs ~src ~stored ~src_off d ~off ~len
+  else begin
+    let shift = off - src_off in
+    let q = shift asr line_bits in
+    let s = stored land lines_of ~off:src_off ~len in
+    let hit =
+      lines_of ~off ~len
+      land
+      if shift land (line_size - 1) = 0 then shift_lines s q
+      else shift_lines s q lor shift_lines s (q + 1)
+    in
+    let first = (off + line_size - 1) lsr line_bits
+    and last = (off + len) lsr line_bits in
+    let covered = if last > first then (1 lsl last) - (1 lsl first) else 0 in
+    let dropped = covered land lnot hit and self = src == d in
+    if not self then remove_lines t frame d dropped;
+    let d = t.frames.(frame) in
+    let d =
+      if hit land lnot d.mask = 0 then d
+      else begin
+        let d = own t frame d in
+        add_lines d (d.mask lor hit);
+        d
+      end
+    in
+    copy_runs ~src ~stored ~src_off d ~off ~len;
+    if self then remove_lines t frame d dropped
+  end
+
 let copy t ~src ~src_off ~frame ~off ~len =
   check_range ~off:src_off ~len;
   check_range ~off ~len;
   let d = in_use t frame "copy" in
-  if src.mask = full && d.mask = full then
+  if src == d && d != zero && off > src_off && off < src_off + len then
+    invalid_arg "Phys_mem.copy: overlapping copy up";
+  if len = Addr.page_size then copy_page t ~src ~frame d
+  else if src.mask = full && d.mask = full then
     Bytes.blit src.data src_off d.data off len
-  else begin
-    let pos = ref src_off and stop = src_off + len and shift = off - src_off in
-    while !pos < stop do
-      let l = !pos lsr line_bits in
-      let e = run_end src l ~stop and o = !pos + shift in
-      if present src l then begin
-        let need = lines_of ~off:o ~len:(e - !pos) in
-        if t.frames.(frame).mask land need <> need then
-          for dl = o lsr line_bits to (e + shift - 1) lsr line_bits do
-            ignore (materialize t frame dl)
-          done;
-        let d = t.frames.(frame) in
-        Bytes.blit src.data (data_at src !pos) d.data (data_at d o) (e - !pos)
-      end
-      else zero_stored t.frames.(frame) ~off:o ~len:(e - !pos);
-      pos := e
-    done
-  end
+  else copy_partial t ~src ~src_off ~frame d ~off ~len
 
 (* --- Identity --- *)
 

@@ -7,7 +7,12 @@
     written are stored, an absent line reading as zero.  A payload with
     more than half its lines present turns into a dense page.  A frame
     nothing has written holds the shared {!zero} payload, and writing
-    zeros leaves an absent line absent.  Payloads move between frames and
+    zeros leaves an absent line absent.  A copy stores what it carries: a
+    whole page leaves the destination storing exactly the source's
+    lines (none, and the destination holds {!zero} again, when the source
+    stores none), and a partial copy onto a sparse page stores the lines
+    a stored source line lands on and drops back to absent the whole
+    lines it covers with absent ones.  Payloads move between frames and
     swap slots by ownership ({!take_frame}, {!alloc_frame_with}); every
     read and write goes through the operations below, and no raw view of
     a frame's bytes is exported.
@@ -109,7 +114,18 @@ val fill : t -> frame:int -> off:int -> len:int -> char -> unit
 val copy :
   t -> src:payload -> src_off:int -> frame:int -> off:int -> len:int -> unit
 (** C [memmove] of [len] bytes from [src] at [src_off] into [frame] at
-    [off].  [src] may be the frame's own payload, with ranges that
-    overlap as long as [off <= src_off].  An absent source line is
-    copied as zeros, and stores nothing where the destination line is
-    absent too. *)
+    [off], costing the lines it carries.  A whole page ([len] =
+    [page_size]) gives [frame] exactly [src]'s stored lines, blitted into
+    the frame's own buffer when it has room and into one fresh buffer
+    otherwise; a source storing nothing leaves {!zero}.  A partial copy
+    onto a sparse page drops the whole lines covered only by absent
+    source lines and stores every line a stored one lands on, each in one
+    pass over the page and with at most one fresh buffer; the page turns
+    dense if it would hold more than 16 lines (counted after the drop, or
+    before it when [src] is the frame's own payload, whose lines are
+    dropped last); a dense page stays dense.  The
+    source's buffer is never shared.  [src] may be the frame's own payload, with ranges
+    that overlap as long as [off <= src_off].
+    @raise Invalid_argument ["Phys_mem.copy: overlapping copy up"] when
+    [src] is the frame's own payload and [src_off < off < src_off +
+    len]. *)

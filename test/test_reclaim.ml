@@ -409,42 +409,57 @@ let test_reclaim_gate ~pages () =
 
 (* --- Frame-to-frame memmove vs the staged reference --- *)
 
-(* One memmove case: a page-content mask and seed for the window, then a
-   few moves [(src_off, dst_off, len)] in both directions. *)
+(* One memmove case: which pages are written whole and which store a
+   few lines, a seed for the window, then a few moves [(src_off, dst_off,
+   len)] in both directions.  About a third of the moves are page-aligned
+   runs of 1-4 pages, the shape LISP2 gives swap-sized objects. *)
 let copy_window_pages = 12
 
 let copy_case_gen =
   let window = copy_window_pages * Addr.page_size in
   QCheck.Gen.(
-    let move =
+    let bytes =
       int_range 1 (4 * Addr.page_size) >>= fun len ->
       triple (int_bound (window - len)) (int_bound (window - len)) (return len)
     in
-    triple (int_bound ((1 lsl copy_window_pages) - 1)) (int_bound 10_000)
-      (list_size (int_range 1 4) move))
+    let pages =
+      int_range 1 4 >>= fun n ->
+      let page = map (fun p -> p * Addr.page_size) (int_bound (copy_window_pages - n)) in
+      triple page page (return (n * Addr.page_size))
+    in
+    let mask = int_bound ((1 lsl copy_window_pages) - 1) in
+    quad mask mask (int_bound 10_000)
+      (list_size (int_range 1 4) (frequency [ (2, bytes); (1, pages) ])))
 
-let pp_copy_case (written, seed, moves) =
-  Printf.sprintf "written=%#x seed=%d moves=[%s]" written seed
+let pp_copy_case (written, sparse, seed, moves) =
+  Printf.sprintf "written=%#x sparse=%#x seed=%d moves=[%s]" written sparse seed
     (String.concat "; "
        (List.map (fun (s, d, l) -> Printf.sprintf "%d->%d len %d" s d l) moves))
 
 (* A machine capped at 5 resident frames whose 12-page window is partly
    swapped out before any move: mapping past the cap evicts, and the
-   writes to the pages set in [written] fault pages in and out again.
-   Pages not in [written] stay lazily zero. *)
-let pressured_window ~written ~seed =
+   writes to the pages set in [written] (every byte) or [sparse] (one to
+   four 128-byte lines) fault pages in and out again.  The other pages
+   stay lazily zero. *)
+let pressured_window ~written ~sparse ~seed =
   let machine = Machine.create ~ncores:2 ~phys_mib:64 Cost_model.xeon_6130 in
   let r = Reclaim.attach machine ~limit_frames:5 () in
   let aspace = Process.aspace (Process.create machine) in
   Address_space.map_range aspace ~va:base ~pages:copy_window_pages;
   let rng = Svagc_util.Rng.create ~seed in
+  let random_bytes n =
+    Bytes.init n (fun _ -> Char.chr (1 + Svagc_util.Rng.int rng 255))
+  in
   for p = 0 to copy_window_pages - 1 do
+    let va = base + (p * Addr.page_size) in
     if written land (1 lsl p) <> 0 then
-      Address_space.write_bytes aspace
-        ~va:(base + (p * Addr.page_size))
-        ~src:
-          (Bytes.init Addr.page_size (fun _ ->
-               Char.chr (1 + Svagc_util.Rng.int rng 255)))
+      Address_space.write_bytes aspace ~va ~src:(random_bytes Addr.page_size)
+    else if sparse land (1 lsl p) <> 0 then
+      for _ = 0 to Svagc_util.Rng.int rng 4 do
+        Address_space.write_bytes aspace
+          ~va:(va + (128 * Svagc_util.Rng.int rng 32))
+          ~src:(random_bytes 128)
+      done
   done;
   (machine, r, aspace)
 
@@ -463,9 +478,9 @@ let reclaim_counters machine =
    resolved. *)
 let test_memmove_matches_staged_reference () =
   let slot_reads = ref 0 in
-  let check_case ((written, seed, moves) as case) =
-    let ma, ra, a = pressured_window ~written ~seed in
-    let mb, rb, b = pressured_window ~written ~seed in
+  let check_case ((written, sparse, seed, moves) as case) =
+    let ma, ra, a = pressured_window ~written ~sparse ~seed in
+    let mb, rb, b = pressured_window ~written ~sparse ~seed in
     let counting = ref false in
     (match ma.Machine.reclaim with
     | Some ri ->

@@ -189,15 +189,18 @@ let phys_error_cases =
     ("copy", "past-capacity", "Phys_mem.copy: no such frame");
     ("copy", "far", "Phys_mem.copy: no such frame");
     ("copy", "negative", "Phys_mem.copy: no such frame");
+    ("copy", "overlapping-up", "Phys_mem.copy: overlapping copy up");
   ]
 
 let test_phys_error_messages () =
   let pm = Phys_mem.create ~frames:16 in
   let used = Phys_mem.alloc_frame pm in
+  Phys_mem.fill pm ~frame:used ~off:0 ~len:16 'x';
   let freed = Phys_mem.alloc_frame pm in
   Phys_mem.free_frame pm freed;
   let buf = Bytes.create 16 in
   let frame = function
+    | "overlapping-up" -> used
     | "never-used" -> 9
     | "freed" -> freed
     | "past-capacity" -> 16
@@ -214,8 +217,9 @@ let test_phys_error_messages () =
     | "set_i64" -> Phys_mem.set_i64 pm ~frame:f ~off:0 1L
     | "fill" -> Phys_mem.fill pm ~frame:f ~off:0 ~len:8 'x'
     | "copy" ->
+      (* Onto [used] itself, the copy slides up over its own source. *)
       Phys_mem.copy pm ~src:(Phys_mem.payload pm used) ~src_off:0 ~frame:f
-        ~off:0 ~len:8
+        ~off:(if f = used then 4 else 0) ~len:8
     | fn -> invalid_arg fn
   in
   List.iter
@@ -227,10 +231,21 @@ let test_phys_error_messages () =
 
 (* The payload against a plain page of [Bytes]: random word gets and
    sets, writes, fills, reads, copies between frames and from taken
-   payloads, takes and installs.  Offsets are byte-granular and often
-   straddle a 128-byte line; slides are same-frame copies to a lower,
-   overlapping offset; about half the values written are zero.  A frame
-   or payload that nothing non-zero has reached must store no line. *)
+   payloads, whole-page and line-aligned copies, takes and installs.
+   Offsets are byte-granular and often straddle a 128-byte line; slides
+   are same-frame copies to a lower, overlapping offset; about half the
+   values written are zero.  Beside its bytes, each model page tracks
+   which lines the payload must store, by the rules [Phys_mem]'s header
+   states: a write stores the lines it puts a non-zero byte into; a page
+   of more than 16 lines is dense and stores all 32; a whole-page copy
+   stores exactly the source's lines; a copy onto a sparse page stores
+   the lines a stored source line lands on and drops the whole lines it
+   covers with absent ones, turning dense if it would hold more than 16
+   (counted after the drop, or before it when the page copies onto
+   itself).  After every operation every page must match
+   its model, store exactly its model's lines (so a page that nothing
+   non-zero reached stores none) and hold a payload no other page
+   holds. *)
 type pm_op =
   | Alloc
   | Free of int
@@ -241,6 +256,8 @@ type pm_op =
   | Read of int * int * int
   | Copy of int * int * int * int * int
   | Slide of int * int * int * int
+  | Page of int * int
+  | Lines of int * int * int * int * int
   | Take of int
   | Install of int
 
@@ -256,6 +273,9 @@ let pp_pm_op = function
   | Read (i, o, n) -> Printf.sprintf "read %d@%d len %d" i o n
   | Copy (s, so, d, o, n) -> Printf.sprintf "copy %d@%d -> %d@%d len %d" s so d o n
   | Slide (i, o, by, n) -> Printf.sprintf "slide %d@%d down %d len %d" i (o + by) by n
+  | Page (s, d) -> Printf.sprintf "page %d -> %d" s d
+  | Lines (s, sl, d, l, n) ->
+    Printf.sprintf "lines %d@%d -> %d@%d count %d" s sl d l n
   | Take i -> Printf.sprintf "take %d" i
   | Install i -> Printf.sprintf "install %d" i
 
@@ -275,6 +295,7 @@ let pm_op_gen =
     let data n =
       oneof [ return (String.make n '\000'); string_size ~gen:byte (return n) ]
     in
+    let line = int_bound 31 in
     frequency
       [
         (2, return Alloc);
@@ -296,9 +317,53 @@ let pm_op_gen =
           map3
             (fun (i, o) by n -> Slide (i, o, by, n))
             (pair idx off) (int_range 1 256) len );
+        (3, map2 (fun s d -> Page (s, d)) idx idx);
+        ( 3,
+          map3
+            (fun (s, sl) (d, l) n -> Lines (s, sl, d, l, n))
+            (pair idx line) (pair idx line) (int_range 1 32) );
         (1, map (fun i -> Take i) idx);
         (1, map (fun i -> Install i) idx);
       ])
+
+(* The model of which lines a page stores: a 32-bit mask. *)
+let pm_full = (1 lsl 32) - 1
+
+let pm_popcount m =
+  let n = ref 0 in
+  for l = 0 to 31 do
+    if m land (1 lsl l) <> 0 then incr n
+  done;
+  !n
+
+(* [m] with the lines of the non-zero bytes of [b] written at [o]. *)
+let pm_store m ~o b =
+  if m = pm_full then m
+  else begin
+    let m = ref m in
+    Bytes.iteri
+      (fun k c -> if c <> '\000' then m := !m lor (1 lsl ((o + k) / 128)))
+      b;
+    if pm_popcount !m > 16 then pm_full else !m
+  end
+
+(* A page stored as [dm] after [n] bytes at [so] of a page stored as [sm]
+   land at [o]; [self] when the page copies onto itself. *)
+let pm_copy ~self ~sm ~so ~dm ~o ~n =
+  if n = Addr.page_size then if self then dm else sm
+  else if dm = pm_full then dm
+  else begin
+    let hit = ref 0 and covered = ref 0 in
+    for k = 0 to n - 1 do
+      if sm land (1 lsl ((so + k) / 128)) <> 0 then
+        hit := !hit lor (1 lsl ((o + k) / 128))
+    done;
+    for l = 0 to 31 do
+      if o <= l * 128 && (l + 1) * 128 <= o + n then covered := !covered lor (1 lsl l)
+    done;
+    let m = dm land lnot !covered lor !hit in
+    if pm_popcount (if self then dm lor !hit else m) > 16 then pm_full else m
+  end
 
 let test_phys_payload_model =
   qtest ~count:300 "payload agrees with a Bytes model"
@@ -308,27 +373,49 @@ let test_phys_payload_model =
         Gen.(list_size (int_range 1 60) pm_op_gen))
     (fun ops ->
       let pm = Phys_mem.create ~frames:6 in
-      (* Model: each live frame's bytes and whether anything non-zero
-         reached it; taken payloads in hand likewise. *)
+      (* Model: each live frame's bytes and stored lines; taken payloads
+         in hand likewise. *)
       let live = ref [] and hand = ref [] in
       let nth l i = List.nth l (i mod List.length l) in
       let clamp o n = (o, max 0 (min n (Addr.page_size - o))) in
       let ok = ref true in
       let expect what b = if not b then (ok := false; print_endline ("mismatch: " ^ what)) in
-      let dirty_if (_, _, d) cond = if cond then d := true in
+      let store (_, _, m) ~o b = m := pm_store !m ~o b in
+      (* [n] bytes from source [s] (a live frame or a payload in hand) at
+         [so] into live frame [d] at [o]; a same-frame copy goes down. *)
+      let copy s so d o n =
+        let sources =
+          List.map (fun (f, b, m) -> (Phys_mem.payload pm f, b, m)) !live @ !hand
+        in
+        let sp, sb, sm = nth sources s in
+        let f, db, dm = nth !live d in
+        let so, o = if sb == db then (max so o, min so o) else (so, o) in
+        Phys_mem.copy pm ~src:sp ~src_off:so ~frame:f ~off:o ~len:n;
+        dm := pm_copy ~self:(sb == db) ~sm:!sm ~so ~dm:!dm ~o ~n;
+        Bytes.blit sb so db o n
+      in
+      let check what p b m =
+        let out = Bytes.create Addr.page_size in
+        Phys_mem.read_into p ~off:0 ~len:Addr.page_size ~dst:out ~dst_off:0;
+        expect (what ^ " contents") (Bytes.equal out b);
+        expect
+          (Printf.sprintf "%s stores %d lines, not %d" what (Phys_mem.lines p)
+             (pm_popcount !m))
+          (Phys_mem.lines p = pm_popcount !m)
+      in
       List.iter
         (fun op ->
-          match op with
+          (match op with
           | Alloc ->
             if Phys_mem.frames_in_use pm < 6 then
               live :=
-                (Phys_mem.alloc_frame pm, Bytes.make Addr.page_size '\000', ref false)
+                (Phys_mem.alloc_frame pm, Bytes.make Addr.page_size '\000', ref 0)
                 :: !live
           | Install i when !hand <> [] ->
-            let ((p, b, d) as h) = nth !hand i in
+            let ((p, b, m) as h) = nth !hand i in
             if Phys_mem.frames_in_use pm < 6 then begin
               hand := List.filter (fun x -> x != h) !hand;
-              live := (Phys_mem.alloc_frame_with pm p, b, d) :: !live
+              live := (Phys_mem.alloc_frame_with pm p, b, m) :: !live
             end
           | Install _ -> ()
           | _ when !live = [] -> ()
@@ -337,9 +424,9 @@ let test_phys_payload_model =
             Phys_mem.free_frame pm f;
             live := List.filter (fun x -> x != e) !live
           | Take i ->
-            let ((f, b, d) as e) = nth !live i in
+            let ((f, b, m) as e) = nth !live i in
             live := List.filter (fun x -> x != e) !live;
-            hand := (Phys_mem.take_frame pm f, b, d) :: !hand
+            hand := (Phys_mem.take_frame pm f, b, m) :: !hand
           | Get (i, o) ->
             let f, b, _ = nth !live i in
             expect (pp_pm_op op)
@@ -349,20 +436,20 @@ let test_phys_payload_model =
             let ((f, b, _) as e) = nth !live i in
             Phys_mem.set_i64 pm ~frame:f ~off:o v;
             Bytes.set_int64_le b o v;
-            dirty_if e (not (Int64.equal v 0L))
+            store e ~o (Bytes.sub b o 8)
           | Write (i, o, s) ->
             let ((f, b, _) as e) = nth !live i in
             let o, n = clamp o (String.length s) in
             Phys_mem.write pm ~frame:f ~off:o ~src:(Bytes.of_string s) ~src_off:0
               ~len:n;
             Bytes.blit_string s 0 b o n;
-            dirty_if e (String.exists (( <> ) '\000') (String.sub s 0 n))
+            store e ~o (Bytes.sub b o n)
           | Fill (i, o, n, c) ->
             let ((f, b, _) as e) = nth !live i in
             let o, n = clamp o n in
             Phys_mem.fill pm ~frame:f ~off:o ~len:n c;
             Bytes.fill b o n c;
-            dirty_if e (n > 0 && c <> '\000')
+            store e ~o (Bytes.sub b o n)
           | Read (i, o, n) ->
             let f, b, _ = nth !live i in
             let o, n = clamp o n in
@@ -370,34 +457,26 @@ let test_phys_payload_model =
             Phys_mem.read_into (Phys_mem.payload pm f) ~off:o ~len:n ~dst:out ~dst_off:0;
             expect (pp_pm_op op) (Bytes.equal out (Bytes.sub b o n))
           | Copy (s, so, d, o, n) ->
-            let sources =
-              List.map (fun (f, b, d) -> (Phys_mem.payload pm f, b, d)) !live @ !hand
-            in
-            let sp, sb, sd = nth sources s in
-            let ((f, db, _) as e) = nth !live d in
-            let n = max 0 (min n (Addr.page_size - max so o)) in
-            (* A same-frame copy must not slide up over itself. *)
-            let so, o = if sb == db then (max so o, min so o) else (so, o) in
-            Phys_mem.copy pm ~src:sp ~src_off:so ~frame:f ~off:o ~len:n;
-            Bytes.blit sb so db o n;
-            dirty_if e (n > 0 && !sd)
+            copy s so d o (max 0 (min n (Addr.page_size - max so o)))
           | Slide (i, o, by, n) ->
-            let ((f, b, d) as e) = nth !live i in
             let so = min (o + by) (Addr.page_size - 1) in
-            let n = max 0 (min n (Addr.page_size - so)) in
-            Phys_mem.copy pm ~src:(Phys_mem.payload pm f) ~src_off:so ~frame:f ~off:o
-              ~len:n;
-            Bytes.blit b so b o n;
-            dirty_if e (n > 0 && !d))
+            let i = i mod List.length !live in
+            copy i so i o (max 0 (min n (Addr.page_size - so)))
+          | Page (s, d) -> copy s 0 d 0 Addr.page_size
+          | Lines (s, sl, d, l, n) ->
+            copy s (sl * 128) d (l * 128) (128 * min n (32 - max sl l)));
+          (* Every page after every operation, and no payload twice. *)
+          List.iter (fun (f, b, m) -> check "frame" (Phys_mem.payload pm f) b m) !live;
+          List.iter (fun (p, b, m) -> check "taken payload" p b m) !hand;
+          let payloads =
+            Array.of_list
+              (List.map (fun (f, _, _) -> Phys_mem.payload pm f) !live
+              @ List.map (fun (p, _, _) -> p) !hand)
+          in
+          Array.iteri
+            (fun i j -> expect (pp_pm_op op ^ ": a payload is shared") (i = j))
+            (Phys_mem.last_alias payloads))
         ops;
-      let check what p b d =
-        let out = Bytes.create Addr.page_size in
-        Phys_mem.read_into p ~off:0 ~len:Addr.page_size ~dst:out ~dst_off:0;
-        expect (what ^ " contents") (Bytes.equal out b);
-        expect (what ^ " stays unmaterialized") (!d || Phys_mem.lines p = 0)
-      in
-      List.iter (fun (f, b, d) -> check "frame" (Phys_mem.payload pm f) b d) !live;
-      List.iter (fun (p, b, d) -> check "taken payload" p b d) !hand;
       !ok)
 
 (* --- Page_table --- *)
