@@ -18,6 +18,9 @@
      page, of a whole dense page onto a dense page, and of 48 bytes
      between dense pages.  Gate: the two whole-page shapes allocate 0
      minor words over 10k calls each.
+   - alloc: a SwapVA request inside one leaf, by the flat engine and by
+     the per-page reference.  Gate: each engine allocates the same minor
+     words over 10k calls at 1 page as at 64 pages — nothing per page.
 
    The speed gates arm on full runs only; the identity checks and the
    allocation gate always.
@@ -248,6 +251,50 @@ let copy () =
          copy_calls)
       (List.for_all (fun (_, gated, words, _) -> (not gated) || words = 0.0) rows) )
 
+(* --- alloc --- *)
+
+let alloc_calls = 10_000
+
+(* Minor words of [alloc_calls] swaps of 1 and of 64 pages inside the leaf
+   at [base], by each engine.  A swap is its own inverse, so every call
+   sees the same table. *)
+let alloc () =
+  let _, proc = mapped_proc ~phys_mib:1 ~pages:128 in
+  let words (engine, swap) pages =
+    let req = { Swapva.src = base; dst = base + (64 * Addr.page_size); pages } in
+    ignore (swap req);
+    let before = Gc.minor_words () in
+    for _ = 1 to alloc_calls do
+      ignore (Sys.opaque_identity (swap req))
+    done;
+    (engine, pages, Gc.minor_words () -. before)
+  in
+  let rows =
+    List.concat_map
+      (fun e -> [ words e 1; words e 64 ])
+      [
+        ("flat", Swapva.swap_disjoint_flat proc ~pmd_caching:true ~leaf_swap:false);
+        ("per_page", Swapva.swap_disjoint_per_page proc ~pmd_caching:true);
+      ]
+  in
+  let row (engine, pages, words) =
+    Json.Obj
+      [
+        ("engine", Json.Str engine);
+        ("pages", Json.Int pages);
+        ("calls", Json.Int alloc_calls);
+        ("minor_words", Json.Float words);
+      ]
+  in
+  let same_words (e, _, w) = List.for_all (fun (e', _, w') -> e <> e' || w = w') rows in
+  ( Json.List (List.map row rows),
+    identity
+      (Printf.sprintf
+         "alloc: a one-leaf swap allocates the same words at 1 and 64 pages \
+          over %d calls, flat and per-page"
+         alloc_calls)
+      (List.for_all same_words rows) )
+
 (* --- driver --- *)
 
 let run quick output =
@@ -264,9 +311,11 @@ let run quick output =
   in
   let shootdown_row, shootdown_gate = shootdown () in
   let copy_row, copy_gate = copy () in
+  let alloc_row, alloc_gate = alloc () in
   let full = not quick in
   let checks =
-    List.map (fun (_, c, _) -> c) (swap @ par) @ [ shootdown_gate; copy_gate ]
+    List.map (fun (_, c, _) -> c) (swap @ par)
+    @ [ shootdown_gate; copy_gate; alloc_gate ]
   in
   let gates =
     checks
@@ -299,6 +348,7 @@ let run quick output =
         ("par", rows par);
         ("shootdown", shootdown_row);
         ("copy", copy_row);
+        ("alloc", alloc_row);
         ("gates", Json.List (List.map gate_json gates));
       ]
   in

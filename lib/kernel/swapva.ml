@@ -38,6 +38,19 @@ let validate { src; dst; pages } =
 
 let unmapped ~va () = kerror (Kernel_error.EFAULT_unmapped { va })
 
+(* One iteration of Algorithm 1's loop: getPTE both pages, take both
+   locks, exchange the two PTE words. *)
+let exchange_page walker ~src ~dst =
+  let leaf1 = Pte_walker.get_pte walker src in
+  let leaf2 = Pte_walker.get_pte walker dst in
+  Pte_walker.charge_lock_pair walker;
+  Pte_walker.charge_lock_pair walker;
+  let i1 = Addr.pte_index src and i2 = Addr.pte_index dst in
+  let pte1 = Pte_walker.read_slot walker leaf1 i1 in
+  let pte2 = Pte_walker.read_slot walker leaf2 i2 in
+  Pte_walker.write_slot walker leaf1 i1 pte2;
+  Pte_walker.write_slot walker leaf2 i2 pte1
+
 (* The body of Algorithm 1 for one request, page by page.  Kept as the
    executable reference for the flat engine below: property tests
    assert that both produce identical heap contents, perf-counter deltas
@@ -62,76 +75,23 @@ let swap_disjoint_per_page proc ~pmd_caching req =
   let walker = Pte_walker.create machine pt ~pmd_caching in
   for i = 0 to req.pages - 1 do
     let off = i * Addr.page_size in
-    let slot1 = Pte_walker.get_pte walker (req.src + off) in
-    let slot2 = Pte_walker.get_pte walker (req.dst + off) in
-    Pte_walker.charge_lock_pair walker;
-    Pte_walker.charge_lock_pair walker;
-    let pte1 = Pte_walker.read_slot walker slot1 in
-    let pte2 = Pte_walker.read_slot walker slot2 in
-    Pte_walker.write_slot walker slot1 pte2;
-    Pte_walker.write_slot walker slot2 pte1;
+    exchange_page walker ~src:(req.src + off) ~dst:(req.dst + off);
     Perf.bump perf Ptes_swapped 2
   done;
   Perf.bump perf Bytes_remapped (req.pages * Addr.page_size);
   Pte_walker.cost_ns walker
 
-(* Resolve [pages] pages starting at [va] into (leaf, start, len) slices —
-   one leaf lookup per PMD leaf instead of one per page — verifying
-   along the way that every PTE is mapped, with the same first-failure
-   order as the per-page precheck (leaf missing -> EFAULT at the cursor;
-   absent page -> EFAULT at that page).  Raising here precedes all
-   mutation, so a bad range can never leave a half-swapped window behind.
-   Resolution and presence checking model the vma walk whose cost is the
-   caller's swap_setup_ns, so no walker cost is charged.  Slices land in
-   a reusable int-packed [run_buf] (no list/tuple/array allocation) and
-   presence is prechecked against the leaf's bitset words — O(1) for a
-   fully-mapped leaf — instead of loading every PTE.
-
-   [fault] is the machine's injection plane (only the syscall path passes
-   it, so differential replays stay injection-free).  Its [pte] clause is consulted once per page, in address
-   order, and a firing reports the page as [EFAULT_unmapped] exactly as a
-   racing unmap would — still strictly before any mutation, and after the
-   page's own absent check. *)
-let resolve_mapped_slices ?(fault = None) pt ~va ~pages ~buf =
-  let absent = Pte.none in
-  let ps = Addr.page_size in
-  Page_table.(
-    let cursor = ref va and remaining = ref pages in
-    run_buf_clear buf;
-    while !remaining > 0 do
-      let leaf = leaf_at pt !cursor in
-      if leaf == no_leaf then unmapped ~va:!cursor ();
-      let start = Addr.pte_index !cursor in
-      let len = min !remaining (Addr.entries_per_table - start) in
-      (match fault with
-      | None -> (
-        match leaf_first_unmapped leaf ~lo:start ~hi:(start + len) with
-        | -1 -> ()
-        | bad -> unmapped ~va:(!cursor + ((bad - start) * ps)) ())
-      | Some inj ->
-        let ptes = leaf_ptes leaf in
-        for i = start to start + len - 1 do
-          let page_va = !cursor + ((i - start) * ps) in
-          if
-            Array.unsafe_get ptes i = absent
-            || Svagc_fault.Injector.fire inj
-                 ~site:Svagc_fault.Fault_spec.Pte_resolve ~va:page_va
-          then unmapped ~va:page_va ()
-        done);
-      run_buf_push buf leaf ~start ~len;
-      cursor := !cursor + (len * ps);
-      remaining := !remaining - len
-    done)
-
 (* Flat body of Algorithm 1: same observable behaviour and simulated cost
    as [swap_disjoint_per_page], paid for with one leaf lookup per
-   512-page leaf instead of two walks + two cache probes per page.  Slice
-   descriptors live in the machine's scratch run buffers (int-packed,
-   reused across ops).  PTE slices are exchanged with tight array loops;
-   the per-page cost-model charges are emulated exactly (head pages one at
-   a time until both streams sit in the PMD cache, then whole sub-runs in
-   bulk through [Pte_walker.charge_steady_swap_pages], whose memo replays
-   the exact reference float for a repeated key).
+   512-page sub-run instead of two walks + two cache probes per page.
+   Both ranges are prechecked first (src, then dst), so a bad range never
+   leaves a half-swapped window behind.  The request then splits into
+   sub-runs that end wherever either range crosses a leaf.  A sub-run's
+   head pages take the reference loop's own [exchange_page] until both
+   streams sit in the PMD cache (at most a couple of pages); the rest is
+   charged in bulk through [Pte_walker.charge_steady_swap_pages], whose
+   memo replays the exact reference float for a repeated key, and
+   exchanged with one slice loop.
 
    With [leaf_swap] (off on the syscall path) sub-runs that cover a
    whole PMD-aligned 512-page leaf on both sides are exchanged at the PMD
@@ -139,47 +99,29 @@ let resolve_mapped_slices ?(fault = None) pt ~va ~pages ~buf =
    the cost model and is excluded from the equivalence guarantee. *)
 let swap_disjoint_flat ?(fault = None) proc ~pmd_caching ~leaf_swap req =
   let machine = Process.machine proc in
-  let aspace = Process.aspace proc in
-  let pt = Address_space.page_table aspace in
+  let pt = Address_space.page_table (Process.aspace proc) in
   let perf = machine.Machine.perf in
-  let cost = machine.Machine.cost in
   let ps = Addr.page_size in
-  let scratch = Machine.hot_scratch machine in
-  let sbuf = scratch.Machine.hs_src_runs in
-  let dbuf = scratch.Machine.hs_dst_runs in
-  resolve_mapped_slices ~fault pt ~va:req.src ~pages:req.pages ~buf:sbuf;
-  resolve_mapped_slices ~fault pt ~va:req.dst ~pages:req.pages ~buf:dbuf;
-  Perf.bump perf Leaf_runs
-    (Page_table.run_buf_length sbuf + Page_table.run_buf_length dbuf);
+  let src_leaves = Pte_walker.check_mapped ~fault pt ~va:req.src ~pages:req.pages in
+  let dst_leaves = Pte_walker.check_mapped ~fault pt ~va:req.dst ~pages:req.pages in
+  Perf.bump perf Leaf_runs (src_leaves + dst_leaves);
   let walker = Pte_walker.create machine pt ~pmd_caching in
-  let si = ref 0 and soff = ref 0 in
-  let di = ref 0 and doff = ref 0 in
   let done_pages = ref 0 in
   while !done_pages < req.pages do
-    let ls = Page_table.run_buf_leaf sbuf !si in
-    let ss = Page_table.run_buf_start sbuf !si in
-    let ns = Page_table.run_buf_len sbuf !si in
-    let ld = Page_table.run_buf_leaf dbuf !di in
-    let ds = Page_table.run_buf_start dbuf !di in
-    let nd = Page_table.run_buf_len dbuf !di in
-    let avail = min (ns - !soff) (nd - !doff) in
     let src_va = req.src + (!done_pages * ps) in
     let dst_va = req.dst + (!done_pages * ps) in
-    if
-      leaf_swap && avail = Addr.pages_per_pmd && ss = 0 && ds = 0 && !soff = 0
-      && !doff = 0
-    then begin
+    let si = Addr.pte_index src_va and di = Addr.pte_index dst_va in
+    let avail =
+      min (req.pages - !done_pages) (Addr.entries_per_table - max si di)
+    in
+    if leaf_swap && avail = Addr.pages_per_pmd then begin
       (* Whole-leaf fast path: exchange the two PMD directory entries. *)
       Page_table.swap_pmd_entries pt src_va dst_va;
-      Pte_walker.add_cost walker cost.Cost_model.pmd_swap_ns;
+      Pte_walker.add_cost walker machine.Machine.cost.Cost_model.pmd_swap_ns;
       Perf.bump perf Pmd_leaf_swaps 1;
       Perf.bump perf Ptes_swapped 2
     end
     else begin
-      let lsp = Page_table.leaf_ptes ls in
-      let ldp = Page_table.leaf_ptes ld in
-      (* Head pages: emulate the reference loop page-at-a-time until both
-         streams are sure PMD-cache hits (at most a couple of pages). *)
       let k = ref 0 in
       if pmd_caching then
         while
@@ -188,39 +130,23 @@ let swap_disjoint_flat ?(fault = None) proc ~pmd_caching ~leaf_swap req =
                (Pte_walker.cache_holds walker (src_va + (!k * ps))
                && Pte_walker.cache_holds walker (dst_va + (!k * ps)))
         do
-          Pte_walker.charge_get_pte walker (src_va + (!k * ps)) ~leaf:lsp;
-          Pte_walker.charge_get_pte walker (dst_va + (!k * ps)) ~leaf:ldp;
-          Pte_walker.charge_lock_pair walker;
-          Pte_walker.charge_lock_pair walker;
-          let slot1 = (lsp, ss + !soff + !k) in
-          let slot2 = (ldp, ds + !doff + !k) in
-          let pte1 = Pte_walker.read_slot walker slot1 in
-          let pte2 = Pte_walker.read_slot walker slot2 in
-          Pte_walker.write_slot walker slot1 pte2;
-          Pte_walker.write_slot walker slot2 pte1;
+          exchange_page walker ~src:(src_va + (!k * ps)) ~dst:(dst_va + (!k * ps));
           incr k
         done;
-      (* Steady remainder of the sub-run: bulk charge + slice exchange. *)
       let bulk = avail - !k in
       if bulk > 0 then begin
         Pte_walker.charge_steady_swap_pages walker ~pages:bulk
           ~cached:pmd_caching;
-        Page_table.swap_pte_runs lsp ~start_a:(ss + !soff + !k) ldp
-          ~start_b:(ds + !doff + !k) ~len:bulk
+        Page_table.(
+          swap_pte_runs
+            (leaf_ptes (leaf_at pt src_va))
+            ~start_a:(si + !k)
+            (leaf_ptes (leaf_at pt dst_va))
+            ~start_b:(di + !k) ~len:bulk)
       end;
       Perf.bump perf Ptes_swapped (2 * avail)
     end;
-    done_pages := !done_pages + avail;
-    soff := !soff + avail;
-    if !soff = ns then begin
-      incr si;
-      soff := 0
-    end;
-    doff := !doff + avail;
-    if !doff = nd then begin
-      incr di;
-      doff := 0
-    end
+    done_pages := !done_pages + avail
   done;
   Perf.bump perf Bytes_remapped (req.pages * Addr.page_size);
   Pte_walker.cost_ns walker

@@ -42,21 +42,20 @@ val swap_disjoint_flat :
   leaf_swap:bool ->
   request ->
   float
-(** The body of Algorithm 1 used by {!swap} (no syscall/flush): ranges
-    resolve into (leaf, start, len) slices once per PMD leaf, presence is
-    verified in the same pass (before any mutation), and PTE slices are
-    exchanged with tight array loops while the cost model is charged
-    exactly as {!swap_disjoint_per_page} would — same heap mutations,
-    same counters (plus [Leaf_runs]), bit-identical simulated cost.
-    Slice descriptors live in the machine's reusable scratch buffers
-    ({!Svagc_vmem.Machine.hot_scratch}), presence is prechecked against
-    per-leaf bitset words (O(1) for a fully-mapped leaf), and the
-    steady-state bulk charge is memoized on (cost, pages, cached) keys,
-    replaying the exact reference float.  [leaf_swap] additionally
-    exchanges whole PMD-aligned 512-page sub-runs at the directory level
-    for [Cost_model.pmd_swap_ns] each — outside the cost-equivalence
-    guarantee, so {!swap} always passes [false].  [fault]'s [pte] clause
-    is consulted per page in address order.
+(** The body of Algorithm 1 used by {!swap} (no syscall/flush): both
+    ranges pass {!Pte_walker.check_mapped} first (src, then dst; before
+    any mutation), then the request is walked once in sub-runs that end
+    wherever either range crosses a PMD leaf.  Each sub-run's head pages
+    go through the reference's getPTE / lock / exchange step until both
+    streams hit the PMD cache; the rest is charged in bulk (memoized on
+    (cost, pages, cached) keys, replaying the exact reference float) and
+    exchanged with one slice loop.  Same heap mutations, same counters
+    (plus [Leaf_runs], the PMD leaves the two ranges span), bit-identical
+    simulated cost as {!swap_disjoint_per_page}.  [leaf_swap]
+    additionally exchanges whole PMD-aligned 512-page sub-runs at the
+    directory level for [Cost_model.pmd_swap_ns] each — outside the
+    cost-equivalence guarantee, so {!swap} always passes [false].
+    [fault]'s [pte] clause is consulted per page in address order.
     @raise Svagc_fault.Kernel_error.Fault before any mutation on a
     non-mapped page or firing clause. *)
 

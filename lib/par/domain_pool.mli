@@ -32,8 +32,8 @@
     The pool is driven from the main domain only; a [run] issued from
     any other domain (nesting inside a worker) degrades to inline
     sequential execution, which is always safe.  Pool tasks never run
-    SwapVA, whose scratch ([Machine.hot_scratch]) belongs to the main
-    domain. *)
+    SwapVA, whose charge memo ([Machine.charge_memo]) belongs to the
+    main domain. *)
 
 type t
 

@@ -24,25 +24,21 @@ type reclaim_iface = {
   ri_lru_audit : unit -> string list;
 }
 
-(* Machine-owned scratch for the flat SwapVA engine: two reusable run
-   buffers (src/dst slice descriptors) and a direct-mapped memo for the
-   bulk steady-state charge.  The memo is keyed by the walker's exact
-   accumulated cost (float bits), the page count and the cached flag;
-   a hit replays the identical float result, so memoization cannot
-   perturb bit-identity — it only skips re-running a pure, deterministic
-   serial float chain.  [hs_memo_enc] holds [(pages lsl 1) lor cached]
-   (never 0, so 0 marks an empty slot).
+(* The flat SwapVA engine's direct-mapped memo for the bulk steady-state
+   charge.  It is keyed by the walker's exact accumulated cost (float
+   bits), the page count and the cached flag; a hit replays the identical
+   float result, so memoization cannot perturb bit-identity — it only
+   skips re-running a pure, deterministic serial float chain.
+   [memo_enc] holds [(pages lsl 1) lor cached] (never 0, so 0 marks an
+   empty slot).
 
-   There is one scratch per machine and only the main domain may use
-   it: SwapVA never runs in a pool task, and [hot_scratch] refuses any
-   other domain rather than let two streams share a half-built run
-   list. *)
-type hot_scratch = {
-  hs_src_runs : Page_table.run_buf;
-  hs_dst_runs : Page_table.run_buf;
-  hs_memo_acc : float array;
-  hs_memo_enc : int array;
-  hs_memo_out : float array;
+   There is one memo per machine and only the main domain may use it:
+   SwapVA never runs in a pool task, and [charge_memo] refuses any other
+   domain rather than let two streams race on its slots. *)
+type charge_memo = {
+  memo_acc : float array;
+  memo_enc : int array;
+  memo_out : float array;
 }
 
 let memo_slots = 8192
@@ -57,7 +53,7 @@ type t = {
   mutable next_asid : int;
   mutable fault : Svagc_fault.Injector.t option;
   mutable reclaim : reclaim_iface option;
-  mutable scratch : hot_scratch option;
+  mutable memo : charge_memo option;
 }
 
 (* Observation hooks for the shadow oracle (svagc_check).  The vmem layer
@@ -85,7 +81,7 @@ let create ?ncores ?(phys_mib = 512) (cost : Cost_model.t) =
       next_asid = 1;
       fault = None;
       reclaim = None;
-      scratch = None;
+      memo = None;
     }
   in
   (match !created_hook with None -> () | Some f -> f t);
@@ -95,23 +91,21 @@ let core t i =
   if i < 0 || i >= t.ncores then invalid_arg "Machine.core: no such core";
   t.cores.(i)
 
-let hot_scratch t =
+let charge_memo t =
   if not (Domain.is_main_domain ()) then
-    invalid_arg "Machine.hot_scratch: SwapVA scratch is main-domain only";
-  match t.scratch with
-  | Some s -> s
+    invalid_arg "Machine.charge_memo: SwapVA's memo is main-domain only";
+  match t.memo with
+  | Some m -> m
   | None ->
-    let s =
+    let m =
       {
-        hs_src_runs = Page_table.run_buf_create ();
-        hs_dst_runs = Page_table.run_buf_create ();
-        hs_memo_acc = Array.make memo_slots 0.0;
-        hs_memo_enc = Array.make memo_slots 0;
-        hs_memo_out = Array.make memo_slots 0.0;
+        memo_acc = Array.make memo_slots 0.0;
+        memo_enc = Array.make memo_slots 0;
+        memo_out = Array.make memo_slots 0.0;
       }
     in
-    t.scratch <- Some s;
-    s
+    t.memo <- Some m;
+    m
 
 let fresh_asid t =
   let asid = t.next_asid in

@@ -73,33 +73,30 @@ type t = {
   mutable reclaim : reclaim_iface option;
       (** The memory-pressure plane; [None] (the default) means unlimited
           physical memory.  Installed by [Reclaim.attach]. *)
-  mutable scratch : hot_scratch option;
-      (** Lazily-built hot-path scratch of the main domain; use
-          {!hot_scratch}. *)
+  mutable memo : charge_memo option;
+      (** Lazily-built charge memo of the main domain; use
+          {!charge_memo}. *)
 }
 
-(** Machine-owned scratch for the flat SwapVA engine: reusable src/dst
-    run buffers plus a direct-mapped memo for the bulk steady-state PTE
-    charge.  The memo key is (exact accumulated-cost float, page count,
-    cached flag) and the stored value is the exact float the reference
-    loop produced for that key, so hits are bit-identical by
+(** The flat SwapVA engine's direct-mapped memo for the bulk
+    steady-state PTE charge.  The key is (exact accumulated-cost float,
+    page count, cached flag) and the stored value is the exact float the
+    reference loop produced for that key, so hits are bit-identical by
     construction — the memo only skips re-running a pure deterministic
     serial float chain. *)
-and hot_scratch = {
-  hs_src_runs : Page_table.run_buf;
-  hs_dst_runs : Page_table.run_buf;
-  hs_memo_acc : float array;
-  hs_memo_enc : int array;  (** [(pages lsl 1) lor cached]; 0 = empty slot *)
-  hs_memo_out : float array;
+and charge_memo = {
+  memo_acc : float array;
+  memo_enc : int array;  (** [(pages lsl 1) lor cached]; 0 = empty slot *)
+  memo_out : float array;
 }
 
 val memo_slots : int
 (** Direct-mapped memo size (power of two). *)
 
-val hot_scratch : t -> hot_scratch
-(** The machine's scratch, created on first use.  SwapVA runs only on
-    the main domain (no pool task calls it), so one scratch per machine
-    is race-free, and the main-domain guard keeps it so.
+val charge_memo : t -> charge_memo
+(** The machine's charge memo, created on first use.  SwapVA runs only on
+    the main domain (no pool task calls it), so one memo per machine is
+    race-free, and the main-domain guard keeps it so.
     @raise Invalid_argument when called from any domain but the main
     one. *)
 

@@ -1,9 +1,9 @@
 (* A PTE leaf is the flat 512-entry array plus a presence bitset over it:
    bit i of [mapped_words.(i / 32)] is set iff [ptes.(i) <> Pte.none]
    (present OR swapped — "mapped" in the SwapVA precheck sense), and
-   [mapped_count] is the maintained popcount.  The bitset lets the flat
-   SwapVA engine precheck a whole slice in O(words) — one compare when
-   the leaf is fully mapped — instead of loading every PTE.
+   [mapped_count] is the maintained popcount.  The bitset lets SwapVA's
+   mapped-range check cover a whole leaf slice in O(words) — one compare
+   when the leaf is fully mapped — instead of loading every PTE.
 
    Invariant discipline: every none<->mapped transition goes through
    [set_pte] (heap map/unmap, reclaim swap-out/fault-in), which updates
@@ -50,8 +50,7 @@ let make_leaf () =
   }
 
 (* Stands in for a missing leaf: every PTE is [Pte.none], and nothing
-   ever writes through it.  Also the filler of the index and of unused
-   run-buffer slots. *)
+   ever writes through it.  Also the filler of the index. *)
 let no_leaf = make_leaf ()
 
 let create () = { leaves = Index.create no_leaf; pmds = Vec.create () }
@@ -173,41 +172,6 @@ let set_pte t va v =
 let translate t va =
   let v = get_pte t va in
   if Pte.is_present v then Some (Pte.frame_exn v, Addr.page_offset va) else None
-
-(* --- flat run resolution (scratch-buffer API, no per-op allocation) --- *)
-
-type run_buf = {
-  mutable rb_leaves : leaf array;
-  mutable rb_pack : int array;  (* (start lsl 10) lor len; start<512, len<=512 *)
-  mutable rb_n : int;
-}
-
-let run_buf_create () =
-  { rb_leaves = Array.make 8 no_leaf; rb_pack = Array.make 8 0; rb_n = 0 }
-
-let run_buf_length buf = buf.rb_n
-
-let run_buf_clear buf = buf.rb_n <- 0
-
-(* Non-allocating accessors for the merge loop (no tuple per slice). *)
-let run_buf_leaf buf i = buf.rb_leaves.(i)
-let run_buf_start buf i = buf.rb_pack.(i) lsr 10
-let run_buf_len buf i = buf.rb_pack.(i) land 0x3FF
-
-let run_buf_push buf leaf ~start ~len =
-  let n = buf.rb_n in
-  if n = Array.length buf.rb_pack then begin
-    let cap' = 2 * n in
-    let leaves = Array.make cap' no_leaf in
-    Array.blit buf.rb_leaves 0 leaves 0 n;
-    buf.rb_leaves <- leaves;
-    let pack = Array.make cap' 0 in
-    Array.blit buf.rb_pack 0 pack 0 n;
-    buf.rb_pack <- pack
-  end;
-  buf.rb_leaves.(n) <- leaf;
-  buf.rb_pack.(n) <- (start lsl 10) lor len;
-  buf.rb_n <- n + 1
 
 (* Every leaf with its PMD number, in ascending PMD order. *)
 let iter_leaves t f = Vec.iter (fun pmd -> f pmd (Index.find t.leaves pmd)) t.pmds

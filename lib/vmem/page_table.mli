@@ -71,33 +71,6 @@ val iter_swapped : t -> f:(vpn:int -> slot:int -> unit) -> unit
 val swapped_pages : t -> int
 (** Number of swapped PTEs (O(mapped)). *)
 
-(** {2 Flat run resolution (allocation-free scratch API)}
-
-    The flat SwapVA engine resolves a request into per-leaf slices held
-    in a reusable {!run_buf}: leaf pointers in one array, (start, len)
-    int-packed in another — no tuple/record/list allocation per op once
-    the buffer is warm. *)
-
-type run_buf
-
-val run_buf_create : unit -> run_buf
-
-val run_buf_length : run_buf -> int
-
-val run_buf_clear : run_buf -> unit
-(** Forget all slices (capacity is kept). *)
-
-val run_buf_leaf : run_buf -> int -> leaf
-
-val run_buf_start : run_buf -> int -> int
-
-val run_buf_len : run_buf -> int -> int
-(** Unchecked per-field slice accessors for the merge loop — reading a
-    slice allocates nothing (start/len live int-packed in one word). *)
-
-val run_buf_push : run_buf -> leaf -> start:int -> len:int -> unit
-(** Append a slice (amortized allocation-free on a warm buffer). *)
-
 val bitset_violations : t -> int
 (** Recompute every leaf's presence bitset from its PTE array and count
     the leaves whose stored bitset or popcount disagree — 0 under the

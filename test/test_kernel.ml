@@ -360,6 +360,49 @@ let test_swapva_dispatches_overlap () =
   Alcotest.(check int) "overlap path used" 10
     (Perf.get machine.Machine.perf Ptes_swapped - before)
 
+let test_overlap_fault_plane () =
+  (* 8 pages moving up by 3: Algorithm 2 rotates the 11-page window.  A
+     [pte] clause aimed at one window page, inside [pages] or in the
+     3-page tail, must fail the call on that page before anything moves. *)
+  let pages = 8 and delta = 3 in
+  let window = pages + delta in
+  List.iter
+    (fun target ->
+      let machine, proc = fresh () in
+      let aspace = mapped_window proc ~pages:window in
+      let va = base + (target * Addr.page_size) in
+      let spec =
+        match
+          Svagc_fault.Fault_spec.parse
+            (Printf.sprintf "pte:every=1:va=0x%x-0x%x" va va)
+        with
+        | Ok spec -> spec
+        | Error e -> Alcotest.fail e
+      in
+      machine.Machine.fault <- Some (Svagc_fault.Injector.create spec ~seed:0);
+      let csum () =
+        Address_space.checksum aspace ~va:base ~len:(window * Addr.page_size)
+      in
+      let c0 = csum () in
+      let swapped0 = Perf.get machine.Machine.perf Ptes_swapped in
+      let err =
+        match
+          Swapva.swap proc ~opts:opts_pinned ~src:base
+            ~dst:(base + (delta * Addr.page_size)) ~pages
+        with
+        | _ -> None
+        | exception Kernel_error.Fault_ns (e, _) -> Some e
+      in
+      let name = Printf.sprintf "window page %d" target in
+      Alcotest.(check (option (testable Kernel_error.pp Kernel_error.equal)))
+        (name ^ ": EFAULT names it")
+        (Some (Kernel_error.EFAULT_unmapped { va }))
+        err;
+      Alcotest.(check int64) (name ^ ": window untouched") c0 (csum ());
+      Alcotest.(check int) (name ^ ": no PTE moved") swapped0
+        (Perf.get machine.Machine.perf Ptes_swapped))
+    [ 2; pages + 1 ]
+
 let prop_swap_sequence_preserves_content_multiset =
   qtest ~count:40 "random swap sequences permute pages, never lose bytes"
     QCheck.(pair small_int (list_of_size Gen.(1 -- 12) (pair (int_range 0 15) (int_range 0 15))))
@@ -405,18 +448,28 @@ let prop_aggregated_equals_separated_state =
    page-at-a-time reference: same memory, same perf-counter deltas and
    bit-identical simulated cost (the bulk charge replays the reference
    loop's float additions in order).  Only [leaf_runs] differs — the flat
-   engine counts the slices it resolves, the reference never does — so
-   the comparison drops it. *)
+   engine counts the PMD leaves its two ranges span, the reference never
+   does — so it is returned apart from the other counters. *)
 let engine_outcome ~window_pages ~pmd_caching ~engine req =
   let machine, proc = fresh () in
   let aspace = mapped_window proc ~pages:window_pages in
   let before = Perf.copy machine.Machine.perf in
   let ns = engine proc ~pmd_caching req in
-  let d = Perf.diff ~after:machine.Machine.perf ~before in
+  let d = Perf.to_assoc (Perf.diff ~after:machine.Machine.perf ~before) in
   let csum =
     Address_space.checksum aspace ~va:base ~len:(window_pages * Addr.page_size)
   in
-  (ns, List.remove_assoc "leaf_runs" (Perf.to_assoc d), csum)
+  (ns, List.remove_assoc "leaf_runs" d, List.assoc "leaf_runs" d, csum)
+
+let flat_engine proc ~pmd_caching req =
+  Swapva.swap_disjoint_flat proc ~pmd_caching ~leaf_swap:false req
+
+(* PMD leaves spanned by both ranges of [req], from its addresses alone. *)
+let leaves_spanned { Swapva.src; dst; pages } =
+  let span va =
+    Addr.pmd_number (va + ((pages - 1) * Addr.page_size)) - Addr.pmd_number va + 1
+  in
+  span src + span dst
 
 let prop_flat_engine_equals_per_page =
   (* Offsets chosen so both ranges regularly straddle the 512-page PMD
@@ -435,17 +488,30 @@ let prop_flat_engine_equals_per_page =
           pages;
         }
       in
-      let ref_ns, ref_perf, ref_csum =
+      let ref_ns, ref_perf, ref_leaf_runs, ref_csum =
         engine_outcome ~window_pages ~pmd_caching
           ~engine:Swapva.swap_disjoint_per_page req
       in
-      let flat_ns, flat_perf, flat_csum =
-        engine_outcome ~window_pages ~pmd_caching
-          ~engine:(fun proc ~pmd_caching req ->
-            Swapva.swap_disjoint_flat proc ~pmd_caching ~leaf_swap:false req)
-          req
+      let flat_ns, flat_perf, flat_leaf_runs, flat_csum =
+        engine_outcome ~window_pages ~pmd_caching ~engine:flat_engine req
       in
-      ref_ns = flat_ns && ref_perf = flat_perf && ref_csum = flat_csum)
+      ref_ns = flat_ns && ref_perf = flat_perf && ref_csum = flat_csum
+      && ref_leaf_runs = 0
+      && flat_leaf_runs = leaves_spanned req)
+
+let test_flat_engine_leaf_runs () =
+  (* src crosses the leaf boundary at page 512, dst stays in one leaf. *)
+  let req =
+    {
+      Swapva.src = base + (510 * Addr.page_size);
+      dst = base + (600 * Addr.page_size);
+      pages = 4;
+    }
+  in
+  let _, _, leaf_runs, _ =
+    engine_outcome ~window_pages:700 ~pmd_caching:true ~engine:flat_engine req
+  in
+  Alcotest.(check int) "two src leaves + one dst leaf" 3 leaf_runs
 
 let test_flat_engine_unmapped_no_mutation () =
   let machine, proc = fresh () in
@@ -637,12 +703,16 @@ let () =
           prop_overlap_matches_rotation;
           prop_swap_sequence_preserves_content_multiset;
           prop_aggregated_equals_separated_state;
+          Alcotest.test_case "fault plane: EFAULT before any move" `Quick
+            test_overlap_fault_plane;
         ] );
       ( "flat_engine",
         [
           prop_flat_engine_equals_per_page;
           Alcotest.test_case "unmapped: exact error, no mutation" `Quick
             test_flat_engine_unmapped_no_mutation;
+          Alcotest.test_case "leaf runs: src crosses a leaf, dst does not"
+            `Quick test_flat_engine_leaf_runs;
         ] );
       ( "leaf_swap",
         [

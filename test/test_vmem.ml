@@ -1263,20 +1263,20 @@ let test_machine_flush_all_cores () =
     m.Machine.cores
 
 let test_machine_scratch_main_domain_only () =
-  (* SwapVA's scratch is one per machine; a second domain must be refused
-     rather than share its half-built run lists. *)
+  (* SwapVA's charge memo is one per machine; a second domain must be
+     refused rather than race on its slots. *)
   let m = Machine.create ~phys_mib:1 Cost_model.xeon_6130 in
-  ignore (Machine.hot_scratch m);
+  ignore (Machine.charge_memo m);
   let refused =
     Domain.join
       (Domain.spawn (fun () ->
-           match Machine.hot_scratch m with
+           match Machine.charge_memo m with
            | _ -> false
            | exception Invalid_argument _ -> true))
   in
   Alcotest.(check bool) "spawned domain refused" true refused;
-  Alcotest.(check bool) "main domain keeps its scratch" true
-    (Machine.hot_scratch m == Machine.hot_scratch m)
+  Alcotest.(check bool) "main domain keeps its memo" true
+    (Machine.charge_memo m == Machine.charge_memo m)
 
 (* --- Address_space --- *)
 
