@@ -21,6 +21,10 @@
    - alloc: a SwapVA request inside one leaf, by the flat engine and by
      the per-page reference.  Gate: each engine allocates the same minor
      words over 10k calls at 1 page as at 64 pages — nothing per page.
+   - collect: one LISP2 collection ([Lisp2.collect]) of a heap of 1k and
+     of 16k objects, half of them garbage, whose object vector is out of
+     address order.  Gate: the 16k heap's collection allocates no more
+     minor words than the 1k heap's — nothing per object or reference.
 
    The speed gates arm on full runs only; the identity checks and the
    allocation gate always.
@@ -38,6 +42,9 @@ module Memmove = Svagc_kernel.Memmove
 module Domain_pool = Svagc_par.Domain_pool
 module Par_sweep = Svagc_par.Par_sweep
 module Json = Svagc_trace.Json
+module Heap = Svagc_heap.Heap
+module Vec = Svagc_util.Vec
+module Lisp2 = Svagc_gc.Lisp2
 
 let base = 1 lsl 32
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
@@ -295,6 +302,58 @@ let alloc () =
          alloc_calls)
       (List.for_all same_words rows) )
 
+(* --- collect --- *)
+
+let collect_sizes = [ 1_000; 16_000 ]
+
+(* [n] objects of 64 to 1,023 bytes, each of every other one rooted and
+   linked to the root before it, the rest garbage; the object vector is
+   reversed, so the gather must sort.  Minor words of one collection
+   (memmove mover) and its host time. *)
+let collect_words n =
+  let machine = Machine.create ~ncores:4 ~phys_mib:64 Cost_model.xeon_6130 in
+  let heap = Heap.create (Process.create machine) ~size_bytes:(n * 1024) () in
+  let prev = ref None in
+  for i = 0 to n - 1 do
+    let o = Heap.alloc heap ~size:(64 + (i * 97 mod 960)) ~n_refs:1 ~cls:0 in
+    if i mod 2 = 0 then begin
+      Heap.add_root heap o;
+      Heap.set_ref heap o ~slot:0 !prev;
+      prev := Some o
+    end
+  done;
+  let objs = Heap.objects heap in
+  for i = 0 to (n / 2) - 1 do
+    let a = Vec.get objs i in
+    Vec.set objs i (Vec.get objs (n - 1 - i));
+    Vec.set objs (n - 1 - i) a
+  done;
+  let cfg = Lisp2.config () in
+  let before = Gc.minor_words () in
+  let t0 = now_s () in
+  ignore (Sys.opaque_identity (Lisp2.collect cfg heap));
+  let dt = now_s () -. t0 in
+  (n, Gc.minor_words () -. before, dt)
+
+let collect () =
+  let rows = List.map collect_words collect_sizes in
+  let row (n, words, dt) =
+    Json.Obj
+      [
+        ("objects", Json.Int n);
+        ("minor_words", Json.Float words);
+        ("collect_ns", ns dt);
+      ]
+  in
+  let words = List.map (fun (_, w, _) -> w) rows in
+  ( Json.List (List.map row rows),
+    identity
+      (Printf.sprintf
+         "collect: one LISP2 collection allocates no more words at %d objects \
+          than at %d"
+         (List.nth collect_sizes 1) (List.hd collect_sizes))
+      (List.nth words 1 <= List.hd words) )
+
 (* --- driver --- *)
 
 let run quick output =
@@ -312,10 +371,11 @@ let run quick output =
   let shootdown_row, shootdown_gate = shootdown () in
   let copy_row, copy_gate = copy () in
   let alloc_row, alloc_gate = alloc () in
+  let collect_row, collect_gate = collect () in
   let full = not quick in
   let checks =
     List.map (fun (_, c, _) -> c) (swap @ par)
-    @ [ shootdown_gate; copy_gate; alloc_gate ]
+    @ [ shootdown_gate; copy_gate; alloc_gate; collect_gate ]
   in
   let gates =
     checks
@@ -349,6 +409,7 @@ let run quick output =
         ("shootdown", shootdown_row);
         ("copy", copy_row);
         ("alloc", alloc_row);
+        ("collect", collect_row);
         ("gates", Json.List (List.map gate_json gates));
       ]
   in

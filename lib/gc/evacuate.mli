@@ -21,12 +21,13 @@ val run :
   ref_scan_ns:float ->
   Gc_stats.cycle
 (** [run from ~into ...] evacuates the marked objects of [from], in
-    ascending address order, to [into]'s top.  The rewrite resolves each
-    reference through [from]'s address index, still valid until [from]
-    is reset, and charges [adjust_obj_ns + refs * ref_scan_ns] per object
-    of [into].  The cycle is stop-the-world: [mark_ns] as given, the moves
-    as [compact_ns], the rewrite as [adjust_ns], no forward or concurrent
-    time; [reclaimed_bytes] is [from]'s used extent less the survivors'
-    bytes; the byte counters are the machine's perf deltas.
+    ascending address order, to [into]'s top, and leaves the unmarked
+    ones {!Obj_model.dropped}.  The rewrite charges
+    [adjust_obj_ns + refs * ref_scan_ns] per object of [into].  The cycle
+    is stop-the-world: [mark_ns] as given, the moves as [compact_ns], the
+    rewrite as [adjust_ns], no forward or concurrent time;
+    [reclaimed_bytes] is [from]'s used extent less the survivors' bytes;
+    the byte counters are the machine's perf deltas.
     @raise Heap.Heap_full, before anything moves, when the survivors do
-    not fit in [into]. *)
+    not fit in [into]; the unmarked objects are flagged dropped all the
+    same, since nothing reaches them. *)

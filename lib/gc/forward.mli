@@ -9,12 +9,14 @@
     (the paper's "<5% of heap" claim): [new_top - base] less the live
     bytes.
 
-    Only the live set is put in address order: one pass gathers the
-    marked objects and their addresses into arrays, and only when the
-    addresses are not already ascending is an index permutation sorted by
-    them (the comparator reads [int]s, never object records).  The heap's
-    object vector is left as it is; compaction replaces it with the
-    survivors. *)
+    Only the live set is put in address order: one pass gathers each
+    marked object's address and vector slot into int arrays, and only
+    when the addresses are not already ascending are the slots sorted, by
+    an LSD radix sort on [addr] less the lowest live address (unique
+    keys, so the order any sort by address gives); the live array is
+    built once, from the sorted slots.  The same pass flags every
+    unmarked object {!Obj_model.dead}.  The heap's object vector is left
+    as it is; compaction replaces it with the survivors. *)
 
 open Svagc_heap
 
@@ -29,6 +31,8 @@ type result = {
 
 val live_in_address_order : Heap.t -> Obj_model.t array
 (** The heap's marked objects in ascending address order (also the
-    evacuation order of {!Evacuate.run}). *)
+    evacuation order of {!Evacuate.run}), after setting the [forward] of
+    every unmarked one to {!Obj_model.dead}: every collector drops its
+    garbage here. *)
 
 val run : Heap.t -> threads:int -> result

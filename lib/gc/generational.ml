@@ -28,11 +28,6 @@ let minors t = List.rev t.minors
 
 let in_young t addr = addr >= Heap.base t.young && addr < Heap.limit t.young
 
-let lookup t addr =
-  if addr = 0 then None
-  else if in_young t addr then Heap.object_at t.young addr
-  else Heap.object_at t.old_space addr
-
 let add_root t obj =
   if in_young t obj.Obj_model.addr then Heap.add_root t.young obj
   else Heap.add_root t.old_space obj
@@ -43,19 +38,26 @@ let remove_root t obj =
 
 let set_ref t obj ~slot target = Heap.set_ref t.young obj ~slot target
 
+(* [Obj_model.null] sits at address 0, outside the nursery. *)
 let deref t obj ~slot =
-  let addr = obj.Obj_model.refs.(slot) in
-  match lookup t addr with
-  | Some o -> Some o
-  | None ->
-    if addr = 0 then None
-    else invalid_arg "Generational.deref: dangling reference (GC bug)"
+  let target = obj.Obj_model.refs.(slot) in
+  Heap.deref
+    (if in_young t target.Obj_model.addr then t.young else t.old_space)
+    obj ~slot
 
 let cost t = (Process.machine t.proc).Machine.cost
 
 let makespan t costs =
   Svagc_par.Work_steal.makespan ~threads ~steal_ns:(cost t).Cost_model.steal_ns
     ~barrier_ns:(cost t).Cost_model.barrier_ns costs
+
+(* A young target of a reference, checked: a collection must not have
+   dropped it. *)
+let young_target what target =
+  if Obj_model.dropped target then
+    invalid_arg
+      (Format.asprintf "Generational: %s reference to dropped %a" what Obj_model.pp
+         target)
 
 (* Young reachability: nursery roots plus every old->young reference (the
    remembered-set scan, whose cost is charged per old object examined). *)
@@ -68,11 +70,11 @@ let mark_young t =
     (fun old_obj ->
       scan_costs := (cost t).Cost_model.forward_obj_ns :: !scan_costs;
       Array.iter
-        (fun addr ->
-          if addr <> 0 && in_young t addr then
-            match Heap.object_at t.young addr with
-            | Some o -> Vec.push work o
-            | None -> invalid_arg "Generational: stale old->young reference")
+        (fun o ->
+          if o != Obj_model.null && in_young t o.Obj_model.addr then begin
+            young_target "old->young" o;
+            Vec.push work o
+          end)
         old_obj.Obj_model.refs)
     (Heap.objects t.old_space);
   let mark_costs = ref [] in
@@ -88,12 +90,12 @@ let mark_young t =
              *. (cost t).Cost_model.ref_scan_ns)
           :: !mark_costs;
         Array.iter
-          (fun addr ->
-            if addr <> 0 && in_young t addr then
-              match Heap.object_at t.young addr with
-              | Some target ->
-                if not target.Obj_model.marked then Vec.push work target
-              | None -> invalid_arg "Generational: dangling young reference")
+          (fun target ->
+            if target != Obj_model.null && in_young t target.Obj_model.addr
+            then begin
+              young_target "young" target;
+              if not target.Obj_model.marked then Vec.push work target
+            end)
           o.Obj_model.refs
       end;
       drain ()

@@ -46,7 +46,8 @@ val remove_root : t -> Obj_model.t -> unit
 val set_ref : t -> Obj_model.t -> slot:int -> Obj_model.t option -> unit
 
 val deref : t -> Obj_model.t -> slot:int -> Obj_model.t option
-(** Resolves across both spaces. *)
+(** {!Heap.deref} in the space the target lives in.
+    @raise Invalid_argument when a collection dropped the target. *)
 
 val minor : t -> mover:Compact.mover -> Gc_stats.cycle
 (** One minor collection: trace the nursery from its roots plus the

@@ -1,7 +1,16 @@
 open Svagc_vmem
 module Process = Svagc_kernel.Process
 module Vec = Svagc_util.Vec
-module Addr_index = Svagc_util.Addr_index
+
+(* Roots keyed by object id.  [hash] is the generic table's own bucket
+   function (Hashtbl.hash, seed 0) and the functor shares its code, so the
+   visiting order is the one heap.mli documents. *)
+module Roots = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 type t = {
   proc : Process.t;
@@ -11,18 +20,13 @@ type t = {
   mutable mapped_until : int;
   threshold_pages : int;
   objects : Obj_model.t Vec.t;
-  by_addr : Obj_model.t Addr_index.t;
-  roots : (int, Obj_model.t) Hashtbl.t;  (* keyed by object id *)
+  roots : Obj_model.t Roots.t;
   mutable waste : int;
 }
 
 exception Heap_full
 
 let default_base = 4 * 1024 * 1024 * 1024
-
-(* Fills the address index's empty slots, so a removed record is not kept
-   alive by its old slot. *)
-let none = Obj_model.make ~id:0 ~addr:(-1) ~size:Obj_model.header_bytes ~cls:0 ~n_refs:0
 
 let create proc ?(base = default_base) ?(threshold_pages = 10) ~size_bytes () =
   if not (Addr.is_page_aligned base) then invalid_arg "Heap.create: unaligned base";
@@ -36,8 +40,7 @@ let create proc ?(base = default_base) ?(threshold_pages = 10) ~size_bytes () =
     mapped_until = base;
     threshold_pages;
     objects = Vec.create ();
-    by_addr = Addr_index.create none;
-    roots = Hashtbl.create 64;
+    roots = Roots.create 64;
     waste = 0;
   }
 
@@ -82,7 +85,6 @@ let header_matches t obj =
 
 let register t obj =
   Vec.push t.objects obj;
-  Addr_index.replace t.by_addr obj.Obj_model.addr obj;
   Perf.bump (perf t) Alloc_bytes obj.Obj_model.size;
   stamp_header t obj
 
@@ -135,10 +137,6 @@ let alloc_at t ~addr ~size ~n_refs ~cls =
 
 let objects t = t.objects
 
-let object_at t addr = Addr_index.find_opt t.by_addr addr
-
-let find_object t addr = Addr_index.find t.by_addr addr
-
 (* One pass: each record is touched once. *)
 let adopt_survivors t survivors ~top =
   Array.iter
@@ -146,45 +144,42 @@ let adopt_survivors t survivors ~top =
       o.Obj_model.addr <- o.Obj_model.forward;
       o.Obj_model.forward <- 0;
       o.Obj_model.marked <- false;
-      Vec.push t.objects o;
-      Addr_index.replace t.by_addr o.Obj_model.addr o)
+      Vec.push t.objects o)
     survivors;
   t.top <- top
 
-(* The index keeps its capacity: it refills to the same size after every
-   collection. *)
 let commit_survivors t survivors ~top =
   Vec.clear t.objects;
-  Addr_index.clear t.by_addr;
   adopt_survivors t survivors ~top
 
 let reset t =
   Vec.clear t.objects;
-  Addr_index.clear t.by_addr;
-  Hashtbl.reset t.roots;
+  Roots.reset t.roots;
   t.top <- t.base
 
-let add_root t obj = Hashtbl.replace t.roots obj.Obj_model.id obj
+let add_root t obj = Roots.replace t.roots obj.Obj_model.id obj
 
-let remove_root t obj = Hashtbl.remove t.roots obj.Obj_model.id
+let remove_root t obj = Roots.remove t.roots obj.Obj_model.id
 
-let iter_roots t f = Hashtbl.iter (fun _ obj -> f obj) t.roots
+let iter_roots t f = Roots.iter (fun _ obj -> f obj) t.roots
 
-let root_count t = Hashtbl.length t.roots
+let root_count t = Roots.length t.roots
 
 let set_ref _t obj ~slot target =
-  obj.Obj_model.refs.(slot) <-
-    (match target with Some o -> o.Obj_model.addr | None -> 0)
+  obj.Obj_model.refs.(slot) <- Option.value target ~default:Obj_model.null
 
 let deref t obj ~slot =
-  let addr = obj.Obj_model.refs.(slot) in
-  if addr = 0 then None
-  else
-    match object_at t addr with
-    | Some o -> Some o
-    | None ->
-      invalid_arg
-        (Format.asprintf "Heap.deref: dangling reference to %a (GC bug)" Addr.pp addr)
+  let target = obj.Obj_model.refs.(slot) in
+  if target == Obj_model.null then None
+  else if Obj_model.dropped target then
+    invalid_arg
+      (Format.asprintf "Heap.deref: reference to dropped %a (GC bug)" Obj_model.pp
+         target)
+  else if target.Obj_model.addr < t.base || target.Obj_model.addr >= t.top then
+    invalid_arg
+      (Format.asprintf "Heap.deref: reference to %a outside the heap" Obj_model.pp
+         target)
+  else Some target
 
 let payload_va obj ~off = obj.Obj_model.addr + Obj_model.header_bytes + off
 
@@ -197,6 +192,10 @@ let write_payload t obj ~off data =
   check_payload_range obj ~off ~len:(Bytes.length data);
   Address_space.write_bytes (Process.aspace t.proc) ~va:(payload_va obj ~off)
     ~src:data
+
+let fill_payload t obj ~off ~len c =
+  check_payload_range obj ~off ~len;
+  Address_space.fill (Process.aspace t.proc) ~va:(payload_va obj ~off) ~len c
 
 let read_payload t obj ~off ~len =
   check_payload_range obj ~off ~len;

@@ -87,33 +87,37 @@ val objects : t -> Obj_model.t Svagc_util.Vec.t
 (** All live-or-unreclaimed objects, in allocation order until a
     collection leaves them in address order. *)
 
-val object_at : t -> int -> Obj_model.t option
-(** Lookup by current address, through the heap's {!Svagc_util.Addr_index}: an
-    open-addressing table over flat arrays that registering an object
-    keeps current. *)
-
-val find_object : t -> int -> Obj_model.t
-(** {!object_at} without the option: allocates nothing, which is why the
-    collector's per-reference lookups (mark, adjust) use it.
-    @raise Not_found when no object starts at the address. *)
-
 val adopt_survivors : t -> Obj_model.t array -> top:int -> unit
 (** The end of a moving collection into this heap, in one pass over
     [survivors] (objects already moved to their [forward] addresses inside
     this heap, in ascending address order): each takes its [forward]
     address as [addr] and has [marked] and [forward] cleared, and is
-    appended to the object set and the address index; the top moves to
-    [top].  Roots are untouched. *)
+    appended to the object set; the top moves to [top].  References
+    follow implicitly, since they hold the records.  Roots are
+    untouched. *)
 
 val commit_survivors : t -> Obj_model.t array -> top:int -> unit
 (** {!adopt_survivors} after forgetting every object: the survivors become
     the heap's whole object set — the end of a compaction in place. *)
 
 val add_root : t -> Obj_model.t -> unit
+(** Root an object, keyed by its id; rooting it again changes nothing. *)
 
 val remove_root : t -> Obj_model.t -> unit
 
 val iter_roots : t -> (Obj_model.t -> unit) -> unit
+(** Visit the roots in a fixed order that depends only on the sequence of
+    {!add_root}, {!remove_root} and {!reset} calls.  Mark's cost vector
+    and evacuation follow it, so every published GC time does too, and a
+    replacement root set must reproduce it exactly.  The law (that of a
+    non-randomized [Hashtbl] keyed by id):
+    - roots sit in [buckets] buckets, and bucket [b] holds the ids with
+      [Hashtbl.hash id land (buckets - 1) = b];
+    - buckets are visited from 0 upward, and a bucket newest root first
+      (re-rooting a rooted object keeps its place);
+    - [buckets] starts at 64 and doubles, keeping each bucket's order,
+      whenever the root count exceeds [2 * buckets]; {!reset} brings it
+      back to 64, and nothing else shrinks it. *)
 
 val root_count : t -> int
 
@@ -121,13 +125,18 @@ val set_ref : t -> Obj_model.t -> slot:int -> Obj_model.t option -> unit
 (** Point [slot] of the object at another object (or null). *)
 
 val deref : t -> Obj_model.t -> slot:int -> Obj_model.t option
-(** Follow a reference slot.  @raise Invalid_argument on a dangling
-    address — that would be a GC bug. *)
+(** Follow a reference slot: [None] for {!Obj_model.null}.
+    @raise Invalid_argument when the target was dropped by a collection
+    ({!Obj_model.dropped}), or lies outside [[base, top)]: a GC bug. *)
 
 (** {2 Payload IO (through the MMU)} *)
 
 val write_payload : t -> Obj_model.t -> off:int -> bytes -> unit
 (** [off] is relative to the payload (header excluded). *)
+
+val fill_payload : t -> Obj_model.t -> off:int -> len:int -> char -> unit
+(** Write [len] copies of one byte at payload offset [off]: the same
+    stored bytes as {!write_payload} of that run, with no buffer. *)
 
 val read_payload : t -> Obj_model.t -> off:int -> len:int -> bytes
 

@@ -88,8 +88,6 @@ let find t key =
   let i = probe t key in
   if key = empty || t.keys.(i) <> key then raise Not_found else t.vals.(i)
 
-let find_opt t key = match find t key with v -> Some v | exception Not_found -> None
-
 (* Backward-shift deletion: walk the chain after the hole and pull back
    every entry whose home slot does not lie cyclically between the hole
    and its current slot, so every remaining key stays reachable from its
@@ -114,8 +112,3 @@ let remove t key =
     vals.(!hole) <- t.filler;
     t.count <- t.count - 1
   end
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty;
-  Array.fill t.vals 0 (Array.length t.vals) t.filler;
-  t.count <- 0

@@ -1,6 +1,6 @@
-(** An int-keyed table: non-negative key -> value.  The heap indexes
-    objects by start address with it, the reclaimer its tracked pages by
-    packed [(asid, vpn)] key.
+(** An int-keyed table: non-negative key -> value.  The page table
+    indexes its leaves by PMD number with it, the reclaimer its tracked
+    pages by packed [(asid, vpn)] key.
 
     An open-addressing table over two flat arrays (keys and values), so a
     lookup chases no bucket list and an insert allocates nothing once the
@@ -42,8 +42,3 @@ val find : 'a t -> int -> 'a
 val find_or_filler : 'a t -> int -> 'a
 (** The binding, or the filler when the key is unbound.  Allocates
     nothing. *)
-
-val find_opt : 'a t -> int -> 'a option
-
-val clear : 'a t -> unit
-(** Drop every binding and keep the capacity. *)

@@ -42,15 +42,11 @@ let stamp jvm rng p obj =
   let heap = Jvm.heap jvm in
   let payload = obj.Svagc_heap.Obj_model.size - Svagc_heap.Obj_model.header_bytes in
   let len = min p.payload_stamp_bytes payload in
-  if len > 0 then begin
-    let b = Bytes.make len (Char.chr (Rng.int rng 256)) in
-    Heap.write_payload heap obj ~off:0 b
-  end
+  if len > 0 then Heap.fill_payload heap obj ~off:0 ~len (Char.chr (Rng.int rng 256))
 
 (* Marks an empty slot: [slots] holds records, not [option] boxes, so
    filling a slot allocates nothing. *)
-let empty =
-  Svagc_heap.Obj_model.(make ~id:0 ~addr:0 ~size:header_bytes ~cls:0 ~n_refs:0)
+let empty = Svagc_heap.Obj_model.null
 
 let link heap p slots ~at =
   (* Neighbour links keep the mark/adjust phases honest without turning

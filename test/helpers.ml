@@ -61,14 +61,18 @@ let assert_checksums heap tagged =
     tagged
 
 (* A reachability-correct view: every rooted object and everything it
-   links to must be live after a collection. *)
+   links to must be live after a collection: the one object of the heap's
+   object set at its address, and not dropped. *)
 let assert_live_set heap rooted =
+  let at = Hashtbl.create 64 in
+  Svagc_util.Vec.iter
+    (fun o -> Hashtbl.add at o.Obj_model.addr o)
+    (Heap.objects heap);
   List.iter
     (fun o ->
-      match Heap.object_at heap o.Obj_model.addr with
-      | Some found when found == o -> ()
-      | Some _ | None ->
-        Alcotest.failf "rooted object %d lost by the GC" o.Obj_model.id)
+      match Hashtbl.find_all at o.Obj_model.addr with
+      | [ found ] when found == o && not (Obj_model.dropped o) -> ()
+      | _ -> Alcotest.failf "rooted object %d lost by the GC" o.Obj_model.id)
     rooted
 
 (* A page's payload holding [s] (one page long), made the way the

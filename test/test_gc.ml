@@ -10,6 +10,8 @@ module Compact = Svagc_gc.Compact
 module Lisp2 = Svagc_gc.Lisp2
 module Gc_stats = Svagc_gc.Gc_stats
 module Gc_intf = Svagc_gc.Gc_intf
+module Generational = Svagc_gc.Generational
+module Vec = Svagc_util.Vec
 
 let qtest ?(count = 30) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
@@ -146,9 +148,89 @@ let test_forward_unsorted_heap () =
   Alcotest.(check int) "same waste" fwd_sorted.Forward.waste_bytes
     fwd_shuffled.Forward.waste_bytes
 
+(* The order the gather gave before its radix sort: the marked objects
+   in vector order, an index permutation stable-sorted by address. *)
+let stable_sort_order objs =
+  let live = List.filter (fun o -> o.Obj_model.marked) objs |> Array.of_list in
+  let addrs = Array.map (fun o -> o.Obj_model.addr) live in
+  let perm = Array.init (Array.length live) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare addrs.(i) addrs.(j)) perm;
+  Array.map (fun i -> live.(i)) perm
+
+type vector_order = Shuffled | Ascending | Descending
+
+type marking = All | Nothing | One | Some_of
+
+(* Unique addresses below [2^bits] (one radix pass at 4 bits, four at
+   40), laid out in the vector in one of three orders, and a marking that
+   leaves any number of live objects, 0 and 1 included. *)
+let gather_arb =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 4; 12; 25; 40 ] >>= fun bits ->
+      list_size (int_bound 300) (int_bound ((1 lsl bits) - 1)) >>= fun addrs ->
+      let addrs = List.sort_uniq compare addrs in
+      oneofl [ Shuffled; Ascending; Descending ] >>= fun order ->
+      shuffle_l addrs >>= fun shuffled ->
+      oneofl [ All; Nothing; One; Some_of ] >>= fun marking ->
+      list_repeat (List.length addrs) bool >>= fun coins ->
+      let addrs =
+        match order with
+        | Shuffled -> shuffled
+        | Ascending -> addrs
+        | Descending -> List.rev addrs
+      in
+      let marks =
+        List.mapi
+          (fun i coin ->
+            match marking with
+            | All -> true
+            | Nothing -> false
+            | One -> i = List.length addrs / 2
+            | Some_of -> coin)
+          coins
+      in
+      return (List.combine addrs marks))
+  in
+  let print l =
+    String.concat " "
+      (List.map (fun (a, m) -> Printf.sprintf "%d%s" a (if m then "*" else "")) l)
+  in
+  QCheck.make ~print gen
+
+let gather_heap = lazy (Helpers.heap ())
+
+let prop_gather_matches_stable_sort =
+  qtest ~count:300 "live order matches the stable-sort gather" gather_arb
+    (fun layout ->
+      let heap = Lazy.force gather_heap in
+      let objs =
+        List.mapi
+          (fun id (addr, marked) ->
+            let o =
+              Obj_model.make ~id:(id + 1) ~addr ~size:Obj_model.header_bytes ~cls:0
+                ~n_refs:0
+            in
+            o.Obj_model.marked <- marked;
+            o)
+          layout
+      in
+      let vec = Heap.objects heap in
+      Vec.clear vec;
+      List.iter (Vec.push vec) objs;
+      let expect = stable_sort_order objs in
+      let live = Forward.live_in_address_order heap in
+      Array.length live = Array.length expect
+      && Array.for_all2 ( == ) live expect
+      && List.for_all
+           (fun o -> Obj_model.dropped o = not o.Obj_model.marked)
+           objs)
+
 (* --- Adjust --- *)
 
-let test_adjust_rewrites_refs () =
+(* Adjust rewrites no slot: a reference holds its target, and the commit
+   moves the target's [addr] to the forwarding address. *)
+let test_refs_follow_moves () =
   let heap = Helpers.heap () in
   let a = Heap.alloc heap ~size:4096 ~n_refs:1 ~cls:0 in
   ignore (Heap.alloc heap ~size:8192 ~n_refs:0 ~cls:0);
@@ -156,17 +238,29 @@ let test_adjust_rewrites_refs () =
   let b = Heap.alloc heap ~size:4096 ~n_refs:0 ~cls:0 in
   Heap.set_ref heap a ~slot:0 (Some b);
   Heap.add_root heap a;
+  let tagged = Helpers.checksums heap [ b ] in
   ignore (Mark.run heap ~threads:1);
   let fwd = Forward.run heap ~threads:1 in
+  let dest = b.Obj_model.forward in
+  Alcotest.(check bool) "b slides down" true (dest < b.Obj_model.addr);
   ignore (Adjust.run heap ~threads:1 ~live:fwd.Forward.live);
-  Alcotest.(check int) "ref points at b's forwarding address"
-    b.Obj_model.forward a.Obj_model.refs.(0)
+  Alcotest.(check bool) "the slot still holds b" true (a.Obj_model.refs.(0) == b);
+  ignore
+    (Compact.run heap ~threads:1 ~mover:Compact.memmove_mover ~live:fwd.Forward.live
+       ~new_top:fwd.Forward.new_top);
+  (match Heap.deref heap a ~slot:0 with
+  | Some t ->
+    Alcotest.(check bool) "deref finds b" true (t == b);
+    Alcotest.(check int) "at b's forwarding address" dest t.Obj_model.addr
+  | None -> Alcotest.fail "link lost");
+  Helpers.assert_checksums heap tagged
 
 let test_adjust_first_offender () =
-  (* Two live objects far apart in address order each get a bogus
-     reference; the lower-addressed one holds the larger address, so
-     neither value order nor slice order can pass for address order. *)
-  let heap, _, fwd = forward_fixture () in
+  (* Two live objects far apart in address order each get a reference to
+     a dropped object; the lower-addressed one references the later
+     allocated target, so neither target order nor slice order can pass
+     for address order. *)
+  let heap, p, fwd = forward_fixture () in
   let live = fwd.Forward.live in
   let with_refs =
     List.filter
@@ -177,13 +271,67 @@ let test_adjust_first_offender () =
   and last = List.nth with_refs (List.length with_refs - 1) in
   Alcotest.(check bool) "planted objects in address order" true
     (first.Obj_model.addr < last.Obj_model.addr);
-  let bogus_first = 0x7ff0_0008 and bogus_last = 0x10 in
-  first.Obj_model.refs.(0) <- bogus_first;
-  last.Obj_model.refs.(0) <- bogus_last;
-  Alcotest.check_raises "names the lower-addressed object's bogus ref"
+  let early = List.hd p.Helpers.dropped
+  and late = List.nth p.Helpers.dropped (List.length p.Helpers.dropped - 1) in
+  first.Obj_model.refs.(0) <- late;
+  last.Obj_model.refs.(0) <- early;
+  Alcotest.check_raises "names the lower-addressed object's dead target"
     (Invalid_argument
-       (Printf.sprintf "Adjust.run: dangling reference 0x%x" bogus_first))
+       (Printf.sprintf "Adjust.run: object %d references dead object %d"
+          first.Obj_model.id late.Obj_model.id))
     (fun () -> ignore (Adjust.run heap ~threads:4 ~live))
+
+(* A reference to an object an earlier collection dropped is a GC bug
+   wherever it is followed.  Each dropped object lies below its heap's
+   top again by then, so only its drop flag can tell. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let raises what ~mentioning f =
+  match f () with
+  | _ -> Alcotest.failf "%s: a reference to a dropped object went through" what
+  | exception Invalid_argument msg ->
+    if not (contains msg mentioning) then Alcotest.failf "%s raised: %s" what msg
+
+let test_dropped_reference_raises () =
+  let heap = Helpers.heap () in
+  let a = Heap.alloc heap ~size:64 ~n_refs:1 ~cls:0 in
+  let gone = Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0 in
+  Heap.add_root heap a;
+  ignore (Lisp2.collect (Lisp2.config ()) heap);
+  Alcotest.(check bool) "the collection dropped it" true (Obj_model.dropped gone);
+  ignore (Heap.alloc heap ~size:4096 ~n_refs:0 ~cls:0);
+  Alcotest.(check bool) "below the top again" true
+    (gone.Obj_model.addr < Heap.top heap);
+  Heap.set_ref heap a ~slot:0 (Some gone);
+  raises "Heap.deref" ~mentioning:"dropped" (fun () -> Heap.deref heap a ~slot:0);
+  raises "Mark.run" ~mentioning:"dropped" (fun () -> Mark.run heap ~threads:1);
+  (* Planted after marking, the reference reaches adjust. *)
+  Heap.set_ref heap a ~slot:0 None;
+  ignore (Mark.run heap ~threads:1);
+  let fwd = Forward.run heap ~threads:1 in
+  Heap.set_ref heap a ~slot:0 (Some gone);
+  raises "Adjust.run"
+    ~mentioning:(Printf.sprintf "references dead object %d" gone.Obj_model.id)
+    (fun () -> Adjust.run heap ~threads:1 ~live:fwd.Forward.live);
+  let gen =
+    Generational.create
+      (Svagc_kernel.Process.create (Helpers.machine ()))
+      ~young_bytes:(8 * 1024 * 1024) ~old_bytes:(32 * 1024 * 1024) ()
+  in
+  let elder = Generational.alloc gen ~size:64 ~n_refs:1 ~cls:0 in
+  Generational.add_root gen elder;
+  let gone = Generational.alloc gen ~size:64 ~n_refs:0 ~cls:0 in
+  ignore (Generational.minor gen ~mover:Compact.memmove_mover);
+  Alcotest.(check bool) "the minor dropped it" true (Obj_model.dropped gone);
+  ignore (Generational.alloc gen ~size:4096 ~n_refs:0 ~cls:0);
+  Generational.set_ref gen elder ~slot:0 (Some gone);
+  raises "Generational.deref" ~mentioning:"dropped" (fun () ->
+      Generational.deref gen elder ~slot:0);
+  raises "Generational.minor" ~mentioning:"dropped" (fun () ->
+      Generational.minor gen ~mover:Compact.memmove_mover)
 
 (* --- Compact (memmove) --- *)
 
@@ -226,10 +374,10 @@ let test_compact_updates_index_and_marks () =
     (fun o ->
       Alcotest.(check bool) "marks cleared" false o.Obj_model.marked)
     p.Helpers.rooted;
-  (* Dereferencing through the index after the move must still work. *)
+  (* Dereferencing after the move must still work. *)
   List.iter
     (fun o ->
-      if o.Obj_model.refs.(0) <> 0 then
+      if o.Obj_model.refs.(0) != Obj_model.null then
         match Heap.deref heap o ~slot:0 with
         | Some _ -> ()
         | None -> Alcotest.fail "link lost")
@@ -382,11 +530,14 @@ let () =
           Alcotest.test_case "aligns large" `Quick test_forward_aligns_large;
           Alcotest.test_case "destinations disjoint" `Quick test_forward_no_dest_overlap;
           Alcotest.test_case "waste bounded" `Quick test_forward_waste_bounded;
+          prop_gather_matches_stable_sort;
           Alcotest.test_case "unsorted heap" `Quick test_forward_unsorted_heap;
         ] );
       ( "adjust",
         [
-          Alcotest.test_case "rewrites refs" `Quick test_adjust_rewrites_refs;
+          Alcotest.test_case "refs follow moves" `Quick test_refs_follow_moves;
+          Alcotest.test_case "dropped reference raises" `Quick
+            test_dropped_reference_raises;
           Alcotest.test_case "first offender in address order" `Quick
             test_adjust_first_offender;
         ] );

@@ -111,39 +111,106 @@ let test_refs () =
   let heap = fresh_heap () in
   let a = Heap.alloc heap ~size:64 ~n_refs:2 ~cls:0 in
   let b = Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0 in
+  Alcotest.(check bool) "slots start null" true
+    (Array.for_all (fun r -> r == Obj_model.null) a.Obj_model.refs);
   Heap.set_ref heap a ~slot:0 (Some b);
   (match Heap.deref heap a ~slot:0 with
   | Some o -> Alcotest.(check int) "deref" b.Obj_model.id o.Obj_model.id
   | None -> Alcotest.fail "expected Some");
   Alcotest.(check bool) "null slot" true (Heap.deref heap a ~slot:1 = None);
+  (* An object of another heap is no target of this one. *)
+  let other =
+    Heap.create (Heap.proc heap) ~base:(Heap.limit heap) ~size_bytes:(1024 * kib) ()
+  in
+  let foreign = Heap.alloc other ~size:64 ~n_refs:0 ~cls:0 in
+  Heap.set_ref heap a ~slot:1 (Some foreign);
+  Alcotest.(check bool) "foreign target raises" true
+    (try ignore (Heap.deref heap a ~slot:1); false with Invalid_argument _ -> true);
   Heap.set_ref heap a ~slot:0 None;
   Alcotest.(check bool) "cleared" true (Heap.deref heap a ~slot:0 = None)
 
-let test_object_at_index () =
+(* The object set after a committed collection in which [a] moved up a
+   page and [b] died. *)
+let test_commit_survivors () =
   let heap = fresh_heap () in
   let a = Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0 in
-  (match Heap.object_at heap a.Obj_model.addr with
-  | Some o -> Alcotest.(check int) "found" a.Obj_model.id o.Obj_model.id
-  | None -> Alcotest.fail "missing");
   let b = Heap.alloc heap ~size:64 ~n_refs:0 ~cls:0 in
-  let old_b = b.Obj_model.addr in
-  (* Commit a collection in which [a] moved up a page and [b] died. *)
+  let old_a = a.Obj_model.addr in
   a.Obj_model.marked <- true;
   a.Obj_model.forward <- a.Obj_model.addr + 4096;
   Heap.commit_survivors heap [| a |] ~top:(a.Obj_model.forward + 64);
-  Alcotest.(check bool) "old addr gone" true
-    (Heap.object_at heap (a.Obj_model.addr - 4096) = None);
-  Alcotest.(check bool) "new addr found" true
-    (Heap.find_object heap a.Obj_model.addr == a);
-  Alcotest.(check bool) "dead object gone" true (Heap.object_at heap old_b = None);
+  let objs = Svagc_util.Vec.to_list (Heap.objects heap) in
+  Alcotest.(check bool) "survivor only, at its new address" true
+    (match objs with [ o ] -> o == a | _ -> false);
+  Alcotest.(check int) "moved" (old_a + 4096) a.Obj_model.addr;
+  Alcotest.(check bool) "dead object gone" true (not (List.memq b objs));
   Alcotest.(check int) "survivors only" 1 (Heap.object_count heap);
   Alcotest.(check bool) "mark cleared" false a.Obj_model.marked;
   Alcotest.(check int) "forward cleared" 0 a.Obj_model.forward;
   Alcotest.(check int) "top" (a.Obj_model.addr + 64) (Heap.top heap)
 
+(* --- Root order --- *)
+
+type root_op = Add of int | Remove_root of int | Reset
+
+let root_ids = Array.init 400 (fun i -> if i < 300 then i + 1 else (i * 7919) + 1_000_000)
+
+let root_op_gen =
+  let id = QCheck.Gen.int_bound (Array.length root_ids - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (30, map (fun k -> Add k) id);
+        (10, map (fun k -> Remove_root k) id);
+        (1, return Reset);
+      ])
+
+let pp_root_op = function
+  | Add k -> Printf.sprintf "add %d" root_ids.(k)
+  | Remove_root k -> Printf.sprintf "remove %d" root_ids.(k)
+  | Reset -> "reset"
+
+(* Mark's cost vector and evacuation follow [iter_roots], so its order is
+   pinned: that of a generic table keyed by id under the same
+   operations, across resizes and resets. *)
+let prop_root_order =
+  qtest ~count:200 "iter_roots visits in generic Hashtbl order"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_root_op ops))
+       QCheck.Gen.(list_size (int_range 1 800) root_op_gen))
+    (fun ops ->
+      let heap = fresh_heap () in
+      let objs =
+        Array.map
+          (fun id -> Obj_model.make ~id ~addr:0 ~size:64 ~cls:0 ~n_refs:0)
+          root_ids
+      in
+      let model = Hashtbl.create 64 in
+      let order () =
+        let seen = ref [] in
+        Heap.iter_roots heap (fun o -> seen := o.Obj_model.id :: !seen);
+        let expect = ref [] in
+        Hashtbl.iter (fun id _ -> expect := id :: !expect) model;
+        !seen = !expect
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add k ->
+            Heap.add_root heap objs.(k);
+            Hashtbl.replace model root_ids.(k) ()
+          | Remove_root k ->
+            Heap.remove_root heap objs.(k);
+            Hashtbl.remove model root_ids.(k)
+          | Reset ->
+            Heap.reset heap;
+            Hashtbl.reset model);
+          Heap.root_count heap = Hashtbl.length model && order ())
+        ops)
+
 (* --- Address index --- *)
 
-type index_op = Replace of int | Remove of int | Find of int | Clear
+type index_op = Replace of int | Remove of int | Find of int
 
 let index_filler =
   Obj_model.make ~id:0 ~addr:(-1) ~size:Obj_model.header_bytes ~cls:0 ~n_refs:0
@@ -178,14 +245,12 @@ let index_op_gen =
         (20, map (fun k -> Replace k) key);
         (10, map (fun k -> Remove k) key);
         (9, map (fun k -> Find k) key);
-        (1, return Clear);
       ])
 
 let pp_index_op = function
   | Replace k -> Printf.sprintf "replace %d" index_keys.(k)
   | Remove k -> Printf.sprintf "remove %d" index_keys.(k)
   | Find k -> Printf.sprintf "find %d" index_keys.(k)
-  | Clear -> "clear"
 
 (* Every operation is mirrored on a [Hashtbl] model, and after each one
    every key of the pool must look up the same way in both: a delete that
@@ -210,7 +275,6 @@ let prop_index_matches_model =
           match (a, b) with Some a, Some b -> a == b | None, None -> true | _ -> false
         in
         same expect found
-        && same expect (Addr_index.find_opt idx key)
         && Addr_index.find_or_filler idx key
            == Option.value expect ~default:index_filler
       in
@@ -226,16 +290,13 @@ let prop_index_matches_model =
           | Remove k ->
             Addr_index.remove idx index_keys.(k);
             Hashtbl.remove model index_keys.(k)
-          | Find _ -> ()
-          | Clear ->
-            Addr_index.clear idx;
-            Hashtbl.reset model);
+          | Find _ -> ());
           let cap = Addr_index.capacity idx in
           Addr_index.length idx = Hashtbl.length model
           && cap land (cap - 1) = 0
           && 2 * Addr_index.length idx <= cap
           && Array.for_all agrees index_keys
-          && Addr_index.find_opt idx (-1) = None)
+          && Addr_index.find_or_filler idx (-1) == index_filler)
         ops)
 
 let test_index_capacity () =
@@ -248,11 +309,8 @@ let test_index_capacity () =
   Alcotest.(check int) "load one half" 16 (Addr_index.capacity idx);
   Addr_index.replace idx (9 * 4096) dummy;
   Alcotest.(check int) "doubles" 32 (Addr_index.capacity idx);
-  Addr_index.clear idx;
-  Alcotest.(check int) "clear empties" 0 (Addr_index.length idx);
-  Alcotest.(check int) "clear keeps capacity" 32 (Addr_index.capacity idx);
   Alcotest.(check bool) "empty marker is no address" true
-    (Addr_index.find_opt idx (-1) = None);
+    (match Addr_index.find idx (-1) with _ -> false | exception Not_found -> true);
   Alcotest.(check bool) "negative address rejected" true
     (try Addr_index.replace idx (-1) dummy; false with Invalid_argument _ -> true)
 
@@ -413,8 +471,10 @@ let test_adopt () =
   Alcotest.(check int) "moved to its placement" (Heap.base dst) o.Obj_model.addr;
   Alcotest.(check int) "forward cleared" 0 o.Obj_model.forward;
   Alcotest.(check int) "top advanced" top (Heap.top dst);
-  Alcotest.(check bool) "indexed at new address" true
-    (Heap.object_at dst o.Obj_model.addr <> None)
+  Alcotest.(check bool) "in the object set" true
+    (match Svagc_util.Vec.to_list (Heap.objects dst) with
+    | [ found ] -> found == o
+    | _ -> false)
 
 let test_reset_empties () =
   let heap = fresh_heap () in
@@ -545,7 +605,8 @@ let () =
         [
           Alcotest.test_case "roots" `Quick test_roots;
           Alcotest.test_case "refs" `Quick test_refs;
-          Alcotest.test_case "address index" `Quick test_object_at_index;
+          Alcotest.test_case "commit survivors" `Quick test_commit_survivors;
+          prop_root_order;
         ] );
       ( "addr_index",
         [
