@@ -25,9 +25,12 @@
      of 16k objects, half of them garbage, whose object vector is out of
      address order.  Gate: the 16k heap's collection allocates no more
      minor words than the 1k heap's — nothing per object or reference.
+   - llc: the default 8 MiB LLC ([Cache_sim]) streaming pages through a
+     region 8x its size, and touching lines of a hot set half its size.
+     Gate: 1M accesses after warm-up allocate 0 minor words, each way.
 
    The speed gates arm on full runs only; the identity checks and the
-   allocation gate always.
+   allocation gates always.
    Time is bechamel's monotonic wall clock: CPU time sums across domains
    and would hide any parallel speedup.
 
@@ -354,6 +357,46 @@ let collect () =
          (List.nth collect_sizes 1) (List.hd collect_sizes))
       (List.nth words 1 <= List.hd words) )
 
+(* --- llc --- *)
+
+let llc_accesses = 1_000_000
+
+(* Whole pages streamed through 64 MiB, as Table III's byte copies
+   stream objects (every line misses), and single lines drawn from a
+   4 MiB hot set (most hit).  Minor words of [llc_accesses] accesses
+   after as many for warm-up, and ns per access. *)
+let llc () =
+  let cache = Cache_sim.create () and page = ref 0 and x = ref 99 in
+  let stream () =
+    Cache_sim.access_range cache ~addr:(!page * Addr.page_size) ~len:Addr.page_size;
+    page := (!page + 1) land 16383
+  and hot () =
+    x := ((!x * 1103515245) + 12345) land 0x3FFF_FFFF;
+    Cache_sim.access cache ~addr:((!x lsl 4) land ((4 lsl 20) - 1))
+  in
+  let pattern (name, lines, f) =
+    let run () = for _ = 1 to llc_accesses / lines do f () done in
+    run ();
+    let before = Gc.minor_words () in
+    run ();
+    let words = Gc.minor_words () -. before in
+    ( words,
+      Json.Obj
+        [
+          ("pattern", Json.Str name);
+          ("accesses", Json.Int llc_accesses);
+          ("minor_words", Json.Float words);
+          ("ns_per_access", ns (per_op f /. float_of_int lines));
+        ] )
+  in
+  let rows = List.map pattern [ ("stream", Addr.page_size / 64, stream); ("hot", 1, hot) ] in
+  ( Json.List (List.map snd rows),
+    identity
+      (Printf.sprintf
+         "llc: %d accesses after warm-up allocate 0 words, streaming and hot"
+         llc_accesses)
+      (List.for_all (fun (words, _) -> words = 0.0) rows) )
+
 (* --- driver --- *)
 
 let run quick output =
@@ -372,10 +415,11 @@ let run quick output =
   let copy_row, copy_gate = copy () in
   let alloc_row, alloc_gate = alloc () in
   let collect_row, collect_gate = collect () in
+  let llc_row, llc_gate = llc () in
   let full = not quick in
   let checks =
     List.map (fun (_, c, _) -> c) (swap @ par)
-    @ [ shootdown_gate; copy_gate; alloc_gate; collect_gate ]
+    @ [ shootdown_gate; copy_gate; alloc_gate; collect_gate; llc_gate ]
   in
   let gates =
     checks
@@ -410,6 +454,7 @@ let run quick output =
         ("copy", copy_row);
         ("alloc", alloc_row);
         ("collect", collect_row);
+        ("llc", llc_row);
         ("gates", Json.List (List.map gate_json gates));
       ]
   in

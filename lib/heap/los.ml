@@ -110,6 +110,4 @@ let free t obj =
   in
   t.holes <- insert t.holes
 
-let object_at t addr = Hashtbl.find_opt t.by_addr addr
-
 let object_count t = Hashtbl.length t.by_addr

@@ -25,8 +25,6 @@ val free : t -> Obj_model.t -> unit
 (** Return the object's pages to the free list, coalescing with adjacent
     holes.  @raise Invalid_argument if the object is not resident. *)
 
-val object_at : t -> int -> Obj_model.t option
-
 val object_count : t -> int
 
 (** {2 Fragmentation metrics} *)

@@ -3,11 +3,11 @@ type stats = {
   mutable misses : int;
 }
 
-(* Way [w] of set [s] is slot [s * ways + w] of one int array holding
-   [(stamp lsl tag_bits) lor (tag + 1)]; 0 is an empty way.  Stamps are
-   ticks of one access counter, so they are unique and a set's smallest
-   packed value is its first empty way or, if it has none, its LRU way.
-   A fill only follows a miss, so a tag is resident at most once per set.
+(* Way [w] of set [s] is slot [s * ways + w] of one int array holding the
+   line's [tag + 1]; 0 is an empty way.  Each set's ways are in recency
+   order, way 0 its most recently used line.  Nothing invalidates a line,
+   so empty ways only ever sit at a set's tail, and a full set's last way
+   is its LRU line.
 
    The array is built on the first access: only the Table III
    instrumentation touches the LLC, and every machine owns one. *)
@@ -18,16 +18,8 @@ type t = {
   ways : int;
   line : int;
   line_shift : int;
-  mutable tick : int;
   st : stats;
 }
-
-let tag_bits = 31
-let tag_mask = (1 lsl tag_bits) - 1
-
-(* The largest stamp: [(stamp lsl tag_bits) lor tag_mask] stays a
-   positive 63-bit int. *)
-let max_stamp = (1 lsl 31) - 1
 
 let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
@@ -51,75 +43,47 @@ let create ?(size_bytes = 8 * 1024 * 1024) ?(line_bytes = 64) ?(ways = 16) () =
     ways;
     line = line_bytes;
     line_shift = log2 line_bytes;
-    tick = 0;
     st = { accesses = 0; misses = 0 };
   }
 
-(* The stamp field is full: give every valid way its rank among its set's
-   valid ways (1 = least recent) and restart the clock above every rank.
-   Each set keeps its LRU order, so no later victim changes. *)
-let renumber t =
-  let s = t.slots in
-  let ranks = Array.make t.ways 0 in
-  for set = 0 to t.n_sets - 1 do
-    let base = set * t.ways in
-    for w = 0 to t.ways - 1 do
-      let v = s.(base + w) in
-      let rank = ref 0 in
-      if v <> 0 then
-        for u = base to base + t.ways - 1 do
-          let x = s.(u) in
-          if x <> 0 && x lsr tag_bits <= v lsr tag_bits then incr rank
-        done;
-      ranks.(w) <- !rank
-    done;
-    for w = 0 to t.ways - 1 do
-      let v = s.(base + w) in
-      if v <> 0 then s.(base + w) <- (ranks.(w) lsl tag_bits) lor (v land tag_mask)
-    done
-  done;
-  t.tick <- t.ways
-
-(* Lines [first..last], in order. *)
+(* Lines [first..last], in order.  Each access is one move-to-front pass:
+   from way 0 the new key is carried down, every way taking the line
+   above it, until the pass meets the key (a hit) or an empty way.  A
+   pass that reaches the end drops the last way's line: the miss's LRU
+   victim.  Masking the line number keeps [base .. stop - 1] inside the
+   array, so the pass skips the bounds checks. *)
 let access_lines t first last =
   if Array.length t.slots = 0 then t.slots <- Array.make (t.n_sets * t.ways) 0;
-  let s = t.slots in
+  let s = t.slots and set_mask = t.n_sets - 1 and ways = t.ways in
+  let misses = ref 0 in
   for line_no = first to last do
-    if t.tick = max_stamp then renumber t;
-    let tick = t.tick + 1 in
-    t.tick <- tick;
-    t.st.accesses <- t.st.accesses + 1;
+    let base = (line_no land set_mask) * ways in
+    let stop = base + ways in
     let key = (line_no lsr t.set_bits) + 1 in
-    if key > tag_mask then invalid_arg "Cache_sim.access: address beyond the tag field";
-    let base = (line_no land (t.n_sets - 1)) * t.ways in
-    let stop = base + t.ways in
-    let i = ref base and victim = ref base and least = ref max_int in
-    while !i < stop do
-      let v = s.(!i) in
-      if v land tag_mask = key then begin
-        victim := !i;
-        least := -1;
-        i := stop
-      end
-      else begin
-        (* [least := min !least v] and its way, without a branch the host
-           would mispredict: [m] is all ones when [v < !least], else 0. *)
-        let d = v - !least in
-        let m = d asr 62 in
-        least := !least + (d land m);
-        victim := !victim + ((!i - !victim) land m);
-        incr i
-      end
+    let i = ref base and v = ref key in
+    while
+      let w = Array.unsafe_get s !i in
+      Array.unsafe_set s !i !v;
+      v := w;
+      incr i;
+      w <> key && w <> 0 && !i < stop
+    do
+      ()
     done;
-    if !least >= 0 then t.st.misses <- t.st.misses + 1;
-    s.(!victim) <- (tick lsl tag_bits) lor key
-  done
+    if !v <> key then incr misses
+  done;
+  t.st.accesses <- t.st.accesses + (last - first + 1);
+  t.st.misses <- t.st.misses + !misses
+
+let check_addr addr = if addr < 0 then invalid_arg "Cache_sim.access: negative address"
 
 let access t ~addr =
+  check_addr addr;
   let line_no = addr lsr t.line_shift in
   access_lines t line_no line_no
 
 let access_range t ~addr ~len =
+  check_addr addr;
   if len > 0 then
     access_lines t (addr lsr t.line_shift) ((addr + len - 1) lsr t.line_shift)
 
@@ -134,7 +98,3 @@ let reset_stats t =
   t.st.misses <- 0
 
 let line_bytes t = t.line
-
-let skip_ticks t n =
-  if n < 0 || t.tick + n > max_stamp then invalid_arg "Cache_sim.skip_ticks";
-  t.tick <- t.tick + n

@@ -6,10 +6,10 @@
 
     Every machine owns one, but only Table III touches it, so the ways
     are built on the first {!access}: creating a cache allocates nothing
-    in proportion to its size.  Each way is one packed int (recency stamp
-    and tag); when the stamp field fills, after 2{^31} accesses, every
-    set's stamps are renumbered in LRU order, which changes no later hit
-    or victim. *)
+    in proportion to its size.  Each way is one int (the line's tag) and
+    each set keeps its ways in recency order, most recent first: an access
+    moves its line to the front, and a miss drops the set's last way, its
+    LRU line. *)
 
 type t
 
@@ -26,11 +26,11 @@ val create : ?size_bytes:int -> ?line_bytes:int -> ?ways:int -> unit -> t
 
 val access : t -> addr:int -> unit
 (** Touch one physical address (one line).
-    @raise Invalid_argument if the address's tag needs more than 31 bits
-    (2{^50} bytes and up with the default geometry). *)
+    @raise Invalid_argument if [addr] is negative. *)
 
 val access_range : t -> addr:int -> len:int -> unit
-(** Touch every line in [\[addr, addr+len)]. *)
+(** Touch every line in [\[addr, addr+len)].
+    @raise Invalid_argument if [addr] is negative. *)
 
 val stats : t -> stats
 
@@ -40,11 +40,3 @@ val miss_rate : t -> float
 val reset_stats : t -> unit
 
 val line_bytes : t -> int
-
-(**/**)
-
-val skip_ticks : t -> int -> unit
-(** Test hook: advance the recency clock by [n] ticks without an access.
-    Every later stamp grows by [n] and no set's LRU order changes, so a
-    test can reach the stamp bound without 2{^31} accesses.
-    @raise Invalid_argument if [n] is negative or would pass the bound. *)

@@ -1084,9 +1084,8 @@ let test_cache_geometry () =
   Alcotest.(check int) "three ways of one set, LRU evicted" 5
     (Cache_sim.stats c).Cache_sim.misses
 
-(* The two-array LLC the packed one replaced, kept as its reference: tags
-   and stamps per set, a full scan for the hit and another for the
-   victim, and an unbounded clock. *)
+(* A two-array LLC kept as the reference: tags and stamps per set, a full
+   scan for the hit and another for the victim, and an unbounded clock. *)
 module Ref_cache = struct
   type t = {
     tags : int array array; (* -1 = invalid *)
@@ -1134,19 +1133,19 @@ module Ref_cache = struct
 end
 
 (* Same misses after every access, so every victim was the same way. *)
-let same_misses packed model addrs =
+let same_misses llc model addrs =
   List.for_all
     (fun addr ->
-      Cache_sim.access packed ~addr;
+      Cache_sim.access llc ~addr;
       Ref_cache.access model ~addr;
-      (Cache_sim.stats packed).Cache_sim.misses = model.Ref_cache.misses)
+      (Cache_sim.stats llc).Cache_sim.misses = model.Ref_cache.misses)
     addrs
 
 let cache_geometries =
   [ (256, 64, 2); (1024, 64, 4); (4 * 3 * 32, 32, 3); (4096, 128, 16); (65536, 64, 8) ]
 
 let prop_cache_reference =
-  qtest ~count:300 "packed LLC agrees with the two-array reference"
+  qtest ~count:300 "LLC agrees with the two-array reference"
     QCheck.(
       pair (oneofl cache_geometries)
         (list_of_size Gen.(int_range 1 2000)
@@ -1157,38 +1156,18 @@ let prop_cache_reference =
         (Ref_cache.create ~size_bytes ~line_bytes ~ways)
         addrs)
 
-(* One set driven across the stamp bound: the clock jumps to just below it
-   in both models, then a stream over more tags than ways keeps evicting
-   through the wrap.  A second set holds lines from before the jump, so
-   the renumbering must keep its LRU order too. *)
-let test_cache_stamp_wrap () =
-  let size_bytes = 512 and line_bytes = 64 and ways = 4 in
-  let packed = Cache_sim.create ~size_bytes ~line_bytes ~ways () in
-  let model = Ref_cache.create ~size_bytes ~line_bytes ~ways in
-  let n_sets = size_bytes / line_bytes / ways in
-  let line_of ~set ~tag = ((tag * n_sets) + set) * line_bytes in
-  let rng = Random.State.make [| 31 |] in
-  let stream n ~set =
-    List.init n (fun _ -> line_of ~set ~tag:(Random.State.int rng (ways + 3)))
-  in
-  let max_stamp = (1 lsl 31) - 1 in
-  Alcotest.(check bool) "warm-up" true
-    (same_misses packed model (stream 40 ~set:0 @ stream 40 ~set:1));
-  let jump = max_stamp - 30 - model.Ref_cache.tick in
-  Cache_sim.skip_ticks packed jump;
-  model.Ref_cache.tick <- model.Ref_cache.tick + jump;
-  Alcotest.(check bool) "across the bound" true
-    (same_misses packed model (stream 400 ~set:0));
-  Alcotest.(check bool) "the other set after the wrap" true
-    (same_misses packed model (stream 100 ~set:1 @ stream 100 ~set:0));
-  Alcotest.(check bool) "stream long enough to miss" true
-    (model.Ref_cache.misses > 100);
-  (* The clock restarted below the bound, so a long jump fits again. *)
-  Cache_sim.skip_ticks packed (max_stamp - 1000);
-  Alcotest.(check bool) "a jump past the bound is refused" true
-    (match Cache_sim.skip_ticks packed 1000 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+(* A tag is a plain int, so an address at 2^50 and beyond misses once,
+   then hits.  A negative address is refused. *)
+let test_cache_address_bounds () =
+  let c = Cache_sim.create () in
+  List.iter (fun addr -> Cache_sim.access c ~addr) [ 1 lsl 50; 1 lsl 50; max_int; max_int ];
+  Alcotest.(check (pair int int)) "accesses, misses" (4, 2)
+    (let st = Cache_sim.stats c in
+     (st.Cache_sim.accesses, st.Cache_sim.misses));
+  let negative = Invalid_argument "Cache_sim.access: negative address" in
+  Alcotest.check_raises "access" negative (fun () -> Cache_sim.access c ~addr:(-64));
+  Alcotest.check_raises "access_range" negative (fun () ->
+      Cache_sim.access_range c ~addr:(-1) ~len:8)
 
 (* --- Cost_model --- *)
 
@@ -1582,7 +1561,7 @@ let () =
           Alcotest.test_case "pinned streams" `Quick test_cache_streams_pinned;
           Alcotest.test_case "geometry checked" `Quick test_cache_geometry;
           prop_cache_reference;
-          Alcotest.test_case "stamp wrap" `Quick test_cache_stamp_wrap;
+          Alcotest.test_case "address bounds" `Quick test_cache_address_bounds;
         ] );
       ( "cost_model",
         [
